@@ -13,7 +13,6 @@ from .denoiser import (
     build_explicit_w,
     denoise_image_fixed,
     denoise_image_mmse,
-    denoise_patch_fixed,
     eval_phi,
     expansiveness_demo,
     prox_oracle,

@@ -33,7 +33,6 @@ class SolverConfig:
     primal_tol: float = 1e-6
     dual_tol: float = 1e-6
     record_history: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.rho <= 0:

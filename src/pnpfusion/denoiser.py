@@ -3,19 +3,27 @@
 The fixed-weight denoiser applies, to each patch, the convex combination of
 per-component Wiener filters ``F_i = sum_j beta_ji C_j (C_j + s2 I)^-1`` with
 weights frozen from training, then recombines patches by straight averaging.
-In pure-linear mode (no per-patch mean handling) the whole map is the single
-symmetric PSD matrix ``W = (1/n_p) sum_i P_i^T F_i P_i`` with spectrum in
-``[0, 1)``; W equals the proximity operator of
+With the weights frozen the whole map is one linear operator
+
+    W = (1/n_p) sum_i P_i^T M_i P_i,
+
+which :class:`LinearDenoiser` assembles once as a sparse matrix and every
+apply multiplies by. In pure-linear mode ``M_i = F_i`` and W is symmetric
+PSD with spectrum in ``[0, 1)``, so it equals the proximity operator of
 
     phi(x) = indicator(x in span(W)) + 0.5 x^T Qbar (Lbar^-1 - I) Qbar^T x
 
 which this module can evaluate and prox directly from the eigendecomposition
-of an explicitly materialized W (test scale only).
+of W made dense (test scale only). The practical mode removes each patch's
+mean before filtering and restores it afterwards,
+``M_i = F_i (I - 11^T/n_p) + 11^T/n_p``: still linear, but not symmetric, so
+the proximity-operator theory does not cover it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +31,6 @@ from .errors import ConfigError, DimensionError, SizeError
 from .gmm import GmmModel, PatchWeights, e_step
 from .patches import (
     ImageGeometry,
-    PatchSet,
     assemble_patches,
     extract_patches,
     patch_index_map,
@@ -45,9 +52,11 @@ EXPLICIT_W_CAP = 4096
 class LinearDenoiser:
     """GMM + frozen per-patch weights + noise variance, over a fixed grid.
 
-    ``pure_linear`` disables per-patch mean removal/restoration; that variant
-    is the exact linear operator analyzed by the proximity-operator theory.
-    The practical default handles means the way the patch pipelines do.
+    The denoiser is the linear map :attr:`operator`, built on first use.
+    ``pure_linear`` leaves out per-patch mean removal/restoration; that
+    variant is the symmetric operator analyzed by the proximity-operator
+    theory. The practical default handles means the way the patch pipelines
+    do, which keeps W linear but makes it non-symmetric.
     """
 
     model: GmmModel
@@ -66,6 +75,44 @@ class LinearDenoiser:
                 f"weights cover {self.weights.count} patches, geometry has "
                 f"{self.geometry.n} pixels"
             )
+
+    @cached_property
+    def operator(self):
+        """W as a CSR matrix, assembled on first use and kept.
+
+        Row p holds one entry per displacement a patch can span, (2s-1)^2 in
+        all for side-s patches; displacements that wrap onto the same pixel
+        of a grid narrower than 2s-1 are merged.
+        """
+        from scipy import sparse  # loaded on first build, not at package import
+
+        side = self.model.patch_side
+        n_p = side * side
+        n = self.geometry.n
+        idx = patch_index_map(self.geometry, side)
+        filters = component_filters(self.model, self.noise_variance)
+        if not self.pure_linear:
+            filters = filters - filters.mean(axis=2, keepdims=True)
+        # slot[k, l]: index of the displacement from patch offset k to l
+        dr, dc = np.arange(n_p) % side, np.arange(n_p) // side
+        span = 2 * side - 1
+        slot = (dr - dr[:, None] + side - 1) + (dc - dc[:, None] + side - 1) * span
+        data = np.zeros((n, span * span))
+        cols = np.empty((n, span * span), dtype=np.int32)
+        beta_t = self.weights.beta.T
+        # For a fixed offset k, i -> idx[i, k] is a bijection on pixels, so
+        # each scatter below touches every row once and never collides.
+        for k in range(n_p):
+            block = beta_t @ filters[:, k, :]  # row i: row k of M_i
+            if not self.pure_linear:
+                block += 1.0 / n_p
+            data[idx[:, k, None], slot[k]] += block
+            cols[idx[:, k, None], slot[k]] = idx
+        data /= n_p
+        indptr = np.arange(0, data.size + 1, span * span, dtype=np.int32)
+        w = sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
+        w.sum_duplicates()
+        return w
 
 
 @dataclass(frozen=True)
@@ -110,56 +157,16 @@ def component_filters(model: GmmModel, noise_variance: float) -> np.ndarray:
     )
 
 
-def denoise_patch_fixed(
-    patch: np.ndarray,
-    model: GmmModel,
-    beta_column: np.ndarray,
-    noise_variance: float,
-) -> np.ndarray:
-    """Apply the beta-weighted combination of Wiener filters to one patch."""
-    if patch.shape != (model.patch_dim,):
-        raise DimensionError(
-            f"patch has shape {patch.shape}, model expects ({model.patch_dim},)"
-        )
-    if beta_column.shape != (model.n_components,):
-        raise DimensionError("beta column length does not match component count")
-    filters = component_filters(model, noise_variance)
-    combined = np.tensordot(beta_column, filters, axes=1)
-    return combined @ patch
-
-
-def _filter_patches(
-    patches: np.ndarray, filters: np.ndarray, beta: np.ndarray
-) -> np.ndarray:
-    """Row-wise ``F_i y_i`` for all patches at once (filters are symmetric)."""
-    out = np.zeros_like(patches)
-    for j in range(filters.shape[0]):
-        out += beta[j][:, None] * (patches @ filters[j])
-    return out
-
-
 def denoise_image_fixed(
     image_band: np.ndarray, denoiser: LinearDenoiser
 ) -> np.ndarray:
-    """Denoise one band with the frozen training weights.
-
-    Practical mode removes each patch's mean before filtering and restores it
-    afterwards; pure-linear mode is exactly ``W @ image_band``.
-    """
-    geometry = denoiser.geometry
-    patch_set = extract_patches(image_band, geometry, denoiser.model.patch_side)
-    if not denoiser.pure_linear:
-        patch_set = remove_means(patch_set)
-    filters = component_filters(denoiser.model, denoiser.noise_variance)
-    filtered = PatchSet(
-        patches=_filter_patches(patch_set.patches, filters, denoiser.weights.beta),
-        patch_side=patch_set.patch_side,
-        source_geometry=geometry,
-        means=patch_set.means,
-    )
-    if not denoiser.pure_linear:
-        filtered = restore_means(filtered)
-    return assemble_patches(filtered)
+    """Denoise one band with the frozen training weights: ``W @ image_band``."""
+    band = np.asarray(image_band, dtype=float)
+    if band.shape != (denoiser.geometry.n,):
+        raise DimensionError(
+            f"band has {band.shape} entries, geometry expects {denoiser.geometry.n}"
+        )
+    return denoiser.operator @ band
 
 
 def denoise_image_mmse(
@@ -171,42 +178,31 @@ def denoise_image_mmse(
     """Exact-MMSE variant: posterior weights recomputed from the noisy input.
 
     Mean handling is always on; this is the nonlinear denoiser the fixed-
-    weight one linearizes.
+    weight one linearizes, so it runs the patch pipeline on every call.
     """
     patch_set = remove_means(extract_patches(image_band, geometry, model.patch_side))
-    beta = e_step(patch_set, model, noise_variance)
+    beta = e_step(patch_set, model, noise_variance).beta
     filters = component_filters(model, noise_variance)
-    filtered = PatchSet(
-        patches=_filter_patches(patch_set.patches, filters, beta.beta),
-        patch_side=patch_set.patch_side,
-        source_geometry=geometry,
-        means=patch_set.means,
-    )
-    return assemble_patches(restore_means(filtered))
+    filtered = np.zeros_like(patch_set.patches)
+    for j in range(filters.shape[0]):
+        # row-wise F_j y_i; the filters are symmetric
+        filtered += beta[j][:, None] * (patch_set.patches @ filters[j])
+    return assemble_patches(restore_means(replace(patch_set, patches=filtered)))
 
 
 def build_explicit_w(
     denoiser: LinearDenoiser, cap: int = EXPLICIT_W_CAP
 ) -> ExplicitW:
-    """Materialize the pure-linear operator ``(1/n_p) sum_i P_i^T F_i P_i``.
+    """The pure-linear operator made dense, with its eigendecomposition.
 
-    Dense assembly plus a full eigendecomposition; refuses images above the
-    test-scale cap. Mean handling is never part of the materialized operator.
+    Whatever the denoiser's mode, the matrix is its pure-linear ``operator``
+    (mean handling is never part of it). Refuses images above the test-scale
+    cap.
     """
-    geometry = denoiser.geometry
-    n = geometry.n
+    n = denoiser.geometry.n
     if n > cap:
         raise SizeError(f"explicit W capped at n={cap}, geometry has n={n}")
-    side = denoiser.model.patch_side
-    idx = patch_index_map(geometry, side)
-    filters = component_filters(denoiser.model, denoiser.noise_variance)
-    beta = denoiser.weights.beta
-    w = np.zeros((n, n))
-    for i in range(n):
-        f_i = np.tensordot(beta[:, i], filters, axes=1)
-        w[np.ix_(idx[i], idx[i])] += f_i
-    w /= side * side
-    w = 0.5 * (w + w.T)
+    w = replace(denoiser, pure_linear=True).operator.toarray()
     vals, vecs = np.linalg.eigh(w)
     order = np.argsort(vals)[::-1]
     vals = vals[order]

@@ -196,7 +196,9 @@ def _init_model(patches: PatchSet, config: EmConfig) -> GmmModel:
             continue
         centers[j] = whitened[rng.choice(n, p=dist2 / total)]
     # hard-assign and build per-cluster second moments of the raw patches
-    d2 = ((whitened[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    # one centre at a time: the (N, K, n_p) difference array would take
+    # 94 MB for a 96x96 band with K=20 and 8x8 patches
+    d2 = np.stack([((whitened - c) ** 2).sum(axis=1) for c in centers], axis=1)
     labels = d2.argmin(axis=1)
     alphas = np.empty(k)
     covariances = np.empty((k, n_p, n_p))

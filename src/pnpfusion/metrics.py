@@ -86,10 +86,13 @@ def sam(reference: np.ndarray, estimate: np.ndarray) -> float:
     would turn a one-ulp rounding of a unit cosine into ~1e-8 rad; this form
     gives 0 degrees for parallel spectra. The range is [0, 180] degrees.
 
-    Pixels where either spectrum is zero are excluded (logged).
+    Pixels where either spectrum is zero are excluded (logged). A 1-D
+    reference/estimate pair is one spectrum, not a one-band image.
     """
-    ref = _as_cube(reference)
-    est = _as_cube(estimate)
+    ref, est = (np.asarray(a, dtype=float) for a in (reference, estimate))
+    if ref.ndim == 1 and est.ndim == 1:
+        ref, est = ref[:, None], est[:, None]
+    ref, est = _as_cube(ref), _as_cube(est)
     if ref.shape != est.shape:
         raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
     norms_ref = np.linalg.norm(ref, axis=0)

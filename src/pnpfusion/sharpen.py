@@ -20,7 +20,6 @@ weight on phi explicitly.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ from .errors import ConfigError, DimensionError, SizeError
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs
 from .gmm import EmConfig, PatchWeights, average_beta_across_bands, train_em
 from .patches import ImageGeometry, PatchSet, extract_patches, remove_means
-
-log = logging.getLogger(__name__)
 
 DIRECT_SOLVE_CAP = 8192
 

@@ -7,13 +7,12 @@ from pnpfusion.denoiser import (
     component_filters,
     denoise_image_fixed,
     denoise_image_mmse,
-    denoise_patch_fixed,
     eval_phi,
     expansiveness_demo,
     prox_oracle,
     wiener_filter,
 )
-from pnpfusion.errors import SizeError
+from pnpfusion.errors import DimensionError, SizeError
 from pnpfusion.gmm import GmmModel, PatchWeights
 from pnpfusion.patches import ImageGeometry
 from tests.conftest import train_random_denoiser
@@ -43,48 +42,108 @@ class TestWienerFilter:
         assert np.linalg.eigvalsh(f).max() < 1.0
 
 
-class TestPatchDenoise:
-    def test_zero_patch_stays_zero(self):
-        rng = np.random.default_rng(1)
-        model = GmmModel(
-            alphas=np.array([1.0]),
-            covariances=random_psd(rng, 4)[None],
-            patch_side=2,
-        )
-        out = denoise_patch_fixed(np.zeros(4), model, np.array([1.0]), 0.1)
-        np.testing.assert_array_equal(out, 0.0)
+def random_denoiser(geometry, side, k, seed, sigma2=0.15, pure_linear=False):
+    """Random PSD covariances and random simplex weights, no training."""
+    rng = np.random.default_rng(seed)
+    model = GmmModel(
+        alphas=np.full(k, 1 / k),
+        covariances=np.stack([random_psd(rng, side * side) for _ in range(k)]),
+        patch_side=side,
+    )
+    weights = PatchWeights(beta=rng.dirichlet(np.ones(k), size=geometry.n).T)
+    return LinearDenoiser(
+        model=model,
+        weights=weights,
+        noise_variance=sigma2,
+        geometry=geometry,
+        pure_linear=pure_linear,
+    )
 
-    def test_scalar_shrinkage(self):
-        c = 0.8
-        model = GmmModel(
-            alphas=np.array([1.0]),
-            covariances=(c * np.eye(4))[None],
-            patch_side=2,
-        )
-        patch = np.array([1.0, -2.0, 3.0, 0.5])
-        out = denoise_patch_fixed(patch, model, np.array([1.0]), 0.2)
-        np.testing.assert_allclose(out, (c / (c + 0.2)) * patch, rtol=1e-12)
 
-    def test_matches_brute_force_filter_matrix(self):
-        rng = np.random.default_rng(2)
-        k = 3
-        model = GmmModel(
-            alphas=np.full(k, 1 / k),
-            covariances=np.stack([random_psd(rng, 4) for _ in range(k)]),
-            patch_side=2,
-        )
-        beta = rng.dirichlet(np.ones(k))
-        sigma2 = 0.15
-        patch = rng.standard_normal(4)
-        f = sum(
-            beta[j]
-            * model.covariances[j]
-            @ np.linalg.inv(model.covariances[j] + sigma2 * np.eye(4))
-            for j in range(k)
+def dense_reference(den):
+    """The literal ``(1/n_p) sum_i P_i^T M_i P_i``, filters from inverses.
+
+    ``M_i = F_i`` in pure-linear mode and ``F_i (I - 11^T/n_p) + 11^T/n_p``
+    (mean removal, filtering, mean restoration) otherwise.
+    """
+    h, w = den.geometry.height, den.geometry.width
+    n, side = den.geometry.n, den.model.patch_side
+    n_p = side * side
+    eye = np.eye(n_p)
+    filters = [
+        c @ np.linalg.inv(c + den.noise_variance * eye)
+        for c in den.model.covariances
+    ]
+    out = np.zeros((n, n))
+    for i in range(n):
+        row, col = i % h, i // h
+        p = np.zeros((n_p, n))
+        for k in range(n_p):
+            p[k, (row + k % side) % h + ((col + k // side) % w) * h] = 1.0
+        f = sum(b * g for b, g in zip(den.weights.beta[:, i], filters))
+        m = f if den.pure_linear else f @ (eye - 1 / n_p) + 1 / n_p
+        out += p.T @ m @ p
+    return out / n_p
+
+
+class TestOperator:
+    @pytest.mark.parametrize("pure_linear", [True, False])
+    @pytest.mark.parametrize("height,width,side", [(12, 12, 3), (5, 7, 4), (8, 8, 8)])
+    def test_matches_dense_reference(self, height, width, side, pure_linear):
+        # 5x7 with side 4 and 8x8 with side 8 have displacements that wrap
+        # onto the same pixel, so the operator has to merge them
+        den = random_denoiser(
+            ImageGeometry(height, width), side, 3, seed=height * width + side,
+            pure_linear=pure_linear,
         )
         np.testing.assert_allclose(
-            denoise_patch_fixed(patch, model, beta, sigma2), f @ patch, rtol=1e-9
+            den.operator.toarray(), dense_reference(den), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("pure_linear", [True, False])
+    def test_zero_in_zero_out(self, pure_linear):
+        den = random_denoiser(
+            ImageGeometry(6, 5), 2, 2, seed=1, pure_linear=pure_linear
+        )
+        np.testing.assert_array_equal(den.operator @ np.zeros(30), 0.0)
+
+    def test_scalar_shrinkage(self):
+        # C = cI makes every patch filter c/(c+s2) I, and so W
+        c, sigma2 = 0.8, 0.2
+        geom = ImageGeometry(4, 5)
+        den = LinearDenoiser(
+            model=GmmModel(
+                alphas=np.array([1.0]), covariances=(c * np.eye(4))[None], patch_side=2
+            ),
+            weights=PatchWeights(beta=np.ones((1, geom.n))),
+            noise_variance=sigma2,
+            geometry=geom,
+            pure_linear=True,
+        )
+        np.testing.assert_allclose(
+            den.operator.toarray(), (c / (c + sigma2)) * np.eye(geom.n), rtol=1e-12
+        )
+
+    def test_filters_built_once(self, monkeypatch):
+        import pnpfusion.denoiser as denoiser_module
+
+        calls = []
+
+        def counting_filters(*args):
+            calls.append(args)
+            return component_filters(*args)
+
+        monkeypatch.setattr(denoiser_module, "component_filters", counting_filters)
+        den = random_denoiser(ImageGeometry(6, 6), 2, 2, seed=2)
+        y = np.random.default_rng(2).standard_normal(den.geometry.n)
+        for _ in range(3):
+            denoise_image_fixed(y, den)
+        assert len(calls) == 1
+
+    def test_wrong_length_band_raises(self):
+        den = random_denoiser(ImageGeometry(6, 6), 2, 2, seed=3)
+        with pytest.raises(DimensionError):
+            denoise_image_fixed(np.zeros(35), den)
 
 
 class TestImageDenoise:

@@ -101,6 +101,11 @@ class TestSam:
         assert sam(r, orthogonal) == pytest.approx(90.0, abs=1e-9)
         assert sam(r, -0.7 * r) == pytest.approx(180.0, abs=1e-9)
 
+    def test_one_dimensional_pair_is_one_spectrum(self):
+        assert sam(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(
+            45.0, abs=1e-9
+        )
+
     def test_zero_spectra_excluded_with_warning(self, caplog):
         import logging
 
