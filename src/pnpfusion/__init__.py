@@ -8,6 +8,7 @@ built on it: hyperspectral sharpening and blurred/noisy pair deblurring.
 
 from .admm import SolveReport, SolverConfig, residuals, run_admm
 from .denoiser import (
+    DataTerm,
     ExplicitW,
     LinearDenoiser,
     build_explicit_w,
@@ -54,8 +55,7 @@ from .pairdeblur import (
     PairParams,
     PairScene,
     deblur_pair,
-    direct_solve_pair,
-    objective_pair,
+    pair_data_term,
 )
 from .patches import (
     ImageGeometry,
@@ -78,10 +78,9 @@ from .sharpen import (
     HsScene,
     SharpenParams,
     SubspaceBasis,
-    direct_solve_small,
     forward_hs,
     forward_ms,
-    hs_objective,
+    hs_data_term,
     make_decimation_mask,
     pca_basis,
     sharpen,

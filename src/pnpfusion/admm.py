@@ -6,11 +6,13 @@ A problem supplies four callbacks:
   given the current splitting blocks;
 * ``h_apply(x)``: the list ``[H_j x]`` of linear-operator images of x;
 * ``v_update(j, target)``: the prox step of the j-th term at ``target``;
-* ``objective(x)``: optional scalar for diagnostics (may return None).
+* ``objective(x)``: a scalar for diagnostics, recorded with the history
+  (the pipelines report their data-fit term).
 
-The driver iterates x / v / scaled-dual updates with all blocks initialized
-by the caller (zeros in the paper-style pipelines), stops when both stacked
-residuals fall below their tolerances, and never mutates callback state.
+The driver iterates x / v / scaled-dual updates with the v blocks initialized
+by the caller (zeros in the paper-style pipelines) and the scaled duals at
+zero, stops when both stacked residuals fall below their tolerances, and
+never mutates callback state.
 """
 
 from __future__ import annotations
@@ -47,7 +49,12 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Per-run diagnostics; traces are populated when history is recorded."""
+    """Per-run diagnostics; traces are populated when history is recorded.
+
+    ``objective_trace`` holds the problem's ``objective(x)`` per iteration: in
+    the fusion pipelines the data-fit term alone, without the regularizer phi,
+    which needs the dense W.
+    """
 
     iterations_run: int = 0
     primal_residuals: list[float] = field(default_factory=list)
@@ -90,19 +97,14 @@ def _all_finite(arrays) -> bool:
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 
-def run_admm(problem, config: SolverConfig, init_v, init_u=None):
+def run_admm(problem, config: SolverConfig, init_v):
     """Iterate SALSA-style x / v / scaled-dual updates until convergence.
 
-    Returns ``(x, SolveReport)`` with the last computed x. Raises
-    :class:`DivergenceError` if any iterate goes non-finite.
+    The scaled duals start at zero. Returns ``(x, SolveReport)`` with the last
+    computed x. Raises :class:`DivergenceError` if any iterate goes non-finite.
     """
     vs = [np.array(v, dtype=float) for v in init_v]
-    if init_u is None:
-        us = [np.zeros_like(v) for v in vs]
-    else:
-        us = [np.array(u, dtype=float) for u in init_u]
-    if len(us) != len(vs):
-        raise DimensionError("v and u block counts differ")
+    us = [np.zeros_like(v) for v in vs]
     report = SolveReport()
     x = None
     for k in range(config.max_iters):
@@ -122,9 +124,7 @@ def run_admm(problem, config: SolverConfig, init_v, init_u=None):
         if config.record_history:
             report.primal_residuals.append(primal)
             report.dual_residuals.append(dual)
-            obj = problem.objective(x)
-            if obj is not None:
-                report.objective_trace.append(float(obj))
+            report.objective_trace.append(float(problem.objective(x)))
         if primal < config.primal_tol and dual < config.dual_tol:
             report.converged = True
             break

@@ -18,10 +18,15 @@ of W made dense (test scale only). The practical mode removes each patch's
 mean before filtering and restores it afterwards,
 ``M_i = F_i (I - 11^T/n_p) + 11^T/n_p``: still linear, but not symmetric, so
 the proximity-operator theory does not cover it.
+
+Each fusion pipeline states its data fit once as a :class:`DataTerm`, which
+adds ``reg_weight * phi`` to give the objective PnP-ADMM minimizes and solves
+that objective densely as the test-scale oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -33,7 +38,6 @@ from .patches import (
     ImageGeometry,
     assemble_patches,
     extract_patches,
-    patch_index_map,
     remove_means,
     restore_means,
 )
@@ -88,31 +92,36 @@ class LinearDenoiser:
 
         side = self.model.patch_side
         n_p = side * side
+        h, w = self.geometry.height, self.geometry.width
         n = self.geometry.n
-        idx = patch_index_map(self.geometry, side)
+        span = 2 * side - 1
         filters = component_filters(self.model, self.noise_variance)
         if not self.pure_linear:
             filters = filters - filters.mean(axis=2, keepdims=True)
-        # slot[k, l]: index of the displacement from patch offset k to l
-        dr, dc = np.arange(n_p) % side, np.arange(n_p) // side
-        span = 2 * side - 1
-        slot = (dr - dr[:, None] + side - 1) + (dc - dc[:, None] + side - 1) * span
-        data = np.zeros((n, span * span))
-        cols = np.empty((n, span * span), dtype=np.int32)
+        # Row p = c*h + r of W is data[c, r]: a (2s-1) x (2s-1) grid whose
+        # entry [b, a] sits at displacement (a - s + 1, b - s + 1) from pixel
+        # (r, c), on the pixel cols[c, r, b, a].
+        shift = np.arange(span, dtype=np.int32) - (side - 1)
+        col_table = (np.arange(w, dtype=np.int32)[:, None] + shift) % w * h
+        row_table = (np.arange(h, dtype=np.int32)[:, None] + shift) % h
+        cols = col_table[:, None, :, None] + row_table[None, :, None, :]
+        data = np.zeros((w, h, span, span))
         beta_t = self.weights.beta.T
-        # For a fixed offset k, i -> idx[i, k] is a bijection on pixels, so
-        # each scatter below touches every row once and never collides.
+        # Offset k = (kr, kc) of the patch anchored at (r, c) lands on pixel
+        # (r + kr, c + kc), so row k of every M_i, rolled onto those pixels,
+        # fills the s x s window of displacements that starts at -(kr, kc).
         for k in range(n_p):
+            kr, kc = k % side, k // side
             block = beta_t @ filters[:, k, :]  # row i: row k of M_i
             if not self.pure_linear:
                 block += 1.0 / n_p
-            data[idx[:, k, None], slot[k]] += block
-            cols[idx[:, k, None], slot[k]] = idx
+            window = data[:, :, side - 1 - kc : span - kc, side - 1 - kr : span - kr]
+            window += np.roll(block.reshape(w, h, side, side), (kc, kr), axis=(0, 1))
         data /= n_p
         indptr = np.arange(0, data.size + 1, span * span, dtype=np.int32)
-        w = sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
-        w.sum_duplicates()
-        return w
+        op = sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
+        op.sum_duplicates()
+        return op
 
 
 @dataclass(frozen=True)
@@ -202,7 +211,9 @@ def build_explicit_w(
     n = denoiser.geometry.n
     if n > cap:
         raise SizeError(f"explicit W capped at n={cap}, geometry has n={n}")
-    w = replace(denoiser, pure_linear=True).operator.toarray()
+    if not denoiser.pure_linear:
+        denoiser = replace(denoiser, pure_linear=True)
+    w = denoiser.operator.toarray()
     vals, vecs = np.linalg.eigh(w)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
@@ -231,6 +242,64 @@ def prox_oracle(y: np.ndarray, w: ExplicitW) -> np.ndarray:
     """
     z = w.nonzero_eigenvalues * (w.basis.T @ y)
     return w.basis @ z
+
+
+@dataclass(frozen=True)
+class DataTerm:
+    """The data fit ``0.5 ||A x - target||^2`` of one fusion pipeline.
+
+    ``apply`` is the linear map ``x -> A x`` with every observation stacked
+    into one vector, and ``shape`` is the shape of x: a pixel vector, or one
+    row per coefficient band. Adding ``reg_weight * phi`` on each row of x
+    gives the objective PnP-ADMM minimizes with the frozen denoiser.
+    """
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    target: np.ndarray
+    shape: tuple[int, ...]
+
+    def objective(
+        self, x: np.ndarray, reg_weight: float, w: ExplicitW | None = None
+    ) -> float:
+        """Data fit at x plus ``reg_weight * phi`` on each row; +inf off span(W)."""
+        val = 0.5 * float(np.sum((self.apply(x) - self.target) ** 2))
+        if reg_weight > 0:
+            if w is None:
+                raise ConfigError("reg_weight > 0 needs an explicit W to evaluate phi")
+            val += reg_weight * sum(eval_phi(row, w) for row in np.atleast_2d(x))
+        return val
+
+    def minimizer(self, reg_weight: float, w: ExplicitW | None = None) -> np.ndarray:
+        """Dense least-squares minimizer of :meth:`objective` (test scale only).
+
+        Each row of x is written as ``Q z`` and the stacked problem
+        ``[A Q; diag(sqrt(reg_weight (1/lambda - 1)))] z ~ [target; 0]`` is
+        solved by ``lstsq``: Q spans span(W) when ``reg_weight > 0`` and is
+        the identity otherwise, where the minimum-norm minimizer is returned.
+        """
+        unknowns = int(np.prod(self.shape))
+        if unknowns > EXPLICIT_W_CAP:
+            raise SizeError(
+                f"dense minimizer capped at {EXPLICIT_W_CAP} unknowns, got {unknowns}"
+            )
+        n_rows, n = (1, *self.shape) if len(self.shape) == 1 else self.shape
+        if reg_weight > 0:
+            if w is None:
+                raise ConfigError("reg_weight > 0 requires the explicit W")
+            q = w.basis
+            penalty = np.sqrt(reg_weight * (1.0 / w.nonzero_eigenvalues - 1.0))
+        else:
+            q = np.eye(n)
+            penalty = np.zeros(n)
+
+        def coeff(z):
+            return (z.reshape(n_rows, q.shape[1]) @ q.T).reshape(self.shape)
+
+        eye = np.eye(n_rows * q.shape[1])
+        a = np.column_stack([self.apply(coeff(e)) for e in eye])
+        lhs = np.vstack([a, np.diag(np.tile(penalty, n_rows))])
+        rhs = np.concatenate([self.target, np.zeros(lhs.shape[1])])
+        return coeff(np.linalg.lstsq(lhs, rhs, rcond=None)[0])
 
 
 @dataclass(frozen=True)

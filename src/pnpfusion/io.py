@@ -99,11 +99,15 @@ def read_gmm(path) -> tuple[GmmModel, PatchWeights]:
     if blob[: len(GMM_MAGIC)] != GMM_MAGIC:
         raise FormatError(f"{path}: not a PNPGMM1 file")
     offset = len(GMM_MAGIC)
+    if len(blob) < offset + 8:
+        raise FormatError(f"{path}: truncated GMM header")
     k, n_p = struct.unpack_from("<II", blob, offset)
     offset += 8
     side = int(round(np.sqrt(n_p)))
     if side * side != n_p:
         raise FormatError(f"{path}: patch dim {n_p} is not a square")
+    if len(blob) < offset + 8 * k * (1 + n_p * n_p) + 8:
+        raise FormatError(f"{path}: truncated GMM parameters")
     alphas = np.frombuffer(blob, dtype="<f8", count=k, offset=offset).copy()
     offset += 8 * k
     covs = (
@@ -114,6 +118,8 @@ def read_gmm(path) -> tuple[GmmModel, PatchWeights]:
     offset += 8 * k * n_p * n_p
     (count,) = struct.unpack_from("<Q", blob, offset)
     offset += 8
+    if len(blob) < offset + 8 * k * count:
+        raise FormatError(f"{path}: truncated GMM weights")
     beta = (
         np.frombuffer(blob, dtype="<f8", count=k * count, offset=offset)
         .reshape(k, count)
@@ -193,17 +199,19 @@ def read_pgm(path) -> tuple[np.ndarray, ImageGeometry]:
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
+        if not blob[start:pos].isdigit():
+            raise FormatError(f"{path}: malformed or truncated P5 header")
         tokens.append(blob[start:pos])
     pos += 1  # single whitespace after maxval
     width, height, maxval = (int(t) for t in tokens)
+    if not 1 <= maxval <= 65535:
+        raise FormatError(f"{path}: maxval {maxval} outside 1..65535")
     geometry = ImageGeometry(height=height, width=width)
     count = width * height
-    if maxval < 256:
-        raw = np.frombuffer(blob, dtype=np.uint8, count=count, offset=pos)
-    else:
-        raw = np.frombuffer(blob, dtype=">u2", count=count, offset=pos)
-    if raw.size != count:
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    if len(blob) < pos + count * dtype.itemsize:
         raise FormatError(f"{path}: truncated pixel payload")
+    raw = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
     grid = raw.reshape(height, width).astype(float) / maxval
     return geometry.from_grid(grid), geometry
 

@@ -9,6 +9,9 @@ frozen, making the plugged-in denoiser a fixed linear map; ADMM then solves
 
 where, as in the sharpening module, the fixed point carries ``reg_weight =
 rho`` on the phi induced by the denoiser built with variance ``tau / rho``.
+:func:`pair_data_term` states the two data terms once; its
+:class:`~pnpfusion.denoiser.DataTerm` evaluates this objective and gives its
+dense minimizer.
 """
 
 from __future__ import annotations
@@ -19,15 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import SolveReport, SolverConfig, run_admm
-from .denoiser import ExplicitW, LinearDenoiser, denoise_image_fixed, eval_phi
-from .errors import ConfigError, DimensionError, SizeError
+from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
+from .errors import DimensionError
 from .fftops import CyclicBlur, apply_blur, solve_x_update_pair
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
 
 log = logging.getLogger(__name__)
-
-DENSE_PAIR_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -84,14 +85,24 @@ def train_pair_denoiser(
     )
 
 
+def pair_data_term(scene: PairScene, lam: float) -> DataTerm:
+    """``[B x; sqrt(lam) x]`` against ``[y_b; sqrt(lam) y_n]``."""
+    root = np.sqrt(lam)
+    return DataTerm(
+        apply=lambda x: np.concatenate([apply_blur(x, scene.blur), root * x]),
+        target=np.concatenate([scene.y_b, root * scene.y_n]),
+        shape=(scene.geometry.n,),
+    )
+
+
 class _PairProblem:
     """Single-block ADMM callbacks for the pair objective."""
 
-    def __init__(self, scene, denoiser, cfg, objective_fn=None):
+    def __init__(self, scene, denoiser, cfg):
         self.scene = scene
         self.denoiser = denoiser
         self.cfg = cfg
-        self.objective_fn = objective_fn
+        self.data = pair_data_term(scene, cfg.lam)
         self._bt_yb = apply_blur(scene.y_b, scene.blur, adjoint=True)
 
     def x_update(self, vs, us):
@@ -109,18 +120,17 @@ class _PairProblem:
         return denoise_image_fixed(target, self.denoiser)
 
     def objective(self, x):
-        return self.objective_fn(x) if self.objective_fn is not None else None
+        return self.data.objective(x, 0.0)
 
 
 def run_admm_pair(
     scene: PairScene,
     denoiser: LinearDenoiser | None,
     cfg: SolverConfig,
-    objective_fn=None,
 ) -> tuple[np.ndarray, SolveReport]:
     """ADMM iterations for a prepared scene/denoiser pair."""
     zeros = np.zeros(scene.geometry.n)
-    problem = _PairProblem(scene, denoiser, cfg, objective_fn)
+    problem = _PairProblem(scene, denoiser, cfg)
     return run_admm(problem, cfg, [zeros])
 
 
@@ -143,61 +153,3 @@ def deblur_pair(
             pure_linear=params.pure_linear,
         )
     return run_admm_pair(scene, denoiser, cfg)
-
-
-def objective_pair(
-    x: np.ndarray,
-    scene: PairScene,
-    lam: float,
-    reg_weight: float,
-    w: ExplicitW | None = None,
-) -> float:
-    """Evaluate the pair objective; ``reg_weight`` multiplies phi."""
-    bx = apply_blur(x, scene.blur)
-    val = 0.5 * float(np.sum((bx - scene.y_b) ** 2))
-    val += 0.5 * lam * float(np.sum((x - scene.y_n) ** 2))
-    if reg_weight > 0:
-        if w is None:
-            raise ConfigError("reg_weight > 0 needs an explicit W to evaluate phi")
-        val += reg_weight * eval_phi(x, w)
-    return val
-
-
-def dense_blur_matrix(blur: CyclicBlur) -> np.ndarray:
-    """Materialize the blur as a dense matrix (test scale only)."""
-    n = blur.geometry.n
-    if n > DENSE_PAIR_CAP:
-        raise SizeError(f"dense blur matrix capped at n={DENSE_PAIR_CAP}")
-    b = np.empty((n, n))
-    eye = np.eye(n)
-    for k in range(n):
-        b[:, k] = apply_blur(eye[k], blur)
-    return b
-
-
-def direct_solve_pair(
-    scene: PairScene,
-    lam: float,
-    reg_weight: float,
-    w: ExplicitW | None = None,
-) -> np.ndarray:
-    """Dense KKT minimizer of the pair objective (test scale only).
-
-    With ``reg_weight > 0`` the problem is reduced to span(W) coordinates;
-    with weight 0 it is the plain normal-equations solve.
-    """
-    n = scene.geometry.n
-    if n > DENSE_PAIR_CAP:
-        raise SizeError(f"dense pair solve capped at n={DENSE_PAIR_CAP}")
-    b = dense_blur_matrix(scene.blur)
-    btb = b.T @ b
-    rhs = b.T @ scene.y_b + lam * scene.y_n
-    if reg_weight <= 0:
-        return np.linalg.solve(btb + lam * np.eye(n), rhs)
-    if w is None:
-        raise ConfigError("reg_weight > 0 requires the explicit W")
-    q = w.basis
-    inv_minus_one = 1.0 / w.nonzero_eigenvalues - 1.0
-    lhs = q.T @ (btb + lam * np.eye(n)) @ q + reg_weight * np.diag(inv_minus_one)
-    z = np.linalg.solve(lhs, q.T @ rhs)
-    return q @ z

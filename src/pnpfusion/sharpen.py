@@ -14,8 +14,9 @@ At the SALSA fixed point the minimized objective is
 
 with ``reg_weight = rho``: a prox step implemented as plain multiplication by
 the denoiser matrix contributes its regularizer phi scaled by the penalty
-parameter. The dense oracle and objective helpers below therefore take the
-weight on phi explicitly.
+parameter. :func:`hs_data_term` states the two data terms once, on the
+coefficients X; its :class:`~pnpfusion.denoiser.DataTerm` takes the weight
+on phi explicitly to evaluate this objective and give its dense minimizer.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import SolveReport, SolverConfig, run_admm
-from .denoiser import ExplicitW, LinearDenoiser, denoise_image_fixed, eval_phi
-from .errors import ConfigError, DimensionError, SizeError
+from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
+from .errors import ConfigError, DimensionError
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs
 from .gmm import EmConfig, PatchWeights, average_beta_across_bands, train_em
 from .patches import ImageGeometry, PatchSet, extract_patches, remove_means
-
-DIRECT_SOLVE_CAP = 8192
 
 
 @dataclass(frozen=True)
@@ -174,10 +173,16 @@ def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
     return SubspaceBasis(e=e, singular_values=s[:n_dims].copy())
 
 
-def _v1_from_target(
+def v1_update(
     target: np.ndarray, scene: HsScene, basis: SubspaceBasis, rho: float
 ) -> np.ndarray:
-    """Minimize ``||E V M - Y_h||_F^2 + rho ||target - V||_F^2`` over V."""
+    """Blurred-HS data block: minimize over V
+
+        ||E V M - Y_h||_F^2 + rho ||target - V||_F^2.
+
+    Masked columns get the small closed-form solve; unmasked columns carry
+    the target through unchanged.
+    """
     out = target.copy()
     idx = scene.masked_indices
     lhs = basis.e.T @ basis.e + rho * np.eye(basis.dim)
@@ -186,38 +191,19 @@ def _v1_from_target(
     return out
 
 
-def _v2_from_target(
+def v2_update(
     target: np.ndarray, scene: HsScene, basis: SubspaceBasis, lam: float, rho: float
 ) -> np.ndarray:
-    """Minimize ``lam ||R E V - Y_m||_F^2 + rho ||target - V||_F^2`` over V."""
+    """Spectral-mixing block: minimize over V
+
+        lam ||R E V - Y_m||_F^2 + rho ||target - V||_F^2,
+
+    one shared L_s x L_s solve for all columns.
+    """
     re = scene.r @ basis.e
     lhs = lam * re.T @ re + rho * np.eye(basis.dim)
     rhs = lam * re.T @ scene.y_m + rho * target
     return np.linalg.solve(lhs, rhs)
-
-
-def v1_update(
-    x: np.ndarray,
-    d1: np.ndarray,
-    scene: HsScene,
-    basis: SubspaceBasis,
-    rho: float,
-) -> np.ndarray:
-    """Blurred-HS data block: masked columns get the small closed-form solve,
-    unmasked columns carry ``XB - D1`` through unchanged."""
-    return _v1_from_target(blur_rows(x, scene.blur) - d1, scene, basis, rho)
-
-
-def v2_update(
-    x: np.ndarray,
-    d2: np.ndarray,
-    scene: HsScene,
-    basis: SubspaceBasis,
-    lam: float,
-    rho: float,
-) -> np.ndarray:
-    """Spectral-mixing block: one shared L_s x L_s solve for all columns."""
-    return _v2_from_target(x - d2, scene, basis, lam, rho)
 
 
 def v3_update(
@@ -283,15 +269,33 @@ def train_scene_denoiser(
     )
 
 
+def hs_data_term(scene: HsScene, basis: SubspaceBasis, lam: float) -> DataTerm:
+    """``[forward_hs(E X); sqrt(lam) R E X]`` against ``[Y_h; sqrt(lam) Y_m]``,
+    on the coefficient matrix X."""
+    root = np.sqrt(lam)
+
+    def apply(x):
+        z = basis.e @ x
+        return np.concatenate(
+            [forward_hs(z, scene).ravel(), root * (scene.r @ z).ravel()]
+        )
+
+    return DataTerm(
+        apply=apply,
+        target=np.concatenate([scene.y_h.ravel(), root * scene.y_m.ravel()]),
+        shape=(basis.dim, scene.geometry.n),
+    )
+
+
 class _HsProblem:
     """Callback bundle wiring one scene into the generic ADMM driver."""
 
-    def __init__(self, scene, basis, denoiser, cfg, objective_fn=None):
+    def __init__(self, scene, basis, denoiser, cfg):
         self.scene = scene
         self.basis = basis
         self.denoiser = denoiser
         self.cfg = cfg
-        self.objective_fn = objective_fn
+        self.data = hs_data_term(scene, basis, cfg.lam)
 
     def x_update(self, vs, us):
         rhs = (
@@ -308,15 +312,13 @@ class _HsProblem:
 
     def v_update(self, j, target):
         if j == 0:
-            return _v1_from_target(target, self.scene, self.basis, self.cfg.rho)
+            return v1_update(target, self.scene, self.basis, self.cfg.rho)
         if j == 1:
-            return _v2_from_target(
-                target, self.scene, self.basis, self.cfg.lam, self.cfg.rho
-            )
+            return v2_update(target, self.scene, self.basis, self.cfg.lam, self.cfg.rho)
         return v3_update(target, np.zeros_like(target), self.denoiser)
 
     def objective(self, x):
-        return self.objective_fn(x) if self.objective_fn is not None else None
+        return self.data.objective(x, 0.0)
 
 
 def run_salsa_hs(
@@ -324,11 +326,10 @@ def run_salsa_hs(
     basis: SubspaceBasis,
     denoiser: LinearDenoiser | None,
     cfg: SolverConfig,
-    objective_fn=None,
 ) -> tuple[np.ndarray, SolveReport]:
     """SALSA iterations for a prepared scene/basis/denoiser triple."""
     zeros = np.zeros((basis.dim, scene.geometry.n))
-    problem = _HsProblem(scene, basis, denoiser, cfg, objective_fn)
+    problem = _HsProblem(scene, basis, denoiser, cfg)
     return run_admm(problem, cfg, [zeros, zeros, zeros])
 
 
@@ -355,90 +356,3 @@ def sharpen(
         )
     x, report = run_salsa_hs(scene, basis, denoiser, cfg)
     return basis.e @ x, report
-
-
-def hs_objective(
-    x: np.ndarray,
-    scene: HsScene,
-    basis: SubspaceBasis,
-    lam: float,
-    reg_weight: float,
-    w: ExplicitW | None = None,
-) -> float:
-    """Evaluate the sharpening objective at a coefficient matrix X.
-
-    ``reg_weight`` multiplies phi, applied per coefficient band; pass the
-    SALSA penalty rho to evaluate the objective the iterations minimize.
-    """
-    z = basis.e @ x
-    val = 0.5 * float(np.sum((forward_hs(z, scene) - scene.y_h) ** 2))
-    val += 0.5 * lam * float(np.sum((scene.r @ z - scene.y_m) ** 2))
-    if reg_weight > 0:
-        if w is None:
-            raise ConfigError("reg_weight > 0 needs an explicit W to evaluate phi")
-        for row in x:
-            val += reg_weight * eval_phi(row, w)
-    return val
-
-
-def direct_solve_small(
-    scene: HsScene,
-    basis: SubspaceBasis,
-    w: ExplicitW | None,
-    lam: float,
-    reg_weight: float,
-) -> np.ndarray:
-    """Exact global minimizer of the sharpening objective by dense KKT solve.
-
-    With ``reg_weight > 0`` each coefficient band is parameterized on span(W)
-    and the reduced normal equations are assembled brute force; with weight 0
-    the unrestricted least-squares problem is solved instead. Test scale only.
-    """
-    n_sub = basis.dim
-    n_m = scene.geometry.n
-    if n_sub * n_m > DIRECT_SOLVE_CAP:
-        raise SizeError(
-            f"direct solve capped at {DIRECT_SOLVE_CAP} unknowns, "
-            f"got {n_sub * n_m}"
-        )
-
-    if reg_weight > 0:
-        if w is None:
-            raise ConfigError("reg_weight > 0 requires the explicit W")
-        q = w.basis
-        r_dim = w.rank
-
-        def coeff(zvec):
-            return np.stack(
-                [q @ zvec[s * r_dim : (s + 1) * r_dim] for s in range(n_sub)]
-            )
-
-        unknowns = n_sub * r_dim
-    else:
-
-        def coeff(zvec):
-            return zvec.reshape(n_sub, n_m)
-
-        unknowns = n_sub * n_m
-
-    def apply_data(zvec):
-        z = basis.e @ coeff(zvec)
-        return np.concatenate(
-            [forward_hs(z, scene).ravel(), np.sqrt(lam) * (scene.r @ z).ravel()]
-        )
-
-    rows = scene.y_h.size + scene.y_m.size
-    a = np.empty((rows, unknowns))
-    eye = np.eye(unknowns)
-    for k in range(unknowns):
-        a[:, k] = apply_data(eye[k])
-    target = np.concatenate([scene.y_h.ravel(), np.sqrt(lam) * scene.y_m.ravel()])
-    normal = a.T @ a
-    rhs = a.T @ target
-    if reg_weight > 0:
-        inv_minus_one = 1.0 / w.nonzero_eigenvalues - 1.0
-        normal += reg_weight * np.diag(np.tile(inv_minus_one, n_sub))
-        zvec = np.linalg.solve(normal, rhs)
-    else:
-        zvec = np.linalg.lstsq(normal, rhs, rcond=None)[0]
-    return coeff(zvec)

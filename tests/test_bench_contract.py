@@ -1,0 +1,44 @@
+"""The package names the benchmark in ``perfbench/`` resolves must exist.
+
+``perfbench/tracing.py`` swaps module-level ``pnpfusion`` names for timing
+wrappers, and ``perfbench/workloads.py`` imports public names; a renamed or
+deleted name would otherwise only show up when the benchmark runs.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_by_path(name):
+    spec = importlib.util.spec_from_file_location(
+        f"_bench_contract_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = load_by_path("tracing")
+
+
+def test_workloads_import():
+    load_by_path("workloads")
+
+
+@pytest.mark.parametrize(
+    "module,attr", [(m, a) for m, a, _ in TRACING.PATCH_POINTS]
+)
+def test_patch_point_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("module", TRACING.ADMM_CALLERS)
+def test_admm_caller_resolves(module):
+    assert callable(importlib.import_module(module).run_admm)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pnpfusion.denoiser import (
+    EXPLICIT_W_CAP,
+    DataTerm,
     LinearDenoiser,
     build_explicit_w,
     component_filters,
@@ -12,7 +14,7 @@ from pnpfusion.denoiser import (
     prox_oracle,
     wiener_filter,
 )
-from pnpfusion.errors import DimensionError, SizeError
+from pnpfusion.errors import ConfigError, DimensionError, SizeError
 from pnpfusion.gmm import GmmModel, PatchWeights
 from pnpfusion.patches import ImageGeometry
 from tests.conftest import train_random_denoiser
@@ -229,6 +231,24 @@ class TestExplicitW:
         assert w.eigenvalues.min() >= -1e-9
         assert w.eigenvalues.max() < 1.0 - 1e-9
 
+    def test_reuses_the_cached_operator(self, monkeypatch):
+        import pnpfusion.denoiser as denoiser_module
+
+        calls = []
+
+        def counting_filters(*args):
+            calls.append(args)
+            return component_filters(*args)
+
+        monkeypatch.setattr(denoiser_module, "component_filters", counting_filters)
+        den = random_denoiser(ImageGeometry(6, 6), 2, 2, seed=4, pure_linear=True)
+        w = build_explicit_w(den)
+        y = np.random.default_rng(4).standard_normal(den.geometry.n)
+        np.testing.assert_allclose(
+            denoise_image_fixed(y, den), w.matrix @ y, rtol=1e-12
+        )
+        assert len(calls) == 1
+
     def test_operator_vs_matrix_on_many_vectors(self, small_denoiser):
         w = build_explicit_w(small_denoiser)
         rng = np.random.default_rng(6)
@@ -323,6 +343,46 @@ class TestPhiAndProx:
             lhs = eval_phi(t * x1 + (1 - t) * x2, w)
             rhs = t * eval_phi(x1, w) + (1 - t) * eval_phi(x2, w)
             assert lhs <= rhs + 1e-9
+
+
+def identity_term(target):
+    return DataTerm(
+        apply=lambda x: x.ravel(), target=target.ravel(), shape=target.shape
+    )
+
+
+class TestDataTerm:
+    def test_identity_map_minimizer_is_the_denoiser(self, small_denoiser):
+        # argmin 0.5||x - y||^2 + phi(x) is the prox of phi, i.e. W y, per row
+        w = build_explicit_w(small_denoiser)
+        y = np.random.default_rng(11).standard_normal((2, w.matrix.shape[0]))
+        x = identity_term(y).minimizer(1.0, w)
+        np.testing.assert_allclose(x, y @ w.matrix.T, rtol=1e-9, atol=1e-12)
+
+    def test_objective_adds_phi_per_row(self, small_denoiser):
+        w = build_explicit_w(small_denoiser)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, w.rank)) @ w.basis.T
+        y = rng.standard_normal(x.shape)
+        expected = 0.5 * np.sum((x - y) ** 2) + 0.3 * (
+            eval_phi(x[0], w) + eval_phi(x[1], w)
+        )
+        objective = identity_term(y).objective(x, 0.3, w)
+        assert objective == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape", [(EXPLICIT_W_CAP + 1,), (2, EXPLICIT_W_CAP // 2 + 1)]
+    )
+    def test_minimizer_size_cap(self, shape):
+        with pytest.raises(SizeError):
+            identity_term(np.zeros(shape)).minimizer(0.0)
+
+    def test_regularized_without_w_raises(self):
+        term = identity_term(np.ones(4))
+        with pytest.raises(ConfigError):
+            term.minimizer(0.5)
+        with pytest.raises(ConfigError):
+            term.objective(np.ones(4), 0.5)
 
 
 class TestExpansiveness:

@@ -197,3 +197,43 @@ def test_metrics_csv_format(tmp_path):
     assert lines[3].startswith("ergas,")
     assert lines[4].startswith("sam_deg,")
     assert float(lines[3].split(",")[1]) == pytest.approx(report.ergas)
+
+
+def _written_files(tmp_path):
+    """One small file of each binary container, as written by this package."""
+    rng = np.random.default_rng(7)
+    cube = tmp_path / "a.cube"
+    write_cube(cube, ImageCube.from_matrix(rng.standard_normal((2, 6)), 2, 3))
+    gmm = tmp_path / "m.gmm"
+    model = GmmModel(
+        alphas=np.array([0.4, 0.6]),
+        covariances=np.stack([np.eye(4), 2 * np.eye(4)]),
+        patch_side=2,
+    )
+    write_gmm(gmm, model, PatchWeights(beta=rng.dirichlet(np.ones(2), size=5).T))
+    files = {"cube": (cube, read_cube), "gmm": (gmm, read_gmm)}
+    for bits in (8, 16):
+        pgm = tmp_path / f"i{bits}.pgm"
+        write_pgm(pgm, rng.uniform(size=12), ImageGeometry(3, 4), bits=bits)
+        files[f"pgm{bits}"] = (pgm, read_pgm)
+    return files
+
+
+@pytest.mark.parametrize("kind", ["cube", "gmm", "pgm8", "pgm16"])
+def test_every_strict_prefix_raises_format_error(tmp_path, kind):
+    path, reader = _written_files(tmp_path)[kind]
+    blob = path.read_bytes()
+    reader(path)  # the whole file reads
+    cut = tmp_path / "cut"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(FormatError):
+            reader(cut)
+
+
+@pytest.mark.parametrize("maxval", [b"0", b"65536"])
+def test_pgm_maxval_out_of_range_rejected(tmp_path, maxval):
+    path = tmp_path / "z.pgm"
+    path.write_bytes(b"P5\n2 2\n" + maxval + b"\n" + b"\x00" * 8)
+    with pytest.raises(FormatError):
+        read_pgm(path)

@@ -5,21 +5,20 @@ import pytest
 
 from pnpfusion.admm import SolverConfig
 from pnpfusion.denoiser import build_explicit_w
-from pnpfusion.fftops import apply_blur, make_cyclic_blur
+from pnpfusion.fftops import make_cyclic_blur
 from pnpfusion.gmm import EmConfig
 from pnpfusion.metrics import psnr
 from pnpfusion.pairdeblur import (
     PairParams,
     PairScene,
     deblur_pair,
-    dense_blur_matrix,
-    direct_solve_pair,
-    objective_pair,
+    pair_data_term,
     run_admm_pair,
     train_pair_denoiser,
 )
 from pnpfusion.patches import ImageGeometry
 from pnpfusion.scenes import PairSceneSpec, generate_pair_scene
+from tests.test_fftops import dense_blur_matrix_oracle
 
 
 def scene_16(seed=7, kernel="gauss8", sigma_n=25 / 255, sigma_b=2 / 255):
@@ -97,13 +96,15 @@ class TestAnalyticLimits:
             primal_tol=1e-11, dual_tol=1e-11,
         )
         x, _ = run_admm_pair(scene, None, cfg)
-        b = dense_blur_matrix(scene.blur)
+        b = dense_blur_matrix_oracle(scene.blur.psf, scene.geometry)
         expected = np.linalg.solve(
             b.T @ b + lam * np.eye(scene.geometry.n),
             b.T @ scene.y_b + lam * scene.y_n,
         )
         rel = np.linalg.norm(x - expected) / np.linalg.norm(expected)
         assert rel <= 1e-5
+        oracle = pair_data_term(scene, lam).minimizer(0.0)
+        np.testing.assert_allclose(oracle, expected, rtol=1e-10, atol=1e-12)
 
     def test_large_lambda_pins_noisy_channel(self):
         scene = scene_16()
@@ -133,7 +134,7 @@ class TestAdmmVsOracle:
         )
         x, report = run_admm_pair(scene, den, cfg)
         assert report.converged
-        expected = direct_solve_pair(scene, lam, reg_weight=rho, w=w)
+        expected = pair_data_term(scene, lam).minimizer(rho, w)
         rel = np.linalg.norm(x - expected) / np.linalg.norm(expected)
         assert rel <= 1e-5
 
@@ -147,16 +148,14 @@ class TestAdmmVsOracle:
             scene, 4, em, denoiser_variance=tau / rho, pure_linear=True
         )
         w = build_explicit_w(den)
-        x_star = direct_solve_pair(scene, lam, reg_weight=rho, w=w)
-        f_star = objective_pair(x_star, scene, lam, reg_weight=rho, w=w)
+        data = pair_data_term(scene, lam)
+        x_star = data.minimizer(rho, w)
+        f_star = data.objective(x_star, rho, w)
         rng = np.random.default_rng(1)
         for _ in range(100):
             delta = w.basis @ rng.standard_normal(w.rank)
             delta *= 0.1 / np.linalg.norm(delta)
-            assert (
-                objective_pair(x_star + delta, scene, lam, reg_weight=rho, w=w)
-                >= f_star
-            )
+            assert data.objective(x_star + delta, rho, w) >= f_star
 
     def test_objective_infinite_off_subspace(self):
         scene = scene_16(seed=14)
@@ -170,19 +169,18 @@ class TestAdmmVsOracle:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(scene.geometry.n)
         x -= w.basis @ (w.basis.T @ x)
-        assert objective_pair(x, scene, 0.3, reg_weight=0.5, w=w) == float("inf")
+        assert pair_data_term(scene, 0.3).objective(x, 0.5, w) == float("inf")
 
     def test_tau_zero_objective_matches_dense_evaluation(self):
         scene = scene_16(seed=15)
         lam = 0.4
-        x = direct_solve_pair(scene, lam, reg_weight=0.0)
-        b = dense_blur_matrix(scene.blur)
+        data = pair_data_term(scene, lam)
+        x = data.minimizer(0.0)
+        b = dense_blur_matrix_oracle(scene.blur.psf, scene.geometry)
         expected = 0.5 * np.sum((b @ x - scene.y_b) ** 2) + 0.5 * lam * np.sum(
             (x - scene.y_n) ** 2
         )
-        assert objective_pair(x, scene, lam, reg_weight=0.0) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert data.objective(x, 0.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFullPipeline:
@@ -230,3 +228,16 @@ class TestFullPipeline:
         assert report.converged
         assert report.iterations_run <= 1000
         assert report.final_primal < 1e-6 and report.final_dual < 1e-6
+
+    def test_history_records_data_fit(self):
+        scene = scene_16(seed=16)
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
+        )
+        solver = SolverConfig(
+            rho=0.1, lam=0.3, tau=0.05, max_iters=40, record_history=True
+        )
+        x, report = deblur_pair(scene, PairParams(patch_side=4, em=em, solver=solver))
+        assert len(report.objective_trace) == report.iterations_run == 40
+        data = pair_data_term(scene, 0.3)
+        assert report.objective_trace[-1] == data.objective(x, 0.0)

@@ -13,10 +13,9 @@ from pnpfusion.sharpen import (
     HsScene,
     SharpenParams,
     decimation_factor,
-    direct_solve_small,
     forward_hs,
     forward_ms,
-    hs_objective,
+    hs_data_term,
     make_decimation_mask,
     pca_basis,
     run_salsa_hs,
@@ -178,7 +177,7 @@ class TestVUpdates:
         basis = pca_basis(scene.y_h, 2)
         x = rng.standard_normal((2, scene.geometry.n))
         d1 = rng.standard_normal((2, scene.geometry.n))
-        out = v1_update(x, d1, empty, basis, rho=0.7)
+        out = v1_update(blur_rows(x, scene.blur) - d1, empty, basis, rho=0.7)
         np.testing.assert_allclose(out, blur_rows(x, scene.blur) - d1, atol=1e-12)
 
     def test_v1_all_ones_mask_scalar_form(self):
@@ -188,8 +187,8 @@ class TestVUpdates:
         x = rng.standard_normal((2, scene.geometry.n))
         d1 = rng.standard_normal((2, scene.geometry.n))
         rho = 0.4
-        out = v1_update(x, d1, scene, basis, rho)
         g = blur_rows(x, scene.blur) - d1
+        out = v1_update(g, scene, basis, rho)
         expected = (basis.e.T @ scene.y_h + rho * g) / (1 + rho)
         np.testing.assert_allclose(out, expected, rtol=1e-10)
 
@@ -200,8 +199,8 @@ class TestVUpdates:
         x = rng.standard_normal((2, scene.geometry.n))
         d1 = rng.standard_normal((2, scene.geometry.n))
         rho = 0.9
-        out = v1_update(x, d1, scene, basis, rho)
         g = blur_rows(x, scene.blur) - d1
+        out = v1_update(g, scene, basis, rho)
         masked = list(scene.masked_indices)
         for i in range(scene.geometry.n):
             if i in masked:
@@ -219,7 +218,7 @@ class TestVUpdates:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, scene.geometry.n))
         d2 = rng.standard_normal((2, scene.geometry.n))
-        out = v2_update(x, d2, scene, basis, lam=0.0, rho=1.3)
+        out = v2_update(x - d2, scene, basis, lam=0.0, rho=1.3)
         np.testing.assert_allclose(out, x - d2, atol=1e-12)
 
     def test_v2_identity_re_halves(self):
@@ -231,7 +230,7 @@ class TestVUpdates:
         d2 = rng.standard_normal((2, scene.geometry.n))
         re = scene.r @ basis.e
         np.testing.assert_allclose(re, np.eye(2), atol=1e-12)
-        out = v2_update(x, d2, scene, basis, lam=1.0, rho=1.0)
+        out = v2_update(x - d2, scene, basis, lam=1.0, rho=1.0)
         expected = (basis.e.T @ scene.y_m + (x - d2)) / 2.0
         np.testing.assert_allclose(out, expected, rtol=1e-10)
 
@@ -242,7 +241,7 @@ class TestVUpdates:
         x = rng.standard_normal((2, scene.geometry.n))
         d2 = rng.standard_normal((2, scene.geometry.n))
         lam, rho = 0.6, 0.8
-        out = v2_update(x, d2, scene, basis, lam, rho)
+        out = v2_update(x - d2, scene, basis, lam, rho)
         re = scene.r @ basis.e
         for i in range(scene.geometry.n):
             a = np.vstack([np.sqrt(lam) * re, np.sqrt(rho) * np.eye(2)])
@@ -282,23 +281,24 @@ class TestDirectSolve:
     def test_tau_zero_matches_normal_equations(self):
         scene = tiny_scene()
         basis = pca_basis(scene.y_h, 2)
-        x = direct_solve_small(scene, basis, None, lam=0.4, reg_weight=0.0)
+        data = hs_data_term(scene, basis, 0.4)
+        x = data.minimizer(0.0)
         # cross-check: gradient of the quadratic objective vanishes
         eps = 1e-6
-        f0 = hs_objective(x, scene, basis, 0.4, 0.0)
+        f0 = data.objective(x, 0.0)
         rng = np.random.default_rng(13)
         for _ in range(5):
             direction = rng.standard_normal(x.shape)
             direction /= np.linalg.norm(direction)
-            f_plus = hs_objective(x + eps * direction, scene, basis, 0.4, 0.0)
-            f_minus = hs_objective(x - eps * direction, scene, basis, 0.4, 0.0)
+            f_plus = data.objective(x + eps * direction, 0.0)
+            f_minus = data.objective(x - eps * direction, 0.0)
             assert (f_plus - f_minus) / (2 * eps) == pytest.approx(0.0, abs=1e-6)
             assert f_plus >= f0
 
     def test_lambda_zero_identity_observation_is_subspace_ls(self):
         scene = identity_scene()
         basis = pca_basis(scene.y_h, 2)
-        x = direct_solve_small(scene, basis, None, lam=0.0, reg_weight=0.0)
+        x = hs_data_term(scene, basis, 0.0).minimizer(0.0)
         np.testing.assert_allclose(x, basis.e.T @ scene.y_h, rtol=1e-8, atol=1e-10)
 
 
@@ -350,13 +350,14 @@ class TestSharpenPipeline:
         )
         x_admm, report = run_salsa_hs(scene, basis, den, cfg)
         assert report.converged
-        x_oracle = direct_solve_small(scene, basis, w, lam, reg_weight=rho)
+        data = hs_data_term(scene, basis, lam)
+        x_oracle = data.minimizer(rho, w)
         rel = np.linalg.norm(x_admm - x_oracle) / np.linalg.norm(x_oracle)
         assert rel <= 1e-5
         # optimality certificate on the subspace projection of the iterate
         proj = np.stack([w.basis @ (w.basis.T @ row) for row in x_admm])
-        f_star = hs_objective(x_oracle, scene, basis, lam, rho, w)
-        f_admm = hs_objective(proj, scene, basis, lam, rho, w)
+        f_star = data.objective(x_oracle, rho, w)
+        f_admm = data.objective(proj, rho, w)
         assert f_star <= f_admm + 1e-10 * abs(f_star)
         assert f_admm <= f_star + 1e-8 * abs(f_star)
 
@@ -375,6 +376,21 @@ class TestSharpenPipeline:
         assert report.converged
         assert report.iterations_run <= 500
         assert report.final_primal < 1e-6 and report.final_dual < 1e-6
+
+    def test_history_records_data_fit(self):
+        scene = tiny_scene(seed=3)
+        basis = pca_basis(scene.y_h, 2)
+        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
+        den = train_scene_denoiser(
+            scene.y_m, scene.geometry, 2, em, denoiser_variance=1.0
+        )
+        cfg = SolverConfig(
+            rho=0.05, lam=0.5, tau=0.05, max_iters=40, record_history=True
+        )
+        x, report = run_salsa_hs(scene, basis, den, cfg)
+        assert len(report.objective_trace) == report.iterations_run == 40
+        data = hs_data_term(scene, basis, 0.5)
+        assert report.objective_trace[-1] == data.objective(x, 0.0)
 
     @pytest.mark.slow
     def test_paper_operating_point_converges(self):
