@@ -34,16 +34,13 @@ from .fftops import (
     apply_blur,
     blur_rows,
     make_cyclic_blur,
-    read_psf,
     solve_x_update_hs,
     solve_x_update_pair,
-    write_psf,
 )
 from .gmm import (
     EmConfig,
     GmmModel,
     PatchWeights,
-    average_beta_across_bands,
     e_step,
     eigt,
     log_likelihood,

@@ -37,13 +37,14 @@ class SolverConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if self.rho <= 0:
+        # each check is written so that NaN fails it
+        if not self.rho > 0:
             raise ConfigError(f"rho must be positive, got {self.rho}")
-        if self.lam < 0 or self.tau < 0:
+        if not (self.lam >= 0 and self.tau >= 0):
             raise ConfigError("lam and tau must be nonnegative")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.primal_tol <= 0 or self.dual_tol <= 0:
+        if not (self.primal_tol > 0 and self.dual_tol > 0):
             raise ConfigError("tolerances must be positive")
 
 

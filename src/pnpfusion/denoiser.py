@@ -70,7 +70,7 @@ class LinearDenoiser:
     pure_linear: bool = False
 
     def __post_init__(self):
-        if self.noise_variance <= 0:
+        if not self.noise_variance > 0:
             raise ConfigError("denoiser noise variance must be positive")
         if self.weights.n_components != self.model.n_components:
             raise DimensionError("weights/model component counts differ")
@@ -151,7 +151,7 @@ def wiener_filter(covariance: np.ndarray, noise_variance: float) -> np.ndarray:
     Built from the eigendecomposition so the result is exactly symmetric with
     eigenvalues ``v/(v + s2) in [0, 1)``.
     """
-    if noise_variance <= 0:
+    if not noise_variance > 0:
         raise ConfigError("wiener filter requires positive noise variance")
     vals, vecs = np.linalg.eigh(covariance)
     vals = np.maximum(vals, 0.0)
@@ -199,9 +199,7 @@ def denoise_image_mmse(
     return assemble_patches(restore_means(replace(patch_set, patches=filtered)))
 
 
-def build_explicit_w(
-    denoiser: LinearDenoiser, cap: int = EXPLICIT_W_CAP
-) -> ExplicitW:
+def build_explicit_w(denoiser: LinearDenoiser) -> ExplicitW:
     """The pure-linear operator made dense, with its eigendecomposition.
 
     Whatever the denoiser's mode, the matrix is its pure-linear ``operator``
@@ -209,8 +207,8 @@ def build_explicit_w(
     cap.
     """
     n = denoiser.geometry.n
-    if n > cap:
-        raise SizeError(f"explicit W capped at n={cap}, geometry has n={n}")
+    if n > EXPLICIT_W_CAP:
+        raise SizeError(f"explicit W capped at n={EXPLICIT_W_CAP}, got n={n}")
     if not denoiser.pure_linear:
         denoiser = replace(denoiser, pure_linear=True)
     w = denoiser.operator.toarray()

@@ -2,7 +2,9 @@
 
 A PSF kernel is zero-padded to the image grid and circularly shifted so its
 center lands on phase zero; blurring a centered delta therefore reproduces
-the centered kernel. Images enter and leave as column-major pixel vectors.
+the centered kernel. Every operator acts on one band or on a ``(..., n)``
+stack of bands alike: :class:`~pnpfusion.patches.ImageGeometry` lays the
+pixel axis out as the grid, and one FFT round trip does the rest.
 
 Right-multiplication conventions used by the sharpening updates: for a bands
 x pixels matrix, "X B" blurs each row and "X B^T" correlates each row, so the
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import ConfigError, DimensionError
 from .patches import ImageGeometry
 
 
@@ -48,73 +50,35 @@ def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
     return CyclicBlur(psf=psf, geometry=geometry, transfer=np.fft.fft2(padded))
 
 
-def apply_blur(
-    image_band: np.ndarray, blur: CyclicBlur, adjoint: bool = False
-) -> np.ndarray:
-    """Circular convolution with the PSF (correlation when ``adjoint``)."""
+def _spectral(x: np.ndarray, blur: CyclicBlur, step) -> np.ndarray:
+    """``step`` applied to the 2-D spectrum of every band of a (..., n) stack."""
     geometry = blur.geometry
-    grid = geometry.to_grid(np.asarray(image_band, dtype=float))
-    transfer = np.conj(blur.transfer) if adjoint else blur.transfer
-    out = np.fft.ifft2(np.fft.fft2(grid) * transfer).real
-    return geometry.from_grid(out)
+    grid = geometry.to_grid(np.asarray(x, dtype=float))
+    return geometry.from_grid(np.fft.ifft2(step(np.fft.fft2(grid))).real)
 
 
 def blur_rows(x: np.ndarray, blur: CyclicBlur, adjoint: bool = False) -> np.ndarray:
-    """Apply the blur (or its adjoint) to every row of a bands x pixels matrix."""
-    geometry = blur.geometry
-    if x.shape[1] != geometry.n:
-        raise DimensionError(
-            f"rows have {x.shape[1]} pixels, blur grid has {geometry.n}"
-        )
-    stack = x.reshape(x.shape[0], geometry.width, geometry.height).transpose(0, 2, 1)
+    """Circular convolution of every band of a (..., n) stack with the PSF
+    (correlation when ``adjoint``)."""
     transfer = np.conj(blur.transfer) if adjoint else blur.transfer
-    out = np.fft.ifft2(np.fft.fft2(stack, axes=(1, 2)) * transfer[None], axes=(1, 2)).real
-    return out.transpose(0, 2, 1).reshape(x.shape[0], geometry.n)
+    return _spectral(x, blur, lambda spectrum: spectrum * transfer)
+
+
+# A single band is a stack too; the pair pipeline calls the operator by this name.
+apply_blur = blur_rows
 
 
 def solve_x_update_hs(rhs: np.ndarray, blur: CyclicBlur) -> np.ndarray:
     """Row-wise solve of ``X (B B^T + 2 I) = rhs`` by spectral division."""
-    geometry = blur.geometry
-    if rhs.shape[1] != geometry.n:
-        raise DimensionError(
-            f"rhs has {rhs.shape[1]} pixels per row, grid has {geometry.n}"
-        )
     denom = blur.power_spectrum + 2.0
-    stack = rhs.reshape(rhs.shape[0], geometry.width, geometry.height).transpose(0, 2, 1)
-    out = np.fft.ifft2(np.fft.fft2(stack, axes=(1, 2)) / denom[None], axes=(1, 2)).real
-    return out.transpose(0, 2, 1).reshape(rhs.shape)
+    return _spectral(rhs, blur, lambda spectrum: spectrum / denom)
 
 
 def solve_x_update_pair(
     rhs: np.ndarray, blur: CyclicBlur, lam: float, rho: float
 ) -> np.ndarray:
     """Solve ``(B^T B + (lam + rho) I) x = rhs`` by spectral division."""
-    if lam < 0 or rho <= 0:
-        raise DimensionError("need lam >= 0 and rho > 0")
-    geometry = blur.geometry
-    grid = geometry.to_grid(np.asarray(rhs, dtype=float))
+    if not (lam >= 0 and rho > 0):
+        raise ConfigError(f"need lam >= 0 and rho > 0, got lam={lam}, rho={rho}")
     denom = blur.power_spectrum + lam + rho
-    out = np.fft.ifft2(np.fft.fft2(grid) / denom).real
-    return geometry.from_grid(out)
-
-
-def write_psf(path, psf: np.ndarray) -> None:
-    """Write a kernel as the plain-text "PSF h w" format, row-major."""
-    psf = np.asarray(psf, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(f"PSF {psf.shape[0]} {psf.shape[1]}\n")
-        for row in psf:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_psf(path) -> np.ndarray:
-    """Read a plain-text PSF kernel file."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3 or tokens[0] != "PSF":
-        raise FormatError(f"{path}: not a PSF file")
-    h, w = int(tokens[1]), int(tokens[2])
-    values = tokens[3:]
-    if len(values) != h * w:
-        raise FormatError(f"{path}: expected {h * w} values, found {len(values)}")
-    return np.array([float(v) for v in values]).reshape(h, w)
+    return _spectral(rhs, blur, lambda spectrum: spectrum / denom)

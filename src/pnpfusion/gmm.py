@@ -67,13 +67,14 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_components < 1:
+        # each check is written so that NaN fails it
+        if not self.n_components >= 1:
             raise ConfigError(f"n_components must be >= 1, got {self.n_components}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.loglik_rel_tol <= 0:
+        if not self.loglik_rel_tol > 0:
             raise ConfigError("loglik_rel_tol must be positive")
-        if self.noise_variance < 0:
+        if not self.noise_variance >= 0:
             raise ConfigError("noise_variance must be nonnegative")
 
 
@@ -247,18 +248,3 @@ def train_em(
     # budget exhausted after an M-step: recompute weights for the final model
     beta = e_step(patches, model, sigma2)
     return model, beta, trace
-
-
-def average_beta_across_bands(
-    per_band: list[PatchWeights], band_count: int
-) -> PatchWeights:
-    """Average posterior weights over bands; columns stay on the simplex."""
-    if len(per_band) != band_count:
-        raise DimensionError(
-            f"expected {band_count} weight blocks, got {len(per_band)}"
-        )
-    shape = per_band[0].beta.shape
-    for w in per_band[1:]:
-        if w.beta.shape != shape:
-            raise DimensionError("per-band weights have mismatched shapes")
-    return PatchWeights(beta=sum(w.beta for w in per_band) / band_count)

@@ -6,8 +6,9 @@ Containers (all little-endian):
   samples band-major, row-major within each band.
 * ``PNPGMM1``: magic ``PNPGMM1``, u32 K, u32 n_p, f64 alphas[K], f64
   covariances[K][n_p][n_p], u64 N, f64 beta[K][N]. Round-trips bit-exactly.
-* PSF: plain text ``PSF h w`` header then h*w reals, row-major.
-* Matrices/masks: plain text with a one-line ``<TAG> rows cols`` header.
+* Matrices, masks and PSF kernels: plain text with a one-line
+  ``<TAG> rows cols`` header (tags such as ``R``, ``MASK``, ``PSF``), then
+  rows*cols finite reals, row-major.
 * P5 PGM: binary portable graymap, 8- or 16-bit (16-bit samples big-endian
   per the PGM convention), mapped to floats in [0, 1].
 """
@@ -25,6 +26,9 @@ from .patches import ImageGeometry
 
 CUBE_MAGIC = b"PNPCUBE1"
 GMM_MAGIC = b"PNPGMM1"
+# Asymmetry and negative eigenvalues a stored covariance may show, relative
+# to its largest entry: round-off of the eigenvalue projection stays far below.
+PSD_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,17 +53,13 @@ class ImageCube:
             geometry=ImageGeometry(height=height, width=width, bands=data.shape[0]),
         )
 
-    def band_grid(self, band: int) -> np.ndarray:
-        return self.geometry.to_grid(self.data[band])
-
 
 def write_cube(path, cube: ImageCube) -> None:
     geom = cube.geometry
     with open(path, "wb") as fh:
         fh.write(CUBE_MAGIC)
         fh.write(struct.pack("<III", geom.bands, geom.height, geom.width))
-        for band in cube.data:
-            fh.write(geom.to_grid(band).astype("<f4").tobytes(order="C"))
+        fh.write(geom.to_grid(cube.data).astype("<f4").tobytes(order="C"))
 
 
 def read_cube(path) -> ImageCube:
@@ -70,15 +70,18 @@ def read_cube(path) -> ImageCube:
     if len(blob) < len(CUBE_MAGIC) + 12:
         raise FormatError(f"{path}: truncated cube header")
     bands, height, width = struct.unpack_from("<III", blob, len(CUBE_MAGIC))
+    if min(bands, height, width) == 0:
+        raise FormatError(f"{path}: empty cube {bands}x{height}x{width}")
     offset = len(CUBE_MAGIC) + 12
     expected = bands * height * width
     if len(blob) < offset + 4 * expected:
         raise FormatError(f"{path}: truncated cube payload")
     samples = np.frombuffer(blob, dtype="<f4", count=expected, offset=offset)
+    if not np.all(np.isfinite(samples)):
+        raise FormatError(f"{path}: non-finite cube samples")
     geometry = ImageGeometry(height=height, width=width, bands=bands)
     grids = samples.reshape(bands, height, width).astype(float)
-    data = np.stack([geometry.from_grid(g) for g in grids])
-    return ImageCube(data=data, geometry=geometry)
+    return ImageCube(data=geometry.from_grid(grids), geometry=geometry)
 
 
 def write_gmm(path, model: GmmModel, weights: PatchWeights) -> None:
@@ -103,6 +106,8 @@ def read_gmm(path) -> tuple[GmmModel, PatchWeights]:
         raise FormatError(f"{path}: truncated GMM header")
     k, n_p = struct.unpack_from("<II", blob, offset)
     offset += 8
+    if k == 0 or n_p == 0:
+        raise FormatError(f"{path}: empty model with K={k}, n_p={n_p}")
     side = int(round(np.sqrt(n_p)))
     if side * side != n_p:
         raise FormatError(f"{path}: patch dim {n_p} is not a square")
@@ -125,8 +130,28 @@ def read_gmm(path) -> tuple[GmmModel, PatchWeights]:
         .reshape(k, count)
         .copy()
     )
+    for name, values in (("mixture weights", alphas), ("patch weights", beta)):
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise FormatError(f"{path}: {name} must be finite and nonnegative")
+    for j, cov in enumerate(covs):
+        if not _symmetric_psd(cov):
+            raise FormatError(f"{path}: covariance {j} is not symmetric PSD")
     model = GmmModel(alphas=alphas, covariances=covs, patch_side=side)
     return model, PatchWeights(beta=beta)
+
+
+def _symmetric_psd(cov: np.ndarray) -> bool:
+    """Symmetric and PSD up to PSD_RTOL, relative to the largest entry."""
+    scale = np.abs(cov).max()  # NaN if any entry is
+    if scale == 0:
+        return True
+    if not np.isfinite(scale):
+        return False
+    unit = cov / scale  # keeps the eigenvalue solver clear of overflow
+    return (
+        np.abs(unit - unit.T).max() <= PSD_RTOL
+        and np.linalg.eigvalsh(unit)[0] >= -PSD_RTOL
+    )
 
 
 def write_text_matrix(path, tag: str, matrix: np.ndarray) -> None:
@@ -138,27 +163,37 @@ def write_text_matrix(path, tag: str, matrix: np.ndarray) -> None:
 
 
 def read_text_matrix(path, tag: str) -> np.ndarray:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         tokens = fh.read().split()
-    if len(tokens) < 3 or tokens[0] != tag:
+    if len(tokens) < 3 or tokens[0] != tag.encode():
         raise FormatError(f"{path}: expected a '{tag}' header")
-    rows, cols = int(tokens[1]), int(tokens[2])
-    values = tokens[3:]
-    if len(values) != rows * cols:
+    try:
+        rows, cols = int(tokens[1]), int(tokens[2])
+        values = [float(v) for v in tokens[3:]]
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if rows < 1 or cols < 1 or len(values) != rows * cols:
         raise FormatError(
-            f"{path}: expected {rows * cols} values, found {len(values)}"
+            f"{path}: expected {rows}x{cols} values, found {len(values)}"
         )
-    return np.array([float(v) for v in values]).reshape(rows, cols)
+    matrix = np.array(values).reshape(rows, cols)
+    if not np.all(np.isfinite(matrix)):
+        raise FormatError(f"{path}: non-finite matrix values")
+    return matrix
 
 
 def write_mask(path, mask: np.ndarray, geometry: ImageGeometry) -> None:
     """Store a pixel mask as its 0/1 spatial grid."""
+    if mask.ndim != 1:
+        raise DimensionError(f"a mask is one band, got shape {mask.shape}")
     write_text_matrix(path, "MASK", geometry.to_grid(mask.astype(float)))
 
 
 def read_mask(path, geometry: ImageGeometry | None = None):
     """Load a mask; returns ``(mask_vector, geometry)``."""
     grid = read_text_matrix(path, "MASK")
+    if not np.all((grid == 0) | (grid == 1)):
+        raise FormatError(f"{path}: mask entries must be 0 or 1")
     geom = geometry or ImageGeometry(height=grid.shape[0], width=grid.shape[1])
     if grid.shape != (geom.height, geom.width):
         raise DimensionError(f"mask grid {grid.shape} does not match geometry")
@@ -170,7 +205,10 @@ def write_pgm(path, image: np.ndarray, geometry: ImageGeometry, bits: int = 8) -
     if bits not in (8, 16):
         raise FormatError("PGM depth must be 8 or 16 bits")
     maxval = (1 << bits) - 1
-    grid = geometry.to_grid(np.asarray(image, dtype=float))
+    image = np.asarray(image, dtype=float)
+    if image.ndim != 1:
+        raise DimensionError(f"a graymap is one band, got shape {image.shape}")
+    grid = geometry.to_grid(image)
     scaled = np.round(np.clip(grid, 0.0, 1.0) * maxval)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{geometry.width} {geometry.height}\n{maxval}\n".encode())
@@ -206,12 +244,16 @@ def read_pgm(path) -> tuple[np.ndarray, ImageGeometry]:
     width, height, maxval = (int(t) for t in tokens)
     if not 1 <= maxval <= 65535:
         raise FormatError(f"{path}: maxval {maxval} outside 1..65535")
+    if width == 0 or height == 0:
+        raise FormatError(f"{path}: empty {width}x{height} image")
     geometry = ImageGeometry(height=height, width=width)
     count = width * height
     dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
     if len(blob) < pos + count * dtype.itemsize:
         raise FormatError(f"{path}: truncated pixel payload")
     raw = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
+    if raw.max() > maxval:
+        raise FormatError(f"{path}: sample above maxval {maxval}")
     grid = raw.reshape(height, width).astype(float) / maxval
     return geometry.from_grid(grid), geometry
 

@@ -4,6 +4,9 @@ Conventions used throughout the package:
 
 * pixels of an ``height x width`` grid are indexed column-major, i.e. pixel
   ``i`` sits at ``(row, col) = (i % height, i // height)``;
+* a band is a length-n pixel vector and several bands are a ``(..., n)``
+  stack; :class:`ImageGeometry` is the one place that converts such stacks
+  to and from ``(..., height, width)`` grids;
 * patch ``i`` is the ``patch_side x patch_side`` window whose top-left corner
   is pixel ``i``, wrapping periodically at the image borders;
 * patches are vectorized column-major as well.
@@ -41,19 +44,24 @@ class ImageGeometry:
         """Pixel count of one band."""
         return self.height * self.width
 
-    def to_grid(self, band: np.ndarray) -> np.ndarray:
-        """Reshape a length-n pixel vector to the (height, width) grid."""
-        if band.shape != (self.n,):
-            raise DimensionError(f"expected length-{self.n} band, got {band.shape}")
-        return band.reshape((self.height, self.width), order="F")
+    def to_grid(self, bands: np.ndarray) -> np.ndarray:
+        """View a ``(..., n)`` stack of pixel vectors as ``(..., height, width)``
+        grids."""
+        if bands.ndim < 1 or bands.shape[-1] != self.n:
+            raise DimensionError(
+                f"expected bands of {self.n} pixels, got shape {bands.shape}"
+            )
+        grid = bands.reshape(bands.shape[:-1] + (self.width, self.height))
+        return grid.swapaxes(-1, -2)
 
     def from_grid(self, grid: np.ndarray) -> np.ndarray:
-        """Flatten a (height, width) grid back to a pixel vector."""
-        if grid.shape != (self.height, self.width):
+        """Flatten ``(..., height, width)`` grids back to ``(..., n)`` pixel
+        vectors."""
+        if grid.ndim < 2 or grid.shape[-2:] != (self.height, self.width):
             raise DimensionError(
-                f"expected {self.height}x{self.width} grid, got {grid.shape}"
+                f"expected {self.height}x{self.width} grids, got shape {grid.shape}"
             )
-        return grid.ravel(order="F")
+        return grid.swapaxes(-1, -2).reshape(grid.shape[:-2] + (self.n,))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .admm import SolveReport, SolverConfig, run_admm
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
 from .errors import ConfigError, DimensionError
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs
-from .gmm import EmConfig, PatchWeights, average_beta_across_bands, train_em
+from .gmm import EmConfig, PatchWeights, train_em
 from .patches import ImageGeometry, PatchSet, extract_patches, remove_means
 
 
@@ -122,36 +122,18 @@ def decimation_factor(mask: np.ndarray, geometry: ImageGeometry) -> int:
     return d
 
 
-def forward_hs(
-    z: np.ndarray,
-    scene: HsScene,
-    add_noise: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def forward_hs(z: np.ndarray, scene: HsScene) -> np.ndarray:
     """Blur every band cyclically and keep the masked pixels: ``Z B M``."""
     if z.shape[1] != scene.geometry.n:
         raise DimensionError("z pixel count does not match the scene geometry")
-    out = blur_rows(z, scene.blur)[:, scene.masked_indices]
-    if add_noise:
-        rng = rng or np.random.default_rng()
-        out = out + scene.sigma_h * rng.standard_normal(out.shape)
-    return out
+    return blur_rows(z, scene.blur)[:, scene.masked_indices]
 
 
-def forward_ms(
-    z: np.ndarray,
-    scene: HsScene,
-    add_noise: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def forward_ms(z: np.ndarray, scene: HsScene) -> np.ndarray:
     """Spectrally mix the cube: ``R Z``."""
     if z.shape[0] != scene.r.shape[1]:
         raise DimensionError("z band count does not match the spectral response")
-    out = scene.r @ z
-    if add_noise:
-        rng = rng or np.random.default_rng()
-        out = out + scene.sigma_m * rng.standard_normal(out.shape)
-    return out
+    return scene.r @ z
 
 
 def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
@@ -242,27 +224,19 @@ def train_scene_denoiser(
     The mixture is trained jointly on all bands' patches; after convergence
     the per-band posteriors at each patch location are averaged and frozen.
     """
-    n_bands = y_m.shape[0]
-    per_band_sets = [
-        remove_means(extract_patches(band, geometry, patch_side)) for band in y_m
-    ]
-    stacked = per_band_sets[0]
-    if n_bands > 1:
-        stacked = PatchSet(
-            patches=np.vstack([s.patches for s in per_band_sets]),
-            patch_side=patch_side,
-            source_geometry=geometry,
-        )
-    model, weights, _ = train_em(stacked, em)
-    n = geometry.n
-    per_band = [
-        PatchWeights(beta=weights.beta[:, p * n : (p + 1) * n])
-        for p in range(n_bands)
-    ]
-    beta = average_beta_across_bands(per_band, n_bands)
+    patches = np.vstack(
+        [
+            remove_means(extract_patches(band, geometry, patch_side)).patches
+            for band in y_m
+        ]
+    )
+    model, weights, _ = train_em(
+        PatchSet(patches=patches, patch_side=patch_side, source_geometry=geometry), em
+    )
+    beta = weights.beta.reshape(em.n_components, y_m.shape[0], geometry.n).mean(axis=1)
     return LinearDenoiser(
         model=model,
-        weights=beta,
+        weights=PatchWeights(beta=beta),
         noise_variance=denoiser_variance,
         geometry=geometry,
         pure_linear=pure_linear,

@@ -42,3 +42,13 @@ def test_patch_point_resolves(module, attr):
 @pytest.mark.parametrize("module", TRACING.ADMM_CALLERS)
 def test_admm_caller_resolves(module):
     assert callable(importlib.import_module(module).run_admm)
+
+
+@pytest.mark.parametrize("name", ["pair-iterate", "pair-train", "hs-sharpen"])
+def test_smoke_workload_solves_and_passes_its_gate(name):
+    workloads = load_by_path("workloads")
+    workload = workloads.SMOKE_WORKLOADS[name]
+    (problem,) = workloads.build_inputs(workload, seed=1)
+    x, report = workloads.solve(workload, problem)
+    _, reasons = workloads.gate(workload, problem, x, report)
+    assert reasons == []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,10 @@ class TestWienerFilter:
 
     def test_zero_covariance_zero(self):
         np.testing.assert_allclose(wiener_filter(np.zeros((4, 4)), 0.5), 0.0)
+
+    def test_rejects_nan_variance(self):
+        with pytest.raises(ConfigError):
+            wiener_filter(np.eye(2), float("nan"))
 
     def test_eigenvalues_are_shrunk_spectrum(self):
         rng = np.random.default_rng(0)
@@ -146,6 +152,10 @@ class TestOperator:
         den = random_denoiser(ImageGeometry(6, 6), 2, 2, seed=3)
         with pytest.raises(DimensionError):
             denoise_image_fixed(np.zeros(35), den)
+
+    def test_rejects_nan_variance(self, small_denoiser):
+        with pytest.raises(ConfigError):
+            replace(small_denoiser, noise_variance=float("nan"))
 
 
 class TestImageDenoise:
@@ -265,8 +275,19 @@ class TestExplicitW:
         )
 
     def test_size_cap(self, small_denoiser):
+        # 65 x 65 = 4225 pixels, just above EXPLICIT_W_CAP; the check comes
+        # before the operator is built
+        geom = ImageGeometry(65, 65)
+        k = small_denoiser.model.n_components
+        den = LinearDenoiser(
+            model=small_denoiser.model,
+            weights=PatchWeights(beta=np.full((k, geom.n), 1.0 / k)),
+            noise_variance=0.05,
+            geometry=geom,
+        )
+        assert geom.n > EXPLICIT_W_CAP
         with pytest.raises(SizeError):
-            build_explicit_w(small_denoiser, cap=10)
+            build_explicit_w(den)
 
 
 class TestPhiAndProx:

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnpfusion.errors import DimensionError, FormatError
+from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.fftops import (
     apply_blur,
     blur_rows,
     make_cyclic_blur,
-    read_psf,
     solve_x_update_hs,
     solve_x_update_pair,
-    write_psf,
 )
 from pnpfusion.patches import ImageGeometry
 
@@ -193,22 +191,52 @@ class TestSpectralSolves:
         np.testing.assert_allclose(ab, ba, atol=1e-10)
 
 
-class TestPsfIo:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        psf = rng.uniform(size=(3, 5))
-        path = tmp_path / "k.psf"
-        write_psf(path, psf)
-        np.testing.assert_array_equal(read_psf(path), psf)
 
-    def test_bad_header_raises(self, tmp_path):
-        path = tmp_path / "bad.psf"
-        path.write_text("NOPE 2 2\n1 2 3 4\n")
-        with pytest.raises(FormatError):
-            read_psf(path)
+ONE_BAND_OPERATORS = {
+    "blur": lambda x, blur: blur_rows(x, blur),
+    "adjoint": lambda x, blur: blur_rows(x, blur, adjoint=True),
+    "hs_solve": solve_x_update_hs,
+    "pair_solve": lambda x, blur: solve_x_update_pair(x, blur, 0.4, 0.9),
+}
 
-    def test_truncated_raises(self, tmp_path):
-        path = tmp_path / "short.psf"
-        path.write_text("PSF 2 2\n1 2 3\n")
-        with pytest.raises(FormatError):
-            read_psf(path)
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 8)])
+@pytest.mark.parametrize("name", ONE_BAND_OPERATORS)
+def test_one_band_equals_one_row_stack(name, shape):
+    geom = ImageGeometry(*shape)
+    rng = np.random.default_rng(8)
+    blur = make_cyclic_blur(random_kernel(rng, 1, min(3, geom.width)), geom)
+    op = ONE_BAND_OPERATORS[name]
+    band = rng.standard_normal(geom.n)
+    out = op(band, blur)
+    assert out.shape == (geom.n,)
+    np.testing.assert_array_equal(out, op(band[None, :], blur)[0])
+
+
+def test_stack_of_stacks_matches_rows():
+    geom = ImageGeometry(4, 6)
+    rng = np.random.default_rng(9)
+    blur = make_cyclic_blur(random_kernel(rng, 3, 3), geom)
+    x = rng.standard_normal((2, 3, geom.n))
+    np.testing.assert_array_equal(
+        blur_rows(x, blur), blur_rows(x.reshape(6, geom.n), blur).reshape(x.shape)
+    )
+
+
+def test_wrong_pixel_count_raises():
+    geom = ImageGeometry(4, 4)
+    blur = make_cyclic_blur(np.ones((1, 1)), geom)
+    with pytest.raises(DimensionError):
+        blur_rows(np.zeros((2, geom.n + 1)), blur)
+    with pytest.raises(DimensionError):
+        solve_x_update_hs(np.zeros(geom.n - 1), blur)
+
+
+@pytest.mark.parametrize(
+    "lam,rho", [(-0.1, 1.0), (0.0, 0.0), (float("nan"), 1.0), (0.0, float("nan"))]
+)
+def test_pair_solve_rejects_bad_weights(lam, rho):
+    geom = ImageGeometry(3, 3)
+    blur = make_cyclic_blur(np.ones((1, 1)), geom)
+    with pytest.raises(ConfigError):
+        solve_x_update_pair(np.zeros(geom.n), blur, lam, rho)

@@ -11,7 +11,6 @@ from pnpfusion.gmm import (
     EmConfig,
     GmmModel,
     PatchWeights,
-    average_beta_across_bands,
     e_step,
     eigt,
     log_likelihood,
@@ -291,31 +290,11 @@ class TestTrainEm:
         assert log_likelihood(ps, model, 0.1) >= trace[0]
 
 
-class TestAverageBeta:
-    def test_single_band_identity(self):
-        beta = PatchWeights(beta=np.array([[0.2, 0.8], [0.8, 0.2]]))
-        out = average_beta_across_bands([beta], 1)
-        np.testing.assert_array_equal(out.beta, beta.beta)
 
-    def test_two_band_average(self):
-        b1 = PatchWeights(beta=np.array([[1.0], [0.0]]))
-        b2 = PatchWeights(beta=np.array([[0.0], [1.0]]))
-        out = average_beta_across_bands([b1, b2], 2)
-        np.testing.assert_allclose(out.beta, [[0.5], [0.5]])
-
-    def test_simplex_preserved_over_four_bands(self):
-        rng = np.random.default_rng(15)
-        blocks = [
-            PatchWeights(beta=rng.dirichlet(np.ones(3), size=10).T)
-            for _ in range(4)
-        ]
-        out = average_beta_across_bands(blocks, 4)
-        np.testing.assert_allclose(out.beta.sum(axis=0), 1.0, atol=1e-12)
-
-    def test_shape_mismatch_raises(self):
-        from pnpfusion.errors import DimensionError
-
-        b1 = PatchWeights(beta=np.ones((2, 3)) / 2)
-        b2 = PatchWeights(beta=np.ones((2, 4)) / 2)
-        with pytest.raises(DimensionError):
-            average_beta_across_bands([b1, b2], 2)
+@pytest.mark.parametrize(
+    "field", ["noise_variance", "loglik_rel_tol", "n_components", "max_iters"]
+)
+def test_em_config_rejects_nan(field):
+    settings_ = {"n_components": 2, "noise_variance": 0.1, field: float("nan")}
+    with pytest.raises(ConfigError):
+        EmConfig(**settings_)

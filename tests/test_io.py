@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnpfusion.errors import DimensionError, FormatError
-from pnpfusion.gmm import GmmModel, PatchWeights
+from pnpfusion.gmm import EmConfig, GmmModel, PatchWeights, train_em
 from pnpfusion.io import (
     ImageCube,
     read_cube,
@@ -20,7 +24,8 @@ from pnpfusion.io import (
     write_text_matrix,
 )
 from pnpfusion.metrics import metric_report
-from pnpfusion.patches import ImageGeometry
+from pnpfusion.patches import ImageGeometry, extract_patches, remove_means
+from pnpfusion.scenes import smooth_field
 
 
 class TestCube:
@@ -56,6 +61,22 @@ class TestCube:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cube"
         path.write_bytes(b"NOTACUBE" + b"\x00" * 20)
+        with pytest.raises(FormatError):
+            read_cube(path)
+
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (1, 0, 2), (1, 2, 0)])
+    def test_empty_cube_rejected(self, tmp_path, dims):
+        path = tmp_path / "empty.cube"
+        header = b"PNPCUBE1" + np.array(dims, "<u4").tobytes()
+        path.write_bytes(header + b"\x00" * 16)
+        with pytest.raises(FormatError):
+            read_cube(path)
+
+    def test_non_finite_sample_rejected(self, tmp_path):
+        path = tmp_path / "nan.cube"
+        samples = np.array([1.0, np.nan], "<f4")
+        header = b"PNPCUBE1" + np.array([1, 1, 2], "<u4").tobytes()
+        path.write_bytes(header + samples.tobytes())
         with pytest.raises(FormatError):
             read_cube(path)
 
@@ -103,13 +124,103 @@ class TestGmmContainer:
             read_gmm(path)
 
     def test_non_square_patch_dim_rejected(self, tmp_path):
-        import struct
-
         path = tmp_path / "odd.gmm"
         payload = b"PNPGMM1" + struct.pack("<II", 1, 5) + b"\x00" * (8 + 200 + 8)
         path.write_bytes(payload)
         with pytest.raises(FormatError):
             read_gmm(path)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "no_components",
+            "no_patch_dim",
+            "nan_alpha",
+            "inf_alpha",
+            "negative_alpha",
+            "nan_beta",
+            "negative_beta",
+            "negative_variance",
+            "asymmetric",
+            "indefinite",
+            "nan_covariance",
+        ],
+    )
+    def test_invalid_model_rejected(self, tmp_path, case):
+        alphas = np.array([0.5, 0.5])
+        covs = np.stack([np.eye(4), 2 * np.eye(4)])
+        beta = np.full((2, 3), 0.5)
+        k, n_p = 2, 4
+        if case == "no_components":
+            k, alphas, covs, beta = 0, alphas[:0], covs[:0], beta[:0]
+        elif case == "no_patch_dim":
+            n_p, covs = 0, covs[:, :0, :0]
+        elif case == "nan_alpha":
+            alphas[1] = np.nan
+        elif case == "inf_alpha":
+            alphas[1] = np.inf
+        elif case == "negative_alpha":
+            alphas = np.array([1.5, -0.5])
+        elif case == "nan_beta":
+            beta[0, 2] = np.nan
+        elif case == "negative_beta":
+            beta[:, 1] = [1.5, -0.5]
+        elif case == "negative_variance":
+            covs[1, 2, 2] = -1.0
+        elif case == "asymmetric":
+            covs[0, 0, 1] = 0.5
+        elif case == "indefinite":
+            covs[0, 0, 1] = covs[0, 1, 0] = 2.0
+        elif case == "nan_covariance":
+            covs[1, 3, 3] = np.nan
+        path = tmp_path / "bad.gmm"
+        path.write_bytes(
+            b"PNPGMM1"
+            + struct.pack("<II", k, n_p)
+            + alphas.astype("<f8").tobytes()
+            + covs.astype("<f8").tobytes()
+            + struct.pack("<Q", beta.shape[1])
+            + beta.astype("<f8").tobytes()
+        )
+        with pytest.raises(FormatError):
+            read_gmm(path)
+
+    @pytest.mark.parametrize("noise_variance", [0.0, 0.09, 1.0])
+    def test_trained_models_load(self, tmp_path, noise_variance):
+        # the trained covariances have round-off eigenvalues down to about
+        # -2e-16 of their largest entry; at noise_variance 1.0 all are zero
+        geom = ImageGeometry(12, 12)
+        rng = np.random.default_rng(3)
+        img = smooth_field(geom, rng) + 0.3 * rng.standard_normal(geom.n)
+        patches = remove_means(extract_patches(img, geom, 3))
+        em = EmConfig(n_components=4, noise_variance=noise_variance, max_iters=10)
+        model, weights, _ = train_em(patches, em)
+        path = tmp_path / "trained.gmm"
+        write_gmm(path, model, weights)
+        model2, weights2 = read_gmm(path)
+        assert np.array_equal(model2.covariances, model.covariances)
+        assert np.array_equal(weights2.beta, weights.beta)
+
+
+class TestPsfIo:
+    def test_round_trip(self, tmp_path):
+        rng = np.random.default_rng(7)
+        psf = rng.uniform(size=(3, 5))
+        path = tmp_path / "k.psf"
+        write_text_matrix(path, "PSF", psf)
+        np.testing.assert_array_equal(read_text_matrix(path, "PSF"), psf)
+
+    def test_bad_header_raises(self, tmp_path):
+        path = tmp_path / "bad.psf"
+        path.write_text("NOPE 2 2\n1 2 3 4\n")
+        with pytest.raises(FormatError):
+            read_text_matrix(path, "PSF")
+
+    def test_truncated_raises(self, tmp_path):
+        path = tmp_path / "short.psf"
+        path.write_text("PSF 2 2\n1 2 3\n")
+        with pytest.raises(FormatError):
+            read_text_matrix(path, "PSF")
 
 
 class TestTextFormats:
@@ -136,6 +247,35 @@ class TestTextFormats:
         back, geom2 = read_mask(path)
         assert geom2.height == 6 and geom2.width == 4
         np.testing.assert_array_equal(back, mask)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "PSF a b\n",
+            "PSF 1 2\n1 x\n",
+            "PSF -1 -1\n5\n",
+            "PSF 0 0\n",
+            "PSF 1 2\n1 nan\n",
+            "PSF 1 1\ninf\n",
+            "PSF 1 1\n\xe9\n",
+        ],
+    )
+    def test_malformed_matrix_raises(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(FormatError):
+            read_text_matrix(path, "PSF")
+
+    @pytest.mark.parametrize("value", ["0.5", "1.7", "-1"])
+    def test_mask_entries_must_be_zero_or_one(self, tmp_path, value):
+        path = tmp_path / "m.txt"
+        path.write_text(f"MASK 1 2\n1 {value}\n")
+        with pytest.raises(FormatError):
+            read_mask(path)
+
+    def test_mask_writer_rejects_a_stack(self, tmp_path):
+        with pytest.raises(DimensionError):
+            write_mask(tmp_path / "m.txt", np.ones((2, 12), int), ImageGeometry(3, 4))
 
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "scene.txt"
@@ -176,6 +316,25 @@ class TestPgm:
         np.testing.assert_allclose(
             geom.to_grid(img), np.array([[0, 128], [255, 64]]) / 255.0
         )
+
+    def test_writer_rejects_a_stack(self, tmp_path):
+        path = tmp_path / "s.pgm"
+        with pytest.raises(DimensionError):
+            write_pgm(path, np.zeros((2, 12)), ImageGeometry(3, 4))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header", [b"P5\n0 2\n255\n", b"P5\n2 0\n255\n"])
+    def test_empty_image_rejected(self, tmp_path, header):
+        path = tmp_path / "e.pgm"
+        path.write_bytes(header + b"\x00" * 4)
+        with pytest.raises(FormatError):
+            read_pgm(path)
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "hot.pgm"
+        path.write_bytes(b"P5\n2 1\n1000\n" + np.array([5, 1001], ">u2").tobytes())
+        with pytest.raises(FormatError):
+            read_pgm(path)
 
     def test_not_pgm_raises(self, tmp_path):
         path = tmp_path / "x.pgm"
@@ -237,3 +396,51 @@ def test_pgm_maxval_out_of_range_rejected(tmp_path, maxval):
     path.write_bytes(b"P5\n2 2\n" + maxval + b"\n" + b"\x00" * 8)
     with pytest.raises(FormatError):
         read_pgm(path)
+
+
+@pytest.fixture(scope="module")
+def clean_files(tmp_path_factory):
+    """The bytes and the reader of one file per container, text matrix too."""
+    tmp = tmp_path_factory.mktemp("clean")
+    files = _written_files(tmp)
+    matrix = tmp / "r.txt"
+    write_text_matrix(matrix, "R", np.random.default_rng(8).uniform(size=(2, 3)))
+    files["matrix"] = (matrix, lambda path: read_text_matrix(path, "R"))
+    return tmp, {kind: (p.read_bytes(), read) for kind, (p, read) in files.items()}
+
+
+READ_VALUES = {
+    "cube": lambda cube: [cube.data],
+    "gmm": lambda read: [read[0].alphas, read[0].covariances, read[1].beta],
+    "pgm8": lambda read: [read[0]],
+    "pgm16": lambda read: [read[0]],
+    "matrix": lambda matrix: [matrix],
+}
+
+
+@pytest.mark.parametrize("kind", list(READ_VALUES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupt_file_reads_clean_or_raises_format_error(clean_files, kind, data):
+    tmp, files = clean_files
+    blob, reader = files[kind]
+    edits = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
+            max_size=4,
+        )
+    )
+    corrupt = bytearray(blob)
+    for pos, value in edits:
+        corrupt[pos] = value
+    corrupt = corrupt[: data.draw(st.integers(0, len(blob)))]
+    path = tmp / f"corrupt_{kind}"
+    path.write_bytes(bytes(corrupt))
+    try:
+        result = reader(path)
+    except FormatError:
+        return
+    for values in READ_VALUES[kind](result):
+        assert np.all(np.isfinite(values))
+        if kind.startswith("pgm"):
+            assert np.all((values >= 0) & (values <= 1))

@@ -177,3 +177,28 @@ def test_restore_without_means_raises():
     ps = extract_patches(np.arange(4.0), geom, 1)
     with pytest.raises(StateError):
         restore_means(ps)
+
+
+class TestGridLayout:
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (1, 8), (6, 1)])
+    def test_stack_matches_per_band_column_major_reshape(self, shape):
+        geom = ImageGeometry(*shape)
+        stack = np.random.default_rng(0).standard_normal((3, geom.n))
+        grids = geom.to_grid(stack)
+        assert grids.shape == (3, *shape)
+        for band, grid in zip(stack, grids):
+            np.testing.assert_array_equal(grid, band.reshape(shape, order="F"))
+            np.testing.assert_array_equal(geom.to_grid(band), grid)
+            np.testing.assert_array_equal(geom.from_grid(grid), band)
+        np.testing.assert_array_equal(geom.from_grid(grids), stack)
+        deep = stack.reshape(3, 1, geom.n)
+        np.testing.assert_array_equal(geom.from_grid(geom.to_grid(deep)), deep)
+
+    def test_mismatched_axes_raise(self):
+        geom = ImageGeometry(3, 4)
+        for bad in (np.zeros(()), np.zeros(11), np.zeros((2, 13))):
+            with pytest.raises(DimensionError):
+                geom.to_grid(bad)
+        for bad in (np.zeros(12), np.zeros((2, 4, 3)), np.zeros((3, 5))):
+            with pytest.raises(DimensionError):
+                geom.from_grid(bad)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from pnpfusion.admm import SolverConfig
 from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
 from pnpfusion.errors import ConfigError
 from pnpfusion.fftops import blur_rows, make_cyclic_blur
-from pnpfusion.gmm import EmConfig
+from pnpfusion.gmm import EmConfig, train_em
 from pnpfusion.metrics import psnr
 from pnpfusion.patches import ImageGeometry
 from pnpfusion.scenes import HsSceneSpec, generate_hs_scene
@@ -275,6 +277,33 @@ class TestVUpdates:
         )
         w = build_explicit_w(den)
         np.testing.assert_allclose(out, (x - d3) @ w.matrix.T, rtol=1e-10)
+
+
+class TestSceneDenoiser:
+    @pytest.mark.parametrize("n_bands", [1, 4])
+    def test_weights_are_the_mean_of_the_band_posteriors(self, monkeypatch, n_bands):
+        runs = []
+
+        def recording_train_em(patches, config):
+            out = train_em(patches, config)
+            runs.append(out[1].beta)
+            return out
+
+        # the package's ``sharpen`` attribute is the pipeline function
+        sharpen_module = importlib.import_module("pnpfusion.sharpen")
+        monkeypatch.setattr(sharpen_module, "train_em", recording_train_em)
+        geom = ImageGeometry(6, 5)
+        y_m = np.random.default_rng(13).uniform(size=(n_bands, geom.n))
+        em = EmConfig(n_components=3, noise_variance=1e-3, max_iters=5, seed=0)
+        den = train_scene_denoiser(y_m, geom, 2, em, denoiser_variance=0.5)
+        (beta,) = runs
+        assert beta.shape == (3, n_bands * geom.n)
+        per_band = [beta[:, b * geom.n : (b + 1) * geom.n] for b in range(n_bands)]
+        np.testing.assert_allclose(
+            den.weights.beta, sum(per_band) / n_bands, rtol=1e-15, atol=1e-15
+        )
+        assert np.all(den.weights.beta >= 0)
+        np.testing.assert_allclose(den.weights.beta.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestDirectSolve:
