@@ -4,9 +4,15 @@ The package provides a patch-based Gaussian-mixture denoiser whose frozen
 per-patch weights make it a fixed symmetric PSD linear operator, proximity-
 operator verification utilities for that operator, and two fusion pipelines
 built on it: hyperspectral sharpening and blurred/noisy pair deblurring.
+
+Because the frozen denoiser D is linear, the PnP fixed point is the solution
+of a linear equation. The pipelines solve it with GMRES
+(:func:`solve_fixed_point`), whose report counts matvecs; the ADMM/SALSA
+iterations of the paper (:func:`run_admm`) stay as the reference that reaches
+the same point.
 """
 
-from .admm import SolveReport, SolverConfig, residuals, run_admm
+from .admm import SolveReport, SolverConfig, residuals, run_admm, solve_fixed_point
 from .denoiser import (
     DataTerm,
     ExplicitW,

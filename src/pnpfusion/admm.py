@@ -1,6 +1,16 @@
-"""Generic ADMM/SALSA driver with residual tracking and stopping rules.
+"""PnP solvers for the frozen-denoiser fixed point: GMRES, and ADMM/SALSA.
 
-A problem supplies four callbacks:
+With the GMM weights frozen the plugged-in denoiser is a fixed linear map D,
+so the point where ADMM/SALSA converge solves the linear equation
+
+    rho (x - D x) + D A^T (A x - t) = 0
+
+for the pipeline's data term ``0.5 ||A x - t||^2``.
+:func:`solve_fixed_point` solves it with restarted GMRES (Saad & Schultz,
+SIAM J. Sci. Stat. Comput. 1986); the fusion pipelines call it.
+
+:func:`run_admm` is the paper-faithful reference that reaches the same point
+by iterating. A problem supplies four callbacks:
 
 * ``x_update(vs, us)``: minimize the sum of quadratic coupling terms over x,
   given the current splitting blocks;
@@ -22,6 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError
+
+# Relative fixed-point residual ||rho (x - D x) + D grad F(x)|| / ||D A^T t||
+# that solve_fixed_point iterates to.
+FIXED_POINT_RTOL = 1e-10
+# GMRES restart length; 30-80 matvecs reach FIXED_POINT_RTOL on the
+# benchmark scenes, so a solve rarely restarts.
+GMRES_RESTART = 200
 
 
 @dataclass(frozen=True)
@@ -52,9 +69,18 @@ class SolverConfig:
 class SolveReport:
     """Per-run diagnostics; traces are populated when history is recorded.
 
-    ``objective_trace`` holds the problem's ``objective(x)`` per iteration: in
-    the fusion pipelines the data-fit term alone, without the regularizer phi,
-    which needs the dense W.
+    From :func:`run_admm` (the ADMM/SALSA reference): ``iterations_run``
+    counts iterations, the residuals are the stacked primal and dual norms,
+    and ``objective_trace`` holds the problem's ``objective(x)`` per
+    iteration: in the fusion pipelines the data-fit term alone, without the
+    regularizer phi, which needs the dense W.
+
+    From :func:`solve_fixed_point` (the GMRES path the pipelines take):
+    ``iterations_run`` counts matvecs, ``primal_residuals`` holds one
+    relative fixed-point residual per matvec (GMRES's estimate after each
+    Krylov step, the recomputed residual after each restart cycle),
+    ``final_primal`` is the residual recomputed at the returned x, and the
+    dual and objective fields stay empty.
     """
 
     iterations_run: int = 0
@@ -66,17 +92,20 @@ class SolveReport:
     final_dual: float = float("nan")
 
     def write_csv(self, path) -> None:
-        """Export the recorded traces as iteration,primal,dual,objective."""
+        """Export the recorded traces as iteration,primal,dual,objective.
+
+        A trace shorter than the primal one leaves its cells empty.
+        """
+
+        def cell(trace, k):
+            return repr(trace[k]) if k < len(trace) else ""
+
         with open(path, "w") as fh:
             fh.write("iteration,primal,dual,objective\n")
-            for k in range(len(self.primal_residuals)):
-                obj = (
-                    repr(self.objective_trace[k])
-                    if k < len(self.objective_trace)
-                    else ""
-                )
+            for k, primal in enumerate(self.primal_residuals):
                 fh.write(
-                    f"{k},{self.primal_residuals[k]!r},{self.dual_residuals[k]!r},{obj}\n"
+                    f"{k},{primal!r},{cell(self.dual_residuals, k)},"
+                    f"{cell(self.objective_trace, k)}\n"
                 )
 
 
@@ -130,3 +159,118 @@ def run_admm(problem, config: SolverConfig, init_v):
             report.converged = True
             break
     return x, report
+
+
+def solve_fixed_point(data, denoise, rho: float, config: SolverConfig):
+    """Solve ``rho (x - D x) + D A^T (A x - t) = 0`` with GMRES.
+
+    ``data`` is the pipeline's :class:`~pnpfusion.denoiser.DataTerm` (A is
+    ``data.apply``, A^T is ``data.adjoint``, t is ``data.target``) and
+    ``denoise`` applies the linear denoiser D to an array of ``data.shape``.
+    This is the equation whose solution ADMM/SALSA converge to with that D,
+    so :func:`run_admm` on the pipeline's problem reaches the same x.
+
+    GMRES starts from x = 0 and stops once the relative residual, measured
+    against ``||D A^T t||``, is at most ``FIXED_POINT_RTOL``, or when the
+    next restart cycle would not fit in ``config.max_iters`` matvecs. The
+    report's ``iterations_run`` is the number of matvecs; ``converged`` and
+    ``final_primal`` come from the residual recomputed at the returned x.
+    Returns ``(x, SolveReport)``. Raises :class:`DivergenceError` if a
+    residual or x is non-finite.
+    """
+    shape = data.shape
+
+    def fixed_point_map(flat):
+        x = flat.reshape(shape)
+        # rho (x - D x) + D A^T A x, with one application of D
+        return (denoise(data.adjoint(data.apply(x)) - rho * x) + rho * x).ravel()
+
+    report = SolveReport()
+
+    def on_matvec(relative):
+        report.iterations_run += 1
+        if not np.isfinite(relative):
+            raise DivergenceError(
+                f"non-finite residual at matvec {report.iterations_run}",
+                iteration=report.iterations_run,
+            )
+        if config.record_history:
+            report.primal_residuals.append(float(relative))
+
+    rhs = denoise(data.adjoint(data.target)).ravel()
+    flat, relative = _gmres(fixed_point_map, rhs, config.max_iters, on_matvec)
+    if not np.all(np.isfinite(flat)):
+        raise DivergenceError(
+            f"non-finite solution after {report.iterations_run} matvecs",
+            iteration=report.iterations_run,
+        )
+    report.final_primal = relative
+    report.converged = relative <= FIXED_POINT_RTOL
+    return flat.reshape(shape), report
+
+
+def _gmres(matvec, b, max_matvecs, on_matvec):
+    """Restarted GMRES for ``matvec(x) = b`` from x = 0 (Saad & Schultz 1986).
+
+    Each cycle runs up to ``GMRES_RESTART`` Arnoldi steps, orthogonalizing
+    by classical Gram-Schmidt applied twice, and keeps the Hessenberg
+    least-squares problem triangular with Givens rotations. A cycle stops
+    when the rotated residual estimate reaches ``FIXED_POINT_RTOL * ||b||``;
+    the true residual at its x then decides whether to restart. A cycle
+    starts only if one step and that residual fit in ``max_matvecs``.
+    ``on_matvec`` gets the relative residual after every matvec: the
+    estimate after each step, the true residual after each cycle. Returns
+    ``(x, relative residual at x)``.
+
+    scipy.sparse.linalg.gmres would do the same work, but importing it loads
+    scipy.linalg too, which adds ~11 MB to the peak RSS of a pipeline run.
+    """
+    x = np.zeros_like(b)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0:
+        return x, 0.0
+    r, relative, used = b, 1.0, 0
+    while relative > FIXED_POINT_RTOL and used + 2 <= max_matvecs:
+        steps = min(GMRES_RESTART, max_matvecs - used - 1)
+        # 64 basis rows cover the benchmark solves; more are allocated only
+        # when a cycle needs them. All GMRES_RESTART + 1 rows up front raised
+        # the peak RSS of an hs-sharpen run by ~3 MB (5 %).
+        basis = np.empty((min(steps, 64) + 1, b.size))
+        hess = np.zeros((steps + 1, steps))
+        rotations = np.zeros((steps, 2))
+        g = np.zeros(steps + 1)
+        g[0] = np.linalg.norm(r)
+        basis[0] = r / g[0]
+        for j in range(steps):
+            w = matvec(basis[j])
+            used += 1
+            for _ in range(2):
+                h = basis[: j + 1] @ w
+                w -= h @ basis[: j + 1]
+                hess[: j + 1, j] += h
+            w_norm = np.linalg.norm(w)
+            hess[j + 1, j] = w_norm
+            for i, (c, s) in enumerate(rotations[:j]):
+                hess[i, j], hess[i + 1, j] = (
+                    c * hess[i, j] + s * hess[i + 1, j],
+                    c * hess[i + 1, j] - s * hess[i, j],
+                )
+            radius = np.hypot(hess[j, j], w_norm)
+            c, s = (hess[j, j] / radius, w_norm / radius) if radius else (1.0, 0.0)
+            rotations[j] = c, s
+            hess[j, j], hess[j + 1, j] = radius, 0.0
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            on_matvec(abs(g[j + 1]) / b_norm)
+            if abs(g[j + 1]) <= FIXED_POINT_RTOL * b_norm:  # also on breakdown
+                break
+            if j + 1 == len(basis):
+                basis = np.concatenate([basis, np.empty_like(basis)])
+            basis[j + 1] = w / w_norm
+        k = j + 1
+        y = np.linalg.lstsq(hess[:k, :k], g[:k], rcond=None)[0]
+        x = x + y @ basis[:k]
+        r = b - matvec(x)
+        used += 1
+        relative = float(np.linalg.norm(r)) / b_norm
+        on_matvec(relative)
+    return x, relative

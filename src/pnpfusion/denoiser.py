@@ -247,12 +247,14 @@ class DataTerm:
     """The data fit ``0.5 ||A x - target||^2`` of one fusion pipeline.
 
     ``apply`` is the linear map ``x -> A x`` with every observation stacked
-    into one vector, and ``shape`` is the shape of x: a pixel vector, or one
-    row per coefficient band. Adding ``reg_weight * phi`` on each row of x
-    gives the objective PnP-ADMM minimizes with the frozen denoiser.
+    into one vector, ``adjoint`` is ``r -> A^T r`` from that stacked vector
+    back to the shape of x, and ``shape`` is the shape of x: a pixel vector,
+    or one row per coefficient band. Adding ``reg_weight * phi`` on each row
+    of x gives the objective PnP-ADMM minimizes with the frozen denoiser.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
+    adjoint: Callable[[np.ndarray], np.ndarray]
     target: np.ndarray
     shape: tuple[int, ...]
 

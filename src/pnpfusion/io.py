@@ -11,6 +11,9 @@ Containers (all little-endian):
   rows*cols finite reals, row-major.
 * P5 PGM: binary portable graymap, 8- or 16-bit (16-bit samples big-endian
   per the PGM convention), mapped to floats in [0, 1].
+
+The binary readers require the exact length their header announces: a cut
+file and one with trailing bytes both raise :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -74,8 +77,8 @@ def read_cube(path) -> ImageCube:
         raise FormatError(f"{path}: empty cube {bands}x{height}x{width}")
     offset = len(CUBE_MAGIC) + 12
     expected = bands * height * width
-    if len(blob) < offset + 4 * expected:
-        raise FormatError(f"{path}: truncated cube payload")
+    if len(blob) != offset + 4 * expected:
+        raise FormatError(f"{path}: cube payload is not {expected} samples")
     samples = np.frombuffer(blob, dtype="<f4", count=expected, offset=offset)
     if not np.all(np.isfinite(samples)):
         raise FormatError(f"{path}: non-finite cube samples")
@@ -123,8 +126,8 @@ def read_gmm(path) -> tuple[GmmModel, PatchWeights]:
     offset += 8 * k * n_p * n_p
     (count,) = struct.unpack_from("<Q", blob, offset)
     offset += 8
-    if len(blob) < offset + 8 * k * count:
-        raise FormatError(f"{path}: truncated GMM weights")
+    if len(blob) != offset + 8 * k * count:
+        raise FormatError(f"{path}: GMM weights are not {k}x{count} values")
     beta = (
         np.frombuffer(blob, dtype="<f8", count=k * count, offset=offset)
         .reshape(k, count)
@@ -249,8 +252,8 @@ def read_pgm(path) -> tuple[np.ndarray, ImageGeometry]:
     geometry = ImageGeometry(height=height, width=width)
     count = width * height
     dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
-    if len(blob) < pos + count * dtype.itemsize:
-        raise FormatError(f"{path}: truncated pixel payload")
+    if len(blob) != pos + count * dtype.itemsize:
+        raise FormatError(f"{path}: pixel payload is not {width}x{height} samples")
     raw = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
     if raw.max() > maxval:
         raise FormatError(f"{path}: sample above maxval {maxval}")
@@ -276,21 +279,26 @@ def write_metrics_csv(path_or_file, report) -> None:
 
 
 def write_manifest(path, entries: dict) -> None:
-    """key=value text file (same syntax the CLI --config flag accepts)."""
-    with open(path, "w") as fh:
+    """key=value UTF-8 text file (same syntax the CLI --config flag accepts)."""
+    with open(path, "w", encoding="utf-8") as fh:
         for key, value in entries.items():
             fh.write(f"{key}={value}\n")
 
 
 def read_manifest(path) -> dict:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}: malformed line {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}: malformed line {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out

@@ -3,7 +3,8 @@
 The pair model observes the same grayscale scene twice: ``y_b = B x + n_b``
 (blurred, nearly noiseless) and ``y_n = x + n_n`` (sharp but noisy). The GMM
 prior and the per-patch weights are trained once on the noisy sharp image and
-frozen, making the plugged-in denoiser a fixed linear map; ADMM then solves
+frozen, making the plugged-in denoiser a fixed linear map D. The PnP fixed
+point then minimizes
 
     0.5 ||B x - y_b||^2 + (lam/2) ||x - y_n||^2 + reg_weight * phi(x)
 
@@ -12,6 +13,11 @@ rho`` on the phi induced by the denoiser built with variance ``tau / rho``.
 :func:`pair_data_term` states the two data terms once; its
 :class:`~pnpfusion.denoiser.DataTerm` evaluates this objective and gives its
 dense minimizer.
+
+:func:`deblur_pair` solves the fixed-point equation with GMRES
+(:func:`~pnpfusion.admm.solve_fixed_point`), so its report counts matvecs.
+:func:`run_admm_pair` runs the paper's ADMM iterations to the same point and
+stays as the reference.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import SolveReport, SolverConfig, run_admm
+from .admm import SolveReport, SolverConfig, run_admm, solve_fixed_point
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
 from .errors import DimensionError
 from .fftops import CyclicBlur, apply_blur, solve_x_update_pair
@@ -88,10 +94,12 @@ def train_pair_denoiser(
 def pair_data_term(scene: PairScene, lam: float) -> DataTerm:
     """``[B x; sqrt(lam) x]`` against ``[y_b; sqrt(lam) y_n]``."""
     root = np.sqrt(lam)
+    n = scene.geometry.n
     return DataTerm(
         apply=lambda x: np.concatenate([apply_blur(x, scene.blur), root * x]),
+        adjoint=lambda r: apply_blur(r[:n], scene.blur, adjoint=True) + root * r[n:],
         target=np.concatenate([scene.y_b, root * scene.y_n]),
-        shape=(scene.geometry.n,),
+        shape=(n,),
     )
 
 
@@ -139,8 +147,9 @@ def deblur_pair(
 ) -> tuple[np.ndarray, SolveReport]:
     """Full pair pipeline: train on the noisy image, fuse both observations.
 
-    With ``tau == 0`` no prior is used and the iterations converge to the
-    two-term least-squares fusion.
+    The fixed point is solved with GMRES. With ``tau == 0`` no prior is
+    trained, D is the identity and the result is the two-term least-squares
+    fusion.
     """
     cfg = params.solver
     denoiser = None
@@ -152,4 +161,8 @@ def deblur_pair(
             denoiser_variance=cfg.tau / cfg.rho,
             pure_linear=params.pure_linear,
         )
-    return run_admm_pair(scene, denoiser, cfg)
+
+    def denoise(x):
+        return x if denoiser is None else denoise_image_fixed(x, denoiser)
+
+    return solve_fixed_point(pair_data_term(scene, cfg.lam), denoise, cfg.rho, cfg)

@@ -3,11 +3,10 @@
 Observed data: a spatially blurred and decimated hyperspectral cube
 ``Y_h = Z B M`` plus a spectrally mixed high-resolution cube ``Y_m = R Z``.
 The latent cube is represented as ``Z = E X`` on a low-dimensional spectral
-subspace, and X is recovered by a three-block SALSA scheme whose third block
-is the scene-adapted GMM denoiser applied independently to each coefficient
-band, built with noise variance ``tau / rho``.
+subspace. The prior is the scene-adapted GMM denoiser D, built with noise
+variance ``tau / rho`` and applied independently to each coefficient band.
 
-At the SALSA fixed point the minimized objective is
+At the PnP fixed point the minimized objective is
 
     0.5 ||E X B M - Y_h||_F^2 + (lam/2) ||R E X - Y_m||_F^2
         + reg_weight * sum_bands phi(X_band)
@@ -17,6 +16,11 @@ the denoiser matrix contributes its regularizer phi scaled by the penalty
 parameter. :func:`hs_data_term` states the two data terms once, on the
 coefficients X; its :class:`~pnpfusion.denoiser.DataTerm` takes the weight
 on phi explicitly to evaluate this objective and give its dense minimizer.
+
+:func:`sharpen` solves the fixed-point equation with GMRES
+(:func:`~pnpfusion.admm.solve_fixed_point`), so its report counts matvecs.
+:func:`run_salsa_hs` runs the paper's three-block SALSA scheme to the same
+point and stays as the reference; its third block is D.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import SolveReport, SolverConfig, run_admm
+from .admm import SolveReport, SolverConfig, run_admm, solve_fixed_point
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
 from .errors import ConfigError, DimensionError
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs
@@ -245,17 +249,30 @@ def train_scene_denoiser(
 
 def hs_data_term(scene: HsScene, basis: SubspaceBasis, lam: float) -> DataTerm:
     """``[forward_hs(E X); sqrt(lam) R E X]`` against ``[Y_h; sqrt(lam) Y_m]``,
-    on the coefficient matrix X."""
+    on the coefficient matrix X.
+
+    The blur acts on each band alone, so it is applied to the few coefficient
+    rows of X rather than to the bands of ``E X``.
+    """
     root = np.sqrt(lam)
+    idx = scene.masked_indices
+    re = scene.r @ basis.e
 
     def apply(x):
-        z = basis.e @ x
-        return np.concatenate(
-            [forward_hs(z, scene).ravel(), root * (scene.r @ z).ravel()]
+        hs = basis.e @ blur_rows(x, scene.blur)[:, idx]
+        return np.concatenate([hs.ravel(), root * (re @ x).ravel()])
+
+    def adjoint(r):
+        hs, ms = np.split(r, [scene.y_h.size])
+        fit = np.zeros((basis.dim, scene.geometry.n))
+        fit[:, idx] = basis.e.T @ hs.reshape(scene.y_h.shape)
+        return blur_rows(fit, scene.blur, adjoint=True) + root * (
+            re.T @ ms.reshape(scene.y_m.shape)
         )
 
     return DataTerm(
         apply=apply,
+        adjoint=adjoint,
         target=np.concatenate([scene.y_h.ravel(), root * scene.y_m.ravel()]),
         shape=(basis.dim, scene.geometry.n),
     )
@@ -310,11 +327,10 @@ def run_salsa_hs(
 def sharpen(
     scene: HsScene, params: SharpenParams
 ) -> tuple[np.ndarray, SolveReport]:
-    """Full sharpening pipeline: PCA basis, EM-trained denoiser, SALSA loop.
+    """Full sharpening pipeline: PCA basis, EM-trained denoiser, GMRES solve.
 
     Returns the reconstructed cube ``Z_hat = E X`` and the solve report. With
-    ``tau == 0`` the prior block degenerates to an identity prox and no GMM
-    is trained.
+    ``tau == 0`` no GMM is trained and D is the identity.
     """
     cfg = params.solver
     basis = pca_basis(scene.y_h, params.n_subspace)
@@ -328,5 +344,10 @@ def sharpen(
             denoiser_variance=cfg.tau / cfg.rho,
             pure_linear=params.pure_linear,
         )
-    x, report = run_salsa_hs(scene, basis, denoiser, cfg)
+
+    def denoise(x):
+        return v3_update(x, np.zeros_like(x), denoiser)
+
+    data = hs_data_term(scene, basis, cfg.lam)
+    x, report = solve_fixed_point(data, denoise, cfg.rho, cfg)
     return basis.e @ x, report

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from pnpfusion.admm import SolveReport, SolverConfig, residuals, run_admm
+from pnpfusion import admm
+from pnpfusion.admm import (
+    FIXED_POINT_RTOL,
+    SolveReport,
+    SolverConfig,
+    residuals,
+    run_admm,
+    solve_fixed_point,
+)
+from pnpfusion.denoiser import DataTerm
 from pnpfusion.errors import ConfigError, DivergenceError
 
 
@@ -125,3 +134,133 @@ class TestResiduals:
 
         with pytest.raises(DimensionError):
             residuals([np.zeros(2)], [np.zeros(3)], [np.zeros(3)], 1.0)
+
+
+def matrix_term(a, target):
+    """The data term 0.5 ||a x - target||^2 on a vector x."""
+    return DataTerm(
+        apply=lambda x: a @ x,
+        adjoint=lambda r: a.T @ r,
+        target=target,
+        shape=(a.shape[1],),
+    )
+
+
+def linear_problem(seed, m=12, n=8):
+    """A random data term and a symmetric D with spectrum in [0.05, 0.95]."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = q @ np.diag(rng.uniform(0.05, 0.95, n)) @ q.T
+    return matrix_term(a, rng.standard_normal(m)), d
+
+
+class TestSolveFixedPoint:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solves_the_linear_fixed_point_equation(self, seed):
+        data, d = linear_problem(seed)
+        a, rho = data.apply(np.eye(8)), 0.3
+        x, report = solve_fixed_point(data, lambda v: d @ v, rho, SolverConfig(rho=rho))
+        expected = np.linalg.solve(
+            rho * (np.eye(8) - d) + d @ a.T @ a, d @ a.T @ data.target
+        )
+        assert report.converged
+        assert report.final_primal <= FIXED_POINT_RTOL
+        np.testing.assert_allclose(x, expected, rtol=1e-8)
+        # the residual the report states is the fixed-point residual at x
+        grad = data.adjoint(data.apply(x) - data.target)
+        residual = rho * (x - d @ x) + d @ grad
+        rhs = d @ data.adjoint(data.target)
+        assert np.linalg.norm(residual) / np.linalg.norm(rhs) == pytest.approx(
+            report.final_primal, rel=1e-3, abs=1e-14
+        )
+
+    def test_identity_denoiser_gives_least_squares(self):
+        data, _ = linear_problem(3)
+        x, report = solve_fixed_point(data, lambda v: v, 0.7, SolverConfig(rho=0.7))
+        a = data.apply(np.eye(8))
+        assert report.converged
+        np.testing.assert_allclose(
+            x, np.linalg.lstsq(a, data.target, rcond=None)[0], rtol=1e-8
+        )
+
+    def test_iterations_count_matvecs_within_the_budget(self):
+        data, d = linear_problem(4)
+        calls = []
+
+        def denoise(v):
+            calls.append(1)
+            return d @ v
+
+        _, report = solve_fixed_point(data, denoise, 0.3, SolverConfig(rho=0.3))
+        # one call for the right-hand side, then one per matvec
+        assert report.iterations_run == len(calls) - 1
+        # at most 8 Krylov steps on 8 unknowns, plus the recomputed residual
+        assert report.iterations_run <= 8 + 1
+
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    def test_small_budget_is_unconverged(self, budget):
+        data, d = linear_problem(5)
+        cfg = SolverConfig(rho=0.3, max_iters=budget)
+        _, report = solve_fixed_point(data, lambda v: d @ v, 0.3, cfg)
+        assert report.converged is False
+        assert report.iterations_run <= budget
+        assert report.final_primal > FIXED_POINT_RTOL
+
+    def test_cycle_longer_than_the_first_basis_block(self):
+        n = 100
+        data, d = linear_problem(10, m=120, n=n)
+        x, report = solve_fixed_point(data, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
+        a = data.apply(np.eye(n))
+        expected = np.linalg.solve(
+            0.3 * (np.eye(n) - d) + d @ a.T @ a, d @ a.T @ data.target
+        )
+        assert report.converged
+        assert report.iterations_run > 65  # the basis grew past 64 + 1 rows
+        assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+    def test_restarts_reach_the_same_solution(self, monkeypatch):
+        data, d = linear_problem(9, m=30, n=24)
+        cfg = SolverConfig(rho=0.3, max_iters=400)
+        x, report = solve_fixed_point(data, lambda v: d @ v, 0.3, cfg)
+        monkeypatch.setattr(admm, "GMRES_RESTART", 4)
+        x4, report4 = solve_fixed_point(data, lambda v: d @ v, 0.3, cfg)
+        assert report.converged and report4.converged
+        assert report4.iterations_run > report.iterations_run
+        np.testing.assert_allclose(x4, x, rtol=1e-8)
+
+    def test_nan_target_raises_divergence(self):
+        data, d = linear_problem(6)
+        target = data.target.copy()
+        target[2] = np.nan
+        bad = matrix_term(data.apply(np.eye(8)), target)
+        with pytest.raises(DivergenceError):
+            solve_fixed_point(bad, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
+
+    def test_identity_system_solves_in_one_step(self):
+        target = np.random.default_rng(11).standard_normal(6)
+        data = matrix_term(np.eye(6), target)
+        x, report = solve_fixed_point(data, lambda v: v, 0.3, SolverConfig(rho=0.3))
+        assert report.converged
+        assert report.iterations_run == 2  # one Krylov step, one residual
+        np.testing.assert_allclose(x, target, rtol=1e-14)
+
+    def test_zero_target_gives_zero(self):
+        data, d = linear_problem(7)
+        zero = matrix_term(data.apply(np.eye(8)), np.zeros_like(data.target))
+        x, report = solve_fixed_point(zero, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
+        assert report.converged
+        np.testing.assert_array_equal(x, np.zeros(8))
+
+    def test_history_ends_with_the_recomputed_residual(self, tmp_path):
+        data, d = linear_problem(8)
+        cfg = SolverConfig(rho=0.3, record_history=True)
+        _, report = solve_fixed_point(data, lambda v: d @ v, 0.3, cfg)
+        assert len(report.primal_residuals) == report.iterations_run
+        assert report.primal_residuals[-1] == report.final_primal
+        assert not report.dual_residuals and not report.objective_trace
+        path = tmp_path / "krylov.csv"
+        report.write_csv(path)
+        lines = path.read_text().strip().splitlines()
+        assert len(lines) == report.iterations_run + 1
+        assert lines[-1].endswith(",,")

@@ -368,7 +368,10 @@ class TestPhiAndProx:
 
 def identity_term(target):
     return DataTerm(
-        apply=lambda x: x.ravel(), target=target.ravel(), shape=target.shape
+        apply=lambda x: x.ravel(),
+        adjoint=lambda r: r.reshape(target.shape),
+        target=target.ravel(),
+        shape=target.shape,
     )
 
 

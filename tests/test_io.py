@@ -283,6 +283,12 @@ class TestTextFormats:
         write_manifest(path, entries)
         assert read_manifest(path) == entries
 
+    def test_manifest_non_utf8_raises_format_error(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_bytes(b"seed=7\nkind=\xff\xfe\n")
+        with pytest.raises(FormatError):
+            read_manifest(path)
+
 
 class TestPgm:
     @pytest.mark.parametrize("bits", [8, 16])
@@ -388,6 +394,11 @@ def test_every_strict_prefix_raises_format_error(tmp_path, kind):
         cut.write_bytes(blob[:size])
         with pytest.raises(FormatError):
             reader(cut)
+    # ... and so does the whole file with 1 to 8 bytes appended
+    for extra in range(1, 9):
+        cut.write_bytes(blob + bytes(range(extra)))
+        with pytest.raises(FormatError):
+            reader(cut)
 
 
 @pytest.mark.parametrize("maxval", [b"0", b"65536"])
@@ -433,13 +444,19 @@ def test_corrupt_file_reads_clean_or_raises_format_error(clean_files, kind, data
     corrupt = bytearray(blob)
     for pos, value in edits:
         corrupt[pos] = value
-    corrupt = corrupt[: data.draw(st.integers(0, len(blob)))]
+    if data.draw(st.booleans()):
+        corrupt = corrupt[: data.draw(st.integers(0, len(blob)))]
+    else:
+        corrupt += data.draw(st.binary(min_size=1, max_size=8))
     path = tmp / f"corrupt_{kind}"
     path.write_bytes(bytes(corrupt))
     try:
         result = reader(path)
     except FormatError:
         return
+    # a binary container reads only at the length its clean header announces
+    appended = len(corrupt) > len(blob) and corrupt.startswith(blob)
+    assert kind == "matrix" or not appended
     for values in READ_VALUES[kind](result):
         assert np.all(np.isfinite(values))
         if kind.startswith("pgm"):

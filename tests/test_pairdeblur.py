@@ -3,8 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from pnpfusion.admm import SolverConfig
-from pnpfusion.denoiser import build_explicit_w
+from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
+from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
 from pnpfusion.fftops import make_cyclic_blur
 from pnpfusion.gmm import EmConfig
 from pnpfusion.metrics import psnr
@@ -224,7 +224,7 @@ class TestFullPipeline:
             ),
             pure_linear=True,
         )
-        _, report = deblur_pair(scene, params)
+        _, report = run_admm_pair(scene, denoiser_of(scene, params), params.solver)
         assert report.converged
         assert report.iterations_run <= 1000
         assert report.final_primal < 1e-6 and report.final_dual < 1e-6
@@ -237,7 +237,112 @@ class TestFullPipeline:
         solver = SolverConfig(
             rho=0.1, lam=0.3, tau=0.05, max_iters=40, record_history=True
         )
-        x, report = deblur_pair(scene, PairParams(patch_side=4, em=em, solver=solver))
+        params = PairParams(patch_side=4, em=em, solver=solver)
+        x, report = run_admm_pair(scene, denoiser_of(scene, params), solver)
         assert len(report.objective_trace) == report.iterations_run == 40
         data = pair_data_term(scene, 0.3)
         assert report.objective_trace[-1] == data.objective(x, 0.0)
+
+    def test_krylov_history_has_one_residual_per_matvec(self):
+        scene = scene_16(seed=16)
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
+        )
+        solver = SolverConfig(rho=0.1, lam=0.3, tau=0.05, record_history=True)
+        _, report = deblur_pair(scene, PairParams(patch_side=4, em=em, solver=solver))
+        assert report.converged
+        assert len(report.primal_residuals) == report.iterations_run
+        assert report.primal_residuals[-1] == report.final_primal
+        assert report.final_primal <= FIXED_POINT_RTOL
+
+
+def denoiser_of(scene, params):
+    """The denoiser deblur_pair trains for these parameters."""
+    cfg = params.solver
+    return train_pair_denoiser(
+        scene,
+        params.patch_side,
+        params.em,
+        denoiser_variance=cfg.tau / cfg.rho,
+        pure_linear=params.pure_linear,
+    )
+
+
+def pure_linear_denoiser(scene, rho, tau):
+    em = EmConfig(
+        n_components=3, noise_variance=scene.sigma_n**2, max_iters=15, seed=0
+    )
+    return train_pair_denoiser(
+        scene, 4, em, denoiser_variance=tau / rho, pure_linear=True
+    )
+
+
+def relative_error(x, reference):
+    return np.linalg.norm(x - reference) / np.linalg.norm(reference)
+
+
+class TestFixedPointSolve:
+    def test_adjoint_passes_the_dot_product_test(self):
+        scene = scene_16(seed=5, kernel="motion15")
+        data = pair_data_term(scene, 0.3)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x = rng.standard_normal(data.shape)
+            r = rng.standard_normal(data.target.shape)
+            ax = data.apply(x)
+            atr = data.adjoint(r)
+            assert atr.shape == data.shape
+            scale = np.linalg.norm(ax) * np.linalg.norm(r)
+            assert abs(ax @ r - x @ atr) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("pure_linear", [True, False])
+    def test_matches_the_admm_reference(self, pure_linear):
+        scene = scene_16(seed=11)
+        rho, tau, lam = 0.08, 0.08, 0.3
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=15, seed=0
+        )
+        den = train_pair_denoiser(
+            scene, 4, em, denoiser_variance=tau / rho, pure_linear=pure_linear
+        )
+        cfg = SolverConfig(
+            rho=rho, lam=lam, tau=tau, max_iters=5000,
+            primal_tol=1e-10, dual_tol=1e-10,
+        )
+        x_admm, admm_report = run_admm_pair(scene, den, cfg)
+        assert admm_report.converged
+        x, report = solve_fixed_point(
+            pair_data_term(scene, lam),
+            lambda v: denoise_image_fixed(v, den),
+            rho,
+            cfg,
+        )
+        assert report.converged
+        assert report.iterations_run < admm_report.iterations_run
+        assert relative_error(x, x_admm) <= 1e-8
+
+    @pytest.mark.parametrize("rho,tau", [(0.08, 0.08), (0.2, 0.05)])
+    def test_matches_the_dense_minimizer(self, rho, tau):
+        scene = scene_16(seed=11)
+        lam = 0.3
+        den = pure_linear_denoiser(scene, rho, tau)
+        data = pair_data_term(scene, lam)
+        cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
+        x, report = solve_fixed_point(
+            data, lambda v: denoise_image_fixed(v, den), rho, cfg
+        )
+        assert report.converged
+        expected = data.minimizer(rho, build_explicit_w(den))
+        assert relative_error(x, expected) <= 1e-9
+
+    def test_tau_zero_pipeline_is_the_least_squares_fusion(self):
+        scene = scene_16(seed=15, kernel="motion15")
+        lam = 0.4
+        em = EmConfig(n_components=2, noise_variance=scene.sigma_n**2)
+        params = PairParams(
+            patch_side=4, em=em, solver=SolverConfig(rho=0.5, lam=lam, tau=0.0)
+        )
+        x, report = deblur_pair(scene, params)
+        assert report.converged
+        expected = pair_data_term(scene, lam).minimizer(0.0)
+        assert relative_error(x, expected) <= 1e-8

@@ -3,7 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
-from pnpfusion.admm import SolverConfig
+from pnpfusion.admm import SolverConfig, solve_fixed_point
 from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
 from pnpfusion.errors import ConfigError
 from pnpfusion.fftops import blur_rows, make_cyclic_blur
@@ -421,7 +421,6 @@ class TestSharpenPipeline:
         data = hs_data_term(scene, basis, 0.5)
         assert report.objective_trace[-1] == data.objective(x, 0.0)
 
-    @pytest.mark.slow
     def test_paper_operating_point_converges(self):
         # rho = 1e-4, lam = 1e-1, tau = 1e-6; small-penalty runs need a large
         # iteration budget, so this uses a minimal scene and a stated primal
@@ -440,3 +439,95 @@ class TestSharpenPipeline:
         z_hat, report = sharpen(scene, params)
         assert report.converged
         assert psnr(scene.z, z_hat, peak=1.0) > 30.0
+
+
+def coefficient_denoise(den):
+    return lambda x: v3_update(x, np.zeros_like(x), den)
+
+
+def relative_error(x, reference):
+    return np.linalg.norm(x - reference) / np.linalg.norm(reference)
+
+
+class TestFixedPointSolve:
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_adjoint_passes_the_dot_product_test(self, d):
+        scene = tiny_scene(seed=5, d=d)
+        basis = pca_basis(scene.y_h, 2)
+        data = hs_data_term(scene, basis, 0.4)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            x = rng.standard_normal(data.shape)
+            r = rng.standard_normal(data.target.shape)
+            ax = data.apply(x)
+            atr = data.adjoint(r)
+            assert atr.shape == data.shape
+            scale = np.linalg.norm(ax) * np.linalg.norm(r)
+            assert abs(ax @ r - np.sum(x * atr)) <= 1e-12 * scale
+
+    def test_apply_is_the_forward_models_on_e_x(self):
+        scene = tiny_scene(seed=6)
+        basis = pca_basis(scene.y_h, 2)
+        lam = 0.4
+        x = np.random.default_rng(5).standard_normal((2, scene.geometry.n))
+        z = basis.e @ x
+        expected = np.concatenate(
+            [forward_hs(z, scene).ravel(), np.sqrt(lam) * forward_ms(z, scene).ravel()]
+        )
+        np.testing.assert_allclose(
+            hs_data_term(scene, basis, lam).apply(x), expected, rtol=1e-12, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("pure_linear", [True, False])
+    def test_matches_the_salsa_reference(self, pure_linear):
+        scene = tiny_scene(seed=17)
+        rho, tau, lam = 0.05, 0.05, 0.5
+        basis = pca_basis(scene.y_h, 2)
+        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
+        den = train_scene_denoiser(
+            scene.y_m, scene.geometry, 2, em,
+            denoiser_variance=tau / rho, pure_linear=pure_linear,
+        )
+        cfg = SolverConfig(
+            rho=rho, lam=lam, tau=tau, max_iters=5000,
+            primal_tol=1e-10, dual_tol=1e-10,
+        )
+        x_salsa, salsa_report = run_salsa_hs(scene, basis, den, cfg)
+        assert salsa_report.converged
+        x, report = solve_fixed_point(
+            hs_data_term(scene, basis, lam), coefficient_denoise(den), rho, cfg
+        )
+        assert report.converged
+        assert report.iterations_run < salsa_report.iterations_run
+        assert relative_error(x, x_salsa) <= 1e-8
+
+    @pytest.mark.parametrize("rho,tau", [(0.05, 0.05), (0.1, 0.02)])
+    def test_matches_the_dense_minimizer(self, rho, tau):
+        scene = tiny_scene(seed=17)
+        lam = 0.5
+        basis = pca_basis(scene.y_h, 2)
+        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
+        den = train_scene_denoiser(
+            scene.y_m, scene.geometry, 2, em,
+            denoiser_variance=tau / rho, pure_linear=True,
+        )
+        data = hs_data_term(scene, basis, lam)
+        cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
+        x, report = solve_fixed_point(data, coefficient_denoise(den), rho, cfg)
+        assert report.converged
+        expected = data.minimizer(rho, build_explicit_w(den))
+        assert relative_error(x, expected) <= 1e-9
+
+    def test_tau_zero_pipeline_is_the_least_squares_fit(self):
+        scene = tiny_scene(seed=8)
+        lam = 0.4
+        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2)
+        params = SharpenParams(
+            n_subspace=2, patch_side=2, em=em,
+            solver=SolverConfig(rho=0.3, lam=lam, tau=0.0),
+        )
+        z_hat, report = sharpen(scene, params)
+        assert report.converged
+        basis = pca_basis(scene.y_h, 2)
+        expected = basis.e @ hs_data_term(scene, basis, lam).minimizer(0.0)
+        assert relative_error(z_hat, expected) <= 1e-8
