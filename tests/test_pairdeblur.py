@@ -268,12 +268,12 @@ def denoiser_of(scene, params):
     )
 
 
-def pure_linear_denoiser(scene, rho, tau):
+def trained_denoiser(scene, rho, tau, pure_linear=True):
     em = EmConfig(
         n_components=3, noise_variance=scene.sigma_n**2, max_iters=15, seed=0
     )
     return train_pair_denoiser(
-        scene, 4, em, denoiser_variance=tau / rho, pure_linear=True
+        scene, 4, em, denoiser_variance=tau / rho, pure_linear=pure_linear
     )
 
 
@@ -299,12 +299,7 @@ class TestFixedPointSolve:
     def test_matches_the_admm_reference(self, pure_linear):
         scene = scene_16(seed=11)
         rho, tau, lam = 0.08, 0.08, 0.3
-        em = EmConfig(
-            n_components=3, noise_variance=scene.sigma_n**2, max_iters=15, seed=0
-        )
-        den = train_pair_denoiser(
-            scene, 4, em, denoiser_variance=tau / rho, pure_linear=pure_linear
-        )
+        den = trained_denoiser(scene, rho, tau, pure_linear)
         cfg = SolverConfig(
             rho=rho, lam=lam, tau=tau, max_iters=5000,
             primal_tol=1e-10, dual_tol=1e-10,
@@ -325,7 +320,7 @@ class TestFixedPointSolve:
     def test_matches_the_dense_minimizer(self, rho, tau):
         scene = scene_16(seed=11)
         lam = 0.3
-        den = pure_linear_denoiser(scene, rho, tau)
+        den = trained_denoiser(scene, rho, tau)
         data = pair_data_term(scene, lam)
         cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
         x, report = solve_fixed_point(

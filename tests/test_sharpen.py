@@ -445,6 +445,14 @@ def coefficient_denoise(den):
     return lambda x: v3_update(x, np.zeros_like(x), den)
 
 
+def trained_denoiser(scene, rho, tau, pure_linear=True):
+    em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
+    return train_scene_denoiser(
+        scene.y_m, scene.geometry, 2, em,
+        denoiser_variance=tau / rho, pure_linear=pure_linear,
+    )
+
+
 def relative_error(x, reference):
     return np.linalg.norm(x - reference) / np.linalg.norm(reference)
 
@@ -483,11 +491,7 @@ class TestFixedPointSolve:
         scene = tiny_scene(seed=17)
         rho, tau, lam = 0.05, 0.05, 0.5
         basis = pca_basis(scene.y_h, 2)
-        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
-        den = train_scene_denoiser(
-            scene.y_m, scene.geometry, 2, em,
-            denoiser_variance=tau / rho, pure_linear=pure_linear,
-        )
+        den = trained_denoiser(scene, rho, tau, pure_linear)
         cfg = SolverConfig(
             rho=rho, lam=lam, tau=tau, max_iters=5000,
             primal_tol=1e-10, dual_tol=1e-10,
@@ -506,11 +510,7 @@ class TestFixedPointSolve:
         scene = tiny_scene(seed=17)
         lam = 0.5
         basis = pca_basis(scene.y_h, 2)
-        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
-        den = train_scene_denoiser(
-            scene.y_m, scene.geometry, 2, em,
-            denoiser_variance=tau / rho, pure_linear=True,
-        )
+        den = trained_denoiser(scene, rho, tau)
         data = hs_data_term(scene, basis, lam)
         cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
         x, report = solve_fixed_point(data, coefficient_denoise(den), rho, cfg)
