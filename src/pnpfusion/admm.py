@@ -43,7 +43,13 @@ GMRES_RESTART = 200
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """ADMM penalty, data weights, and iteration/tolerance budgets."""
+    """ADMM penalty, data weights, and iteration/tolerance budgets.
+
+    ``primal_tol`` and ``dual_tol`` bound :func:`run_admm` only.
+    :func:`solve_fixed_point`, which the fusion pipelines call, always
+    iterates to ``FIXED_POINT_RTOL`` and reads ``max_iters`` as its matvec
+    budget.
+    """
 
     rho: float
     lam: float = 0.0
@@ -175,7 +181,7 @@ def solve_fixed_point(data, denoise, rho: float, config: SolverConfig):
     next restart cycle would not fit in ``config.max_iters`` matvecs. The
     report's ``iterations_run`` is the number of matvecs; ``converged`` and
     ``final_primal`` come from the residual recomputed at the returned x.
-    Returns ``(x, SolveReport)``. Raises :class:`DivergenceError` if a
+    ``config.primal_tol`` and ``config.dual_tol`` are not read. Returns ``(x, SolveReport)``. Raises :class:`DivergenceError` if a
     residual or x is non-finite.
     """
     shape = data.shape

@@ -151,19 +151,25 @@ def wiener_filter(covariance: np.ndarray, noise_variance: float) -> np.ndarray:
     Built from the eigendecomposition so the result is exactly symmetric with
     eigenvalues ``v/(v + s2) in [0, 1)``.
     """
-    if not noise_variance > 0:
-        raise ConfigError("wiener filter requires positive noise variance")
     vals, vecs = np.linalg.eigh(covariance)
-    vals = np.maximum(vals, 0.0)
-    shrink = vals / (vals + noise_variance)
-    return (vecs * shrink) @ vecs.T
+    return _shrinkage(np.maximum(vals, 0.0), vecs, noise_variance)
 
 
 def component_filters(model: GmmModel, noise_variance: float) -> np.ndarray:
-    """Stack of the K per-component Wiener filters, shape (K, n_p, n_p)."""
-    return np.stack(
-        [wiener_filter(c, noise_variance) for c in model.covariances]
-    )
+    """Stack of the K per-component Wiener filters, shape (K, n_p, n_p).
+
+    Built in one batched product from :attr:`GmmModel.spectrum`, so an
+    EM-trained model's covariances are not factored again.
+    """
+    return _shrinkage(*model.spectrum, noise_variance)
+
+
+def _shrinkage(vals: np.ndarray, vecs: np.ndarray, noise_variance: float) -> np.ndarray:
+    """``V diag(v/(v + s2)) V^T`` for one spectrum or a stack of them."""
+    if not noise_variance > 0:
+        raise ConfigError("wiener filter requires positive noise variance")
+    shrink = vals / (vals + noise_variance)
+    return (vecs * shrink[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def denoise_image_fixed(

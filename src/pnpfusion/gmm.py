@@ -4,12 +4,38 @@ EM here is the noisy-patch variant: observed patches are modelled as
 ``y = x + noise`` with known noise variance, so the covariance M-step
 subtracts the noise variance and projects back onto the PSD cone by
 eigenvalue thresholding. All likelihood work is done in the log domain.
+
+Each EM iteration works on all K components at once:
+
+* The M-step forms the K second moments ``sum_i beta_ji y_i y_i^T`` with one
+  ``(n_p x c) @ (c x K n_p)`` product per chunk of c patches, then projects
+  the whole ``(K, n_p, n_p)`` stack with one :func:`eigt` call. The model
+  keeps that factorisation as :attr:`GmmModel.spectrum`, the clipped
+  eigenvalues ``lambda+`` and eigenvectors V, so neither the E-step nor the
+  Wiener filters factor a covariance again. A model built any other way
+  computes its spectrum once, with one batched ``eigh``.
+* The E-step is rank-restricted. With ``v = max(lambda+ + sigma^2, floor)``
+  and ``s_j = max(sigma^2, floor)``, the variance of every direction whose
+  ``v`` equals ``s_j``, the Mahalanobis term of component j is
+
+      ||y||^2 / s_j - sum_{r kept} p_r^2 (1/s_j - 1/v_r),  p = V^T y,
+
+  summed only over the kept directions ``v_r != s_j``; after an M-step most
+  components keep well under n_p of them. The first term cancels against
+  the sum, losing about ``log10(max v / s_j)`` digits, which is ruinous when
+  ``s_j`` is the eigenvalue floor (``sigma^2 = 0``). A component whose
+  ratio exceeds ``_COMPLEMENT_MAX_RATIO`` therefore keeps all n_p
+  directions and uses the plain ``sum_r p_r^2 / v_r``. Every component's
+  kept directions, scaled by the square root of their weights, form one
+  basis, so one ``patches @ basis`` product per chunk of patches serves all
+  components, and a signed block sum of its squares gives the (N, K) terms.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -22,6 +48,16 @@ log = logging.getLogger(__name__)
 # Relative floor applied to eigenvalues of (C_j + sigma^2 I) when the matrix
 # is numerically singular (sigma^2 = 0 with rank-deficient C_j).
 _EIG_FLOOR = 1e-12
+
+# Largest max(v)/s_j for which the E-step uses the rank-restricted form; it
+# bounds the digits lost to cancellation at log10 of this ratio. The
+# benchmark scenes stay below 2e3.
+_COMPLEMENT_MAX_RATIO = 1e6
+
+# Patches per chunk, both for the E-step's (c, kept directions) projections
+# and for the M-step's (c, K, n_p) weighted copy. Larger chunks raise peak
+# memory without running faster.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -39,6 +75,26 @@ class GmmModel:
     @property
     def patch_dim(self) -> int:
         return self.covariances.shape[1]
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Clipped eigenvalues (K, n_p) and eigenvectors (K, n_p, n_p).
+
+        EM models carry the factorisation their projection made; any other
+        model computes it here, once.
+        """
+        vals, vecs = np.linalg.eigh(self.covariances)
+        return np.maximum(vals, 0.0), vecs
+
+
+def _projected_model(
+    alphas: np.ndarray, moments: np.ndarray, patch_side: int
+) -> GmmModel:
+    """Model whose covariances are ``eigt(moments)``, carrying that spectrum."""
+    covariances, vals, vecs = eigt(moments)
+    model = GmmModel(alphas=alphas, covariances=covariances, patch_side=patch_side)
+    model.__dict__["spectrum"] = (vals, vecs)  # fills the cached property
+    return model
 
 
 @dataclass(frozen=True)
@@ -78,40 +134,61 @@ class EmConfig:
             raise ConfigError("noise_variance must be nonnegative")
 
 
-def eigt(matrix: np.ndarray) -> np.ndarray:
-    """Project a (symmetrized) matrix onto the PSD cone by zeroing negative
-    eigenvalues."""
-    sym = 0.5 * (matrix + matrix.T)
+def eigt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project a (symmetrized) matrix, or each of a stack, onto the PSD cone
+    by zeroing negative eigenvalues.
+
+    Returns the projection together with the clipped eigenvalues and the
+    eigenvectors it was built from.
+    """
+    sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     vals, vecs = np.linalg.eigh(sym)
     vals = np.maximum(vals, 0.0)
-    out = (vecs * vals) @ vecs.T
-    return 0.5 * (out + out.T)
+    out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    return out, vals, vecs
 
 
 def _component_log_densities(
     patches: np.ndarray, model: GmmModel, noise_variance: float
 ) -> np.ndarray:
     """log alpha_j + log N(y_i; 0, C_j + sigma^2 I), shape (K, N)."""
-    n_p = patches.shape[1]
+    n, n_p = patches.shape
     if model.patch_dim != n_p:
         raise DimensionError(
             f"model patch dim {model.patch_dim} != patch dim {n_p}"
         )
-    out = np.empty((model.n_components, patches.shape[0]))
-    const = n_p * np.log(2.0 * np.pi)
-    for j in range(model.n_components):
-        vals, vecs = np.linalg.eigh(model.covariances[j])
-        vals = np.maximum(vals, 0.0) + noise_variance
-        floor = _EIG_FLOOR * max(vals.max(), 1.0)
-        if vals.min() < floor:
-            log.warning(
-                "component %d: singular noisy covariance, flooring eigenvalues", j
-            )
-            vals = np.maximum(vals, floor)
-        proj = patches @ vecs
-        maha = np.einsum("ik,k,ik->i", proj, 1.0 / vals, proj)
-        logdet = np.sum(np.log(vals))
-        out[j] = np.log(model.alphas[j]) - 0.5 * (const + logdet + maha)
+    lam, vecs = model.spectrum
+    noisy = lam + noise_variance
+    top = noisy.max(axis=1)
+    floor = _EIG_FLOOR * np.maximum(top, 1.0)
+    for j in np.flatnonzero(noisy.min(axis=1) < floor):
+        log.warning(
+            "component %d: singular noisy covariance, flooring eigenvalues", j
+        )
+    var = np.maximum(noisy, floor[:, None])
+    rest = np.maximum(noise_variance, floor)  # s_j
+    plain = top > _COMPLEMENT_MAX_RATIO * rest
+    # per direction: its weight in the block sum, and whether it is kept
+    kept = plain[:, None] | (var != rest[:, None])
+    weight = np.where(plain[:, None], 1.0 / var, 1.0 / rest[:, None] - 1.0 / var)
+    owner, column = np.nonzero(kept)
+    basis = vecs[owner, :, column].T * np.sqrt(weight[owner, column])
+    signed = np.zeros((owner.size, model.n_components))
+    signed[np.arange(owner.size), owner] = np.where(plain[owner], 1.0, -1.0)
+    norm_weight = np.where(plain, 0.0, 1.0 / rest)
+    offset = np.log(model.alphas) - 0.5 * (
+        n_p * np.log(2.0 * np.pi) + np.log(var).sum(axis=1)
+    )
+    out = np.empty((model.n_components, n))
+    proj = np.empty((min(n, _CHUNK), owner.size))
+    for start in range(0, n, _CHUNK):
+        y = patches[start : start + _CHUNK]
+        p = np.matmul(y, basis, out=proj[: y.shape[0]])
+        np.square(p, out=p)
+        maha = p @ signed
+        maha += np.einsum("ij,ij->i", y, y)[:, None] * norm_weight
+        out[:, start : start + y.shape[0]] = (offset - 0.5 * maha).T
     return out
 
 
@@ -132,12 +209,33 @@ def log_likelihood(
     return float(np.sum(logsumexp(logdens, axis=0)))
 
 
+def _weighted_second_moments(y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``sum_i beta_ji y_i y_i^T`` for every component j, shape (K, n_p, n_p)."""
+    n, n_p = y.shape
+    k = beta.shape[0]
+    acc = np.zeros((n_p, k * n_p))
+    weighted = np.empty((min(n, _CHUNK), k, n_p))
+    for start in range(0, n, _CHUNK):
+        chunk = y[start : start + _CHUNK]
+        c = chunk.shape[0]
+        # weighted[i, j] = beta_ji y_i, so column block j of the product is M_j
+        z = np.multiply(
+            beta[:, start : start + c].T[:, :, None],
+            chunk[:, None, :],
+            out=weighted[:c],
+        )
+        acc += chunk.T @ z.reshape(c, k * n_p)
+    return acc.reshape(n_p, k, n_p).transpose(1, 0, 2)
+
+
 def m_step(
     patches: PatchSet, weights: PatchWeights, noise_variance: float
 ) -> GmmModel:
     """Update mixture weights and noise-compensated covariances.
 
-    ``C_j = eigt(sum_i beta_ji y_i y_i^T / sum_i beta_ji - sigma^2 I)``.
+    ``C_j`` is the PSD projection (:func:`eigt`) of
+    ``sum_i beta_ji y_i y_i^T / sum_i beta_ji - sigma^2 I``; all K are
+    projected in one call, and the model carries that factorisation.
     A component whose total responsibility collapses is re-seeded from the
     patch the mixture currently claims least confidently, never dropped.
     """
@@ -150,8 +248,9 @@ def m_step(
         )
     totals = beta.sum(axis=1)
     alphas = totals / totals.sum()
-    covariances = np.empty((beta.shape[0], n_p, n_p))
     dead = totals < 1e-12
+    moments = _weighted_second_moments(y, beta)
+    moments[~dead] /= totals[~dead, None, None]
     if np.any(dead):
         # least-claimed patch: smallest max responsibility, largest norm on ties
         confidence = beta.max(axis=0)
@@ -162,19 +261,13 @@ def m_step(
             int(dead.sum()),
             worst,
         )
-    for j in range(beta.shape[0]):
-        if dead[j]:
-            seed_patch = y[worst]
-            second_moment = np.outer(seed_patch, seed_patch)
-            second_moment += (np.trace(second_moment) / n_p * 1e-6 + 1e-12) * np.eye(n_p)
-            alphas[j] = 1.0 / max(n, 1)
-        else:
-            second_moment = (y.T * beta[j]) @ y / totals[j]
-        covariances[j] = eigt(second_moment - noise_variance * np.eye(n_p))
+        seed_moment = np.outer(y[worst], y[worst])
+        seed_moment += (np.trace(seed_moment) / n_p * 1e-6 + 1e-12) * np.eye(n_p)
+        moments[dead] = seed_moment
+        alphas[dead] = 1.0 / max(n, 1)
+    moments -= noise_variance * np.eye(n_p)
     alphas = alphas / alphas.sum()
-    return GmmModel(
-        alphas=alphas, covariances=covariances, patch_side=patches.patch_side
-    )
+    return _projected_model(alphas, moments, patches.patch_side)
 
 
 def _init_model(patches: PatchSet, config: EmConfig) -> GmmModel:
@@ -202,7 +295,7 @@ def _init_model(patches: PatchSet, config: EmConfig) -> GmmModel:
     d2 = np.stack([((whitened - c) ** 2).sum(axis=1) for c in centers], axis=1)
     labels = d2.argmin(axis=1)
     alphas = np.empty(k)
-    covariances = np.empty((k, n_p, n_p))
+    moments = np.empty((k, n_p, n_p))
     ridge = 1e-6 * np.eye(n_p)
     for j in range(k):
         members = y[labels == j]
@@ -210,13 +303,11 @@ def _init_model(patches: PatchSet, config: EmConfig) -> GmmModel:
         if members.shape[0] == 0:
             members = y[rng.integers(n)][None, :]
         second_moment = members.T @ members / members.shape[0]
-        covariances[j] = eigt(
+        moments[j] = (
             second_moment + (np.trace(second_moment) / n_p) * ridge + 1e-12 * np.eye(n_p)
         )
     alphas = alphas / alphas.sum()
-    return GmmModel(
-        alphas=alphas, covariances=covariances, patch_side=patches.patch_side
-    )
+    return _projected_model(alphas, moments, patches.patch_side)
 
 
 def train_em(

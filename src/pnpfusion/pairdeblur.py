@@ -147,9 +147,10 @@ def deblur_pair(
 ) -> tuple[np.ndarray, SolveReport]:
     """Full pair pipeline: train on the noisy image, fuse both observations.
 
-    The fixed point is solved with GMRES. With ``tau == 0`` no prior is
-    trained, D is the identity and the result is the two-term least-squares
-    fusion.
+    The fixed point is solved with GMRES to ``FIXED_POINT_RTOL``; the
+    solver config's ``primal_tol``/``dual_tol`` bound only the ADMM
+    reference. With ``tau == 0`` no prior is trained, D is the identity and
+    the result is the two-term least-squares fusion.
     """
     cfg = params.solver
     denoiser = None

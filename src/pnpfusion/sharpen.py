@@ -329,7 +329,9 @@ def sharpen(
 ) -> tuple[np.ndarray, SolveReport]:
     """Full sharpening pipeline: PCA basis, EM-trained denoiser, GMRES solve.
 
-    Returns the reconstructed cube ``Z_hat = E X`` and the solve report. With
+    Returns the reconstructed cube ``Z_hat = E X`` and the solve report. The
+    fixed point is solved to ``FIXED_POINT_RTOL``; the solver config's
+    ``primal_tol``/``dual_tol`` bound only the SALSA reference. With
     ``tau == 0`` no GMM is trained and D is the identity.
     """
     cfg = params.solver

@@ -6,11 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh as scipy_eigh
 
+from pnpfusion import gmm
+from pnpfusion.denoiser import component_filters
 from pnpfusion.errors import ConfigError
 from pnpfusion.gmm import (
+    _CHUNK,
     EmConfig,
     GmmModel,
     PatchWeights,
+    _component_log_densities,
+    _weighted_second_moments,
     e_step,
     eigt,
     log_likelihood,
@@ -52,11 +57,11 @@ def dense_log_gaussian(y, cov):
 
 class TestEigt:
     def test_identity_fixed(self):
-        np.testing.assert_allclose(eigt(np.eye(3)), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(eigt(np.eye(3))[0], np.eye(3), atol=1e-14)
 
     def test_analytic_diagonal(self):
         np.testing.assert_allclose(
-            eigt(np.diag([2.0, -1.0])), np.diag([2.0, 0.0]), atol=1e-14
+            eigt(np.diag([2.0, -1.0]))[0], np.diag([2.0, 0.0]), atol=1e-14
         )
 
     def test_nearest_psd_in_frobenius(self):
@@ -66,16 +71,131 @@ class TestEigt:
         # oracle: independent eigensolver, clip negatives
         vals, vecs = scipy_eigh(a)
         oracle = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-        np.testing.assert_allclose(eigt(a), oracle, atol=1e-10)
+        np.testing.assert_allclose(eigt(a)[0], oracle, atol=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), dim=st.integers(1, 6))
     def test_psd_and_idempotent(self, seed, dim):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((dim, dim))
-        out = eigt(a)
+        out = eigt(a)[0]
         assert np.linalg.eigvalsh(out).min() >= -1e-10
-        np.testing.assert_allclose(eigt(out), out, atol=1e-10)
+        np.testing.assert_allclose(eigt(out)[0], out, atol=1e-10)
+
+
+class TestEigtStack:
+    def test_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(20)
+        stack = rng.standard_normal((5, 6, 6))
+        out, vals, vecs = eigt(stack)
+        for j, matrix in enumerate(stack):
+            single = eigt(matrix)
+            np.testing.assert_allclose(out[j], single[0], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(vals[j], single[1], rtol=0, atol=1e-13)
+
+    def test_spectrum_rebuilds_the_projection(self):
+        rng = np.random.default_rng(21)
+        stack = rng.standard_normal((3, 5, 5))
+        out, vals, vecs = eigt(stack)
+        assert vals.min() >= 0
+        np.testing.assert_allclose(
+            np.einsum("kij,kj,klj->kil", vecs, vals, vecs), out, atol=1e-13
+        )
+
+
+def low_rank_patches(rng, n, n_p, rank, sigma2):
+    """Patches from a rank-`rank` signal plus white noise of variance sigma2."""
+    basis = rng.standard_normal((rank, n_p))
+    return rng.standard_normal((n, rank)) @ basis + np.sqrt(sigma2) * rng.standard_normal(
+        (n, n_p)
+    )
+
+
+def oracle_log_densities(y, model, sigma2):
+    """log alpha_j + the brute-force density of every patch, shape (K, N)."""
+    eye = np.eye(model.patch_dim)
+    return np.array(
+        [
+            [
+                np.log(model.alphas[j])
+                + dense_log_gaussian(row, model.covariances[j] + sigma2 * eye)
+                for row in y
+            ]
+            for j in range(model.n_components)
+        ]
+    )
+
+
+def per_component_log_densities(y, model, sigma2):
+    """One eigh and one full projection per component (the unbatched form)."""
+    out = []
+    for alpha, cov in zip(model.alphas, model.covariances):
+        vals, vecs = np.linalg.eigh(cov)
+        vals = np.maximum(vals, 0.0) + sigma2
+        vals = np.maximum(vals, 1e-12 * max(vals.max(), 1.0))
+        proj = y @ vecs
+        maha = (proj**2 / vals).sum(axis=1)
+        out.append(
+            np.log(alpha)
+            - 0.5 * (y.shape[1] * np.log(2 * np.pi) + np.log(vals).sum() + maha)
+        )
+    return np.array(out)
+
+
+class TestLogDensities:
+    def test_after_an_m_step_matches_the_oracle(self):
+        # rank-3 signal in 9 dimensions: the M-step leaves rank-deficient
+        # covariances, so the rank-restricted form is the one exercised
+        rng = np.random.default_rng(22)
+        sigma2 = 0.05
+        y = low_rank_patches(rng, 400, 9, 3, sigma2)
+        beta = rng.dirichlet(np.ones(3), size=400).T
+        model = m_step(make_patch_set(y), PatchWeights(beta=beta), sigma2)
+        assert np.all((model.spectrum[0] == 0).sum(axis=1) >= 3)
+        got = _component_log_densities(y[:40], model, sigma2)
+        np.testing.assert_allclose(
+            got, oracle_log_densities(y[:40], model, sigma2), rtol=1e-10
+        )
+
+    def test_full_rank_model_without_noise_matches_the_oracle(self):
+        rng = np.random.default_rng(23)
+        model = random_model(rng, 3, 6)
+        y = rng.standard_normal((30, 6))
+        got = _component_log_densities(y, model, 0.0)
+        np.testing.assert_allclose(got, oracle_log_densities(y, model, 0.0), rtol=1e-10)
+
+    def test_zero_covariance_without_noise_floors_and_matches(self, caplog):
+        rng = np.random.default_rng(24)
+        model = GmmModel(
+            alphas=np.array([1.0]), covariances=np.zeros((1, 4, 4)), patch_side=2
+        )
+        y = rng.standard_normal((10, 4))
+        with caplog.at_level(logging.WARNING):
+            got = _component_log_densities(y, model, 0.0)
+        assert any("flooring" in r.message for r in caplog.records)
+        floored = GmmModel(
+            alphas=model.alphas, covariances=1e-12 * np.eye(4)[None], patch_side=2
+        )
+        np.testing.assert_allclose(got, oracle_log_densities(y, floored, 0.0), rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("rank_deficient", [True, False])
+    def test_chunk_boundaries_match_per_component(self, n, rank_deficient):
+        # a rank-deficient trained model with noise (rank-restricted form),
+        # and a full-rank model without noise (all directions kept)
+        rng = np.random.default_rng(n)
+        y = low_rank_patches(rng, n, 4, 2, 0.05)
+        if rank_deficient:
+            beta = rng.dirichlet(np.ones(3), size=n).T
+            model = m_step(make_patch_set(y), PatchWeights(beta=beta), 0.05)
+            sigma2 = 0.05
+        else:
+            model = random_model(rng, 3, 4)
+            sigma2 = 0.0
+        got = _component_log_densities(y, model, sigma2)
+        np.testing.assert_allclose(
+            got, per_component_log_densities(y, model, sigma2), rtol=1e-10
+        )
 
 
 class TestEStep:
@@ -190,7 +310,87 @@ class TestMStep:
         beta = rng.dirichlet(np.ones(3), size=40).T
         model = m_step(make_patch_set(y), PatchWeights(beta=beta), 0.3)
         for cov in model.covariances:
-            np.testing.assert_allclose(eigt(cov), cov, atol=1e-11)
+            np.testing.assert_allclose(eigt(cov)[0], cov, atol=1e-11)
+
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_batched_second_moments_match_per_component(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((n, 9))
+        beta = rng.dirichlet(np.ones(4), size=n).T
+        got = _weighted_second_moments(y, beta)
+        for j in range(4):
+            expected = (y.T * beta[j]) @ y
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(got[j], expected, rtol=0, atol=1e-12 * scale)
+
+    def test_rescued_component_is_seeded_from_the_least_claimed_patch(self):
+        rng = np.random.default_rng(25)
+        y = rng.standard_normal((_CHUNK + 1, 4))
+        beta = np.zeros((3, y.shape[0]))
+        beta[0, ::2] = 1.0
+        beta[2, 1::2] = 1.0
+        sigma2 = 0.1
+        model = m_step(make_patch_set(y), PatchWeights(beta=beta), sigma2)
+        live = y[::2].T @ y[::2] / y[::2].shape[0]
+        np.testing.assert_allclose(
+            model.covariances[0], eigt(live - sigma2 * np.eye(4))[0], atol=1e-12
+        )
+        # every patch is fully claimed: the tie goes to the largest norm
+        worst = np.argmax(np.einsum("ij,ij->i", y, y))
+        seed = np.outer(y[worst], y[worst])
+        seed += (np.trace(seed) / 4 * 1e-6 + 1e-12) * np.eye(4)
+        np.testing.assert_allclose(
+            model.covariances[1], eigt(seed - sigma2 * np.eye(4))[0], atol=1e-12
+        )
+        assert model.alphas[1] > 0
+        np.testing.assert_allclose(model.alphas.sum(), 1.0)
+
+
+class TestCarriedSpectrum:
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_one_eigh_per_m_step_plus_one(self, monkeypatch, k):
+        rng = np.random.default_rng(26)
+        ps = make_patch_set(low_rank_patches(rng, 120, 9, 4, 0.02))
+        m_steps = []
+        real_m_step = gmm.m_step
+
+        def counting_m_step(*args):
+            m_steps.append(1)
+            return real_m_step(*args)
+
+        monkeypatch.setattr(gmm, "m_step", counting_m_step)
+        eighs = self.count_eigh(monkeypatch)
+        model, _, _ = train_em(
+            ps, EmConfig(n_components=k, noise_variance=0.02, max_iters=6, seed=0)
+        )
+        assert len(m_steps) >= 1
+        assert len(eighs) == 1 + len(m_steps)
+        assert all(shape == (k, 9, 9) for shape in eighs)
+        component_filters(model, 0.1)
+        assert len(eighs) == 1 + len(m_steps)
+
+    def test_hand_built_model_factors_once(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        model = random_model(rng, 4, 4)
+        ps = make_patch_set(rng.standard_normal((10, 4)))
+        eighs = self.count_eigh(monkeypatch)
+        e_step(ps, model, 0.1)
+        log_likelihood(ps, model, 0.1)
+        component_filters(model, 0.1)
+        assert eighs == [(4, 4, 4)]
 
 
 class TestTrainEm:

@@ -255,6 +255,21 @@ class TestFullPipeline:
         assert report.primal_residuals[-1] == report.final_primal
         assert report.final_primal <= FIXED_POINT_RTOL
 
+    def test_admm_tolerances_do_not_change_the_result(self):
+        # primal_tol/dual_tol bound run_admm only; GMRES stops at FIXED_POINT_RTOL
+        scene = scene_16(seed=16)
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
+        )
+        results = []
+        for tol in (1e-2, 1e-9):
+            solver = SolverConfig(
+                rho=0.1, lam=0.3, tau=0.05, primal_tol=tol, dual_tol=10 * tol
+            )
+            x, report = deblur_pair(scene, PairParams(patch_side=4, em=em, solver=solver))
+            results.append((x.tobytes(), report.iterations_run, report.final_primal))
+        assert results[0] == results[1]
+
 
 def denoiser_of(scene, params):
     """The denoiser deblur_pair trains for these parameters."""

@@ -440,6 +440,24 @@ class TestSharpenPipeline:
         assert report.converged
         assert psnr(scene.z, z_hat, peak=1.0) > 30.0
 
+    def test_salsa_tolerances_do_not_change_the_result(self):
+        # primal_tol/dual_tol bound run_salsa_hs only; GMRES stops at FIXED_POINT_RTOL
+        scene = tiny_scene(seed=3)
+        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
+        results = []
+        for tol in (1e-2, 1e-9):
+            params = SharpenParams(
+                n_subspace=2,
+                patch_side=2,
+                em=em,
+                solver=SolverConfig(
+                    rho=0.05, lam=0.5, tau=0.05, primal_tol=tol, dual_tol=10 * tol
+                ),
+            )
+            z_hat, report = sharpen(scene, params)
+            results.append((z_hat.tobytes(), report.iterations_run, report.final_primal))
+        assert results[0] == results[1]
+
 
 def coefficient_denoise(den):
     return lambda x: v3_update(x, np.zeros_like(x), den)
