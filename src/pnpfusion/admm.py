@@ -181,8 +181,9 @@ def solve_fixed_point(data, denoise, rho: float, config: SolverConfig):
     next restart cycle would not fit in ``config.max_iters`` matvecs. The
     report's ``iterations_run`` is the number of matvecs; ``converged`` and
     ``final_primal`` come from the residual recomputed at the returned x.
-    ``config.primal_tol`` and ``config.dual_tol`` are not read. Returns ``(x, SolveReport)``. Raises :class:`DivergenceError` if a
-    residual or x is non-finite.
+    ``config.primal_tol`` and ``config.dual_tol`` are not read. Returns
+    ``(x, SolveReport)``. Raises :class:`DivergenceError` if a residual or
+    x is non-finite.
     """
     shape = data.shape
 

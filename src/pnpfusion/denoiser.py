@@ -164,7 +164,9 @@ def component_filters(model: GmmModel, noise_variance: float) -> np.ndarray:
     return _shrinkage(*model.spectrum, noise_variance)
 
 
-def _shrinkage(vals: np.ndarray, vecs: np.ndarray, noise_variance: float) -> np.ndarray:
+def _shrinkage(
+    vals: np.ndarray, vecs: np.ndarray, noise_variance: float
+) -> np.ndarray:
     """``V diag(v/(v + s2)) V^T`` for one spectrum or a stack of them."""
     if not noise_variance > 0:
         raise ConfigError("wiener filter requires positive noise variance")

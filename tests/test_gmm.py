@@ -82,8 +82,6 @@ class TestEigt:
         assert np.linalg.eigvalsh(out).min() >= -1e-10
         np.testing.assert_allclose(eigt(out)[0], out, atol=1e-10)
 
-
-class TestEigtStack:
     def test_stack_equals_per_matrix(self):
         rng = np.random.default_rng(20)
         stack = rng.standard_normal((5, 6, 6))
@@ -106,9 +104,8 @@ class TestEigtStack:
 def low_rank_patches(rng, n, n_p, rank, sigma2):
     """Patches from a rank-`rank` signal plus white noise of variance sigma2."""
     basis = rng.standard_normal((rank, n_p))
-    return rng.standard_normal((n, rank)) @ basis + np.sqrt(sigma2) * rng.standard_normal(
-        (n, n_p)
-    )
+    signal = rng.standard_normal((n, rank)) @ basis
+    return signal + np.sqrt(sigma2) * rng.standard_normal((n, n_p))
 
 
 def oracle_log_densities(y, model, sigma2):
