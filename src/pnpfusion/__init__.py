@@ -1,15 +1,17 @@
 """Scene-adapted GMM priors plugged into ADMM/SALSA for image fusion.
 
 The package provides a patch-based Gaussian-mixture denoiser whose frozen
-per-patch weights make it a fixed symmetric PSD linear operator, proximity-
-operator verification utilities for that operator, and two fusion pipelines
-built on it: hyperspectral sharpening and blurred/noisy pair deblurring.
+per-patch weights make it a fixed symmetric PSD linear operator (each patch
+is filtered as ``(I - J) F_i (I - J) + J``, which passes its mean through),
+proximity-operator verification utilities for that operator, and two fusion
+pipelines built on it: hyperspectral sharpening and blurred/noisy pair
+deblurring.
 
-Because the frozen denoiser D is linear, the PnP fixed point is the solution
-of a linear equation. The pipelines solve it with GMRES
-(:func:`solve_fixed_point`), whose report counts matvecs; the ADMM/SALSA
-iterations of the paper (:func:`run_admm`) stay as the reference that reaches
-the same point.
+Because the frozen denoiser D is symmetric PSD, the PnP fixed point is the
+solution of a symmetric positive definite linear system. The pipelines solve
+it by conjugate gradients preconditioned with D (:func:`solve_fixed_point`),
+whose report counts applications of D; the ADMM/SALSA iterations of the
+paper (:func:`run_admm`) stay as the reference that reaches the same point.
 """
 
 from .admm import SolveReport, SolverConfig, residuals, run_admm, solve_fixed_point

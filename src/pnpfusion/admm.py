@@ -1,13 +1,15 @@
-"""PnP solvers for the frozen-denoiser fixed point: GMRES, and ADMM/SALSA.
+"""PnP solvers for the frozen-denoiser fixed point: CG, and ADMM/SALSA.
 
 With the GMM weights frozen the plugged-in denoiser is a fixed linear map D,
 so the point where ADMM/SALSA converge solves the linear equation
 
     rho (x - D x) + D A^T (A x - t) = 0
 
-for the pipeline's data term ``0.5 ||A x - t||^2``.
-:func:`solve_fixed_point` solves it with restarted GMRES (Saad & Schultz,
-SIAM J. Sci. Stat. Comput. 1986); the fusion pipelines call it.
+for the pipeline's data term ``0.5 ||A x - t||^2``. D is symmetric PSD
+with ``||D|| <= 1``, so this is the symmetric positive definite system
+``(A^T A + rho (D^-1 - I)) x = A^T t``, and :func:`solve_fixed_point` solves
+it by conjugate gradients preconditioned with D (Hestenes & Stiefel, J. Res.
+NBS 1952), which never forms ``D^-1``. The fusion pipelines call it.
 
 :func:`run_admm` is the paper-faithful reference that reaches the same point
 by iterating. A problem supplies four callbacks:
@@ -36,9 +38,6 @@ from .errors import ConfigError, DimensionError, DivergenceError
 # Relative fixed-point residual ||rho (x - D x) + D grad F(x)|| / ||D A^T t||
 # that solve_fixed_point iterates to.
 FIXED_POINT_RTOL = 1e-10
-# GMRES restart length; 30-80 matvecs reach FIXED_POINT_RTOL on the
-# benchmark scenes, so a solve rarely restarts.
-GMRES_RESTART = 200
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,8 @@ class SolverConfig:
 
     ``primal_tol`` and ``dual_tol`` bound :func:`run_admm` only.
     :func:`solve_fixed_point`, which the fusion pipelines call, always
-    iterates to ``FIXED_POINT_RTOL`` and reads ``max_iters`` as its matvec
-    budget.
+    iterates to ``FIXED_POINT_RTOL`` and reads ``max_iters`` as its budget
+    of applications of the denoiser.
     """
 
     rho: float
@@ -81,12 +80,12 @@ class SolveReport:
     iteration: in the fusion pipelines the data-fit term alone, without the
     regularizer phi, which needs the dense W.
 
-    From :func:`solve_fixed_point` (the GMRES path the pipelines take):
-    ``iterations_run`` counts matvecs, ``primal_residuals`` holds one
-    relative fixed-point residual per matvec (GMRES's estimate after each
-    Krylov step, the recomputed residual after each restart cycle),
-    ``final_primal`` is the residual recomputed at the returned x, and the
-    dual and objective fields stay empty.
+    From :func:`solve_fixed_point` (the CG path the pipelines take):
+    ``iterations_run`` counts applications of D, ``primal_residuals`` holds
+    one relative fixed-point residual per application (CG's recursively
+    updated residual after each step, the residual recomputed at x after
+    each run of steps), ``final_primal`` is the residual recomputed at the
+    returned x, and the dual and objective fields stay empty.
     """
 
     iterations_run: int = 0
@@ -168,7 +167,7 @@ def run_admm(problem, config: SolverConfig, init_v):
 
 
 def solve_fixed_point(data, denoise, rho: float, config: SolverConfig):
-    """Solve ``rho (x - D x) + D A^T (A x - t) = 0`` with GMRES.
+    """Solve ``rho (x - D x) + D A^T (A x - t) = 0`` by D-preconditioned CG.
 
     ``data`` is the pipeline's :class:`~pnpfusion.denoiser.DataTerm` (A is
     ``data.apply``, A^T is ``data.adjoint``, t is ``data.target``) and
@@ -176,108 +175,86 @@ def solve_fixed_point(data, denoise, rho: float, config: SolverConfig):
     This is the equation whose solution ADMM/SALSA converge to with that D,
     so :func:`run_admm` on the pipeline's problem reaches the same x.
 
-    GMRES starts from x = 0 and stops once the relative residual, measured
-    against ``||D A^T t||``, is at most ``FIXED_POINT_RTOL``, or when the
-    next restart cycle would not fit in ``config.max_iters`` matvecs. The
-    report's ``iterations_run`` is the number of matvecs; ``converged`` and
-    ``final_primal`` come from the residual recomputed at the returned x.
-    ``config.primal_tol`` and ``config.dual_tol`` are not read. Returns
-    ``(x, SolveReport)``. Raises :class:`DivergenceError` if a residual or
-    x is non-finite.
+    The equation is ``M x = A^T t`` with ``M = A^T A + rho (D^-1 - I)``.
+    Beside each CG search direction p the solver carries s with ``p = D s``,
+    so ``M p = A^T A p + rho (s - p)`` needs no ``D^-1``. Each step applies
+    D once, to the residual r, and ``z = D r`` is the fixed-point residual
+    at x up to sign.
+
+    CG starts from x = 0 and steps until ``||z||``, relative to
+    ``||D A^T t||``, is at most ``FIXED_POINT_RTOL``. The fixed-point
+    residual is then recomputed at x, and CG restarts from it if it misses
+    the tolerance. A step is taken only if it and that recomputation fit in
+    ``config.max_iters`` applications of D. The report's ``iterations_run``
+    counts the applications after the one that forms the right-hand side,
+    ``primal_residuals`` holds one relative residual per application, and
+    ``converged`` and ``final_primal`` come from the residual recomputed at
+    the returned x. ``config.primal_tol`` and ``config.dual_tol`` are not
+    read. Returns ``(x, SolveReport)``. Raises :class:`DivergenceError` if a
+    residual is non-finite or if ``r^T z`` or ``p^T M p`` is not positive,
+    as happens when D is not PSD.
     """
-    shape = data.shape
-
-    def fixed_point_map(flat):
-        x = flat.reshape(shape)
-        # rho (x - D x) + D A^T A x, with one application of D
-        return (denoise(data.adjoint(data.apply(x)) - rho * x) + rho * x).ravel()
-
     report = SolveReport()
+    b = data.adjoint(data.target)
+    z = denoise(b)
+    rhs_norm = float(np.linalg.norm(z))
+    if not np.isfinite(rhs_norm):
+        raise DivergenceError("non-finite right-hand side", iteration=0)
+    x = np.zeros(data.shape)
+    if rhs_norm == 0:
+        report.converged, report.final_primal = True, 0.0
+        return x, report
 
-    def on_matvec(relative):
+    def apply_d(v):
         report.iterations_run += 1
+        return denoise(v)
+
+    def measure(z):
+        relative = float(np.linalg.norm(z)) / rhs_norm
         if not np.isfinite(relative):
             raise DivergenceError(
-                f"non-finite residual at matvec {report.iterations_run}",
+                f"non-finite residual at application {report.iterations_run}",
                 iteration=report.iterations_run,
             )
         if config.record_history:
-            report.primal_residuals.append(float(relative))
+            report.primal_residuals.append(relative)
+        return relative
 
-    rhs = denoise(data.adjoint(data.target)).ravel()
-    flat, relative = _gmres(fixed_point_map, rhs, config.max_iters, on_matvec)
-    if not np.all(np.isfinite(flat)):
-        raise DivergenceError(
-            f"non-finite solution after {report.iterations_run} matvecs",
-            iteration=report.iterations_run,
-        )
+    def normal(v):
+        return data.adjoint(data.apply(v))
+
+    def budget_left():
+        # room for one more step and the residual recomputed after it
+        return report.iterations_run + 2 <= config.max_iters
+
+    xi = np.zeros_like(x)  # x = D xi, so a restart can form r without D^-1
+    r, relative = b, 1.0
+    while True:
+        p, s, rz = z, r, float(np.vdot(r, z))
+        while relative > FIXED_POINT_RTOL and budget_left():
+            q = normal(p) + rho * (s - p)
+            pq = float(np.vdot(p, q))
+            if not (rz > 0 and pq > 0):
+                raise DivergenceError(
+                    f"non-positive curvature at application {report.iterations_run}"
+                    " (D is not symmetric PSD)",
+                    iteration=report.iterations_run,
+                )
+            alpha = rz / pq
+            x += alpha * p
+            xi += alpha * s
+            r = r - alpha * q
+            z = apply_d(r)
+            relative = measure(z)
+            rz_prev, rz = rz, float(np.vdot(r, z))
+            p = z + (rz / rz_prev) * p
+            s = r + (rz / rz_prev) * s
+        grad = normal(x) - b
+        z = -(apply_d(grad - rho * x) + rho * x)
+        relative = measure(z)
+        if relative <= FIXED_POINT_RTOL or not budget_left():
+            break
+        r = -grad - rho * (xi - x)
     report.final_primal = relative
     report.converged = relative <= FIXED_POINT_RTOL
-    return flat.reshape(shape), report
-
-
-def _gmres(matvec, b, max_matvecs, on_matvec):
-    """Restarted GMRES for ``matvec(x) = b`` from x = 0 (Saad & Schultz 1986).
-
-    Each cycle runs up to ``GMRES_RESTART`` Arnoldi steps, orthogonalizing
-    by classical Gram-Schmidt applied twice, and keeps the Hessenberg
-    least-squares problem triangular with Givens rotations. A cycle stops
-    when the rotated residual estimate reaches ``FIXED_POINT_RTOL * ||b||``;
-    the true residual at its x then decides whether to restart. A cycle
-    starts only if one step and that residual fit in ``max_matvecs``.
-    ``on_matvec`` gets the relative residual after every matvec: the
-    estimate after each step, the true residual after each cycle. Returns
-    ``(x, relative residual at x)``.
-
-    scipy.sparse.linalg.gmres would do the same work, but importing it loads
-    scipy.linalg too, which adds ~11 MB to the peak RSS of a pipeline run.
-    """
-    x = np.zeros_like(b)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0:
-        return x, 0.0
-    r, relative, used = b, 1.0, 0
-    while relative > FIXED_POINT_RTOL and used + 2 <= max_matvecs:
-        steps = min(GMRES_RESTART, max_matvecs - used - 1)
-        # 64 basis rows cover the benchmark solves; more are allocated only
-        # when a cycle needs them. All GMRES_RESTART + 1 rows up front raised
-        # the peak RSS of an hs-sharpen run by ~3 MB (5 %).
-        basis = np.empty((min(steps, 64) + 1, b.size))
-        hess = np.zeros((steps + 1, steps))
-        rotations = np.zeros((steps, 2))
-        g = np.zeros(steps + 1)
-        g[0] = np.linalg.norm(r)
-        basis[0] = r / g[0]
-        for j in range(steps):
-            w = matvec(basis[j])
-            used += 1
-            for _ in range(2):
-                h = basis[: j + 1] @ w
-                w -= h @ basis[: j + 1]
-                hess[: j + 1, j] += h
-            w_norm = np.linalg.norm(w)
-            hess[j + 1, j] = w_norm
-            for i, (c, s) in enumerate(rotations[:j]):
-                hess[i, j], hess[i + 1, j] = (
-                    c * hess[i, j] + s * hess[i + 1, j],
-                    c * hess[i + 1, j] - s * hess[i, j],
-                )
-            radius = np.hypot(hess[j, j], w_norm)
-            c, s = (hess[j, j] / radius, w_norm / radius) if radius else (1.0, 0.0)
-            rotations[j] = c, s
-            hess[j, j], hess[j + 1, j] = radius, 0.0
-            g[j], g[j + 1] = c * g[j], -s * g[j]
-            on_matvec(abs(g[j + 1]) / b_norm)
-            if abs(g[j + 1]) <= FIXED_POINT_RTOL * b_norm:  # also on breakdown
-                break
-            if j + 1 == len(basis):
-                basis = np.concatenate([basis, np.empty_like(basis)])
-            basis[j + 1] = w / w_norm
-        k = j + 1
-        y = np.linalg.lstsq(hess[:k, :k], g[:k], rcond=None)[0]
-        x = x + y @ basis[:k]
-        r = b - matvec(x)
-        used += 1
-        relative = float(np.linalg.norm(r)) / b_norm
-        on_matvec(relative)
-    return x, relative
+    return x, report

@@ -8,16 +8,21 @@ With the weights frozen the whole map is one linear operator
     W = (1/n_p) sum_i P_i^T M_i P_i,
 
 which :class:`LinearDenoiser` assembles once as a sparse matrix and every
-apply multiplies by. In pure-linear mode ``M_i = F_i`` and W is symmetric
-PSD with spectrum in ``[0, 1)``, so it equals the proximity operator of
+apply multiplies by. The practical mode filters each patch's zero-mean part
+and passes its mean through, ``M_i = (I - J) F_i (I - J) + J`` with
+``J = 11^T/n_p``; the pure-linear mode has ``M_i = F_i``. Either way every
+M_i is symmetric with spectrum in ``[0, 1]``, so W is symmetric PSD with
+``||W|| <= 1`` and equals the proximity operator of
 
     phi(x) = indicator(x in span(W)) + 0.5 x^T Qbar (Lbar^-1 - I) Qbar^T x
 
-which this module can evaluate and prox directly from the eigendecomposition
-of W made dense (test scale only). The practical mode removes each patch's
-mean before filtering and restores it afterwards,
-``M_i = F_i (I - 11^T/n_p) + 11^T/n_p``: still linear, but not symmetric, so
-the proximity-operator theory does not cover it.
+(Moreau 1965), which this module can evaluate and prox directly from the
+eigendecomposition of W made dense (test scale only). In practical mode
+``W 1 = 1``, the constant images are the only eigenvalue-1 directions and
+phi gives them no weight. An EM-trained covariance annihilates the constant
+patch, so for a trained model the practical M_i equals the patch pipeline's
+mean removal, filtering and mean restoration ``F_i (I - J) + J`` to
+rounding.
 
 Each fusion pipeline states its data fit once as a :class:`DataTerm`, which
 adds ``reg_weight * phi`` to give the objective PnP-ADMM minimizes and solves
@@ -57,10 +62,9 @@ class LinearDenoiser:
     """GMM + frozen per-patch weights + noise variance, over a fixed grid.
 
     The denoiser is the linear map :attr:`operator`, built on first use.
-    ``pure_linear`` leaves out per-patch mean removal/restoration; that
-    variant is the symmetric operator analyzed by the proximity-operator
-    theory. The practical default handles means the way the patch pipelines
-    do, which keeps W linear but makes it non-symmetric.
+    The practical default passes each patch's mean through unfiltered;
+    ``pure_linear`` filters the whole patch, which maps constant images
+    towards zero. Both operators are symmetric PSD with norm at most 1.
     """
 
     model: GmmModel
@@ -97,7 +101,9 @@ class LinearDenoiser:
         span = 2 * side - 1
         filters = component_filters(self.model, self.noise_variance)
         if not self.pure_linear:
+            # (I - J) F_j (I - J): remove the mean of each row, then of each column
             filters = filters - filters.mean(axis=2, keepdims=True)
+            filters -= filters.mean(axis=1, keepdims=True)
         # Row p = c*h + r of W is data[c, r]: a (2s-1) x (2s-1) grid whose
         # entry [b, a] sits at displacement (a - s + 1, b - s + 1) from pixel
         # (r, c), on the pixel cols[c, r, b, a].
@@ -208,17 +214,13 @@ def denoise_image_mmse(
 
 
 def build_explicit_w(denoiser: LinearDenoiser) -> ExplicitW:
-    """The pure-linear operator made dense, with its eigendecomposition.
+    """The denoiser's ``operator`` made dense, with its eigendecomposition.
 
-    Whatever the denoiser's mode, the matrix is its pure-linear ``operator``
-    (mean handling is never part of it). Refuses images above the test-scale
-    cap.
+    Refuses images above the test-scale cap.
     """
     n = denoiser.geometry.n
     if n > EXPLICIT_W_CAP:
         raise SizeError(f"explicit W capped at n={EXPLICIT_W_CAP}, got n={n}")
-    if not denoiser.pure_linear:
-        denoiser = replace(denoiser, pure_linear=True)
     w = denoiser.operator.toarray()
     vals, vecs = np.linalg.eigh(w)
     order = np.argsort(vals)[::-1]

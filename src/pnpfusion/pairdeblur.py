@@ -3,8 +3,9 @@
 The pair model observes the same grayscale scene twice: ``y_b = B x + n_b``
 (blurred, nearly noiseless) and ``y_n = x + n_n`` (sharp but noisy). The GMM
 prior and the per-patch weights are trained once on the noisy sharp image and
-frozen, making the plugged-in denoiser a fixed linear map D. The PnP fixed
-point then minimizes
+frozen, making the plugged-in denoiser a fixed symmetric PSD linear map D
+(each patch map is ``(I - J) F_i (I - J) + J``, see
+:mod:`~pnpfusion.denoiser`). The PnP fixed point then minimizes
 
     0.5 ||B x - y_b||^2 + (lam/2) ||x - y_n||^2 + reg_weight * phi(x)
 
@@ -14,8 +15,9 @@ rho`` on the phi induced by the denoiser built with variance ``tau / rho``.
 :class:`~pnpfusion.denoiser.DataTerm` evaluates this objective and gives its
 dense minimizer.
 
-:func:`deblur_pair` solves the fixed-point equation with GMRES
-(:func:`~pnpfusion.admm.solve_fixed_point`), so its report counts matvecs.
+:func:`deblur_pair` solves the fixed-point equation by D-preconditioned CG
+(:func:`~pnpfusion.admm.solve_fixed_point`), so its report counts
+applications of D.
 :func:`run_admm_pair` runs the paper's ADMM iterations to the same point and
 stays as the reference.
 """
@@ -147,7 +149,7 @@ def deblur_pair(
 ) -> tuple[np.ndarray, SolveReport]:
     """Full pair pipeline: train on the noisy image, fuse both observations.
 
-    The fixed point is solved with GMRES to ``FIXED_POINT_RTOL``; the
+    The fixed point is solved by CG to ``FIXED_POINT_RTOL``; the
     solver config's ``primal_tol``/``dual_tol`` bound only the ADMM
     reference. With ``tau == 0`` no prior is trained, D is the identity and
     the result is the two-term least-squares fusion.

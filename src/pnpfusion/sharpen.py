@@ -4,7 +4,9 @@ Observed data: a spatially blurred and decimated hyperspectral cube
 ``Y_h = Z B M`` plus a spectrally mixed high-resolution cube ``Y_m = R Z``.
 The latent cube is represented as ``Z = E X`` on a low-dimensional spectral
 subspace. The prior is the scene-adapted GMM denoiser D, built with noise
-variance ``tau / rho`` and applied independently to each coefficient band.
+variance ``tau / rho`` and applied independently to each coefficient band;
+with its weights frozen it is a symmetric PSD linear map (each patch map is
+``(I - J) F_i (I - J) + J``, see :mod:`~pnpfusion.denoiser`).
 
 At the PnP fixed point the minimized objective is
 
@@ -17,8 +19,9 @@ parameter. :func:`hs_data_term` states the two data terms once, on the
 coefficients X; its :class:`~pnpfusion.denoiser.DataTerm` takes the weight
 on phi explicitly to evaluate this objective and give its dense minimizer.
 
-:func:`sharpen` solves the fixed-point equation with GMRES
-(:func:`~pnpfusion.admm.solve_fixed_point`), so its report counts matvecs.
+:func:`sharpen` solves the fixed-point equation by D-preconditioned CG
+(:func:`~pnpfusion.admm.solve_fixed_point`), so its report counts
+applications of D.
 :func:`run_salsa_hs` runs the paper's three-block SALSA scheme to the same
 point and stays as the reference; its third block is D.
 """
@@ -327,7 +330,7 @@ def run_salsa_hs(
 def sharpen(
     scene: HsScene, params: SharpenParams
 ) -> tuple[np.ndarray, SolveReport]:
-    """Full sharpening pipeline: PCA basis, EM-trained denoiser, GMRES solve.
+    """Full sharpening pipeline: PCA basis, EM-trained denoiser, CG solve.
 
     Returns the reconstructed cube ``Z_hat = E X`` and the solve report. The
     fixed point is solved to ``FIXED_POINT_RTOL``; the solver config's

@@ -71,13 +71,14 @@ def random_denoiser(geometry, side, k, seed, sigma2=0.15, pure_linear=False):
 def dense_reference(den):
     """The literal ``(1/n_p) sum_i P_i^T M_i P_i``, filters from inverses.
 
-    ``M_i = F_i`` in pure-linear mode and ``F_i (I - 11^T/n_p) + 11^T/n_p``
-    (mean removal, filtering, mean restoration) otherwise.
+    ``M_i = F_i`` in pure-linear mode and ``(I - J) F_i (I - J) + J`` with
+    ``J = 11^T/n_p`` (filter the zero-mean part, pass the mean) otherwise.
     """
     h, w = den.geometry.height, den.geometry.width
     n, side = den.geometry.n, den.model.patch_side
     n_p = side * side
     eye = np.eye(n_p)
+    centre = eye - 1 / n_p
     filters = [
         c @ np.linalg.inv(c + den.noise_variance * eye)
         for c in den.model.covariances
@@ -89,7 +90,7 @@ def dense_reference(den):
         for k in range(n_p):
             p[k, (row + k % side) % h + ((col + k // side) % w) * h] = 1.0
         f = sum(b * g for b, g in zip(den.weights.beta[:, i], filters))
-        m = f if den.pure_linear else f @ (eye - 1 / n_p) + 1 / n_p
+        m = f if den.pure_linear else centre @ f @ centre + 1 / n_p
         out += p.T @ m @ p
     return out / n_p
 
@@ -240,6 +241,21 @@ class TestExplicitW:
         assert np.abs(w.matrix - w.matrix.T).max() <= 1e-10
         assert w.eigenvalues.min() >= -1e-9
         assert w.eigenvalues.max() < 1.0 - 1e-9
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_practical_spectrum_of_an_untrained_model(self, seed):
+        # random covariances do not annihilate the constant patch, so only
+        # the symmetric M_i makes W symmetric here
+        den = random_denoiser(ImageGeometry(9, 8), 3, 3, seed=seed)
+        w = build_explicit_w(den)
+        ones = np.ones(den.geometry.n)
+        assert np.abs(w.matrix - w.matrix.T).max() <= 1e-14
+        np.testing.assert_allclose(w.matrix @ ones, ones, rtol=0, atol=1e-14)
+        assert w.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
+        top = w.basis[:, 0] * np.sign(w.basis[0, 0])
+        np.testing.assert_allclose(top, ones / np.sqrt(ones.size), atol=1e-10)
+        assert w.eigenvalues[1] < 1.0 - 1e-3
+        assert w.eigenvalues.min() >= -1e-14
 
     def test_reuses_the_cached_operator(self, monkeypatch):
         import pnpfusion.denoiser as denoiser_module

@@ -1,8 +1,13 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnpfusion
 from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
 from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
 from pnpfusion.fftops import make_cyclic_blur
@@ -331,11 +336,19 @@ class TestFixedPointSolve:
         assert report.iterations_run < admm_report.iterations_run
         assert relative_error(x, x_admm) <= 1e-8
 
-    @pytest.mark.parametrize("rho,tau", [(0.08, 0.08), (0.2, 0.05)])
-    def test_matches_the_dense_minimizer(self, rho, tau):
+    @pytest.mark.parametrize(
+        "rho,tau,pure_linear",
+        [
+            pytest.param(0.08, 0.08, True, id="0.08-0.08"),
+            pytest.param(0.2, 0.05, True, id="0.2-0.05"),
+            pytest.param(0.08, 0.08, False, id="0.08-0.08-practical"),
+            pytest.param(0.2, 0.05, False, id="0.2-0.05-practical"),
+        ],
+    )
+    def test_matches_the_dense_minimizer(self, rho, tau, pure_linear):
         scene = scene_16(seed=11)
         lam = 0.3
-        den = trained_denoiser(scene, rho, tau)
+        den = trained_denoiser(scene, rho, tau, pure_linear)
         data = pair_data_term(scene, lam)
         cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
         x, report = solve_fixed_point(
@@ -356,3 +369,40 @@ class TestFixedPointSolve:
         assert report.converged
         expected = pair_data_term(scene, lam).minimizer(0.0)
         assert relative_error(x, expected) <= 1e-8
+
+
+RUN_IN_FRESH_INTERPRETER = """
+import sys
+from pnpfusion.admm import SolverConfig
+from pnpfusion.gmm import EmConfig
+from pnpfusion.pairdeblur import PairParams, deblur_pair
+from pnpfusion.patches import ImageGeometry
+from pnpfusion.scenes import PairSceneSpec, generate_pair_scene
+
+scene = generate_pair_scene(
+    PairSceneSpec(ImageGeometry(16, 16), "gauss8", 25 / 255, 2 / 255, seed=7)
+)
+params = PairParams(
+    patch_side=4,
+    em=EmConfig(n_components=2, noise_variance=scene.sigma_n**2, max_iters=5),
+    solver=SolverConfig(rho=0.08, lam=0.3, tau=0.08),
+)
+_, report = deblur_pair(scene, params)
+assert report.converged
+print(" ".join(m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules))
+"""
+
+
+def test_a_pipeline_run_loads_no_scipy_solvers():
+    # importing scipy.linalg and scipy.sparse.linalg (for their cg or gmres)
+    # raised a run's peak RSS by ~11 MB
+    src = str(Path(pnpfusion.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", RUN_IN_FRESH_INTERPRETER],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == ""

@@ -523,12 +523,20 @@ class TestFixedPointSolve:
         assert report.iterations_run < salsa_report.iterations_run
         assert relative_error(x, x_salsa) <= 1e-8
 
-    @pytest.mark.parametrize("rho,tau", [(0.05, 0.05), (0.1, 0.02)])
-    def test_matches_the_dense_minimizer(self, rho, tau):
+    @pytest.mark.parametrize(
+        "rho,tau,pure_linear",
+        [
+            pytest.param(0.05, 0.05, True, id="0.05-0.05"),
+            pytest.param(0.1, 0.02, True, id="0.1-0.02"),
+            pytest.param(0.05, 0.05, False, id="0.05-0.05-practical"),
+            pytest.param(0.1, 0.02, False, id="0.1-0.02-practical"),
+        ],
+    )
+    def test_matches_the_dense_minimizer(self, rho, tau, pure_linear):
         scene = tiny_scene(seed=17)
         lam = 0.5
         basis = pca_basis(scene.y_h, 2)
-        den = trained_denoiser(scene, rho, tau)
+        den = trained_denoiser(scene, rho, tau, pure_linear)
         data = hs_data_term(scene, basis, lam)
         cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
         x, report = solve_fixed_point(data, coefficient_denoise(den), rho, cfg)
