@@ -314,27 +314,26 @@ def train_em(
 ) -> tuple[GmmModel, PatchWeights, list[float]]:
     """Alternate E/M steps until the log-likelihood stalls or the budget ends.
 
-    Returns the final model, responsibilities consistent with that model, and
-    the per-iteration log-likelihood trace. Deterministic given the seed.
+    Runs up to ``max_iters`` M-steps, each after an E-step, and one E-step
+    after the last of them. Returns the final model, responsibilities
+    consistent with that model, and the log-likelihood of every E-step's
+    model, so the trace ends with the returned model's. Deterministic given
+    the seed.
     """
     if patches.count < config.n_components:
         raise ConfigError(
             f"need at least K={config.n_components} patches, got {patches.count}"
         )
     model = _init_model(patches, config)
-    sigma2 = config.noise_variance
+    sigma2, tol = config.noise_variance, config.loglik_rel_tol
     trace: list[float] = []
-    beta = None
-    for _ in range(config.max_iters):
+    for m_steps in range(config.max_iters + 1):
         logdens = _component_log_densities(patches.patches, model, sigma2)
         col_logsum = logsumexp(logdens, axis=0)
         beta = PatchWeights(beta=np.exp(logdens - col_logsum[None, :]))
         ll = float(col_logsum.sum())
-        if trace and abs(ll - trace[-1]) <= config.loglik_rel_tol * abs(trace[-1]):
-            trace.append(ll)
-            return model, beta, trace
+        stalled = bool(trace) and abs(ll - trace[-1]) <= tol * abs(trace[-1])
         trace.append(ll)
+        if stalled or m_steps == config.max_iters:
+            return model, beta, trace
         model = m_step(patches, beta, sigma2)
-    # budget exhausted after an M-step: recompute weights for the final model
-    beta = e_step(patches, model, sigma2)
-    return model, beta, trace

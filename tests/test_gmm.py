@@ -481,10 +481,13 @@ class TestTrainEm:
         y = rng.standard_normal((50, 4))
         ps = make_patch_set(y)
         cfg = EmConfig(n_components=2, noise_variance=0.1, max_iters=6, seed=3)
-        model, _, trace = train_em(ps, cfg)
-        # trace entries are loglik values of successive models; the last entry
-        # was computed before the final m_step or at convergence
+        model, beta, trace = train_em(ps, cfg)
+        # trace entries are loglik values of successive models, ending with
+        # the returned one after the budget of M-steps
+        assert len(trace) == cfg.max_iters + 1
+        assert log_likelihood(ps, model, 0.1) == trace[-1]
         assert log_likelihood(ps, model, 0.1) >= trace[0]
+        np.testing.assert_array_equal(beta.beta, e_step(ps, model, 0.1).beta)
 
 
 
