@@ -276,29 +276,3 @@ def write_metrics_csv(path_or_file, report) -> None:
     else:
         with open(path_or_file, "w") as fh:
             _emit(fh)
-
-
-def write_manifest(path, entries: dict) -> None:
-    """key=value UTF-8 text file (same syntax the CLI --config flag accepts)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
-
-
-def read_manifest(path) -> dict:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    out = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: malformed line {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out

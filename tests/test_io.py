@@ -11,13 +11,11 @@ from pnpfusion.io import (
     ImageCube,
     read_cube,
     read_gmm,
-    read_manifest,
     read_mask,
     read_pgm,
     read_text_matrix,
     write_cube,
     write_gmm,
-    write_manifest,
     write_mask,
     write_metrics_csv,
     write_pgm,
@@ -276,18 +274,6 @@ class TestTextFormats:
     def test_mask_writer_rejects_a_stack(self, tmp_path):
         with pytest.raises(DimensionError):
             write_mask(tmp_path / "m.txt", np.ones((2, 12), int), ImageGeometry(3, 4))
-
-    def test_manifest_round_trip(self, tmp_path):
-        path = tmp_path / "scene.txt"
-        entries = {"kind": "hs", "seed": "7", "sigma_m": "0.003"}
-        write_manifest(path, entries)
-        assert read_manifest(path) == entries
-
-    def test_manifest_non_utf8_raises_format_error(self, tmp_path):
-        path = tmp_path / "scene.txt"
-        path.write_bytes(b"seed=7\nkind=\xff\xfe\n")
-        with pytest.raises(FormatError):
-            read_manifest(path)
 
 
 class TestPgm:
