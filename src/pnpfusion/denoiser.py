@@ -200,7 +200,8 @@ def denoise_image_mmse(
 ) -> np.ndarray:
     """Exact-MMSE variant: posterior weights recomputed from the noisy input.
 
-    Mean handling is always on; this is the nonlinear denoiser the fixed-
+    Mean handling is always on, with the practical patch map
+    ``(I - J) F_i (I - J) + J``; this is the nonlinear denoiser the fixed-
     weight one linearizes, so it runs the patch pipeline on every call.
     """
     patch_set = remove_means(extract_patches(image_band, geometry, model.patch_side))
@@ -210,6 +211,7 @@ def denoise_image_mmse(
     for j in range(filters.shape[0]):
         # row-wise F_j y_i; the filters are symmetric
         filtered += beta[j][:, None] * (patch_set.patches @ filters[j])
+    filtered -= filtered.mean(axis=1, keepdims=True)
     return assemble_patches(restore_means(replace(patch_set, patches=filtered)))
 
 

@@ -193,6 +193,15 @@ class TestImageDenoise:
         mmse = denoise_image_mmse(y, den.model, den.noise_variance, den.geometry)
         np.testing.assert_allclose(fixed, mmse, rtol=1e-10)
 
+    def test_mmse_equals_fixed_for_an_untrained_single_component(self):
+        # a random covariance does not annihilate the constant patch, so the
+        # MMSE path must filter with the same (I - J) F (I - J) as W
+        den = random_denoiser(ImageGeometry(8, 8), 2, 1, seed=3)
+        y = np.random.default_rng(4).standard_normal(den.geometry.n)
+        fixed = denoise_image_fixed(y, den)
+        mmse = denoise_image_mmse(y, den.model, den.noise_variance, den.geometry)
+        np.testing.assert_allclose(fixed, mmse, rtol=1e-10)
+
     def test_denoising_improves_psnr_at_sigma_25(self):
         from pnpfusion.metrics import psnr
         from pnpfusion.patches import extract_patches, remove_means
