@@ -249,9 +249,8 @@ class TestSolveFixedPoint:
         rng = np.random.default_rng(13)
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         d = q @ np.diag(np.linspace(low, high, 8)) @ q.T
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError):
             solve_fixed_point(data, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
-        assert err.value.iteration >= 0
 
     def test_nan_target_raises_divergence(self):
         data, d = linear_problem(6)
