@@ -5,7 +5,9 @@ per-patch weights make it a fixed symmetric PSD linear operator (each patch
 is filtered as ``(I - J) F_i (I - J) + J``, which passes its mean through),
 proximity-operator verification utilities for that operator, and two fusion
 pipelines built on it: hyperspectral sharpening and blurred/noisy pair
-deblurring.
+deblurring. The operator is a cyclic stencil: each pixel's output weights
+the ``(2s-1) x (2s-1)`` window of wrapped neighbours its side-s patches
+span. The package needs only numpy.
 
 Because the frozen denoiser D is symmetric PSD, the PnP fixed point is the
 solution of a symmetric positive definite linear system. The pipelines solve

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, DimensionError
 from .patches import PatchSet
@@ -192,12 +191,20 @@ def _component_log_densities(
     return out
 
 
+def _logsumexp(logdens: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(logdens), axis=0))``, shifted by each column's maximum."""
+    peak = logdens.max(axis=0)
+    peak[~np.isfinite(peak)] = 0.0  # an all -inf column sums to -inf, not NaN
+    with np.errstate(divide="ignore"):
+        return peak + np.log(np.exp(logdens - peak).sum(axis=0))
+
+
 def e_step(
     patches: PatchSet, model: GmmModel, noise_variance: float
 ) -> PatchWeights:
     """Posterior component weights of each patch under the noisy model."""
     logdens = _component_log_densities(patches.patches, model, noise_variance)
-    beta = np.exp(logdens - logsumexp(logdens, axis=0, keepdims=True))
+    beta = np.exp(logdens - _logsumexp(logdens))
     return PatchWeights(beta=beta)
 
 
@@ -206,7 +213,7 @@ def log_likelihood(
 ) -> float:
     """Observed-data log-likelihood under the noisy model."""
     logdens = _component_log_densities(patches.patches, model, noise_variance)
-    return float(np.sum(logsumexp(logdens, axis=0)))
+    return float(np.sum(_logsumexp(logdens)))
 
 
 def _weighted_second_moments(y: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -329,8 +336,8 @@ def train_em(
     trace: list[float] = []
     for m_steps in range(config.max_iters + 1):
         logdens = _component_log_densities(patches.patches, model, sigma2)
-        col_logsum = logsumexp(logdens, axis=0)
-        beta = PatchWeights(beta=np.exp(logdens - col_logsum[None, :]))
+        col_logsum = _logsumexp(logdens)
+        beta = PatchWeights(beta=np.exp(logdens - col_logsum))
         ll = float(col_logsum.sum())
         stalled = bool(trace) and abs(ll - trace[-1]) <= tol * abs(trace[-1])
         trace.append(ll)

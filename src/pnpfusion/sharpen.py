@@ -200,11 +200,7 @@ def v3_update(
 ) -> np.ndarray:
     """Denoise each coefficient band independently with the shared weights."""
     target = x - d3
-    if den is None:
-        return target
-    if target.shape[1] != den.geometry.n:
-        raise DimensionError("coefficient rows do not match the denoiser grid")
-    return np.stack([denoise_image_fixed(row, den) for row in target])
+    return target if den is None else denoise_image_fixed(target, den)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from pnpfusion.denoiser import (
     EXPLICIT_W_CAP,
     DataTerm,
+    ExplicitW,
     LinearDenoiser,
     build_explicit_w,
     component_filters,
@@ -106,15 +107,38 @@ class TestOperator:
             pure_linear=pure_linear,
         )
         np.testing.assert_allclose(
-            den.operator.toarray(), dense_reference(den), rtol=0, atol=1e-12
+            build_explicit_w(den).matrix, dense_reference(den), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "height,width,side", [(12, 12, 3), (5, 7, 4), (8, 8, 8), (3, 4, 3)]
+    )
+    def test_apply_matches_dense_reference(self, height, width, side):
+        # every grid but 12x12 is narrower than 2s-1 in some direction, so
+        # displacements wrap onto the same pixel and their entries add up
+        den = random_denoiser(ImageGeometry(height, width), side, 3, seed=side)
+        reference = dense_reference(den)
+        stack = np.random.default_rng(side).standard_normal((3, den.geometry.n))
+        np.testing.assert_allclose(
+            denoise_image_fixed(stack[0], den), reference @ stack[0],
+            rtol=0, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            denoise_image_fixed(stack, den), stack @ reference.T, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("shape", [(2, 35), (1, 2, 36), (36, 2)])
+    def test_misshapen_stack_raises(self, shape):
+        den = random_denoiser(ImageGeometry(6, 6), 2, 2, seed=3)
+        with pytest.raises(DimensionError):
+            denoise_image_fixed(np.zeros(shape), den)
 
     @pytest.mark.parametrize("pure_linear", [True, False])
     def test_zero_in_zero_out(self, pure_linear):
         den = random_denoiser(
             ImageGeometry(6, 5), 2, 2, seed=1, pure_linear=pure_linear
         )
-        np.testing.assert_array_equal(den.operator @ np.zeros(30), 0.0)
+        np.testing.assert_array_equal(denoise_image_fixed(np.zeros(30), den), 0.0)
 
     def test_scalar_shrinkage(self):
         # C = cI makes every patch filter c/(c+s2) I, and so W
@@ -130,7 +154,7 @@ class TestOperator:
             pure_linear=True,
         )
         np.testing.assert_allclose(
-            den.operator.toarray(), (c / (c + sigma2)) * np.eye(geom.n), rtol=1e-12
+            build_explicit_w(den).matrix, (c / (c + sigma2)) * np.eye(geom.n), rtol=1e-12
         )
 
     def test_filters_built_once(self, monkeypatch):
@@ -432,6 +456,25 @@ class TestDataTerm:
             term.minimizer(0.5)
         with pytest.raises(ConfigError):
             term.objective(np.ones(4), 0.5)
+
+
+class TestRoundedTopEigenvalue:
+    # the constant image's eigenvalue 1 can round to 1 + 2 ulp, which made
+    # 1/lambda - 1 slightly negative: phi < 0 and a NaN penalty
+    top = 1.0 + 4e-16
+    w = ExplicitW(
+        matrix=np.diag([top, 0.5]), eigenvalues=np.array([top, 0.5]), basis=np.eye(2)
+    )
+
+    def test_phi_gives_the_top_direction_zero_weight(self):
+        assert self.top > 1.0
+        assert eval_phi(np.array([3.0, 0.0]), self.w) == 0.0
+        assert eval_phi(np.array([3.0, 2.0]), self.w) == pytest.approx(2.0)
+
+    def test_minimizer_is_finite(self):
+        # 0.5||x - y||^2 + 0.5 phi(x): x_0 = y_0 and x_1 = y_1 / 1.5
+        x = identity_term(np.array([1.0, 3.0])).minimizer(0.5, self.w)
+        np.testing.assert_allclose(x, [1.0, 2.0], rtol=1e-12)
 
 
 class TestExpansiveness:

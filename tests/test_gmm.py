@@ -15,6 +15,7 @@ from pnpfusion.gmm import (
     GmmModel,
     PatchWeights,
     _component_log_densities,
+    _logsumexp,
     _weighted_second_moments,
     e_step,
     eigt,
@@ -193,6 +194,26 @@ class TestLogDensities:
         np.testing.assert_allclose(
             got, per_component_log_densities(y, model, sigma2), rtol=1e-10
         )
+
+
+class TestLogSumExp:
+    def test_matches_the_direct_sum(self):
+        a = np.random.default_rng(0).standard_normal((5, 7))
+        np.testing.assert_allclose(
+            _logsumexp(a), np.log(np.exp(a).sum(axis=0)), rtol=1e-14
+        )
+
+    def test_shift_keeps_large_magnitudes_finite(self):
+        a = np.array([[-1000.0, 1000.0], [-1000.0 + np.log(3.0), 1000.0]])
+        np.testing.assert_allclose(
+            _logsumexp(a), [-1000.0 + np.log(4.0), 1000.0 + np.log(2.0)], rtol=1e-15
+        )
+
+    def test_infinite_columns(self):
+        a = np.array([[-np.inf, -np.inf, np.inf], [-np.inf, 0.0, 1.0]])
+        with np.errstate(all="raise"):
+            out = _logsumexp(a)
+        np.testing.assert_array_equal(out, [-np.inf, 0.0, np.inf])
 
 
 class TestEStep:
