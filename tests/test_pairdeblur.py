@@ -374,11 +374,6 @@ class TestFixedPointSolve:
 RUN_IN_FRESH_INTERPRETER = """
 import sys
 
-
-def scipy_modules():
-    return " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-
-
 from pnpfusion import (
     EmConfig,
     HsSceneSpec,
@@ -392,6 +387,11 @@ from pnpfusion import (
     generate_pair_scene,
     sharpen,
 )
+
+
+def scipy_modules():
+    return " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
 
 print("import:", scipy_modules())
 scene = generate_pair_scene(
@@ -422,8 +422,8 @@ print("sharpen:", scipy_modules())
 
 
 def test_a_pipeline_run_loads_no_scipy():
-    # pnpfusion needs only numpy; importing scipy.linalg and
-    # scipy.sparse.linalg alone raised a run's peak RSS by ~11 MB
+    # pnpfusion needs only numpy; loading scipy made up ~20 MB of a 71 MB
+    # peak RSS at the benchmark's pair-iterate size
     src = str(Path(pnpfusion.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
