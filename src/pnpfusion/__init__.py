@@ -57,7 +57,7 @@ from .gmm import (
     m_step,
     train_em,
 )
-from .metrics import MetricReport, ergas, metric_report, psnr, psnr_per_band, sam
+from .metrics import ergas, psnr, psnr_per_band, sam
 from .pairdeblur import (
     PairParams,
     PairScene,

@@ -18,7 +18,7 @@ by iterating. A problem supplies four callbacks:
   given the current splitting blocks;
 * ``h_apply(x)``: the list ``[H_j x]`` of linear-operator images of x;
 * ``v_update(j, target)``: the prox step of the j-th term at ``target``;
-* ``objective(x)``: a scalar for diagnostics, recorded with the history
+* ``objective(x)``: a scalar for diagnostics, recorded every iteration
   (the pipelines report their data-fit term).
 
 The driver iterates x / v / scaled-dual updates with the v blocks initialized
@@ -47,7 +47,8 @@ class SolverConfig:
     ``primal_tol`` and ``dual_tol`` bound :func:`run_admm` only.
     :func:`solve_fixed_point`, which the fusion pipelines call, always
     iterates to ``FIXED_POINT_RTOL`` and reads ``max_iters`` as its budget
-    of applications of the denoiser.
+    of applications of the denoiser. Both solvers always record their
+    traces in the :class:`SolveReport`.
     """
 
     rho: float
@@ -56,7 +57,6 @@ class SolverConfig:
     max_iters: int = 1000
     primal_tol: float = 1e-6
     dual_tol: float = 1e-6
-    record_history: bool = False
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -72,7 +72,13 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Per-run diagnostics; traces are populated when history is recorded.
+    """Per-run diagnostics; every solve fills its traces.
+
+    The fields are an int, a bool, floats and float lists, so
+    ``dataclasses.asdict(report)`` is the machine-readable record and
+    ``json.dumps`` takes it as it is (a field left unset is NaN, which
+    Python's json writes as ``NaN``). Each solver appends one primal
+    residual per iteration, so ``len(primal_residuals) == iterations_run``.
 
     From :func:`run_admm` (the ADMM/SALSA reference): ``iterations_run``
     counts iterations, the residuals are the stacked primal and dual norms,
@@ -95,23 +101,6 @@ class SolveReport:
     converged: bool = False
     final_primal: float = float("nan")
     final_dual: float = float("nan")
-
-    def write_csv(self, path) -> None:
-        """Export the recorded traces as iteration,primal,dual,objective.
-
-        A trace shorter than the primal one leaves its cells empty.
-        """
-
-        def cell(trace, k):
-            return repr(trace[k]) if k < len(trace) else ""
-
-        with open(path, "w") as fh:
-            fh.write("iteration,primal,dual,objective\n")
-            for k, primal in enumerate(self.primal_residuals):
-                fh.write(
-                    f"{k},{primal!r},{cell(self.dual_residuals, k)},"
-                    f"{cell(self.objective_trace, k)}\n"
-                )
 
 
 def residuals(prev_v, cur_v, cur_hx, rho: float) -> tuple[float, float]:
@@ -156,10 +145,9 @@ def run_admm(problem, config: SolverConfig, init_v):
         report.iterations_run = k + 1
         report.final_primal = primal
         report.final_dual = dual
-        if config.record_history:
-            report.primal_residuals.append(primal)
-            report.dual_residuals.append(dual)
-            report.objective_trace.append(float(problem.objective(x)))
+        report.primal_residuals.append(primal)
+        report.dual_residuals.append(dual)
+        report.objective_trace.append(float(problem.objective(x)))
         if primal < config.primal_tol and dual < config.dual_tol:
             report.converged = True
             break
@@ -216,8 +204,7 @@ def solve_fixed_point(data, denoise, rho: float, config: SolverConfig):
                 f"non-finite residual at application {report.iterations_run}",
                 iteration=report.iterations_run,
             )
-        if config.record_history:
-            report.primal_residuals.append(relative)
+        report.primal_residuals.append(relative)
         return relative
 
     def normal(v):

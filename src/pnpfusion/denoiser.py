@@ -34,7 +34,7 @@ that objective densely as the test-scale oracle.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -339,7 +339,6 @@ class ExpansivenessTable:
     fixed: np.ndarray
     max_slope_mmse: float
     max_slope_fixed: float
-    fixed_beta: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.5]))
 
 
 def expansiveness_demo(
@@ -380,5 +379,4 @@ def expansiveness_demo(
         fixed=fixed,
         max_slope_mmse=float(np.max(np.diff(mmse) / dy)),
         max_slope_fixed=float(np.max(np.diff(fixed) / dy)),
-        fixed_beta=a,
     )

@@ -199,21 +199,27 @@ def _logsumexp(logdens: np.ndarray) -> np.ndarray:
         return peak + np.log(np.exp(logdens - peak).sum(axis=0))
 
 
+def _posterior(
+    patches: PatchSet, model: GmmModel, noise_variance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities beta (K, N) and each patch's log density (N,)."""
+    logdens = _component_log_densities(patches.patches, model, noise_variance)
+    col_logsum = _logsumexp(logdens)
+    return np.exp(logdens - col_logsum), col_logsum
+
+
 def e_step(
     patches: PatchSet, model: GmmModel, noise_variance: float
 ) -> PatchWeights:
     """Posterior component weights of each patch under the noisy model."""
-    logdens = _component_log_densities(patches.patches, model, noise_variance)
-    beta = np.exp(logdens - _logsumexp(logdens))
-    return PatchWeights(beta=beta)
+    return PatchWeights(beta=_posterior(patches, model, noise_variance)[0])
 
 
 def log_likelihood(
     patches: PatchSet, model: GmmModel, noise_variance: float
 ) -> float:
     """Observed-data log-likelihood under the noisy model."""
-    logdens = _component_log_densities(patches.patches, model, noise_variance)
-    return float(np.sum(_logsumexp(logdens)))
+    return float(np.sum(_posterior(patches, model, noise_variance)[1]))
 
 
 def _weighted_second_moments(y: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -335,12 +341,11 @@ def train_em(
     sigma2, tol = config.noise_variance, config.loglik_rel_tol
     trace: list[float] = []
     for m_steps in range(config.max_iters + 1):
-        logdens = _component_log_densities(patches.patches, model, sigma2)
-        col_logsum = _logsumexp(logdens)
-        beta = PatchWeights(beta=np.exp(logdens - col_logsum))
+        beta, col_logsum = _posterior(patches, model, sigma2)
+        weights = PatchWeights(beta=beta)
         ll = float(col_logsum.sum())
         stalled = bool(trace) and abs(ll - trace[-1]) <= tol * abs(trace[-1])
         trace.append(ll)
         if stalled or m_steps == config.max_iters:
-            return model, beta, trace
-        model = m_step(patches, beta, sigma2)
+            return model, weights, trace
+        model = m_step(patches, weights, sigma2)

@@ -259,20 +259,3 @@ def read_pgm(path) -> tuple[np.ndarray, ImageGeometry]:
         raise FormatError(f"{path}: sample above maxval {maxval}")
     grid = raw.reshape(height, width).astype(float) / maxval
     return geometry.from_grid(grid), geometry
-
-
-def write_metrics_csv(path_or_file, report) -> None:
-    """CSV: per-band psnr rows, then ergas and sam summary lines."""
-
-    def _emit(fh):
-        fh.write("band,psnr_db\n")
-        for b, value in enumerate(report.psnr_per_band):
-            fh.write(f"{b},{float(value)!r}\n")
-        fh.write(f"ergas,{float(report.ergas)!r}\n")
-        fh.write(f"sam_deg,{float(report.sam_degrees)!r}\n")
-
-    if hasattr(path_or_file, "write"):
-        _emit(path_or_file)
-    else:
-        with open(path_or_file, "w") as fh:
-            _emit(fh)

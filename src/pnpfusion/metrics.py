@@ -11,23 +11,12 @@ within this package only.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, MetricError
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-band PSNRs plus the scalar cube metrics."""
-
-    psnr_per_band: np.ndarray
-    psnr_db: float
-    ergas: float
-    sam_degrees: float
 
 
 def _as_cube(a: np.ndarray) -> np.ndarray:
@@ -40,13 +29,7 @@ def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 1.0) -> floa
 
     Identical inputs give ``inf``.
     """
-    ref = _as_cube(reference)
-    est = _as_cube(estimate)
-    if ref.shape != est.shape:
-        raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
-    if peak <= 0:
-        raise MetricError("peak must be positive")
-    return float(np.mean(psnr_per_band(ref, est, peak)))
+    return float(np.mean(psnr_per_band(reference, estimate, peak)))
 
 
 def psnr_per_band(
@@ -57,6 +40,8 @@ def psnr_per_band(
     est = _as_cube(estimate)
     if ref.shape != est.shape:
         raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
+    if not peak > 0:  # written so that NaN fails it
+        raise MetricError(f"peak must be positive, got {peak}")
     mse = np.mean((ref - est) ** 2, axis=1)
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(peak**2 / mse)
@@ -70,6 +55,10 @@ def ergas(
     est = _as_cube(estimate)
     if ref.shape != est.shape:
         raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
+    if not resolution_ratio > 0:  # written so that NaN fails it
+        raise MetricError(
+            f"resolution_ratio must be positive, got {resolution_ratio}"
+        )
     band_means = ref.mean(axis=1)
     if np.any(band_means == 0):
         raise MetricError("ERGAS undefined: a reference band has zero mean")
@@ -109,19 +98,3 @@ def sam(reference: np.ndarray, estimate: np.ndarray) -> float:
         np.linalg.norm(u - w, axis=0), np.linalg.norm(u + w, axis=0)
     )
     return float(np.degrees(np.mean(angles)))
-
-
-def metric_report(
-    reference: np.ndarray,
-    estimate: np.ndarray,
-    peak: float = 1.0,
-    resolution_ratio: float = 1.0,
-) -> MetricReport:
-    """All three metrics for a reference/estimate cube pair."""
-    per_band = psnr_per_band(reference, estimate, peak)
-    return MetricReport(
-        psnr_per_band=per_band,
-        psnr_db=float(np.mean(per_band)),
-        ergas=ergas(reference, estimate, resolution_ratio),
-        sam_degrees=sam(reference, estimate),
-    )

@@ -19,7 +19,7 @@ from .patches import ImageGeometry
 from .sharpen import HsScene, forward_hs, forward_ms, make_decimation_mask
 from .pairdeblur import PairScene
 
-PAIR_KERNELS = ("gauss8", "box9", "motion15")
+PAIR_KERNELS = ("gauss8", "box9", "motion15", "delta")
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,8 @@ def make_kernel(kernel_id: str) -> np.ndarray:
     """One of the shipped stand-in kernels.
 
     These are stand-ins chosen for qualitative variety (mild Gaussian, wide
-    box, oblique motion), not the third-party kernels used in published
-    benchmark tables.
+    box, oblique motion, and the no-blur delta), not the third-party kernels
+    used in published benchmark tables.
     """
     if kernel_id == "gauss8":
         return gaussian_kernel(8, 1.6)

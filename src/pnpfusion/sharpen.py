@@ -42,10 +42,9 @@ from .patches import ImageGeometry, PatchSet, extract_patches, remove_means
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal spectral basis columns with their singular values."""
+    """Orthonormal spectral basis columns."""
 
     e: np.ndarray  # (L_h, L_s)
-    singular_values: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -153,13 +152,13 @@ def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
         raise ConfigError(
             f"subspace dimension {n_dims} exceeds data rank bound {min(y_h.shape)}"
         )
-    u, s, _ = np.linalg.svd(y_h, full_matrices=False)
+    u = np.linalg.svd(y_h, full_matrices=False)[0]
     e = u[:, :n_dims].copy()
     for j in range(n_dims):
         pivot = np.argmax(np.abs(e[:, j]))
         if e[pivot, j] < 0:
             e[:, j] = -e[:, j]
-    return SubspaceBasis(e=e, singular_values=s[:n_dims].copy())
+    return SubspaceBasis(e=e)
 
 
 def v1_update(
@@ -347,7 +346,7 @@ def sharpen(
         )
 
     def denoise(x):
-        return v3_update(x, np.zeros_like(x), denoiser)
+        return x if denoiser is None else denoise_image_fixed(x, denoiser)
 
     data = hs_data_term(scene, basis, cfg.lam)
     x, report = solve_fixed_point(data, denoise, cfg.rho, cfg)

@@ -44,26 +44,6 @@ class TestRunAdmm:
         assert report.converged
         np.testing.assert_allclose(x, (a + b) / 2, rtol=1e-8)
 
-    def test_history_toggle_same_solution(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.standard_normal((2, 5))
-        base = dict(rho=0.7, max_iters=200, primal_tol=1e-9, dual_tol=1e-9)
-        x1, r1 = run_admm(
-            TwoQuadratics(a, b, 0.7),
-            SolverConfig(record_history=False, **base),
-            [np.zeros(5)],
-        )
-        x2, r2 = run_admm(
-            TwoQuadratics(a, b, 0.7),
-            SolverConfig(record_history=True, **base),
-            [np.zeros(5)],
-        )
-        np.testing.assert_array_equal(x1, x2)
-        assert r1.iterations_run == r2.iterations_run
-        assert len(r2.primal_residuals) == r2.iterations_run
-        assert len(r2.objective_trace) == r2.iterations_run
-        assert not r1.primal_residuals
-
     def test_divergence_raises_with_iteration(self):
         class Bad(TwoQuadratics):
             def x_update(self, vs, us):
@@ -73,20 +53,6 @@ class TestRunAdmm:
         with pytest.raises(DivergenceError) as err:
             run_admm(Bad(np.zeros(3), np.zeros(3), 1.0), cfg, [np.zeros(3)])
         assert err.value.iteration == 0
-
-    def test_report_csv(self, tmp_path):
-        rng = np.random.default_rng(2)
-        a, b = rng.standard_normal((2, 4))
-        cfg = SolverConfig(rho=1.0, max_iters=50, record_history=True)
-        _, report = run_admm(TwoQuadratics(a, b, 1.0), cfg, [np.zeros(4)])
-        path = tmp_path / "report.csv"
-        report.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,primal,dual,objective"
-        assert len(lines) == report.iterations_run + 1
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == pytest.approx(report.primal_residuals[0])
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -206,7 +172,7 @@ class TestSolveFixedPoint:
         assert report.iterations_run <= budget
         assert report.final_primal > FIXED_POINT_RTOL
 
-    def test_cycle_longer_than_the_first_basis_block(self):
+    def test_hundred_unknowns_match_the_dense_solve(self):
         n = 100
         data, d = linear_problem(10, m=120, n=n)
         x, report = solve_fixed_point(data, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
@@ -229,7 +195,7 @@ class TestSolveFixedPoint:
             return a @ x * (1 + 1e-6 * (len(calls) == 3))
 
         glitch = DataTerm(apply, data.adjoint, data.target, data.shape)
-        cfg = SolverConfig(rho=0.3, record_history=True)
+        cfg = SolverConfig(rho=0.3)
         x, report = solve_fixed_point(glitch, lambda v: d @ v, 0.3, cfg)
         trace = report.primal_residuals
         missed = [
@@ -275,15 +241,10 @@ class TestSolveFixedPoint:
         assert report.converged
         np.testing.assert_array_equal(x, np.zeros(8))
 
-    def test_history_ends_with_the_recomputed_residual(self, tmp_path):
+    def test_history_ends_with_the_recomputed_residual(self):
         data, d = linear_problem(8)
-        cfg = SolverConfig(rho=0.3, record_history=True)
+        cfg = SolverConfig(rho=0.3)
         _, report = solve_fixed_point(data, lambda v: d @ v, 0.3, cfg)
         assert len(report.primal_residuals) == report.iterations_run
         assert report.primal_residuals[-1] == report.final_primal
         assert not report.dual_residuals and not report.objective_trace
-        path = tmp_path / "cg.csv"
-        report.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == report.iterations_run + 1
-        assert lines[-1].endswith(",,")

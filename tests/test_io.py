@@ -17,11 +17,9 @@ from pnpfusion.io import (
     write_cube,
     write_gmm,
     write_mask,
-    write_metrics_csv,
     write_pgm,
     write_text_matrix,
 )
-from pnpfusion.metrics import metric_report
 from pnpfusion.patches import ImageGeometry, extract_patches, remove_means
 from pnpfusion.scenes import smooth_field
 
@@ -333,21 +331,6 @@ class TestPgm:
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(FormatError):
             read_pgm(path)
-
-
-def test_metrics_csv_format(tmp_path):
-    rng = np.random.default_rng(6)
-    ref = rng.uniform(0.5, 1.0, size=(2, 30))
-    est = ref + 0.01 * rng.standard_normal((2, 30))
-    report = metric_report(ref, est, peak=1.0, resolution_ratio=2.0)
-    path = tmp_path / "m.csv"
-    write_metrics_csv(path, report)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "band,psnr_db"
-    assert lines[1].startswith("0,") and lines[2].startswith("1,")
-    assert lines[3].startswith("ergas,")
-    assert lines[4].startswith("sam_deg,")
-    assert float(lines[3].split(",")[1]) == pytest.approx(report.ergas)
 
 
 def _written_files(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnpfusion.errors import DimensionError, MetricError
-from pnpfusion.metrics import ergas, metric_report, psnr, psnr_per_band, sam
+from pnpfusion.metrics import ergas, psnr, psnr_per_band, sam
 
 
 class TestPsnr:
@@ -36,6 +36,16 @@ class TestPsnr:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             psnr(np.zeros(3), np.zeros(4))
+
+    def test_nan_peak_raises(self):
+        x = np.zeros((2, 5))
+        with pytest.raises(MetricError):
+            psnr(x, x + 0.1, peak=float("nan"))
+
+    def test_per_band_rejects_negative_peak(self):
+        x = np.zeros((2, 5))
+        with pytest.raises(MetricError):
+            psnr_per_band(x, x + 0.1, peak=-1.0)
 
 
 class TestErgas:
@@ -69,6 +79,12 @@ class TestErgas:
         ref = np.zeros((1, 4))
         with pytest.raises(MetricError):
             ergas(ref, ref + 1, 1.0)
+
+    @pytest.mark.parametrize("ratio", [-1.0, float("nan")])
+    def test_nonpositive_resolution_ratio_raises(self, ratio):
+        ref = np.ones((2, 4))
+        with pytest.raises(MetricError):
+            ergas(ref, ref + 0.1, ratio)
 
 
 class TestSam:
@@ -119,15 +135,3 @@ class TestSam:
     def test_all_zero_raises(self):
         with pytest.raises(MetricError):
             sam(np.zeros((2, 3)), np.ones((2, 3)))
-
-
-def test_metric_report_bundle():
-    rng = np.random.default_rng(6)
-    ref = rng.uniform(0.5, 1.0, size=(3, 40))
-    est = ref + 0.01 * rng.standard_normal((3, 40))
-    report = metric_report(ref, est, peak=1.0, resolution_ratio=2.0)
-    assert report.psnr_per_band.shape == (3,)
-    assert report.psnr_db == pytest.approx(np.mean(report.psnr_per_band))
-    assert report.ergas == pytest.approx(ergas(ref, est, 2.0))
-    assert report.sam_degrees == pytest.approx(sam(ref, est))
-    assert 0.0 <= report.sam_degrees <= 180.0

@@ -1,7 +1,9 @@
+import json
 import logging
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -239,29 +241,44 @@ class TestFullPipeline:
         em = EmConfig(
             n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
         )
-        solver = SolverConfig(
-            rho=0.1, lam=0.3, tau=0.05, max_iters=40, record_history=True
-        )
+        solver = SolverConfig(rho=0.1, lam=0.3, tau=0.05, max_iters=40)
         params = PairParams(patch_side=4, em=em, solver=solver)
         x, report = run_admm_pair(scene, denoiser_of(scene, params), solver)
         assert len(report.objective_trace) == report.iterations_run == 40
         data = pair_data_term(scene, 0.3)
         assert report.objective_trace[-1] == data.objective(x, 0.0)
 
-    def test_krylov_history_has_one_residual_per_matvec(self):
+    def test_cg_history_has_one_residual_per_denoiser_application(self):
         scene = scene_16(seed=16)
         em = EmConfig(
             n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
         )
-        solver = SolverConfig(rho=0.1, lam=0.3, tau=0.05, record_history=True)
+        solver = SolverConfig(rho=0.1, lam=0.3, tau=0.05)
         _, report = deblur_pair(scene, PairParams(patch_side=4, em=em, solver=solver))
         assert report.converged
         assert len(report.primal_residuals) == report.iterations_run
         assert report.primal_residuals[-1] == report.final_primal
         assert report.final_primal <= FIXED_POINT_RTOL
 
+    def test_reports_round_trip_through_json(self):
+        scene = scene_16(seed=16)
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
+        )
+        solver = SolverConfig(rho=0.1, lam=0.3, tau=0.05, max_iters=40)
+        params = PairParams(patch_side=4, em=em, solver=solver)
+        _, cg = deblur_pair(scene, params)
+        _, admm = run_admm_pair(scene, denoiser_of(scene, params), solver)
+        for report in (cg, admm):
+            text = json.dumps(asdict(report))
+            record = json.loads(text)
+            assert json.dumps(record) == text
+            assert record["primal_residuals"] == report.primal_residuals
+            assert len(record["primal_residuals"]) == report.iterations_run
+        assert len(admm.dual_residuals) == len(admm.objective_trace) == 40
+
     def test_admm_tolerances_do_not_change_the_result(self):
-        # primal_tol/dual_tol bound run_admm only; GMRES stops at FIXED_POINT_RTOL
+        # primal_tol/dual_tol bound run_admm only; CG stops at FIXED_POINT_RTOL
         scene = scene_16(seed=16)
         em = EmConfig(
             n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0

@@ -4,6 +4,7 @@ import pytest
 from pnpfusion.errors import ConfigError
 from pnpfusion.patches import ImageGeometry
 from pnpfusion.scenes import (
+    PAIR_KERNELS,
     HsSceneSpec,
     PairSceneSpec,
     generate_hs_scene,
@@ -87,8 +88,16 @@ class TestKernels:
         assert k.sum() == pytest.approx(1.0, abs=1e-12)
         assert k.min() >= 0
 
+    @pytest.mark.parametrize("kernel_id", PAIR_KERNELS)
+    def test_every_listed_kernel_sums_to_one(self, kernel_id):
+        assert make_kernel(kernel_id).sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_unknown_kernel_raises(self):
         with pytest.raises(ConfigError):
+            make_kernel("nope")
+
+    def test_unknown_kernel_message_lists_delta(self):
+        with pytest.raises(ConfigError, match="delta"):
             make_kernel("nope")
 
 

@@ -399,7 +399,7 @@ class TestSharpenPipeline:
         )
         cfg = SolverConfig(
             rho=0.05, lam=0.5, tau=0.05, max_iters=500,
-            primal_tol=1e-6, dual_tol=1e-6, record_history=True,
+            primal_tol=1e-6, dual_tol=1e-6,
         )
         _, report = run_salsa_hs(scene, basis, den, cfg)
         assert report.converged
@@ -413,9 +413,7 @@ class TestSharpenPipeline:
         den = train_scene_denoiser(
             scene.y_m, scene.geometry, 2, em, denoiser_variance=1.0
         )
-        cfg = SolverConfig(
-            rho=0.05, lam=0.5, tau=0.05, max_iters=40, record_history=True
-        )
+        cfg = SolverConfig(rho=0.05, lam=0.5, tau=0.05, max_iters=40)
         x, report = run_salsa_hs(scene, basis, den, cfg)
         assert len(report.objective_trace) == report.iterations_run == 40
         data = hs_data_term(scene, basis, 0.5)
@@ -441,7 +439,7 @@ class TestSharpenPipeline:
         assert psnr(scene.z, z_hat, peak=1.0) > 30.0
 
     def test_salsa_tolerances_do_not_change_the_result(self):
-        # primal_tol/dual_tol bound run_salsa_hs only; GMRES stops at FIXED_POINT_RTOL
+        # primal_tol/dual_tol bound run_salsa_hs only; CG stops at FIXED_POINT_RTOL
         scene = tiny_scene(seed=3)
         em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
         results = []
