@@ -11,12 +11,22 @@ span. The package needs only numpy.
 
 Because the frozen denoiser D is symmetric PSD, the PnP fixed point is the
 solution of a symmetric positive definite linear system. The pipelines solve
-it by conjugate gradients preconditioned with D (:func:`solve_fixed_point`),
-whose report counts applications of D; the ADMM/SALSA iterations of the
-paper (:func:`run_admm`) stay as the reference that reaches the same point.
+it by conjugate gradients, whose report counts applications of D: pair
+deblurring on a shifted system with a circulant preconditioner when its
+normal matrix allows (:func:`solve_shifted_fixed_point`), otherwise
+preconditioned with D (:func:`solve_fixed_point`). The ADMM/SALSA
+iterations of the paper (:func:`run_admm`) stay as the reference that
+reaches the same point.
 """
 
-from .admm import SolveReport, SolverConfig, residuals, run_admm, solve_fixed_point
+from .admm import (
+    SolveReport,
+    SolverConfig,
+    residuals,
+    run_admm,
+    solve_fixed_point,
+    solve_shifted_fixed_point,
+)
 from .denoiser import (
     DataTerm,
     ExplicitW,
@@ -46,6 +56,7 @@ from .fftops import (
     make_cyclic_blur,
     solve_x_update_hs,
     solve_x_update_pair,
+    symbol_products,
 )
 from .gmm import (
     EmConfig,

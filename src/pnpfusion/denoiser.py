@@ -121,6 +121,27 @@ class LinearDenoiser:
         data /= n_p
         return data
 
+    @cached_property
+    def circulant_symbol(self) -> np.ndarray:
+        """Eigenvalues of the circulant part of W on the ``(height, width)``
+        DFT grid.
+
+        The circulant part is W averaged over every cyclic shift of the grid,
+        T. Chan's optimal circulant approximation (SIAM J. Sci. Stat. Comput.
+        1988): its coefficient at a displacement is the pixel mean of that
+        stencil plane of :attr:`operator`, and displacements that wrap onto
+        one pixel add up. W is symmetric PSD, so the symbol is real, even and
+        nonnegative up to rounding.
+        """
+        stencil = self.operator
+        h, w = self.geometry.height, self.geometry.width
+        offsets = np.arange(stencil.shape[-1]) - stencil.shape[-1] // 2
+        kernel = np.zeros((h, w))
+        # plane [b, a] holds displacement (a - s + 1, b - s + 1) in (row, column)
+        rows, cols = (offsets % h)[None, :], (offsets % w)[:, None]
+        np.add.at(kernel, (rows, cols), stencil.mean(axis=(0, 1)))
+        return np.fft.fft2(kernel).real
+
 
 @dataclass(frozen=True)
 class ExplicitW:

@@ -6,6 +6,10 @@ the centered kernel. Every operator acts on one band or on a ``(..., n)``
 stack of bands alike: :class:`~pnpfusion.patches.ImageGeometry` lays the
 pixel axis out as the grid, and one FFT round trip does the rest.
 
+:func:`symbol_products` applies any symmetric circulant given by its
+eigenvalues (its symbol) on the DFT grid; the pair pipeline's shifted
+fixed-point solve builds its operators that way.
+
 Right-multiplication conventions used by the sharpening updates: for a bands
 x pixels matrix, "X B" blurs each row and "X B^T" correlates each row, so the
 normal matrix ``B B^T`` acts on row spectra as ``|b_hat|^2``.
@@ -82,3 +86,18 @@ def solve_x_update_pair(
         raise ConfigError(f"need lam >= 0 and rho > 0, got lam={lam}, rho={rho}")
     denom = blur.power_spectrum + lam + rho
     return _spectral(rhs, blur, lambda spectrum: spectrum / denom)
+
+
+def symbol_products(band: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """One band times each symmetric circulant of a ``(..., height, width)``
+    stack of symbols; returns a ``(..., n)`` stack.
+
+    A symbol holds the circulant's eigenvalues on the 2-D DFT grid. It must be
+    real and even, ``s[-f] = s[f]``, as a symmetric circulant's is, so one real
+    FFT of the band serves every symbol.
+    """
+    geometry = ImageGeometry(*symbols.shape[-2:])
+    spectrum = np.fft.rfft2(geometry.to_grid(np.asarray(band, dtype=float)))
+    half = symbols[..., : geometry.width // 2 + 1]
+    shape = (geometry.height, geometry.width)
+    return geometry.from_grid(np.fft.irfft2(half * spectrum, s=shape))

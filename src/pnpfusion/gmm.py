@@ -287,25 +287,33 @@ def _init_model(patches: PatchSet, config: EmConfig) -> GmmModel:
     y = patches.patches
     n, n_p = y.shape
     rng = np.random.default_rng(config.seed)
-    norms = np.sqrt(np.einsum("ij,ij->i", y, y))
-    whitened = y / np.maximum(norms, 1e-12)[:, None]
+    norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", y, y)), 1e-12)
+
+    def whitened(rows):
+        return y[rows] / norms[rows, None]
+
     k = config.n_components
     centers = np.empty((k, n_p))
-    centers[0] = whitened[rng.integers(n)]
+    centers[0] = whitened(rng.integers(n))
     dist2 = np.full(n, np.inf)
     for j in range(1, k):
-        diff = whitened - centers[j - 1]
-        dist2 = np.minimum(dist2, np.einsum("ij,ij->i", diff, diff))
+        for start in range(0, n, _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            diff = whitened(rows) - centers[j - 1]
+            dist2[rows] = np.minimum(dist2[rows], np.einsum("ij,ij->i", diff, diff))
         total = dist2.sum()
         if total <= 0:
-            centers[j] = whitened[rng.integers(n)]
+            centers[j] = whitened(rng.integers(n))
             continue
-        centers[j] = whitened[rng.choice(n, p=dist2 / total)]
-    # hard-assign and build per-cluster second moments of the raw patches
-    # one centre at a time: the (N, K, n_p) difference array would take
-    # 94 MB for a 96x96 band with K=20 and 8x8 patches
-    d2 = np.stack([((whitened - c) ** 2).sum(axis=1) for c in centers], axis=1)
-    labels = d2.argmin(axis=1)
+        centers[j] = whitened(rng.choice(n, p=dist2 / total))
+    # hard-assign and build per-cluster second moments of the raw patches,
+    # a chunk of patches and one centre at a time: the (N, K, n_p) difference
+    # array would take 94 MB for a 96x96 band with K=20 and 8x8 patches
+    labels = np.empty(n, dtype=np.intp)
+    for start in range(0, n, _CHUNK):
+        chunk = whitened(slice(start, start + _CHUNK))
+        d2 = np.stack([((chunk - c) ** 2).sum(axis=1) for c in centers], axis=1)
+        labels[start : start + _CHUNK] = d2.argmin(axis=1)
     alphas = np.empty(k)
     moments = np.empty((k, n_p, n_p))
     ridge = 1e-6 * np.eye(n_p)

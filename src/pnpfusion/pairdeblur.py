@@ -15,9 +15,18 @@ rho`` on the phi induced by the denoiser built with variance ``tau / rho``.
 :class:`~pnpfusion.denoiser.DataTerm` evaluates this objective and gives its
 dense minimizer.
 
-:func:`deblur_pair` solves the fixed-point equation by D-preconditioned CG
-(:func:`~pnpfusion.admm.solve_fixed_point`), so its report counts
-applications of D.
+:func:`deblur_pair` solves the fixed-point equation by CG, so its report
+counts applications of D. Here ``A^T A = B^T B + lam I`` is circulant, and
+whenever a prior is trained and ``G = B^T B + (lam - rho) I`` is positive
+definite, i.e. ``min |b_hat|^2 + lam - rho > 0``, it solves the shifted system
+``(D + rho G^-1) w = G^-1 b``, ``x = D w``, preconditioned by the DFT-diagonal
+inverse of ``Dbar + rho G^-1`` with Dbar the circulant part of D
+(:func:`~pnpfusion.admm.solve_shifted_fixed_point`). Its trace holds the
+bound ``||G r|| / ||D b||`` on the fixed-point residual after each step and
+the residual recomputed at x after each run of steps. Otherwise, as when
+``rho > lam``, it preconditions by D alone
+(:func:`~pnpfusion.admm.solve_fixed_point`). Both stop at the same
+tolerance on the same fixed point.
 :func:`run_admm_pair` runs the paper's ADMM iterations to the same point and
 stays as the reference.
 """
@@ -29,7 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import SolveReport, SolverConfig, run_admm, solve_fixed_point
+from .admm import (
+    SolveReport,
+    SolverConfig,
+    run_admm,
+    solve_fixed_point,
+    solve_shifted_fixed_point,
+)
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
 from .errors import DimensionError
 from .fftops import CyclicBlur, apply_blur, solve_x_update_pair
@@ -149,10 +164,12 @@ def deblur_pair(
 ) -> tuple[np.ndarray, SolveReport]:
     """Full pair pipeline: train on the noisy image, fuse both observations.
 
-    The fixed point is solved by CG to ``FIXED_POINT_RTOL``; the
-    solver config's ``primal_tol``/``dual_tol`` bound only the ADMM
-    reference. With ``tau == 0`` no prior is trained, D is the identity and
-    the result is the two-term least-squares fusion.
+    The fixed point is solved by CG to ``FIXED_POINT_RTOL``: on the shifted
+    system with the circulant preconditioner when a prior is trained and
+    ``min |b_hat|^2 + lam > rho``, else preconditioned by D (see the module
+    docstring). The solver config's ``primal_tol``/``dual_tol`` bound only
+    the ADMM reference. With ``tau == 0`` no prior is trained, D is the
+    identity and the result is the two-term least-squares fusion.
     """
     cfg = params.solver
     denoiser = None
@@ -168,4 +185,10 @@ def deblur_pair(
     def denoise(x):
         return x if denoiser is None else denoise_image_fixed(x, denoiser)
 
-    return solve_fixed_point(pair_data_term(scene, cfg.lam), denoise, cfg.rho, cfg)
+    data = pair_data_term(scene, cfg.lam)
+    normal_symbol = scene.blur.power_spectrum + cfg.lam  # A^T A = B^T B + lam I
+    if denoiser is not None and normal_symbol.min() > cfg.rho:
+        return solve_shifted_fixed_point(
+            data, denoise, cfg.rho, cfg, normal_symbol, denoiser.circulant_symbol
+        )
+    return solve_fixed_point(data, denoise, cfg.rho, cfg)

@@ -112,11 +112,15 @@ def decimation_factor(mask: np.ndarray, geometry: ImageGeometry) -> int:
 
     An all-zero mask (no data term anywhere) is allowed and returns 0.
     """
-    ones = np.flatnonzero(mask)
-    if ones.size == 0:
+    mask = np.asarray(mask)
+    if mask.shape != (geometry.n,):
+        raise ConfigError(f"mask has shape {mask.shape}, expected ({geometry.n},)")
+    # the kept rows and columns; np.unique would import numpy.ma on first use
+    grid = geometry.to_grid(mask) != 0
+    rows = np.flatnonzero(grid.any(axis=1))
+    cols = np.flatnonzero(grid.any(axis=0))
+    if rows.size == 0:
         return 0
-    rows = np.unique(ones % geometry.height)
-    cols = np.unique(ones // geometry.height)
     if rows.size > 1:
         d = int(rows[1] - rows[0])
     elif cols.size > 1:

@@ -18,6 +18,7 @@ from pnpfusion.denoiser import (
     wiener_filter,
 )
 from pnpfusion.errors import ConfigError, DimensionError, SizeError
+from pnpfusion.fftops import symbol_products
 from pnpfusion.gmm import GmmModel, PatchWeights
 from pnpfusion.patches import ImageGeometry
 from tests.conftest import train_random_denoiser
@@ -96,6 +97,18 @@ def dense_reference(den):
     return out / n_p
 
 
+def shift_average(matrix, geometry):
+    """``(1/n) sum_t S_t W S_t^T`` over every cyclic shift t of the grid."""
+    h, w = geometry.height, geometry.width
+    pixels = np.arange(geometry.n).reshape(w, h)  # [col, row] is pixel col*h + row
+    total = np.zeros_like(matrix)
+    for dc in range(w):
+        for dr in range(h):
+            moved = np.roll(pixels, (dc, dr), axis=(0, 1)).reshape(-1)
+            total += matrix[np.ix_(moved, moved)]
+    return total / geometry.n
+
+
 class TestOperator:
     @pytest.mark.parametrize("pure_linear", [True, False])
     @pytest.mark.parametrize("height,width,side", [(12, 12, 3), (5, 7, 4), (8, 8, 8)])
@@ -125,6 +138,21 @@ class TestOperator:
         )
         np.testing.assert_allclose(
             denoise_image_fixed(stack, den), stack @ reference.T, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("height,width,side", [(12, 12, 3), (5, 7, 4)])
+    def test_circulant_symbol_is_the_shift_average(self, height, width, side):
+        # 5x7 is narrower than 2s-1 = 7 rows, so displacements wrap
+        geometry = ImageGeometry(height, width)
+        den = random_denoiser(geometry, side, 3, seed=side)
+        average = shift_average(build_explicit_w(den).matrix, geometry)
+        symbol = den.circulant_symbol
+        np.testing.assert_allclose(
+            np.sort(symbol.ravel()), np.linalg.eigvalsh(average), rtol=0, atol=1e-12
+        )
+        x = np.random.default_rng(side).standard_normal(geometry.n)
+        np.testing.assert_allclose(
+            symbol_products(x, symbol), average @ x, rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize("shape", [(2, 35), (1, 2, 36), (36, 2)])

@@ -10,6 +10,7 @@ from pnpfusion.fftops import (
     make_cyclic_blur,
     solve_x_update_hs,
     solve_x_update_pair,
+    symbol_products,
 )
 from pnpfusion.patches import ImageGeometry
 
@@ -120,6 +121,26 @@ class TestApplyBlur:
 
 
 GEOMETRIES = [(2, 2), (3, 3), (4, 4), (5, 7), (7, 5), (8, 8), (16, 16), (16, 9), (1, 8)]
+
+
+class TestSymbolProducts:
+    @pytest.mark.parametrize("shape", GEOMETRIES)
+    def test_matches_the_dense_circulants(self, shape):
+        # B^T B + c I has the real, even symbol |b_hat|^2 + c
+        geom = ImageGeometry(*shape)
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        kernel = random_kernel(rng, min(3, geom.height), min(3, geom.width))
+        power = make_cyclic_blur(kernel, geom).power_spectrum
+        b = dense_blur_matrix_oracle(kernel, geom)
+        x = rng.standard_normal(geom.n)
+        normal = b.T @ b
+        np.testing.assert_allclose(symbol_products(x, power), normal @ x, atol=1e-12)
+        both = symbol_products(x, np.stack([power + 0.5, 1 / (power + 0.5)]))
+        assert both.shape == (2, geom.n)
+        np.testing.assert_allclose(both[0], normal @ x + 0.5 * x, atol=1e-12)
+        np.testing.assert_allclose(
+            both[1], np.linalg.solve(normal + 0.5 * np.eye(geom.n), x), atol=1e-10
+        )
 
 
 class TestSpectralSolves:

@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 import pnpfusion
-from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
-from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
+from pnpfusion.admm import (
+    FIXED_POINT_RTOL,
+    SolverConfig,
+    solve_fixed_point,
+    solve_shifted_fixed_point,
+)
+from pnpfusion.denoiser import DataTerm, build_explicit_w, denoise_image_fixed
+from pnpfusion.errors import ConfigError, DivergenceError
 from pnpfusion.fftops import make_cyclic_blur
 from pnpfusion.gmm import EmConfig
 from pnpfusion.metrics import psnr
@@ -267,15 +273,21 @@ class TestFullPipeline:
         )
         solver = SolverConfig(rho=0.1, lam=0.3, tau=0.05, max_iters=40)
         params = PairParams(patch_side=4, em=em, solver=solver)
-        _, cg = deblur_pair(scene, params)
-        _, admm = run_admm_pair(scene, denoiser_of(scene, params), solver)
-        for report in (cg, admm):
-            text = json.dumps(asdict(report))
+        den = denoiser_of(scene, params)
+        _, shifted = deblur_pair(scene, params)
+        _, cg = solve_fixed_point(
+            pair_data_term(scene, 0.3), lambda v: denoise_image_fixed(v, den), 0.1, solver
+        )
+        _, admm = run_admm_pair(scene, den, solver)
+        for report in (shifted, cg, admm):
+            # strict JSON: a field a solver leaves unset must not be NaN
+            text = json.dumps(asdict(report), allow_nan=False)
             record = json.loads(text)
             assert json.dumps(record) == text
             assert record["primal_residuals"] == report.primal_residuals
             assert len(record["primal_residuals"]) == report.iterations_run
         assert len(admm.dual_residuals) == len(admm.objective_trace) == 40
+        assert shifted.final_dual is None and cg.final_dual is None
 
     def test_admm_tolerances_do_not_change_the_result(self):
         # primal_tol/dual_tol bound run_admm only; CG stops at FIXED_POINT_RTOL
@@ -318,6 +330,32 @@ def relative_error(x, reference):
     return np.linalg.norm(x - reference) / np.linalg.norm(reference)
 
 
+def shifted_solve(scene, den, cfg, denoise=None, data=None):
+    """solve_shifted_fixed_point on the pair problem with the symbols
+    deblur_pair passes."""
+    if denoise is None:
+        denoise = lambda v: denoise_image_fixed(v, den)  # noqa: E731
+    return solve_shifted_fixed_point(
+        pair_data_term(scene, cfg.lam) if data is None else data,
+        denoise,
+        cfg.rho,
+        cfg,
+        scene.blur.power_spectrum + cfg.lam,
+        den.circulant_symbol,
+    )
+
+
+def both_solves(scene, den, cfg):
+    """``(x, report)`` of the D-preconditioned and of the shifted CG solve."""
+    cg = solve_fixed_point(
+        pair_data_term(scene, cfg.lam),
+        lambda v: denoise_image_fixed(v, den),
+        cfg.rho,
+        cfg,
+    )
+    return [cg, shifted_solve(scene, den, cfg)]
+
+
 class TestFixedPointSolve:
     def test_adjoint_passes_the_dot_product_test(self):
         scene = scene_16(seed=5, kernel="motion15")
@@ -343,15 +381,10 @@ class TestFixedPointSolve:
         )
         x_admm, admm_report = run_admm_pair(scene, den, cfg)
         assert admm_report.converged
-        x, report = solve_fixed_point(
-            pair_data_term(scene, lam),
-            lambda v: denoise_image_fixed(v, den),
-            rho,
-            cfg,
-        )
-        assert report.converged
-        assert report.iterations_run < admm_report.iterations_run
-        assert relative_error(x, x_admm) <= 1e-8
+        for x, report in both_solves(scene, den, cfg):
+            assert report.converged
+            assert report.iterations_run < admm_report.iterations_run
+            assert relative_error(x, x_admm) <= 1e-8
 
     @pytest.mark.parametrize(
         "rho,tau,pure_linear",
@@ -366,14 +399,11 @@ class TestFixedPointSolve:
         scene = scene_16(seed=11)
         lam = 0.3
         den = trained_denoiser(scene, rho, tau, pure_linear)
-        data = pair_data_term(scene, lam)
         cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
-        x, report = solve_fixed_point(
-            data, lambda v: denoise_image_fixed(v, den), rho, cfg
-        )
-        assert report.converged
-        expected = data.minimizer(rho, build_explicit_w(den))
-        assert relative_error(x, expected) <= 1e-9
+        expected = pair_data_term(scene, lam).minimizer(rho, build_explicit_w(den))
+        for x, report in both_solves(scene, den, cfg):
+            assert report.converged
+            assert relative_error(x, expected) <= 1e-9
 
     def test_tau_zero_pipeline_is_the_least_squares_fusion(self):
         scene = scene_16(seed=15, kernel="motion15")
@@ -386,6 +416,107 @@ class TestFixedPointSolve:
         assert report.converged
         expected = pair_data_term(scene, lam).minimizer(0.0)
         assert relative_error(x, expected) <= 1e-8
+
+
+class TestShiftedSolve:
+    """The shifted-system solve deblur_pair takes when G is positive definite."""
+
+    @pytest.mark.parametrize(
+        "rho,shifted",
+        [pytest.param(0.1, True, id="lam-above-rho"),
+         pytest.param(0.5, False, id="lam-below-rho")],
+    )
+    def test_deblur_pair_selects_the_solve_by_the_shift(self, rho, shifted):
+        # scene_16's gauss8 has min |b_hat|^2 < 0.2, so G = B^T B + (0.3 - rho) I
+        # is positive definite at rho = 0.1 and not at rho = 0.5
+        scene = scene_16(seed=16)
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
+        )
+        solver = SolverConfig(rho=rho, lam=0.3, tau=0.05)
+        params = PairParams(patch_side=4, em=em, solver=solver)
+        assert bool(scene.blur.power_spectrum.min() + 0.3 > rho) == shifted
+        x, report = deblur_pair(scene, params)
+        den = denoiser_of(scene, params)
+        if shifted:
+            x_ref, ref = shifted_solve(scene, den, solver)
+        else:
+            x_ref, ref = solve_fixed_point(
+                pair_data_term(scene, 0.3),
+                lambda v: denoise_image_fixed(v, den),
+                rho,
+                solver,
+            )
+        assert x.tobytes() == x_ref.tobytes()
+        assert asdict(report) == asdict(ref)
+
+    def test_report_records_one_residual_per_application(self):
+        scene = scene_16(seed=11, kernel="motion15")
+        den = trained_denoiser(scene, 0.02, 0.01, pure_linear=False)
+        calls = []
+
+        def denoise(v):
+            calls.append(1)
+            return denoise_image_fixed(v, den)
+
+        cfg = SolverConfig(rho=0.02, lam=0.2, tau=0.01)
+        _, report = shifted_solve(scene, den, cfg, denoise=denoise)
+        assert report.converged
+        # one call for D A^T t, then one per step and per recomputed residual
+        assert report.iterations_run == len(calls) - 1
+        assert len(report.primal_residuals) == report.iterations_run
+        assert report.primal_residuals[-1] == report.final_primal
+        assert report.final_primal <= FIXED_POINT_RTOL
+        _, cg = solve_fixed_point(pair_data_term(scene, 0.2), denoise, 0.02, cfg)
+        assert report.iterations_run < cg.iterations_run
+
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    def test_small_budget_is_unconverged(self, budget):
+        scene = scene_16(seed=11)
+        den = trained_denoiser(scene, 0.08, 0.08, pure_linear=False)
+        cfg = SolverConfig(rho=0.08, lam=0.3, tau=0.08, max_iters=budget)
+        _, report = shifted_solve(scene, den, cfg)
+        assert report.converged is False
+        assert report.iterations_run <= budget
+        assert len(report.primal_residuals) == report.iterations_run
+
+    def test_missed_true_residual_restarts_from_it(self):
+        # the first recomputed residual comes back perturbed, so it misses
+        # the tolerance the steps met; the restart recovers the fixed point
+        scene = scene_16(seed=11)
+        den = trained_denoiser(scene, 0.08, 0.08, pure_linear=False)
+        cfg = SolverConfig(rho=0.08, lam=0.3, tau=0.08)
+        data = pair_data_term(scene, 0.3)
+        calls = []
+
+        def apply(x):
+            calls.append(1)
+            return data.apply(x) * (1 + 1e-6 * (len(calls) == 1))
+
+        glitch = DataTerm(apply, data.adjoint, data.target, data.shape)
+        x, report = shifted_solve(scene, den, cfg, data=glitch)
+        trace = report.primal_residuals
+        missed = [
+            k for k in range(1, len(trace))
+            if trace[k - 1] <= FIXED_POINT_RTOL < trace[k]
+        ]
+        assert missed
+        assert report.converged
+        expected = data.minimizer(0.08, build_explicit_w(den))
+        assert relative_error(x, expected) <= 1e-9
+
+    def test_indefinite_denoiser_raises_divergence(self):
+        scene = scene_16(seed=11)
+        den = trained_denoiser(scene, 0.08, 0.08, pure_linear=False)
+        cfg = SolverConfig(rho=0.08, lam=0.3, tau=0.08)
+        with pytest.raises(DivergenceError):
+            shifted_solve(scene, den, cfg, denoise=lambda v: -denoise_image_fixed(v, den))
+
+    def test_shift_that_is_not_positive_definite_raises(self):
+        scene = scene_16(seed=11)
+        den = trained_denoiser(scene, 0.5, 0.08, pure_linear=False)
+        with pytest.raises(ConfigError):
+            shifted_solve(scene, den, SolverConfig(rho=0.5, lam=0.3, tau=0.08))
 
 
 RUN_IN_FRESH_INTERPRETER = """
@@ -407,7 +538,10 @@ from pnpfusion import (
 
 
 def scipy_modules():
-    return " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    # numpy.ma costs ~9 ms to import and the pipelines do not need it
+    return " ".join(
+        sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma")
+    )
 
 
 print("import:", scipy_modules())

@@ -86,6 +86,13 @@ class TestMask:
         geom = ImageGeometry(4, 4)
         assert decimation_factor(np.zeros(16, dtype=int), geom) == 0
 
+    @pytest.mark.parametrize("length", [15, 17])
+    def test_misshapen_mask_rejected(self, length):
+        mask = np.zeros(length, dtype=int)
+        mask[0] = 1
+        with pytest.raises(ConfigError):
+            decimation_factor(mask, ImageGeometry(4, 4))
+
 
 class TestForwardModels:
     def test_delta_blur_full_mask_is_copy(self):
