@@ -334,7 +334,9 @@ def shifted_solve(scene, den, cfg, denoise=None, data=None):
     """solve_shifted_fixed_point on the pair problem with the symbols
     deblur_pair passes."""
     if denoise is None:
-        denoise = lambda v: denoise_image_fixed(v, den)  # noqa: E731
+        def denoise(v):
+            return denoise_image_fixed(v, den)
+
     return solve_shifted_fixed_point(
         pair_data_term(scene, cfg.lam) if data is None else data,
         denoise,
