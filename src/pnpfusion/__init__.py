@@ -9,14 +9,13 @@ deblurring. The operator is a cyclic stencil: each pixel's output weights
 the ``(2s-1) x (2s-1)`` window of wrapped neighbours its side-s patches
 span. The package needs only numpy.
 
-Because the frozen denoiser D is symmetric PSD, the PnP fixed point is the
-solution of a symmetric positive definite linear system. The pipelines solve
-it by conjugate gradients, whose report counts applications of D: pair
-deblurring on a shifted system with a circulant preconditioner when its
-normal matrix allows (:func:`solve_shifted_fixed_point`), otherwise
-preconditioned with D (:func:`solve_fixed_point`). The ADMM/SALSA
-iterations of the paper (:func:`run_admm`) stay as the reference that
-reaches the same point.
+Because the frozen denoiser D is linear, the PnP fixed point is the solution
+of a linear system. Both pipelines solve it with one GMRES solve
+(:func:`solve_fixed_point`), whose report counts applications of D, on
+``(rho I + (A^T A - rho I) D) w = A^T t`` with ``x = D w``, preconditioned by
+the DFT-diagonal inverse built from the circulant parts of ``A^T A`` and D.
+The ADMM/SALSA iterations of the paper (:func:`run_admm`) stay as the
+reference that reaches the same point.
 """
 
 from .admm import (
@@ -25,7 +24,6 @@ from .admm import (
     residuals,
     run_admm,
     solve_fixed_point,
-    solve_shifted_fixed_point,
 )
 from .denoiser import (
     DataTerm,

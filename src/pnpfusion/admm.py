@@ -1,4 +1,4 @@
-"""PnP solvers for the frozen-denoiser fixed point: CG, and ADMM/SALSA.
+"""PnP solvers for the frozen-denoiser fixed point: GMRES, and ADMM/SALSA.
 
 With the GMM weights frozen the plugged-in denoiser is a fixed linear map D,
 so the point where ADMM/SALSA converge solves the linear equation
@@ -6,20 +6,12 @@ so the point where ADMM/SALSA converge solves the linear equation
     rho (x - D x) + D A^T (A x - t) = 0
 
 for the pipeline's data term ``0.5 ||A x - t||^2``. D is symmetric PSD
-with ``||D|| <= 1``, so this is the symmetric positive definite system
-``(A^T A + rho (D^-1 - I)) x = A^T t``. Two conjugate-gradient solves
-(Hestenes & Stiefel, J. Res. NBS 1952) reach it without forming ``D^-1``:
-
-* :func:`solve_fixed_point` preconditions with D and works for any data
-  term;
-* :func:`solve_shifted_fixed_point` needs ``A^T A`` circulant and
-  ``G = A^T A - rho I`` positive definite. It solves the shifted system
-  ``(D + rho G^-1) w = G^-1 A^T t`` for ``x = D w`` with a preconditioner
-  that is diagonal in the DFT basis, and takes far fewer applications of D.
-
-Pair deblurring takes the shifted solve whenever it applies. Sharpening's
-decimation mask keeps its normal matrix off the DFT diagonal, so it takes
-:func:`solve_fixed_point`.
+with ``||D|| <= 1``. :func:`solve_fixed_point` writes ``x = D w`` and solves
+``(rho I + (A^T A - rho I) D) w = A^T t`` by GMRES, right-preconditioned
+with an operator the caller chooses. Both pipelines pass the inverse of
+``rho I + (Abar - rho I) Dbar``, built from the circulant parts Abar and
+Dbar of ``A^T A`` and D, which is diagonal in the DFT basis and positive
+definite for any rho; the pipeline modules build it.
 
 :func:`run_admm` is the paper-faithful reference that reaches the same point
 by iterating. A problem supplies four callbacks:
@@ -44,21 +36,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError
-from .fftops import symbol_products
 
 # Relative fixed-point residual ||rho (x - D x) + D grad F(x)|| / ||D A^T t||
-# that both CG solves iterate to.
+# that solve_fixed_point iterates to.
 FIXED_POINT_RTOL = 1e-10
+
+# Most GMRES steps between two recomputations of the residual. Preconditioned
+# as the pipelines do, a benchmark solve converges in ~20, so the basis stays
+# well below the stencil's memory.
+GMRES_BASIS = 30
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """ADMM penalty, data weights, and iteration/tolerance budgets.
 
-    ``primal_tol`` and ``dual_tol`` bound :func:`run_admm` only. The CG
-    solves, which the fusion pipelines call, always iterate to
-    ``FIXED_POINT_RTOL`` and read ``max_iters`` as their budget of
-    applications of the denoiser. Both solvers always record their
+    ``primal_tol`` and ``dual_tol`` bound :func:`run_admm` only.
+    :func:`solve_fixed_point`, which the fusion pipelines call, always
+    iterates to ``FIXED_POINT_RTOL`` and reads ``max_iters`` as its budget
+    of applications of the denoiser. Both solvers always record their
     traces in the :class:`SolveReport`.
     """
 
@@ -71,10 +67,10 @@ class SolverConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.rho > 0:
-            raise ConfigError(f"rho must be positive, got {self.rho}")
-        if not (self.lam >= 0 and self.tau >= 0):
-            raise ConfigError("lam and tau must be nonnegative")
+        if not 0 < self.rho < np.inf:
+            raise ConfigError(f"rho must be positive and finite, got {self.rho}")
+        if not (0 <= self.lam < np.inf and 0 <= self.tau < np.inf):
+            raise ConfigError("lam and tau must be nonnegative and finite")
         if not self.max_iters >= 1:
             raise ConfigError("max_iters must be >= 1")
         if not (self.primal_tol > 0 and self.dual_tol > 0):
@@ -97,14 +93,14 @@ class SolveReport:
     iteration: in the fusion pipelines the data-fit term alone, without the
     regularizer phi, which needs the dense W.
 
-    From the CG solves the pipelines take: ``iterations_run`` counts
-    applications of D, ``primal_residuals`` holds one relative fixed-point
-    residual per application, ``final_primal`` is the residual recomputed at
-    the returned x, ``final_dual`` stays None and the dual and objective
-    traces stay empty. An entry after a CG step is CG's recursively updated
-    residual for :func:`solve_fixed_point`, and for
-    :func:`solve_shifted_fixed_point` the bound ``||G r|| / ||D A^T t||`` on
-    it; the entry after each run of steps is the residual recomputed at x.
+    From :func:`solve_fixed_point`, which the pipelines take:
+    ``iterations_run`` counts applications of D, ``primal_residuals`` holds
+    one relative fixed-point residual per application, ``final_primal`` is
+    the residual recomputed at the returned x, ``final_dual`` stays None and
+    the dual and objective traces stay empty. The entry after a GMRES step is
+    the bound ``||r|| / ||D A^T t||`` on the fixed-point residual, with r the
+    GMRES residual; the entry after each run of steps is the residual
+    recomputed at x.
     """
 
     iterations_run: int = 0
@@ -168,7 +164,7 @@ def run_admm(problem, config: SolverConfig, init_v):
 
 
 class _Applications:
-    """The budget and per-application trace that both CG solves share.
+    """The budget and per-application trace of :func:`solve_fixed_point`.
 
     Applications of D are counted after the one that forms ``D A^T t``, and
     every residual is relative to ``||D A^T t||``.
@@ -181,12 +177,20 @@ class _Applications:
         self.report = report
 
     def apply_d(self, v):
+        """``D v``; raises unless ``v^T D v >= 0``, as for a PSD D."""
         self.report.iterations_run += 1
-        return self.denoise(v)
+        dv = self.denoise(v)
+        if not float(np.vdot(v, dv)) >= 0:
+            raise DivergenceError(
+                f"v^T D v < 0 at application {self.report.iterations_run}"
+                " (D is not symmetric PSD)",
+                iteration=self.report.iterations_run,
+            )
+        return dv
 
-    def measure(self, v) -> float:
-        """Append and return ``||v||`` relative to ``||D A^T t||``."""
-        relative = float(np.linalg.norm(v)) / self.rhs_norm
+    def measure(self, norm: float) -> float:
+        """Append and return ``norm`` relative to ``||D A^T t||``."""
+        relative = float(norm) / self.rhs_norm
         if not np.isfinite(relative):
             raise DivergenceError(
                 f"non-finite residual at application {self.report.iterations_run}",
@@ -198,14 +202,6 @@ class _Applications:
     def budget_left(self) -> bool:
         # room for one more step and the residual recomputed after it
         return self.report.iterations_run + 2 <= self.max_iters
-
-    def check_curvature(self, rz: float, pq: float):
-        if not (rz > 0 and pq > 0):
-            raise DivergenceError(
-                f"non-positive curvature at application {self.report.iterations_run}"
-                " (D is not symmetric PSD)",
-                iteration=self.report.iterations_run,
-            )
 
     def finish(self, relative: float):
         self.report.final_primal = relative
@@ -220,22 +216,55 @@ def _start(data, denoise, config: SolverConfig):
     rhs_norm = float(np.linalg.norm(db))
     if not np.isfinite(rhs_norm):
         raise DivergenceError("non-finite right-hand side", iteration=0)
-    return b, db, _Applications(denoise, rhs_norm, config, SolveReport())
+    return b, _Applications(denoise, rhs_norm, config, SolveReport())
 
 
 def _true_residual(data, b, x, rho, steps: _Applications):
-    """The fixed-point residual at x, negated, measured as one application.
+    """The fixed-point residual at x, measured as one application.
 
-    ``-(rho (x - D x) + D (A^T A x - b)) = -(D (grad - rho x) + rho x)``.
-    Returns the residual, ``grad = A^T A x - b`` and the relative norm.
+    ``rho (x - D x) + D (A^T A x - b) = D (grad - rho x) + rho x``.
+    Returns ``grad = A^T A x - b`` and the relative norm.
     """
     grad = data.adjoint(data.apply(x)) - b
-    z = -(steps.apply_d(grad - rho * x) + rho * x)
-    return z, grad, steps.measure(z)
+    residual = steps.apply_d(grad - rho * x) + rho * x
+    return grad, steps.measure(np.linalg.norm(residual))
 
 
-def solve_fixed_point(data, denoise, rho: float, config: SolverConfig):
-    """Solve ``rho (x - D x) + D A^T (A x - t) = 0`` by D-preconditioned CG.
+def preconditioner_symbol(normal_symbol, denoise_symbol, rho: float):
+    """Eigenvalues of ``M^-1``, ``M = rho I + (Abar - rho I) Dbar``, on the
+    DFT grid.
+
+    ``normal_symbol`` holds Abar's eigenvalues, ``A^T A``'s circulant part
+    (nonnegative), and ``denoise_symbol`` Dbar's, clipped here to ``[0, 1]``
+    where D's spectrum lies, so M's eigenvalue ``rho (1 - d) + a d`` is
+    positive unless ``a = 0`` where ``d = 1``; there ``M^-1`` is taken as 0.
+    """
+    d = np.clip(denoise_symbol, 0.0, 1.0)
+    m = rho * (1.0 - d) + normal_symbol * d
+    return np.divide(1.0, m, out=np.zeros_like(m), where=m > 0)
+
+
+def _identity(v):
+    return v
+
+
+def _rotate(column, rotations, k: int):
+    """Apply the k earlier Givens rotations ``(c, s)`` to a Hessenberg column
+    and append the one that zeroes its entry ``k + 1``."""
+    for j, (c, s) in enumerate(rotations[:k]):
+        a, b = column[j : j + 2]
+        column[j : j + 2] = c * a + s * b, c * b - s * a
+    radius = np.hypot(column[k], column[k + 1])
+    rotations[k] = column[k : k + 2] / radius if radius else (1.0, 0.0)
+    column[k : k + 2] = radius, 0.0
+
+
+def solve_fixed_point(
+    data, denoise, rho: float, config: SolverConfig,
+    precondition=_identity, normal=None,
+):
+    """Solve ``rho (x - D x) + D A^T (A x - t) = 0`` by right-preconditioned
+    GMRES.
 
     ``data`` is the pipeline's :class:`~pnpfusion.denoiser.DataTerm` (A is
     ``data.apply``, A^T is ``data.adjoint``, t is ``data.target``) and
@@ -243,118 +272,85 @@ def solve_fixed_point(data, denoise, rho: float, config: SolverConfig):
     This is the equation whose solution ADMM/SALSA converge to with that D,
     so :func:`run_admm` on the pipeline's problem reaches the same x.
 
-    The equation is ``M x = A^T t`` with ``M = A^T A + rho (D^-1 - I)``.
-    Beside each CG search direction p the solver carries s with ``p = D s``,
-    so ``M p = A^T A p + rho (s - p)`` needs no ``D^-1``. Each step applies
-    D once, to the residual r, and ``z = D r`` is the fixed-point residual
-    at x up to sign.
+    With ``b = A^T t`` and ``G = A^T A - rho I`` the equation is
+    ``rho x + D (G x - b) = 0``, and ``x = D w`` turns it into
 
-    CG starts from x = 0 and steps until ``||z||``, relative to
-    ``||D A^T t||``, is at most ``FIXED_POINT_RTOL``. The fixed-point
-    residual is then recomputed at x, and CG restarts from it if it misses
-    the tolerance. A step is taken only if it and that recomputation fit in
-    ``config.max_iters`` applications of D. The report's ``iterations_run``
-    counts the applications after the one that forms the right-hand side,
-    ``primal_residuals`` holds one relative residual per application, and
-    ``converged`` and ``final_primal`` come from the residual recomputed at
-    the returned x. ``config.primal_tol`` and ``config.dual_tol`` are not
-    read. Returns ``(x, SolveReport)``. Raises :class:`DivergenceError` if a
-    residual is non-finite or if ``r^T z`` or ``p^T M p`` is not positive,
-    as happens when D is not PSD.
+        (rho I + G D) w = b,
+
+    which needs no ``D^-1`` and holds for any rho. GMRES (Saad & Schultz,
+    SIAM J. Sci. Stat. Comput. 1986) solves it, right-preconditioned by
+    ``precondition``, which applies ``M^-1``; the pipelines pass the inverse
+    of ``M = rho I + (Abar - rho I) Dbar``, where Abar and Dbar are the
+    circulant parts of ``A^T A`` and D (T. Chan, SIAM J. Sci. Stat. Comput.
+    1988), so that M is diagonal in the DFT basis. ``normal`` applies
+    ``A^T A``, by default as ``data.adjoint(data.apply(v))``.
+
+    Each step applies D once, to the direction ``z = M^-1 v`` of the newest
+    basis vector v. x accumulates from the stored ``D z`` and w from
+    ``M^-1`` of the combined basis, which needs no D. At x the fixed-point
+    residual is ``-D r`` for the GMRES residual ``r = b - (rho I + G D) w``,
+    and ``||D|| <= 1``, so the report's per-application entry is the bound
+    ``||r|| / ||D b||``, and GMRES steps until it is at most
+    ``FIXED_POINT_RTOL``, for at most ``GMRES_BASIS`` steps. The fixed-point
+    residual is then recomputed at x, and GMRES restarts from
+    ``r = b - rho w - G x`` if it misses the tolerance. A step is taken only
+    if it and that recomputation fit in ``config.max_iters`` applications of
+    D. The report's ``iterations_run`` counts the applications after the
+    one that forms ``D b``, ``primal_residuals`` holds one relative residual
+    per application, and ``converged`` and ``final_primal`` come from the
+    residual recomputed at the returned x. ``config.primal_tol`` and
+    ``config.dual_tol`` are not read. Returns ``(x, SolveReport)``. Raises
+    :class:`DivergenceError` if a residual is non-finite or if ``z^T D z < 0``
+    for a direction z, as happens when D is not PSD.
     """
-    b, z, steps = _start(data, denoise, config)
+    if normal is None:
+        def normal(v):
+            return data.adjoint(data.apply(v))
+
+    b, steps = _start(data, denoise, config)
     x = np.zeros(data.shape)
     if steps.rhs_norm == 0:
         return x, steps.finish(0.0)
 
-    xi = np.zeros_like(x)  # x = D xi, so a restart can form r without D^-1
-    r, relative = b, 1.0
-    while True:
-        p, s, rz = z, r, float(np.vdot(r, z))
-        while relative > FIXED_POINT_RTOL and steps.budget_left():
-            q = data.adjoint(data.apply(p)) + rho * (s - p)
-            pq = float(np.vdot(p, q))
-            steps.check_curvature(rz, pq)
-            alpha = rz / pq
-            x += alpha * p
-            xi += alpha * s
-            r = r - alpha * q
-            z = steps.apply_d(r)
-            relative = steps.measure(z)
-            rz_prev, rz = rz, float(np.vdot(r, z))
-            p = z + (rz / rz_prev) * p
-            s = r + (rz / rz_prev) * s
-        z, grad, relative = _true_residual(data, b, x, rho, steps)
-        if relative <= FIXED_POINT_RTOL or not steps.budget_left():
-            break
-        r = -grad - rho * (xi - x)
-    return x, steps.finish(relative)
-
-
-def solve_shifted_fixed_point(
-    data, denoise, rho: float, config: SolverConfig, normal_symbol, denoise_symbol
-):
-    """Solve the fixed point of :func:`solve_fixed_point` as a shifted system
-    by CG with a circulant preconditioner.
-
-    For a data term whose normal matrix ``A^T A`` is circulant on an image
-    grid, with eigenvalues ``normal_symbol`` on the 2-D DFT grid, and with
-    ``G = A^T A - rho I`` positive definite (``min(normal_symbol) > rho``).
-    The fixed-point equation is ``(G + rho D^-1) x = b`` with ``b = A^T t``.
-    Writing ``x = D w`` turns it into the symmetric positive definite system
-
-        (D + rho G^-1) w = G^-1 b,
-
-    which needs no ``D^-1``. CG solves it preconditioned with the inverse of
-    ``Dbar + rho G^-1``, where Dbar is the circulant part of D with
-    eigenvalues ``denoise_symbol``; both factors are diagonal in the DFT
-    basis. ``Dbar`` captures the shift-invariant part of D that
-    :func:`solve_fixed_point`'s preconditioning by D alone leaves out, so a
-    solve takes far fewer applications of D (T. Chan, SIAM J. Sci. Stat.
-    Comput. 1988).
-
-    Each step applies D once, to the search direction p, and ``x = D w``
-    accumulates from those products. At x the fixed-point residual is
-    ``-D G r`` for the CG residual r, and ``||D|| <= 1``, so the report's
-    per-application entry is the bound ``||G r|| / ||D b||``, and CG steps
-    until it is at most ``FIXED_POINT_RTOL``. The restart, budget, trace,
-    ``final_primal``/``converged`` and :class:`DivergenceError` rules are
-    those of :func:`solve_fixed_point`: the residual is recomputed at x after
-    each run of steps, and CG restarts from it if it misses the tolerance.
-    Raises :class:`ConfigError` unless G is positive definite.
-    """
-    shift = normal_symbol - rho  # G's eigenvalues
-    if not shift.min() > 0:
-        raise ConfigError("A^T A - rho I must be positive definite")
-    b, _, steps = _start(data, denoise, config)
-    x = np.zeros(data.shape)
-    if steps.rhs_norm == 0:
-        return x, steps.finish(0.0)
-
-    # one FFT of r gives both G r and the preconditioned residual
-    residual_symbols = np.stack([shift, 1.0 / (denoise_symbol + rho / shift)])
     w = np.zeros_like(x)
-    r = symbol_products(b, 1.0 / shift)
-    relative = float(np.linalg.norm(b)) / steps.rhs_norm
+    # np.empty touches no memory until a step writes its vector
+    basis = np.empty((GMRES_BASIS + 1, x.size))
+    images = np.empty((GMRES_BASIS, x.size))  # D z_k
+    r = b
+    relative = float(np.linalg.norm(r)) / steps.rhs_norm
     while True:
-        z = symbol_products(r, residual_symbols[1])
-        p, rz = z, float(np.vdot(r, z))
-        while relative > FIXED_POINT_RTOL and steps.budget_left():
-            dp = steps.apply_d(p)
-            q = dp + symbol_products(p, rho / shift)
-            pq = float(np.vdot(p, q))
-            steps.check_curvature(rz, pq)
-            alpha = rz / pq
-            w += alpha * p
-            x += alpha * dp
-            r = r - alpha * q
-            gr, z = symbol_products(r, residual_symbols)
-            relative = steps.measure(gr)
-            rz_prev, rz = rz, float(np.vdot(r, z))
-            p = z + (rz / rz_prev) * p
-        _, _, relative = _true_residual(data, b, x, rho, steps)
+        # Arnoldi on (rho I + G D) M^-1. Givens rotations turn the Hessenberg
+        # matrix into the upper triangle, so after k steps |g[k]| is ||r|| at
+        # the least-squares w.
+        triangle = np.zeros((GMRES_BASIS, GMRES_BASIS))
+        rotations = np.zeros((GMRES_BASIS, 2))
+        g = np.zeros(GMRES_BASIS + 1)
+        g[0] = np.linalg.norm(r)
+        basis[0] = r.ravel() / g[0]
+        k = 0
+        while relative > FIXED_POINT_RTOL and k < GMRES_BASIS and steps.budget_left():
+            z = precondition(basis[k].reshape(x.shape))
+            dz = steps.apply_d(z)
+            images[k] = dz.ravel()
+            q = (rho * (z - dz) + normal(dz)).ravel()
+            # classical Gram-Schmidt, run twice to keep the basis orthonormal
+            h = basis[: k + 1] @ q
+            q -= h @ basis[: k + 1]
+            again = basis[: k + 1] @ q
+            q -= again @ basis[: k + 1]
+            column = np.append(h + again, np.linalg.norm(q))
+            if column[k + 1] > 0:
+                basis[k + 1] = q / column[k + 1]
+            _rotate(column, rotations, k)
+            triangle[: k + 1, k] = column[: k + 1]
+            g[k : k + 2] = rotations[k] * g[k] * (1, -1)
+            k += 1
+            relative = steps.measure(abs(g[k]))
+        y = np.linalg.lstsq(triangle[:k, :k], g[:k], rcond=None)[0]
+        x += (y @ images[:k]).reshape(x.shape)
+        w += precondition((y @ basis[:k]).reshape(x.shape))
+        grad, relative = _true_residual(data, b, x, rho, steps)
         if relative <= FIXED_POINT_RTOL or not steps.budget_left():
             break
-        # r = G^-1 b - (D w + rho G^-1 w), with the accumulated x for D w
-        r = symbol_products(b - rho * w, 1.0 / shift) - x
+        r = -grad - rho * (w - x)
     return x, steps.finish(relative)

@@ -107,17 +107,21 @@ class LinearDenoiser:
             filters = filters - filters.mean(axis=2, keepdims=True)
             filters -= filters.mean(axis=1, keepdims=True)
         data = np.zeros((w, h, span, span))
-        beta_t = self.weights.beta.T
+        beta_t = self.weights.beta.T.reshape(w, h, -1)
+        block = np.empty((w * h, n_p))
         # Offset k = (kr, kc) of the patch anchored at (r, c) lands on pixel
         # (r + kr, c + kc), so row k of every M_i, rolled onto those pixels,
         # fills the s x s window of displacements that starts at -(kr, kc).
+        # Rolling the (N, K) weights gives the same rows as rolling the
+        # (N, n_p) block, and is cheaper.
         for k in range(n_p):
             kr, kc = k % side, k // side
-            block = beta_t @ filters[:, k, :]  # row i: row k of M_i
+            rolled = np.roll(beta_t, (kc, kr), axis=(0, 1)).reshape(w * h, -1)
+            np.matmul(rolled, filters[:, k, :], out=block)  # row k of each M_i
             if not self.pure_linear:
                 block += 1.0 / n_p
             window = data[:, :, side - 1 - kc : span - kc, side - 1 - kr : span - kr]
-            window += np.roll(block.reshape(w, h, side, side), (kc, kr), axis=(0, 1))
+            window += block.reshape(w, h, side, side)
         data /= n_p
         return data
 

@@ -24,7 +24,8 @@ class StateError(PnpError):
 
 
 class ConfigError(PnpError):
-    """Invalid configuration values (counts, tolerances, parameters)."""
+    """Invalid configuration or input values (counts, tolerances, parameters,
+    non-finite observations)."""
 
     category = "config"
 

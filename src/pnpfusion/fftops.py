@@ -7,8 +7,8 @@ stack of bands alike: :class:`~pnpfusion.patches.ImageGeometry` lays the
 pixel axis out as the grid, and one FFT round trip does the rest.
 
 :func:`symbol_products` applies any symmetric circulant given by its
-eigenvalues (its symbol) on the DFT grid; the pair pipeline's shifted
-fixed-point solve builds its operators that way.
+eigenvalues (its symbol) on the DFT grid; both pipelines' fixed-point
+preconditioners are built that way.
 
 Right-multiplication conventions used by the sharpening updates: for a bands
 x pixels matrix, "X B" blurs each row and "X B^T" correlates each row, so the
@@ -43,6 +43,8 @@ def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
     psf = np.asarray(psf, dtype=float)
     if psf.ndim != 2:
         raise DimensionError("psf must be a 2-D kernel")
+    if not np.all(np.isfinite(psf)):
+        raise ConfigError("psf must be finite")
     kh, kw = psf.shape
     if kh > geometry.height or kw > geometry.width:
         raise DimensionError(
@@ -89,12 +91,14 @@ def solve_x_update_pair(
 
 
 def symbol_products(band: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """One band times each symmetric circulant of a ``(..., height, width)``
-    stack of symbols; returns a ``(..., n)`` stack.
+    """A band, or a ``(..., n)`` stack of bands, times the symmetric
+    circulants of a ``(..., height, width)`` stack of symbols; the two stacks
+    broadcast against each other, so one band meets every symbol or band m
+    meets symbol m. Returns a ``(..., n)`` stack.
 
     A symbol holds the circulant's eigenvalues on the 2-D DFT grid. It must be
-    real and even, ``s[-f] = s[f]``, as a symmetric circulant's is, so one real
-    FFT of the band serves every symbol.
+    real and even, ``s[-f] = s[f]``, as a symmetric circulant's is, so a real
+    FFT of each band serves.
     """
     geometry = ImageGeometry(*symbols.shape[-2:])
     spectrum = np.fft.rfft2(geometry.to_grid(np.asarray(band, dtype=float)))

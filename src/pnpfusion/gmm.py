@@ -123,14 +123,17 @@ class EmConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.n_components >= 1:
-            raise ConfigError(f"n_components must be >= 1, got {self.n_components}")
+        count = self.n_components
+        if not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise ConfigError(
+                f"n_components must be an integer >= 1, got {self.n_components}"
+            )
         if not self.max_iters >= 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.loglik_rel_tol > 0:
             raise ConfigError("loglik_rel_tol must be positive")
-        if not self.noise_variance >= 0:
-            raise ConfigError("noise_variance must be nonnegative")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ConfigError("noise_variance must be nonnegative and finite")
 
 
 def eigt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,6 +348,8 @@ def train_em(
         raise ConfigError(
             f"need at least K={config.n_components} patches, got {patches.count}"
         )
+    if not np.all(np.isfinite(patches.patches)):
+        raise ConfigError("patches must be finite")
     model = _init_model(patches, config)
     sigma2, tol = config.noise_variance, config.loglik_rel_tol
     trace: list[float] = []

@@ -15,18 +15,12 @@ rho`` on the phi induced by the denoiser built with variance ``tau / rho``.
 :class:`~pnpfusion.denoiser.DataTerm` evaluates this objective and gives its
 dense minimizer.
 
-:func:`deblur_pair` solves the fixed-point equation by CG, so its report
-counts applications of D. Here ``A^T A = B^T B + lam I`` is circulant, and
-whenever a prior is trained and ``G = B^T B + (lam - rho) I`` is positive
-definite, i.e. ``min |b_hat|^2 + lam - rho > 0``, it solves the shifted system
-``(D + rho G^-1) w = G^-1 b``, ``x = D w``, preconditioned by the DFT-diagonal
-inverse of ``Dbar + rho G^-1`` with Dbar the circulant part of D
-(:func:`~pnpfusion.admm.solve_shifted_fixed_point`). Its trace holds the
-bound ``||G r|| / ||D b||`` on the fixed-point residual after each step and
-the residual recomputed at x after each run of steps. Otherwise, as when
-``rho > lam``, it preconditions by D alone
-(:func:`~pnpfusion.admm.solve_fixed_point`). Both stop at the same
-tolerance on the same fixed point.
+:func:`deblur_pair` solves the fixed-point equation by GMRES
+(:func:`solve_pair`), so its report counts applications of D. Here
+``A^T A = B^T B + lam I`` is circulant, so it is applied as one symbol
+product and is its own circulant part, and the preconditioner
+``(rho I + (A^T A - rho I) Dbar)^-1``, with Dbar the circulant part of D, is
+diagonal in the DFT basis for any rho and lam.
 :func:`run_admm_pair` runs the paper's ADMM iterations to the same point and
 stays as the reference.
 """
@@ -41,13 +35,13 @@ import numpy as np
 from .admm import (
     SolveReport,
     SolverConfig,
+    preconditioner_symbol,
     run_admm,
     solve_fixed_point,
-    solve_shifted_fixed_point,
 )
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
-from .errors import DimensionError
-from .fftops import CyclicBlur, apply_blur, solve_x_update_pair
+from .errors import ConfigError, DimensionError
+from .fftops import CyclicBlur, apply_blur, solve_x_update_pair, symbol_products
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
 
@@ -70,6 +64,8 @@ class PairScene:
         n = self.geometry.n
         if self.y_b.shape != (n,) or self.y_n.shape != (n,):
             raise DimensionError("pair images must both match the geometry")
+        if not (np.all(np.isfinite(self.y_b)) and np.all(np.isfinite(self.y_n))):
+            raise ConfigError("pair images must be finite")
         if self.sigma_b > 0 and self.sigma_b >= self.sigma_n:
             log.warning(
                 "expected sigma_b << sigma_n, got sigma_b=%g sigma_n=%g",
@@ -159,17 +155,45 @@ def run_admm_pair(
     return run_admm(problem, cfg, [zeros])
 
 
+def solve_pair(
+    scene: PairScene,
+    denoiser: LinearDenoiser | None,
+    cfg: SolverConfig,
+) -> tuple[np.ndarray, SolveReport]:
+    """The fixed point for a prepared scene/denoiser pair, by GMRES.
+
+    ``A^T A = B^T B + lam I`` is circulant, so it is applied as one symbol
+    product, and its circulant part is itself. GMRES is preconditioned by the
+    inverse of ``rho I + (A^T A - rho I) Dbar``, with Dbar the circulant part
+    of D (:func:`~pnpfusion.admm.solve_fixed_point`). Without a denoiser D is
+    the identity, the preconditioner is ``(A^T A)^-1`` and one step solves.
+    """
+    normal_symbol = scene.blur.power_spectrum + cfg.lam
+
+    def denoise(x):
+        return x if denoiser is None else denoise_image_fixed(x, denoiser)
+
+    denoise_symbol = 1.0 if denoiser is None else denoiser.circulant_symbol
+    inverse = preconditioner_symbol(normal_symbol, denoise_symbol, cfg.rho)
+    return solve_fixed_point(
+        pair_data_term(scene, cfg.lam),
+        denoise,
+        cfg.rho,
+        cfg,
+        precondition=lambda v: symbol_products(v, inverse),
+        normal=lambda v: symbol_products(v, normal_symbol),
+    )
+
+
 def deblur_pair(
     scene: PairScene, params: PairParams
 ) -> tuple[np.ndarray, SolveReport]:
     """Full pair pipeline: train on the noisy image, fuse both observations.
 
-    The fixed point is solved by CG to ``FIXED_POINT_RTOL``: on the shifted
-    system with the circulant preconditioner when a prior is trained and
-    ``min |b_hat|^2 + lam > rho``, else preconditioned by D (see the module
-    docstring). The solver config's ``primal_tol``/``dual_tol`` bound only
-    the ADMM reference. With ``tau == 0`` no prior is trained, D is the
-    identity and the result is the two-term least-squares fusion.
+    The fixed point is solved to ``FIXED_POINT_RTOL`` by :func:`solve_pair`.
+    The solver config's ``primal_tol``/``dual_tol`` bound only the ADMM
+    reference. With ``tau == 0`` no prior is trained, D is the identity and
+    the result is the two-term least-squares fusion.
     """
     cfg = params.solver
     denoiser = None
@@ -181,14 +205,4 @@ def deblur_pair(
             denoiser_variance=cfg.tau / cfg.rho,
             pure_linear=params.pure_linear,
         )
-
-    def denoise(x):
-        return x if denoiser is None else denoise_image_fixed(x, denoiser)
-
-    data = pair_data_term(scene, cfg.lam)
-    normal_symbol = scene.blur.power_spectrum + cfg.lam  # A^T A = B^T B + lam I
-    if denoiser is not None and normal_symbol.min() > cfg.rho:
-        return solve_shifted_fixed_point(
-            data, denoise, cfg.rho, cfg, normal_symbol, denoiser.circulant_symbol
-        )
-    return solve_fixed_point(data, denoise, cfg.rho, cfg)
+    return solve_pair(scene, denoiser, cfg)

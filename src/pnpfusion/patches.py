@@ -34,7 +34,8 @@ class ImageGeometry:
     bands: int = 1
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.bands < 1:
+        extents = (self.height, self.width, self.bands)
+        if not all(isinstance(e, (int, np.integer)) and e >= 1 for e in extents):
             raise DimensionError(
                 f"geometry must be positive, got {self.height}x{self.width}x{self.bands}"
             )
@@ -92,6 +93,8 @@ def patch_index_map(geometry: ImageGeometry, patch_side: int) -> np.ndarray:
     patch anchored at pixel ``i``.
     """
     h, w = geometry.height, geometry.width
+    if not (isinstance(patch_side, (int, np.integer)) and patch_side >= 1):
+        raise DimensionError(f"patch side must be a positive integer, got {patch_side}")
     if patch_side > h or patch_side > w:
         raise DimensionError(
             f"patch side {patch_side} exceeds image dimensions {h}x{w}"

@@ -19,9 +19,11 @@ parameter. :func:`hs_data_term` states the two data terms once, on the
 coefficients X; its :class:`~pnpfusion.denoiser.DataTerm` takes the weight
 on phi explicitly to evaluate this objective and give its dense minimizer.
 
-:func:`sharpen` solves the fixed-point equation by D-preconditioned CG
-(:func:`~pnpfusion.admm.solve_fixed_point`), so its report counts
-applications of D.
+:func:`sharpen` solves the fixed-point equation by GMRES (:func:`solve_hs`),
+so its report counts applications of D. Its preconditioner is diagonal in the
+DFT basis once the coefficient bands are rotated into the eigenbasis of
+``lam (R E)^T R E`` and the decimation mask is replaced by its mean
+(:func:`hs_normal_symbol`).
 :func:`run_salsa_hs` runs the paper's three-block SALSA scheme to the same
 point and stays as the reference; its third block is D.
 """
@@ -32,10 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import SolveReport, SolverConfig, run_admm, solve_fixed_point
+from .admm import (
+    SolveReport,
+    SolverConfig,
+    preconditioner_symbol,
+    run_admm,
+    solve_fixed_point,
+)
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
 from .errors import ConfigError, DimensionError
-from .fftops import CyclicBlur, blur_rows, solve_x_update_hs
+from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
 from .gmm import EmConfig, PatchWeights, train_em
 from .patches import ImageGeometry, PatchSet, extract_patches, remove_means
 
@@ -81,6 +89,8 @@ class HsScene:
             raise DimensionError(
                 f"y_m shape {self.y_m.shape} inconsistent with R and geometry"
             )
+        if not all(np.all(np.isfinite(a)) for a in (self.y_h, self.y_m, self.r)):
+            raise ConfigError("observations and spectral response must be finite")
         if np.any(self.r < 0):
             raise ConfigError("spectral response rows must be nonnegative")
 
@@ -280,6 +290,56 @@ def hs_data_term(scene: HsScene, basis: SubspaceBasis, lam: float) -> DataTerm:
     )
 
 
+def hs_normal_symbol(
+    scene: HsScene, basis: SubspaceBasis, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The circulant part of :func:`hs_data_term`'s ``A^T A``, as
+    ``(Q, symbols)``.
+
+    On the coefficients, ``A^T A X = ((X B) * mask) B^T + lam S X`` with
+    ``S = (R E)^T R E``. Averaged over every cyclic shift of the grid
+    (T. Chan, SIAM J. Sci. Stat. Comput. 1988) the mask becomes its mean, so
+    the circulant part is ``mean(mask) |b_hat|^2 + lam S``. In the eigenbasis
+    ``Q`` (k x k) of ``lam S``, with eigenvalues ``Lambda``, rotated band m has
+    the symbol ``mean(mask) |b_hat|^2 + Lambda_m``; ``symbols`` stacks them
+    as ``(k, height, width)``.
+    """
+    re = scene.r @ basis.e
+    spectral, rotation = np.linalg.eigh(lam * re.T @ re)
+    symbols = scene.mask.mean() * scene.blur.power_spectrum
+    return rotation, symbols + spectral[:, None, None]
+
+
+def solve_hs(
+    scene: HsScene,
+    basis: SubspaceBasis,
+    denoiser: LinearDenoiser | None,
+    cfg: SolverConfig,
+) -> tuple[np.ndarray, SolveReport]:
+    """The fixed point on the coefficients, by GMRES
+    (:func:`~pnpfusion.admm.solve_fixed_point`).
+
+    D acts on each coefficient band alone, so its circulant part Dbar commutes
+    with the rotation Q of :func:`hs_normal_symbol`, and the preconditioner
+    ``(rho I + (Abar - rho I) Dbar)^-1`` is one symbol product per rotated
+    band between two rotations. Without a denoiser D is the identity.
+    """
+    rotation, normal_symbol = hs_normal_symbol(scene, basis, cfg.lam)
+
+    def denoise(x):
+        return x if denoiser is None else denoise_image_fixed(x, denoiser)
+
+    denoise_symbol = 1.0 if denoiser is None else denoiser.circulant_symbol
+    inverse = preconditioner_symbol(normal_symbol, denoise_symbol, cfg.rho)
+    return solve_fixed_point(
+        hs_data_term(scene, basis, cfg.lam),
+        denoise,
+        cfg.rho,
+        cfg,
+        precondition=lambda v: rotation @ symbol_products(rotation.T @ v, inverse),
+    )
+
+
 class _HsProblem:
     """Callback bundle wiring one scene into the generic ADMM driver."""
 
@@ -329,10 +389,11 @@ def run_salsa_hs(
 def sharpen(
     scene: HsScene, params: SharpenParams
 ) -> tuple[np.ndarray, SolveReport]:
-    """Full sharpening pipeline: PCA basis, EM-trained denoiser, CG solve.
+    """Full sharpening pipeline: PCA basis, EM-trained denoiser, GMRES solve.
 
     Returns the reconstructed cube ``Z_hat = E X`` and the solve report. The
-    fixed point is solved to ``FIXED_POINT_RTOL``; the solver config's
+    fixed point is solved to ``FIXED_POINT_RTOL`` by :func:`solve_hs`; the
+    solver config's
     ``primal_tol``/``dual_tol`` bound only the SALSA reference. With
     ``tau == 0`` no GMM is trained and D is the identity.
     """
@@ -348,10 +409,5 @@ def sharpen(
             denoiser_variance=cfg.tau / cfg.rho,
             pure_linear=params.pure_linear,
         )
-
-    def denoise(x):
-        return x if denoiser is None else denoise_image_fixed(x, denoiser)
-
-    data = hs_data_term(scene, basis, cfg.lam)
-    x, report = solve_fixed_point(data, denoise, cfg.rho, cfg)
+    x, report = solve_hs(scene, basis, denoiser, cfg)
     return basis.e @ x, report

@@ -1,10 +1,15 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from pnpfusion import admm
 from pnpfusion.admm import (
     FIXED_POINT_RTOL,
     SolveReport,
     SolverConfig,
+    preconditioner_symbol,
     residuals,
     run_admm,
     solve_fixed_point,
@@ -70,6 +75,11 @@ class TestRunAdmm:
     def test_config_rejects_nan(self, field):
         with pytest.raises(ConfigError):
             SolverConfig(**{"rho": 1.0, field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["rho", "lam", "tau"])
+    def test_config_rejects_inf(self, field):
+        with pytest.raises(ConfigError):
+            SolverConfig(**{"rho": 1.0, field: float("inf")})
 
 
 class TestResiduals:
@@ -160,7 +170,7 @@ class TestSolveFixedPoint:
         _, report = solve_fixed_point(data, denoise, 0.3, SolverConfig(rho=0.3))
         # one call for the right-hand side, then one per matvec
         assert report.iterations_run == len(calls) - 1
-        # at most 8 CG steps on 8 unknowns, plus the recomputed residual
+        # at most 8 GMRES steps on 8 unknowns, plus the recomputed residual
         assert report.iterations_run <= 8 + 1
 
     @pytest.mark.parametrize("budget", [1, 2, 5])
@@ -231,7 +241,7 @@ class TestSolveFixedPoint:
         data = matrix_term(np.eye(6), target)
         x, report = solve_fixed_point(data, lambda v: v, 0.3, SolverConfig(rho=0.3))
         assert report.converged
-        assert report.iterations_run == 2  # one CG step, one residual
+        assert report.iterations_run == 2  # one GMRES step, one residual
         np.testing.assert_allclose(x, target, rtol=1e-14)
 
     def test_zero_target_gives_zero(self):
@@ -248,3 +258,80 @@ class TestSolveFixedPoint:
         assert len(report.primal_residuals) == report.iterations_run
         assert report.primal_residuals[-1] == report.final_primal
         assert not report.dual_residuals and not report.objective_trace
+
+    def test_exact_preconditioner_solves_in_one_step(self):
+        data, d = linear_problem(14)
+        a, rho = data.apply(np.eye(8)), 0.3
+        system = rho * np.eye(8) + (a.T @ a - rho * np.eye(8)) @ d
+        inverse = np.linalg.inv(system)
+        x, report = solve_fixed_point(
+            data, lambda v: d @ v, rho, SolverConfig(rho=rho),
+            precondition=lambda v: inverse @ v,
+        )
+        assert report.converged
+        assert report.iterations_run == 2  # one GMRES step, one residual
+        expected = np.linalg.solve(
+            rho * (np.eye(8) - d) + d @ a.T @ a, d @ a.T @ data.target
+        )
+        np.testing.assert_allclose(x, expected, rtol=1e-8)
+
+    def test_full_basis_restarts_from_the_recomputed_residual(self, monkeypatch):
+        monkeypatch.setattr(admm, "GMRES_BASIS", 3)
+        data, d = linear_problem(15, m=40, n=30)
+        a, rho = data.apply(np.eye(30)), 0.3
+        x, report = solve_fixed_point(data, lambda v: d @ v, rho, SolverConfig(rho=rho))
+        assert report.converged
+        # every run of three steps ends with the residual recomputed at x
+        assert report.iterations_run % 4 in (0, 2, 3)
+        assert report.iterations_run > 8
+        assert len(report.primal_residuals) == report.iterations_run
+        expected = np.linalg.solve(
+            rho * (np.eye(30) - d) + d @ a.T @ a, d @ a.T @ data.target
+        )
+        assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+    def test_step_entries_bound_the_fixed_point_residual(self, monkeypatch):
+        # each step's entry is ||r|| / ||D b|| for the GMRES residual r,
+        # which bounds the fixed-point residual ||D r|| / ||D b|| at x
+        data, d = linear_problem(16)
+        monkeypatch.setattr(admm, "GMRES_BASIS", 1)
+        _, report = solve_fixed_point(data, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
+        assert report.converged
+        trace = report.primal_residuals
+        assert len(trace) == report.iterations_run > 4
+        # a basis of one: step, recomputed residual, step, recomputed residual...
+        for step, recomputed in zip(trace[0::2], trace[1::2]):
+            assert recomputed <= step * (1 + 1e-10)
+
+    def test_report_is_strict_json(self):
+        data, d = linear_problem(17)
+        for budget in (1, 4, 1000):
+            _, report = solve_fixed_point(
+                data, lambda v: d @ v, 0.3, SolverConfig(rho=0.3, max_iters=budget)
+            )
+            text = json.dumps(asdict(report), allow_nan=False)
+            assert json.loads(text)["primal_residuals"] == report.primal_residuals
+            assert report.final_dual is None
+
+
+class TestPreconditionerSymbol:
+    def test_positive_for_any_rho(self):
+        rng = np.random.default_rng(0)
+        normal = rng.uniform(0.0, 2.0, (4, 5))
+        denoise = rng.uniform(-1e-3, 1 + 1e-3, (4, 5))
+        for rho in (1e-4, 0.3, 10.0):
+            inverse = preconditioner_symbol(normal, denoise, rho)
+            d = np.clip(denoise, 0, 1)
+            np.testing.assert_allclose(
+                inverse * (rho * (1 - d) + normal * d), 1.0, rtol=1e-14
+            )
+            assert np.all(inverse > 0)
+
+    def test_symbol_of_one_above_one_is_clipped(self):
+        # a circulant part of W can round to 1 + 2e-16 at the constant image
+        inverse = preconditioner_symbol(np.array([0.5]), np.array([1 + 2e-16]), 0.3)
+        assert inverse[0] == 2.0
+
+    def test_singular_frequency_gets_zero(self):
+        inverse = preconditioner_symbol(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 0.3)
+        np.testing.assert_array_equal(inverse, [0.0, 0.5])

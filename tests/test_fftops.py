@@ -119,6 +119,12 @@ class TestApplyBlur:
         with pytest.raises(DimensionError):
             make_cyclic_blur(np.ones((3, 3)) / 9, ImageGeometry(2, 5))
 
+    def test_nan_kernel_raises(self):
+        psf = np.ones((3, 3)) / 9
+        psf[1, 2] = np.nan
+        with pytest.raises(ConfigError):
+            make_cyclic_blur(psf, ImageGeometry(4, 4))
+
 
 GEOMETRIES = [(2, 2), (3, 3), (4, 4), (5, 7), (7, 5), (8, 8), (16, 16), (16, 9), (1, 8)]
 
@@ -141,6 +147,16 @@ class TestSymbolProducts:
         np.testing.assert_allclose(
             both[1], np.linalg.solve(normal + 0.5 * np.eye(geom.n), x), atol=1e-10
         )
+
+    def test_stack_meets_its_own_symbols(self):
+        geom = ImageGeometry(5, 6)
+        rng = np.random.default_rng(8)
+        power = make_cyclic_blur(random_kernel(rng, 3, 3), geom).power_spectrum
+        symbols = np.stack([power + 0.1, 2 * power, power**2])
+        bands = rng.standard_normal((3, geom.n))
+        got = symbol_products(bands, symbols)
+        for band, symbol, row in zip(bands, symbols, got):
+            np.testing.assert_array_equal(row, symbol_products(band, symbol))
 
 
 class TestSpectralSolves:

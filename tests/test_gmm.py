@@ -519,3 +519,21 @@ def test_em_config_rejects_nan(field):
     settings_ = {"n_components": 2, "noise_variance": 0.1, field: float("nan")}
     with pytest.raises(ConfigError):
         EmConfig(**settings_)
+
+
+def test_em_config_rejects_infinite_noise_variance():
+    with pytest.raises(ConfigError):
+        EmConfig(n_components=2, noise_variance=float("inf"))
+
+
+def test_em_config_rejects_fractional_components():
+    with pytest.raises(ConfigError):
+        EmConfig(n_components=2.5, noise_variance=0.1)
+
+
+def test_train_em_rejects_non_finite_patches():
+    geom = ImageGeometry(4, 4)
+    patches = np.random.default_rng(0).standard_normal((geom.n, 4))
+    patches[3, 1] = np.nan
+    with pytest.raises(ConfigError):
+        train_em(PatchSet(patches, 2, geom), EmConfig(2, noise_variance=0.1))

@@ -3,20 +3,16 @@ import logging
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pnpfusion
-from pnpfusion.admm import (
-    FIXED_POINT_RTOL,
-    SolverConfig,
-    solve_fixed_point,
-    solve_shifted_fixed_point,
-)
-from pnpfusion.denoiser import DataTerm, build_explicit_w, denoise_image_fixed
+from pnpfusion import pairdeblur
+from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
+from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
 from pnpfusion.errors import ConfigError, DivergenceError
 from pnpfusion.fftops import make_cyclic_blur
 from pnpfusion.gmm import EmConfig
@@ -27,6 +23,7 @@ from pnpfusion.pairdeblur import (
     deblur_pair,
     pair_data_term,
     run_admm_pair,
+    solve_pair,
     train_pair_denoiser,
 )
 from pnpfusion.patches import ImageGeometry
@@ -59,6 +56,23 @@ class TestSceneValidation:
                 geometry=geom,
             )
         assert any("sigma_b" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("image", ["y_b", "y_n"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_image_raises(self, image, value):
+        # a NaN in y_n once reached EM's k-means++ draw as "Probabilities
+        # contain NaN"
+        geom = ImageGeometry(4, 4)
+        images = {"y_b": np.zeros(16), "y_n": np.zeros(16)}
+        images[image][5] = value
+        with pytest.raises(ConfigError):
+            PairScene(
+                **images,
+                blur=make_cyclic_blur(np.ones((1, 1)), geom),
+                sigma_b=0.0,
+                sigma_n=0.1,
+                geometry=geom,
+            )
 
     def test_shape_mismatch_raises(self):
         from pnpfusion.errors import DimensionError
@@ -274,12 +288,14 @@ class TestFullPipeline:
         solver = SolverConfig(rho=0.1, lam=0.3, tau=0.05, max_iters=40)
         params = PairParams(patch_side=4, em=em, solver=solver)
         den = denoiser_of(scene, params)
-        _, shifted = deblur_pair(scene, params)
-        _, cg = solve_fixed_point(
-            pair_data_term(scene, 0.3), lambda v: denoise_image_fixed(v, den), 0.1, solver
+        _, gmres = deblur_pair(scene, params)
+        # rho > lam, and a budget that stops mid-run
+        _, wide = deblur_pair(
+            scene, replace(params, solver=replace(solver, rho=0.5, max_iters=4))
         )
         _, admm = run_admm_pair(scene, den, solver)
-        for report in (shifted, cg, admm):
+        assert gmres.converged and not wide.converged
+        for report in (gmres, wide, admm):
             # strict JSON: a field a solver leaves unset must not be NaN
             text = json.dumps(asdict(report), allow_nan=False)
             record = json.loads(text)
@@ -287,10 +303,10 @@ class TestFullPipeline:
             assert record["primal_residuals"] == report.primal_residuals
             assert len(record["primal_residuals"]) == report.iterations_run
         assert len(admm.dual_residuals) == len(admm.objective_trace) == 40
-        assert shifted.final_dual is None and cg.final_dual is None
+        assert gmres.final_dual is None and wide.final_dual is None
 
     def test_admm_tolerances_do_not_change_the_result(self):
-        # primal_tol/dual_tol bound run_admm only; CG stops at FIXED_POINT_RTOL
+        # primal_tol/dual_tol bound run_admm only; GMRES stops at FIXED_POINT_RTOL
         scene = scene_16(seed=16)
         em = EmConfig(
             n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
@@ -330,32 +346,29 @@ def relative_error(x, reference):
     return np.linalg.norm(x - reference) / np.linalg.norm(reference)
 
 
-def shifted_solve(scene, den, cfg, denoise=None, data=None):
-    """solve_shifted_fixed_point on the pair problem with the symbols
-    deblur_pair passes."""
-    if denoise is None:
-        def denoise(v):
-            return denoise_image_fixed(v, den)
-
-    return solve_shifted_fixed_point(
-        pair_data_term(scene, cfg.lam) if data is None else data,
-        denoise,
-        cfg.rho,
-        cfg,
-        scene.blur.power_spectrum + cfg.lam,
-        den.circulant_symbol,
-    )
-
-
 def both_solves(scene, den, cfg):
-    """``(x, report)`` of the D-preconditioned and of the shifted CG solve."""
-    cg = solve_fixed_point(
+    """``(x, report)`` of the pipeline's preconditioned solve and of the
+    unpreconditioned one."""
+    plain = solve_fixed_point(
         pair_data_term(scene, cfg.lam),
         lambda v: denoise_image_fixed(v, den),
         cfg.rho,
         cfg,
     )
-    return [cg, shifted_solve(scene, den, cfg)]
+    return [solve_pair(scene, den, cfg), plain]
+
+
+def check_admm_reference(scene, rho, tau, pure_linear, lam=0.3):
+    den = trained_denoiser(scene, rho, tau, pure_linear)
+    cfg = SolverConfig(
+        rho=rho, lam=lam, tau=tau, max_iters=5000, primal_tol=1e-10, dual_tol=1e-10
+    )
+    x_admm, admm_report = run_admm_pair(scene, den, cfg)
+    assert admm_report.converged
+    for x, report in both_solves(scene, den, cfg):
+        assert report.converged
+        assert report.iterations_run < admm_report.iterations_run
+        assert relative_error(x, x_admm) <= 1e-8
 
 
 class TestFixedPointSolve:
@@ -374,19 +387,10 @@ class TestFixedPointSolve:
 
     @pytest.mark.parametrize("pure_linear", [True, False])
     def test_matches_the_admm_reference(self, pure_linear):
-        scene = scene_16(seed=11)
-        rho, tau, lam = 0.08, 0.08, 0.3
-        den = trained_denoiser(scene, rho, tau, pure_linear)
-        cfg = SolverConfig(
-            rho=rho, lam=lam, tau=tau, max_iters=5000,
-            primal_tol=1e-10, dual_tol=1e-10,
-        )
-        x_admm, admm_report = run_admm_pair(scene, den, cfg)
-        assert admm_report.converged
-        for x, report in both_solves(scene, den, cfg):
-            assert report.converged
-            assert report.iterations_run < admm_report.iterations_run
-            assert relative_error(x, x_admm) <= 1e-8
+        check_admm_reference(scene_16(seed=11), 0.08, 0.08, pure_linear)
+
+    def test_matches_the_admm_reference_with_rho_above_lam(self):
+        check_admm_reference(scene_16(seed=11), 0.5, 0.05, pure_linear=False)
 
     @pytest.mark.parametrize(
         "rho,tau,pure_linear",
@@ -395,6 +399,8 @@ class TestFixedPointSolve:
             pytest.param(0.2, 0.05, True, id="0.2-0.05"),
             pytest.param(0.08, 0.08, False, id="0.08-0.08-practical"),
             pytest.param(0.2, 0.05, False, id="0.2-0.05-practical"),
+            pytest.param(0.5, 0.05, True, id="0.5-0.05"),
+            pytest.param(0.5, 0.05, False, id="0.5-0.05-practical"),
         ],
     )
     def test_matches_the_dense_minimizer(self, rho, tau, pure_linear):
@@ -421,82 +427,78 @@ class TestFixedPointSolve:
 
 
 class TestShiftedSolve:
-    """The shifted-system solve deblur_pair takes when G is positive definite."""
+    """The pair solve of the shifted system ``(rho I + G D) w = b``,
+    ``G = B^T B + (lam - rho) I``, whatever the sign of G."""
 
     @pytest.mark.parametrize(
-        "rho,shifted",
-        [pytest.param(0.1, True, id="lam-above-rho"),
-         pytest.param(0.5, False, id="lam-below-rho")],
+        "rho",
+        [pytest.param(0.1, id="lam-above-rho"), pytest.param(0.5, id="lam-below-rho")],
     )
-    def test_deblur_pair_selects_the_solve_by_the_shift(self, rho, shifted):
+    def test_deblur_pair_takes_one_solve_at_either_shift(self, rho):
         # scene_16's gauss8 has min |b_hat|^2 < 0.2, so G = B^T B + (0.3 - rho) I
-        # is positive definite at rho = 0.1 and not at rho = 0.5
+        # is positive definite at rho = 0.1 and indefinite at rho = 0.5
         scene = scene_16(seed=16)
         em = EmConfig(
             n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
         )
         solver = SolverConfig(rho=rho, lam=0.3, tau=0.05)
         params = PairParams(patch_side=4, em=em, solver=solver)
-        assert bool(scene.blur.power_spectrum.min() + 0.3 > rho) == shifted
         x, report = deblur_pair(scene, params)
-        den = denoiser_of(scene, params)
-        if shifted:
-            x_ref, ref = shifted_solve(scene, den, solver)
-        else:
-            x_ref, ref = solve_fixed_point(
-                pair_data_term(scene, 0.3),
-                lambda v: denoise_image_fixed(v, den),
-                rho,
-                solver,
-            )
+        x_ref, ref = solve_pair(scene, denoiser_of(scene, params), solver)
+        assert report.converged
         assert x.tobytes() == x_ref.tobytes()
         assert asdict(report) == asdict(ref)
 
-    def test_report_records_one_residual_per_application(self):
+    def test_report_records_one_residual_per_application(self, monkeypatch):
         scene = scene_16(seed=11, kernel="motion15")
         den = trained_denoiser(scene, 0.02, 0.01, pure_linear=False)
         calls = []
 
-        def denoise(v):
+        def counting(v, denoiser):
             calls.append(1)
-            return denoise_image_fixed(v, den)
+            return denoise_image_fixed(v, denoiser)
 
+        monkeypatch.setattr(pairdeblur, "denoise_image_fixed", counting)
         cfg = SolverConfig(rho=0.02, lam=0.2, tau=0.01)
-        _, report = shifted_solve(scene, den, cfg, denoise=denoise)
+        _, report = solve_pair(scene, den, cfg)
         assert report.converged
         # one call for D A^T t, then one per step and per recomputed residual
         assert report.iterations_run == len(calls) - 1
         assert len(report.primal_residuals) == report.iterations_run
         assert report.primal_residuals[-1] == report.final_primal
         assert report.final_primal <= FIXED_POINT_RTOL
-        _, cg = solve_fixed_point(pair_data_term(scene, 0.2), denoise, 0.02, cfg)
-        assert report.iterations_run < cg.iterations_run
+        _, plain = solve_fixed_point(
+            pair_data_term(scene, 0.2), lambda v: counting(v, den), 0.02, cfg
+        )
+        assert report.iterations_run < plain.iterations_run
 
     @pytest.mark.parametrize("budget", [1, 2, 5])
     def test_small_budget_is_unconverged(self, budget):
         scene = scene_16(seed=11)
         den = trained_denoiser(scene, 0.08, 0.08, pure_linear=False)
         cfg = SolverConfig(rho=0.08, lam=0.3, tau=0.08, max_iters=budget)
-        _, report = shifted_solve(scene, den, cfg)
+        _, report = solve_pair(scene, den, cfg)
         assert report.converged is False
         assert report.iterations_run <= budget
         assert len(report.primal_residuals) == report.iterations_run
 
-    def test_missed_true_residual_restarts_from_it(self):
+    def test_missed_true_residual_restarts_from_it(self, monkeypatch):
         # the first recomputed residual comes back perturbed, so it misses
         # the tolerance the steps met; the restart recovers the fixed point
         scene = scene_16(seed=11)
         den = trained_denoiser(scene, 0.08, 0.08, pure_linear=False)
         cfg = SolverConfig(rho=0.08, lam=0.3, tau=0.08)
-        data = pair_data_term(scene, 0.3)
+        blur = pairdeblur.apply_blur
         calls = []
 
-        def apply(x):
-            calls.append(1)
-            return data.apply(x) * (1 + 1e-6 * (len(calls) == 1))
+        def glitch(x, kernel, adjoint=False):
+            calls.append(adjoint)
+            scale = 1 + 1e-6 * (calls.count(False) == 1 and not adjoint)
+            return blur(x, kernel, adjoint=adjoint) * scale
 
-        glitch = DataTerm(apply, data.adjoint, data.target, data.shape)
-        x, report = shifted_solve(scene, den, cfg, data=glitch)
+        monkeypatch.setattr(pairdeblur, "apply_blur", glitch)
+        x, report = solve_pair(scene, den, cfg)
+        monkeypatch.undo()
         trace = report.primal_residuals
         missed = [
             k for k in range(1, len(trace))
@@ -504,21 +506,27 @@ class TestShiftedSolve:
         ]
         assert missed
         assert report.converged
-        expected = data.minimizer(0.08, build_explicit_w(den))
+        expected = pair_data_term(scene, 0.3).minimizer(0.08, build_explicit_w(den))
         assert relative_error(x, expected) <= 1e-9
 
-    def test_indefinite_denoiser_raises_divergence(self):
+    def test_indefinite_denoiser_raises_divergence(self, monkeypatch):
         scene = scene_16(seed=11)
         den = trained_denoiser(scene, 0.08, 0.08, pure_linear=False)
         cfg = SolverConfig(rho=0.08, lam=0.3, tau=0.08)
+        monkeypatch.setattr(
+            pairdeblur, "denoise_image_fixed", lambda v, d: -denoise_image_fixed(v, d)
+        )
         with pytest.raises(DivergenceError):
-            shifted_solve(scene, den, cfg, denoise=lambda v: -denoise_image_fixed(v, den))
+            solve_pair(scene, den, cfg)
 
-    def test_shift_that_is_not_positive_definite_raises(self):
+    def test_shift_that_is_not_positive_definite_solves(self):
         scene = scene_16(seed=11)
         den = trained_denoiser(scene, 0.5, 0.08, pure_linear=False)
-        with pytest.raises(ConfigError):
-            shifted_solve(scene, den, SolverConfig(rho=0.5, lam=0.3, tau=0.08))
+        assert scene.blur.power_spectrum.min() + 0.3 < 0.5
+        x, report = solve_pair(scene, den, SolverConfig(rho=0.5, lam=0.3, tau=0.08))
+        assert report.converged
+        expected = pair_data_term(scene, 0.3).minimizer(0.5, build_explicit_w(den))
+        assert relative_error(x, expected) <= 1e-9
 
 
 RUN_IN_FRESH_INTERPRETER = """

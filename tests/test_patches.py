@@ -202,3 +202,13 @@ class TestGridLayout:
         for bad in (np.zeros(12), np.zeros((2, 4, 3)), np.zeros((3, 5))):
             with pytest.raises(DimensionError):
                 geom.from_grid(bad)
+
+
+def test_fractional_geometry_raises():
+    with pytest.raises(DimensionError):
+        ImageGeometry(2.5, 3)
+
+
+def test_zero_patch_side_raises():
+    with pytest.raises(DimensionError):
+        extract_patches(np.zeros(9), ImageGeometry(3, 3), patch_side=0)

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from pnpfusion.admm import SolverConfig, solve_fixed_point
 from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
 from pnpfusion.errors import ConfigError
-from pnpfusion.fftops import blur_rows, make_cyclic_blur
+from pnpfusion.fftops import blur_rows, make_cyclic_blur, symbol_products
 from pnpfusion.gmm import EmConfig, train_em
 from pnpfusion.metrics import psnr
 from pnpfusion.patches import ImageGeometry
@@ -18,10 +19,12 @@ from pnpfusion.sharpen import (
     forward_hs,
     forward_ms,
     hs_data_term,
+    hs_normal_symbol,
     make_decimation_mask,
     pca_basis,
     run_salsa_hs,
     sharpen,
+    solve_hs,
     train_scene_denoiser,
     v1_update,
     v2_update,
@@ -92,6 +95,18 @@ class TestMask:
         mask[0] = 1
         with pytest.raises(ConfigError):
             decimation_factor(mask, ImageGeometry(4, 4))
+
+
+@pytest.mark.parametrize("field", ["y_h", "y_m", "r"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_scene_input_raises(field, value):
+    # a NaN in y_h once surfaced as LinAlgError from pca_basis's SVD, and one
+    # in y_m as "Probabilities contain NaN" from EM's k-means++ draw
+    scene = tiny_scene()
+    bad = getattr(scene, field).copy()
+    bad[0, 1] = value
+    with pytest.raises(ConfigError):
+        replace(scene, **{field: bad})
 
 
 class TestForwardModels:
@@ -446,7 +461,7 @@ class TestSharpenPipeline:
         assert psnr(scene.z, z_hat, peak=1.0) > 30.0
 
     def test_salsa_tolerances_do_not_change_the_result(self):
-        # primal_tol/dual_tol bound run_salsa_hs only; CG stops at FIXED_POINT_RTOL
+        # primal_tol/dual_tol bound run_salsa_hs only; GMRES stops at FIXED_POINT_RTOL
         scene = tiny_scene(seed=3)
         em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
         results = []
@@ -478,6 +493,15 @@ def trained_denoiser(scene, rho, tau, pure_linear=True):
 
 def relative_error(x, reference):
     return np.linalg.norm(x - reference) / np.linalg.norm(reference)
+
+
+def both_solves(scene, basis, den, cfg):
+    """``(x, report)`` of the pipeline's preconditioned solve and of the
+    unpreconditioned one."""
+    plain = solve_fixed_point(
+        hs_data_term(scene, basis, cfg.lam), coefficient_denoise(den), cfg.rho, cfg
+    )
+    return [solve_hs(scene, basis, den, cfg), plain]
 
 
 class TestFixedPointSolve:
@@ -521,12 +545,10 @@ class TestFixedPointSolve:
         )
         x_salsa, salsa_report = run_salsa_hs(scene, basis, den, cfg)
         assert salsa_report.converged
-        x, report = solve_fixed_point(
-            hs_data_term(scene, basis, lam), coefficient_denoise(den), rho, cfg
-        )
-        assert report.converged
-        assert report.iterations_run < salsa_report.iterations_run
-        assert relative_error(x, x_salsa) <= 1e-8
+        for x, report in both_solves(scene, basis, den, cfg):
+            assert report.converged
+            assert report.iterations_run < salsa_report.iterations_run
+            assert relative_error(x, x_salsa) <= 1e-8
 
     @pytest.mark.parametrize(
         "rho,tau,pure_linear",
@@ -542,12 +564,68 @@ class TestFixedPointSolve:
         lam = 0.5
         basis = pca_basis(scene.y_h, 2)
         den = trained_denoiser(scene, rho, tau, pure_linear)
-        data = hs_data_term(scene, basis, lam)
         cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
-        x, report = solve_fixed_point(data, coefficient_denoise(den), rho, cfg)
+        expected = hs_data_term(scene, basis, lam).minimizer(rho, build_explicit_w(den))
+        for x, report in both_solves(scene, basis, den, cfg):
+            assert report.converged
+            assert relative_error(x, expected) <= 1e-9
+
+    def test_rho_above_every_mixing_eigenvalue(self):
+        # G = A^T A - rho I is indefinite: rho exceeds lam * eig((RE)^T RE)
+        scene = tiny_scene(seed=17)
+        rho, tau, lam = 0.5, 0.05, 0.5
+        basis = pca_basis(scene.y_h, 2)
+        re = scene.r @ basis.e
+        assert np.linalg.eigvalsh(lam * re.T @ re).min() < rho
+        den = trained_denoiser(scene, rho, tau, pure_linear=False)
+        cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
+        expected = hs_data_term(scene, basis, lam).minimizer(rho, build_explicit_w(den))
+        x, report = solve_hs(scene, basis, den, cfg)
         assert report.converged
-        expected = data.minimizer(rho, build_explicit_w(den))
         assert relative_error(x, expected) <= 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_normal_symbol_is_the_shift_average(self, d):
+        # Chan's circulant part of A^T A: the dense normal matrix averaged over
+        # every cyclic shift of the grid, seen in the rotated bands Q^T X
+        scene = tiny_scene(seed=5, d=d)
+        basis = pca_basis(scene.y_h, 2)
+        data = hs_data_term(scene, basis, 0.4)
+        k, n = data.shape
+        geom = scene.geometry
+        a = np.column_stack([data.apply(e.reshape(k, n)) for e in np.eye(k * n)])
+        normal = (a.T @ a).reshape(k, n, k, n)
+        pixels = geom.to_grid(np.arange(n))
+        average = np.zeros_like(normal)
+        for shift in np.ndindex(geom.height, geom.width):
+            perm = geom.from_grid(np.roll(pixels, shift, axis=(0, 1)))
+            average += normal[:, perm][:, :, :, perm]
+        average /= n
+        rotation, symbols = hs_normal_symbol(scene, basis, 0.4)
+        rotated = np.einsum("am,aibj,bl->milj", rotation, average, rotation)
+        v = np.random.default_rng(6).standard_normal((k, n))
+        expected = symbol_products(v, symbols)
+        got = np.einsum("milj,lj->mi", rotated, v)
+        scale = np.abs(got).max()
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
+
+
+def test_benchmark_sized_scene_needs_few_applications():
+    # the hs-sharpen benchmark setting; preconditioned by D alone its solve
+    # took 40-43 applications of D
+    spec = HsSceneSpec(
+        ImageGeometry(32, 32), 64, 4, 4, decimation=4, snr_h_db=30.0,
+        snr_m_db=40.0, seed=11000,
+    )
+    scene = generate_hs_scene(spec)
+    em = EmConfig(8, scene.sigma_m**2, max_iters=100, loglik_rel_tol=1e-5)
+    params = SharpenParams(
+        n_subspace=4, patch_side=4, em=em,
+        solver=SolverConfig(rho=0.01, lam=0.1, tau=1e-4),
+    )
+    _, report = sharpen(scene, params)
+    assert report.converged
+    assert report.iterations_run <= 20
 
     def test_tau_zero_pipeline_is_the_least_squares_fit(self):
         scene = tiny_scene(seed=8)
