@@ -112,8 +112,8 @@ class LinearDenoiser:
         # Offset k = (kr, kc) of the patch anchored at (r, c) lands on pixel
         # (r + kr, c + kc), so row k of every M_i, rolled onto those pixels,
         # fills the s x s window of displacements that starts at -(kr, kc).
-        # Rolling the (N, K) weights gives the same rows as rolling the
-        # (N, n_p) block, and is cheaper.
+        # Rolling the (N, K) weights rolls the rows of their product with the
+        # filters at K/n_p of the cost, and each product reuses one buffer.
         for k in range(n_p):
             kr, kc = k % side, k // side
             rolled = np.roll(beta_t, (kc, kr), axis=(0, 1)).reshape(w * h, -1)

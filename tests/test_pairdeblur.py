@@ -434,7 +434,7 @@ class TestShiftedSolve:
         "rho",
         [pytest.param(0.1, id="lam-above-rho"), pytest.param(0.5, id="lam-below-rho")],
     )
-    def test_deblur_pair_takes_one_solve_at_either_shift(self, rho):
+    def test_deblur_pair_takes_one_solve(self, rho):
         # scene_16's gauss8 has min |b_hat|^2 < 0.2, so G = B^T B + (0.3 - rho) I
         # is positive definite at rho = 0.1 and indefinite at rho = 0.5
         scene = scene_16(seed=16)

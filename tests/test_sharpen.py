@@ -609,6 +609,20 @@ class TestFixedPointSolve:
         scale = np.abs(got).max()
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
 
+    def test_tau_zero_pipeline_is_the_least_squares_fit(self):
+        scene = tiny_scene(seed=8)
+        lam = 0.4
+        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2)
+        params = SharpenParams(
+            n_subspace=2, patch_side=2, em=em,
+            solver=SolverConfig(rho=0.3, lam=lam, tau=0.0),
+        )
+        z_hat, report = sharpen(scene, params)
+        assert report.converged
+        basis = pca_basis(scene.y_h, 2)
+        expected = basis.e @ hs_data_term(scene, basis, lam).minimizer(0.0)
+        assert relative_error(z_hat, expected) <= 1e-8
+
 
 def test_benchmark_sized_scene_needs_few_applications():
     # the hs-sharpen benchmark setting; preconditioned by D alone its solve
@@ -626,17 +640,3 @@ def test_benchmark_sized_scene_needs_few_applications():
     _, report = sharpen(scene, params)
     assert report.converged
     assert report.iterations_run <= 20
-
-    def test_tau_zero_pipeline_is_the_least_squares_fit(self):
-        scene = tiny_scene(seed=8)
-        lam = 0.4
-        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2)
-        params = SharpenParams(
-            n_subspace=2, patch_side=2, em=em,
-            solver=SolverConfig(rho=0.3, lam=lam, tau=0.0),
-        )
-        z_hat, report = sharpen(scene, params)
-        assert report.converged
-        basis = pca_basis(scene.y_h, 2)
-        expected = basis.e @ hs_data_term(scene, basis, lam).minimizer(0.0)
-        assert relative_error(z_hat, expected) <= 1e-8
