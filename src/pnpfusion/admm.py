@@ -163,73 +163,6 @@ def run_admm(problem, config: SolverConfig, init_v):
     return x, report
 
 
-class _Applications:
-    """The budget and per-application trace of :func:`solve_fixed_point`.
-
-    Applications of D are counted after the one that forms ``D A^T t``, and
-    every residual is relative to ``||D A^T t||``.
-    """
-
-    def __init__(self, denoise, rhs_norm: float, config: SolverConfig, report):
-        self.denoise = denoise
-        self.rhs_norm = rhs_norm
-        self.max_iters = config.max_iters
-        self.report = report
-
-    def apply_d(self, v):
-        """``D v``; raises unless ``v^T D v >= 0``, as for a PSD D."""
-        self.report.iterations_run += 1
-        dv = self.denoise(v)
-        if not float(np.vdot(v, dv)) >= 0:
-            raise DivergenceError(
-                f"v^T D v < 0 at application {self.report.iterations_run}"
-                " (D is not symmetric PSD)",
-                iteration=self.report.iterations_run,
-            )
-        return dv
-
-    def measure(self, norm: float) -> float:
-        """Append and return ``norm`` relative to ``||D A^T t||``."""
-        relative = float(norm) / self.rhs_norm
-        if not np.isfinite(relative):
-            raise DivergenceError(
-                f"non-finite residual at application {self.report.iterations_run}",
-                iteration=self.report.iterations_run,
-            )
-        self.report.primal_residuals.append(relative)
-        return relative
-
-    def budget_left(self) -> bool:
-        # room for one more step and the residual recomputed after it
-        return self.report.iterations_run + 2 <= self.max_iters
-
-    def finish(self, relative: float):
-        self.report.final_primal = relative
-        self.report.converged = relative <= FIXED_POINT_RTOL
-        return self.report
-
-
-def _start(data, denoise, config: SolverConfig):
-    """``b = A^T t``, ``D b`` and the trace; raises if ``D b`` is not finite."""
-    b = data.adjoint(data.target)
-    db = denoise(b)
-    rhs_norm = float(np.linalg.norm(db))
-    if not np.isfinite(rhs_norm):
-        raise DivergenceError("non-finite right-hand side", iteration=0)
-    return b, _Applications(denoise, rhs_norm, config, SolveReport())
-
-
-def _true_residual(data, b, x, rho, steps: _Applications):
-    """The fixed-point residual at x, measured as one application.
-
-    ``rho (x - D x) + D (A^T A x - b) = D (grad - rho x) + rho x``.
-    Returns ``grad = A^T A x - b`` and the relative norm.
-    """
-    grad = data.adjoint(data.apply(x)) - b
-    residual = steps.apply_d(grad - rho * x) + rho * x
-    return grad, steps.measure(np.linalg.norm(residual))
-
-
 def preconditioner_symbol(normal_symbol, denoise_symbol, rho: float):
     """Eigenvalues of ``M^-1``, ``M = rho I + (Abar - rho I) Dbar``, on the
     DFT grid.
@@ -242,10 +175,6 @@ def preconditioner_symbol(normal_symbol, denoise_symbol, rho: float):
     d = np.clip(denoise_symbol, 0.0, 1.0)
     m = rho * (1.0 - d) + normal_symbol * d
     return np.divide(1.0, m, out=np.zeros_like(m), where=m > 0)
-
-
-def _identity(v):
-    return v
 
 
 def _rotate(column, rotations, k: int):
@@ -261,7 +190,7 @@ def _rotate(column, rotations, k: int):
 
 def solve_fixed_point(
     data, denoise, rho: float, config: SolverConfig,
-    precondition=_identity, normal=None,
+    precondition=None, normal=None,
 ):
     """Solve ``rho (x - D x) + D A^T (A x - t) = 0`` by right-preconditioned
     GMRES.
@@ -279,11 +208,12 @@ def solve_fixed_point(
 
     which needs no ``D^-1`` and holds for any rho. GMRES (Saad & Schultz,
     SIAM J. Sci. Stat. Comput. 1986) solves it, right-preconditioned by
-    ``precondition``, which applies ``M^-1``; the pipelines pass the inverse
-    of ``M = rho I + (Abar - rho I) Dbar``, where Abar and Dbar are the
-    circulant parts of ``A^T A`` and D (T. Chan, SIAM J. Sci. Stat. Comput.
-    1988), so that M is diagonal in the DFT basis. ``normal`` applies
-    ``A^T A``, by default as ``data.adjoint(data.apply(v))``.
+    ``precondition``, which applies ``M^-1`` (the identity by default); the
+    pipelines pass the inverse of ``M = rho I + (Abar - rho I) Dbar``, where
+    Abar and Dbar are the circulant parts of ``A^T A`` and D (T. Chan, SIAM
+    J. Sci. Stat. Comput. 1988), so that M is diagonal in the DFT basis.
+    ``normal`` applies ``A^T A``, by default as
+    ``data.adjoint(data.apply(v))``.
 
     Each step applies D once, to the direction ``z = M^-1 v`` of the newest
     basis vector v. x accumulates from the stored ``D z`` and w from
@@ -303,21 +233,53 @@ def solve_fixed_point(
     :class:`DivergenceError` if a residual is non-finite or if ``z^T D z < 0``
     for a direction z, as happens when D is not PSD.
     """
+    if precondition is None:
+        def precondition(v):
+            return v
     if normal is None:
         def normal(v):
             return data.adjoint(data.apply(v))
 
-    b, steps = _start(data, denoise, config)
+    report = SolveReport()
+
+    def apply_d(v):
+        """``D v``, counted; raises unless ``v^T D v >= 0``, as for a PSD D."""
+        report.iterations_run += 1
+        dv = denoise(v)
+        if not float(np.vdot(v, dv)) >= 0:
+            raise DivergenceError(
+                f"v^T D v < 0 at application {report.iterations_run}"
+                " (D is not symmetric PSD)",
+                iteration=report.iterations_run,
+            )
+        return dv
+
+    def measure(norm) -> float:
+        """Append and return ``norm`` relative to ``||D b||``."""
+        relative = float(norm) / rhs_norm
+        if not np.isfinite(relative):
+            raise DivergenceError(
+                f"non-finite residual at application {report.iterations_run}",
+                iteration=report.iterations_run,
+            )
+        report.primal_residuals.append(relative)
+        return relative
+
+    b = data.adjoint(data.target)
+    rhs_norm = float(np.linalg.norm(denoise(b)))  # not counted
+    if not np.isfinite(rhs_norm):
+        raise DivergenceError("non-finite right-hand side", iteration=0)
     x = np.zeros(data.shape)
-    if steps.rhs_norm == 0:
-        return x, steps.finish(0.0)
+    if rhs_norm == 0:
+        report.converged, report.final_primal = True, 0.0
+        return x, report
 
     w = np.zeros_like(x)
     # np.empty touches no memory until a step writes its vector
     basis = np.empty((GMRES_BASIS + 1, x.size))
     images = np.empty((GMRES_BASIS, x.size))  # D z_k
     r = b
-    relative = float(np.linalg.norm(r)) / steps.rhs_norm
+    relative = float(np.linalg.norm(r)) / rhs_norm
     while True:
         # Arnoldi on (rho I + G D) M^-1. Givens rotations turn the Hessenberg
         # matrix into the upper triangle, so after k steps |g[k]| is ||r|| at
@@ -328,9 +290,14 @@ def solve_fixed_point(
         g[0] = np.linalg.norm(r)
         basis[0] = r.ravel() / g[0]
         k = 0
-        while relative > FIXED_POINT_RTOL and k < GMRES_BASIS and steps.budget_left():
+        # a step needs room for itself and the residual recomputed after it
+        while (
+            relative > FIXED_POINT_RTOL
+            and k < GMRES_BASIS
+            and report.iterations_run + 2 <= config.max_iters
+        ):
             z = precondition(basis[k].reshape(x.shape))
-            dz = steps.apply_d(z)
+            dz = apply_d(z)
             images[k] = dz.ravel()
             q = (rho * (z - dz) + normal(dz)).ravel()
             # classical Gram-Schmidt, run twice to keep the basis orthonormal
@@ -345,12 +312,20 @@ def solve_fixed_point(
             triangle[: k + 1, k] = column[: k + 1]
             g[k : k + 2] = rotations[k] * g[k] * (1, -1)
             k += 1
-            relative = steps.measure(abs(g[k]))
+            relative = measure(abs(g[k]))
         y = np.linalg.lstsq(triangle[:k, :k], g[:k], rcond=None)[0]
         x += (y @ images[:k]).reshape(x.shape)
         w += precondition((y @ basis[:k]).reshape(x.shape))
-        grad, relative = _true_residual(data, b, x, rho, steps)
-        if relative <= FIXED_POINT_RTOL or not steps.budget_left():
+        # the fixed-point residual at x, rho (x - D x) + D (A^T A x - b),
+        # measured as one application: D (grad - rho x) + rho x
+        grad = data.adjoint(data.apply(x)) - b
+        relative = measure(np.linalg.norm(apply_d(grad - rho * x) + rho * x))
+        if (
+            relative <= FIXED_POINT_RTOL
+            or report.iterations_run + 2 > config.max_iters
+        ):
             break
         r = -grad - rho * (w - x)
-    return x, steps.finish(relative)
+    report.final_primal = relative
+    report.converged = relative <= FIXED_POINT_RTOL
+    return x, report

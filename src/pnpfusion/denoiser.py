@@ -34,7 +34,7 @@ that objective densely as the test-scale oracle.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, SizeError
 from .gmm import GmmModel, PatchWeights, e_step
-from .patches import (
+from .patches import (  # perfbench/tracing.py patches the two unused names here
     ImageGeometry,
     assemble_patches,
     extract_patches,
@@ -232,19 +232,14 @@ def denoise_image_mmse(
 ) -> np.ndarray:
     """Exact-MMSE variant: posterior weights recomputed from the noisy input.
 
-    Mean handling is always on, with the practical patch map
-    ``(I - J) F_i (I - J) + J``; this is the nonlinear denoiser the fixed-
-    weight one linearizes, so it runs the patch pipeline on every call.
+    The E-step posterior of the input's zero-mean patches gives the weights,
+    and the practical operator built with them is applied to the input: this
+    is the nonlinear denoiser that the fixed-weight one linearizes.
     """
     patch_set = remove_means(extract_patches(image_band, geometry, model.patch_side))
-    beta = e_step(patch_set, model, noise_variance).beta
-    filters = component_filters(model, noise_variance)
-    filtered = np.zeros_like(patch_set.patches)
-    for j in range(filters.shape[0]):
-        # row-wise F_j y_i; the filters are symmetric
-        filtered += beta[j][:, None] * (patch_set.patches @ filters[j])
-    filtered -= filtered.mean(axis=1, keepdims=True)
-    return assemble_patches(restore_means(replace(patch_set, patches=filtered)))
+    weights = e_step(patch_set, model, noise_variance)
+    denoiser = LinearDenoiser(model, weights, noise_variance, geometry)
+    return denoise_image_fixed(image_band, denoiser)
 
 
 def build_explicit_w(denoiser: LinearDenoiser) -> ExplicitW:

@@ -1,7 +1,8 @@
 """Exception hierarchy with machine-readable categories.
 
-Every error raised by this package carries a ``category`` string so the CLI
-can report failures in a stable, parseable form on stderr.
+Every error raised by this package carries a ``category`` string, a stable
+name for its kind of failure. Nothing reads it yet: ROADMAP item 4 plans a
+command-line entry point that maps it to an exit status, or else its removal.
 """
 
 

@@ -6,9 +6,11 @@ the centered kernel. Every operator acts on one band or on a ``(..., n)``
 stack of bands alike: :class:`~pnpfusion.patches.ImageGeometry` lays the
 pixel axis out as the grid, and one FFT round trip does the rest.
 
-:func:`symbol_products` applies any symmetric circulant given by its
-eigenvalues (its symbol) on the DFT grid; both pipelines' fixed-point
-preconditioners are built that way.
+:func:`symbol_products` applies any real circulant given by its eigenvalues
+(its symbol) on the DFT grid. Such a symbol is Hermitian, ``s[-f] =
+conj(s[f])``, so one real FFT round trip serves: the blur and its adjoint
+(the PSF's transfer and its conjugate), the closed-form x-updates and both
+pipelines' fixed-point preconditioners all run through it.
 
 Right-multiplication conventions used by the sharpening updates: for a bands
 x pixels matrix, "X B" blurs each row and "X B^T" correlates each row, so the
@@ -56,18 +58,10 @@ def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
     return CyclicBlur(psf=psf, geometry=geometry, transfer=np.fft.fft2(padded))
 
 
-def _spectral(x: np.ndarray, blur: CyclicBlur, step) -> np.ndarray:
-    """``step`` applied to the 2-D spectrum of every band of a (..., n) stack."""
-    geometry = blur.geometry
-    grid = geometry.to_grid(np.asarray(x, dtype=float))
-    return geometry.from_grid(np.fft.ifft2(step(np.fft.fft2(grid))).real)
-
-
 def blur_rows(x: np.ndarray, blur: CyclicBlur, adjoint: bool = False) -> np.ndarray:
     """Circular convolution of every band of a (..., n) stack with the PSF
     (correlation when ``adjoint``)."""
-    transfer = np.conj(blur.transfer) if adjoint else blur.transfer
-    return _spectral(x, blur, lambda spectrum: spectrum * transfer)
+    return symbol_products(x, np.conj(blur.transfer) if adjoint else blur.transfer)
 
 
 # A single band is a stack too; the pair pipeline calls the operator by this name.
@@ -76,8 +70,7 @@ apply_blur = blur_rows
 
 def solve_x_update_hs(rhs: np.ndarray, blur: CyclicBlur) -> np.ndarray:
     """Row-wise solve of ``X (B B^T + 2 I) = rhs`` by spectral division."""
-    denom = blur.power_spectrum + 2.0
-    return _spectral(rhs, blur, lambda spectrum: spectrum / denom)
+    return symbol_products(rhs, 1.0 / (blur.power_spectrum + 2.0))
 
 
 def solve_x_update_pair(
@@ -86,19 +79,19 @@ def solve_x_update_pair(
     """Solve ``(B^T B + (lam + rho) I) x = rhs`` by spectral division."""
     if not (lam >= 0 and rho > 0):
         raise ConfigError(f"need lam >= 0 and rho > 0, got lam={lam}, rho={rho}")
-    denom = blur.power_spectrum + lam + rho
-    return _spectral(rhs, blur, lambda spectrum: spectrum / denom)
+    return symbol_products(rhs, 1.0 / (blur.power_spectrum + lam + rho))
 
 
 def symbol_products(band: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """A band, or a ``(..., n)`` stack of bands, times the symmetric
-    circulants of a ``(..., height, width)`` stack of symbols; the two stacks
-    broadcast against each other, so one band meets every symbol or band m
-    meets symbol m. Returns a ``(..., n)`` stack.
+    """A band, or a ``(..., n)`` stack of bands, times the real circulants
+    of a ``(..., height, width)`` stack of symbols; the two stacks broadcast
+    against each other, so one band meets every symbol or band m meets
+    symbol m. Returns a ``(..., n)`` stack.
 
-    A symbol holds the circulant's eigenvalues on the 2-D DFT grid. It must be
-    real and even, ``s[-f] = s[f]``, as a symmetric circulant's is, so a real
-    FFT of each band serves.
+    A symbol holds the circulant's eigenvalues on the 2-D DFT grid. A real
+    circulant's symbol is Hermitian, ``s[-f] = conj(s[f])`` (real and even
+    if the circulant is also symmetric), so a real FFT of each band serves
+    and only the half of the symbol it covers is read.
     """
     geometry = ImageGeometry(*symbols.shape[-2:])
     spectrum = np.fft.rfft2(geometry.to_grid(np.asarray(band, dtype=float)))

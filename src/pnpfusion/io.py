@@ -5,7 +5,8 @@ Containers (all little-endian):
 * ``PNPCUBE1``: magic ``PNPCUBE1``, u32 bands, u32 height, u32 width, f32
   samples band-major, row-major within each band.
 * ``PNPGMM1``: magic ``PNPGMM1``, u32 K, u32 n_p, f64 alphas[K], f64
-  covariances[K][n_p][n_p], u64 N, f64 beta[K][N]. Round-trips bit-exactly.
+  covariances[K][n_p][n_p], u64 N, f64 beta[K][N]. The alphas, and each
+  column of beta, sum to 1. Round-trips bit-exactly.
 * Matrices, masks and PSF kernels: plain text with a one-line
   ``<TAG> rows cols`` header (tags such as ``R``, ``MASK``, ``PSF``), then
   rows*cols finite reals, row-major.
@@ -13,7 +14,9 @@ Containers (all little-endian):
   per the PGM convention), mapped to floats in [0, 1].
 
 The binary readers require the exact length their header announces: a cut
-file and one with trailing bytes both raise :class:`FormatError`.
+file and one with trailing bytes both raise :class:`FormatError`. The
+writers refuse non-finite data, which the readers would refuse, with
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError
 from .gmm import GmmModel, PatchWeights
 from .patches import ImageGeometry
 
@@ -32,6 +35,9 @@ GMM_MAGIC = b"PNPGMM1"
 # Asymmetry and negative eigenvalues a stored covariance may show, relative
 # to its largest entry: round-off of the eigenvalue projection stays far below.
 PSD_RTOL = 1e-9
+# Distance from 1 that the sum of stored mixture weights, and of each patch's
+# component weights, may show: round-off of EM's normalization stays far below.
+SIMPLEX_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,10 +65,14 @@ class ImageCube:
 
 def write_cube(path, cube: ImageCube) -> None:
     geom = cube.geometry
+    with np.errstate(over="ignore"):
+        samples = geom.to_grid(cube.data).astype("<f4")
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError("cube samples must be finite in float32")
     with open(path, "wb") as fh:
         fh.write(CUBE_MAGIC)
         fh.write(struct.pack("<III", geom.bands, geom.height, geom.width))
-        fh.write(geom.to_grid(cube.data).astype("<f4").tobytes(order="C"))
+        fh.write(samples.tobytes(order="C"))
 
 
 def read_cube(path) -> ImageCube:
@@ -90,6 +100,9 @@ def read_cube(path) -> ImageCube:
 def write_gmm(path, model: GmmModel, weights: PatchWeights) -> None:
     k = model.n_components
     n_p = model.patch_dim
+    arrays = (model.alphas, model.covariances, weights.beta)
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ConfigError("GMM parameters and weights must be finite")
     with open(path, "wb") as fh:
         fh.write(GMM_MAGIC)
         fh.write(struct.pack("<II", k, n_p))
@@ -136,6 +149,9 @@ def read_gmm(path) -> tuple[GmmModel, PatchWeights]:
     for name, values in (("mixture weights", alphas), ("patch weights", beta)):
         if not np.all(np.isfinite(values) & (values >= 0)):
             raise FormatError(f"{path}: {name} must be finite and nonnegative")
+        # alphas is one point of the simplex, each column of beta another
+        if not np.all(np.abs(values.sum(axis=0) - 1) <= SIMPLEX_ATOL):
+            raise FormatError(f"{path}: {name} must sum to 1")
     for j, cov in enumerate(covs):
         if not _symmetric_psd(cov):
             raise FormatError(f"{path}: covariance {j} is not symmetric PSD")
@@ -159,6 +175,8 @@ def _symmetric_psd(cov: np.ndarray) -> bool:
 
 def write_text_matrix(path, tag: str, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"'{tag}' matrix values must be finite")
     with open(path, "w") as fh:
         fh.write(f"{tag} {matrix.shape[0]} {matrix.shape[1]}\n")
         for row in matrix:
@@ -211,6 +229,8 @@ def write_pgm(path, image: np.ndarray, geometry: ImageGeometry, bits: int = 8) -
     image = np.asarray(image, dtype=float)
     if image.ndim != 1:
         raise DimensionError(f"a graymap is one band, got shape {image.shape}")
+    if not np.all(np.isfinite(image)):
+        raise ConfigError("graymap samples must be finite")
     grid = geometry.to_grid(image)
     scaled = np.round(np.clip(grid, 0.0, 1.0) * maxval)
     with open(path, "wb") as fh:

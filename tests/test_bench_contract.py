@@ -52,3 +52,19 @@ def test_smoke_workload_solves_and_passes_its_gate(name):
     x, report = workloads.solve(workload, problem)
     _, reasons = workloads.gate(workload, problem, x, report)
     assert reasons == []
+
+
+@pytest.mark.parametrize("name", ["pair-iterate", "pair-train", "hs-sharpen"])
+def test_tracer_sees_every_layer_of_a_solve(name):
+    # a refactor that sent D, the blur or EM around the patched names would
+    # leave the per-layer metrics at 0 without failing the resolve tests
+    workloads = load_by_path("workloads")
+    workload = workloads.SMOKE_WORKLOADS[name]
+    (problem,) = workloads.build_inputs(workload, seed=1)
+    with TRACING.Tracer().installed() as tracer:
+        _, report = workloads.solve(workload, problem)
+    metrics = tracer.layer_metrics()
+    # one application of D forms the right-hand side D A^T t, uncounted
+    assert metrics["denoiser.apply_calls"] == report.iterations_run + 1
+    assert metrics["fftops.blur_calls"] > 0
+    assert metrics["gmm.em_iters"] > 0

@@ -97,6 +97,27 @@ def dense_reference(den):
     return out / n_p
 
 
+def zero_mean_posterior(y, den):
+    """``beta_ji`` proportional to ``alpha_j N(y_i - mean(y_i); 0, C_j + s2 I)``,
+    by dense solves, with patch i gathered as ``P_i`` in :func:`dense_reference`."""
+    h, w = den.geometry.height, den.geometry.width
+    side = den.model.patch_side
+    n_p = side * side
+    rows, cols = np.arange(den.geometry.n) % h, np.arange(den.geometry.n) // h
+    k = np.arange(n_p)
+    patches = y[(rows[:, None] + k % side) % h + ((cols[:, None] + k // side) % w) * h]
+    patches -= patches.mean(axis=1, keepdims=True)
+    log_densities = []
+    for alpha, c in zip(den.model.alphas, den.model.covariances):
+        cov = c + den.noise_variance * np.eye(n_p)
+        quadratic = np.sum(patches * np.linalg.solve(cov, patches.T).T, axis=1)
+        log_densities.append(
+            np.log(alpha) - 0.5 * (np.linalg.slogdet(cov)[1] + quadratic)
+        )
+    beta = np.exp(np.array(log_densities) - np.max(log_densities, axis=0))
+    return beta / beta.sum(axis=0)
+
+
 def shift_average(matrix, geometry):
     """``(1/n) sum_t S_t W S_t^T`` over every cyclic shift t of the grid."""
     h, w = geometry.height, geometry.width
@@ -244,6 +265,8 @@ class TestImageDenoise:
         fixed = denoise_image_fixed(y, den)
         mmse = denoise_image_mmse(y, den.model, den.noise_variance, den.geometry)
         np.testing.assert_allclose(fixed, mmse, rtol=1e-10)
+        # one component: the posterior weight of every patch is 1
+        np.testing.assert_allclose(mmse, dense_reference(den) @ y, rtol=1e-10)
 
     def test_mmse_equals_fixed_for_an_untrained_single_component(self):
         # a random covariance does not annihilate the constant patch, so the
@@ -253,6 +276,22 @@ class TestImageDenoise:
         fixed = denoise_image_fixed(y, den)
         mmse = denoise_image_mmse(y, den.model, den.noise_variance, den.geometry)
         np.testing.assert_allclose(fixed, mmse, rtol=1e-10)
+        # one component: the posterior weight of every patch is 1
+        np.testing.assert_allclose(mmse, dense_reference(den) @ y, rtol=1e-10)
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["random", "trained"])
+    def test_mmse_is_the_dense_map_at_the_input_posterior(self, trained):
+        geom = ImageGeometry(7, 6)
+        if trained:
+            den = train_random_denoiser(geom, 3, 3, seed=12, pure_linear=False)
+        else:
+            den = random_denoiser(geom, 3, 3, seed=5)
+        y = np.random.default_rng(6).standard_normal(geom.n)
+        beta = zero_mean_posterior(y, den)
+        assert beta.max(axis=0).min() < 0.9  # mixed weights, so they matter
+        reference = dense_reference(replace(den, weights=PatchWeights(beta=beta)))
+        mmse = denoise_image_mmse(y, den.model, den.noise_variance, geom)
+        np.testing.assert_allclose(mmse, reference @ y, rtol=1e-10)
 
     def test_denoising_improves_psnr_at_sigma_25(self):
         from pnpfusion.metrics import psnr

@@ -132,13 +132,20 @@ GEOMETRIES = [(2, 2), (3, 3), (4, 4), (5, 7), (7, 5), (8, 8), (16, 16), (16, 9),
 class TestSymbolProducts:
     @pytest.mark.parametrize("shape", GEOMETRIES)
     def test_matches_the_dense_circulants(self, shape):
-        # B^T B + c I has the real, even symbol |b_hat|^2 + c
+        # B^T B + c I has the real, even symbol |b_hat|^2 + c; the random,
+        # non-symmetric kernel's B and B^T have the complex, Hermitian symbols
+        # b_hat and conj(b_hat)
         geom = ImageGeometry(*shape)
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         kernel = random_kernel(rng, min(3, geom.height), min(3, geom.width))
+        transfer = make_cyclic_blur(kernel, geom).transfer
         power = make_cyclic_blur(kernel, geom).power_spectrum
         b = dense_blur_matrix_oracle(kernel, geom)
         x = rng.standard_normal(geom.n)
+        np.testing.assert_allclose(symbol_products(x, transfer), b @ x, atol=1e-12)
+        np.testing.assert_allclose(
+            symbol_products(x, np.conj(transfer)), b.T @ x, atol=1e-12
+        )
         normal = b.T @ b
         np.testing.assert_allclose(symbol_products(x, power), normal @ x, atol=1e-12)
         both = symbol_products(x, np.stack([power + 0.5, 1 / (power + 0.5)]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnpfusion.errors import DimensionError, FormatError
+from pnpfusion.errors import ConfigError, DimensionError, FormatError
 from pnpfusion.gmm import EmConfig, GmmModel, PatchWeights, train_em
 from pnpfusion.io import (
     ImageCube,
@@ -86,6 +86,17 @@ class TestCube:
         with pytest.raises(DimensionError):
             ImageCube(data=np.zeros((2, 10)), geometry=ImageGeometry(3, 4, 2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_writer_refuses_samples_that_are_not_finite_in_float32(
+        self, tmp_path, value
+    ):
+        data = np.zeros((2, 12))
+        data[1, 5] = value
+        path = tmp_path / "bad.cube"
+        with pytest.raises(ConfigError):
+            write_cube(path, ImageCube.from_matrix(data, 3, 4))
+        assert not path.exists()
+
 
 class TestGmmContainer:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -134,8 +145,10 @@ class TestGmmContainer:
             "nan_alpha",
             "inf_alpha",
             "negative_alpha",
+            "zero_alphas",
             "nan_beta",
             "negative_beta",
+            "beta_off_simplex",
             "negative_variance",
             "asymmetric",
             "indefinite",
@@ -157,10 +170,14 @@ class TestGmmContainer:
             alphas[1] = np.inf
         elif case == "negative_alpha":
             alphas = np.array([1.5, -0.5])
+        elif case == "zero_alphas":
+            alphas = np.zeros(2)
         elif case == "nan_beta":
             beta[0, 2] = np.nan
         elif case == "negative_beta":
             beta[:, 1] = [1.5, -0.5]
+        elif case == "beta_off_simplex":
+            beta[:, 1] = [0.5, 0.6]
         elif case == "negative_variance":
             covs[1, 2, 2] = -1.0
         elif case == "asymmetric":
@@ -180,6 +197,20 @@ class TestGmmContainer:
         )
         with pytest.raises(FormatError):
             read_gmm(path)
+
+    @pytest.mark.parametrize("part", ["alphas", "covariances", "beta"])
+    def test_writer_refuses_non_finite_values(self, tmp_path, part):
+        model = GmmModel(
+            alphas=np.array([0.5, 0.5]),
+            covariances=np.stack([np.eye(4), 2 * np.eye(4)]),
+            patch_side=2,
+        )
+        weights = PatchWeights(beta=np.full((2, 3), 0.5))
+        getattr(weights if part == "beta" else model, part).flat[1] = np.nan
+        path = tmp_path / "bad.gmm"
+        with pytest.raises(ConfigError):
+            write_gmm(path, model, weights)
+        assert not path.exists()
 
     @pytest.mark.parametrize("noise_variance", [0.0, 0.09, 1.0])
     def test_trained_models_load(self, tmp_path, noise_variance):
@@ -269,6 +300,21 @@ class TestTextFormats:
         with pytest.raises(FormatError):
             read_mask(path)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_matrix_writer_refuses_non_finite_values(self, tmp_path, value):
+        path = tmp_path / "r.txt"
+        with pytest.raises(ConfigError):
+            write_text_matrix(path, "R", np.array([[1.0, value]]))
+        assert not path.exists()
+
+    def test_mask_writer_refuses_non_finite_values(self, tmp_path):
+        mask = np.ones(12)
+        mask[3] = np.nan
+        path = tmp_path / "m.txt"
+        with pytest.raises(ConfigError):
+            write_mask(path, mask, ImageGeometry(3, 4))
+        assert not path.exists()
+
     def test_mask_writer_rejects_a_stack(self, tmp_path):
         with pytest.raises(DimensionError):
             write_mask(tmp_path / "m.txt", np.ones((2, 12), int), ImageGeometry(3, 4))
@@ -311,6 +357,15 @@ class TestPgm:
         path = tmp_path / "s.pgm"
         with pytest.raises(DimensionError):
             write_pgm(path, np.zeros((2, 12)), ImageGeometry(3, 4))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_writer_refuses_non_finite_samples(self, tmp_path, value):
+        image = np.full(12, 0.5)
+        image[7] = value
+        path = tmp_path / "n.pgm"
+        with pytest.raises(ConfigError):
+            write_pgm(path, image, ImageGeometry(3, 4))
         assert not path.exists()
 
     @pytest.mark.parametrize("header", [b"P5\n0 2\n255\n", b"P5\n2 0\n255\n"])
