@@ -10,11 +10,14 @@ With the weights frozen the whole map is one linear operator
 which :class:`LinearDenoiser` assembles once as a cyclic stencil: row p of W
 holds ``(2s-1)^2`` coefficients for side-s patches, one per displacement a
 patch can span, and every apply weights each pixel's wrapped window of
-neighbours by its row. The practical mode filters each patch's zero-mean part
-and passes its mean through, ``M_i = (I - J) F_i (I - J) + J`` with
-``J = 11^T/n_p``; the pure-linear mode has ``M_i = F_i``. Either way every
-M_i is symmetric with spectrum in ``[0, 1]``, so W is symmetric PSD with
-``||W|| <= 1`` and equals the proximity operator of
+neighbours by its row. The build forms only the displacements d >= 0 in
+lexicographic order, one slab of column displacement at a time, and writes
+the plane of -d as the plane of d rolled by d, so the stencil is symmetric
+bit for bit at every grid size. The practical mode filters each patch's
+zero-mean part and passes its mean through, ``M_i = (I - J) F_i (I - J) + J``
+with ``J = 11^T/n_p``; the pure-linear mode has ``M_i = F_i``. Either way
+every M_i is symmetric with spectrum in ``[0, 1]``, so W is symmetric PSD
+with ``||W|| <= 1`` and equals the proximity operator of
 
     phi(x) = indicator(x in span(W)) + 0.5 x^T Qbar (Lbar^-1 - I) Qbar^T x
 
@@ -96,6 +99,12 @@ class LinearDenoiser:
         weights the pixel at displacement ``(a - s + 1, b - s + 1)`` from
         pixel (r, c), wrapped onto the grid. On a grid narrower than 2s-1
         several displacements wrap onto one pixel and their entries add up.
+
+        Built one slab of column displacement ``dc >= 0`` at a time, from
+        the half of the displacements that is lexicographically nonnegative.
+        W is symmetric, so the plane of displacement -d is the plane of d
+        rolled by d; it is written as that copy, and every coefficient
+        equals its mirror bit for bit, whatever the grid size.
         """
         side = self.model.patch_side
         n_p = side * side
@@ -106,23 +115,40 @@ class LinearDenoiser:
             # (I - J) F_j (I - J): remove the mean of each row, then of each column
             filters = filters - filters.mean(axis=2, keepdims=True)
             filters -= filters.mean(axis=1, keepdims=True)
-        data = np.zeros((w, h, span, span))
-        beta_t = self.weights.beta.T.reshape(w, h, -1)
-        block = np.empty((w * h, n_p))
-        # Offset k = (kr, kc) of the patch anchored at (r, c) lands on pixel
-        # (r + kr, c + kc), so row k of every M_i, rolled onto those pixels,
-        # fills the s x s window of displacements that starts at -(kr, kc).
-        # Rolling the (N, K) weights rolls the rows of their product with the
-        # filters at K/n_p of the cost, and each product reuses one buffer.
-        for k in range(n_p):
-            kr, kc = k % side, k // side
-            rolled = np.roll(beta_t, (kc, kr), axis=(0, 1)).reshape(w * h, -1)
-            np.matmul(rolled, filters[:, k, :], out=block)  # row k of each M_i
+        # entries[k, k'] holds entry (k, k') of every M_j as one K-vector
+        entries = np.ascontiguousarray(filters.transpose(1, 2, 0))
+        beta = self.weights.beta
+        data = np.empty((w, h, span, span))
+        slab = np.empty((span, w, h))
+        mirror = np.empty((span, w, h))
+        for dc in range(side):
+            # slab[a] is the plane of displacement (a - s + 1, dc); at dc = 0
+            # only the planes a >= s - 1 are built, the others are mirrors
+            first = side - 1 if dc == 0 else 0
+            slab[first:] = 0.0
+            # Offset k = (kr, kc) of the patch anchored at pixel p lands on
+            # p + k, and its offsets k' = (kr', kc + dc) on the pixels at
+            # displacement (kr' - kr, dc) from there: entries (k, k') weighted
+            # by beta at p, rolled by k onto p + k, feed those planes.
+            for kc in range(side - dc):
+                for kr in range(side):
+                    low = kr if dc == 0 else 0
+                    start = (kc + dc) * side
+                    product = entries[kc * side + kr, start + low : start + side] @ beta
+                    slab[side - 1 - kr + low : span - kr] += np.roll(
+                        product.reshape(-1, w, h), (kc, kr), axis=(1, 2)
+                    )
             if not self.pure_linear:
-                block += 1.0 / n_p
-            window = data[:, :, side - 1 - kc : span - kc, side - 1 - kr : span - kr]
-            window += block.reshape(w, h, side, side)
-        data /= n_p
+                # J adds 1/n_p for each of the (s - |dr|)(s - dc) pairs (k, k')
+                pairs = (side - np.abs(np.arange(span) - side + 1)) * (side - dc)
+                slab[first:] += (pairs[first:] / n_p)[:, None, None]
+            slab[first:] /= n_p
+            for a in range(first, span):
+                mirror[span - 1 - a] = np.roll(slab[a], (dc, a - side + 1), axis=(0, 1))
+            data[:, :, side - 1 + dc, first:] = np.moveaxis(slab[first:], 0, -1)
+            data[:, :, side - 1 - dc, : span - first] = np.moveaxis(
+                mirror[: span - first], 0, -1
+            )
         return data
 
     @cached_property

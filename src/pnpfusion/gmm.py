@@ -7,13 +7,16 @@ eigenvalue thresholding. All likelihood work is done in the log domain.
 
 Each EM iteration works on all K components at once:
 
-* The M-step forms the K second moments ``sum_i beta_ji y_i y_i^T`` with one
-  ``(n_p x c) @ (c x K n_p)`` product per chunk of c patches, then projects
-  the whole ``(K, n_p, n_p)`` stack with one :func:`eigt` call. The model
-  keeps that factorisation as :attr:`GmmModel.spectrum`, the clipped
-  eigenvalues ``lambda+`` and eigenvectors V, so neither the E-step nor the
-  Wiener filters factor a covariance again. A model built any other way
-  computes its spectrum once, with one batched ``eigh``.
+* The M-step forms K - 1 of the second moments ``sum_i beta_ji y_i y_i^T``
+  with one ``(n_p x c) @ (c x (K-1) n_p)`` product per chunk of c patches;
+  the component with the largest energy is the Gram matrix ``Y^T Y`` minus
+  the others. The patch set computes its Gram matrix and squared norms once
+  for the whole EM run. One :func:`eigt` call projects the whole
+  ``(K, n_p, n_p)`` stack, and the model keeps that factorisation as
+  :attr:`GmmModel.spectrum`, the clipped eigenvalues ``lambda+`` and
+  eigenvectors V, so neither the E-step nor the Wiener filters factor a
+  covariance again. A model built any other way computes its spectrum once,
+  with one batched ``eigh``.
 * The E-step is rank-restricted. With ``v = max(lambda+ + sigma^2, floor)``
   and ``s_j = max(sigma^2, floor)``, the variance of every direction whose
   ``v`` equals ``s_j``, the Mahalanobis term of component j is
@@ -152,10 +155,11 @@ def eigt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _component_log_densities(
-    patches: np.ndarray, model: GmmModel, noise_variance: float
+    patches: PatchSet, model: GmmModel, noise_variance: float
 ) -> np.ndarray:
     """log alpha_j + log N(y_i; 0, C_j + sigma^2 I), shape (K, N)."""
-    n, n_p = patches.shape
+    y_all, norms = patches.patches, patches.squared_norms
+    n, n_p = y_all.shape
     if model.patch_dim != n_p:
         raise DimensionError(
             f"model patch dim {model.patch_dim} != patch dim {n_p}"
@@ -185,11 +189,11 @@ def _component_log_densities(
     out = np.empty((model.n_components, n))
     proj = np.empty((min(n, _CHUNK), owner.size))
     for start in range(0, n, _CHUNK):
-        y = patches[start : start + _CHUNK]
+        y = y_all[start : start + _CHUNK]
         p = np.matmul(y, basis, out=proj[: y.shape[0]])
         np.square(p, out=p)
         maha = p @ signed
-        maha += np.einsum("ij,ij->i", y, y)[:, None] * norm_weight
+        maha += norms[start : start + y.shape[0], None] * norm_weight
         out[:, start : start + y.shape[0]] = (offset - 0.5 * maha).T
     return out
 
@@ -206,7 +210,7 @@ def _posterior(
     patches: PatchSet, model: GmmModel, noise_variance: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities beta (K, N) and each patch's log density (N,)."""
-    logdens = _component_log_densities(patches.patches, model, noise_variance)
+    logdens = _component_log_densities(patches, model, noise_variance)
     col_logsum = _logsumexp(logdens)
     return np.exp(logdens - col_logsum), col_logsum
 
@@ -225,22 +229,35 @@ def log_likelihood(
     return float(np.sum(_posterior(patches, model, noise_variance)[1]))
 
 
-def _weighted_second_moments(y: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``sum_i beta_ji y_i y_i^T`` for every component j, shape (K, n_p, n_p)."""
+def _weighted_second_moments(patches: PatchSet, beta: np.ndarray) -> np.ndarray:
+    """``sum_i beta_ji y_i y_i^T`` for every component j, shape (K, n_p, n_p).
+
+    The columns of beta sum to 1, so the moments sum to the Gram matrix
+    ``Y^T Y``: the component with the largest energy
+    ``sum_i beta_ji ||y_i||^2`` is that matrix minus the other K - 1, which
+    one GEMM per chunk of patches forms. That component holds at least 1/K
+    of the total energy, so the subtraction costs it about K eps relative.
+    """
+    y = patches.patches
     n, n_p = y.shape
     k = beta.shape[0]
-    acc = np.zeros((n_p, k * n_p))
-    weighted = np.empty((min(n, _CHUNK), k, n_p))
+    largest = np.argmax(beta @ patches.squared_norms)
+    others = np.delete(np.arange(k), largest)
+    acc = np.zeros((n_p, (k - 1) * n_p))
+    weighted = np.empty((min(n, _CHUNK), k - 1, n_p))
     for start in range(0, n, _CHUNK):
         chunk = y[start : start + _CHUNK]
         c = chunk.shape[0]
         # weighted[i, j] = beta_ji y_i, so column block j of the product is
         # M_j; einsum writes it twice as fast as a broadcast np.multiply
         z = np.einsum(
-            "ij,ik->ijk", beta[:, start : start + c].T, chunk, out=weighted[:c]
+            "ij,ik->ijk", beta[others, start : start + c].T, chunk, out=weighted[:c]
         )
-        acc += chunk.T @ z.reshape(c, k * n_p)
-    return acc.reshape(n_p, k, n_p).transpose(1, 0, 2)
+        acc += chunk.T @ z.reshape(c, (k - 1) * n_p)
+    moments = np.empty((k, n_p, n_p))
+    moments[others] = acc.reshape(n_p, k - 1, n_p).transpose(1, 0, 2)
+    moments[largest] = patches.gram - moments[others].sum(axis=0)
+    return moments
 
 
 def m_step(
@@ -264,13 +281,12 @@ def m_step(
     totals = beta.sum(axis=1)
     alphas = totals / totals.sum()
     dead = totals < 1e-12
-    moments = _weighted_second_moments(y, beta)
+    moments = _weighted_second_moments(patches, beta)
     moments[~dead] /= totals[~dead, None, None]
     if np.any(dead):
         # least-claimed patch: smallest max responsibility, largest norm on ties
         confidence = beta.max(axis=0)
-        norms = np.einsum("ij,ij->i", y, y)
-        worst = int(np.lexsort((-norms, confidence))[0])
+        worst = int(np.lexsort((-patches.squared_norms, confidence))[0])
         log.warning(
             "reinitializing %d empty component(s) from patch %d",
             int(dead.sum()),
@@ -290,31 +306,27 @@ def _init_model(patches: PatchSet, config: EmConfig) -> GmmModel:
     y = patches.patches
     n, n_p = y.shape
     rng = np.random.default_rng(config.seed)
-    norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", y, y)), 1e-12)
-
-    def whitened(rows):
-        return y[rows] / norms[rows, None]
-
+    whitened = y / np.maximum(np.sqrt(patches.squared_norms), 1e-12)[:, None]
     k = config.n_components
     centers = np.empty((k, n_p))
-    centers[0] = whitened(rng.integers(n))
+    centers[0] = whitened[rng.integers(n)]
     dist2 = np.full(n, np.inf)
     for j in range(1, k):
         for start in range(0, n, _CHUNK):
             rows = slice(start, start + _CHUNK)
-            diff = whitened(rows) - centers[j - 1]
+            diff = whitened[rows] - centers[j - 1]
             dist2[rows] = np.minimum(dist2[rows], np.einsum("ij,ij->i", diff, diff))
         total = dist2.sum()
         if total <= 0:
-            centers[j] = whitened(rng.integers(n))
+            centers[j] = whitened[rng.integers(n)]
             continue
-        centers[j] = whitened(rng.choice(n, p=dist2 / total))
+        centers[j] = whitened[rng.choice(n, p=dist2 / total)]
     # hard-assign and build per-cluster second moments of the raw patches,
     # a chunk of patches and one centre at a time: the (N, K, n_p) difference
     # array would take 94 MB for a 96x96 band with K=20 and 8x8 patches
     labels = np.empty(n, dtype=np.intp)
     for start in range(0, n, _CHUNK):
-        chunk = whitened(slice(start, start + _CHUNK))
+        chunk = whitened[start : start + _CHUNK]
         d2 = np.stack([((chunk - c) ** 2).sum(axis=1) for c in centers], axis=1)
         labels[start : start + _CHUNK] = d2.argmin(axis=1)
     alphas = np.empty(k)

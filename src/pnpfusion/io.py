@@ -15,8 +15,9 @@ Containers (all little-endian):
 
 The binary readers require the exact length their header announces: a cut
 file and one with trailing bytes both raise :class:`FormatError`. The
-writers refuse non-finite data, which the readers would refuse, with
-:class:`ConfigError`.
+writers refuse with :class:`ConfigError`, before opening the file, what the
+readers would refuse: non-finite data and, for a mixture, weights off the
+simplex or covariances that are not symmetric PSD.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ def read_cube(path) -> ImageCube:
 def write_gmm(path, model: GmmModel, weights: PatchWeights) -> None:
     k = model.n_components
     n_p = model.patch_dim
-    arrays = (model.alphas, model.covariances, weights.beta)
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ConfigError("GMM parameters and weights must be finite")
+    problem = _gmm_problem(model.alphas, model.covariances, weights.beta)
+    if problem:
+        raise ConfigError(problem)
     with open(path, "wb") as fh:
         fh.write(GMM_MAGIC)
         fh.write(struct.pack("<II", k, n_p))
@@ -146,17 +147,27 @@ def read_gmm(path) -> tuple[GmmModel, PatchWeights]:
         .reshape(k, count)
         .copy()
     )
-    for name, values in (("mixture weights", alphas), ("patch weights", beta)):
-        if not np.all(np.isfinite(values) & (values >= 0)):
-            raise FormatError(f"{path}: {name} must be finite and nonnegative")
-        # alphas is one point of the simplex, each column of beta another
-        if not np.all(np.abs(values.sum(axis=0) - 1) <= SIMPLEX_ATOL):
-            raise FormatError(f"{path}: {name} must sum to 1")
-    for j, cov in enumerate(covs):
-        if not _symmetric_psd(cov):
-            raise FormatError(f"{path}: covariance {j} is not symmetric PSD")
+    problem = _gmm_problem(alphas, covs, beta)
+    if problem:
+        raise FormatError(f"{path}: {problem}")
     model = GmmModel(alphas=alphas, covariances=covs, patch_side=side)
     return model, PatchWeights(beta=beta)
+
+
+def _gmm_problem(
+    alphas: np.ndarray, covariances: np.ndarray, beta: np.ndarray
+) -> str | None:
+    """Why a mixture cannot be stored as ``PNPGMM1``, or None if it can."""
+    for name, values in (("mixture weights", alphas), ("patch weights", beta)):
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            return f"{name} must be finite and nonnegative"
+        # alphas is one point of the simplex, each column of beta another
+        if not np.all(np.abs(values.sum(axis=0) - 1) <= SIMPLEX_ATOL):
+            return f"{name} must sum to 1"
+    for j, cov in enumerate(covariances):
+        if not _symmetric_psd(cov):
+            return f"covariance {j} is not symmetric PSD"
+    return None
 
 
 def _symmetric_psd(cov: np.ndarray) -> bool:

@@ -19,6 +19,7 @@ averaging of put-back patches is the exact least-squares patch recombination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,16 @@ class PatchSet:
     @property
     def patch_dim(self) -> int:
         return self.patch_side * self.patch_side
+
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """``||y_i||^2`` of every patch row, shape (N,), computed once."""
+        return np.einsum("ij,ij->i", self.patches, self.patches)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``Y^T Y`` over the patch rows, shape (n_p, n_p), computed once."""
+        return self.patches.T @ self.patches
 
 
 def patch_index_map(geometry: ImageGeometry, patch_side: int) -> np.ndarray:

@@ -38,6 +38,28 @@ def train_random_denoiser(
     )
 
 
+def mirror_defect(denoiser: LinearDenoiser) -> float:
+    """Largest ``|W[p, p + d] - W[p + d, p]|`` over every stencil coefficient.
+
+    Entry d of pixel p is ``operator[p][d]`` and its mirror is entry -d of
+    pixel p + d, so the plane of -d, moved back by d, must equal the plane
+    of d.
+    """
+    stencil = denoiser.operator
+    span = stencil.shape[-1]
+    centre = span // 2
+    worst = 0.0
+    for b in range(span):
+        for a in range(span):
+            back = np.roll(
+                stencil[:, :, span - 1 - b, span - 1 - a],
+                (centre - b, centre - a),
+                axis=(0, 1),
+            )
+            worst = max(worst, float(np.abs(stencil[:, :, b, a] - back).max()))
+    return worst
+
+
 @pytest.fixture(scope="session")
 def small_denoiser():
     """One 12x12 trained denoiser reused by read-only tests."""

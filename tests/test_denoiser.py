@@ -21,7 +21,7 @@ from pnpfusion.errors import ConfigError, DimensionError, SizeError
 from pnpfusion.fftops import symbol_products
 from pnpfusion.gmm import GmmModel, PatchWeights
 from pnpfusion.patches import ImageGeometry
-from tests.conftest import train_random_denoiser
+from tests.conftest import mirror_defect, train_random_denoiser
 
 
 def random_psd(rng, dim, scale=1.0):
@@ -160,6 +160,23 @@ class TestOperator:
         np.testing.assert_allclose(
             denoise_image_fixed(stack, den), stack @ reference.T, rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("pure_linear", [True, False])
+    @pytest.mark.parametrize(
+        "height,width,side", [(12, 12, 3), (5, 7, 4), (8, 8, 8), (3, 4, 3)]
+    )
+    def test_every_coefficient_equals_its_mirror(self, height, width, side, pure_linear):
+        den = random_denoiser(
+            ImageGeometry(height, width), side, 3, seed=height * width + side,
+            pure_linear=pure_linear,
+        )
+        assert mirror_defect(den) == 0.0
+
+    def test_trained_operator_equals_its_mirror(self):
+        den = train_random_denoiser(
+            ImageGeometry(64, 64), 6, 8, seed=11, pure_linear=False
+        )
+        assert mirror_defect(den) == 0.0
 
     @pytest.mark.parametrize("height,width,side", [(12, 12, 3), (5, 7, 4)])
     def test_circulant_symbol_is_the_shift_average(self, height, width, side):

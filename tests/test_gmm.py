@@ -150,7 +150,7 @@ class TestLogDensities:
         beta = rng.dirichlet(np.ones(3), size=400).T
         model = m_step(make_patch_set(y), PatchWeights(beta=beta), sigma2)
         assert np.all((model.spectrum[0] == 0).sum(axis=1) >= 3)
-        got = _component_log_densities(y[:40], model, sigma2)
+        got = _component_log_densities(make_patch_set(y[:40]), model, sigma2)
         np.testing.assert_allclose(
             got, oracle_log_densities(y[:40], model, sigma2), rtol=1e-10
         )
@@ -159,7 +159,7 @@ class TestLogDensities:
         rng = np.random.default_rng(23)
         model = random_model(rng, 3, 6)
         y = rng.standard_normal((30, 6))
-        got = _component_log_densities(y, model, 0.0)
+        got = _component_log_densities(make_patch_set(y), model, 0.0)
         np.testing.assert_allclose(got, oracle_log_densities(y, model, 0.0), rtol=1e-10)
 
     def test_zero_covariance_without_noise_floors_and_matches(self, caplog):
@@ -169,7 +169,7 @@ class TestLogDensities:
         )
         y = rng.standard_normal((10, 4))
         with caplog.at_level(logging.WARNING):
-            got = _component_log_densities(y, model, 0.0)
+            got = _component_log_densities(make_patch_set(y), model, 0.0)
         assert any("flooring" in r.message for r in caplog.records)
         floored = GmmModel(
             alphas=model.alphas, covariances=1e-12 * np.eye(4)[None], patch_side=2
@@ -190,7 +190,7 @@ class TestLogDensities:
         else:
             model = random_model(rng, 3, 4)
             sigma2 = 0.0
-        got = _component_log_densities(y, model, sigma2)
+        got = _component_log_densities(make_patch_set(y), model, sigma2)
         np.testing.assert_allclose(
             got, per_component_log_densities(y, model, sigma2), rtol=1e-10
         )
@@ -336,11 +336,64 @@ class TestMStep:
         rng = np.random.default_rng(n)
         y = rng.standard_normal((n, 9))
         beta = rng.dirichlet(np.ones(4), size=n).T
-        got = _weighted_second_moments(y, beta)
+        got = _weighted_second_moments(make_patch_set(y), beta)
         for j in range(4):
             expected = (y.T * beta[j]) @ y
             scale = np.abs(expected).max()
             np.testing.assert_allclose(got[j], expected, rtol=0, atol=1e-12 * scale)
+
+    def test_most_patches_but_least_energy_is_summed_directly(self):
+        # component 0 claims most patches, but they are small: component 1
+        # holds the largest energy and is the one left to Y^T Y minus the rest
+        rng = np.random.default_rng(31)
+        n, few = _CHUNK + 1, 20
+        y = rng.standard_normal((n, 9))
+        y[few:] *= 1e-3
+        beta = np.zeros((3, n))
+        beta[1:, :few] = rng.dirichlet([20.0, 1.0], size=few).T
+        beta[:, few:] = rng.dirichlet([20.0, 1.0, 1.0], size=n - few).T
+        patch_set = make_patch_set(y)
+        assert np.argmax(beta.sum(axis=1)) == 0
+        assert np.argmax(beta @ patch_set.squared_norms) == 1
+        got = _weighted_second_moments(patch_set, beta)
+        for j in range(3):
+            expected = (y.T * beta[j]) @ y
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(got[j], expected, rtol=0, atol=1e-12 * scale)
+
+    def test_single_component_is_the_gram_matrix(self):
+        rng = np.random.default_rng(32)
+        y = rng.standard_normal((_CHUNK + 1, 9))
+        patch_set = make_patch_set(y)
+        got = _weighted_second_moments(patch_set, np.ones((1, y.shape[0])))
+        np.testing.assert_array_equal(got[0], patch_set.gram)
+        expected = y.T @ y
+        np.testing.assert_allclose(
+            got[0], expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+        )
+
+    def test_live_moments_beside_a_reseeded_component(self):
+        rng = np.random.default_rng(33)
+        n, sigma2 = _CHUNK + 1, 0.1
+        y = rng.standard_normal((n, 4))
+        beta = np.zeros((3, n))
+        beta[1:] = rng.dirichlet([1.0, 3.0], size=n).T  # component 0 is dead
+        patch_set = make_patch_set(y)
+        got = _weighted_second_moments(patch_set, beta)
+        for j in range(3):
+            expected = (y.T * beta[j]) @ y
+            scale = max(np.abs(expected).max(), 1.0)
+            np.testing.assert_allclose(got[j], expected, rtol=0, atol=1e-12 * scale)
+        model = m_step(patch_set, PatchWeights(beta=beta), sigma2)
+        for j in (1, 2):
+            live = (y.T * beta[j]) @ y / beta[j].sum() - sigma2 * np.eye(4)
+            np.testing.assert_allclose(
+                model.covariances[j], eigt(live)[0], rtol=0,
+                atol=1e-12 * np.abs(live).max(),
+            )
+        # the dead component is re-seeded, not left empty
+        assert np.trace(model.covariances[0]) > 0
+        assert model.alphas[0] > 0
 
     def test_rescued_component_is_seeded_from_the_least_claimed_patch(self):
         rng = np.random.default_rng(25)
@@ -509,6 +562,24 @@ class TestTrainEm:
         assert log_likelihood(ps, model, 0.1) == trace[-1]
         assert log_likelihood(ps, model, 0.1) >= trace[0]
         np.testing.assert_array_equal(beta.beta, e_step(ps, model, 0.1).beta)
+
+    def test_patch_norms_and_gram_computed_once(self, monkeypatch):
+        calls = []
+        for name in ("squared_norms", "gram"):
+            prop = PatchSet.__dict__[name]
+
+            def counting(patch_set, compute=prop.func, name=name):
+                calls.append(name)
+                return compute(patch_set)
+
+            monkeypatch.setattr(prop, "func", counting)
+        y = np.random.default_rng(34).standard_normal((_CHUNK + 1, 4))
+        cfg = EmConfig(
+            n_components=3, noise_variance=0.1, max_iters=5, loglik_rel_tol=1e-12
+        )
+        _, _, trace = train_em(make_patch_set(y), cfg)
+        assert len(trace) == cfg.max_iters + 1
+        assert sorted(calls) == ["gram", "squared_norms"]
 
 
 

@@ -212,6 +212,22 @@ class TestGmmContainer:
             write_gmm(path, model, weights)
         assert not path.exists()
 
+    @pytest.mark.parametrize("case", ["negative_alpha", "beta_off_simplex", "asymmetric"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, case):
+        alphas = np.array([0.5, 0.5])
+        covs = np.stack([np.eye(4), 2 * np.eye(4)])
+        beta = np.full((2, 3), 0.5)
+        if case == "negative_alpha":
+            alphas = np.array([1.5, -0.5])
+        elif case == "beta_off_simplex":
+            beta[:, 1] = [0.5, 0.6]
+        elif case == "asymmetric":
+            covs[0, 0, 1] = 0.5
+        path = tmp_path / "bad.gmm"
+        with pytest.raises(ConfigError):
+            write_gmm(path, GmmModel(alphas, covs, patch_side=2), PatchWeights(beta))
+        assert not path.exists()
+
     @pytest.mark.parametrize("noise_variance", [0.0, 0.09, 1.0])
     def test_trained_models_load(self, tmp_path, noise_variance):
         # the trained covariances have round-off eigenvalues down to about

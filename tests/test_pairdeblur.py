@@ -12,10 +12,11 @@ import pytest
 import pnpfusion
 from pnpfusion import pairdeblur
 from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
-from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
+from pnpfusion.denoiser import EXPLICIT_W_CAP, build_explicit_w, denoise_image_fixed
 from pnpfusion.errors import ConfigError, DivergenceError
 from pnpfusion.fftops import make_cyclic_blur
 from pnpfusion.gmm import EmConfig
+from pnpfusion.io import SIMPLEX_ATOL
 from pnpfusion.metrics import psnr
 from pnpfusion.pairdeblur import (
     PairParams,
@@ -28,6 +29,7 @@ from pnpfusion.pairdeblur import (
 )
 from pnpfusion.patches import ImageGeometry
 from pnpfusion.scenes import PairSceneSpec, generate_pair_scene
+from tests.conftest import mirror_defect
 from tests.test_fftops import dense_blur_matrix_oracle
 
 
@@ -527,6 +529,29 @@ class TestShiftedSolve:
         assert report.converged
         expected = pair_data_term(scene, 0.3).minimizer(0.5, build_explicit_w(den))
         assert relative_error(x, expected) <= 1e-9
+
+
+class TestTheoryAtScale:
+    def test_prox_conditions_hold_beyond_the_explicit_cap(self):
+        # W is symmetric, W 1 = 1, every patch map has spectrum in [0, 1] and
+        # the weights are convex: the conditions that make W a prox, checked
+        # at a size no dense W or eigensolver reaches
+        geometry = ImageGeometry(256, 256)
+        assert geometry.n > EXPLICIT_W_CAP
+        scene = generate_pair_scene(
+            PairSceneSpec(geometry, "gauss8", 25 / 255, 2 / 255, seed=5)
+        )
+        em = EmConfig(n_components=3, noise_variance=scene.sigma_n**2, max_iters=3)
+        den = train_pair_denoiser(scene, 4, em, denoiser_variance=scene.sigma_n**2)
+        assert mirror_defect(den) == 0.0
+        ones = np.ones(geometry.n)
+        np.testing.assert_allclose(denoise_image_fixed(ones, den), ones, rtol=0, atol=1e-12)
+        vals = den.model.spectrum[0]
+        shrink = vals / (vals + den.noise_variance)
+        assert np.all((shrink >= 0) & (shrink <= 1))
+        beta = den.weights.beta
+        assert beta.min() >= 0
+        assert np.abs(beta.sum(axis=0) - 1).max() <= SIMPLEX_ATOL
 
 
 RUN_IN_FRESH_INTERPRETER = """
