@@ -131,9 +131,9 @@ class LinearDenoiser:
             # displacement (kr' - kr, dc) from there: entries (k, k') weighted
             # by beta at p, rolled by k onto p + k, feed those planes.
             for kc in range(side - dc):
+                start = (kc + dc) * side
                 for kr in range(side):
                     low = kr if dc == 0 else 0
-                    start = (kc + dc) * side
                     product = entries[kc * side + kr, start + low : start + side] @ beta
                     slab[side - 1 - kr + low : span - kr] += np.roll(
                         product.reshape(-1, w, h), (kc, kr), axis=(1, 2)
