@@ -4,18 +4,20 @@ The package provides a patch-based Gaussian-mixture denoiser whose frozen
 per-patch weights make it a fixed symmetric PSD linear operator (each patch
 is filtered as ``(I - J) F_i (I - J) + J``, which passes its mean through),
 proximity-operator verification utilities for that operator, and two fusion
-pipelines built on it: hyperspectral sharpening and blurred/noisy pair
-deblurring. The operator is a cyclic stencil: each pixel's output weights
-the ``(2s-1) x (2s-1)`` window of wrapped neighbours its side-s patches
-span. The package needs only numpy.
+applications built on it: hyperspectral sharpening and blurred/noisy pair
+deblurring, which runs the sharpening pipeline on a one-band scene. The
+operator is a cyclic stencil: each pixel's output weights the
+``(2s-1) x (2s-1)`` window of wrapped neighbours its side-s patches span.
+The package needs only numpy.
 
 Because the frozen denoiser D is linear, the PnP fixed point is the solution
-of a linear system. Both pipelines solve it with one GMRES solve
+of a linear system. Both applications solve it with one GMRES solve
 (:func:`solve_fixed_point`), whose report counts applications of D, on
 ``(rho I + (A^T A - rho I) D) w = A^T t`` with ``x = D w``, preconditioned by
 the DFT-diagonal inverse built from the circulant parts of ``A^T A`` and D.
-The ADMM/SALSA iterations of the paper (:func:`run_admm`) stay as the
-reference that reaches the same point.
+The SALSA iterations of the paper (:func:`run_admm`) stay as the one
+reference that reaches the same point, and the sharpening data term's dense
+minimizer as the one oracle.
 """
 
 from .admm import (
@@ -67,12 +69,7 @@ from .gmm import (
     train_em,
 )
 from .metrics import ergas, psnr, psnr_per_band, sam
-from .pairdeblur import (
-    PairParams,
-    PairScene,
-    deblur_pair,
-    pair_data_term,
-)
+from .pairdeblur import PairParams, PairScene, deblur_pair
 from .patches import (
     ImageGeometry,
     PatchSet,

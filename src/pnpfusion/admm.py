@@ -189,8 +189,7 @@ def _rotate(column, rotations, k: int):
 
 
 def solve_fixed_point(
-    data, denoise, rho: float, config: SolverConfig,
-    precondition=None, normal=None,
+    data, denoise, rho: float, config: SolverConfig, precondition=None
 ):
     """Solve ``rho (x - D x) + D A^T (A x - t) = 0`` by right-preconditioned
     GMRES.
@@ -212,8 +211,6 @@ def solve_fixed_point(
     pipelines pass the inverse of ``M = rho I + (Abar - rho I) Dbar``, where
     Abar and Dbar are the circulant parts of ``A^T A`` and D (T. Chan, SIAM
     J. Sci. Stat. Comput. 1988), so that M is diagonal in the DFT basis.
-    ``normal`` applies ``A^T A``, by default as
-    ``data.adjoint(data.apply(v))``.
 
     Each step applies D once, to the direction ``z = M^-1 v`` of the newest
     basis vector v. x accumulates from the stored ``D z`` and w from
@@ -236,9 +233,6 @@ def solve_fixed_point(
     if precondition is None:
         def precondition(v):
             return v
-    if normal is None:
-        def normal(v):
-            return data.adjoint(data.apply(v))
 
     report = SolveReport()
 
@@ -299,7 +293,7 @@ def solve_fixed_point(
             z = precondition(basis[k].reshape(x.shape))
             dz = apply_d(z)
             images[k] = dz.ravel()
-            q = (rho * (z - dz) + normal(dz)).ravel()
+            q = (rho * (z - dz) + data.adjoint(data.apply(dz))).ravel()
             # classical Gram-Schmidt, run twice to keep the basis orthonormal
             h = basis[: k + 1] @ q
             q -= h @ basis[: k + 1]

@@ -9,8 +9,8 @@ pixel axis out as the grid, and one FFT round trip does the rest.
 :func:`symbol_products` applies any real circulant given by its eigenvalues
 (its symbol) on the DFT grid. Such a symbol is Hermitian, ``s[-f] =
 conj(s[f])``, so one real FFT round trip serves: the blur and its adjoint
-(the PSF's transfer and its conjugate), the closed-form x-updates and both
-pipelines' fixed-point preconditioners all run through it.
+(the PSF's transfer and its conjugate), the closed-form x-updates and the
+fixed-point preconditioner all run through it.
 
 Right-multiplication conventions used by the sharpening updates: for a bands
 x pixels matrix, "X B" blurs each row and "X B^T" correlates each row, so the
@@ -58,13 +58,25 @@ def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
     return CyclicBlur(psf=psf, geometry=geometry, transfer=np.fft.fft2(padded))
 
 
+def check_blur_grid(blur: CyclicBlur, geometry: ImageGeometry) -> None:
+    """Raise unless the blur was built for the geometry's height and width
+    (its band count may differ)."""
+    built = (blur.geometry.height, blur.geometry.width)
+    if built != (geometry.height, geometry.width):
+        raise DimensionError(
+            f"blur built for a {built[0]}x{built[1]} grid, "
+            f"scene is {geometry.height}x{geometry.width}"
+        )
+
+
 def blur_rows(x: np.ndarray, blur: CyclicBlur, adjoint: bool = False) -> np.ndarray:
     """Circular convolution of every band of a (..., n) stack with the PSF
     (correlation when ``adjoint``)."""
     return symbol_products(x, np.conj(blur.transfer) if adjoint else blur.transfer)
 
 
-# A single band is a stack too; the pair pipeline calls the operator by this name.
+# A single band is a stack too. The pipelines call blur_rows; the scene
+# generator and perfbench/ (also in pnpfusion.pairdeblur) use this name.
 apply_blur = blur_rows
 
 

@@ -21,6 +21,10 @@ log = logging.getLogger(__name__)
 
 def _as_cube(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
+    if a.ndim > 2:
+        raise DimensionError(
+            f"expected a band or a bands x pixels cube, got shape {a.shape}"
+        )
     return a[None, :] if a.ndim == 1 else a
 
 

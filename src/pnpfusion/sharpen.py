@@ -26,6 +26,10 @@ DFT basis once the coefficient bands are rotated into the eigenbasis of
 (:func:`hs_normal_symbol`).
 :func:`run_salsa_hs` runs the paper's three-block SALSA scheme to the same
 point and stays as the reference; its third block is D.
+
+Pair deblurring (:mod:`~pnpfusion.pairdeblur`) is the one-band case, with
+E = R = 1 and no decimation, so this solver, this reference and the dense
+minimizer of :func:`hs_data_term` serve both applications.
 """
 
 from __future__ import annotations
@@ -43,7 +47,13 @@ from .admm import (
 )
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
 from .errors import ConfigError, DimensionError
-from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
+from .fftops import (
+    CyclicBlur,
+    blur_rows,
+    check_blur_grid,
+    solve_x_update_hs,
+    symbol_products,
+)
 from .gmm import EmConfig, PatchWeights, train_em
 from .patches import ImageGeometry, PatchSet, extract_patches, remove_means
 
@@ -75,6 +85,7 @@ class HsScene:
 
     def __post_init__(self):
         n_m = self.geometry.n
+        check_blur_grid(self.blur, self.geometry)
         if self.mask.shape != (n_m,):
             raise DimensionError("mask length must equal the pixel count")
         if not np.all((self.mask == 0) | (self.mask == 1)):
@@ -160,11 +171,13 @@ def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
     """Top left-singular subspace of the observed spectra (no mean centering).
 
     Column signs are fixed so each column's largest-magnitude entry is
-    positive, making the basis deterministic.
+    positive, making the basis deterministic. ``n_dims`` must be an integer
+    in ``[1, min(y_h.shape)]``.
     """
-    if n_dims > min(y_h.shape):
+    bound = min(y_h.shape)
+    if not (isinstance(n_dims, (int, np.integer)) and 1 <= n_dims <= bound):
         raise ConfigError(
-            f"subspace dimension {n_dims} exceeds data rank bound {min(y_h.shape)}"
+            f"subspace dimension must be an integer in [1, {bound}], got {n_dims!r}"
         )
     u = np.linalg.svd(y_h, full_matrices=False)[0]
     e = u[:, :n_dims].copy()

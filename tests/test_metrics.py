@@ -135,3 +135,21 @@ class TestSam:
     def test_all_zero_raises(self):
         with pytest.raises(MetricError):
             sam(np.zeros((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        psnr,
+        psnr_per_band,
+        lambda ref, est: ergas(ref, est, 4.0),
+        sam,
+    ],
+    ids=["psnr", "psnr_per_band", "ergas", "sam"],
+)
+def test_inputs_with_more_than_two_dimensions_raise(metric):
+    # a (2, 3, 4) pair once gave PSNR 40 dB and SAM 0.718 degrees
+    rng = np.random.default_rng(0)
+    ref = rng.uniform(0.5, 1.0, size=(2, 3, 4))
+    with pytest.raises(DimensionError):
+        metric(ref, ref + 0.01)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import logging
 import os
@@ -10,10 +11,9 @@ import numpy as np
 import pytest
 
 import pnpfusion
-from pnpfusion import pairdeblur
 from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
 from pnpfusion.denoiser import EXPLICIT_W_CAP, build_explicit_w, denoise_image_fixed
-from pnpfusion.errors import ConfigError, DivergenceError
+from pnpfusion.errors import ConfigError, DimensionError, DivergenceError
 from pnpfusion.fftops import make_cyclic_blur
 from pnpfusion.gmm import EmConfig
 from pnpfusion.io import SIMPLEX_ATOL
@@ -22,13 +22,20 @@ from pnpfusion.pairdeblur import (
     PairParams,
     PairScene,
     deblur_pair,
-    pair_data_term,
-    run_admm_pair,
-    solve_pair,
     train_pair_denoiser,
 )
 from pnpfusion.patches import ImageGeometry
 from pnpfusion.scenes import PairSceneSpec, generate_pair_scene
+from pnpfusion.sharpen import (
+    HsScene,
+    SharpenParams,
+    SubspaceBasis,
+    hs_data_term,
+    run_salsa_hs,
+    sharpen,
+    solve_hs,
+    train_scene_denoiser,
+)
 from tests.conftest import mirror_defect
 from tests.test_fftops import dense_blur_matrix_oracle
 
@@ -42,6 +49,45 @@ def scene_16(seed=7, kernel="gauss8", sigma_n=25 / 255, sigma_b=2 / 255):
         seed=seed,
     )
     return generate_pair_scene(spec)
+
+
+# the package's ``sharpen`` attribute is the pipeline function
+sharpen_module = importlib.import_module("pnpfusion.sharpen")
+
+# The pair model is sharpening with E = R = 1 and no decimation: the
+# one-band scene below, on the one-dimensional basis.
+ONE = SubspaceBasis(e=np.ones((1, 1)))
+
+
+def one_band(scene):
+    """The pair as the one-band sharpening scene, built by hand."""
+    return HsScene(
+        y_h=scene.y_b[None],
+        y_m=scene.y_n[None],
+        blur=scene.blur,
+        mask=np.ones(scene.geometry.n, dtype=int),
+        r=np.ones((1, 1)),
+        sigma_h=scene.sigma_b,
+        sigma_m=scene.sigma_n,
+        geometry=scene.geometry,
+    )
+
+
+def pair_data(scene, lam):
+    """The pair's two data terms, on a ``(1, n)`` coefficient row."""
+    return hs_data_term(one_band(scene), ONE, lam)
+
+
+def salsa(scene, denoiser, cfg):
+    """The one-band SALSA reference, returning a pixel vector."""
+    x, report = run_salsa_hs(one_band(scene), ONE, denoiser, cfg)
+    return x[0], report
+
+
+def gmres(scene, denoiser, cfg):
+    """The one-band GMRES solve that deblur_pair takes, returning a pixel vector."""
+    x, report = solve_hs(one_band(scene), ONE, denoiser, cfg)
+    return x[0], report
 
 
 class TestSceneValidation:
@@ -77,8 +123,6 @@ class TestSceneValidation:
             )
 
     def test_shape_mismatch_raises(self):
-        from pnpfusion.errors import DimensionError
-
         geom = ImageGeometry(4, 4)
         blur = make_cyclic_blur(np.ones((1, 1)), geom)
         with pytest.raises(DimensionError):
@@ -86,6 +130,25 @@ class TestSceneValidation:
                 y_b=np.zeros(15),
                 y_n=np.zeros(16),
                 blur=blur,
+                sigma_b=0.0,
+                sigma_n=0.1,
+                geometry=geom,
+            )
+
+    @pytest.mark.parametrize(
+        "geom,built_for",
+        [
+            pytest.param(ImageGeometry(16, 16), ImageGeometry(8, 8), id="smaller"),
+            pytest.param(ImageGeometry(4, 6), ImageGeometry(6, 4), id="transposed"),
+        ],
+    )
+    def test_blur_built_on_another_grid_raises(self, geom, built_for):
+        # once leaked numpy's "operands could not be broadcast" from the solve
+        with pytest.raises(DimensionError):
+            PairScene(
+                y_b=np.zeros(geom.n),
+                y_n=np.zeros(geom.n),
+                blur=make_cyclic_blur(np.ones((1, 1)), built_for),
                 sigma_b=0.0,
                 sigma_n=0.1,
                 geometry=geom,
@@ -111,7 +174,7 @@ class TestAnalyticLimits:
             rho=1.0, lam=lam, tau=0.0, max_iters=2000,
             primal_tol=1e-11, dual_tol=1e-11,
         )
-        x, report = run_admm_pair(scene, None, cfg)
+        x, report = salsa(scene, None, cfg)
         assert report.converged
         np.testing.assert_allclose(
             x, (scene.y_b + lam * scene.y_n) / (1 + lam), rtol=1e-8
@@ -124,7 +187,7 @@ class TestAnalyticLimits:
             rho=0.5, lam=lam, tau=0.0, max_iters=2000,
             primal_tol=1e-11, dual_tol=1e-11,
         )
-        x, _ = run_admm_pair(scene, None, cfg)
+        x, _ = salsa(scene, None, cfg)
         b = dense_blur_matrix_oracle(scene.blur.psf, scene.geometry)
         expected = np.linalg.solve(
             b.T @ b + lam * np.eye(scene.geometry.n),
@@ -132,14 +195,14 @@ class TestAnalyticLimits:
         )
         rel = np.linalg.norm(x - expected) / np.linalg.norm(expected)
         assert rel <= 1e-5
-        oracle = pair_data_term(scene, lam).minimizer(0.0)
+        oracle = pair_data(scene, lam).minimizer(0.0)[0]
         np.testing.assert_allclose(oracle, expected, rtol=1e-10, atol=1e-12)
 
     def test_large_lambda_pins_noisy_channel(self):
         scene = scene_16()
         lam = 1e6
         cfg = SolverConfig(rho=1.0, lam=lam, tau=0.0, max_iters=500)
-        x, _ = run_admm_pair(scene, None, cfg)
+        x, _ = salsa(scene, None, cfg)
         assert np.linalg.norm(x - scene.y_n) < 1e-3 * np.linalg.norm(
             x - scene.y_b
         )
@@ -161,9 +224,9 @@ class TestAdmmVsOracle:
             rho=rho, lam=lam, tau=tau, max_iters=5000,
             primal_tol=1e-10, dual_tol=1e-10,
         )
-        x, report = run_admm_pair(scene, den, cfg)
+        x, report = salsa(scene, den, cfg)
         assert report.converged
-        expected = pair_data_term(scene, lam).minimizer(rho, w)
+        expected = pair_data(scene, lam).minimizer(rho, w)[0]
         rel = np.linalg.norm(x - expected) / np.linalg.norm(expected)
         assert rel <= 1e-5
 
@@ -177,7 +240,7 @@ class TestAdmmVsOracle:
             scene, 4, em, denoiser_variance=tau / rho, pure_linear=True
         )
         w = build_explicit_w(den)
-        data = pair_data_term(scene, lam)
+        data = pair_data(scene, lam)
         x_star = data.minimizer(rho, w)
         f_star = data.objective(x_star, rho, w)
         rng = np.random.default_rng(1)
@@ -198,18 +261,18 @@ class TestAdmmVsOracle:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(scene.geometry.n)
         x -= w.basis @ (w.basis.T @ x)
-        assert pair_data_term(scene, 0.3).objective(x, 0.5, w) == float("inf")
+        assert pair_data(scene, 0.3).objective(x[None], 0.5, w) == float("inf")
 
     def test_tau_zero_objective_matches_dense_evaluation(self):
         scene = scene_16(seed=15)
         lam = 0.4
-        data = pair_data_term(scene, lam)
-        x = data.minimizer(0.0)
+        data = pair_data(scene, lam)
+        x = data.minimizer(0.0)[0]
         b = dense_blur_matrix_oracle(scene.blur.psf, scene.geometry)
         expected = 0.5 * np.sum((b @ x - scene.y_b) ** 2) + 0.5 * lam * np.sum(
             (x - scene.y_n) ** 2
         )
-        assert data.objective(x, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert data.objective(x[None], 0.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFullPipeline:
@@ -253,7 +316,7 @@ class TestFullPipeline:
             ),
             pure_linear=True,
         )
-        _, report = run_admm_pair(scene, denoiser_of(scene, params), params.solver)
+        _, report = salsa(scene, denoiser_of(scene, params), params.solver)
         assert report.converged
         assert report.iterations_run <= 1000
         assert report.final_primal < 1e-6 and report.final_dual < 1e-6
@@ -265,10 +328,10 @@ class TestFullPipeline:
         )
         solver = SolverConfig(rho=0.1, lam=0.3, tau=0.05, max_iters=40)
         params = PairParams(patch_side=4, em=em, solver=solver)
-        x, report = run_admm_pair(scene, denoiser_of(scene, params), solver)
+        x, report = salsa(scene, denoiser_of(scene, params), solver)
         assert len(report.objective_trace) == report.iterations_run == 40
-        data = pair_data_term(scene, 0.3)
-        assert report.objective_trace[-1] == data.objective(x, 0.0)
+        data = pair_data(scene, 0.3)
+        assert report.objective_trace[-1] == data.objective(x[None], 0.0)
 
     def test_cg_history_has_one_residual_per_denoiser_application(self):
         scene = scene_16(seed=16)
@@ -295,7 +358,7 @@ class TestFullPipeline:
         _, wide = deblur_pair(
             scene, replace(params, solver=replace(solver, rho=0.5, max_iters=4))
         )
-        _, admm = run_admm_pair(scene, den, solver)
+        _, admm = salsa(scene, den, solver)
         assert gmres.converged and not wide.converged
         for report in (gmres, wide, admm):
             # strict JSON: a field a solver leaves unset must not be NaN
@@ -351,13 +414,13 @@ def relative_error(x, reference):
 def both_solves(scene, den, cfg):
     """``(x, report)`` of the pipeline's preconditioned solve and of the
     unpreconditioned one."""
-    plain = solve_fixed_point(
-        pair_data_term(scene, cfg.lam),
+    x, plain = solve_fixed_point(
+        pair_data(scene, cfg.lam),
         lambda v: denoise_image_fixed(v, den),
         cfg.rho,
         cfg,
     )
-    return [solve_pair(scene, den, cfg), plain]
+    return [gmres(scene, den, cfg), (x[0], plain)]
 
 
 def check_admm_reference(scene, rho, tau, pure_linear, lam=0.3):
@@ -365,7 +428,7 @@ def check_admm_reference(scene, rho, tau, pure_linear, lam=0.3):
     cfg = SolverConfig(
         rho=rho, lam=lam, tau=tau, max_iters=5000, primal_tol=1e-10, dual_tol=1e-10
     )
-    x_admm, admm_report = run_admm_pair(scene, den, cfg)
+    x_admm, admm_report = salsa(scene, den, cfg)
     assert admm_report.converged
     for x, report in both_solves(scene, den, cfg):
         assert report.converged
@@ -376,7 +439,7 @@ def check_admm_reference(scene, rho, tau, pure_linear, lam=0.3):
 class TestFixedPointSolve:
     def test_adjoint_passes_the_dot_product_test(self):
         scene = scene_16(seed=5, kernel="motion15")
-        data = pair_data_term(scene, 0.3)
+        data = pair_data(scene, 0.3)
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = rng.standard_normal(data.shape)
@@ -385,7 +448,7 @@ class TestFixedPointSolve:
             atr = data.adjoint(r)
             assert atr.shape == data.shape
             scale = np.linalg.norm(ax) * np.linalg.norm(r)
-            assert abs(ax @ r - x @ atr) <= 1e-12 * scale
+            assert abs(ax @ r - np.sum(x * atr)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("pure_linear", [True, False])
     def test_matches_the_admm_reference(self, pure_linear):
@@ -410,7 +473,7 @@ class TestFixedPointSolve:
         lam = 0.3
         den = trained_denoiser(scene, rho, tau, pure_linear)
         cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
-        expected = pair_data_term(scene, lam).minimizer(rho, build_explicit_w(den))
+        expected = pair_data(scene, lam).minimizer(rho, build_explicit_w(den))[0]
         for x, report in both_solves(scene, den, cfg):
             assert report.converged
             assert relative_error(x, expected) <= 1e-9
@@ -424,7 +487,7 @@ class TestFixedPointSolve:
         )
         x, report = deblur_pair(scene, params)
         assert report.converged
-        expected = pair_data_term(scene, lam).minimizer(0.0)
+        expected = pair_data(scene, lam).minimizer(0.0)[0]
         assert relative_error(x, expected) <= 1e-8
 
 
@@ -446,60 +509,72 @@ class TestShiftedSolve:
         solver = SolverConfig(rho=rho, lam=0.3, tau=0.05)
         params = PairParams(patch_side=4, em=em, solver=solver)
         x, report = deblur_pair(scene, params)
-        x_ref, ref = solve_pair(scene, denoiser_of(scene, params), solver)
+        x_ref, ref = gmres(scene, denoiser_of(scene, params), solver)
         assert report.converged
         assert x.tobytes() == x_ref.tobytes()
         assert asdict(report) == asdict(ref)
 
     def test_report_records_one_residual_per_application(self, monkeypatch):
         scene = scene_16(seed=11, kernel="motion15")
-        den = trained_denoiser(scene, 0.02, 0.01, pure_linear=False)
         calls = []
 
         def counting(v, denoiser):
             calls.append(1)
             return denoise_image_fixed(v, denoiser)
 
-        monkeypatch.setattr(pairdeblur, "denoise_image_fixed", counting)
+        monkeypatch.setattr(sharpen_module, "denoise_image_fixed", counting)
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=15, seed=0
+        )
         cfg = SolverConfig(rho=0.02, lam=0.2, tau=0.01)
-        _, report = solve_pair(scene, den, cfg)
+        params = PairParams(patch_side=4, em=em, solver=cfg)
+        _, report = deblur_pair(scene, params)
         assert report.converged
         # one call for D A^T t, then one per step and per recomputed residual
         assert report.iterations_run == len(calls) - 1
         assert len(report.primal_residuals) == report.iterations_run
         assert report.primal_residuals[-1] == report.final_primal
         assert report.final_primal <= FIXED_POINT_RTOL
+        den = denoiser_of(scene, params)
         _, plain = solve_fixed_point(
-            pair_data_term(scene, 0.2), lambda v: counting(v, den), 0.02, cfg
+            pair_data(scene, 0.2), lambda v: counting(v, den), 0.02, cfg
         )
         assert report.iterations_run < plain.iterations_run
 
     @pytest.mark.parametrize("budget", [1, 2, 5])
     def test_small_budget_is_unconverged(self, budget):
         scene = scene_16(seed=11)
-        den = trained_denoiser(scene, 0.08, 0.08, pure_linear=False)
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=15, seed=0
+        )
         cfg = SolverConfig(rho=0.08, lam=0.3, tau=0.08, max_iters=budget)
-        _, report = solve_pair(scene, den, cfg)
+        _, report = deblur_pair(scene, PairParams(patch_side=4, em=em, solver=cfg))
         assert report.converged is False
         assert report.iterations_run <= budget
         assert len(report.primal_residuals) == report.iterations_run
 
     def test_missed_true_residual_restarts_from_it(self, monkeypatch):
-        # the first recomputed residual comes back perturbed, so it misses
-        # the tolerance the steps met; the restart recovers the fixed point
+        # the residual recomputed last in an undisturbed solve comes back
+        # perturbed, so it misses the tolerance the steps met; the restart
+        # recovers the fixed point
         scene = scene_16(seed=11)
         den = trained_denoiser(scene, 0.08, 0.08, pure_linear=False)
         cfg = SolverConfig(rho=0.08, lam=0.3, tau=0.08)
-        blur = pairdeblur.apply_blur
-        calls = []
+        blur = sharpen_module.blur_rows
+        forward = []
+        glitched = []
 
         def glitch(x, kernel, adjoint=False):
-            calls.append(adjoint)
-            scale = 1 + 1e-6 * (calls.count(False) == 1 and not adjoint)
+            forward.append(not adjoint)
+            scale = 1 + 1e-6 * (not adjoint and sum(forward) in glitched)
             return blur(x, kernel, adjoint=adjoint) * scale
 
-        monkeypatch.setattr(pairdeblur, "apply_blur", glitch)
-        x, report = solve_pair(scene, den, cfg)
+        monkeypatch.setattr(sharpen_module, "blur_rows", glitch)
+        gmres(scene, den, cfg)
+        # every step blurs forward once, and so does each recomputed residual
+        glitched.append(sum(forward))
+        forward.clear()
+        x, report = gmres(scene, den, cfg)
         monkeypatch.undo()
         trace = report.primal_residuals
         missed = [
@@ -508,27 +583,64 @@ class TestShiftedSolve:
         ]
         assert missed
         assert report.converged
-        expected = pair_data_term(scene, 0.3).minimizer(0.08, build_explicit_w(den))
+        expected = pair_data(scene, 0.3).minimizer(0.08, build_explicit_w(den))[0]
         assert relative_error(x, expected) <= 1e-9
 
     def test_indefinite_denoiser_raises_divergence(self, monkeypatch):
         scene = scene_16(seed=11)
-        den = trained_denoiser(scene, 0.08, 0.08, pure_linear=False)
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=15, seed=0
+        )
         cfg = SolverConfig(rho=0.08, lam=0.3, tau=0.08)
         monkeypatch.setattr(
-            pairdeblur, "denoise_image_fixed", lambda v, d: -denoise_image_fixed(v, d)
+            sharpen_module,
+            "denoise_image_fixed",
+            lambda v, d: -denoise_image_fixed(v, d),
         )
         with pytest.raises(DivergenceError):
-            solve_pair(scene, den, cfg)
+            deblur_pair(scene, PairParams(patch_side=4, em=em, solver=cfg))
 
     def test_shift_that_is_not_positive_definite_solves(self):
         scene = scene_16(seed=11)
         den = trained_denoiser(scene, 0.5, 0.08, pure_linear=False)
         assert scene.blur.power_spectrum.min() + 0.3 < 0.5
-        x, report = solve_pair(scene, den, SolverConfig(rho=0.5, lam=0.3, tau=0.08))
+        x, report = gmres(scene, den, SolverConfig(rho=0.5, lam=0.3, tau=0.08))
         assert report.converged
-        expected = pair_data_term(scene, 0.3).minimizer(0.5, build_explicit_w(den))
+        expected = pair_data(scene, 0.3).minimizer(0.5, build_explicit_w(den))[0]
         assert relative_error(x, expected) <= 1e-9
+
+
+class TestOneBandSharpening:
+    """deblur_pair is sharpen on the one-band scene, bit for bit."""
+
+    def test_deblur_pair_is_sharpen_on_the_one_band_scene(self):
+        scene = scene_16(seed=16, kernel="motion15")
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
+        )
+        solver = SolverConfig(rho=0.1, lam=0.3, tau=0.05)
+        x, report = deblur_pair(scene, PairParams(patch_side=4, em=em, solver=solver))
+        z, expected = sharpen(
+            one_band(scene),
+            SharpenParams(n_subspace=1, patch_side=4, em=em, solver=solver),
+        )
+        assert report.converged
+        assert x.shape == (scene.geometry.n,)
+        assert x.tobytes() == z[0].tobytes()
+        assert report.iterations_run == expected.iterations_run
+        assert report.primal_residuals == expected.primal_residuals
+
+    def test_pair_denoiser_is_the_one_band_scene_denoiser(self):
+        # the benchmark's fixed-point gate rebuilds D through train_pair_denoiser
+        scene = scene_16(seed=12)
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
+        )
+        den = train_pair_denoiser(scene, 4, em, denoiser_variance=0.5)
+        expected = train_scene_denoiser(
+            scene.y_n[None], scene.geometry, 4, em, denoiser_variance=0.5
+        )
+        assert den.operator.tobytes() == expected.operator.tobytes()
 
 
 class TestTheoryAtScale:

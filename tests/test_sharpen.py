@@ -6,7 +6,7 @@ import pytest
 
 from pnpfusion.admm import SolverConfig, solve_fixed_point
 from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
-from pnpfusion.errors import ConfigError
+from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.fftops import blur_rows, make_cyclic_blur, symbol_products
 from pnpfusion.gmm import EmConfig, train_em
 from pnpfusion.metrics import psnr
@@ -109,6 +109,28 @@ def test_non_finite_scene_input_raises(field, value):
         replace(scene, **{field: bad})
 
 
+@pytest.mark.parametrize(
+    "geom,built_for",
+    [
+        pytest.param(ImageGeometry(8, 8), ImageGeometry(4, 4), id="smaller"),
+        pytest.param(ImageGeometry(4, 8), ImageGeometry(8, 4), id="transposed"),
+    ],
+)
+def test_blur_built_on_another_grid_raises(geom, built_for):
+    # once leaked numpy's "operands could not be broadcast" from the solve
+    with pytest.raises(DimensionError):
+        HsScene(
+            y_h=np.zeros((2, geom.n)),
+            y_m=np.zeros((1, geom.n)),
+            blur=make_cyclic_blur(np.ones((1, 1)), built_for),
+            mask=make_decimation_mask(geom, 1),
+            r=np.ones((1, 2)),
+            sigma_h=0.0,
+            sigma_m=0.1,
+            geometry=ImageGeometry(geom.height, geom.width, bands=2),
+        )
+
+
 class TestForwardModels:
     def test_delta_blur_full_mask_is_copy(self):
         scene = identity_scene()
@@ -182,6 +204,15 @@ class TestPcaBasis:
     def test_dimension_too_large(self):
         with pytest.raises(ConfigError):
             pca_basis(np.eye(3), 4)
+
+    @pytest.mark.parametrize("n_dims", [-1, 0, 1.5])
+    def test_dimension_outside_one_to_rank_bound(self, n_dims):
+        # -1 once sliced 15 columns of 16, 0 an empty basis that sharpen
+        # turned into an all-zero cube reported as converged, and 1.5 leaked
+        # TypeError
+        y_h = np.random.default_rng(6).standard_normal((16, 40))
+        with pytest.raises(ConfigError):
+            pca_basis(y_h, n_dims)
 
 
 class TestVUpdates:
