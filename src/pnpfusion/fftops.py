@@ -85,6 +85,7 @@ def solve_x_update_hs(rhs: np.ndarray, blur: CyclicBlur) -> np.ndarray:
     return symbol_products(rhs, 1.0 / (blur.power_spectrum + 2.0))
 
 
+# No pipeline calls this; perfbench/ resolves it in pnpfusion.pairdeblur.
 def solve_x_update_pair(
     rhs: np.ndarray, blur: CyclicBlur, lam: float, rho: float
 ) -> np.ndarray:
