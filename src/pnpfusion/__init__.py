@@ -18,6 +18,11 @@ the DFT-diagonal inverse built from the circulant parts of ``A^T A`` and D.
 The SALSA iterations of the paper (:func:`run_admm`) stay as the one
 reference that reaches the same point, and the sharpening data term's dense
 minimizer as the one oracle.
+
+Both pipelines take and return numpy arrays; the package reads and writes no
+files. Every error it raises on purpose is a :class:`PnpError` whose subclass
+names the kind of failure: a refused shape, setting or observation, a size
+over a test-scale cap, a diverged solve or an undefined metric.
 """
 
 from .admm import (
@@ -43,7 +48,6 @@ from .errors import (
     ConfigError,
     DimensionError,
     DivergenceError,
-    FormatError,
     MetricError,
     PnpError,
     SizeError,

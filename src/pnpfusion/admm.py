@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError
+from .errors import ConfigError, DimensionError, DivergenceError, is_count
 
 # Relative fixed-point residual ||rho (x - D x) + D grad F(x)|| / ||D A^T t||
 # that solve_fixed_point iterates to.
@@ -71,8 +71,10 @@ class SolverConfig:
             raise ConfigError(f"rho must be positive and finite, got {self.rho}")
         if not (0 <= self.lam < np.inf and 0 <= self.tau < np.inf):
             raise ConfigError("lam and tau must be nonnegative and finite")
-        if not self.max_iters >= 1:
-            raise ConfigError("max_iters must be >= 1")
+        if not is_count(self.max_iters):
+            raise ConfigError(
+                f"max_iters must be an integer >= 1, got {self.max_iters!r}"
+            )
         if not (self.primal_tol > 0 and self.dual_tol > 0):
             raise ConfigError("tolerances must be positive")
 

@@ -1,46 +1,47 @@
-"""Exception hierarchy with machine-readable categories.
+"""Exception hierarchy of the package.
 
-Every error raised by this package carries a ``category`` string, a stable
-name for its kind of failure. Nothing reads it yet: ROADMAP item 4 plans a
-command-line entry point that maps it to an exit status, or else its removal.
+Every error the package raises on purpose derives from :class:`PnpError`, so
+a caller can tell a refused input or a failed solve from a bug in numpy or in
+its own code; the subclass names the kind of failure.
 """
+
+from numbers import Integral
+
+
+def is_count(value, minimum: int = 1) -> bool:
+    """True for an integer (numpy's included, bool excluded) >= ``minimum``.
+
+    Floats such as 2.0 are refused: ``range`` and numpy's seeding would
+    reject them later with their own errors.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        return False
+    return value >= minimum
 
 
 class PnpError(Exception):
     """Base class for all package errors."""
 
-    category = "internal"
-
 
 class DimensionError(PnpError):
     """Shapes or geometries of inputs are inconsistent."""
 
-    category = "dimension"
-
 
 class StateError(PnpError):
     """Operation applied in the wrong state (e.g. removing means twice)."""
-
-    category = "state"
 
 
 class ConfigError(PnpError):
     """Invalid configuration or input values (counts, tolerances, parameters,
     non-finite observations)."""
 
-    category = "config"
-
 
 class SizeError(PnpError):
     """Problem size exceeds a test-scale cap."""
 
-    category = "size"
-
 
 class DivergenceError(PnpError):
     """Solver produced a NaN/Inf iterate."""
-
-    category = "divergence"
 
     def __init__(self, message, iteration=None):
         super().__init__(message)
@@ -48,12 +49,5 @@ class DivergenceError(PnpError):
 
 
 class MetricError(PnpError):
-    """Metric undefined for the given inputs (e.g. zero band mean)."""
-
-    category = "metric"
-
-
-class FormatError(PnpError):
-    """File contents do not match the expected container format."""
-
-    category = "format"
+    """Metric undefined for the given inputs (e.g. zero band mean or a
+    non-finite sample)."""

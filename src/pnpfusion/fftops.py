@@ -43,8 +43,10 @@ class CyclicBlur:
 def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
     """Cache the DFT of the zero-padded, center-shifted kernel."""
     psf = np.asarray(psf, dtype=float)
-    if psf.ndim != 2:
-        raise DimensionError("psf must be a 2-D kernel")
+    if psf.ndim != 2 or psf.size == 0:
+        raise DimensionError(
+            f"psf must be a non-empty 2-D kernel, got shape {psf.shape}"
+        )
     if not np.all(np.isfinite(psf)):
         raise ConfigError("psf must be finite")
     kh, kw = psf.shape
@@ -59,8 +61,7 @@ def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
 
 
 def check_blur_grid(blur: CyclicBlur, geometry: ImageGeometry) -> None:
-    """Raise unless the blur was built for the geometry's height and width
-    (its band count may differ)."""
+    """Raise unless the blur was built for the geometry's height and width."""
     built = (blur.geometry.height, blur.geometry.width)
     if built != (geometry.height, geometry.width):
         raise DimensionError(

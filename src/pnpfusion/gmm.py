@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, is_count
 from .patches import PatchSet
 
 log = logging.getLogger(__name__)
@@ -126,13 +126,12 @@ class EmConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        count = self.n_components
-        if not (isinstance(count, (int, np.integer)) and count >= 1):
-            raise ConfigError(
-                f"n_components must be an integer >= 1, got {self.n_components}"
-            )
-        if not self.max_iters >= 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name, minimum in (("n_components", 1), ("max_iters", 1), ("seed", 0)):
+            if not is_count(getattr(self, name), minimum):
+                raise ConfigError(
+                    f"{name} must be an integer >= {minimum}, "
+                    f"got {getattr(self, name)!r}"
+                )
         if not self.loglik_rel_tol > 0:
             raise ConfigError("loglik_rel_tol must be positive")
         if not 0 <= self.noise_variance < np.inf:

@@ -5,7 +5,9 @@ mean_b^2))`` where ``d`` is the resolution ratio between the panchromatic and
 hyperspectral grids; SAM is the per-pixel spectral angle (rounding-stable,
 so parallel spectra give 0 degrees) averaged over pixels with nonzero
 spectra. Conventions vary in the literature, so these values are comparable
-within this package only.
+within this package only. Every metric raises :class:`MetricError` on a
+non-finite reference or estimate rather than returning NaN or an infinity
+it did not compute.
 """
 
 from __future__ import annotations
@@ -19,13 +21,24 @@ from .errors import DimensionError, MetricError
 log = logging.getLogger(__name__)
 
 
-def _as_cube(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim > 2:
-        raise DimensionError(
-            f"expected a band or a bands x pixels cube, got shape {a.shape}"
-        )
-    return a[None, :] if a.ndim == 1 else a
+def _as_cubes(
+    reference: np.ndarray, estimate: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as finite bands x pixels cubes of one shape."""
+    cubes = []
+    for a in (reference, estimate):
+        a = np.asarray(a, dtype=float)
+        if a.ndim > 2:
+            raise DimensionError(
+                f"expected a band or a bands x pixels cube, got shape {a.shape}"
+            )
+        cubes.append(a[None, :] if a.ndim == 1 else a)
+    ref, est = cubes
+    if ref.shape != est.shape:
+        raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
+    if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(est))):
+        raise MetricError("metric undefined: non-finite reference or estimate")
+    return ref, est
 
 
 def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 1.0) -> float:
@@ -40,10 +53,7 @@ def psnr_per_band(
     reference: np.ndarray, estimate: np.ndarray, peak: float = 1.0
 ) -> np.ndarray:
     """Band-wise PSNR of a bands x pixels cube."""
-    ref = _as_cube(reference)
-    est = _as_cube(estimate)
-    if ref.shape != est.shape:
-        raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
+    ref, est = _as_cubes(reference, estimate)
     if not peak > 0:  # written so that NaN fails it
         raise MetricError(f"peak must be positive, got {peak}")
     mse = np.mean((ref - est) ** 2, axis=1)
@@ -55,10 +65,7 @@ def ergas(
     reference: np.ndarray, estimate: np.ndarray, resolution_ratio: float
 ) -> float:
     """Relative global dimensionless synthesis error."""
-    ref = _as_cube(reference)
-    est = _as_cube(estimate)
-    if ref.shape != est.shape:
-        raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
+    ref, est = _as_cubes(reference, estimate)
     if not resolution_ratio > 0:  # written so that NaN fails it
         raise MetricError(
             f"resolution_ratio must be positive, got {resolution_ratio}"
@@ -85,9 +92,7 @@ def sam(reference: np.ndarray, estimate: np.ndarray) -> float:
     ref, est = (np.asarray(a, dtype=float) for a in (reference, estimate))
     if ref.ndim == 1 and est.ndim == 1:
         ref, est = ref[:, None], est[:, None]
-    ref, est = _as_cube(ref), _as_cube(est)
-    if ref.shape != est.shape:
-        raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
+    ref, est = _as_cubes(ref, est)
     norms_ref = np.linalg.norm(ref, axis=0)
     norms_est = np.linalg.norm(est, axis=0)
     valid = (norms_ref > 0) & (norms_est > 0)

@@ -23,22 +23,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, StateError
+from .errors import DimensionError, StateError, is_count
 
 
 @dataclass(frozen=True)
 class ImageGeometry:
-    """Spatial and spectral extent of an image cube."""
+    """Spatial extent of one image band."""
 
     height: int
     width: int
-    bands: int = 1
 
     def __post_init__(self):
-        extents = (self.height, self.width, self.bands)
-        if not all(isinstance(e, (int, np.integer)) and e >= 1 for e in extents):
+        if not (is_count(self.height) and is_count(self.width)):
             raise DimensionError(
-                f"geometry must be positive, got {self.height}x{self.width}x{self.bands}"
+                f"geometry must be positive integers, got {self.height}x{self.width}"
             )
 
     @property
@@ -104,7 +102,7 @@ def patch_index_map(geometry: ImageGeometry, patch_side: int) -> np.ndarray:
     patch anchored at pixel ``i``.
     """
     h, w = geometry.height, geometry.width
-    if not (isinstance(patch_side, (int, np.integer)) and patch_side >= 1):
+    if not is_count(patch_side):
         raise DimensionError(f"patch side must be a positive integer, got {patch_side}")
     if patch_side > h or patch_side > w:
         raise DimensionError(

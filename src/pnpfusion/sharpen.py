@@ -46,7 +46,7 @@ from .admm import (
     solve_fixed_point,
 )
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, is_count
 from .fftops import (
     CyclicBlur,
     blur_rows,
@@ -120,8 +120,8 @@ class HsScene:
 
 def make_decimation_mask(geometry: ImageGeometry, d: int) -> np.ndarray:
     """0/1 pixel mask keeping every d-th row and column, top-left phase."""
-    if d < 1:
-        raise ConfigError(f"decimation factor must be >= 1, got {d}")
+    if not is_count(d):
+        raise ConfigError(f"decimation factor must be an integer >= 1, got {d!r}")
     rows = np.arange(geometry.height) % d == 0
     cols = np.arange(geometry.width) % d == 0
     grid = np.outer(rows, cols)
@@ -175,10 +175,12 @@ def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
     in ``[1, min(y_h.shape)]``.
     """
     bound = min(y_h.shape)
-    if not (isinstance(n_dims, (int, np.integer)) and 1 <= n_dims <= bound):
+    if not (is_count(n_dims) and n_dims <= bound):
         raise ConfigError(
             f"subspace dimension must be an integer in [1, {bound}], got {n_dims!r}"
         )
+    if not np.all(np.isfinite(y_h)):
+        raise ConfigError("observed spectra must be finite")
     u = np.linalg.svd(y_h, full_matrices=False)[0]
     e = u[:, :n_dims].copy()
     for j in range(n_dims):

@@ -119,6 +119,12 @@ class TestApplyBlur:
         with pytest.raises(DimensionError):
             make_cyclic_blur(np.ones((3, 3)) / 9, ImageGeometry(2, 5))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_kernel_with_a_zero_extent_raises(self, shape):
+        # once accepted, giving an all-zero transfer
+        with pytest.raises(DimensionError):
+            make_cyclic_blur(np.zeros(shape), ImageGeometry(4, 4))
+
     def test_nan_kernel_raises(self):
         psf = np.ones((3, 3)) / 9
         psf[1, 2] = np.nan

@@ -153,3 +153,28 @@ def test_inputs_with_more_than_two_dimensions_raise(metric):
     ref = rng.uniform(0.5, 1.0, size=(2, 3, 4))
     with pytest.raises(DimensionError):
         metric(ref, ref + 0.01)
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        psnr,
+        psnr_per_band,
+        lambda ref, est: ergas(ref, est, 4.0),
+        sam,
+    ],
+    ids=["psnr", "psnr_per_band", "ergas", "sam"],
+)
+@pytest.mark.parametrize(
+    "spoil",
+    [("estimate", np.nan), ("reference", np.nan), ("estimate", np.inf)],
+    ids=["nan-estimate", "nan-reference", "inf-estimate"],
+)
+def test_non_finite_inputs_raise(metric, spoil):
+    # with one NaN entry psnr and ergas once returned nan, psnr_per_band
+    # [nan, inf, inf], and sam 0.0 after dropping the pixel as a zero spectrum
+    side, value = spoil
+    inputs = {"reference": np.ones((3, 4)), "estimate": np.ones((3, 4))}
+    inputs[side][1, 2] = value
+    with pytest.raises(MetricError):
+        metric(inputs["reference"], inputs["estimate"])

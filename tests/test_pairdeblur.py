@@ -16,7 +16,6 @@ from pnpfusion.denoiser import EXPLICIT_W_CAP, build_explicit_w, denoise_image_f
 from pnpfusion.errors import ConfigError, DimensionError, DivergenceError
 from pnpfusion.fftops import make_cyclic_blur
 from pnpfusion.gmm import EmConfig
-from pnpfusion.io import SIMPLEX_ATOL
 from pnpfusion.metrics import psnr
 from pnpfusion.pairdeblur import (
     PairParams,
@@ -57,6 +56,9 @@ sharpen_module = importlib.import_module("pnpfusion.sharpen")
 # The pair model is sharpening with E = R = 1 and no decimation: the
 # one-band scene below, on the one-dimensional basis.
 ONE = SubspaceBasis(e=np.ones((1, 1)))
+
+# how far each pixel's mixture weights may sum from one
+SIMPLEX_ATOL = 1e-9
 
 
 def one_band(scene):

@@ -212,3 +212,10 @@ def test_fractional_geometry_raises():
 def test_zero_patch_side_raises():
     with pytest.raises(DimensionError):
         extract_patches(np.zeros(9), ImageGeometry(3, 3), patch_side=0)
+
+
+def test_bool_extents_raise():
+    with pytest.raises(DimensionError):
+        ImageGeometry(True, 3)
+    with pytest.raises(DimensionError):
+        extract_patches(np.zeros(9), ImageGeometry(3, 3), patch_side=True)

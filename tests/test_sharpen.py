@@ -97,6 +97,43 @@ class TestMask:
             decimation_factor(mask, ImageGeometry(4, 4))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: EmConfig(2, 0.01, max_iters=2.5),
+        lambda: EmConfig(2, 0.01, max_iters=True),
+        lambda: EmConfig(2, 0.01, seed=-1),
+        lambda: EmConfig(2, 0.01, seed=1.5),
+        lambda: EmConfig(2, 0.01, seed=True),
+        lambda: EmConfig(True, 0.01),
+        lambda: SolverConfig(rho=1.0, max_iters=2.5),
+        lambda: SolverConfig(rho=1.0, max_iters=True),
+        lambda: make_decimation_mask(ImageGeometry(16, 16), 0),
+        lambda: make_decimation_mask(ImageGeometry(16, 16), 2.5),
+        lambda: make_decimation_mask(ImageGeometry(16, 16), True),
+    ],
+    ids=[
+        "em-max_iters-2.5",
+        "em-max_iters-True",
+        "em-seed--1",
+        "em-seed-1.5",
+        "em-seed-True",
+        "em-n_components-True",
+        "solver-max_iters-2.5",
+        "solver-max_iters-True",
+        "decimation-0",
+        "decimation-2.5",
+        "decimation-True",
+    ],
+)
+def test_counts_and_seeds_must_be_integers(make):
+    # a fractional budget once leaked range's TypeError from train_em and
+    # run_admm, a negative or fractional seed numpy's own errors, and a
+    # decimation factor of 2.5 gave the d = 5 grid (rows 0, 5, 10, 15 of 16)
+    with pytest.raises(ConfigError):
+        make()
+
+
 @pytest.mark.parametrize("field", ["y_h", "y_m", "r"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_scene_input_raises(field, value):
@@ -127,7 +164,7 @@ def test_blur_built_on_another_grid_raises(geom, built_for):
             r=np.ones((1, 2)),
             sigma_h=0.0,
             sigma_m=0.1,
-            geometry=ImageGeometry(geom.height, geom.width, bands=2),
+            geometry=geom,
         )
 
 
@@ -205,7 +242,7 @@ class TestPcaBasis:
         with pytest.raises(ConfigError):
             pca_basis(np.eye(3), 4)
 
-    @pytest.mark.parametrize("n_dims", [-1, 0, 1.5])
+    @pytest.mark.parametrize("n_dims", [-1, 0, 1.5, True])
     def test_dimension_outside_one_to_rank_bound(self, n_dims):
         # -1 once sliced 15 columns of 16, 0 an empty basis that sharpen
         # turned into an all-zero cube reported as converged, and 1.5 leaked
@@ -213,6 +250,14 @@ class TestPcaBasis:
         y_h = np.random.default_rng(6).standard_normal((16, 40))
         with pytest.raises(ConfigError):
             pca_basis(y_h, n_dims)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectra_raise(self, bad):
+        # NaN spectra once leaked LinAlgError("SVD did not converge")
+        y_h = np.random.default_rng(7).standard_normal((4, 8))
+        y_h[2, 5] = bad
+        with pytest.raises(ConfigError):
+            pca_basis(y_h, 2)
 
 
 class TestVUpdates:
