@@ -51,3 +51,7 @@ class DivergenceError(PnpError):
 class MetricError(PnpError):
     """Metric undefined for the given inputs (e.g. zero band mean or a
     non-finite sample)."""
+
+
+class FormatError(PnpError):
+    """File contents do not match the expected format."""
