@@ -19,11 +19,10 @@ The SALSA iterations of the paper (:func:`run_admm`) stay as the one
 reference that reaches the same point, and the sharpening data term's dense
 minimizer as the one oracle.
 
-Both pipelines take and return numpy arrays; :mod:`pnpfusion.io` reads and
-writes their inputs as text matrices (PSF kernels, masks) and PGM graymaps.
-Every error the package raises on purpose is a :class:`PnpError` whose
-subclass names the kind of failure: a refused shape, setting, observation or
-file, a size over a test-scale cap, a diverged solve or an undefined metric.
+Both pipelines take and return numpy arrays. Every error the package raises
+on purpose is a :class:`PnpError` whose subclass names the kind of failure: a
+refused shape, setting or observation, a size over a test-scale cap, a
+diverged solve or an undefined metric.
 """
 
 from .admm import (
@@ -49,7 +48,6 @@ from .errors import (
     ConfigError,
     DimensionError,
     DivergenceError,
-    FormatError,
     MetricError,
     PnpError,
     SizeError,

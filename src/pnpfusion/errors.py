@@ -19,6 +19,17 @@ def is_count(value, minimum: int = 1) -> bool:
     return value >= minimum
 
 
+def require_counts(config, minimums: dict[str, int]) -> None:
+    """Raise :class:`ConfigError` unless each named field of ``config`` is a
+    count (:func:`is_count`) of at least its minimum."""
+    for name, minimum in minimums.items():
+        value = getattr(config, name)
+        if not is_count(value, minimum):
+            raise ConfigError(
+                f"{name} must be an integer >= {minimum}, got {value!r}"
+            )
+
+
 class PnpError(Exception):
     """Base class for all package errors."""
 
@@ -51,7 +62,3 @@ class DivergenceError(PnpError):
 class MetricError(PnpError):
     """Metric undefined for the given inputs (e.g. zero band mean or a
     non-finite sample)."""
-
-
-class FormatError(PnpError):
-    """File contents do not match the expected format."""

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, is_count
+from .errors import ConfigError, DimensionError, require_counts
 from .patches import PatchSet
 
 log = logging.getLogger(__name__)
@@ -126,12 +126,7 @@ class EmConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        for name, minimum in (("n_components", 1), ("max_iters", 1), ("seed", 0)):
-            if not is_count(getattr(self, name), minimum):
-                raise ConfigError(
-                    f"{name} must be an integer >= {minimum}, "
-                    f"got {getattr(self, name)!r}"
-                )
+        require_counts(self, {"n_components": 1, "max_iters": 1, "seed": 0})
         if not self.loglik_rel_tol > 0:
             raise ConfigError("loglik_rel_tol must be positive")
         if not 0 <= self.noise_variance < np.inf:

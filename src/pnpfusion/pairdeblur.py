@@ -61,6 +61,8 @@ class PairScene:
         check_blur_grid(self.blur, self.geometry)
         if not (np.all(np.isfinite(self.y_b)) and np.all(np.isfinite(self.y_n))):
             raise ConfigError("pair images must be finite")
+        if not (0 <= self.sigma_b < np.inf and 0 <= self.sigma_n < np.inf):
+            raise ConfigError("noise levels must be nonnegative and finite")
         if self.sigma_b > 0 and self.sigma_b >= self.sigma_n:
             log.warning(
                 "expected sigma_b << sigma_n, got sigma_b=%g sigma_n=%g",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_counts
 from .fftops import apply_blur, make_cyclic_blur
 from .patches import ImageGeometry
 from .sharpen import HsScene, forward_hs, forward_ms, make_decimation_mask
@@ -35,6 +35,17 @@ class HsSceneSpec:
     snr_m_db: float
     seed: int = 0
 
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        require_counts(self, {
+            "n_bands_hs": 1, "n_bands_ms": 1, "n_subspace_true": 1,
+            "decimation": 1, "seed": 0,
+        })
+        if self.n_subspace_true > self.n_bands_hs:
+            raise ConfigError("true subspace cannot exceed the band count")
+        if not all(-np.inf < snr < np.inf for snr in (self.snr_h_db, self.snr_m_db)):
+            raise ConfigError("SNRs must be finite")
+
 
 @dataclass(frozen=True)
 class PairSceneSpec:
@@ -45,6 +56,11 @@ class PairSceneSpec:
     sigma_n: float
     sigma_b: float
     seed: int = 0
+
+    def __post_init__(self):
+        require_counts(self, {"seed": 0})
+        if not (0 <= self.sigma_n < np.inf and 0 <= self.sigma_b < np.inf):
+            raise ConfigError("noise levels must be nonnegative and finite")
 
 
 def smooth_field(
@@ -82,8 +98,6 @@ def _exact_noise(
 
 def generate_hs_scene(spec: HsSceneSpec) -> HsScene:
     """Synthesize (Z, Y_h, Y_m) with the requested SNRs realized exactly."""
-    if spec.n_subspace_true > spec.n_bands_hs:
-        raise ConfigError("true subspace cannot exceed the band count")
     rng = np.random.default_rng(spec.seed)
     geometry = spec.geometry
     l_h, l_s = spec.n_bands_hs, spec.n_subspace_true

@@ -104,6 +104,8 @@ class HsScene:
             raise ConfigError("observations and spectral response must be finite")
         if np.any(self.r < 0):
             raise ConfigError("spectral response rows must be nonnegative")
+        if not (0 <= self.sigma_h < np.inf and 0 <= self.sigma_m < np.inf):
+            raise ConfigError("noise levels must be nonnegative and finite")
 
     @property
     def n_bands_hs(self) -> int:

@@ -124,6 +124,20 @@ class TestSceneValidation:
                 geometry=geom,
             )
 
+    @pytest.mark.parametrize("sigma", ["sigma_b", "sigma_n"])
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_bad_noise_level_raises(self, sigma, value):
+        # a negative or NaN sigma_b was once accepted with only a warning
+        geom = ImageGeometry(4, 4)
+        with pytest.raises(ConfigError):
+            PairScene(
+                y_b=np.zeros(16),
+                y_n=np.zeros(16),
+                blur=make_cyclic_blur(np.ones((1, 1)), geom),
+                geometry=geom,
+                **{"sigma_b": 0.0, "sigma_n": 0.1, sigma: value},
+            )
+
     def test_shape_mismatch_raises(self):
         geom = ImageGeometry(4, 4)
         blur = make_cyclic_blur(np.ones((1, 1)), geom)

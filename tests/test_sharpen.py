@@ -168,6 +168,22 @@ def test_blur_built_on_another_grid_raises(geom, built_for):
         )
 
 
+@pytest.mark.parametrize("sigma", ["sigma_h", "sigma_m"])
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+def test_bad_noise_level_raises(sigma, value):
+    geom = ImageGeometry(4, 4)
+    with pytest.raises(ConfigError):
+        HsScene(
+            y_h=np.zeros((2, geom.n)),
+            y_m=np.zeros((1, geom.n)),
+            blur=make_cyclic_blur(np.ones((1, 1)), geom),
+            mask=make_decimation_mask(geom, 1),
+            r=np.ones((1, 2)),
+            geometry=geom,
+            **{"sigma_h": 0.0, "sigma_m": 0.1, sigma: value},
+        )
+
+
 class TestForwardModels:
     def test_delta_blur_full_mask_is_copy(self):
         scene = identity_scene()
