@@ -28,7 +28,6 @@ diverged solve or an undefined metric.
 from .admm import (
     SolveReport,
     SolverConfig,
-    residuals,
     run_admm,
     solve_fixed_point,
 )
@@ -58,8 +57,6 @@ from .fftops import (
     apply_blur,
     blur_rows,
     make_cyclic_blur,
-    solve_x_update_hs,
-    solve_x_update_pair,
     symbol_products,
 )
 from .gmm import (
@@ -77,11 +74,9 @@ from .pairdeblur import PairParams, PairScene, deblur_pair
 from .patches import (
     ImageGeometry,
     PatchSet,
-    assemble_patches,
     extract_patches,
     patch_index_map,
     remove_means,
-    restore_means,
 )
 from .scenes import (
     HsSceneSpec,
@@ -102,8 +97,6 @@ from .sharpen import (
     pca_basis,
     sharpen,
     train_scene_denoiser,
-    v1_update,
-    v2_update,
     v3_update,
 )
 

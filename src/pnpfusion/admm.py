@@ -75,8 +75,8 @@ class SolverConfig:
             raise ConfigError(
                 f"max_iters must be an integer >= 1, got {self.max_iters!r}"
             )
-        if not (self.primal_tol > 0 and self.dual_tol > 0):
-            raise ConfigError("tolerances must be positive")
+        if not (0 < self.primal_tol < np.inf and 0 < self.dual_tol < np.inf):
+            raise ConfigError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -190,11 +190,9 @@ def _rotate(column, rotations, k: int):
     column[k : k + 2] = radius, 0.0
 
 
-def solve_fixed_point(
-    data, denoise, rho: float, config: SolverConfig, precondition=None
-):
+def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
     """Solve ``rho (x - D x) + D A^T (A x - t) = 0`` by right-preconditioned
-    GMRES.
+    GMRES, with ``rho = config.rho``.
 
     ``data`` is the pipeline's :class:`~pnpfusion.denoiser.DataTerm` (A is
     ``data.apply``, A^T is ``data.adjoint``, t is ``data.target``) and
@@ -236,6 +234,7 @@ def solve_fixed_point(
         def precondition(v):
             return v
 
+    rho = config.rho
     report = SolveReport()
 
     def apply_d(v):

@@ -80,8 +80,8 @@ class LinearDenoiser:
     pure_linear: bool = False
 
     def __post_init__(self):
-        if not self.noise_variance > 0:
-            raise ConfigError("denoiser noise variance must be positive")
+        if not 0 < self.noise_variance < np.inf:
+            raise ConfigError("denoiser noise variance must be positive and finite")
         if self.weights.n_components != self.model.n_components:
             raise DimensionError("weights/model component counts differ")
         if self.weights.count != self.geometry.n:
@@ -399,14 +399,20 @@ def expansiveness_demo(
     The exact MMSE estimate under a zero-mean two-component scalar mixture has
     finite-difference slope above 1 in the transition region between the
     components, while the fixed-weight linearization is a convex combination
-    of shrinkages and stays strictly below slope 1.
+    of shrinkages and stays strictly below slope 1. The weights ``alphas``
+    must be nonnegative and sum to 1, and ``noise_variance`` must be
+    nonnegative and finite.
     """
-    if not 0 < small_variance < large_variance:
-        raise ConfigError("need 0 < small_variance < large_variance")
+    a = np.asarray(alphas, dtype=float)
+    if not 0 < small_variance < large_variance < np.inf:
+        raise ConfigError("need 0 < small_variance < large_variance < inf")
+    if not 0 <= noise_variance < np.inf:
+        raise ConfigError("noise_variance must be nonnegative and finite")
+    if not (a.shape == (2,) and np.all(a >= 0) and np.isclose(a.sum(), 1.0)):
+        raise ConfigError(f"alphas must be two weights >= 0 summing to 1: {alphas}")
     if grid is None:
         grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
     variances = np.array([small_variance, large_variance])
-    a = np.asarray(alphas, dtype=float)
     noisy_vars = variances + noise_variance
     loglik = (
         np.log(a)[:, None]

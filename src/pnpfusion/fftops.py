@@ -60,16 +60,6 @@ def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
     return CyclicBlur(psf=psf, geometry=geometry, transfer=np.fft.fft2(padded))
 
 
-def check_blur_grid(blur: CyclicBlur, geometry: ImageGeometry) -> None:
-    """Raise unless the blur was built for the geometry's height and width."""
-    built = (blur.geometry.height, blur.geometry.width)
-    if built != (geometry.height, geometry.width):
-        raise DimensionError(
-            f"blur built for a {built[0]}x{built[1]} grid, "
-            f"scene is {geometry.height}x{geometry.width}"
-        )
-
-
 def blur_rows(x: np.ndarray, blur: CyclicBlur, adjoint: bool = False) -> np.ndarray:
     """Circular convolution of every band of a (..., n) stack with the PSF
     (correlation when ``adjoint``)."""

@@ -127,8 +127,8 @@ class EmConfig:
     def __post_init__(self):
         # each check is written so that NaN fails it
         require_counts(self, {"n_components": 1, "max_iters": 1, "seed": 0})
-        if not self.loglik_rel_tol > 0:
-            raise ConfigError("loglik_rel_tol must be positive")
+        if not 0 < self.loglik_rel_tol < np.inf:
+            raise ConfigError("loglik_rel_tol must be positive and finite")
         if not 0 <= self.noise_variance < np.inf:
             raise ConfigError("noise_variance must be nonnegative and finite")
 

@@ -1,7 +1,8 @@
 """Hyperspectral sharpening: forward models, PCA subspace, SALSA updates.
 
-Observed data: a spatially blurred and decimated hyperspectral cube
-``Y_h = Z B M`` plus a spectrally mixed high-resolution cube ``Y_m = R Z``.
+Observed data: a spatially blurred hyperspectral cube sampled at the pixels
+of a 0/1 mask M, ``Y_h = Z B M``, plus a spectrally mixed high-resolution cube
+``Y_m = R Z``.
 The latent cube is represented as ``Z = E X`` on a low-dimensional spectral
 subspace. The prior is the scene-adapted GMM denoiser D, built with noise
 variance ``tau / rho`` and applied independently to each coefficient band;
@@ -22,13 +23,13 @@ on phi explicitly to evaluate this objective and give its dense minimizer.
 :func:`sharpen` solves the fixed-point equation by GMRES (:func:`solve_hs`),
 so its report counts applications of D. Its preconditioner is diagonal in the
 DFT basis once the coefficient bands are rotated into the eigenbasis of
-``lam (R E)^T R E`` and the decimation mask is replaced by its mean
+``lam (R E)^T R E`` and the sampling mask is replaced by its mean
 (:func:`hs_normal_symbol`).
 :func:`run_salsa_hs` runs the paper's three-block SALSA scheme to the same
 point and stays as the reference; its third block is D.
 
 Pair deblurring (:mod:`~pnpfusion.pairdeblur`) is the one-band case, with
-E = R = 1 and no decimation, so this solver, this reference and the dense
+E = R = 1 and an all-ones mask, so this solver, this reference and the dense
 minimizer of :func:`hs_data_term` serve both applications.
 """
 
@@ -47,13 +48,7 @@ from .admm import (
 )
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
 from .errors import ConfigError, DimensionError, is_count
-from .fftops import (
-    CyclicBlur,
-    blur_rows,
-    check_blur_grid,
-    solve_x_update_hs,
-    symbol_products,
-)
+from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
 from .gmm import EmConfig, PatchWeights, train_em
 from .patches import ImageGeometry, PatchSet, extract_patches, remove_means
 
@@ -71,9 +66,13 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class HsScene:
-    """One sharpening problem instance; ``z`` is ground truth when synthetic."""
+    """One sharpening problem instance; ``z`` is ground truth when synthetic.
 
-    y_h: np.ndarray  # (L_h, n_h)
+    ``mask`` is any 0/1 sampling mask over the pixels: ``y_h`` holds the
+    blurred cube at the pixels it keeps, in pixel order.
+    """
+
+    y_h: np.ndarray  # (L_h, mask.sum())
     y_m: np.ndarray  # (L_m, n_m)
     blur: CyclicBlur
     mask: np.ndarray  # (n_m,) of {0,1}
@@ -84,13 +83,18 @@ class HsScene:
     z: np.ndarray | None = None
 
     def __post_init__(self):
-        n_m = self.geometry.n
-        check_blur_grid(self.blur, self.geometry)
+        geometry = self.geometry
+        n_m = geometry.n
+        built = (self.blur.geometry.height, self.blur.geometry.width)
+        if built != (geometry.height, geometry.width):
+            raise DimensionError(
+                f"blur built for a {built[0]}x{built[1]} grid, "
+                f"scene is {geometry.height}x{geometry.width}"
+            )
         if self.mask.shape != (n_m,):
             raise DimensionError("mask length must equal the pixel count")
         if not np.all((self.mask == 0) | (self.mask == 1)):
             raise ConfigError("mask entries must be 0 or 1")
-        decimation_factor(self.mask, self.geometry)  # validates regularity
         if self.y_h.shape != (self.r.shape[1], int(self.mask.sum())):
             raise DimensionError(
                 f"y_h shape {self.y_h.shape} inconsistent with R {self.r.shape} "
@@ -128,31 +132,6 @@ def make_decimation_mask(geometry: ImageGeometry, d: int) -> np.ndarray:
     cols = np.arange(geometry.width) % d == 0
     grid = np.outer(rows, cols)
     return geometry.from_grid(grid.astype(float)).astype(int)
-
-
-def decimation_factor(mask: np.ndarray, geometry: ImageGeometry) -> int:
-    """Recover d from a mask, raising if it is not a regular top-left grid.
-
-    An all-zero mask (no data term anywhere) is allowed and returns 0.
-    """
-    mask = np.asarray(mask)
-    if mask.shape != (geometry.n,):
-        raise ConfigError(f"mask has shape {mask.shape}, expected ({geometry.n},)")
-    # the kept rows and columns; np.unique would import numpy.ma on first use
-    grid = geometry.to_grid(mask) != 0
-    rows = np.flatnonzero(grid.any(axis=1))
-    cols = np.flatnonzero(grid.any(axis=0))
-    if rows.size == 0:
-        return 0
-    if rows.size > 1:
-        d = int(rows[1] - rows[0])
-    elif cols.size > 1:
-        d = int(cols[1] - cols[0])
-    else:
-        d = max(geometry.height, geometry.width)
-    if not np.array_equal(mask, make_decimation_mask(geometry, d)):
-        raise ConfigError("mask is not a regular top-left decimation grid")
-    return d
 
 
 def forward_hs(z: np.ndarray, scene: HsScene) -> np.ndarray:
@@ -351,7 +330,6 @@ def solve_hs(
     return solve_fixed_point(
         hs_data_term(scene, basis, cfg.lam),
         denoise,
-        cfg.rho,
         cfg,
         precondition=lambda v: rotation @ symbol_products(rotation.T @ v, inverse),
     )

@@ -76,7 +76,9 @@ class TestRunAdmm:
         with pytest.raises(ConfigError):
             SolverConfig(**{"rho": 1.0, field: float("nan")})
 
-    @pytest.mark.parametrize("field", ["rho", "lam", "tau"])
+    @pytest.mark.parametrize(
+        "field", ["rho", "lam", "tau", "primal_tol", "dual_tol"]
+    )
     def test_config_rejects_inf(self, field):
         with pytest.raises(ConfigError):
             SolverConfig(**{"rho": 1.0, field: float("inf")})
@@ -135,7 +137,7 @@ class TestSolveFixedPoint:
     def test_solves_the_linear_fixed_point_equation(self, seed):
         data, d = linear_problem(seed)
         a, rho = data.apply(np.eye(8)), 0.3
-        x, report = solve_fixed_point(data, lambda v: d @ v, rho, SolverConfig(rho=rho))
+        x, report = solve_fixed_point(data, lambda v: d @ v, SolverConfig(rho=rho))
         expected = np.linalg.solve(
             rho * (np.eye(8) - d) + d @ a.T @ a, d @ a.T @ data.target
         )
@@ -152,7 +154,7 @@ class TestSolveFixedPoint:
 
     def test_identity_denoiser_gives_least_squares(self):
         data, _ = linear_problem(3)
-        x, report = solve_fixed_point(data, lambda v: v, 0.7, SolverConfig(rho=0.7))
+        x, report = solve_fixed_point(data, lambda v: v, SolverConfig(rho=0.7))
         a = data.apply(np.eye(8))
         assert report.converged
         np.testing.assert_allclose(
@@ -167,7 +169,7 @@ class TestSolveFixedPoint:
             calls.append(1)
             return d @ v
 
-        _, report = solve_fixed_point(data, denoise, 0.3, SolverConfig(rho=0.3))
+        _, report = solve_fixed_point(data, denoise, SolverConfig(rho=0.3))
         # one call for the right-hand side, then one per matvec
         assert report.iterations_run == len(calls) - 1
         # at most 8 GMRES steps on 8 unknowns, plus the recomputed residual
@@ -177,7 +179,7 @@ class TestSolveFixedPoint:
     def test_small_budget_is_unconverged(self, budget):
         data, d = linear_problem(5)
         cfg = SolverConfig(rho=0.3, max_iters=budget)
-        _, report = solve_fixed_point(data, lambda v: d @ v, 0.3, cfg)
+        _, report = solve_fixed_point(data, lambda v: d @ v, cfg)
         assert report.converged is False
         assert report.iterations_run <= budget
         assert report.final_primal > FIXED_POINT_RTOL
@@ -185,7 +187,7 @@ class TestSolveFixedPoint:
     def test_hundred_unknowns_match_the_dense_solve(self):
         n = 100
         data, d = linear_problem(10, m=120, n=n)
-        x, report = solve_fixed_point(data, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
+        x, report = solve_fixed_point(data, lambda v: d @ v, SolverConfig(rho=0.3))
         a = data.apply(np.eye(n))
         expected = np.linalg.solve(
             0.3 * (np.eye(n) - d) + d @ a.T @ a, d @ a.T @ data.target
@@ -206,7 +208,7 @@ class TestSolveFixedPoint:
 
         glitch = DataTerm(apply, data.adjoint, data.target, data.shape)
         cfg = SolverConfig(rho=0.3)
-        x, report = solve_fixed_point(glitch, lambda v: d @ v, 0.3, cfg)
+        x, report = solve_fixed_point(glitch, lambda v: d @ v, cfg)
         trace = report.primal_residuals
         missed = [
             k for k in range(1, len(trace))
@@ -226,7 +228,7 @@ class TestSolveFixedPoint:
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         d = q @ np.diag(np.linspace(low, high, 8)) @ q.T
         with pytest.raises(DivergenceError):
-            solve_fixed_point(data, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
+            solve_fixed_point(data, lambda v: d @ v, SolverConfig(rho=0.3))
 
     def test_nan_target_raises_divergence(self):
         data, d = linear_problem(6)
@@ -234,12 +236,12 @@ class TestSolveFixedPoint:
         target[2] = np.nan
         bad = matrix_term(data.apply(np.eye(8)), target)
         with pytest.raises(DivergenceError):
-            solve_fixed_point(bad, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
+            solve_fixed_point(bad, lambda v: d @ v, SolverConfig(rho=0.3))
 
     def test_identity_system_solves_in_one_step(self):
         target = np.random.default_rng(11).standard_normal(6)
         data = matrix_term(np.eye(6), target)
-        x, report = solve_fixed_point(data, lambda v: v, 0.3, SolverConfig(rho=0.3))
+        x, report = solve_fixed_point(data, lambda v: v, SolverConfig(rho=0.3))
         assert report.converged
         assert report.iterations_run == 2  # one GMRES step, one residual
         np.testing.assert_allclose(x, target, rtol=1e-14)
@@ -247,14 +249,14 @@ class TestSolveFixedPoint:
     def test_zero_target_gives_zero(self):
         data, d = linear_problem(7)
         zero = matrix_term(data.apply(np.eye(8)), np.zeros_like(data.target))
-        x, report = solve_fixed_point(zero, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
+        x, report = solve_fixed_point(zero, lambda v: d @ v, SolverConfig(rho=0.3))
         assert report.converged
         np.testing.assert_array_equal(x, np.zeros(8))
 
     def test_history_ends_with_the_recomputed_residual(self):
         data, d = linear_problem(8)
         cfg = SolverConfig(rho=0.3)
-        _, report = solve_fixed_point(data, lambda v: d @ v, 0.3, cfg)
+        _, report = solve_fixed_point(data, lambda v: d @ v, cfg)
         assert len(report.primal_residuals) == report.iterations_run
         assert report.primal_residuals[-1] == report.final_primal
         assert not report.dual_residuals and not report.objective_trace
@@ -265,7 +267,7 @@ class TestSolveFixedPoint:
         system = rho * np.eye(8) + (a.T @ a - rho * np.eye(8)) @ d
         inverse = np.linalg.inv(system)
         x, report = solve_fixed_point(
-            data, lambda v: d @ v, rho, SolverConfig(rho=rho),
+            data, lambda v: d @ v, SolverConfig(rho=rho),
             precondition=lambda v: inverse @ v,
         )
         assert report.converged
@@ -279,7 +281,7 @@ class TestSolveFixedPoint:
         monkeypatch.setattr(admm, "GMRES_BASIS", 3)
         data, d = linear_problem(15, m=40, n=30)
         a, rho = data.apply(np.eye(30)), 0.3
-        x, report = solve_fixed_point(data, lambda v: d @ v, rho, SolverConfig(rho=rho))
+        x, report = solve_fixed_point(data, lambda v: d @ v, SolverConfig(rho=rho))
         assert report.converged
         # every run of three steps ends with the residual recomputed at x
         assert report.iterations_run % 4 in (0, 2, 3)
@@ -295,7 +297,7 @@ class TestSolveFixedPoint:
         # which bounds the fixed-point residual ||D r|| / ||D b|| at x
         data, d = linear_problem(16)
         monkeypatch.setattr(admm, "GMRES_BASIS", 1)
-        _, report = solve_fixed_point(data, lambda v: d @ v, 0.3, SolverConfig(rho=0.3))
+        _, report = solve_fixed_point(data, lambda v: d @ v, SolverConfig(rho=0.3))
         assert report.converged
         trace = report.primal_residuals
         assert len(trace) == report.iterations_run > 4
@@ -307,7 +309,7 @@ class TestSolveFixedPoint:
         data, d = linear_problem(17)
         for budget in (1, 4, 1000):
             _, report = solve_fixed_point(
-                data, lambda v: d @ v, 0.3, SolverConfig(rho=0.3, max_iters=budget)
+                data, lambda v: d @ v, SolverConfig(rho=0.3, max_iters=budget)
             )
             text = json.dumps(asdict(report), allow_nan=False)
             assert json.loads(text)["primal_residuals"] == report.primal_residuals

@@ -244,9 +244,11 @@ class TestOperator:
         with pytest.raises(DimensionError):
             denoise_image_fixed(np.zeros(35), den)
 
-    def test_rejects_nan_variance(self, small_denoiser):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_variance(self, small_denoiser, value):
+        # an infinite variance once made the pure-linear W map ones to 0
         with pytest.raises(ConfigError):
-            replace(small_denoiser, noise_variance=float("nan"))
+            replace(small_denoiser, noise_variance=value)
 
 
 class TestImageDenoise:
@@ -576,3 +578,19 @@ class TestExpansiveness:
         table = expansiveness_demo(0.01, 1.0, 0.0)
         np.testing.assert_allclose(table.mmse, table.y, rtol=1e-12)
         np.testing.assert_allclose(table.max_slope_mmse, 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "large,noise,alphas",
+        [
+            pytest.param(1.0, -0.5, (0.5, 0.5), id="negative-noise"),
+            pytest.param(1.0, np.nan, (0.5, 0.5), id="nan-noise"),
+            pytest.param(1.0, np.inf, (0.5, 0.5), id="inf-noise"),
+            pytest.param(np.inf, 0.1, (0.5, 0.5), id="inf-large"),
+            pytest.param(1.0, 0.1, (-1.0, 2.0), id="negative-alpha"),
+            pytest.param(1.0, 0.1, (0.9, 0.9), id="alphas-sum-1.8"),
+        ],
+    )
+    def test_refuses_bad_settings(self, large, noise, alphas):
+        # each once gave NaN slopes or a fixed-weight slope above 1
+        with pytest.raises(ConfigError):
+            expansiveness_demo(0.01, large, noise, alphas=alphas)

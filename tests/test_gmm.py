@@ -592,9 +592,12 @@ def test_em_config_rejects_nan(field):
         EmConfig(**settings_)
 
 
-def test_em_config_rejects_infinite_noise_variance():
+@pytest.mark.parametrize("field", ["noise_variance", "loglik_rel_tol"])
+def test_em_config_rejects_inf(field):
+    # an infinite loglik_rel_tol once stopped EM after one M-step
+    settings_ = {"n_components": 2, "noise_variance": 0.1, field: float("inf")}
     with pytest.raises(ConfigError):
-        EmConfig(n_components=2, noise_variance=float("inf"))
+        EmConfig(**settings_)
 
 
 def test_em_config_rejects_fractional_components():

@@ -433,7 +433,6 @@ def both_solves(scene, den, cfg):
     x, plain = solve_fixed_point(
         pair_data(scene, cfg.lam),
         lambda v: denoise_image_fixed(v, den),
-        cfg.rho,
         cfg,
     )
     return [gmres(scene, den, cfg), (x[0], plain)]
@@ -553,7 +552,7 @@ class TestShiftedSolve:
         assert report.final_primal <= FIXED_POINT_RTOL
         den = denoiser_of(scene, params)
         _, plain = solve_fixed_point(
-            pair_data(scene, 0.2), lambda v: counting(v, den), 0.02, cfg
+            pair_data(scene, 0.2), lambda v: counting(v, den), cfg
         )
         assert report.iterations_run < plain.iterations_run
 

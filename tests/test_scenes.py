@@ -12,7 +12,7 @@ from pnpfusion.scenes import (
     make_kernel,
     synthetic_image,
 )
-from pnpfusion.sharpen import decimation_factor, forward_hs, forward_ms
+from pnpfusion.sharpen import forward_hs, forward_ms, make_decimation_mask
 
 
 def hs_spec(**overrides):
@@ -55,7 +55,9 @@ class TestHsGenerator:
 
     def test_structure(self):
         scene = generate_hs_scene(hs_spec())
-        assert decimation_factor(scene.mask, scene.geometry) == 2
+        np.testing.assert_array_equal(
+            scene.mask, make_decimation_mask(scene.geometry, 2)
+        )
         assert scene.y_h.shape == (6, 36)
         assert scene.y_m.shape == (2, 144)
         np.testing.assert_allclose(scene.r.sum(axis=1), 1.0, atol=1e-12)

@@ -15,7 +15,6 @@ from pnpfusion.scenes import HsSceneSpec, generate_hs_scene
 from pnpfusion.sharpen import (
     HsScene,
     SharpenParams,
-    decimation_factor,
     forward_hs,
     forward_ms,
     hs_data_term,
@@ -71,30 +70,38 @@ def identity_scene(l_h=4, side=6, noise=False):
     )
 
 
+def scene_with_mask(mask, geom=ImageGeometry(4, 4)):
+    """A two-band scene on ``geom`` that keeps the pixels of ``mask``."""
+    return HsScene(
+        y_h=np.zeros((2, int(mask.sum()))),
+        y_m=np.zeros((1, geom.n)),
+        blur=make_cyclic_blur(np.ones((1, 1)), geom),
+        mask=mask,
+        r=np.ones((1, 2)),
+        sigma_h=0.0,
+        sigma_m=0.1,
+        geometry=geom,
+    )
+
+
 class TestMask:
-    def test_make_and_recover(self):
+    def test_make_keeps_every_dth_row_and_column(self):
         geom = ImageGeometry(8, 12)
         for d in (1, 2, 3, 4):
             mask = make_decimation_mask(geom, d)
-            assert decimation_factor(mask, geom) == d
-
-    def test_irregular_mask_rejected(self):
-        geom = ImageGeometry(4, 4)
-        mask = make_decimation_mask(geom, 2)
-        mask[1] = 1  # break the grid
-        with pytest.raises(ConfigError):
-            decimation_factor(mask, geom)
+            kept = np.argwhere(geom.to_grid(mask)).tolist()
+            assert kept == [[r, c] for r in range(0, 8, d) for c in range(0, 12, d)]
 
     def test_empty_mask_allowed(self):
-        geom = ImageGeometry(4, 4)
-        assert decimation_factor(np.zeros(16, dtype=int), geom) == 0
+        scene = scene_with_mask(np.zeros(16, dtype=int))
+        assert scene.masked_indices.size == 0
 
     @pytest.mark.parametrize("length", [15, 17])
     def test_misshapen_mask_rejected(self, length):
         mask = np.zeros(length, dtype=int)
         mask[0] = 1
-        with pytest.raises(ConfigError):
-            decimation_factor(mask, ImageGeometry(4, 4))
+        with pytest.raises(DimensionError):
+            scene_with_mask(mask)
 
 
 @pytest.mark.parametrize(
@@ -591,7 +598,7 @@ def both_solves(scene, basis, den, cfg):
     """``(x, report)`` of the pipeline's preconditioned solve and of the
     unpreconditioned one."""
     plain = solve_fixed_point(
-        hs_data_term(scene, basis, cfg.lam), coefficient_denoise(den), cfg.rho, cfg
+        hs_data_term(scene, basis, cfg.lam), coefficient_denoise(den), cfg
     )
     return [solve_hs(scene, basis, den, cfg), plain]
 
@@ -661,6 +668,33 @@ class TestFixedPointSolve:
         for x, report in both_solves(scene, basis, den, cfg):
             assert report.converged
             assert relative_error(x, expected) <= 1e-9
+
+    def test_irregular_mask_matches_the_dense_minimizer(self):
+        # 20 of 64 pixels kept at random; a mask that is not a regular grid
+        # was once refused by HsScene
+        scene = tiny_scene(seed=17)
+        rng = np.random.default_rng(9)
+        mask = np.zeros(scene.geometry.n, dtype=int)
+        mask[rng.choice(scene.geometry.n, 20, replace=False)] = 1
+        clean = blur_rows(scene.z, scene.blur)[:, mask == 1]
+        y_h = clean + scene.sigma_h * rng.standard_normal(clean.shape)
+        irregular = replace(scene, mask=mask, y_h=y_h)
+        rho, tau, lam = 0.05, 0.05, 0.5
+        basis = pca_basis(irregular.y_h, 2)
+        den = trained_denoiser(irregular, rho, tau, pure_linear=False)
+        cfg = SolverConfig(
+            rho=rho, lam=lam, tau=tau, max_iters=5000,
+            primal_tol=1e-10, dual_tol=1e-10,
+        )
+        expected = hs_data_term(irregular, basis, lam).minimizer(
+            rho, build_explicit_w(den)
+        )
+        x, report = solve_hs(irregular, basis, den, cfg)
+        assert report.converged
+        assert relative_error(x, expected) <= 1e-9
+        x_salsa, salsa_report = run_salsa_hs(irregular, basis, den, cfg)
+        assert salsa_report.converged
+        assert relative_error(x_salsa, expected) <= 1e-5
 
     def test_rho_above_every_mixing_eigenvalue(self):
         # G = A^T A - rho I is indefinite: rho exceeds lam * eig((RE)^T RE)
