@@ -70,8 +70,9 @@ def identity_scene(l_h=4, side=6, noise=False):
     )
 
 
-def scene_with_mask(mask, geom=ImageGeometry(4, 4)):
-    """A two-band scene on ``geom`` that keeps the pixels of ``mask``."""
+def scene_with_mask(mask):
+    """A two-band 4x4 scene that keeps the pixels of ``mask``."""
+    geom = ImageGeometry(4, 4)
     return HsScene(
         y_h=np.zeros((2, int(mask.sum()))),
         y_m=np.zeros((1, geom.n)),
