@@ -62,11 +62,9 @@ from .fftops import (
 from .gmm import (
     EmConfig,
     GmmModel,
-    PatchWeights,
-    e_step,
     eigt,
-    log_likelihood,
     m_step,
+    posterior,
     train_em,
 )
 from .metrics import ergas, psnr, psnr_per_band, sam

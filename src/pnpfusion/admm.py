@@ -128,10 +128,6 @@ def residuals(prev_v, cur_v, cur_hx, rho: float) -> tuple[float, float]:
     return float(np.sqrt(primal_sq)), float(rho * np.sqrt(dual_sq))
 
 
-def _all_finite(arrays) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
-
-
 def run_admm(problem, config: SolverConfig, init_v):
     """Iterate SALSA-style x / v / scaled-dual updates until convergence.
 
@@ -149,7 +145,7 @@ def run_admm(problem, config: SolverConfig, init_v):
         us = [u - h + v for u, h, v in zip(us, hx, new_vs)]
         primal, dual = residuals(vs, new_vs, hx, config.rho)
         vs = new_vs
-        if not (np.isfinite(primal) and np.isfinite(dual) and _all_finite([x])):
+        if not (np.isfinite(primal) and np.isfinite(dual) and np.all(np.isfinite(x))):
             raise DivergenceError(
                 f"non-finite iterate at iteration {k}", iteration=k
             )

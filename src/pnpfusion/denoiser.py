@@ -44,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, SizeError
-from .gmm import GmmModel, PatchWeights, e_step
+from .gmm import GmmModel, posterior
 from .patches import (  # perfbench/tracing.py patches the two unused names here
     ImageGeometry,
     assemble_patches,
@@ -62,10 +62,17 @@ SUBSPACE_RTOL = 1e-8
 
 EXPLICIT_W_CAP = 4096
 
+# Largest distance from 1 of a weight column's sum that a denoiser accepts.
+SIMPLEX_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class LinearDenoiser:
     """GMM + frozen per-patch weights + noise variance, over a fixed grid.
+
+    ``weights`` is the (K, n) beta of :func:`~pnpfusion.gmm.posterior`, checked
+    to have every column on the simplex within :data:`SIMPLEX_ATOL`, which
+    keeps each patch map's spectrum, and so W's, in [0, 1].
 
     The denoiser is the linear map :attr:`operator`, built on first use.
     The practical default passes each patch's mean through unfiltered;
@@ -74,7 +81,7 @@ class LinearDenoiser:
     """
 
     model: GmmModel
-    weights: PatchWeights
+    weights: np.ndarray  # (K, n)
     noise_variance: float
     geometry: ImageGeometry
     pure_linear: bool = False
@@ -82,12 +89,16 @@ class LinearDenoiser:
     def __post_init__(self):
         if not 0 < self.noise_variance < np.inf:
             raise ConfigError("denoiser noise variance must be positive and finite")
-        if self.weights.n_components != self.model.n_components:
-            raise DimensionError("weights/model component counts differ")
-        if self.weights.count != self.geometry.n:
-            raise DimensionError(
-                f"weights cover {self.weights.count} patches, geometry has "
-                f"{self.geometry.n} pixels"
+        expected = (self.model.n_components, self.geometry.n)
+        if self.weights.shape != expected:
+            raise DimensionError(f"weights shape {self.weights.shape} != {expected}")
+        # NaN fails both tests, and together they bound every entry by 1 + atol
+        if not (
+            self.weights.min() >= 0
+            and abs(self.weights.sum(axis=0) - 1).max() <= SIMPLEX_ATOL
+        ):
+            raise ConfigError(
+                f"weights must be >= 0 with columns summing to 1 within {SIMPLEX_ATOL}"
             )
 
     @cached_property
@@ -117,7 +128,7 @@ class LinearDenoiser:
             filters -= filters.mean(axis=1, keepdims=True)
         # entries[k, k'] holds entry (k, k') of every M_j as one K-vector
         entries = np.ascontiguousarray(filters.transpose(1, 2, 0))
-        beta = self.weights.beta
+        beta = self.weights
         data = np.empty((w, h, span, span))
         slab = np.empty((span, w, h))
         mirror = np.empty((span, w, h))
@@ -217,8 +228,8 @@ def _shrinkage(
     vals: np.ndarray, vecs: np.ndarray, noise_variance: float
 ) -> np.ndarray:
     """``V diag(v/(v + s2)) V^T`` for one spectrum or a stack of them."""
-    if not noise_variance > 0:
-        raise ConfigError("wiener filter requires positive noise variance")
+    if not 0 < noise_variance < np.inf:
+        raise ConfigError("wiener filter requires positive, finite noise variance")
     shrink = vals / (vals + noise_variance)
     return (vecs * shrink[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
@@ -263,8 +274,8 @@ def denoise_image_mmse(
     is the nonlinear denoiser that the fixed-weight one linearizes.
     """
     patch_set = remove_means(extract_patches(image_band, geometry, model.patch_side))
-    weights = e_step(patch_set, model, noise_variance)
-    denoiser = LinearDenoiser(model, weights, noise_variance, geometry)
+    beta = posterior(patch_set, model, noise_variance)[0]
+    denoiser = LinearDenoiser(model, beta, noise_variance, geometry)
     return denoise_image_fixed(image_band, denoiser)
 
 
@@ -391,7 +402,6 @@ def expansiveness_demo(
     small_variance: float,
     large_variance: float,
     noise_variance: float,
-    grid: np.ndarray | None = None,
     alphas: tuple[float, float] = (0.5, 0.5),
 ) -> ExpansivenessTable:
     """Univariate two-component demo of MMSE expansiveness.
@@ -399,7 +409,8 @@ def expansiveness_demo(
     The exact MMSE estimate under a zero-mean two-component scalar mixture has
     finite-difference slope above 1 in the transition region between the
     components, while the fixed-weight linearization is a convex combination
-    of shrinkages and stays strictly below slope 1. The weights ``alphas``
+    of shrinkages and stays strictly below slope 1. Both curves are sampled
+    on ``y`` from -3 to 3 in steps of 1e-4. The weights ``alphas``
     must be nonnegative and sum to 1, and ``noise_variance`` must be
     nonnegative and finite.
     """
@@ -410,8 +421,7 @@ def expansiveness_demo(
         raise ConfigError("noise_variance must be nonnegative and finite")
     if not (a.shape == (2,) and np.all(a >= 0) and np.isclose(a.sum(), 1.0)):
         raise ConfigError(f"alphas must be two weights >= 0 summing to 1: {alphas}")
-    if grid is None:
-        grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
+    grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
     variances = np.array([small_variance, large_variance])
     noisy_vars = variances + noise_variance
     loglik = (

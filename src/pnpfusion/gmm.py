@@ -17,8 +17,9 @@ Each EM iteration works on all K components at once:
   eigenvectors V, so neither the E-step nor the Wiener filters factor a
   covariance again. A model built any other way computes its spectrum once,
   with one batched ``eigh``.
-* The E-step is rank-restricted. With ``v = max(lambda+ + sigma^2, floor)``
-  and ``s_j = max(sigma^2, floor)``, the variance of every direction whose
+* The E-step, :func:`posterior`, returns beta as a plain (K, N) array and is
+  rank-restricted. With ``v = max(lambda+ + sigma^2, floor)`` and
+  ``s_j = max(sigma^2, floor)``, the variance of every direction whose
   ``v`` equals ``s_j``, the Mahalanobis term of component j is
 
       ||y||^2 / s_j - sum_{r kept} p_r^2 (1/s_j - 1/v_r),  p = V^T y,
@@ -97,21 +98,6 @@ def _projected_model(
     model = GmmModel(alphas=alphas, covariances=covariances, patch_side=patch_side)
     model.__dict__["spectrum"] = (vals, vecs)  # fills the cached property
     return model
-
-
-@dataclass(frozen=True)
-class PatchWeights:
-    """Per-patch posterior component weights, columns on the simplex."""
-
-    beta: np.ndarray  # (K, N)
-
-    @property
-    def n_components(self) -> int:
-        return self.beta.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.beta.shape[1]
 
 
 @dataclass(frozen=True)
@@ -200,27 +186,15 @@ def _logsumexp(logdens: np.ndarray) -> np.ndarray:
         return peak + np.log(np.exp(logdens - peak).sum(axis=0))
 
 
-def _posterior(
+def posterior(
     patches: PatchSet, model: GmmModel, noise_variance: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities beta (K, N) and each patch's log density (N,)."""
+    """The E-step: responsibilities beta (K, N), one simplex column per patch,
+    and each patch's log density (N,), which sum to the log-likelihood."""
     logdens = _component_log_densities(patches, model, noise_variance)
     col_logsum = _logsumexp(logdens)
-    return np.exp(logdens - col_logsum), col_logsum
-
-
-def e_step(
-    patches: PatchSet, model: GmmModel, noise_variance: float
-) -> PatchWeights:
-    """Posterior component weights of each patch under the noisy model."""
-    return PatchWeights(beta=_posterior(patches, model, noise_variance)[0])
-
-
-def log_likelihood(
-    patches: PatchSet, model: GmmModel, noise_variance: float
-) -> float:
-    """Observed-data log-likelihood under the noisy model."""
-    return float(np.sum(_posterior(patches, model, noise_variance)[1]))
+    logdens -= col_logsum
+    return np.exp(logdens, out=logdens), col_logsum
 
 
 def _weighted_second_moments(patches: PatchSet, beta: np.ndarray) -> np.ndarray:
@@ -255,7 +229,7 @@ def _weighted_second_moments(patches: PatchSet, beta: np.ndarray) -> np.ndarray:
 
 
 def m_step(
-    patches: PatchSet, weights: PatchWeights, noise_variance: float
+    patches: PatchSet, beta: np.ndarray, noise_variance: float
 ) -> GmmModel:
     """Update mixture weights and noise-compensated covariances.
 
@@ -266,7 +240,6 @@ def m_step(
     patch the mixture currently claims least confidently, never dropped.
     """
     y = patches.patches
-    beta = weights.beta
     n, n_p = y.shape
     if beta.shape[1] != n:
         raise DimensionError(
@@ -341,14 +314,14 @@ def _init_model(patches: PatchSet, config: EmConfig) -> GmmModel:
 
 def train_em(
     patches: PatchSet, config: EmConfig
-) -> tuple[GmmModel, PatchWeights, list[float]]:
+) -> tuple[GmmModel, np.ndarray, list[float]]:
     """Alternate E/M steps until the log-likelihood stalls or the budget ends.
 
     Runs up to ``max_iters`` M-steps, each after an E-step, and one E-step
-    after the last of them. Returns the final model, responsibilities
-    consistent with that model, and the log-likelihood of every E-step's
-    model, so the trace ends with the returned model's. Deterministic given
-    the seed.
+    after the last of them. Returns the final model, its responsibilities
+    beta (K, N) from :func:`posterior`, and the log-likelihood of every
+    E-step's model, so the trace ends with the returned model's.
+    Deterministic given the seed.
     """
     if patches.count < config.n_components:
         raise ConfigError(
@@ -360,11 +333,10 @@ def train_em(
     sigma2, tol = config.noise_variance, config.loglik_rel_tol
     trace: list[float] = []
     for m_steps in range(config.max_iters + 1):
-        beta, col_logsum = _posterior(patches, model, sigma2)
-        weights = PatchWeights(beta=beta)
+        beta, col_logsum = posterior(patches, model, sigma2)
         ll = float(col_logsum.sum())
         stalled = bool(trace) and abs(ll - trace[-1]) <= tol * abs(trace[-1])
         trace.append(ll)
         if stalled or m_steps == config.max_iters:
-            return model, weights, trace
-        model = m_step(patches, weights, sigma2)
+            return model, beta, trace
+        model = m_step(patches, beta, sigma2)

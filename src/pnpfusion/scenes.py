@@ -63,16 +63,14 @@ class PairSceneSpec:
             raise ConfigError("noise levels must be nonnegative and finite")
 
 
-def smooth_field(
-    geometry: ImageGeometry, rng: np.random.Generator, n_waves: int = 4
-) -> np.ndarray:
-    """Random low-frequency field on the grid, as a pixel vector in [-1, 1]."""
+def smooth_field(geometry: ImageGeometry, rng: np.random.Generator) -> np.ndarray:
+    """Sum of four random cosine products on the grid, as a pixel vector in [-1, 1]."""
     h, w = geometry.height, geometry.width
     rr, cc = np.meshgrid(
         np.arange(h) / max(h, 1), np.arange(w) / max(w, 1), indexing="ij"
     )
     field = np.zeros((h, w))
-    for _ in range(n_waves):
+    for _ in range(4):
         fr, fc = rng.uniform(0.5, 2.5, size=2)
         phase = rng.uniform(0, 2 * np.pi, size=2)
         amp = rng.uniform(0.3, 1.0)
@@ -169,12 +167,11 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def motion_kernel(length: int, angle_degrees: float = 30.0) -> np.ndarray:
-    """Oblique motion-blur kernel: a bilinearly splatted line segment."""
-    size = length
-    kernel = np.zeros((size, size))
-    center = (size - 1) / 2.0
-    theta = np.radians(angle_degrees)
+def motion_kernel(length: int) -> np.ndarray:
+    """Motion-blur kernel: a bilinearly splatted line segment at 30 degrees."""
+    kernel = np.zeros((length, length))
+    center = (length - 1) / 2.0
+    theta = np.radians(30.0)
     for t in np.linspace(-(length - 1) / 2.0, (length - 1) / 2.0, 8 * length):
         r = center + t * np.sin(theta)
         c = center + t * np.cos(theta)
@@ -187,7 +184,7 @@ def motion_kernel(length: int, angle_degrees: float = 30.0) -> np.ndarray:
             (1, 1, fr * fc),
         ):
             rr, cc = r0 + dr, c0 + dc
-            if 0 <= rr < size and 0 <= cc < size:
+            if 0 <= rr < length and 0 <= cc < length:
                 kernel[rr, cc] += wgt
     return kernel / kernel.sum()
 

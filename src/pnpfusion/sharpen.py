@@ -49,7 +49,7 @@ from .admm import (
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
 from .errors import ConfigError, DimensionError, is_count
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
-from .gmm import EmConfig, PatchWeights, train_em
+from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, PatchSet, extract_patches, remove_means
 
 
@@ -110,14 +110,6 @@ class HsScene:
             raise ConfigError("spectral response rows must be nonnegative")
         if not (0 <= self.sigma_h < np.inf and 0 <= self.sigma_m < np.inf):
             raise ConfigError("noise levels must be nonnegative and finite")
-
-    @property
-    def n_bands_hs(self) -> int:
-        return self.y_h.shape[0]
-
-    @property
-    def n_bands_ms(self) -> int:
-        return self.y_m.shape[0]
 
     @property
     def masked_indices(self) -> np.ndarray:
@@ -242,13 +234,12 @@ def train_scene_denoiser(
             for band in y_m
         ]
     )
-    model, weights, _ = train_em(
+    model, beta, _ = train_em(
         PatchSet(patches=patches, patch_side=patch_side, source_geometry=geometry), em
     )
-    beta = weights.beta.reshape(em.n_components, y_m.shape[0], geometry.n).mean(axis=1)
     return LinearDenoiser(
         model=model,
-        weights=PatchWeights(beta=beta),
+        weights=beta.reshape(em.n_components, y_m.shape[0], geometry.n).mean(axis=1),
         noise_variance=denoiser_variance,
         geometry=geometry,
         pure_linear=pure_linear,

@@ -19,7 +19,7 @@ from pnpfusion.denoiser import (
 )
 from pnpfusion.errors import ConfigError, DimensionError, SizeError
 from pnpfusion.fftops import symbol_products
-from pnpfusion.gmm import GmmModel, PatchWeights
+from pnpfusion.gmm import GmmModel
 from pnpfusion.patches import ImageGeometry
 from tests.conftest import mirror_defect, train_random_denoiser
 
@@ -36,9 +36,11 @@ class TestWienerFilter:
     def test_zero_covariance_zero(self):
         np.testing.assert_allclose(wiener_filter(np.zeros((4, 4)), 0.5), 0.0)
 
-    def test_rejects_nan_variance(self):
+    @pytest.mark.parametrize("variance", [float("nan"), float("inf")])
+    def test_rejects_nan_variance(self, variance):
+        # an infinite variance once gave the zero filter
         with pytest.raises(ConfigError):
-            wiener_filter(np.eye(2), float("nan"))
+            wiener_filter(np.eye(2), variance)
 
     def test_eigenvalues_are_shrunk_spectrum(self):
         rng = np.random.default_rng(0)
@@ -60,7 +62,7 @@ def random_denoiser(geometry, side, k, seed, sigma2=0.15, pure_linear=False):
         covariances=np.stack([random_psd(rng, side * side) for _ in range(k)]),
         patch_side=side,
     )
-    weights = PatchWeights(beta=rng.dirichlet(np.ones(k), size=geometry.n).T)
+    weights = rng.dirichlet(np.ones(k), size=geometry.n).T
     return LinearDenoiser(
         model=model,
         weights=weights,
@@ -91,7 +93,7 @@ def dense_reference(den):
         p = np.zeros((n_p, n))
         for k in range(n_p):
             p[k, (row + k % side) % h + ((col + k // side) % w) * h] = 1.0
-        f = sum(b * g for b, g in zip(den.weights.beta[:, i], filters))
+        f = sum(b * g for b, g in zip(den.weights[:, i], filters))
         m = f if den.pure_linear else centre @ f @ centre + 1 / n_p
         out += p.T @ m @ p
     return out / n_p
@@ -131,6 +133,34 @@ def shift_average(matrix, geometry):
 
 
 class TestOperator:
+    @pytest.mark.parametrize(
+        "case,error",
+        [
+            ("nan", ConfigError),
+            ("3,-2", ConfigError),
+            ("1.5", ConfigError),
+            ("1-d", DimensionError),
+            ("K+1 rows", DimensionError),
+            ("n-1 columns", DimensionError),
+        ],
+    )
+    def test_rejects_malformed_weights(self, case, error):
+        # off the simplex, beta gave W NaN pixels or eigenvalues above 1
+        den = random_denoiser(ImageGeometry(8, 8), 2, 2, seed=0)
+        k, n = den.weights.shape
+        nan = den.weights.copy()
+        nan[0, 5] = np.nan
+        weights = {
+            "nan": nan,
+            "3,-2": np.repeat([[3.0], [-2.0]], n, axis=1),
+            "1.5": np.full((k, n), 1.5),
+            "1-d": den.weights[0],
+            "K+1 rows": np.full((k + 1, n), 1 / (k + 1)),
+            "n-1 columns": np.full((k, n - 1), 1 / k),
+        }[case]
+        with pytest.raises(error):
+            replace(den, weights=weights)
+
     @pytest.mark.parametrize("pure_linear", [True, False])
     @pytest.mark.parametrize("height,width,side", [(12, 12, 3), (5, 7, 4), (8, 8, 8)])
     def test_matches_dense_reference(self, height, width, side, pure_linear):
@@ -214,7 +244,7 @@ class TestOperator:
             model=GmmModel(
                 alphas=np.array([1.0]), covariances=(c * np.eye(4))[None], patch_side=2
             ),
-            weights=PatchWeights(beta=np.ones((1, geom.n))),
+            weights=np.ones((1, geom.n)),
             noise_variance=sigma2,
             geometry=geom,
             pure_linear=True,
@@ -308,7 +338,7 @@ class TestImageDenoise:
         y = np.random.default_rng(6).standard_normal(geom.n)
         beta = zero_mean_posterior(y, den)
         assert beta.max(axis=0).min() < 0.9  # mixed weights, so they matter
-        reference = dense_reference(replace(den, weights=PatchWeights(beta=beta)))
+        reference = dense_reference(replace(den, weights=beta))
         mmse = denoise_image_mmse(y, den.model, den.noise_variance, geom)
         np.testing.assert_allclose(mmse, reference @ y, rtol=1e-10)
 
@@ -342,7 +372,7 @@ class TestExplicitW:
         model = GmmModel(
             alphas=np.array([1.0]), covariances=np.array([[[c]]]), patch_side=1
         )
-        weights = PatchWeights(beta=np.ones((1, 9)))
+        weights = np.ones((1, 9))
         den = LinearDenoiser(
             model=model,
             weights=weights,
@@ -416,7 +446,7 @@ class TestExplicitW:
         k = small_denoiser.model.n_components
         den = LinearDenoiser(
             model=small_denoiser.model,
-            weights=PatchWeights(beta=np.full((k, geom.n), 1.0 / k)),
+            weights=np.full((k, geom.n), 1.0 / k),
             noise_variance=0.05,
             geometry=geom,
         )

@@ -12,7 +12,12 @@ import pytest
 
 import pnpfusion
 from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
-from pnpfusion.denoiser import EXPLICIT_W_CAP, build_explicit_w, denoise_image_fixed
+from pnpfusion.denoiser import (
+    EXPLICIT_W_CAP,
+    SIMPLEX_ATOL,
+    build_explicit_w,
+    denoise_image_fixed,
+)
 from pnpfusion.errors import ConfigError, DimensionError, DivergenceError
 from pnpfusion.fftops import make_cyclic_blur
 from pnpfusion.gmm import EmConfig
@@ -56,9 +61,6 @@ sharpen_module = importlib.import_module("pnpfusion.sharpen")
 # The pair model is sharpening with E = R = 1 and no decimation: the
 # one-band scene below, on the one-dimensional basis.
 ONE = SubspaceBasis(e=np.ones((1, 1)))
-
-# how far each pixel's mixture weights may sum from one
-SIMPLEX_ATOL = 1e-9
 
 
 def one_band(scene):
@@ -676,7 +678,7 @@ class TestTheoryAtScale:
         vals = den.model.spectrum[0]
         shrink = vals / (vals + den.noise_variance)
         assert np.all((shrink >= 0) & (shrink <= 1))
-        beta = den.weights.beta
+        beta = den.weights
         assert beta.min() >= 0
         assert np.abs(beta.sum(axis=0) - 1).max() <= SIMPLEX_ATOL
 

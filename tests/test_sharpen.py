@@ -408,7 +408,7 @@ class TestSceneDenoiser:
 
         def recording_train_em(patches, config):
             out = train_em(patches, config)
-            runs.append(out[1].beta)
+            runs.append(out[1])
             return out
 
         # the package's ``sharpen`` attribute is the pipeline function
@@ -422,10 +422,10 @@ class TestSceneDenoiser:
         assert beta.shape == (3, n_bands * geom.n)
         per_band = [beta[:, b * geom.n : (b + 1) * geom.n] for b in range(n_bands)]
         np.testing.assert_allclose(
-            den.weights.beta, sum(per_band) / n_bands, rtol=1e-15, atol=1e-15
+            den.weights, sum(per_band) / n_bands, rtol=1e-15, atol=1e-15
         )
-        assert np.all(den.weights.beta >= 0)
-        np.testing.assert_allclose(den.weights.beta.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(den.weights >= 0)
+        np.testing.assert_allclose(den.weights.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestDirectSolve:
