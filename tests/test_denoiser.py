@@ -36,11 +36,11 @@ class TestWienerFilter:
     def test_zero_covariance_zero(self):
         np.testing.assert_allclose(wiener_filter(np.zeros((4, 4)), 0.5), 0.0)
 
-    @pytest.mark.parametrize("variance", [float("nan"), float("inf")])
-    def test_rejects_nan_variance(self, variance):
+    def test_rejects_nan_variance(self):
         # an infinite variance once gave the zero filter
-        with pytest.raises(ConfigError):
-            wiener_filter(np.eye(2), variance)
+        for variance in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                wiener_filter(np.eye(2), variance)
 
     def test_eigenvalues_are_shrunk_spectrum(self):
         rng = np.random.default_rng(0)
