@@ -44,7 +44,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, SizeError
-from .gmm import GmmModel, posterior
+from .gmm import SIMPLEX_ATOL as SIMPLEX_ATOL  # re-exported
+from .gmm import GmmModel, check_noise_variance, checked_responsibilities, posterior
 from .patches import (  # perfbench/tracing.py patches the two unused names here
     ImageGeometry,
     assemble_patches,
@@ -62,17 +63,14 @@ SUBSPACE_RTOL = 1e-8
 
 EXPLICIT_W_CAP = 4096
 
-# Largest distance from 1 of a weight column's sum that a denoiser accepts.
-SIMPLEX_ATOL = 1e-9
-
 
 @dataclass(frozen=True)
 class LinearDenoiser:
     """GMM + frozen per-patch weights + noise variance, over a fixed grid.
 
-    ``weights`` is the (K, n) beta of :func:`~pnpfusion.gmm.posterior`, checked
-    to have every column on the simplex within :data:`SIMPLEX_ATOL`, which
-    keeps each patch map's spectrum, and so W's, in [0, 1].
+    ``weights`` is the (K, n) beta of :func:`~pnpfusion.gmm.posterior`, whose
+    columns :func:`~pnpfusion.gmm.checked_responsibilities` checks to lie on the
+    simplex, which keeps each patch map's spectrum, and so W's, in [0, 1].
 
     The denoiser is the linear map :attr:`operator`, built on first use.
     The practical default passes each patch's mean through unfiltered;
@@ -89,17 +87,9 @@ class LinearDenoiser:
     def __post_init__(self):
         if not 0 < self.noise_variance < np.inf:
             raise ConfigError("denoiser noise variance must be positive and finite")
-        expected = (self.model.n_components, self.geometry.n)
-        if self.weights.shape != expected:
-            raise DimensionError(f"weights shape {self.weights.shape} != {expected}")
-        # NaN fails both tests, and together they bound every entry by 1 + atol
-        if not (
-            self.weights.min() >= 0
-            and abs(self.weights.sum(axis=0) - 1).max() <= SIMPLEX_ATOL
-        ):
-            raise ConfigError(
-                f"weights must be >= 0 with columns summing to 1 within {SIMPLEX_ATOL}"
-            )
+        n, k = self.geometry.n, self.model.n_components
+        beta = checked_responsibilities(self.weights, n, k)
+        object.__setattr__(self, "weights", beta)
 
     @cached_property
     def operator(self) -> np.ndarray:
@@ -417,8 +407,7 @@ def expansiveness_demo(
     a = np.asarray(alphas, dtype=float)
     if not 0 < small_variance < large_variance < np.inf:
         raise ConfigError("need 0 < small_variance < large_variance < inf")
-    if not 0 <= noise_variance < np.inf:
-        raise ConfigError("noise_variance must be nonnegative and finite")
+    check_noise_variance(noise_variance)
     if not (a.shape == (2,) and np.all(a >= 0) and np.isclose(a.sum(), 1.0)):
         raise ConfigError(f"alphas must be two weights >= 0 summing to 1: {alphas}")
     grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)

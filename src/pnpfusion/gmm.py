@@ -62,6 +62,9 @@ _COMPLEMENT_MAX_RATIO = 1e6
 # memory without running faster.
 _CHUNK = 256
 
+# Largest distance from 1 of a column sum of responsibilities that is accepted.
+SIMPLEX_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GmmModel:
@@ -70,6 +73,13 @@ class GmmModel:
     alphas: np.ndarray  # (K,)
     covariances: np.ndarray  # (K, n_p, n_p)
     patch_side: int
+
+    def __post_init__(self):
+        for name in ("alphas", "covariances"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        k, n_p = self.alphas.shape, self.patch_side**2
+        if len(k) != 1 or self.covariances.shape != (*k, n_p, n_p):
+            raise DimensionError(f"need alphas (K,) and covariances (K, {n_p}, {n_p})")
 
     @property
     def n_components(self) -> int:
@@ -115,8 +125,27 @@ class EmConfig:
         require_counts(self, {"n_components": 1, "max_iters": 1, "seed": 0})
         if not 0 < self.loglik_rel_tol < np.inf:
             raise ConfigError("loglik_rel_tol must be positive and finite")
-        if not 0 <= self.noise_variance < np.inf:
-            raise ConfigError("noise_variance must be nonnegative and finite")
+        check_noise_variance(self.noise_variance)
+
+
+def check_noise_variance(noise_variance: float) -> None:
+    """Raise :class:`ConfigError` unless nonnegative and finite (not NaN)."""
+    if not 0 <= noise_variance < np.inf:
+        raise ConfigError(f"noise variance must be >= 0 and finite: {noise_variance}")
+
+
+def checked_responsibilities(beta, n_patches: int, n_components=None) -> np.ndarray:
+    """``beta`` as a float (K, n_patches) array, K = ``n_components`` if given,
+    whose columns lie on the simplex within :data:`SIMPLEX_ATOL`. A float
+    array is not copied."""
+    beta = np.asarray(beta, dtype=float)
+    rows = beta.shape[0] if n_components is None and beta.ndim == 2 else n_components
+    if beta.shape != (rows, n_patches):
+        raise DimensionError(f"weights shape {beta.shape} != ({rows}, {n_patches})")
+    # NaN fails both tests, and together they bound every entry by 1 + atol
+    if not (abs(beta.sum(axis=0) - 1).max() <= SIMPLEX_ATOL and beta.min() >= 0):
+        raise ConfigError(f"beta must be >= 0, column sums within {SIMPLEX_ATOL} of 1")
+    return beta
 
 
 def eigt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,6 +220,7 @@ def posterior(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The E-step: responsibilities beta (K, N), one simplex column per patch,
     and each patch's log density (N,), which sum to the log-likelihood."""
+    check_noise_variance(noise_variance)
     logdens = _component_log_densities(patches, model, noise_variance)
     col_logsum = _logsumexp(logdens)
     logdens -= col_logsum
@@ -239,12 +269,10 @@ def m_step(
     A component whose total responsibility collapses is re-seeded from the
     patch the mixture currently claims least confidently, never dropped.
     """
+    check_noise_variance(noise_variance)
     y = patches.patches
     n, n_p = y.shape
-    if beta.shape[1] != n:
-        raise DimensionError(
-            f"weights cover {beta.shape[1]} patches, patch set has {n}"
-        )
+    beta = checked_responsibilities(beta, n)
     totals = beta.sum(axis=1)
     alphas = totals / totals.sum()
     dead = totals < 1e-12

@@ -1,4 +1,4 @@
-"""Hyperspectral sharpening: forward models, PCA subspace, SALSA updates.
+"""Hyperspectral sharpening: forward models, PCA subspace, GMRES and SALSA.
 
 Observed data: a spatially blurred hyperspectral cube sampled at the pixels
 of a 0/1 mask M, ``Y_h = Z B M``, plus a spectrally mixed high-resolution cube
@@ -36,6 +36,7 @@ minimizer of :func:`hs_data_term` serve both applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -161,39 +162,6 @@ def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
         if e[pivot, j] < 0:
             e[:, j] = -e[:, j]
     return SubspaceBasis(e=e)
-
-
-def v1_update(
-    target: np.ndarray, scene: HsScene, basis: SubspaceBasis, rho: float
-) -> np.ndarray:
-    """Blurred-HS data block: minimize over V
-
-        ||E V M - Y_h||_F^2 + rho ||target - V||_F^2.
-
-    Masked columns get the small closed-form solve; unmasked columns carry
-    the target through unchanged.
-    """
-    out = target.copy()
-    idx = scene.masked_indices
-    lhs = basis.e.T @ basis.e + rho * np.eye(basis.dim)
-    rhs = basis.e.T @ scene.y_h + rho * target[:, idx]
-    out[:, idx] = np.linalg.solve(lhs, rhs)
-    return out
-
-
-def v2_update(
-    target: np.ndarray, scene: HsScene, basis: SubspaceBasis, lam: float, rho: float
-) -> np.ndarray:
-    """Spectral-mixing block: minimize over V
-
-        lam ||R E V - Y_m||_F^2 + rho ||target - V||_F^2,
-
-    one shared L_s x L_s solve for all columns.
-    """
-    re = scene.r @ basis.e
-    lhs = lam * re.T @ re + rho * np.eye(basis.dim)
-    rhs = lam * re.T @ scene.y_m + rho * target
-    return np.linalg.solve(lhs, rhs)
 
 
 def v3_update(
@@ -326,49 +294,49 @@ def solve_hs(
     )
 
 
-class _HsProblem:
-    """Callback bundle wiring one scene into the generic ADMM driver."""
-
-    def __init__(self, scene, basis, denoiser, cfg):
-        self.scene = scene
-        self.basis = basis
-        self.denoiser = denoiser
-        self.cfg = cfg
-        self.data = hs_data_term(scene, basis, cfg.lam)
-
-    def x_update(self, vs, us):
-        rhs = (
-            blur_rows(vs[0] + us[0], self.scene.blur, adjoint=True)
-            + vs[1]
-            + us[1]
-            + vs[2]
-            + us[2]
-        )
-        return solve_x_update_hs(rhs, self.scene.blur)
-
-    def h_apply(self, x):
-        return [blur_rows(x, self.scene.blur), x, x]
-
-    def v_update(self, j, target):
-        if j == 0:
-            return v1_update(target, self.scene, self.basis, self.cfg.rho)
-        if j == 1:
-            return v2_update(target, self.scene, self.basis, self.cfg.lam, self.cfg.rho)
-        return v3_update(target, np.zeros_like(target), self.denoiser)
-
-    def objective(self, x):
-        return self.data.objective(x, 0.0)
-
-
 def run_salsa_hs(
     scene: HsScene,
     basis: SubspaceBasis,
     denoiser: LinearDenoiser | None,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, SolveReport]:
-    """SALSA iterations for a prepared scene/basis/denoiser triple."""
+    """SALSA (Afonso, Bioucas-Dias & Figueiredo, IEEE TIP 2011) to the fixed
+    point of :func:`solve_hs`: :func:`~pnpfusion.admm.run_admm` on the HS
+    splitting ``V1 = X B``, ``V2 = V3 = X`` of Simoes et al. (IEEE TGRS 2015).
+    Each block has a closed form: V1 (blurred HS) solves with ``E^T E + rho I``
+    at the masked columns and keeps its target elsewhere, V2 (spectral) solves
+    with ``lam (R E)^T R E + rho I``, and V3 is D; both systems are formed once
+    per call. The objective trace is the data fit alone.
+    """
+    rho = cfg.rho
+    idx = scene.masked_indices
+    hs_lhs = basis.e.T @ basis.e + rho * np.eye(basis.dim)
+    hs_rhs = basis.e.T @ scene.y_h
+    re = scene.r @ basis.e
+    ms_lhs = cfg.lam * re.T @ re + rho * np.eye(basis.dim)
+    ms_rhs = cfg.lam * re.T @ scene.y_m
+    data = hs_data_term(scene, basis, cfg.lam)
+
+    def x_update(vs, us):
+        rhs = blur_rows(vs[0] + us[0], scene.blur, adjoint=True)
+        return solve_x_update_hs(rhs + vs[1] + us[1] + vs[2] + us[2], scene.blur)
+
+    def v_update(j, target):
+        if j == 0:
+            out = target.copy()
+            out[:, idx] = np.linalg.solve(hs_lhs, hs_rhs + rho * target[:, idx])
+            return out
+        if j == 1:
+            return np.linalg.solve(ms_lhs, ms_rhs + rho * target)
+        return v3_update(target, np.zeros_like(target), denoiser)
+
+    problem = SimpleNamespace(
+        x_update=x_update,
+        h_apply=lambda x: [blur_rows(x, scene.blur), x, x],
+        v_update=v_update,
+        objective=lambda x: data.objective(x, 0.0),
+    )
     zeros = np.zeros((basis.dim, scene.geometry.n))
-    problem = _HsProblem(scene, basis, denoiser, cfg)
     return run_admm(problem, cfg, [zeros, zeros, zeros])
 
 
@@ -379,9 +347,8 @@ def sharpen(
 
     Returns the reconstructed cube ``Z_hat = E X`` and the solve report. The
     fixed point is solved to ``FIXED_POINT_RTOL`` by :func:`solve_hs`; the
-    solver config's
-    ``primal_tol``/``dual_tol`` bound only the SALSA reference. With
-    ``tau == 0`` no GMM is trained and D is the identity.
+    solver config's ``primal_tol``/``dual_tol`` bound only the SALSA
+    reference. With ``tau == 0`` no GMM is trained and D is the identity.
     """
     cfg = params.solver
     basis = pca_basis(scene.y_h, params.n_subspace)

@@ -2,9 +2,11 @@
 
 ``perfbench/tracing.py`` swaps module-level ``pnpfusion`` names for timing
 wrappers, and ``perfbench/workloads.py`` imports public names; a renamed or
-deleted name would otherwise only show up when the benchmark runs.
+deleted name would otherwise only show up when the benchmark runs. Conversely,
+an import that a module never reads must be one of the tracer's names there.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -68,3 +70,38 @@ def test_tracer_sees_every_layer_of_a_solve(name):
     assert metrics["denoiser.apply_calls"] == report.iterations_run + 1
     assert metrics["fftops.blur_calls"] > 0
     assert metrics["gmm.em_iters"] > 0
+
+
+def test_unused_imports_are_tracer_pins():
+    # a module imports a name it never reads only so that the tracer can swap
+    # it there; once the tracer drops that pin, this names the import to delete
+    pins = {(module, attr) for module, attr, _ in TRACING.PATCH_POINTS}
+    pins |= {(module, "run_admm") for module in TRACING.ADMM_CALLERS}
+    package = Path(__file__).resolve().parent.parent / "src" / "pnpfusion"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = f"pnpfusion.{path.stem}"
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # "from m import X as X" is an explicit re-export
+                    if alias.asname != alias.name:
+                        local = alias.asname or alias.name.split(".")[0]
+                        imported[local] = alias.name
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{module}.{local}"
+            for local, name in imported.items()
+            if local not in read and (module, name) not in pins
+        ]
+    assert unused == []

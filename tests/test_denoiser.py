@@ -142,6 +142,7 @@ class TestOperator:
             ("1-d", DimensionError),
             ("K+1 rows", DimensionError),
             ("n-1 columns", DimensionError),
+            ("list", ConfigError),
         ],
     )
     def test_rejects_malformed_weights(self, case, error):
@@ -157,6 +158,8 @@ class TestOperator:
             "1-d": den.weights[0],
             "K+1 rows": np.full((k + 1, n), 1 / (k + 1)),
             "n-1 columns": np.full((k, n - 1), 1 / k),
+            # once leaked AttributeError from reading weights.shape
+            "list": np.full((k, n), 1.5).tolist(),
         }[case]
         with pytest.raises(error):
             replace(den, weights=weights)

@@ -8,7 +8,7 @@ from scipy.linalg import eigh as scipy_eigh
 
 from pnpfusion import gmm
 from pnpfusion.denoiser import component_filters
-from pnpfusion.errors import ConfigError
+from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.gmm import (
     _CHUNK,
     EmConfig,
@@ -155,8 +155,8 @@ class TestLogDensities:
 
     def test_full_rank_model_without_noise_matches_the_oracle(self):
         rng = np.random.default_rng(23)
-        model = random_model(rng, 3, 6)
-        y = rng.standard_normal((30, 6))
+        model = random_model(rng, 3, 4)  # a model's patches are square
+        y = rng.standard_normal((30, 4))
         got = _component_log_densities(make_patch_set(y), model, 0.0)
         np.testing.assert_allclose(got, oracle_log_densities(y, model, 0.0), rtol=1e-10)
 
@@ -319,6 +319,22 @@ class TestMStep:
         assert model.n_components == 2
         assert np.all(model.alphas > 0)
         np.testing.assert_allclose(model.alphas.sum(), 1.0)
+
+    @pytest.mark.parametrize(
+        "case,error",
+        [("1-d", DimensionError), ("nan", ConfigError), ("off-simplex", ConfigError)],
+    )
+    def test_rejects_malformed_weights(self, case, error):
+        # these once leaked IndexError and LinAlgError, and beta = 2 everywhere
+        # silently halved the covariance
+        y = np.random.default_rng(9).standard_normal((9, 4))
+        beta = {
+            "1-d": np.ones(9),
+            "nan": np.full((2, 9), np.nan),
+            "off-simplex": np.full((1, 9), 2.0),
+        }[case]
+        with pytest.raises(error):
+            m_step(make_patch_set(y), beta, 0.1)
 
     def test_m_step_covariances_eigt_idempotent(self):
         rng = np.random.default_rng(8)
@@ -609,3 +625,40 @@ def test_train_em_rejects_non_finite_patches():
     patches[3, 1] = np.nan
     with pytest.raises(ConfigError):
         train_em(PatchSet(patches, 2, geom), EmConfig(2, noise_variance=0.1))
+
+
+@pytest.mark.parametrize("noise_variance", [np.nan, np.inf, -0.1])
+@pytest.mark.parametrize("step", ["posterior", "m_step"])
+def test_e_and_m_steps_reject_bad_noise_variance(step, noise_variance):
+    # posterior once returned NaN responsibilities and m_step leaked LinAlgError
+    rng = np.random.default_rng(10)
+    patches = make_patch_set(rng.standard_normal((9, 4)))
+    with pytest.raises(ConfigError):
+        if step == "posterior":
+            posterior(patches, random_model(rng, 2, 4), noise_variance)
+        else:
+            m_step(patches, np.full((2, 9), 0.5), noise_variance)
+
+
+@pytest.mark.parametrize(
+    "alphas,covariances,patch_side",
+    [
+        # side 2 with 3x3 covariances once mapped a constant image 1 to 1.505
+        ([1.0], np.eye(9)[None], 2),
+        # side 3 with 2x2 covariances once leaked IndexError from the stencil
+        ([1.0], np.eye(4)[None], 3),
+        ([0.5, 0.5], np.eye(4)[None], 2),
+        ([[1.0]], np.eye(4)[None], 2),
+    ],
+    ids=["3x3 at side 2", "2x2 at side 3", "K mismatch", "2-d alphas"],
+)
+def test_gmm_model_rejects_shapes_its_patch_side_lacks(alphas, covariances, patch_side):
+    with pytest.raises(DimensionError):
+        GmmModel(alphas=alphas, covariances=covariances, patch_side=patch_side)
+
+
+def test_train_em_rejects_patches_wider_than_their_side():
+    # 9-pixel rows labelled as side-2 patches: the initial model is refused
+    rows = np.random.default_rng(11).standard_normal((16, 9))
+    with pytest.raises(DimensionError):
+        train_em(PatchSet(rows, 2, ImageGeometry(4, 4)), EmConfig(2, noise_variance=0.1))

@@ -25,8 +25,6 @@ from pnpfusion.sharpen import (
     sharpen,
     solve_hs,
     train_scene_denoiser,
-    v1_update,
-    v2_update,
     v3_update,
 )
 from tests.test_fftops import dense_blur_matrix_oracle
@@ -285,96 +283,6 @@ class TestPcaBasis:
 
 
 class TestVUpdates:
-    def test_v1_all_zero_mask_passthrough(self):
-        scene = tiny_scene()
-        empty = HsScene(
-            y_h=np.zeros((6, 0)),
-            y_m=scene.y_m,
-            blur=scene.blur,
-            mask=np.zeros(scene.geometry.n, dtype=int),
-            r=scene.r,
-            sigma_h=0.0,
-            sigma_m=scene.sigma_m,
-            geometry=scene.geometry,
-        )
-        rng = np.random.default_rng(6)
-        basis = pca_basis(scene.y_h, 2)
-        x = rng.standard_normal((2, scene.geometry.n))
-        d1 = rng.standard_normal((2, scene.geometry.n))
-        out = v1_update(blur_rows(x, scene.blur) - d1, empty, basis, rho=0.7)
-        np.testing.assert_allclose(out, blur_rows(x, scene.blur) - d1, atol=1e-12)
-
-    def test_v1_all_ones_mask_scalar_form(self):
-        scene = identity_scene()
-        basis = pca_basis(scene.y_h, 2)  # orthonormal columns
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, scene.geometry.n))
-        d1 = rng.standard_normal((2, scene.geometry.n))
-        rho = 0.4
-        g = blur_rows(x, scene.blur) - d1
-        out = v1_update(g, scene, basis, rho)
-        expected = (basis.e.T @ scene.y_h + rho * g) / (1 + rho)
-        np.testing.assert_allclose(out, expected, rtol=1e-10)
-
-    def test_v1_matches_per_column_least_squares(self):
-        scene = tiny_scene()
-        basis = pca_basis(scene.y_h, 2)
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((2, scene.geometry.n))
-        d1 = rng.standard_normal((2, scene.geometry.n))
-        rho = 0.9
-        g = blur_rows(x, scene.blur) - d1
-        out = v1_update(g, scene, basis, rho)
-        masked = list(scene.masked_indices)
-        for i in range(scene.geometry.n):
-            if i in masked:
-                k = masked.index(i)
-                a = np.vstack([basis.e, np.sqrt(rho) * np.eye(2)])
-                b = np.concatenate([scene.y_h[:, k], np.sqrt(rho) * g[:, i]])
-                expected, *_ = np.linalg.lstsq(a, b, rcond=None)
-            else:
-                expected = g[:, i]
-            np.testing.assert_allclose(out[:, i], expected, rtol=1e-8, atol=1e-10)
-
-    def test_v2_lambda_zero_passthrough(self):
-        scene = tiny_scene()
-        basis = pca_basis(scene.y_h, 2)
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, scene.geometry.n))
-        d2 = rng.standard_normal((2, scene.geometry.n))
-        out = v2_update(x - d2, scene, basis, lam=0.0, rho=1.3)
-        np.testing.assert_allclose(out, x - d2, atol=1e-12)
-
-    def test_v2_identity_re_halves(self):
-        scene = identity_scene(l_h=2)
-        # R E = I: choose basis E = I (identity R, 2 bands)
-        basis = pca_basis(np.eye(2), 2)
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((2, scene.geometry.n))
-        d2 = rng.standard_normal((2, scene.geometry.n))
-        re = scene.r @ basis.e
-        np.testing.assert_allclose(re, np.eye(2), atol=1e-12)
-        out = v2_update(x - d2, scene, basis, lam=1.0, rho=1.0)
-        expected = (basis.e.T @ scene.y_m + (x - d2)) / 2.0
-        np.testing.assert_allclose(out, expected, rtol=1e-10)
-
-    def test_v2_matches_dense_minimization(self):
-        scene = tiny_scene()
-        basis = pca_basis(scene.y_h, 2)
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, scene.geometry.n))
-        d2 = rng.standard_normal((2, scene.geometry.n))
-        lam, rho = 0.6, 0.8
-        out = v2_update(x - d2, scene, basis, lam, rho)
-        re = scene.r @ basis.e
-        for i in range(scene.geometry.n):
-            a = np.vstack([np.sqrt(lam) * re, np.sqrt(rho) * np.eye(2)])
-            b = np.concatenate(
-                [np.sqrt(lam) * scene.y_m[:, i], np.sqrt(rho) * (x - d2)[:, i]]
-            )
-            expected, *_ = np.linalg.lstsq(a, b, rcond=None)
-            np.testing.assert_allclose(out[:, i], expected, rtol=1e-8, atol=1e-10)
-
     def test_v3_zero_block_pure_linear(self):
         scene = tiny_scene()
         em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=6, seed=0)
@@ -484,11 +392,23 @@ class TestSharpenPipeline:
         x = basis.e.T @ z_hat
         np.testing.assert_allclose(basis.e @ x, z_hat, atol=1e-10)
 
-    @pytest.mark.parametrize("rho,tau", [(0.05, 0.05), (0.1, 0.02)])
-    def test_admm_matches_oracle(self, rho, tau):
+    @pytest.mark.parametrize(
+        "rho,tau,lam,empty_mask",
+        [
+            pytest.param(0.05, 0.05, 0.5, False, id="0.05-0.05"),
+            pytest.param(0.1, 0.02, 0.5, False, id="0.1-0.02"),
+            # each leaves one data block of the splitting without data
+            pytest.param(0.05, 0.05, 0.5, True, id="all-zero-mask"),
+            pytest.param(0.05, 0.05, 0.0, False, id="lam-0"),
+        ],
+    )
+    def test_admm_matches_oracle(self, rho, tau, lam, empty_mask):
         scene = tiny_scene(seed=17)
-        lam = 0.5
         basis = pca_basis(scene.y_h, 2)
+        if empty_mask:
+            scene = replace(
+                scene, y_h=scene.y_h[:, :0], mask=np.zeros_like(scene.mask)
+            )
         em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
         den = train_scene_denoiser(
             scene.y_m, scene.geometry, 2, em,
