@@ -33,17 +33,48 @@ Each EM iteration works on all K components at once:
   kept directions, scaled by the square root of their weights, form one
   basis, so one ``patches @ basis`` product per chunk of patches serves all
   components, and a signed block sum of its squares gives the (N, K) terms.
+
+:func:`train_em` runs its early iterations with float32 GEMMs and finishes
+in float64, as mixed-precision iterative refinement does (Higham, *Accuracy
+and Stability of Numerical Algorithms*, ch. 12; Haidar et al., SC 2018):
+
+* The float32 phase holds one float32 copy of the patch rows, which shares
+  the float64 set's squared norms and Gram matrix. Given that copy,
+  :func:`m_step` forms its weighted rows and its GEMM in float32 and adds
+  each chunk's product into float64 moments. The E-step projects the
+  float32 rows onto a float32 copy of the basis and sums each component's
+  squares in float64, since that sum is the one that cancels. The
+  log-sum-exp, the Gram subtraction, :func:`eigt` and every model stay
+  float64.
+* Guard: float32 keeps about 7 digits, and the rank-restricted form loses
+  ``log10(max v / s_j)`` of them. A component whose ratio exceeds
+  ``_F32_MAX_RATIO`` = 1e4 is therefore projected from the float64 rows,
+  also in the float32 phase. The benchmark's components reach 200 on the
+  pair workloads and 6.3e3 on ``hs-sharpen``.
+* Finish: the last ``_F64_FINISH`` M-steps of the budget, and every E-step
+  from the first of them on, run wholly in float64. A stall seen on a
+  float32 E-step is checked again by a float64 E-step of the same model,
+  whose value enters the trace; if the stall does not hold there, EM goes
+  on in float64. So the returned model, beta and last trace entry are
+  float64 :func:`posterior`'s, and :func:`posterior` and :func:`m_step` on
+  float64 patch sets are the float64 functions they always were.
+
+Known limit: with ``sigma^2 = 0`` on an ill-conditioned full-rank
+covariance the plain form divides by eigenvalues that carry an absolute
+error of about eps times the largest, so it matches a dense ``inv`` and
+``slogdet`` to a relative 1e-10 only below a condition number of about
+1e5 (1.5e-10 at 2.2e6, where the dense form is 1.7e-12 off).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, require_counts
+from .errors import ConfigError, DimensionError, is_count, require_counts
 from .patches import PatchSet
 
 log = logging.getLogger(__name__)
@@ -62,6 +93,14 @@ _COMPLEMENT_MAX_RATIO = 1e6
 # memory without running faster.
 _CHUNK = 256
 
+# Largest max(v)/s_j for which the float32 phase of train_em projects a
+# component's patches in float32, losing about log10 of it of float32's
+# 7 digits; a larger ratio is projected in float64.
+_F32_MAX_RATIO = 1e4
+
+# M-steps at the end of train_em's budget that run wholly in float64.
+_F64_FINISH = 2
+
 # Largest distance from 1 of a column sum of responsibilities that is accepted.
 SIMPLEX_ATOL = 1e-9
 
@@ -75,11 +114,14 @@ class GmmModel:
     patch_side: int
 
     def __post_init__(self):
+        require_counts(self, {"patch_side": 1})
         for name in ("alphas", "covariances"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         k, n_p = self.alphas.shape, self.patch_side**2
         if len(k) != 1 or self.covariances.shape != (*k, n_p, n_p):
             raise DimensionError(f"need alphas (K,) and covariances (K, {n_p}, {n_p})")
+        if not is_count(self.n_components):
+            raise ConfigError("a mixture needs at least one component")
 
     @property
     def n_components(self) -> int:
@@ -138,6 +180,8 @@ def checked_responsibilities(beta, n_patches: int, n_components=None) -> np.ndar
     """``beta`` as a float (K, n_patches) array, K = ``n_components`` if given,
     whose columns lie on the simplex within :data:`SIMPLEX_ATOL`. A float
     array is not copied."""
+    if not is_count(n_patches):
+        raise DimensionError(f"responsibilities need at least one patch, got {n_patches}")
     beta = np.asarray(beta, dtype=float)
     rows = beta.shape[0] if n_components is None and beta.ndim == 2 else n_components
     if beta.shape != (rows, n_patches):
@@ -164,9 +208,13 @@ def eigt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _component_log_densities(
-    patches: PatchSet, model: GmmModel, noise_variance: float
+    patches: PatchSet, model: GmmModel, noise_variance: float, rows32=None
 ) -> np.ndarray:
-    """log alpha_j + log N(y_i; 0, C_j + sigma^2 I), shape (K, N)."""
+    """log alpha_j + log N(y_i; 0, C_j + sigma^2 I), shape (K, N).
+
+    ``rows32``, the patch rows in float32, moves the projections of every
+    component whose max(v)/s_j is at most ``_F32_MAX_RATIO`` to float32.
+    """
     y_all, norms = patches.patches, patches.squared_norms
     n, n_p = y_all.shape
     if model.patch_dim != n_p:
@@ -191,19 +239,28 @@ def _component_log_densities(
     basis = vecs[owner, :, column].T * np.sqrt(weight[owner, column])
     signed = np.zeros((owner.size, model.n_components))
     signed[np.arange(owner.size), owner] = np.where(plain[owner], 1.0, -1.0)
+    # (patch rows, basis, block sum) of each precision; the float32 squares
+    # are summed in float64, because that sum cancels against ||y||^2 / s_j
+    parts = [(y_all, basis, signed)]
+    if rows32 is not None:
+        in32 = (top <= _F32_MAX_RATIO * rest)[owner]
+        parts = [(rows32, basis[:, in32].astype(np.float32), signed[in32])]
+        if not in32.all():
+            parts.append((y_all, basis[:, ~in32], signed[~in32]))
     norm_weight = np.where(plain, 0.0, 1.0 / rest)
     offset = np.log(model.alphas) - 0.5 * (
         n_p * np.log(2.0 * np.pi) + np.log(var).sum(axis=1)
     )
     out = np.empty((model.n_components, n))
-    proj = np.empty((min(n, _CHUNK), owner.size))
+    projs = [np.empty((min(n, _CHUNK), b.shape[1]), b.dtype) for _, b, _ in parts]
     for start in range(0, n, _CHUNK):
-        y = y_all[start : start + _CHUNK]
-        p = np.matmul(y, basis, out=proj[: y.shape[0]])
-        np.square(p, out=p)
-        maha = p @ signed
-        maha += norms[start : start + y.shape[0], None] * norm_weight
-        out[:, start : start + y.shape[0]] = (offset - 0.5 * maha).T
+        c = min(_CHUNK, n - start)
+        maha = norms[start : start + c, None] * norm_weight
+        for (rows, part_basis, part_signed), proj in zip(parts, projs):
+            p = np.matmul(rows[start : start + c], part_basis, out=proj[:c])
+            np.square(p, out=p)
+            maha += p @ part_signed
+        out[:, start : start + c] = (offset - 0.5 * maha).T
     return out
 
 
@@ -221,7 +278,12 @@ def posterior(
     """The E-step: responsibilities beta (K, N), one simplex column per patch,
     and each patch's log density (N,), which sum to the log-likelihood."""
     check_noise_variance(noise_variance)
-    logdens = _component_log_densities(patches, model, noise_variance)
+    return _normalized(_component_log_densities(patches, model, noise_variance))
+
+
+def _normalized(logdens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities and per-patch log densities from (K, N) log densities,
+    which are overwritten."""
     col_logsum = _logsumexp(logdens)
     logdens -= col_logsum
     return np.exp(logdens, out=logdens), col_logsum
@@ -242,14 +304,17 @@ def _weighted_second_moments(patches: PatchSet, beta: np.ndarray) -> np.ndarray:
     largest = np.argmax(beta @ patches.squared_norms)
     others = np.delete(np.arange(k), largest)
     acc = np.zeros((n_p, (k - 1) * n_p))
-    weighted = np.empty((min(n, _CHUNK), k - 1, n_p))
+    weighted = np.empty((min(n, _CHUNK), k - 1, n_p), y.dtype)
     for start in range(0, n, _CHUNK):
         chunk = y[start : start + _CHUNK]
         c = chunk.shape[0]
         # weighted[i, j] = beta_ji y_i, so column block j of the product is
         # M_j; einsum writes it twice as fast as a broadcast np.multiply
         z = np.einsum(
-            "ij,ik->ijk", beta[others, start : start + c].T, chunk, out=weighted[:c]
+            "ij,ik->ijk",
+            beta[others, start : start + c].T.astype(y.dtype, copy=False),
+            chunk,
+            out=weighted[:c],
         )
         acc += chunk.T @ z.reshape(c, (k - 1) * n_p)
     moments = np.empty((k, n_p, n_p))
@@ -268,6 +333,8 @@ def m_step(
     projected in one call, and the model carries that factorisation.
     A component whose total responsibility collapses is re-seeded from the
     patch the mixture currently claims least confidently, never dropped.
+    A float32 patch set, as :func:`train_em` passes in its float32 phase,
+    forms the moments with float32 products added up in float64.
     """
     check_noise_variance(noise_variance)
     y = patches.patches
@@ -340,6 +407,15 @@ def _init_model(patches: PatchSet, config: EmConfig) -> GmmModel:
     return _projected_model(alphas, moments, patches.patch_side)
 
 
+def _float32_patches(patches: PatchSet) -> PatchSet:
+    """The patch rows in float32, sharing the float64 set's squared norms and
+    Gram matrix, so that :func:`m_step` runs its GEMM in float32."""
+    low = replace(patches, patches=patches.patches.astype(np.float32))
+    low.__dict__["squared_norms"] = patches.squared_norms  # fills the cache
+    low.__dict__["gram"] = patches.gram
+    return low
+
+
 def train_em(
     patches: PatchSet, config: EmConfig
 ) -> tuple[GmmModel, np.ndarray, list[float]]:
@@ -350,6 +426,14 @@ def train_em(
     beta (K, N) from :func:`posterior`, and the log-likelihood of every
     E-step's model, so the trace ends with the returned model's.
     Deterministic given the seed.
+
+    The early E- and M-steps run their GEMMs in float32, guarded against
+    cancellation; the last ``_F64_FINISH`` M-steps of the budget and the
+    E-steps from the first of them on run in float64, and a stall seen in
+    float32 is checked again in float64 (see the module notes). So the
+    returned model, beta and last trace entry are float64
+    :func:`posterior`'s, and a budget of at most ``_F64_FINISH`` runs
+    wholly in float64.
     """
     if patches.count < config.n_components:
         raise ConfigError(
@@ -358,13 +442,24 @@ def train_em(
     if not np.all(np.isfinite(patches.patches)):
         raise ConfigError("patches must be finite")
     model = _init_model(patches, config)
-    sigma2, tol = config.noise_variance, config.loglik_rel_tol
+    sigma2, tol, budget = config.noise_variance, config.loglik_rel_tol, config.max_iters
+    low = _float32_patches(patches) if budget > _F64_FINISH else None
     trace: list[float] = []
-    for m_steps in range(config.max_iters + 1):
-        beta, col_logsum = posterior(patches, model, sigma2)
+    for m_steps in range(budget + 1):
+        if m_steps == budget - _F64_FINISH:
+            low = None  # the float64 finish; frees the float32 copy
+        rows32 = None if low is None else low.patches
+        beta, col_logsum = _normalized(
+            _component_log_densities(patches, model, sigma2, rows32)
+        )
         ll = float(col_logsum.sum())
         stalled = bool(trace) and abs(ll - trace[-1]) <= tol * abs(trace[-1])
+        if stalled and low is not None:
+            low = rows32 = None
+            beta, col_logsum = posterior(patches, model, sigma2)
+            ll = float(col_logsum.sum())
+            stalled = abs(ll - trace[-1]) <= tol * abs(trace[-1])
         trace.append(ll)
-        if stalled or m_steps == config.max_iters:
+        if stalled or m_steps == budget:
             return model, beta, trace
-        model = m_step(patches, beta, sigma2)
+        model = m_step(patches if low is None else low, beta, sigma2)

@@ -8,7 +8,7 @@ from scipy.linalg import eigh as scipy_eigh
 
 from pnpfusion import gmm
 from pnpfusion.denoiser import component_filters
-from pnpfusion.errors import ConfigError, DimensionError
+from pnpfusion.errors import ConfigError, DimensionError, PnpError
 from pnpfusion.gmm import (
     _CHUNK,
     EmConfig,
@@ -662,3 +662,145 @@ def test_train_em_rejects_patches_wider_than_their_side():
     rows = np.random.default_rng(11).standard_normal((16, 9))
     with pytest.raises(DimensionError):
         train_em(PatchSet(rows, 2, ImageGeometry(4, 4)), EmConfig(2, noise_variance=0.1))
+
+
+def test_gmm_model_rejects_an_empty_mixture():
+    with pytest.raises(ConfigError):
+        GmmModel(alphas=np.zeros(0), covariances=np.zeros((0, 4, 4)), patch_side=2)
+
+
+def test_gmm_model_rejects_a_negative_patch_side():
+    # side -2 squares to the 4 of 2x2 covariances, so the shape check passed
+    with pytest.raises(ConfigError):
+        GmmModel(alphas=[1.0], covariances=np.eye(4)[None], patch_side=-2)
+
+
+def test_m_step_rejects_zero_patches():
+    # once leaked numpy's "zero-size array to reduction operation" ValueError
+    patches = PatchSet(np.zeros((0, 4)), 2, ImageGeometry(2, 2))
+    with pytest.raises(DimensionError):
+        m_step(patches, np.zeros((2, 0)), 0.1)
+
+
+def test_posterior_on_an_empty_mixture_raises_a_typed_error():
+    # the K = 0 model was accepted, and posterior leaked numpy's ValueError
+    patches = make_patch_set(np.random.default_rng(12).standard_normal((9, 4)))
+    with pytest.raises(PnpError):
+        posterior(
+            patches,
+            GmmModel(alphas=np.zeros(0), covariances=np.zeros((0, 4, 4)), patch_side=2),
+            0.1,
+        )
+
+
+def two_scale_model(rng, ratio, noise_variance):
+    """Two rank-8 components in 16 dimensions: component 0 with max(v)/s_j
+    equal to ``ratio``, component 1 with 1 + 1e-2 / noise_variance."""
+    covariances = []
+    for top in (ratio - 1.0, 1e-2 / noise_variance):
+        q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+        lam = np.zeros(16)
+        lam[:8] = noise_variance * top * np.logspace(0, -3, 8)
+        covariances.append((q * lam) @ q.T)
+    return GmmModel(
+        alphas=np.array([0.5, 0.5]), covariances=np.stack(covariances), patch_side=4
+    )
+
+
+class TestMixedPrecisionEm:
+    sigma2 = 0.02
+
+    def patch_set(self):
+        rng = np.random.default_rng(40)
+        return make_patch_set(low_rank_patches(rng, _CHUNK + 44, 9, 4, self.sigma2))
+
+    def config(self, max_iters, tol=1e-12):
+        return EmConfig(
+            n_components=3,
+            noise_variance=self.sigma2,
+            max_iters=max_iters,
+            loglik_rel_tol=tol,
+            seed=1,
+        )
+
+    def test_returns_float64(self):
+        model, beta, trace = train_em(self.patch_set(), self.config(10))
+        arrays = (model.alphas, model.covariances, *model.spectrum, beta)
+        assert all(a.dtype == np.float64 for a in arrays)
+        assert all(type(value) is float for value in trace)
+
+    @pytest.mark.parametrize("stop", ["budget", "tolerance"])
+    def test_ends_on_float64_posterior(self, stop):
+        ps = self.patch_set()
+        cfg = self.config(10) if stop == "budget" else self.config(40, tol=1e-4)
+        model, beta, trace = train_em(ps, cfg)
+        if stop == "budget":
+            assert len(trace) == cfg.max_iters + 1
+        else:  # the stall came during the float32 phase
+            assert len(trace) - 1 < cfg.max_iters - gmm._F64_FINISH
+        want_beta, col_logsum = posterior(ps, model, self.sigma2)
+        assert trace[-1] == float(col_logsum.sum())
+        np.testing.assert_array_equal(beta, want_beta)
+
+    @pytest.mark.parametrize("max_iters", range(1, gmm._F64_FINISH + 1))
+    def test_short_budget_is_the_float64_loop(self, max_iters):
+        ps, cfg = self.patch_set(), self.config(max_iters)
+        model, trace = gmm._init_model(ps, cfg), []
+        for m_steps in range(max_iters + 1):
+            beta, col_logsum = posterior(ps, model, self.sigma2)
+            trace.append(float(col_logsum.sum()))
+            if m_steps == max_iters:
+                break
+            model = m_step(ps, beta, self.sigma2)
+        got_model, got_beta, got_trace = train_em(ps, cfg)
+        np.testing.assert_array_equal(got_model.alphas, model.alphas)
+        np.testing.assert_array_equal(got_model.covariances, model.covariances)
+        np.testing.assert_array_equal(got_beta, beta)
+        assert got_trace == trace
+
+    def test_float32_stall_refuted_in_float64_goes_on_in_float64(self, monkeypatch):
+        # every float32 E-step reports the same log-likelihood, so the second
+        # one looks stalled; the float64 check refutes it
+        real = gmm._component_log_densities
+        in32 = []
+
+        def constant_in_float32(patches, model, noise_variance, rows32=None):
+            in32.append(rows32 is not None)
+            if rows32 is not None:
+                return np.zeros((model.n_components, patches.count))
+            return real(patches, model, noise_variance)
+
+        monkeypatch.setattr(gmm, "_component_log_densities", constant_in_float32)
+        ps, cfg = self.patch_set(), self.config(8)
+        model, beta, trace = train_em(ps, cfg)
+        assert in32 == [True, True] + [False] * (len(in32) - 2)
+        assert len(trace) == cfg.max_iters + 1
+        # the second entry is the float64 value, not the stalled float32 one
+        assert trace[0] == pytest.approx(ps.count * np.log(3))
+        assert trace[1] != pytest.approx(trace[0])
+        monkeypatch.undo()
+        assert trace[-1] == float(posterior(ps, model, self.sigma2)[1].sum())
+
+    def test_float32_m_step_is_close_to_float64(self):
+        ps = self.patch_set()
+        beta = posterior(ps, train_em(ps, self.config(3))[0], self.sigma2)[0]
+        want = m_step(ps, beta, self.sigma2).covariances
+        got = m_step(gmm._float32_patches(ps), beta, self.sigma2).covariances
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    def test_large_ratio_component_is_projected_in_float64(self):
+        # the rank-restricted form loses log10(max v / s_j) digits, all of
+        # float32's at 1e5; the other component is projected in float32
+        rng = np.random.default_rng(41)
+        sigma2 = 1e-5
+        model = two_scale_model(rng, 1e5, sigma2)
+        lam = model.spectrum[0]
+        ratios = (lam.max(axis=1) + sigma2) / sigma2
+        assert ratios[0] > 1e4 > ratios[1]
+        y = rng.multivariate_normal(np.zeros(16), model.covariances[0], size=300)
+        y += np.sqrt(sigma2) * rng.standard_normal(y.shape)
+        ps = make_patch_set(y)
+        want = _component_log_densities(ps, model, sigma2)
+        got = _component_log_densities(ps, model, sigma2, y.astype(np.float32))
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-6)
+        assert not np.array_equal(got[1], want[1])
