@@ -3,12 +3,13 @@
 The package provides a patch-based Gaussian-mixture denoiser whose frozen
 per-patch weights make it a fixed symmetric PSD linear operator (each patch
 is filtered as ``(I - J) F_i (I - J) + J``, which passes its mean through),
-proximity-operator verification utilities for that operator, and two fusion
-applications built on it: hyperspectral sharpening and blurred/noisy pair
-deblurring, which runs the sharpening pipeline on a one-band scene. The
-operator is a cyclic stencil: each pixel's output weights the
-``(2s-1) x (2s-1)`` window of wrapped neighbours its side-s patches span.
-The package needs only numpy.
+test-scale dense checks that it is a proximity operator (its regularizer
+phi, and :meth:`DataTerm.minimizer`, which for the identity data term is
+the prox), and two fusion applications built on it: hyperspectral
+sharpening and blurred/noisy pair deblurring, which runs the sharpening
+pipeline on a one-band scene. The operator is a cyclic stencil: each
+pixel's output weights the ``(2s-1) x (2s-1)`` window of wrapped neighbours
+its side-s patches span. The package needs only numpy.
 
 Because the frozen denoiser D is linear, the PnP fixed point is the solution
 of a linear system. Both applications solve it with one GMRES solve
@@ -40,7 +41,6 @@ from .denoiser import (
     denoise_image_mmse,
     eval_phi,
     expansiveness_demo,
-    prox_oracle,
     wiener_filter,
 )
 from .errors import (

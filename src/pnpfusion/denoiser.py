@@ -21,8 +21,9 @@ with ``||W|| <= 1`` and equals the proximity operator of
 
     phi(x) = indicator(x in span(W)) + 0.5 x^T Qbar (Lbar^-1 - I) Qbar^T x
 
-(Moreau 1965), which this module can evaluate and prox directly from the
-eigendecomposition of W made dense (test scale only). In practical mode
+(Moreau 1965), which this module evaluates from the eigendecomposition of
+W made dense (test scale only); the dense minimizer of the identity
+:class:`DataTerm` at weight 1 is its prox. In practical mode
 ``W 1 = 1``, the constant images are the only eigenvalue-1 directions and
 phi gives them no weight. An EM-trained covariance annihilates the constant
 patch, so for a trained model the practical M_i equals the patch pipeline's
@@ -304,17 +305,6 @@ def _phi_weights(w: ExplicitW) -> np.ndarray:
     Clipped at 0: the constant image's eigenvalue 1 can round to 1 + 2.2e-16.
     """
     return np.maximum(1.0 / w.nonzero_eigenvalues - 1.0, 0.0)
-
-
-def prox_oracle(y: np.ndarray, w: ExplicitW) -> np.ndarray:
-    """Proximity operator of phi, solved in span(W) coordinates.
-
-    Reduces ``argmin 0.5||x - y||^2 + phi(x)`` over ``x = Qbar z`` to the
-    diagonal problem with solution ``z = Lbar Qbar^T y``. This path never
-    touches the patch pipeline, so it independently reproduces ``W @ y``.
-    """
-    z = w.nonzero_eigenvalues * (w.basis.T @ y)
-    return w.basis @ z
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,11 @@ class GmmModel:
             raise DimensionError(f"need alphas (K,) and covariances (K, {n_p}, {n_p})")
         if not is_count(self.n_components):
             raise ConfigError("a mixture needs at least one component")
+        # written so that NaN fails them
+        if not np.all((self.alphas >= 0) & (self.alphas < np.inf)):
+            raise ConfigError(f"mixture weights must be >= 0 and finite: {self.alphas}")
+        if not np.all(np.isfinite(self.covariances)):
+            raise ConfigError("covariances must be finite")
 
     @property
     def n_components(self) -> int:
@@ -174,6 +179,18 @@ def check_noise_variance(noise_variance: float) -> None:
     """Raise :class:`ConfigError` unless nonnegative and finite (not NaN)."""
     if not 0 <= noise_variance < np.inf:
         raise ConfigError(f"noise variance must be >= 0 and finite: {noise_variance}")
+
+
+def check_finite_patches(patches: PatchSet) -> None:
+    """Raise :class:`ConfigError` unless every patch row is finite.
+
+    A NaN or infinite entry makes its row's squared norm NaN or infinite, so
+    the test reads the cached :attr:`~pnpfusion.patches.PatchSet.squared_norms`,
+    O(N), and never scans the (N, n_p) rows again. A finite row whose squared
+    norm overflows is refused as well: EM could not use it either.
+    """
+    if not np.all(np.isfinite(patches.squared_norms)):
+        raise ConfigError("patches must be finite")
 
 
 def checked_responsibilities(beta, n_patches: int, n_components=None) -> np.ndarray:
@@ -276,8 +293,10 @@ def posterior(
     patches: PatchSet, model: GmmModel, noise_variance: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The E-step: responsibilities beta (K, N), one simplex column per patch,
-    and each patch's log density (N,), which sum to the log-likelihood."""
+    and each patch's log density (N,), which sum to the log-likelihood.
+    Refuses non-finite patches (:func:`check_finite_patches`)."""
     check_noise_variance(noise_variance)
+    check_finite_patches(patches)
     return _normalized(_component_log_densities(patches, model, noise_variance))
 
 
@@ -335,8 +354,10 @@ def m_step(
     patch the mixture currently claims least confidently, never dropped.
     A float32 patch set, as :func:`train_em` passes in its float32 phase,
     forms the moments with float32 products added up in float64.
+    Refuses non-finite patches (:func:`check_finite_patches`).
     """
     check_noise_variance(noise_variance)
+    check_finite_patches(patches)
     y = patches.patches
     n, n_p = y.shape
     beta = checked_responsibilities(beta, n)
@@ -439,8 +460,7 @@ def train_em(
         raise ConfigError(
             f"need at least K={config.n_components} patches, got {patches.count}"
         )
-    if not np.all(np.isfinite(patches.patches)):
-        raise ConfigError("patches must be finite")
+    check_finite_patches(patches)
     model = _init_model(patches, config)
     sigma2, tol, budget = config.noise_variance, config.loglik_rel_tol, config.max_iters
     low = _float32_patches(patches) if budget > _F64_FINISH else None

@@ -214,6 +214,31 @@ def train_scene_denoiser(
     )
 
 
+def _check_problem(
+    scene: HsScene,
+    basis: SubspaceBasis,
+    lam: float,
+    denoiser: LinearDenoiser | None = None,
+) -> None:
+    """Raise unless ``basis`` has one row per HS band of the scene
+    (:class:`DimensionError`), ``lam`` is >= 0 and finite
+    (:class:`ConfigError`) and ``denoiser``, if given, is built on the
+    scene's grid (:class:`DimensionError`)."""
+    if basis.e.shape[0] != scene.y_h.shape[0]:
+        raise DimensionError(
+            f"basis has {basis.e.shape[0]} rows, "
+            f"the scene {scene.y_h.shape[0]} HS bands"
+        )
+    if not 0 <= lam < np.inf:  # NaN fails it
+        raise ConfigError(f"lam must be >= 0 and finite, got {lam}")
+    if denoiser is not None and denoiser.geometry != scene.geometry:
+        built, grid = denoiser.geometry, scene.geometry
+        raise DimensionError(
+            f"denoiser built for a {built.height}x{built.width} grid, "
+            f"scene is {grid.height}x{grid.width}"
+        )
+
+
 def hs_data_term(scene: HsScene, basis: SubspaceBasis, lam: float) -> DataTerm:
     """``[forward_hs(E X); sqrt(lam) R E X]`` against ``[Y_h; sqrt(lam) Y_m]``,
     on the coefficient matrix X.
@@ -221,6 +246,7 @@ def hs_data_term(scene: HsScene, basis: SubspaceBasis, lam: float) -> DataTerm:
     The blur acts on each band alone, so it is applied to the few coefficient
     rows of X rather than to the bands of ``E X``.
     """
+    _check_problem(scene, basis, lam)
     root = np.sqrt(lam)
     idx = scene.masked_indices
     re = scene.r @ basis.e
@@ -259,6 +285,7 @@ def hs_normal_symbol(
     the symbol ``mean(mask) |b_hat|^2 + Lambda_m``; ``symbols`` stacks them
     as ``(k, height, width)``.
     """
+    _check_problem(scene, basis, lam)
     re = scene.r @ basis.e
     spectral, rotation = np.linalg.eigh(lam * re.T @ re)
     symbols = scene.mask.mean() * scene.blur.power_spectrum
@@ -279,6 +306,7 @@ def solve_hs(
     ``(rho I + (Abar - rho I) Dbar)^-1`` is one symbol product per rotated
     band between two rotations. Without a denoiser D is the identity.
     """
+    _check_problem(scene, basis, cfg.lam, denoiser)
     rotation, normal_symbol = hs_normal_symbol(scene, basis, cfg.lam)
 
     def denoise(x):
@@ -308,6 +336,7 @@ def run_salsa_hs(
     with ``lam (R E)^T R E + rho I``, and V3 is D; both systems are formed once
     per call. The objective trace is the data fit alone.
     """
+    _check_problem(scene, basis, cfg.lam, denoiser)
     rho = cfg.rho
     idx = scene.masked_indices
     hs_lhs = basis.e.T @ basis.e + rho * np.eye(basis.dim)

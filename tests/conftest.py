@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from pnpfusion.denoiser import LinearDenoiser
+from pnpfusion.admm import solve_fixed_point
+from pnpfusion.denoiser import LinearDenoiser, denoise_image_fixed
 from pnpfusion.gmm import EmConfig, train_em
 from pnpfusion.patches import ImageGeometry, extract_patches, remove_means
-from pnpfusion.scenes import smooth_field
+from pnpfusion.scenes import PairSceneSpec, generate_pair_scene, smooth_field
+from pnpfusion.sharpen import hs_data_term, solve_hs, train_scene_denoiser
 
 
 def train_random_denoiser(
@@ -36,6 +38,49 @@ def train_random_denoiser(
         geometry=geometry,
         pure_linear=pure_linear,
     )
+
+
+def scene_16(seed=7, kernel="gauss8", sigma_n=25 / 255, sigma_b=2 / 255):
+    """A synthetic 16x16 blurred/noisy pair."""
+    spec = PairSceneSpec(
+        geometry=ImageGeometry(16, 16),
+        kernel_id=kernel,
+        sigma_n=sigma_n,
+        sigma_b=sigma_b,
+        seed=seed,
+    )
+    return generate_pair_scene(spec)
+
+
+def trained_denoiser(
+    scene, rho, tau, pure_linear=True, patch_side=2, n_components=2, em_iters=12
+):
+    """The denoiser the pipeline freezes for an ``HsScene`` at ``tau / rho``."""
+    em = EmConfig(
+        n_components=n_components,
+        noise_variance=scene.sigma_m**2,
+        max_iters=em_iters,
+        seed=0,
+    )
+    return train_scene_denoiser(
+        scene.y_m, scene.geometry, patch_side, em,
+        denoiser_variance=tau / rho, pure_linear=pure_linear,
+    )
+
+
+def relative_error(x, reference):
+    return np.linalg.norm(x - reference) / np.linalg.norm(reference)
+
+
+def both_solves(scene, basis, den, cfg):
+    """``(x, report)`` of the pipeline's preconditioned solve and of the
+    unpreconditioned one."""
+    plain = solve_fixed_point(
+        hs_data_term(scene, basis, cfg.lam),
+        lambda x: denoise_image_fixed(x, den),
+        cfg,
+    )
+    return [solve_hs(scene, basis, den, cfg), plain]
 
 
 def mirror_defect(denoiser: LinearDenoiser) -> float:

@@ -14,7 +14,6 @@ from pnpfusion.denoiser import (
     denoise_image_mmse,
     eval_phi,
     expansiveness_demo,
-    prox_oracle,
     wiener_filter,
 )
 from pnpfusion.errors import ConfigError, DimensionError, SizeError
@@ -22,6 +21,20 @@ from pnpfusion.fftops import symbol_products
 from pnpfusion.gmm import GmmModel
 from pnpfusion.patches import ImageGeometry
 from tests.conftest import mirror_defect, train_random_denoiser
+
+
+def identity_term(target):
+    return DataTerm(
+        apply=lambda x: x.ravel(),
+        adjoint=lambda r: r.reshape(target.shape),
+        target=target.ravel(),
+        shape=target.shape,
+    )
+
+
+def prox(y, w):
+    """The prox of phi at y: the minimizer of 0.5||x - y||^2 + phi(x)."""
+    return identity_term(y).minimizer(1.0, w)
 
 
 def random_psd(rng, dim, scale=1.0):
@@ -345,6 +358,15 @@ class TestImageDenoise:
         mmse = denoise_image_mmse(y, den.model, den.noise_variance, geom)
         np.testing.assert_allclose(mmse, reference @ y, rtol=1e-10)
 
+    def test_mmse_on_a_non_finite_image_reports_the_patches(self, small_denoiser):
+        # once refused as "beta must be >= 0", from the NaN posterior
+        y = np.zeros(small_denoiser.geometry.n)
+        y[7] = np.nan
+        with pytest.raises(ConfigError, match="patches must be finite"):
+            denoise_image_mmse(
+                y, small_denoiser.model, 0.05, small_denoiser.geometry
+            )
+
     def test_denoising_improves_psnr_at_sigma_25(self):
         from pnpfusion.metrics import psnr
         from pnpfusion.patches import extract_patches, remove_means
@@ -487,7 +509,7 @@ class TestPhiAndProx:
         w = build_explicit_w(small_denoiser)
         q0 = w.basis[:, 0]
         np.testing.assert_allclose(
-            prox_oracle(q0, w), w.nonzero_eigenvalues[0] * q0, rtol=1e-10
+            prox(q0, w), w.nonzero_eigenvalues[0] * q0, rtol=1e-10
         )
 
     def test_prox_annihilates_orthogonal_complement(self, small_denoiser):
@@ -498,10 +520,10 @@ class TestPhiAndProx:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(n)
         x -= w.basis @ (w.basis.T @ x)
-        np.testing.assert_allclose(prox_oracle(x, w), 0.0, atol=1e-10)
+        np.testing.assert_allclose(prox(x, w), 0.0, atol=1e-10)
 
     def test_theorem2_identity_two_paths(self):
-        # denoise_image_fixed (patch pipeline) vs prox_oracle (eigen path)
+        # denoise_image_fixed (the stencil) vs the prox problem solved densely
         for seed in (30, 31, 32):
             den = train_random_denoiser(ImageGeometry(16, 16), 4, 3, seed=seed)
             w = build_explicit_w(den)
@@ -509,7 +531,7 @@ class TestPhiAndProx:
             for _ in range(20):
                 y = rng.standard_normal(den.geometry.n)
                 lhs = denoise_image_fixed(y, den)
-                rhs = prox_oracle(y, w)
+                rhs = prox(y, w)
                 assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(y)
 
     def test_nonexpansive(self, small_denoiser):
@@ -532,15 +554,6 @@ class TestPhiAndProx:
             lhs = eval_phi(t * x1 + (1 - t) * x2, w)
             rhs = t * eval_phi(x1, w) + (1 - t) * eval_phi(x2, w)
             assert lhs <= rhs + 1e-9
-
-
-def identity_term(target):
-    return DataTerm(
-        apply=lambda x: x.ravel(),
-        adjoint=lambda r: r.reshape(target.shape),
-        target=target.ravel(),
-        shape=target.shape,
-    )
 
 
 class TestDataTerm:

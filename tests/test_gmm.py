@@ -804,3 +804,47 @@ class TestMixedPrecisionEm:
         got = _component_log_densities(ps, model, sigma2, y.astype(np.float32))
         np.testing.assert_allclose(got[0], want[0], rtol=1e-6)
         assert not np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize(
+    "alphas,bad_covariance",
+    [
+        pytest.param([np.nan, 1.0], False, id="nan-weight"),
+        pytest.param([-0.5, 1.5], False, id="negative-weight"),
+        pytest.param([np.inf, 1.0], False, id="inf-weight"),
+        pytest.param([0.5, 0.5], True, id="nan-covariance"),
+    ],
+)
+def test_gmm_model_rejects_non_finite_or_negative_values(alphas, bad_covariance):
+    # posterior once returned non-finite beta for each of these models
+    covariances = np.stack([np.eye(16), 2 * np.eye(16)])
+    if bad_covariance:
+        covariances[1, 3, 5] = np.nan
+    with pytest.raises(ConfigError):
+        GmmModel(alphas=np.array(alphas), covariances=covariances, patch_side=4)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("step", ["posterior", "m_step", "train_em"])
+def test_e_and_m_steps_reject_non_finite_patches(step, value):
+    # posterior once returned non-finite beta and m_step leaked LinAlgError
+    rng = np.random.default_rng(13)
+    rows = rng.standard_normal((9, 4))
+    rows[4, 2] = value
+    patches = make_patch_set(rows)
+    with pytest.raises(ConfigError, match="patches must be finite"):
+        if step == "posterior":
+            posterior(patches, random_model(rng, 2, 4), 0.1)
+        elif step == "m_step":
+            m_step(patches, np.full((2, 9), 0.5), 0.1)
+        else:
+            train_em(patches, EmConfig(2, noise_variance=0.1))
+
+
+def test_the_finite_patch_check_reads_only_the_cached_norms():
+    # EM calls it in every M-step, so it must cost O(N), not scan the
+    # (N, n_p) rows: a row changed after its norm was cached goes unseen
+    patches = make_patch_set(np.random.default_rng(14).standard_normal((9, 4)))
+    assert np.all(np.isfinite(patches.squared_norms))  # fills the cache
+    patches.patches[4, 2] = np.nan
+    gmm.check_finite_patches(patches)

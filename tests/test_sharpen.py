@@ -1,10 +1,12 @@
 import importlib
-from dataclasses import replace
+import json
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from pnpfusion.admm import SolverConfig, solve_fixed_point
+from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
 from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
 from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.fftops import blur_rows, make_cyclic_blur, symbol_products
@@ -15,6 +17,7 @@ from pnpfusion.scenes import HsSceneSpec, generate_hs_scene
 from pnpfusion.sharpen import (
     HsScene,
     SharpenParams,
+    SubspaceBasis,
     forward_hs,
     forward_ms,
     hs_data_term,
@@ -27,7 +30,17 @@ from pnpfusion.sharpen import (
     train_scene_denoiser,
     v3_update,
 )
+from tests.conftest import (
+    both_solves,
+    relative_error,
+    scene_16,
+    train_random_denoiser,
+    trained_denoiser,
+)
 from tests.test_fftops import dense_blur_matrix_oracle
+
+# the package's ``sharpen`` attribute is the pipeline function
+sharpen_module = importlib.import_module("pnpfusion.sharpen")
 
 
 def tiny_scene(seed=3, height=8, width=8, l_h=6, l_m=2, l_s=2, d=2, snr=35.0):
@@ -81,6 +94,44 @@ def scene_with_mask(mask):
         sigma_m=0.1,
         geometry=geom,
     )
+
+
+@dataclass(frozen=True)
+class SolveCase:
+    """A scene for the solver tests: its basis, data weight lam, and the EM
+    settings of the denoiser trained on it."""
+
+    scene: HsScene
+    basis: SubspaceBasis
+    lam: float
+    patch_side: int
+    n_components: int
+    em_iters: int
+
+    def denoiser(self, rho, tau, pure_linear=True):
+        return trained_denoiser(
+            self.scene, rho, tau, pure_linear,
+            self.patch_side, self.n_components, self.em_iters,
+        )
+
+    def params(self, solver):
+        """The pipeline settings that train :meth:`denoiser` on this basis."""
+        em = EmConfig(
+            self.n_components, self.scene.sigma_m**2, max_iters=self.em_iters, seed=0
+        )
+        return SharpenParams(self.basis.dim, self.patch_side, em, solver)
+
+
+def hs_case(seed=17, lam=0.5, **scene_args):
+    scene = tiny_scene(seed=seed, **scene_args)
+    return SolveCase(scene, pca_basis(scene.y_h, 2), lam, 2, 2, 12)
+
+
+def pair_case(seed=11, kernel="gauss8", lam=0.3):
+    """Pair deblurring: the pair's one-band scene (E = R = 1, all-ones mask)
+    on the 1x1 basis, the one that ``sharpen``'s PCA finds for one band."""
+    scene = scene_16(seed=seed, kernel=kernel).hs_scene
+    return SolveCase(scene, SubspaceBasis(np.ones((1, 1))), lam, 4, 3, 15)
 
 
 class TestMask:
@@ -188,6 +239,51 @@ def test_bad_noise_level_raises(sigma, value):
             geometry=geom,
             **{"sigma_h": 0.0, "sigma_m": 0.1, sigma: value},
         )
+
+
+CFG = SolverConfig(rho=0.1, lam=0.5, tau=0.05)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda s, b: hs_data_term(s, b, 0.5), id="hs_data_term"),
+        pytest.param(lambda s, b: hs_normal_symbol(s, b, 0.5), id="hs_normal_symbol"),
+        pytest.param(lambda s, b: solve_hs(s, b, None, CFG), id="solve_hs"),
+        pytest.param(lambda s, b: run_salsa_hs(s, b, None, CFG), id="run_salsa_hs"),
+    ],
+)
+@pytest.mark.parametrize("rows", [5, 7])
+def test_basis_for_another_band_count_raises(call, rows):
+    # once leaked numpy's matmul ValueError; tiny_scene has 6 HS bands
+    e = np.linalg.qr(np.random.default_rng(1).standard_normal((rows, 2)))[0]
+    with pytest.raises(DimensionError):
+        call(tiny_scene(), SubspaceBasis(e))
+
+
+@pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+def test_data_term_refuses_a_bad_lam(lam):
+    # a negative or NaN lam once gave a NaN target and a RuntimeWarning
+    scene = tiny_scene()
+    with pytest.raises(ConfigError):
+        hs_data_term(scene, pca_basis(scene.y_h, 2), lam)
+
+
+@pytest.mark.parametrize("solve", [solve_hs, run_salsa_hs])
+@pytest.mark.parametrize(
+    "built_for",
+    [
+        pytest.param(ImageGeometry(4, 4), id="smaller"),
+        pytest.param(ImageGeometry(8, 4), id="transposed"),
+    ],
+)
+def test_denoiser_built_on_another_grid_raises(solve, built_for):
+    # solve_hs once leaked numpy's "operands could not be broadcast", and
+    # run_salsa_hs ran a transposed grid's denoiser, whose pixel count fits
+    scene = tiny_scene(height=4, width=8)
+    den = train_random_denoiser(built_for, 2, 2, seed=1)
+    with pytest.raises(DimensionError):
+        solve(scene, pca_basis(scene.y_h, 2), den, CFG)
 
 
 class TestForwardModels:
@@ -319,8 +415,6 @@ class TestSceneDenoiser:
             runs.append(out[1])
             return out
 
-        # the package's ``sharpen`` attribute is the pipeline function
-        sharpen_module = importlib.import_module("pnpfusion.sharpen")
         monkeypatch.setattr(sharpen_module, "train_em", recording_train_em)
         geom = ImageGeometry(6, 5)
         y_m = np.random.default_rng(13).uniform(size=(n_bands, geom.n))
@@ -360,6 +454,22 @@ class TestDirectSolve:
         x = hs_data_term(scene, basis, 0.0).minimizer(0.0)
         np.testing.assert_allclose(x, basis.e.T @ scene.y_h, rtol=1e-8, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "make", [pytest.param(hs_case, id="hs"), pytest.param(pair_case, id="pair")]
+    )
+    def test_objective_at_limit_beats_perturbations(self, make):
+        case = make()
+        rho, tau = 0.1, 0.1
+        w = build_explicit_w(case.denoiser(rho, tau))
+        data = hs_data_term(case.scene, case.basis, case.lam)
+        x_star = data.minimizer(rho, w)
+        f_star = data.objective(x_star, rho, w)
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            delta = rng.standard_normal((case.basis.dim, w.rank)) @ w.basis.T
+            delta *= 0.1 / np.linalg.norm(delta)
+            assert data.objective(x_star + delta, rho, w) >= f_star
+
 
 class TestSharpenPipeline:
     def test_noiseless_identity_recovery(self):
@@ -393,27 +503,25 @@ class TestSharpenPipeline:
         np.testing.assert_allclose(basis.e @ x, z_hat, atol=1e-10)
 
     @pytest.mark.parametrize(
-        "rho,tau,lam,empty_mask",
+        "make,rho,tau,lam,empty_mask",
         [
-            pytest.param(0.05, 0.05, 0.5, False, id="0.05-0.05"),
-            pytest.param(0.1, 0.02, 0.5, False, id="0.1-0.02"),
+            pytest.param(hs_case, 0.05, 0.05, 0.5, False, id="0.05-0.05"),
+            pytest.param(hs_case, 0.1, 0.02, 0.5, False, id="0.1-0.02"),
             # each leaves one data block of the splitting without data
-            pytest.param(0.05, 0.05, 0.5, True, id="all-zero-mask"),
-            pytest.param(0.05, 0.05, 0.0, False, id="lam-0"),
+            pytest.param(hs_case, 0.05, 0.05, 0.5, True, id="all-zero-mask"),
+            pytest.param(hs_case, 0.05, 0.05, 0.0, False, id="lam-0"),
+            pytest.param(pair_case, 0.08, 0.08, 0.3, False, id="pair-0.08-0.08"),
+            pytest.param(pair_case, 0.2, 0.05, 0.3, False, id="pair-0.2-0.05"),
         ],
     )
-    def test_admm_matches_oracle(self, rho, tau, lam, empty_mask):
-        scene = tiny_scene(seed=17)
-        basis = pca_basis(scene.y_h, 2)
+    def test_admm_matches_oracle(self, make, rho, tau, lam, empty_mask):
+        case = make()
+        scene, basis = case.scene, case.basis
         if empty_mask:
             scene = replace(
                 scene, y_h=scene.y_h[:, :0], mask=np.zeros_like(scene.mask)
             )
-        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
-        den = train_scene_denoiser(
-            scene.y_m, scene.geometry, 2, em,
-            denoiser_variance=tau / rho, pure_linear=True,
-        )
+        den = case.denoiser(rho, tau)
         w = build_explicit_w(den)
         cfg = SolverConfig(
             rho=rho, lam=lam, tau=tau, max_iters=5000,
@@ -423,8 +531,7 @@ class TestSharpenPipeline:
         assert report.converged
         data = hs_data_term(scene, basis, lam)
         x_oracle = data.minimizer(rho, w)
-        rel = np.linalg.norm(x_admm - x_oracle) / np.linalg.norm(x_oracle)
-        assert rel <= 1e-5
+        assert relative_error(x_admm, x_oracle) <= 1e-5
         # optimality certificate on the subspace projection of the iterate
         proj = np.stack([w.basis @ (w.basis.T @ row) for row in x_admm])
         f_star = data.objective(x_oracle, rho, w)
@@ -498,38 +605,100 @@ class TestSharpenPipeline:
             results.append((z_hat.tobytes(), report.iterations_run, report.final_primal))
         assert results[0] == results[1]
 
-
-def coefficient_denoise(den):
-    return lambda x: v3_update(x, np.zeros_like(x), den)
-
-
-def trained_denoiser(scene, rho, tau, pure_linear=True):
-    em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2, max_iters=12, seed=0)
-    return train_scene_denoiser(
-        scene.y_m, scene.geometry, 2, em,
-        denoiser_variance=tau / rho, pure_linear=pure_linear,
+    @pytest.mark.parametrize(
+        "make,rho",
+        [
+            pytest.param(hs_case, 0.05, id="hs"),
+            # G = B^T B + (lam - rho) I is positive definite at rho = 0.1 and,
+            # since scene_16's gauss8 has min |b_hat|^2 < 0.2, indefinite at 0.5
+            pytest.param(pair_case, 0.1, id="pair-lam-above-rho"),
+            pytest.param(pair_case, 0.5, id="pair-lam-below-rho"),
+        ],
     )
+    def test_pipeline_is_one_solve_with_its_trained_denoiser(self, make, rho):
+        # the PCA basis, the practical D trained at tau / rho, then solve_hs
+        case = make()
+        solver = SolverConfig(rho=rho, lam=case.lam, tau=0.05)
+        z_hat, report = sharpen(case.scene, case.params(solver))
+        x, expected = solve_hs(
+            case.scene, case.basis, case.denoiser(rho, 0.05, pure_linear=False), solver
+        )
+        assert report.converged
+        assert z_hat.tobytes() == (case.basis.e @ x).tobytes()
+        assert asdict(report) == asdict(expected)
 
-
-def relative_error(x, reference):
-    return np.linalg.norm(x - reference) / np.linalg.norm(reference)
-
-
-def both_solves(scene, basis, den, cfg):
-    """``(x, report)`` of the pipeline's preconditioned solve and of the
-    unpreconditioned one."""
-    plain = solve_fixed_point(
-        hs_data_term(scene, basis, cfg.lam), coefficient_denoise(den), cfg
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(hs_case, id="hs"),
+            pytest.param(partial(pair_case, kernel="motion15"), id="pair-motion15"),
+        ],
     )
-    return [solve_hs(scene, basis, den, cfg), plain]
+    def test_report_records_one_residual_per_application(self, monkeypatch, make):
+        case = make()
+        calls = []
+
+        def counting(v, denoiser):
+            calls.append(1)
+            return denoise_image_fixed(v, denoiser)
+
+        monkeypatch.setattr(sharpen_module, "denoise_image_fixed", counting)
+        solver = SolverConfig(rho=0.02, lam=case.lam, tau=0.01)
+        _, report = sharpen(case.scene, case.params(solver))
+        assert report.converged
+        # one call for D A^T t, then one per step and per recomputed residual
+        assert report.iterations_run == len(calls) - 1
+        assert len(report.primal_residuals) == report.iterations_run
+        assert report.primal_residuals[-1] == report.final_primal
+        assert report.final_primal <= FIXED_POINT_RTOL
+        den = case.denoiser(solver.rho, solver.tau, pure_linear=False)
+        _, plain = solve_fixed_point(
+            hs_data_term(case.scene, case.basis, case.lam),
+            lambda v: counting(v, den),
+            solver,
+        )
+        assert report.iterations_run < plain.iterations_run
+
+    @pytest.mark.parametrize(
+        "make", [pytest.param(hs_case, id="hs"), pytest.param(pair_case, id="pair")]
+    )
+    def test_reports_round_trip_through_json(self, make):
+        case = make()
+        solver = SolverConfig(rho=0.1, lam=case.lam, tau=0.05, max_iters=40)
+        params = case.params(solver)
+        _, gmres = sharpen(case.scene, params)
+        # a budget that stops mid-run, with rho above the pair's lam
+        _, short = sharpen(
+            case.scene, replace(params, solver=replace(solver, rho=0.5, max_iters=4))
+        )
+        den = case.denoiser(solver.rho, solver.tau, pure_linear=False)
+        _, salsa = run_salsa_hs(case.scene, case.basis, den, solver)
+        assert gmres.converged and not short.converged
+        for report in (gmres, short, salsa):
+            # strict JSON: a field a solver leaves unset must not be NaN
+            text = json.dumps(asdict(report), allow_nan=False)
+            record = json.loads(text)
+            assert json.dumps(record) == text
+            assert record["primal_residuals"] == report.primal_residuals
+            assert len(record["primal_residuals"]) == report.iterations_run
+        assert len(salsa.dual_residuals) == len(salsa.objective_trace) == 40
+        assert gmres.final_dual is None and short.final_dual is None
 
 
 class TestFixedPointSolve:
-    @pytest.mark.parametrize("d", [2, 4])
-    def test_adjoint_passes_the_dot_product_test(self, d):
-        scene = tiny_scene(seed=5, d=d)
-        basis = pca_basis(scene.y_h, 2)
-        data = hs_data_term(scene, basis, 0.4)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(partial(hs_case, seed=5, d=2, lam=0.4), id="2"),
+            pytest.param(partial(hs_case, seed=5, d=4, lam=0.4), id="4"),
+            pytest.param(
+                partial(pair_case, seed=5, kernel="motion15"), id="pair-motion15"
+            ),
+        ],
+    )
+    def test_adjoint_passes_the_dot_product_test(self, make):
+        case = make()
+        data = hs_data_term(case.scene, case.basis, case.lam)
         rng = np.random.default_rng(4)
         for _ in range(5):
             x = rng.standard_normal(data.shape)
@@ -553,40 +722,53 @@ class TestFixedPointSolve:
             hs_data_term(scene, basis, lam).apply(x), expected, rtol=1e-12, atol=1e-14
         )
 
-    @pytest.mark.parametrize("pure_linear", [True, False])
-    def test_matches_the_salsa_reference(self, pure_linear):
-        scene = tiny_scene(seed=17)
-        rho, tau, lam = 0.05, 0.05, 0.5
-        basis = pca_basis(scene.y_h, 2)
-        den = trained_denoiser(scene, rho, tau, pure_linear)
+    @pytest.mark.parametrize(
+        "make,rho,tau,pure_linear",
+        [
+            pytest.param(hs_case, 0.05, 0.05, True, id="True"),
+            pytest.param(hs_case, 0.05, 0.05, False, id="False"),
+            pytest.param(pair_case, 0.08, 0.08, True, id="pair-True"),
+            pytest.param(pair_case, 0.08, 0.08, False, id="pair-False"),
+            # rho above the pair's lam = 0.3
+            pytest.param(pair_case, 0.5, 0.05, False, id="pair-0.5-0.05"),
+        ],
+    )
+    def test_matches_the_salsa_reference(self, make, rho, tau, pure_linear):
+        case = make()
+        den = case.denoiser(rho, tau, pure_linear)
         cfg = SolverConfig(
-            rho=rho, lam=lam, tau=tau, max_iters=5000,
+            rho=rho, lam=case.lam, tau=tau, max_iters=5000,
             primal_tol=1e-10, dual_tol=1e-10,
         )
-        x_salsa, salsa_report = run_salsa_hs(scene, basis, den, cfg)
+        x_salsa, salsa_report = run_salsa_hs(case.scene, case.basis, den, cfg)
         assert salsa_report.converged
-        for x, report in both_solves(scene, basis, den, cfg):
+        for x, report in both_solves(case.scene, case.basis, den, cfg):
             assert report.converged
             assert report.iterations_run < salsa_report.iterations_run
             assert relative_error(x, x_salsa) <= 1e-8
 
     @pytest.mark.parametrize(
-        "rho,tau,pure_linear",
+        "make,rho,tau,pure_linear",
         [
-            pytest.param(0.05, 0.05, True, id="0.05-0.05"),
-            pytest.param(0.1, 0.02, True, id="0.1-0.02"),
-            pytest.param(0.05, 0.05, False, id="0.05-0.05-practical"),
-            pytest.param(0.1, 0.02, False, id="0.1-0.02-practical"),
+            pytest.param(hs_case, 0.05, 0.05, True, id="0.05-0.05"),
+            pytest.param(hs_case, 0.1, 0.02, True, id="0.1-0.02"),
+            pytest.param(hs_case, 0.05, 0.05, False, id="0.05-0.05-practical"),
+            pytest.param(hs_case, 0.1, 0.02, False, id="0.1-0.02-practical"),
+            pytest.param(pair_case, 0.08, 0.08, True, id="pair-0.08-0.08"),
+            pytest.param(pair_case, 0.2, 0.05, True, id="pair-0.2-0.05"),
+            pytest.param(pair_case, 0.08, 0.08, False, id="pair-0.08-0.08-practical"),
+            pytest.param(pair_case, 0.2, 0.05, False, id="pair-0.2-0.05-practical"),
+            pytest.param(pair_case, 0.5, 0.05, True, id="pair-0.5-0.05"),
+            pytest.param(pair_case, 0.5, 0.05, False, id="pair-0.5-0.05-practical"),
         ],
     )
-    def test_matches_the_dense_minimizer(self, rho, tau, pure_linear):
-        scene = tiny_scene(seed=17)
-        lam = 0.5
-        basis = pca_basis(scene.y_h, 2)
-        den = trained_denoiser(scene, rho, tau, pure_linear)
-        cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
-        expected = hs_data_term(scene, basis, lam).minimizer(rho, build_explicit_w(den))
-        for x, report in both_solves(scene, basis, den, cfg):
+    def test_matches_the_dense_minimizer(self, make, rho, tau, pure_linear):
+        case = make()
+        den = case.denoiser(rho, tau, pure_linear)
+        cfg = SolverConfig(rho=rho, lam=case.lam, tau=tau)
+        data = hs_data_term(case.scene, case.basis, case.lam)
+        expected = data.minimizer(rho, build_explicit_w(den))
+        for x, report in both_solves(case.scene, case.basis, den, cfg):
             assert report.converged
             assert relative_error(x, expected) <= 1e-9
 
@@ -617,27 +799,44 @@ class TestFixedPointSolve:
         assert salsa_report.converged
         assert relative_error(x_salsa, expected) <= 1e-5
 
-    def test_rho_above_every_mixing_eigenvalue(self):
-        # G = A^T A - rho I is indefinite: rho exceeds lam * eig((RE)^T RE)
-        scene = tiny_scene(seed=17)
-        rho, tau, lam = 0.5, 0.05, 0.5
-        basis = pca_basis(scene.y_h, 2)
-        re = scene.r @ basis.e
-        assert np.linalg.eigvalsh(lam * re.T @ re).min() < rho
-        den = trained_denoiser(scene, rho, tau, pure_linear=False)
-        cfg = SolverConfig(rho=rho, lam=lam, tau=tau)
-        expected = hs_data_term(scene, basis, lam).minimizer(rho, build_explicit_w(den))
-        x, report = solve_hs(scene, basis, den, cfg)
+    @pytest.mark.parametrize(
+        "make,tau",
+        [
+            pytest.param(hs_case, 0.05, id="hs"),
+            pytest.param(pair_case, 0.08, id="pair"),
+        ],
+    )
+    def test_rho_above_every_mixing_eigenvalue(self, make, tau):
+        # G = A^T A - rho I is indefinite: rho exceeds lam * eig((RE)^T RE),
+        # and the smallest eigenvalue of the circulant part of A^T A
+        case = make()
+        rho = 0.5
+        re = case.scene.r @ case.basis.e
+        assert np.linalg.eigvalsh(case.lam * re.T @ re).min() < rho
+        assert hs_normal_symbol(case.scene, case.basis, case.lam)[1].min() < rho
+        den = case.denoiser(rho, tau, pure_linear=False)
+        cfg = SolverConfig(rho=rho, lam=case.lam, tau=tau)
+        data = hs_data_term(case.scene, case.basis, case.lam)
+        expected = data.minimizer(rho, build_explicit_w(den))
+        x, report = solve_hs(case.scene, case.basis, den, cfg)
         assert report.converged
         assert relative_error(x, expected) <= 1e-9
 
-    @pytest.mark.parametrize("d", [1, 2, 4])
-    def test_normal_symbol_is_the_shift_average(self, d):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(partial(hs_case, seed=5, d=1, lam=0.4), id="1"),
+            pytest.param(partial(hs_case, seed=5, d=2, lam=0.4), id="2"),
+            pytest.param(partial(hs_case, seed=5, d=4, lam=0.4), id="4"),
+            pytest.param(partial(pair_case, seed=5, kernel="motion15"), id="pair"),
+        ],
+    )
+    def test_normal_symbol_is_the_shift_average(self, make):
         # Chan's circulant part of A^T A: the dense normal matrix averaged over
         # every cyclic shift of the grid, seen in the rotated bands Q^T X
-        scene = tiny_scene(seed=5, d=d)
-        basis = pca_basis(scene.y_h, 2)
-        data = hs_data_term(scene, basis, 0.4)
+        case = make()
+        scene, basis = case.scene, case.basis
+        data = hs_data_term(scene, basis, case.lam)
         k, n = data.shape
         geom = scene.geometry
         a = np.column_stack([data.apply(e.reshape(k, n)) for e in np.eye(k * n)])
@@ -648,7 +847,7 @@ class TestFixedPointSolve:
             perm = geom.from_grid(np.roll(pixels, shift, axis=(0, 1)))
             average += normal[:, perm][:, :, :, perm]
         average /= n
-        rotation, symbols = hs_normal_symbol(scene, basis, 0.4)
+        rotation, symbols = hs_normal_symbol(scene, basis, case.lam)
         rotated = np.einsum("am,aibj,bl->milj", rotation, average, rotation)
         v = np.random.default_rng(6).standard_normal((k, n))
         expected = symbol_products(v, symbols)
@@ -656,18 +855,23 @@ class TestFixedPointSolve:
         scale = np.abs(got).max()
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
 
-    def test_tau_zero_pipeline_is_the_least_squares_fit(self):
-        scene = tiny_scene(seed=8)
-        lam = 0.4
-        em = EmConfig(n_components=2, noise_variance=scene.sigma_m**2)
-        params = SharpenParams(
-            n_subspace=2, patch_side=2, em=em,
-            solver=SolverConfig(rho=0.3, lam=lam, tau=0.0),
-        )
-        z_hat, report = sharpen(scene, params)
+    @pytest.mark.parametrize(
+        "make,rho",
+        [
+            pytest.param(partial(hs_case, seed=8, lam=0.4), 0.3, id="hs"),
+            # rho above lam
+            pytest.param(
+                partial(pair_case, seed=15, kernel="motion15", lam=0.4), 0.5, id="pair"
+            ),
+        ],
+    )
+    def test_tau_zero_pipeline_is_the_least_squares_fit(self, make, rho):
+        case = make()
+        solver = SolverConfig(rho=rho, lam=case.lam, tau=0.0)
+        z_hat, report = sharpen(case.scene, case.params(solver))
         assert report.converged
-        basis = pca_basis(scene.y_h, 2)
-        expected = basis.e @ hs_data_term(scene, basis, lam).minimizer(0.0)
+        data = hs_data_term(case.scene, case.basis, case.lam)
+        expected = case.basis.e @ data.minimizer(0.0)
         assert relative_error(z_hat, expected) <= 1e-8
 
 
