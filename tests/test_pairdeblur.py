@@ -1,4 +1,5 @@
 import logging
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pnpfusion.sharpen import (
     hs_data_term,
     run_salsa_hs,
     sharpen,
+    solve_hs,
     train_scene_denoiser,
 )
 from tests.conftest import mirror_defect, relative_error, scene_16
@@ -259,6 +261,33 @@ class TestOneBandSharpening:
             scene.y_n[None], scene.geometry, 4, em, denoiser_variance=0.5
         )
         assert den.operator.tobytes() == expected.operator.tobytes()
+
+
+class TestShiftedSolve:
+    """The pair solve of the shifted system ``(rho I + G D) w = b``,
+    ``G = B^T B + (lam - rho) I``, whatever the sign of G."""
+
+    @pytest.mark.parametrize(
+        "rho",
+        [pytest.param(0.1, id="lam-above-rho"), pytest.param(0.5, id="lam-below-rho")],
+    )
+    def test_deblur_pair_takes_one_solve(self, rho):
+        # scene_16's gauss8 has min |b_hat|^2 < 0.2, so G = B^T B + (0.3 - rho) I
+        # is positive definite at rho = 0.1 and indefinite at rho = 0.5
+        scene = scene_16(seed=16)
+        em = EmConfig(
+            n_components=3, noise_variance=scene.sigma_n**2, max_iters=10, seed=0
+        )
+        solver = SolverConfig(rho=rho, lam=0.3, tau=0.05)
+        params = PairParams(patch_side=4, em=em, solver=solver)
+        x, report = deblur_pair(scene, params)
+        den = train_pair_denoiser(
+            scene, 4, em, denoiser_variance=solver.tau / solver.rho
+        )
+        x_ref, ref = solve_hs(scene.hs_scene, ONE, den, solver)
+        assert report.converged
+        assert x.tobytes() == x_ref[0].tobytes()
+        assert asdict(report) == asdict(ref)
 
 
 class TestTheoryAtScale:

@@ -605,19 +605,10 @@ class TestSharpenPipeline:
             results.append((z_hat.tobytes(), report.iterations_run, report.final_primal))
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize(
-        "make,rho",
-        [
-            pytest.param(hs_case, 0.05, id="hs"),
-            # G = B^T B + (lam - rho) I is positive definite at rho = 0.1 and,
-            # since scene_16's gauss8 has min |b_hat|^2 < 0.2, indefinite at 0.5
-            pytest.param(pair_case, 0.1, id="pair-lam-above-rho"),
-            pytest.param(pair_case, 0.5, id="pair-lam-below-rho"),
-        ],
-    )
-    def test_pipeline_is_one_solve_with_its_trained_denoiser(self, make, rho):
-        # the PCA basis, the practical D trained at tau / rho, then solve_hs
-        case = make()
+    def test_pipeline_is_one_solve_with_its_trained_denoiser(self):
+        # the PCA basis, the practical D trained at tau / rho, then solve_hs;
+        # the pair's one solve is test_pairdeblur's TestShiftedSolve
+        case, rho = hs_case(), 0.05
         solver = SolverConfig(rho=rho, lam=case.lam, tau=0.05)
         z_hat, report = sharpen(case.scene, case.params(solver))
         x, expected = solve_hs(
