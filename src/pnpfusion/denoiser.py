@@ -46,9 +46,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, SizeError
 from .gmm import SIMPLEX_ATOL as SIMPLEX_ATOL  # re-exported
-from .gmm import GmmModel, check_noise_variance, checked_responsibilities, posterior
+from .gmm import GmmModel, checked_responsibilities, posterior
 from .patches import (  # perfbench/tracing.py patches the two unused names here
     ImageGeometry,
+    PatchSet,
     assemble_patches,
     extract_patches,
     remove_means,
@@ -390,29 +391,21 @@ def expansiveness_demo(
     finite-difference slope above 1 in the transition region between the
     components, while the fixed-weight linearization is a convex combination
     of shrinkages and stays strictly below slope 1. Both curves are sampled
-    on ``y`` from -3 to 3 in steps of 1e-4. The weights ``alphas``
-    must be nonnegative and sum to 1, and ``noise_variance`` must be
-    nonnegative and finite.
+    on ``y`` from -3 to 3 in steps of 1e-4. The posterior weights come from
+    the pipelines' E-step, :func:`~pnpfusion.gmm.posterior` on one-pixel
+    patches, which refuses a negative or non-finite ``noise_variance``;
+    the model refuses ``alphas`` that are negative or do not sum to 1.
     """
-    a = np.asarray(alphas, dtype=float)
     if not 0 < small_variance < large_variance < np.inf:
         raise ConfigError("need 0 < small_variance < large_variance < inf")
-    check_noise_variance(noise_variance)
-    if not (a.shape == (2,) and np.all(a >= 0) and np.isclose(a.sum(), 1.0)):
-        raise ConfigError(f"alphas must be two weights >= 0 summing to 1: {alphas}")
-    grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
     variances = np.array([small_variance, large_variance])
-    noisy_vars = variances + noise_variance
-    loglik = (
-        np.log(a)[:, None]
-        - 0.5 * (np.log(2 * np.pi * noisy_vars)[:, None] + grid[None, :] ** 2 / noisy_vars[:, None])
-    )
-    peak = loglik.max(axis=0)
-    beta = np.exp(loglik - peak[None, :])
-    beta /= beta.sum(axis=0)[None, :]
-    shrink = variances / noisy_vars
+    model = GmmModel(alphas=alphas, covariances=variances[:, None, None], patch_side=1)
+    grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
+    pixels = PatchSet(grid[:, None], 1, ImageGeometry(grid.size, 1))
+    beta = posterior(pixels, model, noise_variance)[0]
+    shrink = variances / (variances + noise_variance)
     mmse = (beta * shrink[:, None]).sum(axis=0) * grid
-    fixed = float(a @ shrink) * grid
+    fixed = float(model.alphas @ shrink) * grid
     dy = np.diff(grid)
     return ExpansivenessTable(
         y=grid,

@@ -26,13 +26,18 @@ Each EM iteration works on all K components at once:
 
   summed only over the kept directions ``v_r != s_j``; after an M-step most
   components keep well under n_p of them. The first term cancels against
-  the sum, losing about ``log10(max v / s_j)`` digits, which is ruinous when
-  ``s_j`` is the eigenvalue floor (``sigma^2 = 0``). A component whose
-  ratio exceeds ``_COMPLEMENT_MAX_RATIO`` therefore keeps all n_p
-  directions and uses the plain ``sum_r p_r^2 / v_r``. Every component's
-  kept directions, scaled by the square root of their weights, form one
-  basis, so one ``patches @ basis`` product per chunk of patches serves all
-  components, and a signed block sum of its squares gives the (N, K) terms.
+  the sum, losing about ``log10(max v / s_j)`` digits: all of them when
+  ``s_j`` is the eigenvalue floor (``sigma^2 = 0``), and most of float32's
+  7 at 1e4. So one rule picks each component's form: a component whose
+  ratio exceeds ``_RESTRICTED_MAX_RATIO`` = 1e4 keeps all n_p directions,
+  uses the plain ``sum_r p_r^2 / v_r`` and is projected from the float64
+  rows in every phase of :func:`train_em`; every other component is
+  rank-restricted. Over benchmark seeds 1-12 the largest ratio is 6.29e3
+  on ``hs-sharpen``, 115 on ``pair-iterate`` and 198 on ``pair-train``
+  (seeds 1-6). Every component's kept directions, scaled by the square
+  root of their weights, form one basis, so one ``patches @ basis``
+  product per chunk of patches serves all components, and a signed block
+  sum of its squares gives the (N, K) terms.
 
 :func:`train_em` runs its early iterations with float32 GEMMs and finishes
 in float64, as mixed-precision iterative refinement does (Higham, *Accuracy
@@ -42,15 +47,10 @@ and Stability of Numerical Algorithms*, ch. 12; Haidar et al., SC 2018):
   the float64 set's squared norms and Gram matrix. Given that copy,
   :func:`m_step` forms its weighted rows and its GEMM in float32 and adds
   each chunk's product into float64 moments. The E-step projects the
-  float32 rows onto a float32 copy of the basis and sums each component's
-  squares in float64, since that sum is the one that cancels. The
-  log-sum-exp, the Gram subtraction, :func:`eigt` and every model stay
-  float64.
-* Guard: float32 keeps about 7 digits, and the rank-restricted form loses
-  ``log10(max v / s_j)`` of them. A component whose ratio exceeds
-  ``_F32_MAX_RATIO`` = 1e4 is therefore projected from the float64 rows,
-  also in the float32 phase. The benchmark's components reach 200 on the
-  pair workloads and 6.3e3 on ``hs-sharpen``.
+  float32 rows onto a float32 copy of the rank-restricted components'
+  basis and sums each component's squares in float64, since that sum is
+  the one that cancels. The log-sum-exp, the Gram subtraction,
+  :func:`eigt` and every model stay float64.
 * Finish: the last ``_F64_FINISH`` M-steps of the budget, and every E-step
   from the first of them on, run wholly in float64. A stall seen on a
   float32 E-step is checked again by a float64 E-step of the same model,
@@ -83,25 +83,21 @@ log = logging.getLogger(__name__)
 # is numerically singular (sigma^2 = 0 with rank-deficient C_j).
 _EIG_FLOOR = 1e-12
 
-# Largest max(v)/s_j for which the E-step uses the rank-restricted form; it
-# bounds the digits lost to cancellation at log10 of this ratio. The
-# benchmark scenes stay below 2e3.
-_COMPLEMENT_MAX_RATIO = 1e6
+# Largest max(v)/s_j for which the E-step uses the rank-restricted form (on
+# float32 rows in train_em's float32 phase), losing about log10 of it to
+# cancellation; a larger ratio uses the plain form on float64 rows.
+_RESTRICTED_MAX_RATIO = 1e4
 
 # Patches per chunk, both for the E-step's (c, kept directions) projections
 # and for the M-step's (c, K, n_p) weighted copy. Larger chunks raise peak
 # memory without running faster.
 _CHUNK = 256
 
-# Largest max(v)/s_j for which the float32 phase of train_em projects a
-# component's patches in float32, losing about log10 of it of float32's
-# 7 digits; a larger ratio is projected in float64.
-_F32_MAX_RATIO = 1e4
-
 # M-steps at the end of train_em's budget that run wholly in float64.
 _F64_FINISH = 2
 
-# Largest distance from 1 of a column sum of responsibilities that is accepted.
+# Largest distance from 1 of a column sum of responsibilities, or of the sum
+# of a model's weights, that is accepted.
 SIMPLEX_ATOL = 1e-9
 
 
@@ -122,9 +118,9 @@ class GmmModel:
             raise DimensionError(f"need alphas (K,) and covariances (K, {n_p}, {n_p})")
         if not is_count(self.n_components):
             raise ConfigError("a mixture needs at least one component")
-        # written so that NaN fails them
-        if not np.all((self.alphas >= 0) & (self.alphas < np.inf)):
-            raise ConfigError(f"mixture weights must be >= 0 and finite: {self.alphas}")
+        a = self.alphas  # NaN and inf fail the test
+        if not (np.all(a >= 0) and abs(a.sum() - 1) <= SIMPLEX_ATOL):
+            raise ConfigError(f"mixture weights must be >= 0 and sum to 1: {a}")
         if not np.all(np.isfinite(self.covariances)):
             raise ConfigError("covariances must be finite")
 
@@ -230,7 +226,7 @@ def _component_log_densities(
     """log alpha_j + log N(y_i; 0, C_j + sigma^2 I), shape (K, N).
 
     ``rows32``, the patch rows in float32, moves the projections of every
-    component whose max(v)/s_j is at most ``_F32_MAX_RATIO`` to float32.
+    rank-restricted component to float32.
     """
     y_all, norms = patches.patches, patches.squared_norms
     n, n_p = y_all.shape
@@ -248,7 +244,7 @@ def _component_log_densities(
         )
     var = np.maximum(noisy, floor[:, None])
     rest = np.maximum(noise_variance, floor)  # s_j
-    plain = top > _COMPLEMENT_MAX_RATIO * rest
+    plain = top > _RESTRICTED_MAX_RATIO * rest
     # per direction: its weight in the block sum, and whether it is kept
     kept = plain[:, None] | (var != rest[:, None])
     weight = np.where(plain[:, None], 1.0 / var, 1.0 / rest[:, None] - 1.0 / var)
@@ -260,7 +256,7 @@ def _component_log_densities(
     # are summed in float64, because that sum cancels against ||y||^2 / s_j
     parts = [(y_all, basis, signed)]
     if rows32 is not None:
-        in32 = (top <= _F32_MAX_RATIO * rest)[owner]
+        in32 = ~plain[owner]
         parts = [(rows32, basis[:, in32].astype(np.float32), signed[in32])]
         if not in32.all():
             parts.append((y_all, basis[:, ~in32], signed[~in32]))
@@ -393,25 +389,23 @@ def _init_model(patches: PatchSet, config: EmConfig) -> GmmModel:
     k = config.n_components
     centers = np.empty((k, n_p))
     centers[0] = whitened[rng.integers(n)]
+    # each patch's squared distance to its nearest centre so far, and that
+    # centre's label; a tie keeps the lower label, as argmin does, and the
+    # first pass, against an infinite distance, sets every label
     dist2 = np.full(n, np.inf)
-    for j in range(1, k):
+    labels = np.empty(n, dtype=np.intp)
+    for j in range(1, k + 1):
         for start in range(0, n, _CHUNK):
             rows = slice(start, start + _CHUNK)
             diff = whitened[rows] - centers[j - 1]
-            dist2[rows] = np.minimum(dist2[rows], np.einsum("ij,ij->i", diff, diff))
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            labels[rows] = np.where(d2 < dist2[rows], j - 1, labels[rows])
+            dist2[rows] = np.minimum(dist2[rows], d2)
+        if j == k:
+            break
         total = dist2.sum()
-        if total <= 0:
-            centers[j] = whitened[rng.integers(n)]
-            continue
-        centers[j] = whitened[rng.choice(n, p=dist2 / total)]
-    # hard-assign and build per-cluster second moments of the raw patches,
-    # a chunk of patches and one centre at a time: the (N, K, n_p) difference
-    # array would take 94 MB for a 96x96 band with K=20 and 8x8 patches
-    labels = np.empty(n, dtype=np.intp)
-    for start in range(0, n, _CHUNK):
-        chunk = whitened[start : start + _CHUNK]
-        d2 = np.stack([((chunk - c) ** 2).sum(axis=1) for c in centers], axis=1)
-        labels[start : start + _CHUNK] = d2.argmin(axis=1)
+        pick = rng.integers(n) if total <= 0 else rng.choice(n, p=dist2 / total)
+        centers[j] = whitened[pick]
     alphas = np.empty(k)
     moments = np.empty((k, n_p, n_p))
     ridge = 1e-6 * np.eye(n_p)

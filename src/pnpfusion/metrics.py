@@ -54,8 +54,8 @@ def psnr_per_band(
 ) -> np.ndarray:
     """Band-wise PSNR of a bands x pixels cube."""
     ref, est = _as_cubes(reference, estimate)
-    if not peak > 0:  # written so that NaN fails it
-        raise MetricError(f"peak must be positive, got {peak}")
+    if not 0 < peak < np.inf:  # written so that NaN fails it
+        raise MetricError(f"peak must be positive and finite, got {peak}")
     mse = np.mean((ref - est) ** 2, axis=1)
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(peak**2 / mse)
@@ -66,9 +66,9 @@ def ergas(
 ) -> float:
     """Relative global dimensionless synthesis error."""
     ref, est = _as_cubes(reference, estimate)
-    if not resolution_ratio > 0:  # written so that NaN fails it
+    if not 0 < resolution_ratio < np.inf:  # written so that NaN fails it
         raise MetricError(
-            f"resolution_ratio must be positive, got {resolution_ratio}"
+            f"resolution_ratio must be positive and finite, got {resolution_ratio}"
         )
     band_means = ref.mean(axis=1)
     if np.any(band_means == 0):

@@ -9,7 +9,7 @@ generated datasets hit their nominal noise levels to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,7 +129,8 @@ def generate_hs_scene(spec: HsSceneSpec) -> HsScene:
     blur = make_cyclic_blur(gaussian_kernel(support, sigma_psf), geometry)
     mask = make_decimation_mask(geometry, spec.decimation)
 
-    scene = HsScene(
+    # a template with zero observations applies the forward operators
+    template = HsScene(
         y_h=np.zeros((l_h, int(mask.sum()))),
         y_m=np.zeros((l_m, geometry.n)),
         blur=blur,
@@ -140,22 +141,16 @@ def generate_hs_scene(spec: HsSceneSpec) -> HsScene:
         geometry=geometry,
         z=z,
     )
-    clean_h = forward_hs(z, scene)
-    clean_m = forward_ms(z, scene)
+    clean_h = forward_hs(z, template)
+    clean_m = forward_ms(z, template)
     power_h = np.mean(clean_h**2) * 10 ** (-spec.snr_h_db / 10)
     power_m = np.mean(clean_m**2) * 10 ** (-spec.snr_m_db / 10)
-    noise_h = _exact_noise(rng, clean_h.shape, power_h)
-    noise_m = _exact_noise(rng, clean_m.shape, power_m)
-    return HsScene(
-        y_h=clean_h + noise_h,
-        y_m=clean_m + noise_m,
-        blur=blur,
-        mask=mask,
-        r=r,
+    return replace(  # keywords are evaluated in order: the HS noise is drawn first
+        template,
+        y_h=clean_h + _exact_noise(rng, clean_h.shape, power_h),
+        y_m=clean_m + _exact_noise(rng, clean_m.shape, power_m),
         sigma_h=float(np.sqrt(power_h)),
         sigma_m=float(np.sqrt(power_m)),
-        geometry=geometry,
-        z=z,
     )
 
 

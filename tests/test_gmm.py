@@ -805,6 +805,73 @@ class TestMixedPrecisionEm:
         np.testing.assert_allclose(got[0], want[0], rtol=1e-6)
         assert not np.array_equal(got[1], want[1])
 
+    def test_component_above_the_ratio_bound_matches_the_oracle(self):
+        # max(v)/s_j = 9e5 once took the rank-restricted form, 3.4e-10 off
+        rng = np.random.default_rng(41)
+        sigma2 = 1e-5
+        model = two_scale_model(rng, 9e5, sigma2)
+        ratio = (model.spectrum[0][0].max() + sigma2) / sigma2
+        assert gmm._RESTRICTED_MAX_RATIO < ratio <= 1e6
+        y = rng.multivariate_normal(np.zeros(16), model.covariances[0], size=300)
+        y += np.sqrt(sigma2) * rng.standard_normal(y.shape)
+        beta, log_density = posterior(make_patch_set(y), model, sigma2)
+        oracle = oracle_log_densities(y, model, sigma2)
+        want = _logsumexp(oracle.copy())
+        np.testing.assert_allclose(log_density, want, rtol=1e-10)
+        np.testing.assert_allclose(beta, np.exp(oracle - want), rtol=0, atol=1e-10)
+
+
+def brute_force_init(patches, config):
+    """The k-means++ init with each patch labelled by ``argmin`` over the
+    distances to all K centres: returns the moments before projection, the
+    weights and the (N, K) distances."""
+    y = patches.patches
+    n, n_p = y.shape
+    rng = np.random.default_rng(config.seed)
+    whitened = y / np.maximum(np.sqrt(patches.squared_norms), 1e-12)[:, None]
+
+    def distances(centers):
+        return np.stack(
+            [np.einsum("ij,ij->i", whitened - c, whitened - c) for c in centers], axis=1
+        )
+
+    centers = [whitened[rng.integers(n)]]
+    while len(centers) < config.n_components:
+        nearest = distances(centers).min(axis=1)
+        total = nearest.sum()
+        pick = rng.integers(n) if total <= 0 else rng.choice(n, p=nearest / total)
+        centers.append(whitened[pick])
+    dist2 = distances(centers)
+    labels = dist2.argmin(axis=1)
+    alphas, moments = [], []
+    for j in range(config.n_components):
+        members = y[labels == j]
+        alphas.append(max(len(members), 1))
+        if len(members) == 0:
+            members = y[rng.integers(n)][None, :]
+        second = members.T @ members / len(members)
+        moments.append(
+            second + np.trace(second) / n_p * 1e-6 * np.eye(n_p) + 1e-12 * np.eye(n_p)
+        )
+    return np.stack(moments), np.array(alphas) / sum(alphas), dist2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_init_labels_each_patch_by_argmin_over_all_centres(seed):
+    # 3 directions, each repeated and scaled, and zero rows: once the 4
+    # distinct whitened points are centres the rest are drawn uniformly, so
+    # centres repeat and distances tie; a tie goes to the lower label
+    rng = np.random.default_rng(50 + seed)
+    directions = rng.standard_normal((3, 4))
+    rows = np.vstack([directions, directions, 2 * directions, np.zeros((4, 4))])
+    patches = make_patch_set(rng.permutation(rows))
+    config = EmConfig(n_components=7, noise_variance=0.1, seed=seed)
+    moments, alphas, dist2 = brute_force_init(patches, config)
+    assert np.any((dist2 == dist2.min(axis=1, keepdims=True)).sum(axis=1) > 1)
+    model = gmm._init_model(patches, config)
+    np.testing.assert_array_equal(model.alphas, alphas)
+    np.testing.assert_array_equal(model.covariances, eigt(moments)[0])
+
 
 @pytest.mark.parametrize(
     "alphas,bad_covariance",
@@ -813,10 +880,13 @@ class TestMixedPrecisionEm:
         pytest.param([-0.5, 1.5], False, id="negative-weight"),
         pytest.param([np.inf, 1.0], False, id="inf-weight"),
         pytest.param([0.5, 0.5], True, id="nan-covariance"),
+        pytest.param([0.2, 0.2], False, id="weights-sum-0.4"),
+        pytest.param([0.0, 0.0], False, id="zero-weights"),
     ],
 )
 def test_gmm_model_rejects_non_finite_or_negative_values(alphas, bad_covariance):
-    # posterior once returned non-finite beta for each of these models
+    # posterior once returned non-finite beta for each of these models, or,
+    # for weights summing to 0.4, log densities shifted by log 0.4
     covariances = np.stack([np.eye(16), 2 * np.eye(16)])
     if bad_covariance:
         covariances[1, 3, 5] = np.nan

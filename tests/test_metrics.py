@@ -47,6 +47,13 @@ class TestPsnr:
         with pytest.raises(MetricError):
             psnr_per_band(x, x + 0.1, peak=-1.0)
 
+    @pytest.mark.parametrize("metric", [psnr, psnr_per_band])
+    def test_infinite_peak_raises(self, metric):
+        # once returned inf, a PSNR it did not compute
+        x = np.zeros((2, 5))
+        with pytest.raises(MetricError):
+            metric(x, x + 0.1, peak=np.inf)
+
 
 class TestErgas:
     def test_perfect_estimate_zero(self):
@@ -80,7 +87,7 @@ class TestErgas:
         with pytest.raises(MetricError):
             ergas(ref, ref + 1, 1.0)
 
-    @pytest.mark.parametrize("ratio", [-1.0, float("nan")])
+    @pytest.mark.parametrize("ratio", [-1.0, float("nan"), float("inf")])
     def test_nonpositive_resolution_ratio_raises(self, ratio):
         ref = np.ones((2, 4))
         with pytest.raises(MetricError):

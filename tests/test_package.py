@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -24,6 +25,29 @@ def test_import_reaches_every_module():
         check=True,
     )
     assert modules - set(run.stdout.split()) == set()
+
+
+def test_every_module_constant_is_read_in_its_module():
+    # an UPPER_CASE constant that its own module never reads is a leftover
+    # of code that moved or went
+    package = Path(pnpfusion.__file__).resolve().parent
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            unread += [
+                f"pnpfusion.{path.stem}.{t.id}"
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()
+                and t.id not in read
+            ]
+    assert unread == []
 
 
 RUN_IN_FRESH_INTERPRETER = """
