@@ -46,11 +46,23 @@ and Stability of Numerical Algorithms*, ch. 12; Haidar et al., SC 2018):
 * The float32 phase holds one float32 copy of the patch rows, which shares
   the float64 set's squared norms and Gram matrix. Given that copy,
   :func:`m_step` forms its weighted rows and its GEMM in float32 and adds
-  each chunk's product into float64 moments. The E-step projects the
-  float32 rows onto a float32 copy of the rank-restricted components'
-  basis and sums each component's squares in float64, since that sum is
-  the one that cancels. The log-sum-exp, the Gram subtraction,
-  :func:`eigt` and every model stay float64.
+  each chunk's product into float64 moments. Responsibilities decay like
+  ``exp(-Mahalanobis / 2)``, so in float32 some of them, and more of their
+  products with the rows, are subnormal (Higham, ch. 2), and some CPUs
+  multiply subnormals many times slower: on an Intel Xeon, at
+  ``pair-train`` shape, 1.4 % subnormal responsibilities made one M-step's
+  float32 moments take 53 ms, against 40 ms in float64. So the M-step sets
+  every float32 responsibility below ``_F32_FLUSH`` = 1e-30 to 0 first,
+  which takes those moments to 24 ms. A flushed term is at most
+  ``1e-30 ||y_i||^2``, while a component that :func:`m_step` keeps has
+  total responsibility above 1e-12, so the term lies below float32's
+  rounding of the moment it joins. The E-step projects the float32 rows
+  onto a float32 copy of the rank-restricted components' basis and sums
+  each component's squares in float64, since that sum is the one that
+  cancels. Those projections are not flushed: none of them, and none of
+  their squares, was subnormal in the 48 float32 E-steps of ``pair-train``
+  at seed 11. The log-sum-exp, the Gram subtraction, :func:`eigt` and
+  every model stay float64.
 * Finish: the last ``_F64_FINISH`` M-steps of the budget, and every E-step
   from the first of them on, run wholly in float64. A stall seen on a
   float32 E-step is checked again by a float64 E-step of the same model,
@@ -95,6 +107,11 @@ _CHUNK = 256
 
 # M-steps at the end of train_em's budget that run wholly in float64.
 _F64_FINISH = 2
+
+# Float32 responsibilities below this are set to 0 before the M-step's
+# float32 product, so that neither they nor their products with the patch
+# rows are subnormal.
+_F32_FLUSH = 1e-30
 
 # Largest distance from 1 of a column sum of responsibilities, or of the sum
 # of a model's weights, that is accepted.
@@ -261,7 +278,9 @@ def _component_log_densities(
         if not in32.all():
             parts.append((y_all, basis[:, ~in32], signed[~in32]))
     norm_weight = np.where(plain, 0.0, 1.0 / rest)
-    offset = np.log(model.alphas) - 0.5 * (
+    with np.errstate(divide="ignore"):  # a zero weight's log is -inf: beta 0
+        log_alphas = np.log(model.alphas)
+    offset = log_alphas - 0.5 * (
         n_p * np.log(2.0 * np.pi) + np.log(var).sum(axis=1)
     )
     out = np.empty((model.n_components, n))
@@ -312,6 +331,12 @@ def _weighted_second_moments(patches: PatchSet, beta: np.ndarray) -> np.ndarray:
     ``sum_i beta_ji ||y_i||^2`` is that matrix minus the other K - 1, which
     one GEMM per chunk of patches forms. That component holds at least 1/K
     of the total energy, so the subtraction costs it about K eps relative.
+
+    On a float32 patch set the GEMM runs in float32, and each chunk's float32
+    copy of beta has its entries below ``_F32_FLUSH`` set to 0 first, so
+    that no operand of the einsum or the GEMM is subnormal. A flushed term
+    lies below float32's rounding of the moment it joins (module notes);
+    float64 input is never flushed.
     """
     y = patches.patches
     n, n_p = y.shape
@@ -323,14 +348,12 @@ def _weighted_second_moments(patches: PatchSet, beta: np.ndarray) -> np.ndarray:
     for start in range(0, n, _CHUNK):
         chunk = y[start : start + _CHUNK]
         c = chunk.shape[0]
+        b = beta[others, start : start + c].T.astype(y.dtype, copy=False)
+        if y.dtype == np.float32:
+            b[b < _F32_FLUSH] = 0.0  # b is this chunk's own copy
         # weighted[i, j] = beta_ji y_i, so column block j of the product is
         # M_j; einsum writes it twice as fast as a broadcast np.multiply
-        z = np.einsum(
-            "ij,ik->ijk",
-            beta[others, start : start + c].T.astype(y.dtype, copy=False),
-            chunk,
-            out=weighted[:c],
-        )
+        z = np.einsum("ij,ik->ijk", b, chunk, out=weighted[:c])
         acc += chunk.T @ z.reshape(c, (k - 1) * n_p)
     moments = np.empty((k, n_p, n_p))
     moments[others] = acc.reshape(n_p, k - 1, n_p).transpose(1, 0, 2)

@@ -620,6 +620,12 @@ class TestExpansiveness:
         expected = 0.4 * 0.05 / 0.25 + 0.6 * 0.8 / 1.0
         np.testing.assert_allclose(table.max_slope_fixed, expected, rtol=1e-6)
 
+    def test_zero_weight_is_the_one_component_result(self):
+        table = expansiveness_demo(0.01, 1.0, 0.1, alphas=(0.0, 1.0))
+        one_component = 1.0 / (1.0 + 0.1) * table.y
+        np.testing.assert_array_equal(table.mmse, one_component)
+        np.testing.assert_array_equal(table.fixed, one_component)
+
     def test_noiseless_limit_is_identity(self):
         table = expansiveness_demo(0.01, 1.0, 0.0)
         np.testing.assert_allclose(table.mmse, table.y, rtol=1e-12)

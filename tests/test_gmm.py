@@ -235,6 +235,27 @@ class TestEStep:
         np.testing.assert_allclose(beta[0], 0.3, rtol=1e-12)
         np.testing.assert_allclose(beta[1], 0.7, rtol=1e-12)
 
+    def test_zero_weight_component_gets_zero_responsibility(self):
+        # log(0) once raised under the warning filter; -inf is its log weight
+        rng = np.random.default_rng(45)
+        live = random_model(rng, 2, 4)
+        model = GmmModel(
+            alphas=np.r_[0.0, live.alphas],
+            covariances=np.concatenate([random_model(rng, 1, 4).covariances, live.covariances]),
+            patch_side=2,
+        )
+        ps = make_patch_set(rng.standard_normal((20, 4)))
+        logdens = _component_log_densities(ps, model, 0.1)
+        assert np.all(logdens[0] == -np.inf)
+        np.testing.assert_allclose(
+            logdens[1:], _component_log_densities(ps, live, 0.1), rtol=1e-12
+        )
+        beta, log_density = posterior(ps, model, 0.1)
+        want_beta, want_density = posterior(ps, live, 0.1)
+        np.testing.assert_array_equal(beta[0], 0.0)
+        np.testing.assert_allclose(beta[1:], want_beta, rtol=1e-12)
+        np.testing.assert_allclose(log_density, want_density, rtol=1e-12)
+
     def test_matches_dense_density_oracle(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 2, 4)
@@ -819,6 +840,89 @@ class TestMixedPrecisionEm:
         want = _logsumexp(oracle.copy())
         np.testing.assert_allclose(log_density, want, rtol=1e-10)
         np.testing.assert_allclose(beta, np.exp(oracle - want), rtol=0, atol=1e-10)
+
+
+def unflushed_second_moments(patches, beta):
+    """The M-step's chunked moments with no float32 flush: each chunk's beta
+    in the patches' dtype, one einsum and one GEMM, and the largest-energy
+    component as the Gram matrix minus the others."""
+    y = patches.patches
+    n, n_p = y.shape
+    k = beta.shape[0]
+    largest = np.argmax(beta @ patches.squared_norms)
+    others = np.delete(np.arange(k), largest)
+    acc = np.zeros((n_p, (k - 1) * n_p))
+    for start in range(0, n, _CHUNK):
+        chunk = y[start : start + _CHUNK]
+        b = beta[others, start : start + chunk.shape[0]].T.astype(y.dtype)
+        z = np.einsum("ij,ik->ijk", b, chunk)
+        acc += chunk.T @ z.reshape(chunk.shape[0], (k - 1) * n_p)
+    moments = np.empty((k, n_p, n_p))
+    moments[others] = acc.reshape(n_p, k - 1, n_p).transpose(1, 0, 2)
+    moments[largest] = patches.gram - moments[others].sum(axis=0)
+    return moments
+
+
+class TestFloat32Flush:
+    """The float32 M-step zeroes responsibilities below ``_F32_FLUSH``."""
+
+    sigma2 = 0.02
+
+    def patch_set(self):
+        rng = np.random.default_rng(42)
+        return make_patch_set(low_rank_patches(rng, 2 * _CHUNK + 44, 9, 4, self.sigma2))
+
+    def tail_beta(self, n):
+        # exp(-U(0, 200)) per entry: in float32 a few percent are subnormal
+        beta = np.exp(-np.random.default_rng(43).uniform(0, 200, size=(4, n)))
+        return beta / beta.sum(axis=0)
+
+    def test_subnormal_tail_is_zeroed(self):
+        ps = self.patch_set()
+        beta = self.tail_beta(ps.count)
+        b32 = beta.astype(np.float32)
+        tiny = np.finfo(np.float32).tiny
+        assert ((b32 > 0) & (b32 < tiny)).mean() > 0.05
+        zeroed = np.where(b32 < gmm._F32_FLUSH, 0.0, beta)
+        low = gmm._float32_patches(ps)
+        got = m_step(low, beta, self.sigma2)
+        want = m_step(low, zeroed, self.sigma2)
+        np.testing.assert_array_equal(got.alphas, want.alphas)
+        np.testing.assert_array_equal(got.covariances, want.covariances)
+        # within the float32 phase's tolerance of the float64 M-step
+        f64 = m_step(ps, beta, self.sigma2).covariances
+        np.testing.assert_allclose(
+            got.covariances, f64, rtol=0, atol=1e-6 * np.abs(f64).max()
+        )
+
+    def test_component_wholly_below_the_bound_has_a_zero_moment(self):
+        ps = self.patch_set()
+        beta = np.empty((2, ps.count))
+        # float32 normals and subnormals, all below the bound
+        beta[0] = 10.0 ** np.random.default_rng(44).uniform(-44, -30.1, ps.count)
+        beta[1] = 1.0 - beta[0]
+        got = _weighted_second_moments(gmm._float32_patches(ps), beta)
+        np.testing.assert_array_equal(got[0], np.zeros((9, 9)))
+        np.testing.assert_array_equal(got[1], ps.gram)
+        # float64 input is not flushed
+        f64 = _weighted_second_moments(ps, beta)
+        expected = (ps.patches.T * beta[0]) @ ps.patches
+        assert np.abs(f64[0]).max() > 0
+        np.testing.assert_allclose(f64[0], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_m_step_equals_the_unflushed_one(self, monkeypatch, dtype):
+        # float64 is never flushed; in float32 every flushed term lies below
+        # the rounding of the moment it joins, so the result does not move
+        ps = self.patch_set()
+        if dtype == np.float32:
+            ps = gmm._float32_patches(ps)
+        beta = self.tail_beta(ps.count)
+        got = m_step(ps, beta, self.sigma2)
+        monkeypatch.setattr(gmm, "_weighted_second_moments", unflushed_second_moments)
+        want = m_step(ps, beta, self.sigma2)
+        np.testing.assert_array_equal(got.alphas, want.alphas)
+        np.testing.assert_array_equal(got.covariances, want.covariances)
 
 
 def brute_force_init(patches, config):
