@@ -842,27 +842,6 @@ class TestMixedPrecisionEm:
         np.testing.assert_allclose(beta, np.exp(oracle - want), rtol=0, atol=1e-10)
 
 
-def unflushed_second_moments(patches, beta):
-    """The M-step's chunked moments with no float32 flush: each chunk's beta
-    in the patches' dtype, one einsum and one GEMM, and the largest-energy
-    component as the Gram matrix minus the others."""
-    y = patches.patches
-    n, n_p = y.shape
-    k = beta.shape[0]
-    largest = np.argmax(beta @ patches.squared_norms)
-    others = np.delete(np.arange(k), largest)
-    acc = np.zeros((n_p, (k - 1) * n_p))
-    for start in range(0, n, _CHUNK):
-        chunk = y[start : start + _CHUNK]
-        b = beta[others, start : start + chunk.shape[0]].T.astype(y.dtype)
-        z = np.einsum("ij,ik->ijk", b, chunk)
-        acc += chunk.T @ z.reshape(chunk.shape[0], (k - 1) * n_p)
-    moments = np.empty((k, n_p, n_p))
-    moments[others] = acc.reshape(n_p, k - 1, n_p).transpose(1, 0, 2)
-    moments[largest] = patches.gram - moments[others].sum(axis=0)
-    return moments
-
-
 class TestFloat32Flush:
     """The float32 M-step zeroes responsibilities below ``_F32_FLUSH``."""
 
@@ -910,19 +889,27 @@ class TestFloat32Flush:
         assert np.abs(f64[0]).max() > 0
         np.testing.assert_allclose(f64[0], expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_m_step_equals_the_unflushed_one(self, monkeypatch, dtype):
-        # float64 is never flushed; in float32 every flushed term lies below
-        # the rounding of the moment it joins, so the result does not move
+    def test_float32_flush_moves_no_moment_on_the_tail(self, monkeypatch):
+        # every flushed term lies below the rounding of the moment it joins
+        low = gmm._float32_patches(self.patch_set())
+        beta = self.tail_beta(low.count)
+        got = m_step(low, beta, self.sigma2)
+        monkeypatch.setattr(gmm, "_F32_FLUSH", 0.0)
+        want = m_step(low, beta, self.sigma2)
+        np.testing.assert_array_equal(got.covariances, want.covariances)
+
+    def test_float64_m_step_ignores_the_bound(self, monkeypatch):
+        # a bound that zeroes every float32 beta below 1 leaves float64 as it is
         ps = self.patch_set()
-        if dtype == np.float32:
-            ps = gmm._float32_patches(ps)
         beta = self.tail_beta(ps.count)
-        got = m_step(ps, beta, self.sigma2)
-        monkeypatch.setattr(gmm, "_weighted_second_moments", unflushed_second_moments)
         want = m_step(ps, beta, self.sigma2)
+        low_want = m_step(gmm._float32_patches(ps), beta, self.sigma2)
+        monkeypatch.setattr(gmm, "_F32_FLUSH", 1.0)
+        got = m_step(ps, beta, self.sigma2)
         np.testing.assert_array_equal(got.alphas, want.alphas)
         np.testing.assert_array_equal(got.covariances, want.covariances)
+        low_got = m_step(gmm._float32_patches(ps), beta, self.sigma2)
+        assert not np.array_equal(low_got.covariances, low_want.covariances)
 
 
 def brute_force_init(patches, config):
