@@ -14,8 +14,8 @@ its side-s patches span. The package needs only numpy.
 Because the frozen denoiser D is linear, the PnP fixed point is the solution
 of a linear system. Both applications solve it with one GMRES solve
 (:func:`solve_fixed_point`), whose report counts applications of D, on
-``(rho I + (A^T A - rho I) D) w = A^T t`` with ``x = D w``, preconditioned by
-the DFT-diagonal inverse built from the circulant parts of ``A^T A`` and D.
+``(rho I + D (A^T A - rho I)) x = D A^T t``, preconditioned by the
+DFT-diagonal inverse built from the circulant parts of ``A^T A`` and D.
 The SALSA iterations of the paper (:func:`run_admm`) stay as the one
 reference that reaches the same point, and the sharpening data term's dense
 minimizer as the one oracle.

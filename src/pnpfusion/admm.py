@@ -6,10 +6,10 @@ so the point where ADMM/SALSA converge solves the linear equation
     rho (x - D x) + D A^T (A x - t) = 0
 
 for the pipeline's data term ``0.5 ||A x - t||^2``. D is symmetric PSD
-with ``||D|| <= 1``. :func:`solve_fixed_point` writes ``x = D w`` and solves
-``(rho I + (A^T A - rho I) D) w = A^T t`` by GMRES, right-preconditioned
+with ``||D|| <= 1``. :func:`solve_fixed_point` solves this equation in x,
+``(rho I + D (A^T A - rho I)) x = D A^T t``, by GMRES, right-preconditioned
 with an operator the caller chooses. Both pipelines pass the inverse of
-``rho I + (Abar - rho I) Dbar``, built from the circulant parts Abar and
+``rho I + Dbar (Abar - rho I)``, built from the circulant parts Abar and
 Dbar of ``A^T A`` and D, which is diagonal in the DFT basis and positive
 definite for any rho; the pipeline modules build it.
 
@@ -97,12 +97,12 @@ class SolveReport:
 
     From :func:`solve_fixed_point`, which the pipelines take:
     ``iterations_run`` counts applications of D, ``primal_residuals`` holds
-    one relative fixed-point residual per application, ``final_primal`` is
-    the residual recomputed at the returned x, ``final_dual`` stays None and
-    the dual and objective traces stay empty. The entry after a GMRES step is
-    the bound ``||r|| / ||D A^T t||`` on the fixed-point residual, with r the
-    GMRES residual; the entry after each run of steps is the residual
-    recomputed at x.
+    one fixed-point residual ``||rho (x - D x) + D A^T (A x - t)||`` per
+    application, relative to ``||D A^T t||``, ``final_primal`` is the
+    residual recomputed at the returned x, ``final_dual`` stays None and the
+    dual and objective traces stay empty. The entry after a GMRES step is
+    the residual GMRES carries, the entry after each run of steps the one
+    recomputed at x; they agree to rounding.
     """
 
     iterations_run: int = 0
@@ -162,12 +162,13 @@ def run_admm(problem, config: SolverConfig, init_v):
 
 
 def preconditioner_symbol(normal_symbol, denoise_symbol, rho: float):
-    """Eigenvalues of ``M^-1``, ``M = rho I + (Abar - rho I) Dbar``, on the
+    """Eigenvalues of ``M^-1``, ``M = rho I + Dbar (Abar - rho I)``, on the
     DFT grid.
 
     ``normal_symbol`` holds Abar's eigenvalues, ``A^T A``'s circulant part
     (nonnegative), and ``denoise_symbol`` Dbar's, clipped here to ``[0, 1]``
-    where D's spectrum lies, so M's eigenvalue ``rho (1 - d) + a d`` is
+    where D's spectrum lies. Circulant matrices commute, so M is also
+    ``rho I + (Abar - rho I) Dbar``, with the eigenvalue ``rho (1 - d) + a d``,
     positive unless ``a = 0`` where ``d = 1``; there ``M^-1`` is taken as 0.
     """
     d = np.clip(denoise_symbol, 0.0, 1.0)
@@ -196,35 +197,36 @@ def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
     This is the equation whose solution ADMM/SALSA converge to with that D,
     so :func:`run_admm` on the pipeline's problem reaches the same x.
 
-    With ``b = A^T t`` and ``G = A^T A - rho I`` the equation is
-    ``rho x + D (G x - b) = 0``, and ``x = D w`` turns it into
+    With ``b = A^T t`` and ``G = A^T A - rho I`` the equation is the linear
+    system
 
-        (rho I + G D) w = b,
+        (rho I + D G) x = D b,
 
-    which needs no ``D^-1`` and holds for any rho. GMRES (Saad & Schultz,
-    SIAM J. Sci. Stat. Comput. 1986) solves it, right-preconditioned by
-    ``precondition``, which applies ``M^-1`` (the identity by default); the
-    pipelines pass the inverse of ``M = rho I + (Abar - rho I) Dbar``, where
-    Abar and Dbar are the circulant parts of ``A^T A`` and D (T. Chan, SIAM
-    J. Sci. Stat. Comput. 1988), so that M is diagonal in the DFT basis.
+    which holds for any rho. GMRES (Saad & Schultz, SIAM J. Sci. Stat.
+    Comput. 1986) solves it, right-preconditioned by ``precondition``, which
+    applies ``M^-1`` (the identity by default); the pipelines pass the
+    inverse of ``M = rho I + Dbar (Abar - rho I)``, where Abar and Dbar are
+    the circulant parts of ``A^T A`` and D (T. Chan, SIAM J. Sci. Stat.
+    Comput. 1988), so that M is diagonal in the DFT basis.
 
-    Each step applies D once, to the direction ``z = M^-1 v`` of the newest
-    basis vector v. x accumulates from the stored ``D z`` and w from
-    ``M^-1`` of the combined basis, which needs no D. At x the fixed-point
-    residual is ``-D r`` for the GMRES residual ``r = b - (rho I + G D) w``,
-    and ``||D|| <= 1``, so the report's per-application entry is the bound
-    ``||r|| / ||D b||``, and GMRES steps until it is at most
-    ``FIXED_POINT_RTOL``, for at most ``GMRES_BASIS`` steps. The fixed-point
-    residual is then recomputed at x, and GMRES restarts from
-    ``r = b - rho w - G x`` if it misses the tolerance. A step is taken only
-    if it and that recomputation fit in ``config.max_iters`` applications of
-    D. The report's ``iterations_run`` counts the applications after the
-    one that forms ``D b``, ``primal_residuals`` holds one relative residual
-    per application, and ``converged`` and ``final_primal`` come from the
-    residual recomputed at the returned x. ``config.primal_tol`` and
-    ``config.dual_tol`` are not read. Returns ``(x, SolveReport)``. Raises
-    :class:`DivergenceError` if a residual is non-finite or if ``z^T D z < 0``
-    for a direction z, as happens when D is not PSD.
+    Each step applies the system, and so D, once, to the direction
+    ``z = M^-1 q`` of the newest basis vector q. The system's residual is
+    the fixed-point residual, so the report's entry after a step is the
+    residual norm that the Givens rotations carry, relative to ``||D b||``.
+    GMRES steps until that entry is at most ``FIXED_POINT_RTOL``, for at
+    most ``GMRES_BASIS`` steps, and x then adds ``M^-1`` of the combined
+    basis. The residual ``D (b - G x) - rho x`` is recomputed at x with one
+    more application of D, and GMRES restarts from it if it misses the
+    tolerance. A step is taken only if it and that recomputation fit in
+    ``config.max_iters`` applications of D. The report's ``iterations_run``
+    counts the applications after the one that forms ``D b``,
+    ``primal_residuals`` holds one relative residual per application, and
+    ``converged`` and ``final_primal`` come from the residual recomputed at
+    the returned x. ``config.primal_tol`` and ``config.dual_tol`` are not
+    read. Returns ``(x, SolveReport)``. Raises :class:`DivergenceError` if a
+    residual is non-finite or if ``v^T D v < 0`` for a vector v that D is
+    applied to (``G z`` in a step, ``G x - b`` in a recomputation), as
+    happens when D is not PSD.
     """
     if precondition is None:
         def precondition(v):
@@ -233,9 +235,13 @@ def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
     rho = config.rho
     report = SolveReport()
 
-    def apply_d(v):
-        """``D v``, counted; raises unless ``v^T D v >= 0``, as for a PSD D."""
+    def system(z, b=0.0):
+        """``rho z + D (G z - b)``, one counted application of D: the
+        system's product for ``b = 0``, the negated residual at z for the
+        pipeline's b. Raises unless ``v^T D v >= 0`` for ``v = G z - b``, as
+        for a PSD D."""
         report.iterations_run += 1
+        v = data.adjoint(data.apply(z)) - rho * z - b
         dv = denoise(v)
         if not float(np.vdot(v, dv)) >= 0:
             raise DivergenceError(
@@ -243,7 +249,7 @@ def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
                 " (D is not symmetric PSD)",
                 iteration=report.iterations_run,
             )
-        return dv
+        return rho * z + dv
 
     def measure(norm) -> float:
         """Append and return ``norm`` relative to ``||D b||``."""
@@ -257,7 +263,8 @@ def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
         return relative
 
     b = data.adjoint(data.target)
-    rhs_norm = float(np.linalg.norm(denoise(b)))  # not counted
+    rhs = denoise(b)  # not counted
+    rhs_norm = float(np.linalg.norm(rhs))
     if not np.isfinite(rhs_norm):
         raise DivergenceError("non-finite right-hand side", iteration=0)
     x = np.zeros(data.shape)
@@ -265,16 +272,13 @@ def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
         report.converged, report.final_primal = True, 0.0
         return x, report
 
-    w = np.zeros_like(x)
     # np.empty touches no memory until a step writes its vector
     basis = np.empty((GMRES_BASIS + 1, x.size))
-    images = np.empty((GMRES_BASIS, x.size))  # D z_k
-    r = b
-    relative = float(np.linalg.norm(r)) / rhs_norm
+    r, relative = rhs, 1.0
     while True:
-        # Arnoldi on (rho I + G D) M^-1. Givens rotations turn the Hessenberg
+        # Arnoldi on (rho I + D G) M^-1. Givens rotations turn the Hessenberg
         # matrix into the upper triangle, so after k steps |g[k]| is ||r|| at
-        # the least-squares w.
+        # the least-squares x.
         triangle = np.zeros((GMRES_BASIS, GMRES_BASIS))
         rotations = np.zeros((GMRES_BASIS, 2))
         g = np.zeros(GMRES_BASIS + 1)
@@ -287,10 +291,7 @@ def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
             and k < GMRES_BASIS
             and report.iterations_run + 2 <= config.max_iters
         ):
-            z = precondition(basis[k].reshape(x.shape))
-            dz = apply_d(z)
-            images[k] = dz.ravel()
-            q = (rho * (z - dz) + data.adjoint(data.apply(dz))).ravel()
+            q = system(precondition(basis[k].reshape(x.shape))).ravel()
             # classical Gram-Schmidt, run twice to keep the basis orthonormal
             h = basis[: k + 1] @ q
             q -= h @ basis[: k + 1]
@@ -305,18 +306,14 @@ def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
             k += 1
             relative = measure(abs(g[k]))
         y = np.linalg.lstsq(triangle[:k, :k], g[:k], rcond=None)[0]
-        x += (y @ images[:k]).reshape(x.shape)
-        w += precondition((y @ basis[:k]).reshape(x.shape))
-        # the fixed-point residual at x, rho (x - D x) + D (A^T A x - b),
-        # measured as one application: D (grad - rho x) + rho x
-        grad = data.adjoint(data.apply(x)) - b
-        relative = measure(np.linalg.norm(apply_d(grad - rho * x) + rho * x))
+        x += precondition((y @ basis[:k]).reshape(x.shape))
+        r = -system(x, b)
+        relative = measure(np.linalg.norm(r))
         if (
             relative <= FIXED_POINT_RTOL
             or report.iterations_run + 2 > config.max_iters
         ):
             break
-        r = -grad - rho * (w - x)
     report.final_primal = relative
     report.converged = relative <= FIXED_POINT_RTOL
     return x, report

@@ -308,6 +308,14 @@ def _phi_weights(w: ExplicitW) -> np.ndarray:
     return np.maximum(1.0 / w.nonzero_eigenvalues - 1.0, 0.0)
 
 
+def _check_reg_weight(reg_weight: float) -> None:
+    # written so that NaN fails it
+    if not 0 <= reg_weight < np.inf:
+        raise ConfigError(
+            f"reg_weight must be nonnegative and finite, got {reg_weight}"
+        )
+
+
 @dataclass(frozen=True)
 class DataTerm:
     """The data fit ``0.5 ||A x - target||^2`` of one fusion pipeline.
@@ -328,6 +336,7 @@ class DataTerm:
         self, x: np.ndarray, reg_weight: float, w: ExplicitW | None = None
     ) -> float:
         """Data fit at x plus ``reg_weight * phi`` on each row; +inf off span(W)."""
+        _check_reg_weight(reg_weight)
         val = 0.5 * float(np.sum((self.apply(x) - self.target) ** 2))
         if reg_weight > 0:
             if w is None:
@@ -343,6 +352,7 @@ class DataTerm:
         solved by ``lstsq``: Q spans span(W) when ``reg_weight > 0`` and is
         the identity otherwise, where the minimum-norm minimizer is returned.
         """
+        _check_reg_weight(reg_weight)
         unknowns = int(np.prod(self.shape))
         if unknowns > EXPLICIT_W_CAP:
             raise SizeError(

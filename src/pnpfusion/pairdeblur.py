@@ -35,6 +35,7 @@ import numpy as np
 # module calls none of them
 from .admm import SolveReport, SolverConfig, run_admm
 from .denoiser import LinearDenoiser, denoise_image_fixed
+from .errors import DimensionError
 from .fftops import CyclicBlur, apply_blur, solve_x_update_pair
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
@@ -59,6 +60,11 @@ class PairScene:
     truth: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("y_b", "y_n"):
+            image = np.asarray(getattr(self, name), dtype=float)
+            if image.ndim != 1:
+                raise DimensionError(f"{name} must be a pixel vector, got {image.shape}")
+            object.__setattr__(self, name, image)
         self.hs_scene  # built now, so that its checks run
         if self.sigma_b > 0 and self.sigma_b >= self.sigma_n:
             log.warning(

@@ -84,6 +84,11 @@ class HsScene:
     z: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("y_h", "y_m", "r"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "mask", np.asarray(self.mask))
+        if self.r.ndim != 2:
+            raise DimensionError(f"R must be (L_m, L_h), got shape {self.r.shape}")
         geometry = self.geometry
         n_m = geometry.n
         built = (self.blur.geometry.height, self.blur.geometry.width)
@@ -303,7 +308,7 @@ def solve_hs(
 
     D acts on each coefficient band alone, so its circulant part Dbar commutes
     with the rotation Q of :func:`hs_normal_symbol`, and the preconditioner
-    ``(rho I + (Abar - rho I) Dbar)^-1`` is one symbol product per rotated
+    ``(rho I + Dbar (Abar - rho I))^-1`` is one symbol product per rotated
     band between two rotations. Without a denoiser D is the identity.
     """
     _check_problem(scene, basis, cfg.lam, denoiser)

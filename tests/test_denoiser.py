@@ -589,6 +589,21 @@ class TestDataTerm:
         with pytest.raises(ConfigError):
             term.objective(np.ones(4), 0.5)
 
+    @pytest.mark.parametrize("with_w", [False, True], ids=["no_w", "w"])
+    @pytest.mark.parametrize("weight", [np.nan, -1.0, np.inf])
+    def test_bad_reg_weight_raises(self, weight, with_w):
+        # a NaN or negative weight once gave the bare data fit and the
+        # unregularized x; inf went into sqrt(inf * weights)
+        w = ExplicitW(
+            matrix=np.diag([0.9, 0.5]), eigenvalues=np.array([0.9, 0.5]),
+            basis=np.eye(2),
+        ) if with_w else None
+        term = identity_term(np.array([1.0, 3.0]))
+        with pytest.raises(ConfigError):
+            term.objective(np.ones(2), weight, w)
+        with pytest.raises(ConfigError):
+            term.minimizer(weight, w)
+
 
 class TestRoundedTopEigenvalue:
     # the constant image's eigenvalue 1 can round to 1 + 2 ulp, which made

@@ -97,6 +97,33 @@ class TestSceneValidation:
                 **{"sigma_b": 0.0, "sigma_n": 0.1, sigma: value},
             )
 
+    def test_list_images_are_read_as_arrays(self):
+        # a list y_b once leaked TypeError from indexing it with None
+        geom = ImageGeometry(2, 2)
+        scene = PairScene(
+            y_b=[0.1, 0.2, 0.3, 0.4],
+            y_n=[0.5, 0.6, 0.7, 0.8],
+            blur=make_cyclic_blur(np.ones((1, 1)), geom),
+            sigma_b=0.0,
+            sigma_n=0.1,
+            geometry=geom,
+        )
+        np.testing.assert_array_equal(scene.y_b, [0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_array_equal(scene.hs_scene.y_m, [[0.5, 0.6, 0.7, 0.8]])
+
+    @pytest.mark.parametrize("image", ["y_b", "y_n"])
+    def test_image_that_is_not_a_vector_raises(self, image):
+        geom = ImageGeometry(4, 4)
+        images = {"y_b": np.zeros(16), "y_n": np.zeros(16), image: np.zeros((4, 4))}
+        with pytest.raises(DimensionError):
+            PairScene(
+                **images,
+                blur=make_cyclic_blur(np.ones((1, 1)), geom),
+                sigma_b=0.0,
+                sigma_n=0.1,
+                geometry=geom,
+            )
+
     def test_shape_mismatch_raises(self):
         geom = ImageGeometry(4, 4)
         blur = make_cyclic_blur(np.ones((1, 1)), geom)
@@ -264,7 +291,7 @@ class TestOneBandSharpening:
 
 
 class TestShiftedSolve:
-    """The pair solve of the shifted system ``(rho I + G D) w = b``,
+    """The pair solve of the shifted system ``(rho I + D G) x = D b``,
     ``G = B^T B + (lam - rho) I``, whatever the sign of G."""
 
     @pytest.mark.parametrize(

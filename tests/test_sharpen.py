@@ -225,6 +225,25 @@ def test_blur_built_on_another_grid_raises(geom, built_for):
         )
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 2, 1)], ids=["1d", "3d"])
+def test_response_that_is_not_a_matrix_raises(shape):
+    # a 1-D R once leaked IndexError, and a (1, 2, 1) R was accepted
+    scene = scene_with_mask(np.ones(16, dtype=int))
+    with pytest.raises(DimensionError):
+        replace(scene, r=np.ones(shape))
+
+
+@pytest.mark.parametrize("field", ["mask", "y_h"])
+def test_list_input_is_read_as_an_array(field):
+    # a list mask or y_h once leaked AttributeError
+    scene = scene_with_mask(make_decimation_mask(ImageGeometry(4, 4), 2))
+    listed = replace(scene, **{field: getattr(scene, field).tolist()})
+    assert isinstance(getattr(listed, field), np.ndarray)
+    np.testing.assert_array_equal(getattr(listed, field), getattr(scene, field))
+    # a float array is taken as it is
+    assert listed.y_m is scene.y_m
+
+
 @pytest.mark.parametrize("sigma", ["sigma_h", "sigma_m"])
 @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
 def test_bad_noise_level_raises(sigma, value):
@@ -762,6 +781,23 @@ class TestFixedPointSolve:
         for x, report in both_solves(case.scene, case.basis, den, cfg):
             assert report.converged
             assert relative_error(x, expected) <= 1e-9
+
+    @pytest.mark.parametrize("pure_linear", [True, False], ids=["linear", "practical"])
+    @pytest.mark.parametrize("rho,tau", [(0.08, 0.08), (0.5, 0.05)], ids=str)
+    @pytest.mark.parametrize("make", [hs_case, pair_case], ids=["hs", "pair"])
+    def test_regularizer_at_the_fixed_point_needs_no_w(self, make, rho, tau, pure_linear):
+        # at the solution x = D w with w = x - grad F(x) / rho, and
+        # phi(D w) = (w^T D w - ||D w||^2) / 2, so rho * sum_bands phi(x)
+        # is -<x, grad F(x)> / 2
+        case = make()
+        den = case.denoiser(rho, tau, pure_linear)
+        cfg = SolverConfig(rho=rho, lam=case.lam, tau=tau)
+        x, report = solve_hs(case.scene, case.basis, den, cfg)
+        assert report.converged
+        data = hs_data_term(case.scene, case.basis, case.lam)
+        grad = data.adjoint(data.apply(x) - data.target)
+        expected = data.objective(x, rho, build_explicit_w(den)) - data.objective(x, 0)
+        assert -0.5 * np.sum(x * grad) == pytest.approx(expected, rel=1e-8)
 
     def test_irregular_mask_matches_the_dense_minimizer(self):
         # 20 of 64 pixels kept at random; a mask that is not a regular grid
