@@ -106,8 +106,8 @@ class LinearDenoiser:
         Built one slab of column displacement ``dc >= 0`` at a time, from
         the half of the displacements that is lexicographically nonnegative.
         W is symmetric, so the plane of displacement -d is the plane of d
-        rolled by d; it is written as that copy, and every coefficient
-        equals its mirror bit for bit, whatever the grid size.
+        rolled by d; each plane is written with that copy, and every
+        coefficient equals its mirror bit for bit, whatever the grid size.
         """
         side = self.model.patch_side
         n_p = side * side
@@ -123,7 +123,6 @@ class LinearDenoiser:
         beta = self.weights
         data = np.empty((w, h, span, span))
         slab = np.empty((span, w, h))
-        mirror = np.empty((span, w, h))
         for dc in range(side):
             # slab[a] is the plane of displacement (a - s + 1, dc); at dc = 0
             # only the planes a >= s - 1 are built, the others are mirrors
@@ -147,11 +146,10 @@ class LinearDenoiser:
                 slab[first:] += (pairs[first:] / n_p)[:, None, None]
             slab[first:] /= n_p
             for a in range(first, span):
-                mirror[span - 1 - a] = np.roll(slab[a], (dc, a - side + 1), axis=(0, 1))
-            data[:, :, side - 1 + dc, first:] = np.moveaxis(slab[first:], 0, -1)
-            data[:, :, side - 1 - dc, : span - first] = np.moveaxis(
-                mirror[: span - first], 0, -1
-            )
+                data[:, :, side - 1 + dc, a] = slab[a]
+                data[:, :, side - 1 - dc, span - 1 - a] = np.roll(
+                    slab[a], (dc, a - side + 1), axis=(0, 1)
+                )
         return data
 
     @cached_property
@@ -291,7 +289,9 @@ def build_explicit_w(denoiser: LinearDenoiser) -> ExplicitW:
 
 
 def eval_phi(x: np.ndarray, w: ExplicitW) -> float:
-    """Evaluate the regularizer W is the prox of; +inf off span(W)."""
+    """The regularizer W is the prox of, at one x of W's size; +inf off span(W)."""
+    if np.shape(x) != (w.matrix.shape[0],):
+        raise DimensionError(f"x has shape {np.shape(x)}, W is {w.matrix.shape}")
     coeffs = w.basis.T @ x
     residual = x - w.basis @ coeffs
     norm = np.linalg.norm(x)
@@ -306,14 +306,6 @@ def _phi_weights(w: ExplicitW) -> np.ndarray:
     Clipped at 0: the constant image's eigenvalue 1 can round to 1 + 2.2e-16.
     """
     return np.maximum(1.0 / w.nonzero_eigenvalues - 1.0, 0.0)
-
-
-def _check_reg_weight(reg_weight: float) -> None:
-    # written so that NaN fails it
-    if not 0 <= reg_weight < np.inf:
-        raise ConfigError(
-            f"reg_weight must be nonnegative and finite, got {reg_weight}"
-        )
 
 
 @dataclass(frozen=True)
@@ -332,15 +324,22 @@ class DataTerm:
     target: np.ndarray
     shape: tuple[int, ...]
 
+    def _check_regularizer(self, reg_weight: float, w: ExplicitW | None) -> None:
+        """Refuse a bad weight, a positive one without W, or a W of another size."""
+        if not 0 <= reg_weight < np.inf:  # written so that NaN fails it
+            raise ConfigError(f"reg_weight must be >= 0 and finite, got {reg_weight}")
+        if reg_weight > 0 and w is None:
+            raise ConfigError("reg_weight > 0 needs an explicit W to evaluate phi")
+        if w is not None and w.matrix.shape[0] != self.shape[-1]:
+            raise DimensionError(f"W is {w.matrix.shape}, x has shape {self.shape}")
+
     def objective(
         self, x: np.ndarray, reg_weight: float, w: ExplicitW | None = None
     ) -> float:
         """Data fit at x plus ``reg_weight * phi`` on each row; +inf off span(W)."""
-        _check_reg_weight(reg_weight)
+        self._check_regularizer(reg_weight, w)
         val = 0.5 * float(np.sum((self.apply(x) - self.target) ** 2))
         if reg_weight > 0:
-            if w is None:
-                raise ConfigError("reg_weight > 0 needs an explicit W to evaluate phi")
             val += reg_weight * sum(eval_phi(row, w) for row in np.atleast_2d(x))
         return val
 
@@ -352,7 +351,7 @@ class DataTerm:
         solved by ``lstsq``: Q spans span(W) when ``reg_weight > 0`` and is
         the identity otherwise, where the minimum-norm minimizer is returned.
         """
-        _check_reg_weight(reg_weight)
+        self._check_regularizer(reg_weight, w)
         unknowns = int(np.prod(self.shape))
         if unknowns > EXPLICIT_W_CAP:
             raise SizeError(
@@ -360,8 +359,6 @@ class DataTerm:
             )
         n_rows, n = (1, *self.shape) if len(self.shape) == 1 else self.shape
         if reg_weight > 0:
-            if w is None:
-                raise ConfigError("reg_weight > 0 requires the explicit W")
             q = w.basis
             penalty = np.sqrt(reg_weight * _phi_weights(w))
         else:

@@ -81,8 +81,8 @@ def solve_x_update_pair(
     rhs: np.ndarray, blur: CyclicBlur, lam: float, rho: float
 ) -> np.ndarray:
     """Solve ``(B^T B + (lam + rho) I) x = rhs`` by spectral division."""
-    if not (lam >= 0 and rho > 0):
-        raise ConfigError(f"need lam >= 0 and rho > 0, got lam={lam}, rho={rho}")
+    if not (0 <= lam < np.inf and 0 < rho < np.inf):  # NaN fails it
+        raise ConfigError(f"need finite lam >= 0 and rho > 0, got lam={lam}, rho={rho}")
     return symbol_products(rhs, 1.0 / (blur.power_spectrum + lam + rho))
 
 

@@ -29,15 +29,16 @@ Each EM iteration works on all K components at once:
   the sum, losing about ``log10(max v / s_j)`` digits: all of them when
   ``s_j`` is the eigenvalue floor (``sigma^2 = 0``), and most of float32's
   7 at 1e4. So one rule picks each component's form: a component whose
-  ratio exceeds ``_RESTRICTED_MAX_RATIO`` = 1e4 keeps all n_p directions,
-  uses the plain ``sum_r p_r^2 / v_r`` and is projected from the float64
-  rows in every phase of :func:`train_em`; every other component is
-  rank-restricted. Over benchmark seeds 1-12 the largest ratio is 6.29e3
-  on ``hs-sharpen``, 115 on ``pair-iterate`` and 198 on ``pair-train``
-  (seeds 1-6). Every component's kept directions, scaled by the square
-  root of their weights, form one basis, so one ``patches @ basis``
-  product per chunk of patches serves all components, and a signed block
-  sum of its squares gives the (N, K) terms.
+  ratio exceeds ``_RESTRICTED_MAX_RATIO`` = 1e4 keeps all n_p directions
+  and uses the plain ``sum_r p_r^2 / v_r``; every other component is
+  rank-restricted. An E-step with a plain component runs wholly on the
+  float64 rows, in every phase of :func:`train_em`. Over benchmark seeds
+  1-12 the largest ratio is 6.29e3 on ``hs-sharpen``, 115 on
+  ``pair-iterate`` and 198 on ``pair-train`` (seeds 1-6). Every
+  component's kept directions, scaled by the square root of their weights,
+  form one basis, so one ``patches @ basis`` product per chunk of patches
+  serves all components, and a signed block sum of its squares gives the
+  (N, K) terms.
 
 :func:`train_em` runs its early iterations with float32 GEMMs and finishes
 in float64, as mixed-precision iterative refinement does (Higham, *Accuracy
@@ -56,13 +57,14 @@ and Stability of Numerical Algorithms*, ch. 12; Haidar et al., SC 2018):
   which takes those moments to 24 ms. A flushed term is at most
   ``1e-30 ||y_i||^2``, while a component that :func:`m_step` keeps has
   total responsibility above 1e-12, so the term lies below float32's
-  rounding of the moment it joins. The E-step projects the float32 rows
-  onto a float32 copy of the rank-restricted components' basis and sums
-  each component's squares in float64, since that sum is the one that
-  cancels. Those projections are not flushed: none of them, and none of
-  their squares, was subnormal in the 48 float32 E-steps of ``pair-train``
-  at seed 11. The log-sum-exp, the Gram subtraction, :func:`eigt` and
-  every model stay float64.
+  rounding of the moment it joins. When every component is
+  rank-restricted, as on every benchmark workload, the E-step projects the
+  float32 rows onto a float32 copy of the basis and sums each component's
+  squares in float64, since that sum is the one that cancels; with a
+  plain component it stays in float64. The float32 projections are not
+  flushed: none of them, and none of their squares, was subnormal in the
+  48 float32 E-steps of ``pair-train`` at seed 11. The log-sum-exp, the
+  Gram subtraction, :func:`eigt` and every model stay float64.
 * Finish: the last ``_F64_FINISH`` M-steps of the budget, and every E-step
   from the first of them on, run wholly in float64. A stall seen on a
   float32 E-step is checked again by a float64 E-step of the same model,
@@ -95,9 +97,9 @@ log = logging.getLogger(__name__)
 # is numerically singular (sigma^2 = 0 with rank-deficient C_j).
 _EIG_FLOOR = 1e-12
 
-# Largest max(v)/s_j for which the E-step uses the rank-restricted form (on
-# float32 rows in train_em's float32 phase), losing about log10 of it to
-# cancellation; a larger ratio uses the plain form on float64 rows.
+# Largest max(v)/s_j for which the E-step uses the rank-restricted form,
+# losing about log10 of it to cancellation; a larger ratio uses the plain
+# form, and an E-step with such a component projects only float64 rows.
 _RESTRICTED_MAX_RATIO = 1e4
 
 # Patches per chunk, both for the E-step's (c, kept directions) projections
@@ -242,8 +244,9 @@ def _component_log_densities(
 ) -> np.ndarray:
     """log alpha_j + log N(y_i; 0, C_j + sigma^2 I), shape (K, N).
 
-    ``rows32``, the patch rows in float32, moves the projections of every
-    rank-restricted component to float32.
+    ``rows32``, the patch rows in float32, moves the projections to float32
+    when every component is rank-restricted; with a plain component they
+    stay on the float64 rows.
     """
     y_all, norms = patches.patches, patches.squared_norms
     n, n_p = y_all.shape
@@ -269,14 +272,11 @@ def _component_log_densities(
     basis = vecs[owner, :, column].T * np.sqrt(weight[owner, column])
     signed = np.zeros((owner.size, model.n_components))
     signed[np.arange(owner.size), owner] = np.where(plain[owner], 1.0, -1.0)
-    # (patch rows, basis, block sum) of each precision; the float32 squares
-    # are summed in float64, because that sum cancels against ||y||^2 / s_j
-    parts = [(y_all, basis, signed)]
-    if rows32 is not None:
-        in32 = ~plain[owner]
-        parts = [(rows32, basis[:, in32].astype(np.float32), signed[in32])]
-        if not in32.all():
-            parts.append((y_all, basis[:, ~in32], signed[~in32]))
+    rows = y_all
+    if rows32 is not None and not plain.any():
+        # the float32 squares are summed in float64 by the block-sum product,
+        # because that sum cancels against ||y||^2 / s_j
+        rows, basis = rows32, basis.astype(np.float32)
     norm_weight = np.where(plain, 0.0, 1.0 / rest)
     with np.errstate(divide="ignore"):  # a zero weight's log is -inf: beta 0
         log_alphas = np.log(model.alphas)
@@ -284,14 +284,12 @@ def _component_log_densities(
         n_p * np.log(2.0 * np.pi) + np.log(var).sum(axis=1)
     )
     out = np.empty((model.n_components, n))
-    projs = [np.empty((min(n, _CHUNK), b.shape[1]), b.dtype) for _, b, _ in parts]
+    proj = np.empty((min(n, _CHUNK), basis.shape[1]), basis.dtype)
     for start in range(0, n, _CHUNK):
         c = min(_CHUNK, n - start)
-        maha = norms[start : start + c, None] * norm_weight
-        for (rows, part_basis, part_signed), proj in zip(parts, projs):
-            p = np.matmul(rows[start : start + c], part_basis, out=proj[:c])
-            np.square(p, out=p)
-            maha += p @ part_signed
+        p = np.matmul(rows[start : start + c], basis, out=proj[:c])
+        np.square(p, out=p)
+        maha = norms[start : start + c, None] * norm_weight + p @ signed
         out[:, start : start + c] = (offset - 0.5 * maha).T
     return out
 

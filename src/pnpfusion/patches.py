@@ -66,7 +66,7 @@ class ImageGeometry:
 
 @dataclass(frozen=True)
 class PatchSet:
-    """All overlapping patches of one image band, one row per patch.
+    """All overlapping patches of a band, or of a stack band-major, one per row.
 
     ``means`` is None until :func:`remove_means` stores the per-patch means.
     """
@@ -126,16 +126,17 @@ def patch_index_map(geometry: ImageGeometry, patch_side: int) -> np.ndarray:
 def extract_patches(
     image_band: np.ndarray, geometry: ImageGeometry, patch_side: int
 ) -> PatchSet:
-    """Extract every unit-stride patch of a band, wrapping periodically."""
-    band = np.asarray(image_band, dtype=float)
-    if band.shape != (geometry.n,):
+    """Every unit-stride patch of a band, or of a ``(k, n)`` stack band-major
+    (row ``b n + i`` is band b's patch at pixel i), wrapping periodically."""
+    bands = np.asarray(image_band, dtype=float)
+    if bands.ndim not in (1, 2) or bands.shape[-1] != geometry.n:
         raise DimensionError(
-            f"band has {band.shape} entries, geometry expects {geometry.n}"
+            f"bands have shape {bands.shape}, geometry expects {geometry.n} pixels"
         )
     idx = patch_index_map(geometry, patch_side)
-    return PatchSet(
-        patches=band[idx], patch_side=patch_side, source_geometry=geometry
-    )
+    # np.take, because bands[..., idx] gathers several times slower
+    patches = np.take(bands, idx, axis=-1).reshape(-1, idx.shape[1])
+    return PatchSet(patches=patches, patch_side=patch_side, source_geometry=geometry)
 
 
 def assemble_patches(patch_set: PatchSet) -> np.ndarray:

@@ -51,7 +51,7 @@ from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
 from .errors import ConfigError, DimensionError, is_count
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
 from .gmm import EmConfig, train_em
-from .patches import ImageGeometry, PatchSet, extract_patches, remove_means
+from .patches import ImageGeometry, extract_patches, remove_means
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,13 @@ class SubspaceBasis:
     """Orthonormal spectral basis columns."""
 
     e: np.ndarray  # (L_h, L_s)
+
+    def __post_init__(self):
+        object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
+        if self.e.ndim != 2 or self.e.size == 0:
+            raise DimensionError(f"basis must be a nonempty matrix, got {self.e.shape}")
+        if not np.all(np.isfinite(self.e)):
+            raise ConfigError("basis must be finite")
 
     @property
     def dim(self) -> int:
@@ -198,21 +205,14 @@ def train_scene_denoiser(
 ) -> LinearDenoiser:
     """EM over the zero-mean patches of every band, weights averaged per patch.
 
-    The mixture is trained jointly on all bands' patches; after convergence
+    The mixture is trained on all bands' patches, gathered in one pass; then
     the per-band posteriors at each patch location are averaged and frozen.
     """
-    patches = np.vstack(
-        [
-            remove_means(extract_patches(band, geometry, patch_side)).patches
-            for band in y_m
-        ]
-    )
-    model, beta, _ = train_em(
-        PatchSet(patches=patches, patch_side=patch_side, source_geometry=geometry), em
-    )
+    patches = remove_means(extract_patches(y_m, geometry, patch_side))
+    model, beta, _ = train_em(patches, em)
     return LinearDenoiser(
         model=model,
-        weights=beta.reshape(em.n_components, y_m.shape[0], geometry.n).mean(axis=1),
+        weights=beta.reshape(em.n_components, -1, geometry.n).mean(axis=1),
         noise_variance=denoiser_variance,
         geometry=geometry,
         pure_linear=pure_linear,

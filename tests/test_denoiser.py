@@ -604,6 +604,22 @@ class TestDataTerm:
         with pytest.raises(ConfigError):
             term.minimizer(weight, w)
 
+    def test_w_of_another_grid_raises(self):
+        # a 9x9 denoiser's W on a 16x16 term once leaked numpy's ValueError
+        # from the matmul in objective and the reshape in minimizer
+        w = build_explicit_w(train_random_denoiser(ImageGeometry(9, 9), 3, 2, seed=3))
+        term = identity_term(np.zeros(16 * 16))
+        with pytest.raises(DimensionError):
+            term.objective(np.zeros(16 * 16), 0.1, w)
+        with pytest.raises(DimensionError):
+            term.minimizer(0.1, w)
+
+    @pytest.mark.parametrize("shape", [(80,), (82,), (2, 81)])
+    def test_phi_of_a_wrong_length_x_raises(self, shape):
+        w = build_explicit_w(train_random_denoiser(ImageGeometry(9, 9), 3, 2, seed=3))
+        with pytest.raises(DimensionError):
+            eval_phi(np.zeros(shape), w)
+
 
 class TestRoundedTopEigenvalue:
     # the constant image's eigenvalue 1 can round to 1 + 2 ulp, which made

@@ -283,9 +283,18 @@ def test_wrong_pixel_count_raises():
 
 
 @pytest.mark.parametrize(
-    "lam,rho", [(-0.1, 1.0), (0.0, 0.0), (float("nan"), 1.0), (0.0, float("nan"))]
+    "lam,rho",
+    [
+        (-0.1, 1.0),
+        (0.0, 0.0),
+        (float("nan"), 1.0),
+        (0.0, float("nan")),
+        (float("inf"), 1.0),
+        (0.0, float("inf")),
+    ],
 )
 def test_pair_solve_rejects_bad_weights(lam, rho):
+    # an infinite lam or rho once returned all zeros
     geom = ImageGeometry(3, 3)
     blur = make_cyclic_blur(np.ones((1, 1)), geom)
     with pytest.raises(ConfigError):

@@ -809,22 +809,34 @@ class TestMixedPrecisionEm:
         got = m_step(gmm._float32_patches(ps), beta, self.sigma2).covariances
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
 
-    def test_large_ratio_component_is_projected_in_float64(self):
-        # the rank-restricted form loses log10(max v / s_j) digits, all of
-        # float32's at 1e5; the other component is projected in float32
+    def two_scale_case(self, ratio):
+        """``two_scale_model``'s log densities of 300 patches drawn from its
+        component 0, from the float64 and from the float32 rows, and the
+        model's max(v)/s_j per component."""
         rng = np.random.default_rng(41)
         sigma2 = 1e-5
-        model = two_scale_model(rng, 1e5, sigma2)
-        lam = model.spectrum[0]
-        ratios = (lam.max(axis=1) + sigma2) / sigma2
-        assert ratios[0] > 1e4 > ratios[1]
+        model = two_scale_model(rng, ratio, sigma2)
+        ratios = (model.spectrum[0].max(axis=1) + sigma2) / sigma2
         y = rng.multivariate_normal(np.zeros(16), model.covariances[0], size=300)
         y += np.sqrt(sigma2) * rng.standard_normal(y.shape)
         ps = make_patch_set(y)
         want = _component_log_densities(ps, model, sigma2)
         got = _component_log_densities(ps, model, sigma2, y.astype(np.float32))
-        np.testing.assert_allclose(got[0], want[0], rtol=1e-6)
-        assert not np.array_equal(got[1], want[1])
+        return want, got, ratios
+
+    def test_large_ratio_component_is_projected_in_float64(self):
+        # the rank-restricted form loses log10(max v / s_j) digits, all of
+        # float32's at 1e5, so component 0 takes the plain form; with one
+        # plain component the whole E-step runs on the float64 rows
+        want, got, ratios = self.two_scale_case(1e5)
+        assert ratios[0] > gmm._RESTRICTED_MAX_RATIO > ratios[1]
+        np.testing.assert_array_equal(got, want)
+
+    def test_restricted_components_are_projected_in_float32(self):
+        want, got, ratios = self.two_scale_case(1e3)
+        assert ratios.max() <= gmm._RESTRICTED_MAX_RATIO
+        assert not np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-4)
 
     def test_component_above_the_ratio_bound_matches_the_oracle(self):
         # max(v)/s_j = 9e5 once took the rank-restricted form, 3.4e-10 off

@@ -119,8 +119,21 @@ def test_patch_side_too_large_raises():
 
 
 def test_wrong_band_length_raises():
-    with pytest.raises(DimensionError):
-        extract_patches(np.zeros(5), ImageGeometry(2, 3), 1)
+    # a wrong pixel count as a band, a stack or a grid, and a 3-D stack
+    for shape in [(5,), (2, 5), (2, 3), (1, 2, 6)]:
+        with pytest.raises(DimensionError):
+            extract_patches(np.zeros(shape), ImageGeometry(2, 3), 1)
+
+
+@pytest.mark.parametrize("shape,side", [((4, 4), 2), ((3, 5), 3), ((6, 6), 1)])
+@pytest.mark.parametrize("bands", [1, 3])
+def test_stack_rows_are_the_bands_patches_band_major(shape, side, bands):
+    geom = ImageGeometry(*shape)
+    stack = np.random.default_rng(bands).standard_normal((bands, geom.n))
+    ps = extract_patches(stack, geom, side)
+    per_band = [extract_patches(band, geom, side).patches for band in stack]
+    assert ps.count == bands * geom.n
+    assert np.array_equal(ps.patches, np.vstack(per_band))
 
 
 def test_remove_means_arithmetic():

@@ -280,6 +280,33 @@ def test_basis_for_another_band_count_raises(call, rows):
         call(tiny_scene(), SubspaceBasis(e))
 
 
+def test_list_basis_is_read_as_an_array():
+    # a list once raised AttributeError
+    e = [[1.0], [0.0]]
+    basis = SubspaceBasis(e)
+    assert basis.dim == 1
+    np.testing.assert_array_equal(basis.e, np.array(e))
+
+
+@pytest.mark.parametrize(
+    "shape", [(6,), (6, 0), (1, 0), (0, 2), (6, 2, 1)], ids=str
+)
+def test_basis_that_is_not_a_nonempty_matrix_raises(shape):
+    # a 1-D basis once raised IndexError in hs_data_term, and a (1, 0) one
+    # built a data term on (0, n) coefficients
+    with pytest.raises(DimensionError):
+        SubspaceBasis(np.ones(shape))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_basis_raises(value):
+    # once surfaced as DivergenceError("non-finite right-hand side")
+    e = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 2)))[0]
+    e[3, 1] = value
+    with pytest.raises(ConfigError):
+        SubspaceBasis(e)
+
+
 @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
 def test_data_term_refuses_a_bad_lam(lam):
     # a negative or NaN lam once gave a NaN target and a RuntimeWarning
