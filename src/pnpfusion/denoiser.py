@@ -337,6 +337,8 @@ class DataTerm:
         self, x: np.ndarray, reg_weight: float, w: ExplicitW | None = None
     ) -> float:
         """Data fit at x plus ``reg_weight * phi`` on each row; +inf off span(W)."""
+        if np.shape(x) != self.shape:
+            raise DimensionError(f"x has shape {np.shape(x)}, not {self.shape}")
         self._check_regularizer(reg_weight, w)
         val = 0.5 * float(np.sum((self.apply(x) - self.target) ** 2))
         if reg_weight > 0:

@@ -15,8 +15,9 @@ Each EM iteration works on all K components at once:
   ``(K, n_p, n_p)`` stack, and the model keeps that factorisation as
   :attr:`GmmModel.spectrum`, the clipped eigenvalues ``lambda+`` and
   eigenvectors V, so neither the E-step nor the Wiener filters factor a
-  covariance again. A model built any other way computes its spectrum once,
-  with one batched ``eigh``.
+  covariance again. EM's first model is an M-step's too, at ``sigma^2 = 0``
+  on seeded k-means++ labels of the norm-whitened patches. A model built any
+  other way computes its spectrum once, with one batched ``eigh``.
 * The E-step, :func:`posterior`, returns beta as a plain (K, N) array and is
   rank-restricted. With ``v = max(lambda+ + sigma^2, floor)`` and
   ``s_j = max(sigma^2, floor)``, the variance of every direction whose
@@ -160,16 +161,6 @@ class GmmModel:
         """
         vals, vecs = np.linalg.eigh(self.covariances)
         return np.maximum(vals, 0.0), vecs
-
-
-def _projected_model(
-    alphas: np.ndarray, moments: np.ndarray, patch_side: int
-) -> GmmModel:
-    """Model whose covariances are ``eigt(moments)``, carrying that spectrum."""
-    covariances, vals, vecs = eigt(moments)
-    model = GmmModel(alphas=alphas, covariances=covariances, patch_side=patch_side)
-    model.__dict__["spectrum"] = (vals, vecs)  # fills the cached property
-    return model
 
 
 @dataclass(frozen=True)
@@ -370,7 +361,8 @@ def m_step(
     A component whose total responsibility collapses is re-seeded from the
     patch the mixture currently claims least confidently, never dropped.
     A float32 patch set, as :func:`train_em` passes in its float32 phase,
-    forms the moments with float32 products added up in float64.
+    forms the moments with float32 products added up in float64. At
+    ``noise_variance`` 0 on one-hot beta it also forms EM's first model.
     Refuses non-finite patches (:func:`check_finite_patches`).
     """
     check_noise_variance(noise_variance)
@@ -397,50 +389,38 @@ def m_step(
         moments[dead] = seed_moment
         alphas[dead] = 1.0 / max(n, 1)
     moments -= noise_variance * np.eye(n_p)
-    alphas = alphas / alphas.sum()
-    return _projected_model(alphas, moments, patches.patch_side)
+    covariances, vals, vecs = eigt(moments)
+    model = GmmModel(alphas / alphas.sum(), covariances, patches.patch_side)
+    model.__dict__["spectrum"] = (vals, vecs)  # fills the cached property
+    return model
 
 
-def _init_model(patches: PatchSet, config: EmConfig) -> GmmModel:
-    """Seeded k-means++-style initialization on norm-whitened patches."""
-    y = patches.patches
-    n, n_p = y.shape
+def _init_responsibilities(patches: PatchSet, config: EmConfig) -> np.ndarray:
+    """One-hot (K, N) responsibilities from a seeded k-means++ pass on the
+    norm-whitened patches.
+
+    Each centre c costs one GEMV, ``d^2 = ||w||^2 + ||c||^2 - 2 W c``. For a
+    row that whitens to within rounding of c, such as a multiple of c's own
+    patch, that sum can round below 0, which ``rng.choice`` refuses as a
+    probability; so it is clipped at 0.
+    """
+    n = patches.count
     rng = np.random.default_rng(config.seed)
-    whitened = y / np.maximum(np.sqrt(patches.squared_norms), 1e-12)[:, None]
-    k = config.n_components
-    centers = np.empty((k, n_p))
-    centers[0] = whitened[rng.integers(n)]
+    w = patches.patches / np.maximum(np.sqrt(patches.squared_norms), 1e-12)[:, None]
+    norms = np.einsum("ij,ij->i", w, w)
     # each patch's squared distance to its nearest centre so far, and that
-    # centre's label; a tie keeps the lower label, as argmin does, and the
-    # first pass, against an infinite distance, sets every label
+    # centre's label; a tie keeps the lower label, as argmin does. The first
+    # centre, against infinite distances, is drawn uniformly and labels all
     dist2 = np.full(n, np.inf)
     labels = np.empty(n, dtype=np.intp)
-    for j in range(1, k + 1):
-        for start in range(0, n, _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            diff = whitened[rows] - centers[j - 1]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            labels[rows] = np.where(d2 < dist2[rows], j - 1, labels[rows])
-            dist2[rows] = np.minimum(dist2[rows], d2)
-        if j == k:
-            break
+    for j in range(config.n_components):
         total = dist2.sum()
-        pick = rng.integers(n) if total <= 0 else rng.choice(n, p=dist2 / total)
-        centers[j] = whitened[pick]
-    alphas = np.empty(k)
-    moments = np.empty((k, n_p, n_p))
-    ridge = 1e-6 * np.eye(n_p)
-    for j in range(k):
-        members = y[labels == j]
-        alphas[j] = max(members.shape[0], 1)
-        if members.shape[0] == 0:
-            members = y[rng.integers(n)][None, :]
-        second_moment = members.T @ members / members.shape[0]
-        moments[j] = (
-            second_moment + (np.trace(second_moment) / n_p) * ridge + 1e-12 * np.eye(n_p)
-        )
-    alphas = alphas / alphas.sum()
-    return _projected_model(alphas, moments, patches.patch_side)
+        pick = rng.choice(n, p=dist2 / total) if 0 < total < np.inf else rng.integers(n)
+        c = w[pick]
+        d2 = np.maximum(norms + c @ c - 2.0 * (w @ c), 0.0)
+        labels[d2 < dist2] = j
+        np.minimum(dist2, d2, out=dist2)
+    return (labels == np.arange(config.n_components)[:, None]).astype(float)
 
 
 def _float32_patches(patches: PatchSet) -> PatchSet:
@@ -461,7 +441,9 @@ def train_em(
     after the last of them. Returns the final model, its responsibilities
     beta (K, N) from :func:`posterior`, and the log-likelihood of every
     E-step's model, so the trace ends with the returned model's.
-    Deterministic given the seed.
+    Deterministic given the seed. The initial model is :func:`m_step` at
+    ``sigma^2 = 0`` on the k-means++ hard assignment, on the float32 rows when
+    the budget has a float32 phase, as every early M-step is.
 
     The early E- and M-steps run their GEMMs in float32, guarded against
     cancellation; the last ``_F64_FINISH`` M-steps of the budget and the
@@ -476,9 +458,10 @@ def train_em(
             f"need at least K={config.n_components} patches, got {patches.count}"
         )
     check_finite_patches(patches)
-    model = _init_model(patches, config)
     sigma2, tol, budget = config.noise_variance, config.loglik_rel_tol, config.max_iters
     low = _float32_patches(patches) if budget > _F64_FINISH else None
+    beta = _init_responsibilities(patches, config)
+    model = m_step(patches if low is None else low, beta, 0.0)
     trace: list[float] = []
     for m_steps in range(budget + 1):
         if m_steps == budget - _F64_FINISH:

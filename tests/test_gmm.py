@@ -467,7 +467,8 @@ class TestCarriedSpectrum:
         return calls
 
     @pytest.mark.parametrize("k", [2, 5])
-    def test_one_eigh_per_m_step_plus_one(self, monkeypatch, k):
+    def test_one_eigh_per_m_step(self, monkeypatch, k):
+        # EM's first model is an M-step's too, so no other call factors
         rng = np.random.default_rng(26)
         ps = make_patch_set(low_rank_patches(rng, 120, 9, 4, 0.02))
         m_steps = []
@@ -483,10 +484,10 @@ class TestCarriedSpectrum:
             ps, EmConfig(n_components=k, noise_variance=0.02, max_iters=6, seed=0)
         )
         assert len(m_steps) >= 1
-        assert len(eighs) == 1 + len(m_steps)
+        assert len(eighs) == len(m_steps)
         assert all(shape == (k, 9, 9) for shape in eighs)
         component_filters(model, 0.1)
-        assert len(eighs) == 1 + len(m_steps)
+        assert len(eighs) == len(m_steps)
 
     def test_hand_built_model_factors_once(self, monkeypatch):
         rng = np.random.default_rng(27)
@@ -766,7 +767,8 @@ class TestMixedPrecisionEm:
     @pytest.mark.parametrize("max_iters", range(1, gmm._F64_FINISH + 1))
     def test_short_budget_is_the_float64_loop(self, max_iters):
         ps, cfg = self.patch_set(), self.config(max_iters)
-        model, trace = gmm._init_model(ps, cfg), []
+        model = m_step(ps, gmm._init_responsibilities(ps, cfg), 0.0)
+        trace = []
         for m_steps in range(max_iters + 1):
             beta, col_logsum = posterior(ps, model, self.sigma2)
             trace.append(float(col_logsum.sum()))
@@ -926,10 +928,10 @@ class TestFloat32Flush:
 
 def brute_force_init(patches, config):
     """The k-means++ init with each patch labelled by ``argmin`` over the
-    distances to all K centres: returns the moments before projection, the
-    weights and the (N, K) distances."""
+    exact distances to all K centres: returns the labels and the (N, K)
+    distances."""
     y = patches.patches
-    n, n_p = y.shape
+    n = y.shape[0]
     rng = np.random.default_rng(config.seed)
     whitened = y / np.maximum(np.sqrt(patches.squared_norms), 1e-12)[:, None]
 
@@ -945,18 +947,13 @@ def brute_force_init(patches, config):
         pick = rng.integers(n) if total <= 0 else rng.choice(n, p=nearest / total)
         centers.append(whitened[pick])
     dist2 = distances(centers)
-    labels = dist2.argmin(axis=1)
-    alphas, moments = [], []
-    for j in range(config.n_components):
-        members = y[labels == j]
-        alphas.append(max(len(members), 1))
-        if len(members) == 0:
-            members = y[rng.integers(n)][None, :]
-        second = members.T @ members / len(members)
-        moments.append(
-            second + np.trace(second) / n_p * 1e-6 * np.eye(n_p) + 1e-12 * np.eye(n_p)
-        )
-    return np.stack(moments), np.array(alphas) / sum(alphas), dist2
+    return dist2.argmin(axis=1), dist2
+
+
+def one_hot(labels, k):
+    beta = np.zeros((k, labels.size))
+    beta[labels, np.arange(labels.size)] = 1.0
+    return beta
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -969,11 +966,40 @@ def test_init_labels_each_patch_by_argmin_over_all_centres(seed):
     rows = np.vstack([directions, directions, 2 * directions, np.zeros((4, 4))])
     patches = make_patch_set(rng.permutation(rows))
     config = EmConfig(n_components=7, noise_variance=0.1, seed=seed)
-    moments, alphas, dist2 = brute_force_init(patches, config)
+    labels, dist2 = brute_force_init(patches, config)
     assert np.any((dist2 == dist2.min(axis=1, keepdims=True)).sum(axis=1) > 1)
-    model = gmm._init_model(patches, config)
-    np.testing.assert_array_equal(model.alphas, alphas)
-    np.testing.assert_array_equal(model.covariances, eigt(moments)[0])
+    beta = gmm._init_responsibilities(patches, config)
+    np.testing.assert_array_equal(beta, one_hot(labels, config.n_components))
+    want = m_step(patches, one_hot(labels, config.n_components), 0.0)
+    got = m_step(patches, beta, 0.0)
+    np.testing.assert_array_equal(got.alphas, want.alphas)
+    np.testing.assert_array_equal(got.covariances, want.covariances)
+
+
+def expanded_distances(whitened):
+    """``||w||^2 + ||c||^2 - 2 W c``, unclipped and formed as the init forms
+    it, with each whitened row in turn as the centre c: (N, N)."""
+    norms = np.einsum("ij,ij->i", whitened, whitened)
+    return np.stack([norms + c @ c - 2.0 * (whitened @ c) for c in whitened])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_init_clips_the_expanded_distance_at_zero(seed):
+    # d, 2d and 3d whiten to within rounding of one point, so the expanded
+    # distance between them rounds below 0; unclipped, rng.choice refused it
+    # as a probability ("Probabilities are not non-negative")
+    d = np.random.default_rng(51).standard_normal((3, 4))
+    rows = np.vstack([d, 2 * d, 3 * d, np.zeros((4, 4))])
+    patches = make_patch_set(np.random.default_rng(seed).permutation(rows))
+    norms = np.sqrt(patches.squared_norms)
+    whitened = patches.patches / np.maximum(norms, 1e-12)[:, None]
+    assert expanded_distances(whitened).min() < 0
+    config = EmConfig(n_components=5, noise_variance=0.1, seed=seed)
+    beta = gmm._init_responsibilities(patches, config)
+    np.testing.assert_array_equal(beta.sum(axis=0), 1.0)
+    model = m_step(patches, beta, 0.0)
+    assert np.all(np.isfinite(model.covariances))
+    assert np.all(np.isfinite(model.alphas))
 
 
 @pytest.mark.parametrize(

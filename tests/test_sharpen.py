@@ -315,6 +315,17 @@ def test_data_term_refuses_a_bad_lam(lam):
         hs_data_term(scene, pca_basis(scene.y_h, 2), lam)
 
 
+@pytest.mark.parametrize("shape", [(3, 64), (64,), (1, 2, 64)], ids=str)
+def test_objective_of_a_misshapen_x_raises(shape):
+    # the term's x is (2, 64); a (3, 64) x once leaked numpy's matmul
+    # ValueError, and a (64,) or (1, 2, 64) x IndexError, from apply
+    scene = tiny_scene()
+    term = hs_data_term(scene, pca_basis(scene.y_h, 2), 0.5)
+    assert term.shape == (2, 64)
+    with pytest.raises(DimensionError):
+        term.objective(np.zeros(shape), 0.0)
+
+
 @pytest.mark.parametrize("solve", [solve_hs, run_salsa_hs])
 @pytest.mark.parametrize(
     "built_for",
