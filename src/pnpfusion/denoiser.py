@@ -104,7 +104,8 @@ class LinearDenoiser:
         several displacements wrap onto one pixel and their entries add up.
 
         Built one slab of column displacement ``dc >= 0`` at a time, from
-        the half of the displacements that is lexicographically nonnegative.
+        the half of the displacements that is lexicographically nonnegative,
+        by one weighted accumulation of filter entries that carry J and 1/n_p.
         W is symmetric, so the plane of displacement -d is the plane of d
         rolled by d; each plane is written with that copy, and every
         coefficient equals its mirror bit for bit, whatever the grid size.
@@ -115,11 +116,11 @@ class LinearDenoiser:
         span = 2 * side - 1
         filters = component_filters(self.model, self.noise_variance)
         if not self.pure_linear:
-            # (I - J) F_j (I - J): remove the mean of each row, then of each column
+            # (I - J) F_j (I - J) + J: beta sums to 1, so these weigh up to M_i
             filters = filters - filters.mean(axis=2, keepdims=True)
-            filters -= filters.mean(axis=1, keepdims=True)
-        # entries[k, k'] holds entry (k, k') of every M_j as one K-vector
-        entries = np.ascontiguousarray(filters.transpose(1, 2, 0))
+            filters -= filters.mean(axis=1, keepdims=True) - 1.0 / n_p
+        # entries[k, k'] holds entry (k, k') of every M_j / n_p as one K-vector
+        entries = np.ascontiguousarray(filters.transpose(1, 2, 0) / n_p)
         beta = self.weights
         data = np.empty((w, h, span, span))
         slab = np.empty((span, w, h))
@@ -140,11 +141,6 @@ class LinearDenoiser:
                     slab[side - 1 - kr + low : span - kr] += np.roll(
                         product.reshape(-1, w, h), (kc, kr), axis=(1, 2)
                     )
-            if not self.pure_linear:
-                # J adds 1/n_p for each of the (s - |dr|)(s - dc) pairs (k, k')
-                pairs = (side - np.abs(np.arange(span) - side + 1)) * (side - dc)
-                slab[first:] += (pairs[first:] / n_p)[:, None, None]
-            slab[first:] /= n_p
             for a in range(first, span):
                 data[:, :, side - 1 + dc, a] = slab[a]
                 data[:, :, side - 1 - dc, span - 1 - a] = np.roll(

@@ -97,6 +97,8 @@ def symbol_products(band: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     if the circulant is also symmetric), so a real FFT of each band serves
     and only the half of the symbol it covers is read.
     """
+    if symbols.ndim < 2:
+        raise DimensionError(f"symbols must be (..., h, w), got {symbols.shape}")
     geometry = ImageGeometry(*symbols.shape[-2:])
     spectrum = np.fft.rfft2(geometry.to_grid(np.asarray(band, dtype=float)))
     half = symbols[..., : geometry.width // 2 + 1]

@@ -222,6 +222,11 @@ def eigt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns the projection together with the clipped eigenvalues and the
     eigenvectors it was built from.
     """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
+        raise DimensionError(f"eigt needs square matrices, got {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError("eigt needs a finite matrix")
     sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     vals, vecs = np.linalg.eigh(sym)
     vals = np.maximum(vals, 0.0)

@@ -5,9 +5,9 @@ mean_b^2))`` where ``d`` is the resolution ratio between the panchromatic and
 hyperspectral grids; SAM is the per-pixel spectral angle (rounding-stable,
 so parallel spectra give 0 degrees) averaged over pixels with nonzero
 spectra. Conventions vary in the literature, so these values are comparable
-within this package only. Every metric raises :class:`MetricError` on a
-non-finite reference or estimate rather than returning NaN or an infinity
-it did not compute.
+within this package only. Every metric raises :class:`MetricError` on an
+empty or non-finite reference or estimate rather than returning NaN or an
+infinity it did not compute.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ log = logging.getLogger(__name__)
 def _as_cubes(
     reference: np.ndarray, estimate: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both inputs as finite bands x pixels cubes of one shape."""
+    """Both inputs as finite, nonempty bands x pixels cubes of one shape."""
     cubes = []
     for a in (reference, estimate):
         a = np.asarray(a, dtype=float)
@@ -36,6 +36,8 @@ def _as_cubes(
     ref, est = cubes
     if ref.shape != est.shape:
         raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
+    if ref.size == 0:
+        raise MetricError(f"metric undefined on an empty cube of shape {ref.shape}")
     if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(est))):
         raise MetricError("metric undefined: non-finite reference or estimate")
     return ref, est

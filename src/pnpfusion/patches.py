@@ -108,19 +108,11 @@ def patch_index_map(geometry: ImageGeometry, patch_side: int) -> np.ndarray:
         raise DimensionError(
             f"patch side {patch_side} exceeds image dimensions {h}x{w}"
         )
-    rows = np.arange(h)
-    cols = np.arange(w)
-    # anchor (r, c) for pixel i = c*h + r
-    anchor_r = np.tile(rows, w)
-    anchor_c = np.repeat(cols, h)
-    dr = np.arange(patch_side)
-    dc = np.arange(patch_side)
-    # patch-local offset k = dc*patch_side + dr (column-major within patch)
-    off_r = np.tile(dr, patch_side)
-    off_c = np.repeat(dc, patch_side)
-    rr = (anchor_r[:, None] + off_r[None, :]) % h
-    cc = (anchor_c[:, None] + off_c[None, :]) % w
-    return cc * h + rr
+    offsets = np.arange(patch_side)
+    # offset k = dc*patch_side + dr of anchor c*h + r covers (r + dr, c + dc)
+    cols = (np.arange(w)[:, None] + offsets) % w * h
+    rows = (np.arange(h)[:, None] + offsets) % h
+    return (cols[:, None, :, None] + rows[None, :, None, :]).reshape(h * w, -1)
 
 
 def extract_patches(

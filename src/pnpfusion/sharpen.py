@@ -160,6 +160,8 @@ def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
     positive, making the basis deterministic. ``n_dims`` must be an integer
     in ``[1, min(y_h.shape)]``.
     """
+    if np.ndim(y_h) != 2:
+        raise DimensionError(f"spectra must be a matrix, got shape {np.shape(y_h)}")
     bound = min(y_h.shape)
     if not (is_count(n_dims) and n_dims <= bound):
         raise ConfigError(

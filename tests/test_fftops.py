@@ -171,6 +171,12 @@ class TestSymbolProducts:
         for band, symbol, row in zip(bands, symbols, got):
             np.testing.assert_array_equal(row, symbol_products(band, symbol))
 
+    @pytest.mark.parametrize("symbols", [np.ones(8), np.float64(1.0)])
+    def test_symbols_below_two_dimensions_raise(self, symbols):
+        # a 1-D stack once leaked TypeError from ImageGeometry(*shape[-2:])
+        with pytest.raises(DimensionError):
+            symbol_products(np.ones(8), symbols)
+
 
 class TestSpectralSolves:
     @pytest.mark.parametrize("shape", GEOMETRIES)

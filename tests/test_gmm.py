@@ -99,6 +99,21 @@ class TestEigt:
             np.einsum("kij,kj,klj->kil", vecs, vals, vecs), out, atol=1e-13
         )
 
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [
+            (np.ones((2, 3)), DimensionError),  # leaked a broadcast ValueError
+            (np.ones(3), DimensionError),  # leaked AxisError
+            (np.float64(2.0), DimensionError),
+            (np.ones((4, 2, 3)), DimensionError),
+            (np.full((3, 3), np.nan), ConfigError),  # leaked LinAlgError
+            (np.diag([1.0, np.inf]), ConfigError),
+        ],
+    )
+    def test_refuses_non_square_or_non_finite_input(self, matrix, error):
+        with pytest.raises(error):
+            eigt(matrix)
+
 
 def low_rank_patches(rng, n, n_p, rank, sigma2):
     """Patches from a rank-`rank` signal plus white noise of variance sigma2."""

@@ -7,6 +7,18 @@ from pnpfusion.errors import DimensionError, MetricError
 from pnpfusion.metrics import ergas, psnr, psnr_per_band, sam
 
 
+@pytest.mark.parametrize(
+    "metric",
+    [psnr, psnr_per_band, lambda r, e: ergas(r, e, 4.0)],
+    ids=["psnr", "psnr_per_band", "ergas"],
+)
+@pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0)])
+def test_empty_input_raises(metric, shape):
+    # psnr and ergas once reached numpy's "Mean of empty slice" and gave NaN
+    with pytest.raises(MetricError):
+        metric(np.ones(shape), np.ones(shape))
+
+
 class TestPsnr:
     def test_identical_is_infinite(self):
         x = np.arange(12.0).reshape(3, 4)

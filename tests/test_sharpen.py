@@ -417,6 +417,12 @@ class TestPcaBasis:
         with pytest.raises(ConfigError):
             pca_basis(np.eye(3), 4)
 
+    @pytest.mark.parametrize("y_h", [np.ones(5), np.ones((2, 3, 4)), np.float64(1.0)])
+    def test_spectra_that_are_not_a_matrix_raise(self, y_h):
+        # a 1-D y_h once leaked LinAlgError from the SVD
+        with pytest.raises(DimensionError):
+            pca_basis(y_h, 1)
+
     @pytest.mark.parametrize("n_dims", [-1, 0, 1.5, True])
     def test_dimension_outside_one_to_rank_bound(self, n_dims):
         # -1 once sliced 15 columns of 16, 0 an empty basis that sharpen
