@@ -98,4 +98,67 @@ from .sharpen import (
     v3_update,
 )
 
+__all__ = [
+    "SolveReport",
+    "SolverConfig",
+    "run_admm",
+    "solve_fixed_point",
+    "DataTerm",
+    "ExplicitW",
+    "LinearDenoiser",
+    "build_explicit_w",
+    "denoise_image_fixed",
+    "denoise_image_mmse",
+    "eval_phi",
+    "expansiveness_demo",
+    "wiener_filter",
+    "ConfigError",
+    "DimensionError",
+    "DivergenceError",
+    "MetricError",
+    "PnpError",
+    "SizeError",
+    "StateError",
+    "CyclicBlur",
+    "apply_blur",
+    "blur_rows",
+    "make_cyclic_blur",
+    "symbol_products",
+    "EmConfig",
+    "GmmModel",
+    "eigt",
+    "m_step",
+    "posterior",
+    "train_em",
+    "ergas",
+    "psnr",
+    "psnr_per_band",
+    "sam",
+    "PairParams",
+    "PairScene",
+    "deblur_pair",
+    "ImageGeometry",
+    "PatchSet",
+    "extract_patches",
+    "patch_index_map",
+    "remove_means",
+    "HsSceneSpec",
+    "PairSceneSpec",
+    "generate_hs_scene",
+    "generate_pair_scene",
+    "make_kernel",
+    "synthetic_image",
+    "HsScene",
+    "SharpenParams",
+    "SubspaceBasis",
+    "forward_hs",
+    "forward_ms",
+    "hs_data_term",
+    "make_decimation_mask",
+    "pca_basis",
+    "sharpen",
+    "train_scene_denoiser",
+    "v3_update",
+]
+
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, is_count
+from .errors import ConfigError, DimensionError, DivergenceError, as_array, is_count
 
 # Relative fixed-point residual ||rho (x - D x) + D grad F(x)|| / ||D A^T t||
 # that solve_fixed_point iterates to.
@@ -134,7 +134,7 @@ def run_admm(problem, config: SolverConfig, init_v):
     The scaled duals start at zero. Returns ``(x, SolveReport)`` with the last
     computed x. Raises :class:`DivergenceError` if any iterate goes non-finite.
     """
-    vs = [np.array(v, dtype=float) for v in init_v]
+    vs = [as_array(v, "init_v", range(1, 33)) for v in init_v]
     us = [np.zeros_like(v) for v in vs]
     report = SolveReport()
     x = None
@@ -225,8 +225,10 @@ def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
     the returned x. ``config.primal_tol`` and ``config.dual_tol`` are not
     read. Returns ``(x, SolveReport)``. Raises :class:`DivergenceError` if a
     residual is non-finite or if ``v^T D v < 0`` for a vector v that D is
-    applied to (``G z`` in a step, ``G x - b`` in a recomputation), as
-    happens when D is not PSD.
+    applied to (``G z`` in a step, ``G x - b`` in a recomputation). That
+    test sees only those vectors, so it misses an indefinite D whose form is
+    nonnegative on all of them; ``tests/test_theory_at_scale.py`` probes the
+    symmetry and spectrum of D itself.
     """
     if precondition is None:
         def precondition(v):

@@ -44,9 +44,9 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DimensionError, SizeError
+from .errors import ConfigError, DimensionError, SizeError, as_array
 from .gmm import SIMPLEX_ATOL as SIMPLEX_ATOL  # re-exported
-from .gmm import GmmModel, checked_responsibilities, posterior
+from .gmm import GmmModel, checked_responsibilities, eigt, posterior
 from .patches import (  # perfbench/tracing.py patches the two unused names here
     ImageGeometry,
     PatchSet,
@@ -182,6 +182,15 @@ class ExplicitW:
     eigenvalues: np.ndarray
     basis: np.ndarray
 
+    def __post_init__(self):
+        for name, ndim in (("matrix", 2), ("eigenvalues", 1), ("basis", 2)):
+            # W = 0 has an empty basis
+            array = as_array(getattr(self, name), name, ndim, empty=name == "basis")
+            object.__setattr__(self, name, array)
+        n = len(self.eigenvalues)
+        if self.matrix.shape != (n, n) or len(self.basis) != n:
+            raise DimensionError(f"need an (n, n) matrix and n basis rows, n = {n}")
+
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
@@ -197,8 +206,7 @@ def wiener_filter(covariance: np.ndarray, noise_variance: float) -> np.ndarray:
     Built from the eigendecomposition so the result is exactly symmetric with
     eigenvalues ``v/(v + s2) in [0, 1)``.
     """
-    vals, vecs = np.linalg.eigh(covariance)
-    return _shrinkage(np.maximum(vals, 0.0), vecs, noise_variance)
+    return _shrinkage(*eigt(covariance)[1:], noise_variance)
 
 
 def component_filters(model: GmmModel, noise_variance: float) -> np.ndarray:
@@ -227,9 +235,11 @@ def denoise_image_fixed(
 
     Takes one band of n pixels or a ``(k, n)`` stack, denoised row by row.
     """
-    bands = np.asarray(image_band, dtype=float)
+    if not isinstance(denoiser, LinearDenoiser):
+        raise ConfigError(f"expected a LinearDenoiser, got {type(denoiser).__name__}")
+    bands = as_array(image_band, "image_band", (1, 2))
     geometry = denoiser.geometry
-    if bands.ndim not in (1, 2) or bands.shape[-1] != geometry.n:
+    if bands.shape[-1] != geometry.n:
         raise DimensionError(
             f"bands have shape {bands.shape}, geometry expects {geometry.n} pixels"
         )
@@ -270,6 +280,8 @@ def build_explicit_w(denoiser: LinearDenoiser) -> ExplicitW:
 
     Refuses images above the test-scale cap.
     """
+    if not isinstance(denoiser, LinearDenoiser):
+        raise ConfigError(f"expected a LinearDenoiser, got {type(denoiser).__name__}")
     n = denoiser.geometry.n
     if n > EXPLICIT_W_CAP:
         raise SizeError(f"explicit W capped at n={EXPLICIT_W_CAP}, got n={n}")
@@ -286,8 +298,9 @@ def build_explicit_w(denoiser: LinearDenoiser) -> ExplicitW:
 
 def eval_phi(x: np.ndarray, w: ExplicitW) -> float:
     """The regularizer W is the prox of, at one x of W's size; +inf off span(W)."""
-    if np.shape(x) != (w.matrix.shape[0],):
-        raise DimensionError(f"x has shape {np.shape(x)}, W is {w.matrix.shape}")
+    x = as_array(x, "x", 1)
+    if x.shape != (w.matrix.shape[0],):
+        raise DimensionError(f"x has shape {x.shape}, W is {w.matrix.shape}")
     coeffs = w.basis.T @ x
     residual = x - w.basis @ coeffs
     norm = np.linalg.norm(x)
@@ -319,6 +332,11 @@ class DataTerm:
     adjoint: Callable[[np.ndarray], np.ndarray]
     target: np.ndarray
     shape: tuple[int, ...]
+
+    def __post_init__(self):
+        # a non-finite target is refused by solve_fixed_point (DivergenceError)
+        target = as_array(self.target, "target", 1, finite=False)
+        object.__setattr__(self, "target", target)
 
     def _check_regularizer(self, reg_weight: float, w: ExplicitW | None) -> None:
         """Refuse a bad weight, a positive one without W, or a W of another size."""

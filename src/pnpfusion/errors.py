@@ -1,11 +1,20 @@
-"""Exception hierarchy of the package.
+"""Exception hierarchy of the package, and its one rule for input arrays.
 
 Every error the package raises on purpose derives from :class:`PnpError`, so
 a caller can tell a refused input or a failed solve from a bug in numpy or in
 its own code; the subclass names the kind of failure.
+
+Exported functions and dataclasses take their arrays through :func:`as_array`:
+a wrong number of axes or no entries raise :class:`DimensionError`, and a NaN
+or infinite entry, or a foreign type (anything but numbers where an array
+belongs, or a list where a package object belongs), :class:`ConfigError`.
+The metrics raise :class:`MetricError` for empty or non-finite input, and a
+patch set is refused where it is used, from its cached norms.
 """
 
 from numbers import Integral
+
+import numpy as np
 
 
 def is_count(value, minimum: int = 1) -> bool:
@@ -30,12 +39,31 @@ def require_counts(config, minimums: dict[str, int]) -> None:
             )
 
 
+def as_array(value, name: str, ndim, finite=True, empty=False) -> np.ndarray:
+    """``value`` as a float64 array, complex if it is complex, with ``ndim``
+    axes (a count, or a tuple or range of counts); a float64 or complex array
+    is not copied. Raises :class:`DimensionError` for another ndim or, unless
+    ``empty``, no entries, and :class:`ConfigError` for data that is not
+    numbers or, if ``finite``, for a NaN or infinite entry."""
+    try:
+        array = np.asarray(value)
+        array = array if array.dtype.kind == "c" else array.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must hold numbers, got {value!r:.60}") from None
+    allowed = (ndim,) if isinstance(ndim, int) else ndim
+    if array.ndim not in allowed or not (empty or array.size):
+        raise DimensionError(f"{name} needs ndim in {allowed}, got shape {array.shape}")
+    if finite and not np.all(np.isfinite(array)):
+        raise ConfigError(f"{name} must be finite")
+    return array
+
+
 class PnpError(Exception):
     """Base class for all package errors."""
 
 
 class DimensionError(PnpError):
-    """Shapes or geometries of inputs are inconsistent."""
+    """Shapes or geometries of inputs are wrong or inconsistent."""
 
 
 class StateError(PnpError):
@@ -44,7 +72,7 @@ class StateError(PnpError):
 
 class ConfigError(PnpError):
     """Invalid configuration or input values (counts, tolerances, parameters,
-    non-finite observations)."""
+    non-finite observations, foreign types)."""
 
 
 class SizeError(PnpError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, as_array
 from .patches import ImageGeometry
 
 
@@ -35,6 +35,10 @@ class CyclicBlur:
     geometry: ImageGeometry
     transfer: np.ndarray
 
+    def __post_init__(self):
+        for name in ("psf", "transfer"):
+            object.__setattr__(self, name, as_array(getattr(self, name), name, 2))
+
     @property
     def power_spectrum(self) -> np.ndarray:
         return np.abs(self.transfer) ** 2
@@ -42,13 +46,7 @@ class CyclicBlur:
 
 def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
     """Cache the DFT of the zero-padded, center-shifted kernel."""
-    psf = np.asarray(psf, dtype=float)
-    if psf.ndim != 2 or psf.size == 0:
-        raise DimensionError(
-            f"psf must be a non-empty 2-D kernel, got shape {psf.shape}"
-        )
-    if not np.all(np.isfinite(psf)):
-        raise ConfigError("psf must be finite")
+    psf = as_array(psf, "psf", 2)
     kh, kw = psf.shape
     if kh > geometry.height or kw > geometry.width:
         raise DimensionError(
@@ -97,10 +95,9 @@ def symbol_products(band: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     if the circulant is also symmetric), so a real FFT of each band serves
     and only the half of the symbol it covers is read.
     """
-    if symbols.ndim < 2:
-        raise DimensionError(f"symbols must be (..., h, w), got {symbols.shape}")
+    symbols = as_array(symbols, "symbols", range(2, 33))
     geometry = ImageGeometry(*symbols.shape[-2:])
-    spectrum = np.fft.rfft2(geometry.to_grid(np.asarray(band, dtype=float)))
+    spectrum = np.fft.rfft2(geometry.to_grid(as_array(band, "band", range(1, 33))))
     half = symbols[..., : geometry.width // 2 + 1]
     shape = (geometry.height, geometry.width)
     return geometry.from_grid(np.fft.irfft2(half * spectrum, s=shape))

@@ -89,8 +89,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, is_count, require_counts
-from .patches import PatchSet
+from .errors import ConfigError, DimensionError, as_array, require_counts
+from .patches import PatchSet, check_finite_patches
 
 log = logging.getLogger(__name__)
 
@@ -131,18 +131,16 @@ class GmmModel:
 
     def __post_init__(self):
         require_counts(self, {"patch_side": 1})
-        for name in ("alphas", "covariances"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        k, n_p = self.alphas.shape, self.patch_side**2
-        if len(k) != 1 or self.covariances.shape != (*k, n_p, n_p):
-            raise DimensionError(f"need alphas (K,) and covariances (K, {n_p}, {n_p})")
-        if not is_count(self.n_components):
+        if np.size(self.alphas) == 0:
             raise ConfigError("a mixture needs at least one component")
-        a = self.alphas  # NaN and inf fail the test
+        for name, ndim in (("alphas", 1), ("covariances", 3)):
+            object.__setattr__(self, name, as_array(getattr(self, name), name, ndim))
+        k, n_p = self.alphas.shape, self.patch_side**2
+        if self.covariances.shape != (*k, n_p, n_p):
+            raise DimensionError(f"need alphas (K,) and covariances (K, {n_p}, {n_p})")
+        a = self.alphas
         if not (np.all(a >= 0) and abs(a.sum() - 1) <= SIMPLEX_ATOL):
             raise ConfigError(f"mixture weights must be >= 0 and sum to 1: {a}")
-        if not np.all(np.isfinite(self.covariances)):
-            raise ConfigError("covariances must be finite")
 
     @property
     def n_components(self) -> int:
@@ -187,29 +185,14 @@ def check_noise_variance(noise_variance: float) -> None:
         raise ConfigError(f"noise variance must be >= 0 and finite: {noise_variance}")
 
 
-def check_finite_patches(patches: PatchSet) -> None:
-    """Raise :class:`ConfigError` unless every patch row is finite.
-
-    A NaN or infinite entry makes its row's squared norm NaN or infinite, so
-    the test reads the cached :attr:`~pnpfusion.patches.PatchSet.squared_norms`,
-    O(N), and never scans the (N, n_p) rows again. A finite row whose squared
-    norm overflows is refused as well: EM could not use it either.
-    """
-    if not np.all(np.isfinite(patches.squared_norms)):
-        raise ConfigError("patches must be finite")
-
-
 def checked_responsibilities(beta, n_patches: int, n_components=None) -> np.ndarray:
     """``beta`` as a float (K, n_patches) array, K = ``n_components`` if given,
     whose columns lie on the simplex within :data:`SIMPLEX_ATOL`. A float
     array is not copied."""
-    if not is_count(n_patches):
-        raise DimensionError(f"responsibilities need at least one patch, got {n_patches}")
-    beta = np.asarray(beta, dtype=float)
-    rows = beta.shape[0] if n_components is None and beta.ndim == 2 else n_components
-    if beta.shape != (rows, n_patches):
-        raise DimensionError(f"weights shape {beta.shape} != ({rows}, {n_patches})")
-    # NaN fails both tests, and together they bound every entry by 1 + atol
+    beta = as_array(beta, "beta", 2, finite=False)
+    if beta.shape != (n_components or beta.shape[0], n_patches):
+        raise DimensionError(f"weights shape {beta.shape}, need (K, {n_patches})")
+    # NaN and inf fail the tests, and together they bound every entry by 1 + atol
     if not (abs(beta.sum(axis=0) - 1).max() <= SIMPLEX_ATOL and beta.min() >= 0):
         raise ConfigError(f"beta must be >= 0, column sums within {SIMPLEX_ATOL} of 1")
     return beta
@@ -222,11 +205,9 @@ def eigt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns the projection together with the clipped eigenvalues and the
     eigenvectors it was built from.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
+    matrix = as_array(matrix, "matrix", range(2, 33))
+    if matrix.shape[-1] != matrix.shape[-2]:
         raise DimensionError(f"eigt needs square matrices, got {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise ConfigError("eigt needs a finite matrix")
     sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     vals, vecs = np.linalg.eigh(sym)
     vals = np.maximum(vals, 0.0)
@@ -430,8 +411,10 @@ def _init_responsibilities(patches: PatchSet, config: EmConfig) -> np.ndarray:
 
 def _float32_patches(patches: PatchSet) -> PatchSet:
     """The patch rows in float32, sharing the float64 set's squared norms and
-    Gram matrix, so that :func:`m_step` runs its GEMM in float32."""
-    low = replace(patches, patches=patches.patches.astype(np.float32))
+    Gram matrix, so that :func:`m_step` runs its GEMM in float32. The rows
+    are set after construction, which would make them float64 again."""
+    low = replace(patches)
+    object.__setattr__(low, "patches", patches.patches.astype(np.float32))
     low.__dict__["squared_norms"] = patches.squared_norms  # fills the cache
     low.__dict__["gram"] = patches.gram
     return low
@@ -458,11 +441,11 @@ def train_em(
     :func:`posterior`'s, and a budget of at most ``_F64_FINISH`` runs
     wholly in float64.
     """
+    check_finite_patches(patches)
     if patches.count < config.n_components:
         raise ConfigError(
             f"need at least K={config.n_components} patches, got {patches.count}"
         )
-    check_finite_patches(patches)
     sigma2, tol, budget = config.noise_variance, config.loglik_rel_tol, config.max_iters
     low = _float32_patches(patches) if budget > _F64_FINISH else None
     beta = _init_responsibilities(patches, config)

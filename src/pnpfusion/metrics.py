@@ -16,7 +16,7 @@ import logging
 
 import numpy as np
 
-from .errors import DimensionError, MetricError
+from .errors import DimensionError, MetricError, as_array
 
 log = logging.getLogger(__name__)
 
@@ -24,20 +24,16 @@ log = logging.getLogger(__name__)
 def _as_cubes(
     reference: np.ndarray, estimate: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both inputs as finite, nonempty bands x pixels cubes of one shape."""
-    cubes = []
-    for a in (reference, estimate):
-        a = np.asarray(a, dtype=float)
-        if a.ndim > 2:
-            raise DimensionError(
-                f"expected a band or a bands x pixels cube, got shape {a.shape}"
-            )
-        cubes.append(a[None, :] if a.ndim == 1 else a)
-    ref, est = cubes
+    """Both inputs as finite, nonempty bands x pixels cubes of one shape; a
+    1-D input is one band."""
+    if 0 in np.shape(reference) + np.shape(estimate):
+        raise MetricError("metric undefined on an empty reference or estimate")
+    ref, est = (
+        np.atleast_2d(as_array(a, name, (1, 2), finite=False))
+        for a, name in ((reference, "reference"), (estimate, "estimate"))
+    )
     if ref.shape != est.shape:
         raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
-    if ref.size == 0:
-        raise MetricError(f"metric undefined on an empty cube of shape {ref.shape}")
     if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(est))):
         raise MetricError("metric undefined: non-finite reference or estimate")
     return ref, est
@@ -91,10 +87,9 @@ def sam(reference: np.ndarray, estimate: np.ndarray) -> float:
     Pixels where either spectrum is zero are excluded (logged). A 1-D
     reference/estimate pair is one spectrum, not a one-band image.
     """
-    ref, est = (np.asarray(a, dtype=float) for a in (reference, estimate))
-    if ref.ndim == 1 and est.ndim == 1:
-        ref, est = ref[:, None], est[:, None]
-    ref, est = _as_cubes(ref, est)
+    ref, est = _as_cubes(reference, estimate)
+    if np.ndim(reference) == np.ndim(estimate) == 1:
+        ref, est = ref.T, est.T
     norms_ref = np.linalg.norm(ref, axis=0)
     norms_est = np.linalg.norm(est, axis=0)
     valid = (norms_ref > 0) & (norms_est > 0)

@@ -15,11 +15,10 @@ with ``Y_h = y_b`` and ``(lam/2) ||R E X - Y_m||^2`` the noisy term with
 noisy sharp image. A :class:`PairScene` therefore holds that one-band
 :class:`~pnpfusion.sharpen.HsScene`, which validates the pair, and
 :func:`deblur_pair` runs :func:`~pnpfusion.sharpen.sharpen` on it: one GMRES
-solve
-(:func:`~pnpfusion.sharpen.solve_hs`), whose report counts applications of
-D. The reference that reaches the same point by iterating is one-band SALSA
-(:func:`~pnpfusion.sharpen.run_salsa_hs`), and the dense oracle is
-:func:`~pnpfusion.sharpen.hs_data_term`'s minimizer on that scene.
+solve (:func:`~pnpfusion.sharpen.solve_hs`), whose report counts
+applications of D. The reference that reaches the same point by iterating
+is one-band SALSA (:func:`~pnpfusion.sharpen.run_salsa_hs`), and the dense
+oracle is :func:`~pnpfusion.sharpen.hs_data_term`'s minimizer on that scene.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 # module calls none of them
 from .admm import SolveReport, SolverConfig, run_admm
 from .denoiser import LinearDenoiser, denoise_image_fixed
-from .errors import DimensionError
+from .errors import ConfigError, as_array
 from .fftops import CyclicBlur, apply_blur, solve_x_update_pair
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
@@ -60,11 +59,9 @@ class PairScene:
     truth: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("y_b", "y_n"):
-            image = np.asarray(getattr(self, name), dtype=float)
-            if image.ndim != 1:
-                raise DimensionError(f"{name} must be a pixel vector, got {image.shape}")
-            object.__setattr__(self, name, image)
+        for name in ("y_b", "y_n", "truth"):
+            if name != "truth" or self.truth is not None:
+                object.__setattr__(self, name, as_array(getattr(self, name), name, 1))
         self.hs_scene  # built now, so that its checks run
         if self.sigma_b > 0 and self.sigma_b >= self.sigma_n:
             log.warning(
@@ -128,6 +125,8 @@ def deblur_pair(
     ``tau == 0`` no prior is trained, D is the identity and the result is
     the two-term least-squares fusion.
     """
+    if not isinstance(scene, PairScene):
+        raise ConfigError(f"scene must be a PairScene, got {type(scene).__name__}")
     x, report = sharpen(
         scene.hs_scene,
         SharpenParams(

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, StateError, is_count
+from .errors import ConfigError, DimensionError, StateError, as_array, is_count
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,11 @@ class PatchSet:
     source_geometry: ImageGeometry
     means: np.ndarray | None = None
 
+    def __post_init__(self):
+        # an empty or non-finite set is refused where it is used
+        rows = as_array(self.patches, "patches", 2, finite=False, empty=True)
+        object.__setattr__(self, "patches", rows)
+
     @property
     def count(self) -> int:
         return self.patches.shape[0]
@@ -120,15 +125,17 @@ def extract_patches(
 ) -> PatchSet:
     """Every unit-stride patch of a band, or of a ``(k, n)`` stack band-major
     (row ``b n + i`` is band b's patch at pixel i), wrapping periodically."""
-    bands = np.asarray(image_band, dtype=float)
-    if bands.ndim not in (1, 2) or bands.shape[-1] != geometry.n:
+    bands = as_array(image_band, "image_band", (1, 2), finite=False)
+    if bands.shape[-1] != geometry.n:
         raise DimensionError(
             f"bands have shape {bands.shape}, geometry expects {geometry.n} pixels"
         )
     idx = patch_index_map(geometry, patch_side)
     # np.take, because bands[..., idx] gathers several times slower
     patches = np.take(bands, idx, axis=-1).reshape(-1, idx.shape[1])
-    return PatchSet(patches=patches, patch_side=patch_side, source_geometry=geometry)
+    patch_set = PatchSet(patches, patch_side, geometry)
+    check_finite_patches(patch_set)  # remove_means reads the same cached norms
+    return patch_set
 
 
 def assemble_patches(patch_set: PatchSet) -> np.ndarray:
@@ -155,8 +162,26 @@ def assemble_patches(patch_set: PatchSet) -> np.ndarray:
     return out / n_p
 
 
+def check_finite_patches(patches: PatchSet) -> None:
+    """Raise :class:`ConfigError` unless ``patches`` is a :class:`PatchSet`
+    of finite rows, and :class:`DimensionError` if it has none.
+
+    A NaN or infinite entry makes its row's squared norm NaN or infinite, so
+    the test reads the cached :attr:`PatchSet.squared_norms`, O(N), and never
+    scans the (N, n_p) rows again. A finite row whose squared norm overflows
+    is refused as well: EM could not use it either.
+    """
+    if not isinstance(patches, PatchSet):
+        raise ConfigError(f"expected a PatchSet, got {type(patches).__name__}")
+    if not patches.count:
+        raise DimensionError("the patch set is empty")
+    if not np.all(np.isfinite(patches.squared_norms)):
+        raise ConfigError("patches must be finite")
+
+
 def remove_means(patch_set: PatchSet) -> PatchSet:
     """Subtract each patch's mean, storing the means for later restoration."""
+    check_finite_patches(patch_set)
     if patch_set.means is not None:
         raise StateError("patch means already removed")
     means = patch_set.patches.mean(axis=1)

@@ -48,7 +48,7 @@ from .admm import (
     solve_fixed_point,
 )
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
-from .errors import ConfigError, DimensionError, is_count
+from .errors import ConfigError, DimensionError, as_array, is_count
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
@@ -61,11 +61,7 @@ class SubspaceBasis:
     e: np.ndarray  # (L_h, L_s)
 
     def __post_init__(self):
-        object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
-        if self.e.ndim != 2 or self.e.size == 0:
-            raise DimensionError(f"basis must be a nonempty matrix, got {self.e.shape}")
-        if not np.all(np.isfinite(self.e)):
-            raise ConfigError("basis must be finite")
+        object.__setattr__(self, "e", as_array(self.e, "basis", 2))
 
     @property
     def dim(self) -> int:
@@ -91,34 +87,25 @@ class HsScene:
     z: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("y_h", "y_m", "r"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "r", as_array(self.r, "r", 2))
+        # np.asarray, not as_array: an integer mask keeps its dtype
         object.__setattr__(self, "mask", np.asarray(self.mask))
-        if self.r.ndim != 2:
-            raise DimensionError(f"R must be (L_m, L_h), got shape {self.r.shape}")
-        geometry = self.geometry
-        n_m = geometry.n
-        built = (self.blur.geometry.height, self.blur.geometry.width)
-        if built != (geometry.height, geometry.width):
-            raise DimensionError(
-                f"blur built for a {built[0]}x{built[1]} grid, "
-                f"scene is {geometry.height}x{geometry.width}"
-            )
+        n_m, (l_m, l_h) = self.geometry.n, self.r.shape
+        if self.blur.geometry != self.geometry:
+            raise DimensionError(f"blur grid {self.blur.geometry} != {self.geometry}")
         if self.mask.shape != (n_m,):
             raise DimensionError("mask length must equal the pixel count")
         if not np.all((self.mask == 0) | (self.mask == 1)):
             raise ConfigError("mask entries must be 0 or 1")
-        if self.y_h.shape != (self.r.shape[1], int(self.mask.sum())):
-            raise DimensionError(
-                f"y_h shape {self.y_h.shape} inconsistent with R {self.r.shape} "
-                f"and mask count {int(self.mask.sum())}"
-            )
-        if self.y_m.shape != (self.r.shape[0], n_m):
-            raise DimensionError(
-                f"y_m shape {self.y_m.shape} inconsistent with R and geometry"
-            )
-        if not all(np.all(np.isfinite(a)) for a in (self.y_h, self.y_m, self.r)):
-            raise ConfigError("observations and spectral response must be finite")
+        kept = int(self.mask.sum())
+        shapes = {"y_h": (l_h, kept), "y_m": (l_m, n_m), "z": (l_h, n_m)}
+        for name, shape in shapes.items():
+            if name != "z" or self.z is not None:
+                # with an all-zero mask y_h has no entries
+                array = as_array(getattr(self, name), name, 2, empty=name == "y_h")
+                if array.shape != shape:
+                    raise DimensionError(f"{name} has shape {array.shape}, not {shape}")
+                object.__setattr__(self, name, array)
         if np.any(self.r < 0):
             raise ConfigError("spectral response rows must be nonnegative")
         if not (0 <= self.sigma_h < np.inf and 0 <= self.sigma_m < np.inf):
@@ -141,6 +128,9 @@ def make_decimation_mask(geometry: ImageGeometry, d: int) -> np.ndarray:
 
 def forward_hs(z: np.ndarray, scene: HsScene) -> np.ndarray:
     """Blur every band cyclically and keep the masked pixels: ``Z B M``."""
+    if not isinstance(scene, HsScene):
+        raise ConfigError(f"scene must be an HsScene, got {type(scene).__name__}")
+    z = as_array(z, "z", 2)
     if z.shape[1] != scene.geometry.n:
         raise DimensionError("z pixel count does not match the scene geometry")
     return blur_rows(z, scene.blur)[:, scene.masked_indices]
@@ -148,6 +138,9 @@ def forward_hs(z: np.ndarray, scene: HsScene) -> np.ndarray:
 
 def forward_ms(z: np.ndarray, scene: HsScene) -> np.ndarray:
     """Spectrally mix the cube: ``R Z``."""
+    if not isinstance(scene, HsScene):
+        raise ConfigError(f"scene must be an HsScene, got {type(scene).__name__}")
+    z = as_array(z, "z", 2)
     if z.shape[0] != scene.r.shape[1]:
         raise DimensionError("z band count does not match the spectral response")
     return scene.r @ z
@@ -160,15 +153,12 @@ def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
     positive, making the basis deterministic. ``n_dims`` must be an integer
     in ``[1, min(y_h.shape)]``.
     """
-    if np.ndim(y_h) != 2:
-        raise DimensionError(f"spectra must be a matrix, got shape {np.shape(y_h)}")
+    y_h = as_array(y_h, "y_h", 2)
     bound = min(y_h.shape)
     if not (is_count(n_dims) and n_dims <= bound):
         raise ConfigError(
             f"subspace dimension must be an integer in [1, {bound}], got {n_dims!r}"
         )
-    if not np.all(np.isfinite(y_h)):
-        raise ConfigError("observed spectra must be finite")
     u = np.linalg.svd(y_h, full_matrices=False)[0]
     e = u[:, :n_dims].copy()
     for j in range(n_dims):
@@ -182,7 +172,7 @@ def v3_update(
     x: np.ndarray, d3: np.ndarray, den: LinearDenoiser | None
 ) -> np.ndarray:
     """Denoise each coefficient band independently with the shared weights."""
-    target = x - d3
+    target = as_array(x, "x", 2) - as_array(d3, "d3", 2)
     return target if den is None else denoise_image_fixed(target, den)
 
 
@@ -227,10 +217,12 @@ def _check_problem(
     lam: float,
     denoiser: LinearDenoiser | None = None,
 ) -> None:
-    """Raise unless ``basis`` has one row per HS band of the scene
-    (:class:`DimensionError`), ``lam`` is >= 0 and finite
-    (:class:`ConfigError`) and ``denoiser``, if given, is built on the
-    scene's grid (:class:`DimensionError`)."""
+    """Raise unless ``scene`` is an :class:`HsScene` and ``lam`` is >= 0 and
+    finite (:class:`ConfigError`), ``basis`` has one row per HS band of the
+    scene and ``denoiser``, if given, is built on the scene's grid
+    (:class:`DimensionError`)."""
+    if not isinstance(scene, HsScene):
+        raise ConfigError(f"scene must be an HsScene, got {type(scene).__name__}")
     if basis.e.shape[0] != scene.y_h.shape[0]:
         raise DimensionError(
             f"basis has {basis.e.shape[0]} rows, "
@@ -239,11 +231,7 @@ def _check_problem(
     if not 0 <= lam < np.inf:  # NaN fails it
         raise ConfigError(f"lam must be >= 0 and finite, got {lam}")
     if denoiser is not None and denoiser.geometry != scene.geometry:
-        built, grid = denoiser.geometry, scene.geometry
-        raise DimensionError(
-            f"denoiser built for a {built.height}x{built.width} grid, "
-            f"scene is {grid.height}x{grid.width}"
-        )
+        raise DimensionError(f"denoiser grid {denoiser.geometry} != {scene.geometry}")
 
 
 def hs_data_term(scene: HsScene, basis: SubspaceBasis, lam: float) -> DataTerm:
@@ -386,6 +374,8 @@ def sharpen(
     solver config's ``primal_tol``/``dual_tol`` bound only the SALSA
     reference. With ``tau == 0`` no GMM is trained and D is the identity.
     """
+    if not isinstance(scene, HsScene):
+        raise ConfigError(f"scene must be an HsScene, got {type(scene).__name__}")
     cfg = params.solver
     basis = pca_basis(scene.y_h, params.n_subspace)
     denoiser = None

@@ -1,0 +1,113 @@
+"""Thm. 2's conditions on the applied denoiser D at 256x256, matrix-free.
+
+The dense checks of ``build_explicit_w`` stop at n = 4096. Here D is the
+operator ``denoise_image_fixed`` applies, on a 256x256 pair scene, and only
+its applications are used:
+
+* symmetry: ``|<u, D v> - <D u, v>| <= 1e-12 ||u|| ||v||`` for random u, v;
+* spectrum in [0, 1]: 40 Lanczos Ritz values of D, and 40 of I - D, lie in
+  ``[-1e-12, 1 + 1e-12]``.
+
+Ritz values lie inside the spectrum, so the probe can refute the theory but
+not prove it. Each probe is also run on a D broken on purpose, and must
+see the defect: one stencil plane that no longer equals its mirror breaks
+symmetry, and weights scaled by 1.05 push the spectrum past 1.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from pnpfusion import (
+    EmConfig,
+    ImageGeometry,
+    PairSceneSpec,
+    denoise_image_fixed,
+    generate_pair_scene,
+    train_scene_denoiser,
+)
+
+TOL = 1e-12
+STEPS = 40
+
+
+@pytest.fixture(scope="module")
+def denoiser():
+    geometry = ImageGeometry(256, 256)
+    scene = generate_pair_scene(
+        PairSceneSpec(geometry, "gauss8", 25 / 255, 2 / 255, seed=5)
+    )
+    variance = scene.sigma_n**2
+    em = EmConfig(n_components=4, noise_variance=variance, max_iters=10)
+    return train_scene_denoiser(scene.y_n[None], geometry, 4, em, variance)
+
+
+def symmetry_defect(den, seed=0) -> float:
+    """``|<u, D v> - <D u, v>| / (||u|| ||v||)`` for one random pair."""
+    u, v = np.random.default_rng(seed).standard_normal((2, den.geometry.n))
+    gap = u @ denoise_image_fixed(v, den) - denoise_image_fixed(u, den) @ v
+    return abs(gap) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def ritz_values(apply, n: int, seed=0) -> np.ndarray:
+    """Ritz values of a symmetric map after ``STEPS`` Lanczos steps from a
+    random start, with every new vector orthogonalized twice against all
+    earlier ones."""
+    q = np.random.default_rng(seed).standard_normal(n)
+    basis = np.empty((STEPS, n))
+    alpha, beta = np.empty(STEPS), np.empty(STEPS - 1)
+    for k in range(STEPS):
+        basis[k] = q / np.linalg.norm(q)
+        w = apply(basis[k])
+        alpha[k] = basis[k] @ w
+        for _ in range(2):
+            w -= (basis[: k + 1] @ w) @ basis[: k + 1]
+        if k + 1 < STEPS:
+            beta[k] = np.linalg.norm(w)
+            q = w
+    return np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+
+
+def spectra(den) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values of D and of I - D."""
+    n = den.geometry.n
+    d = ritz_values(lambda x: denoise_image_fixed(x, den), n)
+    complement = ritz_values(lambda x: x - denoise_image_fixed(x, den), n, seed=1)
+    return d, complement
+
+
+def in_unit_interval(values: np.ndarray) -> bool:
+    return bool(values.min() >= -TOL and values.max() <= 1 + TOL)
+
+
+def test_applied_denoiser_is_symmetric(denoiser):
+    assert denoiser.geometry.n == 256 * 256
+    assert symmetry_defect(denoiser) <= TOL
+
+
+def test_applied_denoiser_spectrum_lies_in_the_unit_interval(denoiser):
+    d, complement = spectra(denoiser)
+    assert in_unit_interval(d)
+    assert in_unit_interval(complement)
+    # Lanczos reaches the extremes: the top near 1 (the constant images)
+    assert d.max() > 0.99 and complement.max() > 0.99
+
+
+def test_symmetry_probe_sees_a_plane_that_differs_from_its_mirror(denoiser):
+    plane = denoiser.operator[:, :, 0, 0]
+    saved = plane.copy()
+    plane += 1e-6  # its mirror, plane [-1, -1], is left as it was
+    try:
+        assert symmetry_defect(denoiser) > TOL
+    finally:
+        plane[...] = saved
+    assert symmetry_defect(denoiser) <= TOL
+
+
+def test_spectrum_probe_sees_weights_scaled_past_the_simplex(denoiser):
+    scaled = replace(denoiser, weights=denoiser.weights.copy())
+    scaled.weights[...] *= 1.05  # in place, before the first apply builds W
+    d, complement = spectra(scaled)
+    assert d.max() > 1 + TOL
+    assert complement.min() < -TOL
