@@ -16,9 +16,9 @@ of a linear system. Both applications solve it with one GMRES solve
 (:func:`solve_fixed_point`), whose report counts applications of D, on
 ``(rho I + D (A^T A - rho I)) x = D A^T t``, preconditioned by the
 DFT-diagonal inverse built from the circulant parts of ``A^T A`` and D.
-The SALSA iterations of the paper (:func:`run_admm`) stay as the one
-reference that reaches the same point, and the sharpening data term's dense
-minimizer as the one oracle.
+The SALSA iterations of the paper (:func:`run_admm`), with D or any other map
+as their v3-step, stay as the one reference that reaches the same point, and
+the sharpening data term's dense minimizer as the one oracle.
 
 Both pipelines take and return numpy arrays. Every error the package raises
 on purpose is a :class:`PnpError` whose subclass names the kind of failure: a

@@ -19,7 +19,7 @@ by iterating. A problem supplies four callbacks:
 * ``x_update(vs, us)``: minimize the sum of quadratic coupling terms over x,
   given the current splitting blocks;
 * ``h_apply(x)``: the list ``[H_j x]`` of linear-operator images of x;
-* ``v_update(j, target)``: the prox step of the j-th term at ``target``;
+* ``v_update(j, target)``: the j-th prox step at ``target`` (any map for SALSA's V3);
 * ``objective(x)``: a scalar for diagnostics, recorded every iteration
   (the pipelines report their data-fit term).
 

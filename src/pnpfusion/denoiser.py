@@ -44,8 +44,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DimensionError, SizeError, as_array
-from .gmm import SIMPLEX_ATOL as SIMPLEX_ATOL  # re-exported
+from .errors import ConfigError, DimensionError, SizeError, as_array, require_instance
 from .gmm import GmmModel, checked_responsibilities, eigt, posterior
 from .patches import (  # perfbench/tracing.py patches the two unused names here
     ImageGeometry,
@@ -87,6 +86,7 @@ class LinearDenoiser:
     pure_linear: bool = False
 
     def __post_init__(self):
+        require_instance(self.model, GmmModel, "model")
         if not 0 < self.noise_variance < np.inf:
             raise ConfigError("denoiser noise variance must be positive and finite")
         n, k = self.geometry.n, self.model.n_components
@@ -235,8 +235,7 @@ def denoise_image_fixed(
 
     Takes one band of n pixels or a ``(k, n)`` stack, denoised row by row.
     """
-    if not isinstance(denoiser, LinearDenoiser):
-        raise ConfigError(f"expected a LinearDenoiser, got {type(denoiser).__name__}")
+    require_instance(denoiser, LinearDenoiser, "denoiser")
     bands = as_array(image_band, "image_band", (1, 2))
     geometry = denoiser.geometry
     if bands.shape[-1] != geometry.n:
@@ -269,6 +268,7 @@ def denoise_image_mmse(
     and the practical operator built with them is applied to the input: this
     is the nonlinear denoiser that the fixed-weight one linearizes.
     """
+    require_instance(model, GmmModel, "model")
     patch_set = remove_means(extract_patches(image_band, geometry, model.patch_side))
     beta = posterior(patch_set, model, noise_variance)[0]
     denoiser = LinearDenoiser(model, beta, noise_variance, geometry)
@@ -280,8 +280,7 @@ def build_explicit_w(denoiser: LinearDenoiser) -> ExplicitW:
 
     Refuses images above the test-scale cap.
     """
-    if not isinstance(denoiser, LinearDenoiser):
-        raise ConfigError(f"expected a LinearDenoiser, got {type(denoiser).__name__}")
+    require_instance(denoiser, LinearDenoiser, "denoiser")
     n = denoiser.geometry.n
     if n > EXPLICIT_W_CAP:
         raise SizeError(f"explicit W capped at n={EXPLICIT_W_CAP}, got n={n}")
@@ -298,6 +297,7 @@ def build_explicit_w(denoiser: LinearDenoiser) -> ExplicitW:
 
 def eval_phi(x: np.ndarray, w: ExplicitW) -> float:
     """The regularizer W is the prox of, at one x of W's size; +inf off span(W)."""
+    require_instance(w, ExplicitW, "w")
     x = as_array(x, "x", 1)
     if x.shape != (w.matrix.shape[0],):
         raise DimensionError(f"x has shape {x.shape}, W is {w.matrix.shape}")
@@ -339,13 +339,16 @@ class DataTerm:
         object.__setattr__(self, "target", target)
 
     def _check_regularizer(self, reg_weight: float, w: ExplicitW | None) -> None:
-        """Refuse a bad weight, a positive one without W, or a W of another size."""
+        """Refuse a bad weight, a positive one without W, or a W that is not an
+        :class:`ExplicitW` or is of another size."""
         if not 0 <= reg_weight < np.inf:  # written so that NaN fails it
             raise ConfigError(f"reg_weight must be >= 0 and finite, got {reg_weight}")
         if reg_weight > 0 and w is None:
             raise ConfigError("reg_weight > 0 needs an explicit W to evaluate phi")
-        if w is not None and w.matrix.shape[0] != self.shape[-1]:
-            raise DimensionError(f"W is {w.matrix.shape}, x has shape {self.shape}")
+        if w is not None:
+            require_instance(w, ExplicitW, "w")
+            if w.matrix.shape[0] != self.shape[-1]:
+                raise DimensionError(f"W is {w.matrix.shape}, x has shape {self.shape}")
 
     def objective(
         self, x: np.ndarray, reg_weight: float, w: ExplicitW | None = None

@@ -6,8 +6,9 @@ its own code; the subclass names the kind of failure.
 
 Exported functions and dataclasses take their arrays through :func:`as_array`:
 a wrong number of axes or no entries raise :class:`DimensionError`, and a NaN
-or infinite entry, or a foreign type (anything but numbers where an array
-belongs, or a list where a package object belongs), :class:`ConfigError`.
+or infinite entry, or anything but numbers where an array belongs,
+:class:`ConfigError`. A foreign object where one of the package's classes
+belongs raises :class:`ConfigError` through :func:`require_instance`.
 The metrics raise :class:`MetricError` for empty or non-finite input, and a
 patch set is refused where it is used, from its cached norms.
 """
@@ -37,6 +38,13 @@ def require_counts(config, minimums: dict[str, int]) -> None:
             raise ConfigError(
                 f"{name} must be an integer >= {minimum}, got {value!r}"
             )
+
+
+def require_instance(obj, cls: type, name: str) -> None:
+    """Raise :class:`ConfigError` unless ``obj`` is a ``cls``, one of the
+    package's classes, before a foreign object meets an attribute lookup."""
+    if not isinstance(obj, cls):
+        raise ConfigError(f"{name} must be a {cls.__name__}, got {type(obj).__name__}")
 
 
 def as_array(value, name: str, ndim, finite=True, empty=False) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, as_array
+from .errors import ConfigError, DimensionError, as_array, require_instance
 from .patches import ImageGeometry
 
 
@@ -61,11 +61,12 @@ def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
 def blur_rows(x: np.ndarray, blur: CyclicBlur, adjoint: bool = False) -> np.ndarray:
     """Circular convolution of every band of a (..., n) stack with the PSF
     (correlation when ``adjoint``)."""
+    require_instance(blur, CyclicBlur, "blur")
     return symbol_products(x, np.conj(blur.transfer) if adjoint else blur.transfer)
 
 
-# A single band is a stack too. The pipelines call blur_rows; the scene
-# generator and perfbench/ (also in pnpfusion.pairdeblur) use this name.
+# A single band is a stack too. The package calls blur_rows; this name stays
+# because perfbench/ imports it, and resolves it in pnpfusion.pairdeblur.
 apply_blur = blur_rows
 
 

@@ -89,7 +89,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, as_array, require_counts
+from .errors import (
+    ConfigError, DimensionError, as_array, require_counts, require_instance
+)
 from .patches import PatchSet, check_finite_patches
 
 log = logging.getLogger(__name__)
@@ -287,6 +289,7 @@ def posterior(
     Refuses non-finite patches (:func:`check_finite_patches`)."""
     check_noise_variance(noise_variance)
     check_finite_patches(patches)
+    require_instance(model, GmmModel, "model")
     return _normalized(_component_log_densities(patches, model, noise_variance))
 
 

@@ -16,8 +16,8 @@ noisy sharp image. A :class:`PairScene` therefore holds that one-band
 :class:`~pnpfusion.sharpen.HsScene`, which validates the pair, and
 :func:`deblur_pair` runs :func:`~pnpfusion.sharpen.sharpen` on it: one GMRES
 solve (:func:`~pnpfusion.sharpen.solve_hs`), whose report counts
-applications of D. The reference that reaches the same point by iterating
-is one-band SALSA (:func:`~pnpfusion.sharpen.run_salsa_hs`), and the dense
+applications of D. One-band SALSA (:func:`~pnpfusion.sharpen.run_salsa_hs`)
+with D as its v3-step reaches the same point by iterating, and the dense
 oracle is :func:`~pnpfusion.sharpen.hs_data_term`'s minimizer on that scene.
 """
 
@@ -34,7 +34,7 @@ import numpy as np
 # module calls none of them
 from .admm import SolveReport, SolverConfig, run_admm
 from .denoiser import LinearDenoiser, denoise_image_fixed
-from .errors import ConfigError, as_array
+from .errors import as_array, require_instance
 from .fftops import CyclicBlur, apply_blur, solve_x_update_pair
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
@@ -125,8 +125,7 @@ def deblur_pair(
     ``tau == 0`` no prior is trained, D is the identity and the result is
     the two-term least-squares fusion.
     """
-    if not isinstance(scene, PairScene):
-        raise ConfigError(f"scene must be a PairScene, got {type(scene).__name__}")
+    require_instance(scene, PairScene, "scene")
     x, report = sharpen(
         scene.hs_scene,
         SharpenParams(

@@ -23,7 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StateError, as_array, is_count
+from .errors import (
+    ConfigError, DimensionError, StateError, as_array, is_count, require_instance
+)
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,7 @@ def check_finite_patches(patches: PatchSet) -> None:
     scans the (N, n_p) rows again. A finite row whose squared norm overflows
     is refused as well: EM could not use it either.
     """
-    if not isinstance(patches, PatchSet):
-        raise ConfigError(f"expected a PatchSet, got {type(patches).__name__}")
+    require_instance(patches, PatchSet, "patches")
     if not patches.count:
         raise DimensionError("the patch set is empty")
     if not np.all(np.isfinite(patches.squared_norms)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, require_counts
-from .fftops import apply_blur, make_cyclic_blur
+from .fftops import blur_rows, make_cyclic_blur
 from .patches import ImageGeometry
 from .sharpen import HsScene, forward_hs, forward_ms, make_decimation_mask
 from .pairdeblur import PairScene
@@ -230,7 +230,7 @@ def generate_pair_scene(spec: PairSceneSpec) -> PairScene:
     rng = np.random.default_rng(spec.seed)
     truth = synthetic_image(geometry)
     blur = make_cyclic_blur(make_kernel(spec.kernel_id), geometry)
-    blurred = apply_blur(truth, blur)
+    blurred = blur_rows(truth, blur)
     y_b = blurred
     if spec.sigma_b > 0:
         y_b = blurred + _exact_noise(rng, blurred.shape, spec.sigma_b**2)

@@ -26,7 +26,7 @@ DFT basis once the coefficient bands are rotated into the eigenbasis of
 ``lam (R E)^T R E`` and the sampling mask is replaced by its mean
 (:func:`hs_normal_symbol`).
 :func:`run_salsa_hs` runs the paper's three-block SALSA scheme to the same
-point and stays as the reference; its third block is D.
+point and stays as the reference; its third block is D, or any other v3-step.
 
 Pair deblurring (:mod:`~pnpfusion.pairdeblur`) is the one-band case, with
 E = R = 1 and an all-ones mask, so this solver, this reference and the dense
@@ -35,6 +35,7 @@ minimizer of :func:`hs_data_term` serve both applications.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -48,7 +49,7 @@ from .admm import (
     solve_fixed_point,
 )
 from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
-from .errors import ConfigError, DimensionError, as_array, is_count
+from .errors import ConfigError, DimensionError, as_array, is_count, require_instance
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
@@ -87,6 +88,7 @@ class HsScene:
     z: np.ndarray | None = None
 
     def __post_init__(self):
+        require_instance(self.blur, CyclicBlur, "blur")
         object.__setattr__(self, "r", as_array(self.r, "r", 2))
         # np.asarray, not as_array: an integer mask keeps its dtype
         object.__setattr__(self, "mask", np.asarray(self.mask))
@@ -128,8 +130,7 @@ def make_decimation_mask(geometry: ImageGeometry, d: int) -> np.ndarray:
 
 def forward_hs(z: np.ndarray, scene: HsScene) -> np.ndarray:
     """Blur every band cyclically and keep the masked pixels: ``Z B M``."""
-    if not isinstance(scene, HsScene):
-        raise ConfigError(f"scene must be an HsScene, got {type(scene).__name__}")
+    require_instance(scene, HsScene, "scene")
     z = as_array(z, "z", 2)
     if z.shape[1] != scene.geometry.n:
         raise DimensionError("z pixel count does not match the scene geometry")
@@ -138,8 +139,7 @@ def forward_hs(z: np.ndarray, scene: HsScene) -> np.ndarray:
 
 def forward_ms(z: np.ndarray, scene: HsScene) -> np.ndarray:
     """Spectrally mix the cube: ``R Z``."""
-    if not isinstance(scene, HsScene):
-        raise ConfigError(f"scene must be an HsScene, got {type(scene).__name__}")
+    require_instance(scene, HsScene, "scene")
     z = as_array(z, "z", 2)
     if z.shape[0] != scene.r.shape[1]:
         raise DimensionError("z band count does not match the spectral response")
@@ -171,8 +171,12 @@ def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
 def v3_update(
     x: np.ndarray, d3: np.ndarray, den: LinearDenoiser | None
 ) -> np.ndarray:
-    """Denoise each coefficient band independently with the shared weights."""
-    target = as_array(x, "x", 2) - as_array(d3, "d3", 2)
+    """D on each coefficient band of ``x - d3``, two ``(k, n)`` stacks of one
+    shape, or ``x - d3`` without a denoiser; perfbench's gate applies D so."""
+    x, d3 = as_array(x, "x", 2), as_array(d3, "d3", 2)
+    if x.shape != d3.shape:
+        raise DimensionError(f"x has shape {x.shape}, d3 {d3.shape}")
+    target = x - d3
     return target if den is None else denoise_image_fixed(target, den)
 
 
@@ -211,18 +215,12 @@ def train_scene_denoiser(
     )
 
 
-def _check_problem(
-    scene: HsScene,
-    basis: SubspaceBasis,
-    lam: float,
-    denoiser: LinearDenoiser | None = None,
-) -> None:
-    """Raise unless ``scene`` is an :class:`HsScene` and ``lam`` is >= 0 and
-    finite (:class:`ConfigError`), ``basis`` has one row per HS band of the
-    scene and ``denoiser``, if given, is built on the scene's grid
-    (:class:`DimensionError`)."""
-    if not isinstance(scene, HsScene):
-        raise ConfigError(f"scene must be an HsScene, got {type(scene).__name__}")
+def _check_problem(scene: HsScene, basis: SubspaceBasis, lam: float) -> None:
+    """Raise :class:`ConfigError` for a scene or basis of another type or a
+    negative or non-finite lam, and :class:`DimensionError` unless ``basis``
+    has one row per HS band of the scene."""
+    require_instance(scene, HsScene, "scene")
+    require_instance(basis, SubspaceBasis, "basis")
     if basis.e.shape[0] != scene.y_h.shape[0]:
         raise DimensionError(
             f"basis has {basis.e.shape[0]} rows, "
@@ -230,8 +228,19 @@ def _check_problem(
         )
     if not 0 <= lam < np.inf:  # NaN fails it
         raise ConfigError(f"lam must be >= 0 and finite, got {lam}")
-    if denoiser is not None and denoiser.geometry != scene.geometry:
-        raise DimensionError(f"denoiser grid {denoiser.geometry} != {scene.geometry}")
+
+
+def _v3_step(denoiser, geometry: ImageGeometry):
+    """``denoiser`` as a map on ``(k, n)`` coefficients: the identity for None,
+    D for a :class:`LinearDenoiser` on ``geometry``, else the callable itself."""
+    if denoiser is None:
+        return lambda x: x
+    if callable(denoiser):
+        return denoiser
+    require_instance(denoiser, LinearDenoiser, "denoiser")
+    if denoiser.geometry != geometry:
+        raise DimensionError(f"denoiser grid {denoiser.geometry} != {geometry}")
+    return lambda x: denoise_image_fixed(x, denoiser)
 
 
 def hs_data_term(scene: HsScene, basis: SubspaceBasis, lam: float) -> DataTerm:
@@ -299,15 +308,14 @@ def solve_hs(
     D acts on each coefficient band alone, so its circulant part Dbar commutes
     with the rotation Q of :func:`hs_normal_symbol`, and the preconditioner
     ``(rho I + Dbar (Abar - rho I))^-1`` is one symbol product per rotated
-    band between two rotations. Without a denoiser D is the identity.
+    band between two rotations. D is a LinearDenoiser, or None for identity.
     """
-    _check_problem(scene, basis, cfg.lam, denoiser)
-    rotation, normal_symbol = hs_normal_symbol(scene, basis, cfg.lam)
-
-    def denoise(x):
-        return x if denoiser is None else denoise_image_fixed(x, denoiser)
-
+    _check_problem(scene, basis, cfg.lam)
+    if denoiser is not None:  # GMRES needs D linear
+        require_instance(denoiser, LinearDenoiser, "denoiser")
+    denoise = _v3_step(denoiser, scene.geometry)
     denoise_symbol = 1.0 if denoiser is None else denoiser.circulant_symbol
+    rotation, normal_symbol = hs_normal_symbol(scene, basis, cfg.lam)
     inverse = preconditioner_symbol(normal_symbol, denoise_symbol, cfg.rho)
     return solve_fixed_point(
         hs_data_term(scene, basis, cfg.lam),
@@ -320,18 +328,20 @@ def solve_hs(
 def run_salsa_hs(
     scene: HsScene,
     basis: SubspaceBasis,
-    denoiser: LinearDenoiser | None,
+    denoiser: LinearDenoiser | Callable[[np.ndarray], np.ndarray] | None,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, SolveReport]:
-    """SALSA (Afonso, Bioucas-Dias & Figueiredo, IEEE TIP 2011) to the fixed
-    point of :func:`solve_hs`: :func:`~pnpfusion.admm.run_admm` on the HS
-    splitting ``V1 = X B``, ``V2 = V3 = X`` of Simoes et al. (IEEE TGRS 2015).
-    Each block has a closed form: V1 (blurred HS) solves with ``E^T E + rho I``
-    at the masked columns and keeps its target elsewhere, V2 (spectral) solves
-    with ``lam (R E)^T R E + rho I``, and V3 is D; both systems are formed once
-    per call. The objective trace is the data fit alone.
+    """SALSA (Afonso, Bioucas-Dias & Figueiredo, IEEE TIP 2011):
+    :func:`~pnpfusion.admm.run_admm` on the HS splitting ``V1 = X B``,
+    ``V2 = V3 = X`` of Simoes et al. (IEEE TGRS 2015). V1 (blurred HS) solves
+    with ``E^T E + rho I`` at the masked columns and keeps its target
+    elsewhere, V2 (spectral) with ``lam (R E)^T R E + rho I``, both formed
+    once per call, and V3 applies ``denoiser`` (:func:`_v3_step`); with None
+    or a :class:`LinearDenoiser` it reaches :func:`solve_hs`'s fixed point.
+    The objective trace is the data fit alone.
     """
-    _check_problem(scene, basis, cfg.lam, denoiser)
+    _check_problem(scene, basis, cfg.lam)
+    v3_step = _v3_step(denoiser, scene.geometry)
     rho = cfg.rho
     idx = scene.masked_indices
     hs_lhs = basis.e.T @ basis.e + rho * np.eye(basis.dim)
@@ -352,7 +362,7 @@ def run_salsa_hs(
             return out
         if j == 1:
             return np.linalg.solve(ms_lhs, ms_rhs + rho * target)
-        return v3_update(target, np.zeros_like(target), denoiser)
+        return v3_step(target)
 
     problem = SimpleNamespace(
         x_update=x_update,
@@ -374,8 +384,7 @@ def sharpen(
     solver config's ``primal_tol``/``dual_tol`` bound only the SALSA
     reference. With ``tau == 0`` no GMM is trained and D is the identity.
     """
-    if not isinstance(scene, HsScene):
-        raise ConfigError(f"scene must be an HsScene, got {type(scene).__name__}")
+    require_instance(scene, HsScene, "scene")
     cfg = params.solver
     basis = pca_basis(scene.y_h, params.n_subspace)
     denoiser = None

@@ -2,7 +2,8 @@
 
 Each name in ``pnpfusion.__all__`` either takes no array (``NO_ARRAY``) or has
 a ``CASES`` entry: one valid call, built from small fixtures, and the names
-of its array arguments and of its patch-set, denoiser or scene arguments.
+of its array arguments and of its arguments that take one of the package's
+classes (a patch set, mixture, denoiser, blur, dense W, basis or scene).
 Each array argument (or each pair joined by "+") is replaced in turn by
 
 * a list of its values, which must give a result ``np.array_equal`` to the
@@ -12,8 +13,8 @@ Each array argument (or each pair joined by "+") is replaced in turn by
   package's boundary rule (``pnpfusion.errors``), or the one an existing
   test pins;
 
-and each patch-set, denoiser or scene argument by a list, which must raise
-:class:`ConfigError`.
+and each argument of a package class by a list, which must raise
+:class:`ConfigError`. Geometries and config objects are not in the table.
 """
 
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -120,7 +121,7 @@ class Case:
     call: Callable
     args: Callable[[SimpleNamespace], dict]
     arrays: tuple[str, ...] = ()
-    objects: tuple[str, ...] = ()  # PatchSet, LinearDenoiser or scene arguments
+    objects: tuple[str, ...] = ()  # arguments that take a package class
     # (argument, variant) -> the error an existing test pins
     pinned: dict = field(default_factory=dict)
     # argument -> a wrong-ndim value, where fewer axes would not be refused
@@ -144,6 +145,13 @@ def solve_with_identity(apply, adjoint, target, shape):
     return solve_fixed_point(
         DataTerm(apply, adjoint, target, shape), lambda v: v, SolverConfig(rho=0.3)
     )
+
+
+def objective_at_the_solution(apply, adjoint, target, shape, w):
+    # phi of ``w`` at the data term's fixed point with D = I
+    term = DataTerm(apply, adjoint, target, shape)
+    x = solve_fixed_point(term, lambda v: v, SolverConfig(rho=0.3))[0]
+    return term.objective(x, 1.0, w)
 
 
 def patch_set_in_use(patches, patch_side, source_geometry):
@@ -175,6 +183,7 @@ BLUR = Case(
     blur_rows,
     lambda w: dict(x=w.coeffs, blur=w.hs.blur),
     arrays=("x",),
+    objects=("blur",),
     wrong={"x": ZERO_D},
 )
 
@@ -184,7 +193,17 @@ CASES = {
         lambda w: dict(psf=w.psf, geometry=w.geom, transfer=w.blur.transfer),
         arrays=("psf", "transfer"),
     ),
-    "DataTerm": SOLVE,
+    # tests/test_admm.py pins DivergenceError for a NaN target
+    "DataTerm": Case(
+        objective_at_the_solution,
+        lambda w: dict(
+            apply=lambda x: x, adjoint=lambda r: r, target=w.image, shape=(w.geom.n,),
+            w=w.explicit,
+        ),
+        arrays=("target",),
+        objects=("w",),
+        pinned={("target", "nan"): DivergenceError},
+    ),
     "ExplicitW": Case(
         ExplicitW,
         lambda w: dict(
@@ -206,6 +225,7 @@ CASES = {
         HsScene,
         lambda w: scene_fields(w.hs),
         arrays=("y_h", "y_m", "mask", "r", "z"),
+        objects=("blur",),
     ),
     "LinearDenoiser": Case(
         LinearDenoiser,
@@ -214,9 +234,13 @@ CASES = {
             geometry=w.geom,
         ),
         arrays=("weights",),
+        objects=("model",),
     ),
     "PairScene": Case(
-        PairScene, lambda w: scene_fields(w.pair), arrays=("y_b", "y_n", "truth")
+        PairScene,
+        lambda w: scene_fields(w.pair),
+        arrays=("y_b", "y_n", "truth"),
+        objects=("blur",),
     ),
     "PatchSet": Case(
         patch_set_in_use,
@@ -248,6 +272,7 @@ CASES = {
             image_band=w.image, model=w.model, noise_variance=0.05, geometry=w.geom
         ),
         arrays=("image_band",),
+        objects=("model",),
     ),
     "eigt": Case(eigt, lambda w: dict(matrix=w.model.covariances), arrays=("matrix",)),
     "ergas": metric_case(ergas, resolution_ratio=2.0),
@@ -255,6 +280,7 @@ CASES = {
         eval_phi,
         lambda w: dict(x=w.explicit.basis[:, 0], w=w.explicit),
         arrays=("x",),
+        objects=("w",),
     ),
     # tests/test_gmm.py pins ConfigError for an empty mixture
     "expansiveness_demo": Case(
@@ -286,7 +312,7 @@ CASES = {
     "hs_data_term": Case(
         hs_data_term,
         lambda w: dict(scene=w.hs, basis=w.basis, lam=0.5),
-        objects=("scene",),
+        objects=("scene", "basis"),
     ),
     "m_step": Case(
         m_step,
@@ -303,7 +329,7 @@ CASES = {
     "posterior": Case(
         posterior,
         lambda w: dict(patches=w.patches, model=w.model, noise_variance=0.05),
-        objects=("patches",),
+        objects=("patches", "model"),
     ),
     "psnr": metric_case(psnr),
     "psnr_per_band": metric_case(psnr_per_band),

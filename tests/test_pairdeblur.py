@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 
 from pnpfusion.admm import SolverConfig
-from pnpfusion.denoiser import (
-    EXPLICIT_W_CAP,
-    SIMPLEX_ATOL,
-    denoise_image_fixed,
-)
+from pnpfusion.denoiser import EXPLICIT_W_CAP, denoise_image_fixed
 from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.fftops import make_cyclic_blur
-from pnpfusion.gmm import EmConfig
+from pnpfusion.gmm import SIMPLEX_ATOL, EmConfig
 from pnpfusion.metrics import psnr
 from pnpfusion.pairdeblur import (
     PairParams,

@@ -1,4 +1,4 @@
-"""The paper's experimental claims, checked through public functions only.
+"""The paper's experimental claims, checked on the package's own solvers.
 
 Each pair check runs on a 64x64 pair with the ``pair-iterate`` settings
 (motion blur, noise 25/255 and 2/255, K = 8 components of 6x6 patches, 25 EM
@@ -13,12 +13,15 @@ pipelines.
 
 Convergence (the paper's Thm. 2): PnP-ADMM with the frozen denoiser, the
 algorithm the paper runs, converges to the fixed point that the pipeline
-solves for directly.
+solves for directly by GMRES. The ADMM is the package's SALSA reference
+(``run_salsa_hs``), run on the pair's one-band scene with the basis [[1]].
 
 Freezing the weights costs nothing: the frozen fixed point restores the
-scene better than PnP-ADMM whose denoiser re-estimates its weights from each
-iterate, the exact-MMSE map that the frozen one linearizes.
+scene better than the same SALSA whose v3-step re-estimates its weights from
+each iterate, the exact-MMSE map that the frozen one linearizes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,9 +34,8 @@ from pnpfusion import (
     PairSceneSpec,
     SharpenParams,
     SolverConfig,
-    apply_blur,
+    SubspaceBasis,
     deblur_pair,
-    denoise_image_fixed,
     denoise_image_mmse,
     extract_patches,
     generate_hs_scene,
@@ -43,11 +45,10 @@ from pnpfusion import (
     psnr,
     remove_means,
     sharpen,
-    symbol_products,
     train_em,
     train_scene_denoiser,
 )
-from pnpfusion.sharpen import solve_hs
+from pnpfusion.sharpen import run_salsa_hs, solve_hs
 
 GEOMETRY = ImageGeometry(64, 64)
 SIGMA_N = 25 / 255
@@ -59,18 +60,23 @@ SOLVER = SolverConfig(rho=0.02, lam=0.2, tau=0.01)
 # scene seeds 0, 1, 2, 7 and 11000 (3.10 dB at the seed used here).
 ADAPTATION_MARGIN_DB = 1.5
 
-# Relative distance of PnP-ADMM's x after 300 iterations from the fixed
-# point: 4.3e-7 measured at the seed used here, and 1.9e-2 with the loop run
-# at 2 rho, whose limit is another point.
+# Relative distance of one-band SALSA's x after ADMM_ITERATIONS from the
+# fixed point: 8.4e-7 measured at the seed used here (8.8e-7 at seed 1), with
+# 1.7e-5 after 300 iterations and 3.7e-6 after 400, and 1.9e-2 with the loop
+# run at 2 rho, whose limit is another point.
 ADMM_LIMIT_RTOL = 5e-6
+ADMM_ITERATIONS = 500
 
-# Frozen fixed point minus PnP-ADMM with re-estimated weights after
-# MMSE_ITERATIONS, in dB: 30.08 against 28.85 dB at the seed used here (29.21
-# against 28.09 dB at seed 1), and 27.34 dB on the frozen side with uniform
-# frozen weights. Its last step, recorded and not asserted, was 1.1e-4
-# relative at 50 iterations and 2.3e-9 at 300.
+# Frozen fixed point minus one-band SALSA with re-estimated weights after
+# MMSE_ITERATIONS, in dB: 30.08 against 28.71 dB at the seed used here (29.21
+# against 27.95 dB at seed 1), and 27.34 dB on the frozen side with uniform
+# frozen weights. Its final primal and dual residuals, recorded and not
+# asserted, were 0.35 and 4.1e-4.
 FREEZING_MARGIN_DB = 0.5
 MMSE_ITERATIONS = 50
+
+# The pair as a one-band sharpening scene: E = R = 1.
+ONE_BAND = SubspaceBasis(np.ones((1, 1)))
 
 HS_GEOMETRY = ImageGeometry(32, 32)
 HS_PATCH_SIDE = 4
@@ -123,21 +129,6 @@ def test_the_scene_s_own_prior_beats_a_prior_of_other_content():
     assert gap > ADAPTATION_MARGIN_DB
 
 
-def pnp_admm(scene, v_step, rho, iterations):
-    """Scaled PnP-ADMM from zero with ``v_step`` as the denoiser. Returns x
-    and the size of its last step relative to x."""
-    lam = SOLVER.lam
-    rhs = apply_blur(scene.y_b, scene.blur, adjoint=True) + lam * scene.y_n
-    inverse = 1.0 / (scene.blur.power_spectrum + lam + rho)
-    x = v = u = np.zeros(GEOMETRY.n)
-    for _ in range(iterations):
-        previous = x
-        x = symbol_products(rhs + rho * (v - u), inverse)
-        v = v_step(x + u)
-        u = u + x - v
-    return x, np.linalg.norm(x - previous) / np.linalg.norm(x)
-
-
 def test_pnp_admm_converges_to_the_fixed_point():
     scene = generate_pair_scene(
         PairSceneSpec(GEOMETRY, "motion15", SIGMA_N, 2 / 255, seed=0)
@@ -145,9 +136,8 @@ def test_pnp_admm_converges_to_the_fixed_point():
     denoiser = train_scene_denoiser(
         scene.y_n[None], GEOMETRY, PATCH_SIDE, EM, SOLVER.tau / SOLVER.rho
     )
-    x = pnp_admm(
-        scene, lambda z: denoise_image_fixed(z, denoiser), SOLVER.rho, 300
-    )[0]
+    solver = replace(SOLVER, max_iters=ADMM_ITERATIONS)
+    x = run_salsa_hs(scene.hs_scene, ONE_BAND, denoiser, solver)[0][0]
     fixed_point = deblur_pair(scene, PairParams(PATCH_SIDE, EM, SOLVER))[0]
     distance = np.linalg.norm(x - fixed_point) / np.linalg.norm(fixed_point)
     assert distance <= ADMM_LIMIT_RTOL
@@ -161,15 +151,16 @@ def test_frozen_weights_beat_weights_re_estimated_from_each_iterate(record_prope
     model = train_scene_denoiser(
         scene.y_n[None], GEOMETRY, PATCH_SIDE, EM, variance
     ).model
-    x, last_step = pnp_admm(
-        scene,
-        lambda z: denoise_image_mmse(z, model, variance, GEOMETRY),
-        SOLVER.rho,
-        MMSE_ITERATIONS,
+    x, report = run_salsa_hs(
+        scene.hs_scene,
+        ONE_BAND,
+        lambda v: denoise_image_mmse(v, model, variance, GEOMETRY),
+        replace(SOLVER, max_iters=MMSE_ITERATIONS),
     )
-    record_property("mmse_last_step", last_step)
+    record_property("mmse_final_primal", report.final_primal)
+    record_property("mmse_final_dual", report.final_dual)
     frozen = deblur_pair(scene, PairParams(PATCH_SIDE, EM, SOLVER))[0]
-    gap = psnr(scene.truth, frozen) - psnr(scene.truth, x)
+    gap = psnr(scene.truth, frozen) - psnr(scene.truth, x[0])
     assert gap >= FREEZING_MARGIN_DB
 
 

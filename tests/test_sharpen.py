@@ -343,6 +343,37 @@ def test_denoiser_built_on_another_grid_raises(solve, built_for):
         solve(scene, pca_basis(scene.y_h, 2), den, CFG)
 
 
+@pytest.mark.parametrize(
+    "make", [pytest.param(hs_case, id="hs"), pytest.param(pair_case, id="pair")]
+)
+def test_a_callable_v3_step_is_run_as_the_denoiser_is(make):
+    # the paper's claims pass the re-estimating MMSE map as a callable
+    case = make()
+    den = case.denoiser(0.1, 0.05)
+    cfg = SolverConfig(rho=0.1, lam=case.lam, tau=0.05, max_iters=40)
+    x, report = run_salsa_hs(case.scene, case.basis, den, cfg)
+    x_call, report_call = run_salsa_hs(
+        case.scene, case.basis, lambda v: denoise_image_fixed(v, den), cfg
+    )
+    np.testing.assert_array_equal(x_call, x)
+    assert asdict(report_call) == asdict(report)
+
+
+@pytest.mark.parametrize(
+    "solve, step",
+    [
+        pytest.param(run_salsa_hs, [[0.0, 1.0]], id="run_salsa_hs-list"),
+        pytest.param(solve_hs, [[0.0, 1.0]], id="solve_hs-list"),
+        # GMRES needs D linear and its circulant part
+        pytest.param(solve_hs, lambda v: v, id="solve_hs-callable"),
+    ],
+)
+def test_a_v3_step_of_another_kind_raises(solve, step):
+    scene = tiny_scene()
+    with pytest.raises(ConfigError):
+        solve(scene, pca_basis(scene.y_h, 2), step, CFG)
+
+
 class TestForwardModels:
     def test_delta_blur_full_mask_is_copy(self):
         scene = identity_scene()
@@ -466,6 +497,13 @@ class TestVUpdates:
         )
         w = build_explicit_w(den)
         np.testing.assert_allclose(out, (x - d3) @ w.matrix.T, rtol=1e-10)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_v3_blocks_of_two_shapes_raise(self, rows):
+        # (3, n) once leaked numpy's broadcast ValueError, and (1, n)
+        # broadcast against the (2, n) x without an error
+        with pytest.raises(DimensionError):
+            v3_update(np.ones((2, 36)), np.ones((rows, 36)), None)
 
 
 class TestSceneDenoiser:
