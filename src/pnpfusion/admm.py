@@ -35,7 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, as_array, is_count
+from .errors import (
+    DimensionError, DivergenceError, as_array, require_counts, require_real
+)
 
 # Relative fixed-point residual ||rho (x - D x) + D grad F(x)|| / ||D A^T t||
 # that solve_fixed_point iterates to.
@@ -66,17 +68,9 @@ class SolverConfig:
     dual_tol: float = 1e-6
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not 0 < self.rho < np.inf:
-            raise ConfigError(f"rho must be positive and finite, got {self.rho}")
-        if not (0 <= self.lam < np.inf and 0 <= self.tau < np.inf):
-            raise ConfigError("lam and tau must be nonnegative and finite")
-        if not is_count(self.max_iters):
-            raise ConfigError(
-                f"max_iters must be an integer >= 1, got {self.max_iters!r}"
-            )
-        if not (0 < self.primal_tol < np.inf and 0 < self.dual_tol < np.inf):
-            raise ConfigError("tolerances must be positive and finite")
+        for name in ("rho", "lam", "tau", "primal_tol", "dual_tol"):
+            require_real(getattr(self, name), name, strict=name not in ("lam", "tau"))
+        require_counts(self, {"max_iters": 1})
 
 
 @dataclass

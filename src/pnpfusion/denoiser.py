@@ -44,7 +44,9 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DimensionError, SizeError, as_array, require_instance
+from .errors import (
+    ConfigError, DimensionError, SizeError, as_array, require_instance, require_real
+)
 from .gmm import GmmModel, checked_responsibilities, eigt, posterior
 from .patches import (  # perfbench/tracing.py patches the two unused names here
     ImageGeometry,
@@ -87,8 +89,7 @@ class LinearDenoiser:
 
     def __post_init__(self):
         require_instance(self.model, GmmModel, "model")
-        if not 0 < self.noise_variance < np.inf:
-            raise ConfigError("denoiser noise variance must be positive and finite")
+        require_real(self.noise_variance, "noise_variance", strict=True)
         n, k = self.geometry.n, self.model.n_components
         beta = checked_responsibilities(self.weights, n, k)
         object.__setattr__(self, "weights", beta)
@@ -222,8 +223,7 @@ def _shrinkage(
     vals: np.ndarray, vecs: np.ndarray, noise_variance: float
 ) -> np.ndarray:
     """``V diag(v/(v + s2)) V^T`` for one spectrum or a stack of them."""
-    if not 0 < noise_variance < np.inf:
-        raise ConfigError("wiener filter requires positive, finite noise variance")
+    require_real(noise_variance, "noise_variance", strict=True)
     shrink = vals / (vals + noise_variance)
     return (vecs * shrink[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
@@ -264,15 +264,23 @@ def denoise_image_mmse(
 ) -> np.ndarray:
     """Exact-MMSE variant: posterior weights recomputed from the noisy input.
 
-    The E-step posterior of the input's zero-mean patches gives the weights,
-    and the practical operator built with them is applied to the input: this
-    is the nonlinear denoiser that the fixed-weight one linearizes.
+    The E-step posterior of the input's zero-mean patches, averaged over the
+    bands of a ``(k, n)`` stack, gives the weights, and the practical operator
+    built with them is applied to the input: this is the nonlinear denoiser
+    that the fixed-weight one linearizes.
     """
     require_instance(model, GmmModel, "model")
     patch_set = remove_means(extract_patches(image_band, geometry, model.patch_side))
     beta = posterior(patch_set, model, noise_variance)[0]
-    denoiser = LinearDenoiser(model, beta, noise_variance, geometry)
+    denoiser = band_mean_denoiser(model, beta, noise_variance, geometry)
     return denoise_image_fixed(image_band, denoiser)
+
+
+def band_mean_denoiser(model, beta, noise_variance, geometry, pure_linear=False):
+    """The :class:`LinearDenoiser` that freezes ``beta``, the (K, k n) posterior
+    of a band-major stack's patches, averaged over the k bands at each pixel."""
+    weights = beta.reshape(len(beta), -1, geometry.n).mean(axis=1)
+    return LinearDenoiser(model, weights, noise_variance, geometry, pure_linear)
 
 
 def build_explicit_w(denoiser: LinearDenoiser) -> ExplicitW:
@@ -341,8 +349,7 @@ class DataTerm:
     def _check_regularizer(self, reg_weight: float, w: ExplicitW | None) -> None:
         """Refuse a bad weight, a positive one without W, or a W that is not an
         :class:`ExplicitW` or is of another size."""
-        if not 0 <= reg_weight < np.inf:  # written so that NaN fails it
-            raise ConfigError(f"reg_weight must be >= 0 and finite, got {reg_weight}")
+        require_real(reg_weight, "reg_weight")
         if reg_weight > 0 and w is None:
             raise ConfigError("reg_weight > 0 needs an explicit W to evaluate phi")
         if w is not None:
@@ -419,11 +426,10 @@ def expansiveness_demo(
     of shrinkages and stays strictly below slope 1. Both curves are sampled
     on ``y`` from -3 to 3 in steps of 1e-4. The posterior weights come from
     the pipelines' E-step, :func:`~pnpfusion.gmm.posterior` on one-pixel
-    patches, which refuses a negative or non-finite ``noise_variance``;
-    the model refuses ``alphas`` that are negative or do not sum to 1.
+    patches, which checks ``noise_variance`` as the model checks ``alphas``.
     """
-    if not 0 < small_variance < large_variance < np.inf:
-        raise ConfigError("need 0 < small_variance < large_variance < inf")
+    require_real(small_variance, "small_variance", strict=True)
+    require_real(large_variance, "large_variance", low=small_variance, strict=True)
     variances = np.array([small_variance, large_variance])
     model = GmmModel(alphas=alphas, covariances=variances[:, None, None], patch_side=1)
     grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)

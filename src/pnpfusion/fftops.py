@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, as_array, require_instance
+from .errors import DimensionError, as_array, require_instance, require_real
 from .patches import ImageGeometry
 
 
@@ -80,8 +80,8 @@ def solve_x_update_pair(
     rhs: np.ndarray, blur: CyclicBlur, lam: float, rho: float
 ) -> np.ndarray:
     """Solve ``(B^T B + (lam + rho) I) x = rhs`` by spectral division."""
-    if not (0 <= lam < np.inf and 0 < rho < np.inf):  # NaN fails it
-        raise ConfigError(f"need finite lam >= 0 and rho > 0, got lam={lam}, rho={rho}")
+    require_real(lam, "lam")
+    require_real(rho, "rho", strict=True)
     return symbol_products(rhs, 1.0 / (blur.power_spectrum + lam + rho))
 
 

@@ -90,7 +90,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ConfigError, DimensionError, as_array, require_counts, require_instance
+    ConfigError, DimensionError, as_array, require_counts, require_instance,
+    require_real,
 )
 from .patches import PatchSet, check_finite_patches
 
@@ -174,17 +175,9 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
         require_counts(self, {"n_components": 1, "max_iters": 1, "seed": 0})
-        if not 0 < self.loglik_rel_tol < np.inf:
-            raise ConfigError("loglik_rel_tol must be positive and finite")
-        check_noise_variance(self.noise_variance)
-
-
-def check_noise_variance(noise_variance: float) -> None:
-    """Raise :class:`ConfigError` unless nonnegative and finite (not NaN)."""
-    if not 0 <= noise_variance < np.inf:
-        raise ConfigError(f"noise variance must be >= 0 and finite: {noise_variance}")
+        require_real(self.loglik_rel_tol, "loglik_rel_tol", strict=True)
+        require_real(self.noise_variance, "noise_variance")
 
 
 def checked_responsibilities(beta, n_patches: int, n_components=None) -> np.ndarray:
@@ -287,7 +280,7 @@ def posterior(
     """The E-step: responsibilities beta (K, N), one simplex column per patch,
     and each patch's log density (N,), which sum to the log-likelihood.
     Refuses non-finite patches (:func:`check_finite_patches`)."""
-    check_noise_variance(noise_variance)
+    require_real(noise_variance, "noise_variance")
     check_finite_patches(patches)
     require_instance(model, GmmModel, "model")
     return _normalized(_component_log_densities(patches, model, noise_variance))
@@ -354,7 +347,7 @@ def m_step(
     ``noise_variance`` 0 on one-hot beta it also forms EM's first model.
     Refuses non-finite patches (:func:`check_finite_patches`).
     """
-    check_noise_variance(noise_variance)
+    require_real(noise_variance, "noise_variance")
     check_finite_patches(patches)
     y = patches.patches
     n, n_p = y.shape
@@ -404,7 +397,8 @@ def _init_responsibilities(patches: PatchSet, config: EmConfig) -> np.ndarray:
     labels = np.empty(n, dtype=np.intp)
     for j in range(config.n_components):
         total = dist2.sum()
-        pick = rng.choice(n, p=dist2 / total) if 0 < total < np.inf else rng.integers(n)
+        weighted = np.isfinite(total) and total > 0
+        pick = rng.choice(n, p=dist2 / total) if weighted else rng.integers(n)
         c = w[pick]
         d2 = np.maximum(norms + c @ c - 2.0 * (w @ c), 0.0)
         labels[d2 < dist2] = j
@@ -445,6 +439,7 @@ def train_em(
     wholly in float64.
     """
     check_finite_patches(patches)
+    require_instance(config, EmConfig, "config")
     if patches.count < config.n_components:
         raise ConfigError(
             f"need at least K={config.n_components} patches, got {patches.count}"

@@ -16,7 +16,7 @@ import logging
 
 import numpy as np
 
-from .errors import DimensionError, MetricError, as_array
+from .errors import DimensionError, MetricError, as_array, require_real
 
 log = logging.getLogger(__name__)
 
@@ -52,8 +52,7 @@ def psnr_per_band(
 ) -> np.ndarray:
     """Band-wise PSNR of a bands x pixels cube."""
     ref, est = _as_cubes(reference, estimate)
-    if not 0 < peak < np.inf:  # written so that NaN fails it
-        raise MetricError(f"peak must be positive and finite, got {peak}")
+    require_real(peak, "peak", strict=True, error=MetricError)
     mse = np.mean((ref - est) ** 2, axis=1)
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(peak**2 / mse)
@@ -64,10 +63,7 @@ def ergas(
 ) -> float:
     """Relative global dimensionless synthesis error."""
     ref, est = _as_cubes(reference, estimate)
-    if not 0 < resolution_ratio < np.inf:  # written so that NaN fails it
-        raise MetricError(
-            f"resolution_ratio must be positive and finite, got {resolution_ratio}"
-        )
+    require_real(resolution_ratio, "resolution_ratio", strict=True, error=MetricError)
     band_means = ref.mean(axis=1)
     if np.any(band_means == 0):
         raise MetricError("ERGAS undefined: a reference band has zero mean")

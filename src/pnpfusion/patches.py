@@ -108,6 +108,7 @@ def patch_index_map(geometry: ImageGeometry, patch_side: int) -> np.ndarray:
     Row ``i`` lists, in column-major patch order, the pixel indices of the
     patch anchored at pixel ``i``.
     """
+    require_instance(geometry, ImageGeometry, "geometry")
     h, w = geometry.height, geometry.width
     if not is_count(patch_side):
         raise DimensionError(f"patch side must be a positive integer, got {patch_side}")
@@ -127,6 +128,7 @@ def extract_patches(
 ) -> PatchSet:
     """Every unit-stride patch of a band, or of a ``(k, n)`` stack band-major
     (row ``b n + i`` is band b's patch at pixel i), wrapping periodically."""
+    require_instance(geometry, ImageGeometry, "geometry")
     bands = as_array(image_band, "image_band", (1, 2), finite=False)
     if bands.shape[-1] != geometry.n:
         raise DimensionError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, require_counts
+from .errors import ConfigError, require_counts, require_real
 from .fftops import blur_rows, make_cyclic_blur
 from .patches import ImageGeometry
 from .sharpen import HsScene, forward_hs, forward_ms, make_decimation_mask
@@ -36,15 +36,14 @@ class HsSceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
         require_counts(self, {
             "n_bands_hs": 1, "n_bands_ms": 1, "n_subspace_true": 1,
             "decimation": 1, "seed": 0,
         })
         if self.n_subspace_true > self.n_bands_hs:
             raise ConfigError("true subspace cannot exceed the band count")
-        if not all(-np.inf < snr < np.inf for snr in (self.snr_h_db, self.snr_m_db)):
-            raise ConfigError("SNRs must be finite")
+        for name in ("snr_h_db", "snr_m_db"):
+            require_real(getattr(self, name), name, low=-np.inf, strict=True)
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,8 @@ class PairSceneSpec:
 
     def __post_init__(self):
         require_counts(self, {"seed": 0})
-        if not (0 <= self.sigma_n < np.inf and 0 <= self.sigma_b < np.inf):
-            raise ConfigError("noise levels must be nonnegative and finite")
+        for name in ("sigma_n", "sigma_b"):
+            require_real(getattr(self, name), name)
 
 
 def smooth_field(geometry: ImageGeometry, rng: np.random.Generator) -> np.ndarray:

@@ -48,8 +48,10 @@ from .admm import (
     run_admm,
     solve_fixed_point,
 )
-from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
-from .errors import ConfigError, DimensionError, as_array, is_count, require_instance
+from .denoiser import DataTerm, LinearDenoiser, band_mean_denoiser, denoise_image_fixed
+from .errors import (
+    ConfigError, DimensionError, as_array, is_count, require_instance, require_real
+)
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
@@ -110,8 +112,8 @@ class HsScene:
                 object.__setattr__(self, name, array)
         if np.any(self.r < 0):
             raise ConfigError("spectral response rows must be nonnegative")
-        if not (0 <= self.sigma_h < np.inf and 0 <= self.sigma_m < np.inf):
-            raise ConfigError("noise levels must be nonnegative and finite")
+        for name in ("sigma_h", "sigma_m"):
+            require_real(getattr(self, name), name)
 
     @property
     def masked_indices(self) -> np.ndarray:
@@ -206,13 +208,7 @@ def train_scene_denoiser(
     """
     patches = remove_means(extract_patches(y_m, geometry, patch_side))
     model, beta, _ = train_em(patches, em)
-    return LinearDenoiser(
-        model=model,
-        weights=beta.reshape(em.n_components, -1, geometry.n).mean(axis=1),
-        noise_variance=denoiser_variance,
-        geometry=geometry,
-        pure_linear=pure_linear,
-    )
+    return band_mean_denoiser(model, beta, denoiser_variance, geometry, pure_linear)
 
 
 def _check_problem(scene: HsScene, basis: SubspaceBasis, lam: float) -> None:
@@ -226,8 +222,7 @@ def _check_problem(scene: HsScene, basis: SubspaceBasis, lam: float) -> None:
             f"basis has {basis.e.shape[0]} rows, "
             f"the scene {scene.y_h.shape[0]} HS bands"
         )
-    if not 0 <= lam < np.inf:  # NaN fails it
-        raise ConfigError(f"lam must be >= 0 and finite, got {lam}")
+    require_real(lam, "lam")
 
 
 def _v3_step(denoiser, geometry: ImageGeometry):

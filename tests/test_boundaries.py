@@ -1,10 +1,12 @@
-"""One table-driven test of the array boundary of every public name.
+"""One table-driven test of the array and scalar boundary of every public name.
 
-Each name in ``pnpfusion.__all__`` either takes no array (``NO_ARRAY``) or has
-a ``CASES`` entry: one valid call, built from small fixtures, and the names
-of its array arguments and of its arguments that take one of the package's
-classes (a patch set, mixture, denoiser, blur, dense W, basis or scene).
-Each array argument (or each pair joined by "+") is replaced in turn by
+Each name in ``pnpfusion.__all__`` either takes no array, real-valued scalar
+or checked package object (``NO_CASE``) or has a ``CASES`` entry: one valid
+call, built from small fixtures, and the names of its array arguments, of
+its real-valued scalar arguments and of its arguments that take one of the
+package's classes (a patch set, mixture, denoiser, blur, dense W, basis,
+scene, geometry or EM config). Each array argument (or each pair joined by
+"+") is replaced in turn by
 
 * a list of its values, which must give a result ``np.array_equal`` to the
   array's, of the same dtype;
@@ -13,8 +15,11 @@ Each array argument (or each pair joined by "+") is replaced in turn by
   package's boundary rule (``pnpfusion.errors``), or the one an existing
   test pins;
 
-and each argument of a package class by a list, which must raise
-:class:`ConfigError`. Geometries and config objects are not in the table.
+each scalar argument by ``"a"``, None, a 2-vector, NaN and inf, each of
+which must raise :class:`ConfigError`, or :class:`MetricError` in the
+metrics; and each argument of a package class by a list, which must raise
+:class:`ConfigError`. Other geometry and config arguments are not in the
+table.
 """
 
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -63,6 +68,7 @@ from pnpfusion import (
     hs_data_term,
     m_step,
     make_cyclic_blur,
+    patch_index_map,
     pca_basis,
     posterior,
     psnr,
@@ -81,7 +87,7 @@ from pnpfusion import (
 from tests.conftest import train_random_denoiser
 from tests.test_admm import TwoQuadratics
 
-NO_ARRAY = {
+NO_CASE = {
     "ConfigError",
     "DimensionError",
     "DivergenceError",
@@ -89,19 +95,14 @@ NO_ARRAY = {
     "PnpError",
     "SizeError",
     "StateError",
-    "EmConfig",
-    "HsSceneSpec",
     "ImageGeometry",
     "PairParams",
-    "PairSceneSpec",
     "SharpenParams",
     "SolveReport",  # its traces are lists of floats
-    "SolverConfig",
     "generate_hs_scene",
     "generate_pair_scene",
     "make_decimation_mask",
     "make_kernel",
-    "patch_index_map",
     "synthetic_image",
 }
 
@@ -113,6 +114,11 @@ RULE = {
     "nan": ConfigError,
 }
 
+# the malformed values each scalar argument is replaced by
+BAD_SCALARS = {
+    "str": "a", "None": None, "vector": np.ones(2), "nan": np.nan, "inf": np.inf
+}
+
 
 @dataclass(frozen=True)
 class Case:
@@ -121,22 +127,27 @@ class Case:
     call: Callable
     args: Callable[[SimpleNamespace], dict]
     arrays: tuple[str, ...] = ()
+    scalars: tuple[str, ...] = ()  # real-valued arguments
     objects: tuple[str, ...] = ()  # arguments that take a package class
-    # (argument, variant) -> the error an existing test pins
+    # (argument, variant) -> the error an existing test or the rule pins
     pinned: dict = field(default_factory=dict)
     # argument -> a wrong-ndim value, where fewer axes would not be refused
     wrong: dict = field(default_factory=dict)
 
 
-def metric_case(metric, **extra):
+def metric_case(metric, **scalars):
     # "reference+estimate" spoils both alike, as in psnr(1.0, 2.0);
-    # tests/test_metrics.py pins MetricError for empty and non-finite input
+    # tests/test_metrics.py pins MetricError for empty and non-finite input,
+    # and the scalar rule gives MetricError in the metrics (an infinite peak
+    # once gave inf, a PSNR that was never computed)
     sides = ("reference", "estimate", "reference+estimate")
+    pinned = {(s, v): MetricError for s in sides for v in ("empty", "nan")}
     return Case(
         metric,
-        lambda w: dict(reference=w.cube, estimate=w.cube + 0.1, **extra),
+        lambda w: dict(reference=w.cube, estimate=w.cube + 0.1, **scalars),
         arrays=sides,
-        pinned={(s, v): MetricError for s in sides for v in ("empty", "nan")},
+        scalars=tuple(scalars),
+        pinned=pinned | {(s, v): MetricError for s in scalars for v in BAD_SCALARS},
         wrong={"reference+estimate": np.ones((1, 3, 8))},
     )
 
@@ -147,11 +158,11 @@ def solve_with_identity(apply, adjoint, target, shape):
     )
 
 
-def objective_at_the_solution(apply, adjoint, target, shape, w):
+def objective_at_the_solution(apply, adjoint, target, shape, reg_weight, w):
     # phi of ``w`` at the data term's fixed point with D = I
     term = DataTerm(apply, adjoint, target, shape)
     x = solve_fixed_point(term, lambda v: v, SolverConfig(rho=0.3))[0]
-    return term.objective(x, 1.0, w)
+    return term.objective(x, reg_weight, w)
 
 
 def patch_set_in_use(patches, patch_side, source_geometry):
@@ -198,11 +209,17 @@ CASES = {
         objective_at_the_solution,
         lambda w: dict(
             apply=lambda x: x, adjoint=lambda r: r, target=w.image, shape=(w.geom.n,),
-            w=w.explicit,
+            reg_weight=1.0, w=w.explicit,
         ),
         arrays=("target",),
+        scalars=("reg_weight",),
         objects=("w",),
         pinned={("target", "nan"): DivergenceError},
+    ),
+    "EmConfig": Case(
+        EmConfig,
+        lambda w: dict(n_components=2, noise_variance=0.01, loglik_rel_tol=1e-5),
+        scalars=("noise_variance", "loglik_rel_tol"),
     ),
     "ExplicitW": Case(
         ExplicitW,
@@ -225,7 +242,16 @@ CASES = {
         HsScene,
         lambda w: scene_fields(w.hs),
         arrays=("y_h", "y_m", "mask", "r", "z"),
+        scalars=("sigma_h", "sigma_m"),
         objects=("blur",),
+    ),
+    "HsSceneSpec": Case(
+        HsSceneSpec,
+        lambda w: dict(
+            geometry=w.geom, n_bands_hs=4, n_bands_ms=2, n_subspace_true=2,
+            decimation=2, snr_h_db=30.0, snr_m_db=30.0,
+        ),
+        scalars=("snr_h_db", "snr_m_db"),
     ),
     "LinearDenoiser": Case(
         LinearDenoiser,
@@ -234,13 +260,20 @@ CASES = {
             geometry=w.geom,
         ),
         arrays=("weights",),
+        scalars=("noise_variance",),
         objects=("model",),
     ),
     "PairScene": Case(
         PairScene,
         lambda w: scene_fields(w.pair),
         arrays=("y_b", "y_n", "truth"),
+        scalars=("sigma_b", "sigma_n"),
         objects=("blur",),
+    ),
+    "PairSceneSpec": Case(
+        PairSceneSpec,
+        lambda w: dict(geometry=w.geom, kernel_id="delta", sigma_n=0.1, sigma_b=0.01),
+        scalars=("sigma_n", "sigma_b"),
     ),
     "PatchSet": Case(
         patch_set_in_use,
@@ -248,6 +281,11 @@ CASES = {
             patches=w.raw.patches, patch_side=2, source_geometry=w.geom
         ),
         arrays=("patches",),
+    ),
+    "SolverConfig": Case(
+        SolverConfig,
+        lambda w: dict(rho=0.05, lam=0.5, tau=0.05, primal_tol=1e-6, dual_tol=1e-6),
+        scalars=("rho", "lam", "tau", "primal_tol", "dual_tol"),
     ),
     "SubspaceBasis": Case(SubspaceBasis, lambda w: dict(e=w.basis.e), arrays=("e",)),
     "apply_blur": BLUR,
@@ -272,7 +310,8 @@ CASES = {
             image_band=w.image, model=w.model, noise_variance=0.05, geometry=w.geom
         ),
         arrays=("image_band",),
-        objects=("model",),
+        scalars=("noise_variance",),
+        objects=("model", "geometry"),
     ),
     "eigt": Case(eigt, lambda w: dict(matrix=w.model.covariances), arrays=("matrix",)),
     "ergas": metric_case(ergas, resolution_ratio=2.0),
@@ -290,12 +329,14 @@ CASES = {
             alphas=np.array([0.3, 0.7]),
         ),
         arrays=("alphas",),
+        scalars=("small_variance", "large_variance", "noise_variance"),
         pinned={("alphas", "empty"): ConfigError},
     ),
     "extract_patches": Case(
         extract_patches,
         lambda w: dict(image_band=w.image, geometry=w.geom, patch_side=2),
         arrays=("image_band",),
+        objects=("geometry",),
     ),
     "forward_hs": Case(
         forward_hs,
@@ -312,16 +353,23 @@ CASES = {
     "hs_data_term": Case(
         hs_data_term,
         lambda w: dict(scene=w.hs, basis=w.basis, lam=0.5),
+        scalars=("lam",),
         objects=("scene", "basis"),
     ),
     "m_step": Case(
         m_step,
         lambda w: dict(patches=w.patches, beta=w.beta, noise_variance=0.05),
         arrays=("beta",),
+        scalars=("noise_variance",),
         objects=("patches",),
     ),
     "make_cyclic_blur": Case(
         make_cyclic_blur, lambda w: dict(psf=w.psf, geometry=w.geom), arrays=("psf",)
+    ),
+    "patch_index_map": Case(
+        patch_index_map,
+        lambda w: dict(geometry=w.geom, patch_side=2),
+        objects=("geometry",),
     ),
     "pca_basis": Case(
         pca_basis, lambda w: dict(y_h=w.hs.y_h, n_dims=2), arrays=("y_h",)
@@ -329,10 +377,11 @@ CASES = {
     "posterior": Case(
         posterior,
         lambda w: dict(patches=w.patches, model=w.model, noise_variance=0.05),
+        scalars=("noise_variance",),
         objects=("patches", "model"),
     ),
-    "psnr": metric_case(psnr),
-    "psnr_per_band": metric_case(psnr_per_band),
+    "psnr": metric_case(psnr, peak=1.0),
+    "psnr_per_band": metric_case(psnr_per_band, peak=1.0),
     "remove_means": Case(
         remove_means, lambda w: dict(patch_set=w.raw), objects=("patch_set",)
     ),
@@ -362,7 +411,7 @@ CASES = {
     "train_em": Case(
         train_em,
         lambda w: dict(patches=w.patches, config=w.em),
-        objects=("patches",),
+        objects=("patches", "config"),
     ),
     "train_scene_denoiser": Case(
         train_scene_denoiser,
@@ -371,6 +420,8 @@ CASES = {
             denoiser_variance=0.05,
         ),
         arrays=("y_m",),
+        scalars=("denoiser_variance",),
+        objects=("geometry", "em"),
     ),
     "v3_update": Case(
         v3_update,
@@ -381,6 +432,7 @@ CASES = {
         wiener_filter,
         lambda w: dict(covariance=w.model.covariances[0], noise_variance=0.05),
         arrays=("covariance",),
+        scalars=("noise_variance",),
     ),
 }
 
@@ -458,10 +510,11 @@ def same(a, b) -> bool:
 
 
 def test_every_public_name_is_in_the_table():
-    # a new export must say which arrays it takes, or that it takes none
+    # a new export must say which arrays and scalars it takes, or that it
+    # takes none
     assert len(pnpfusion.__all__) == 60
-    assert NO_ARRAY.isdisjoint(CASES)
-    assert set(pnpfusion.__all__) == NO_ARRAY | set(CASES)
+    assert NO_CASE.isdisjoint(CASES)
+    assert set(pnpfusion.__all__) == NO_CASE | set(CASES)
 
 
 @pytest.mark.parametrize(
@@ -493,6 +546,23 @@ def test_a_malformed_array_raises(world, name, argument, variant):
         args[arg] = spoiled(np.asarray(args[arg]), variant, case.wrong.get(argument))
     error = case.pinned.get((argument, variant), RULE[variant])
     with pytest.raises(error):
+        case.call(**args)
+
+
+@pytest.mark.parametrize(
+    "name, argument, variant",
+    [
+        (name, arg, variant)
+        for name, case in CASES.items()
+        for arg in case.scalars
+        for variant in BAD_SCALARS
+    ],
+)
+def test_a_malformed_scalar_raises(world, name, argument, variant):
+    case = CASES[name]
+    args = case.args(world)
+    args[argument] = BAD_SCALARS[variant]
+    with pytest.raises(case.pinned.get((argument, variant), ConfigError)):
         case.call(**args)
 
 

@@ -18,8 +18,8 @@ from pnpfusion.denoiser import (
 )
 from pnpfusion.errors import ConfigError, DimensionError, SizeError
 from pnpfusion.fftops import symbol_products
-from pnpfusion.gmm import GmmModel
-from pnpfusion.patches import ImageGeometry
+from pnpfusion.gmm import GmmModel, posterior
+from pnpfusion.patches import ImageGeometry, extract_patches, remove_means
 from tests.conftest import mirror_defect, train_random_denoiser
 
 
@@ -358,6 +358,33 @@ class TestImageDenoise:
         mmse = denoise_image_mmse(y, den.model, den.noise_variance, geom)
         np.testing.assert_allclose(mmse, reference @ y, rtol=1e-10)
 
+    def test_mmse_on_a_stack_freezes_the_band_mean_posterior(self, small_denoiser):
+        # one operator for the stack, with each pixel's posterior averaged
+        # over the bands, as train_scene_denoiser freezes it
+        den = small_denoiser
+        bands = np.random.default_rng(8).standard_normal((2, den.geometry.n))
+        band_betas = [zero_mean_posterior(band, den) for band in bands]
+        assert np.abs(band_betas[0] - band_betas[1]).max() > 0.1
+        beta = (band_betas[0] + band_betas[1]) / 2
+        frozen = replace(den, weights=beta, pure_linear=False)
+        mmse = denoise_image_mmse(bands, den.model, den.noise_variance, den.geometry)
+        assert mmse.shape == bands.shape
+        np.testing.assert_allclose(
+            mmse, denoise_image_fixed(bands, frozen), rtol=1e-10, atol=1e-12
+        )
+
+    def test_mmse_on_one_band_is_unchanged_by_the_band_mean(self, small_denoiser):
+        # the mean over one band is that band's posterior, bit for bit
+        den, geom = small_denoiser, small_denoiser.geometry
+        y = np.random.default_rng(9).standard_normal(geom.n)
+        patch_set = remove_means(extract_patches(y, geom, den.model.patch_side))
+        beta = posterior(patch_set, den.model, den.noise_variance)[0]
+        direct = LinearDenoiser(den.model, beta, den.noise_variance, geom)
+        np.testing.assert_array_equal(
+            denoise_image_mmse(y, den.model, den.noise_variance, geom),
+            denoise_image_fixed(y, direct),
+        )
+
     def test_mmse_on_a_non_finite_image_reports_the_patches(self, small_denoiser):
         # once refused as "beta must be >= 0", from the NaN posterior
         y = np.zeros(small_denoiser.geometry.n)
@@ -369,7 +396,6 @@ class TestImageDenoise:
 
     def test_denoising_improves_psnr_at_sigma_25(self):
         from pnpfusion.metrics import psnr
-        from pnpfusion.patches import extract_patches, remove_means
         from pnpfusion.gmm import EmConfig, train_em
         from pnpfusion.scenes import synthetic_image
 

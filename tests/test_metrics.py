@@ -49,22 +49,10 @@ class TestPsnr:
         with pytest.raises(DimensionError):
             psnr(np.zeros(3), np.zeros(4))
 
-    def test_nan_peak_raises(self):
-        x = np.zeros((2, 5))
-        with pytest.raises(MetricError):
-            psnr(x, x + 0.1, peak=float("nan"))
-
     def test_per_band_rejects_negative_peak(self):
         x = np.zeros((2, 5))
         with pytest.raises(MetricError):
             psnr_per_band(x, x + 0.1, peak=-1.0)
-
-    @pytest.mark.parametrize("metric", [psnr, psnr_per_band])
-    def test_infinite_peak_raises(self, metric):
-        # once returned inf, a PSNR it did not compute
-        x = np.zeros((2, 5))
-        with pytest.raises(MetricError):
-            metric(x, x + 0.1, peak=np.inf)
 
 
 class TestErgas:

@@ -50,6 +50,24 @@ def test_every_module_constant_is_read_in_its_module():
     assert unread == []
 
 
+def test_only_errors_compares_against_infinity():
+    # a range check is errors.require_real's; the hand-written copies of
+    # `0 < x < np.inf` that it replaced each let other malformed values past
+    package = Path(pnpfusion.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(part, ast.Attribute) and part.attr == "inf"
+                for operand in [node.left, *node.comparators]
+                for part in ast.walk(operand)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 RUN_IN_FRESH_INTERPRETER = """
 import sys
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from pnpfusion.admm import SolverConfig
-from pnpfusion.denoiser import EXPLICIT_W_CAP, denoise_image_fixed
 from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.fftops import make_cyclic_blur
-from pnpfusion.gmm import SIMPLEX_ATOL, EmConfig
+from pnpfusion.gmm import EmConfig
 from pnpfusion.metrics import psnr
 from pnpfusion.pairdeblur import (
     PairParams,
@@ -27,7 +26,7 @@ from pnpfusion.sharpen import (
     solve_hs,
     train_scene_denoiser,
 )
-from tests.conftest import mirror_defect, relative_error, scene_16
+from tests.conftest import relative_error, scene_16
 from tests.test_fftops import dense_blur_matrix_oracle
 
 # The pair model is sharpening with E = R = 1 and no decimation: the pair's
@@ -312,25 +311,3 @@ class TestShiftedSolve:
         assert x.tobytes() == x_ref[0].tobytes()
         assert asdict(report) == asdict(ref)
 
-
-class TestTheoryAtScale:
-    def test_prox_conditions_hold_beyond_the_explicit_cap(self):
-        # W is symmetric, W 1 = 1, every patch map has spectrum in [0, 1] and
-        # the weights are convex: the conditions that make W a prox, checked
-        # at a size no dense W or eigensolver reaches
-        geometry = ImageGeometry(256, 256)
-        assert geometry.n > EXPLICIT_W_CAP
-        scene = generate_pair_scene(
-            PairSceneSpec(geometry, "gauss8", 25 / 255, 2 / 255, seed=5)
-        )
-        em = EmConfig(n_components=3, noise_variance=scene.sigma_n**2, max_iters=3)
-        den = train_pair_denoiser(scene, 4, em, denoiser_variance=scene.sigma_n**2)
-        assert mirror_defect(den) == 0.0
-        ones = np.ones(geometry.n)
-        np.testing.assert_allclose(denoise_image_fixed(ones, den), ones, rtol=0, atol=1e-12)
-        vals = den.model.spectrum[0]
-        shrink = vals / (vals + den.noise_variance)
-        assert np.all((shrink >= 0) & (shrink <= 1))
-        beta = den.weights
-        assert beta.min() >= 0
-        assert np.abs(beta.sum(axis=0) - 1).max() <= SIMPLEX_ATOL

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
-from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
+from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed, denoise_image_mmse
 from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.fftops import blur_rows, make_cyclic_blur, symbol_products
 from pnpfusion.gmm import EmConfig, train_em
@@ -357,6 +357,22 @@ def test_a_callable_v3_step_is_run_as_the_denoiser_is(make):
     )
     np.testing.assert_array_equal(x_call, x)
     assert asdict(report_call) == asdict(report)
+
+
+def test_the_mmse_map_is_a_v3_step_on_a_two_band_basis():
+    # the map freezes one band-mean posterior per call, so it takes the
+    # (2, n) coefficient stack
+    case = hs_case()
+    den = case.denoiser(0.1, 0.05)
+    cfg = SolverConfig(rho=0.1, lam=case.lam, tau=0.05, max_iters=5)
+    x, report = run_salsa_hs(
+        case.scene,
+        case.basis,
+        lambda v: denoise_image_mmse(v, den.model, den.noise_variance, den.geometry),
+        cfg,
+    )
+    assert x.shape == (2, case.scene.geometry.n) and np.all(np.isfinite(x))
+    assert report.iterations_run == 5
 
 
 @pytest.mark.parametrize(

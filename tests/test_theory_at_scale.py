@@ -2,8 +2,11 @@
 
 The dense checks of ``build_explicit_w`` stop at n = 4096. Here D is the
 operator ``denoise_image_fixed`` applies, on a 256x256 pair scene, and only
-its applications are used:
+its stencil and its applications are used:
 
+* the conditions that make D a prox: every stencil coefficient equals its
+  mirror, ``D 1 = 1``, every Wiener filter's eigenvalues lie in [0, 1] and
+  the frozen weights lie on the simplex;
 * symmetry: ``|<u, D v> - <D u, v>| <= 1e-12 ||u|| ||v||`` for random u, v;
 * spectrum in [0, 1]: 40 Lanczos Ritz values of D, and 40 of I - D, lie in
   ``[-1e-12, 1 + 1e-12]``.
@@ -27,6 +30,9 @@ from pnpfusion import (
     generate_pair_scene,
     train_scene_denoiser,
 )
+from pnpfusion.denoiser import EXPLICIT_W_CAP
+from pnpfusion.gmm import SIMPLEX_ATOL
+from tests.conftest import mirror_defect
 
 TOL = 1e-12
 STEPS = 40
@@ -79,6 +85,22 @@ def spectra(den) -> tuple[np.ndarray, np.ndarray]:
 
 def in_unit_interval(values: np.ndarray) -> bool:
     return bool(values.min() >= -TOL and values.max() <= 1 + TOL)
+
+
+def test_prox_conditions_hold_beyond_the_explicit_cap(denoiser):
+    n = denoiser.geometry.n
+    assert n > EXPLICIT_W_CAP
+    assert mirror_defect(denoiser) == 0.0
+    ones = np.ones(n)
+    np.testing.assert_allclose(
+        denoise_image_fixed(ones, denoiser), ones, rtol=0, atol=1e-12
+    )
+    vals = denoiser.model.spectrum[0]
+    shrink = vals / (vals + denoiser.noise_variance)
+    assert np.all((shrink >= 0) & (shrink <= 1))
+    beta = denoiser.weights
+    assert beta.min() >= 0
+    assert np.abs(beta.sum(axis=0) - 1).max() <= SIMPLEX_ATOL
 
 
 def test_applied_denoiser_is_symmetric(denoiser):
