@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionError, DivergenceError, as_array, require_counts, require_real
+    DimensionError, DivergenceError, as_array, require_count, require_real
 )
 
 # Relative fixed-point residual ||rho (x - D x) + D grad F(x)|| / ||D A^T t||
@@ -70,7 +70,7 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("rho", "lam", "tau", "primal_tol", "dual_tol"):
             require_real(getattr(self, name), name, strict=name not in ("lam", "tau"))
-        require_counts(self, {"max_iters": 1})
+        require_count(self.max_iters, "max_iters")
 
 
 @dataclass

@@ -1,17 +1,24 @@
-"""Exception hierarchy of the package, and its rules for arrays and scalars.
+"""Exception hierarchy of the package, and its rules for every kind of input.
 
 Every error the package raises on purpose derives from :class:`PnpError`, so
 a caller can tell a refused input or a failed solve from a bug in numpy or in
 its own code; the subclass names the kind of failure.
 
-Exported functions and dataclasses take their arrays through :func:`as_array`:
-a wrong number of axes or no entries raise :class:`DimensionError`, and a NaN
-or infinite entry, or anything but numbers where an array belongs,
-:class:`ConfigError`. Real-valued parameters go through :func:`require_real`
-and counts through :func:`is_count`: a bad one raises :class:`ConfigError`
-(:class:`MetricError` in the metrics, :class:`DimensionError` for a geometry).
-A foreign object where one of the package's classes belongs raises
-:class:`ConfigError` through :func:`require_instance`.
+Exported functions and dataclasses take each kind of input through one helper:
+
+* arrays through :func:`as_array`: a wrong number of axes or no entries raise
+  :class:`DimensionError`, and a NaN or infinite entry, or anything but
+  numbers where an array belongs, :class:`ConfigError`;
+* real-valued parameters through :func:`require_real`: anything but a real
+  number in the parameter's interval raises :class:`ConfigError`
+  (:class:`MetricError` in the metrics);
+* counts (extents, sizes, budgets, seeds) through :func:`require_count`:
+  anything but an integer of at least the count's minimum, 2.0 and True
+  included, raises :class:`ConfigError`, and :class:`DimensionError` for
+  grid extents and the side of the patches cut from a grid;
+* one of the package's classes through :func:`require_instance`: a foreign
+  object raises :class:`ConfigError` before it meets an attribute lookup.
+
 The metrics raise :class:`MetricError` for empty or non-finite input, and a
 patch set is refused where it is used, from its cached norms.
 """
@@ -55,24 +62,13 @@ class MetricError(PnpError):
     non-finite sample)."""
 
 
-def is_count(value, minimum: int = 1) -> bool:
-    """True for an integer (numpy's included, bool excluded) >= ``minimum``.
-
-    Floats such as 2.0 are refused: ``range`` and numpy's seeding would
-    reject them later with their own errors.
-    """
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        return False
-    return value >= minimum
-
-
-def require_counts(config, minimums: dict[str, int]) -> None:
-    """Raise :class:`ConfigError` unless each named field of ``config`` is a
-    count (:func:`is_count`) of at least its minimum."""
-    for name, minimum in minimums.items():
-        value = getattr(config, name)
-        if not is_count(value, minimum):
-            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def require_count(value, name: str, minimum: int = 1, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is an integer, numpy's too, of at least
+    ``minimum``. A bool, a float such as 2.0, NaN, a string and None are
+    refused: ``range`` and numpy's seeding would reject them later with their
+    own errors. It checks, never converts."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r:.60}")
 
 
 def require_instance(obj, cls: type, name: str) -> None:

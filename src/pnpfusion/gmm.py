@@ -90,7 +90,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ConfigError, DimensionError, as_array, require_counts, require_instance,
+    ConfigError, DimensionError, as_array, require_count, require_instance,
     require_real,
 )
 from .patches import PatchSet, check_finite_patches
@@ -133,7 +133,7 @@ class GmmModel:
     patch_side: int
 
     def __post_init__(self):
-        require_counts(self, {"patch_side": 1})
+        require_count(self.patch_side, "patch_side")
         if np.size(self.alphas) == 0:
             raise ConfigError("a mixture needs at least one component")
         for name, ndim in (("alphas", 1), ("covariances", 3)):
@@ -175,7 +175,8 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_counts(self, {"n_components": 1, "max_iters": 1, "seed": 0})
+        for name, minimum in (("n_components", 1), ("max_iters", 1), ("seed", 0)):
+            require_count(getattr(self, name), name, minimum)
         require_real(self.loglik_rel_tol, "loglik_rel_tol", strict=True)
         require_real(self.noise_variance, "noise_variance")
 

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ConfigError, DimensionError, StateError, as_array, is_count, require_instance
+    ConfigError, DimensionError, StateError, as_array, require_count, require_instance
 )
 
 
@@ -36,10 +36,8 @@ class ImageGeometry:
     width: int
 
     def __post_init__(self):
-        if not (is_count(self.height) and is_count(self.width)):
-            raise DimensionError(
-                f"geometry must be positive integers, got {self.height}x{self.width}"
-            )
+        require_count(self.height, "height", error=DimensionError)
+        require_count(self.width, "width", error=DimensionError)
 
     @property
     def n(self) -> int:
@@ -109,9 +107,8 @@ def patch_index_map(geometry: ImageGeometry, patch_side: int) -> np.ndarray:
     patch anchored at pixel ``i``.
     """
     require_instance(geometry, ImageGeometry, "geometry")
+    require_count(patch_side, "patch_side", error=DimensionError)
     h, w = geometry.height, geometry.width
-    if not is_count(patch_side):
-        raise DimensionError(f"patch side must be a positive integer, got {patch_side}")
     if patch_side > h or patch_side > w:
         raise DimensionError(
             f"patch side {patch_side} exceeds image dimensions {h}x{w}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, require_counts, require_real
+from .errors import ConfigError, require_count, require_real
 from .fftops import blur_rows, make_cyclic_blur
 from .patches import ImageGeometry
 from .sharpen import HsScene, forward_hs, forward_ms, make_decimation_mask
@@ -36,10 +36,9 @@ class HsSceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require_counts(self, {
-            "n_bands_hs": 1, "n_bands_ms": 1, "n_subspace_true": 1,
-            "decimation": 1, "seed": 0,
-        })
+        for name in ("n_bands_hs", "n_bands_ms", "n_subspace_true", "decimation"):
+            require_count(getattr(self, name), name)
+        require_count(self.seed, "seed", minimum=0)
         if self.n_subspace_true > self.n_bands_hs:
             raise ConfigError("true subspace cannot exceed the band count")
         for name in ("snr_h_db", "snr_m_db"):
@@ -57,7 +56,7 @@ class PairSceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require_counts(self, {"seed": 0})
+        require_count(self.seed, "seed", minimum=0)
         for name in ("sigma_n", "sigma_b"):
             require_real(getattr(self, name), name)
 

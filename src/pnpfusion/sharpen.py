@@ -50,7 +50,7 @@ from .admm import (
 )
 from .denoiser import DataTerm, LinearDenoiser, band_mean_denoiser, denoise_image_fixed
 from .errors import (
-    ConfigError, DimensionError, as_array, is_count, require_instance, require_real
+    ConfigError, DimensionError, as_array, require_count, require_instance, require_real
 )
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
 from .gmm import EmConfig, train_em
@@ -122,8 +122,7 @@ class HsScene:
 
 def make_decimation_mask(geometry: ImageGeometry, d: int) -> np.ndarray:
     """0/1 pixel mask keeping every d-th row and column, top-left phase."""
-    if not is_count(d):
-        raise ConfigError(f"decimation factor must be an integer >= 1, got {d!r}")
+    require_count(d, "d")
     rows = np.arange(geometry.height) % d == 0
     cols = np.arange(geometry.width) % d == 0
     grid = np.outer(rows, cols)
@@ -156,11 +155,9 @@ def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
     in ``[1, min(y_h.shape)]``.
     """
     y_h = as_array(y_h, "y_h", 2)
-    bound = min(y_h.shape)
-    if not (is_count(n_dims) and n_dims <= bound):
-        raise ConfigError(
-            f"subspace dimension must be an integer in [1, {bound}], got {n_dims!r}"
-        )
+    require_count(n_dims, "n_dims")
+    if n_dims > min(y_h.shape):
+        raise ConfigError(f"n_dims must be at most min(y_h.shape) = {min(y_h.shape)}")
     u = np.linalg.svd(y_h, full_matrices=False)[0]
     e = u[:, :n_dims].copy()
     for j in range(n_dims):
