@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionError, DivergenceError, as_array, require_count, require_real
+    DimensionError, DivergenceError, as_array, require_count, require_instance,
+    require_real,
 )
 
 # Relative fixed-point residual ||rho (x - D x) + D grad F(x)|| / ||D A^T t||
@@ -128,6 +129,7 @@ def run_admm(problem, config: SolverConfig, init_v):
     The scaled duals start at zero. Returns ``(x, SolveReport)`` with the last
     computed x. Raises :class:`DivergenceError` if any iterate goes non-finite.
     """
+    require_instance(config, SolverConfig, "config")
     vs = [as_array(v, "init_v", range(1, 33)) for v in init_v]
     us = [np.zeros_like(v) for v in vs]
     report = SolveReport()
@@ -224,6 +226,7 @@ def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
     nonnegative on all of them; ``tests/test_theory_at_scale.py`` probes the
     symmetry and spectrum of D itself.
     """
+    require_instance(config, SolverConfig, "config")
     if precondition is None:
         def precondition(v):
             return v

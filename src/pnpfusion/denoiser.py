@@ -45,7 +45,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    ConfigError, DimensionError, SizeError, as_array, require_instance, require_real
+    ConfigError, DimensionError, SizeError, as_array, require_flag, require_instance,
+    require_real,
 )
 from .gmm import GmmModel, checked_responsibilities, eigt, posterior
 from .patches import (  # perfbench/tracing.py patches the two unused names here
@@ -89,7 +90,9 @@ class LinearDenoiser:
 
     def __post_init__(self):
         require_instance(self.model, GmmModel, "model")
+        require_instance(self.geometry, ImageGeometry, "geometry")
         require_real(self.noise_variance, "noise_variance", strict=True)
+        require_flag(self.pure_linear, "pure_linear")
         n, k = self.geometry.n, self.model.n_components
         beta = checked_responsibilities(self.weights, n, k)
         object.__setattr__(self, "weights", beta)

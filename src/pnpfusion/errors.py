@@ -16,6 +16,9 @@ Exported functions and dataclasses take each kind of input through one helper:
   anything but an integer of at least the count's minimum, 2.0 and True
   included, raises :class:`ConfigError`, and :class:`DimensionError` for
   grid extents and the side of the patches cut from a grid;
+* flags through :func:`require_flag`: anything but a bool raises
+  :class:`ConfigError`, so a string such as "False" is never taken at its
+  truth value;
 * one of the package's classes through :func:`require_instance`: a foreign
   object raises :class:`ConfigError` before it meets an attribute lookup.
 
@@ -76,6 +79,12 @@ def require_instance(obj, cls: type, name: str) -> None:
     package's classes, before a foreign object meets an attribute lookup."""
     if not isinstance(obj, cls):
         raise ConfigError(f"{name} must be a {cls.__name__}, got {type(obj).__name__}")
+
+
+def require_flag(value, name: str) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a bool, numpy's too."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r:.60}")
 
 
 def as_array(value, name: str, ndim, finite=True, empty=False) -> np.ndarray:

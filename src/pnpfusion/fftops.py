@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, as_array, require_instance, require_real
+from .errors import (
+    DimensionError, as_array, require_flag, require_instance, require_real
+)
 from .patches import ImageGeometry
 
 
@@ -36,6 +38,7 @@ class CyclicBlur:
     transfer: np.ndarray
 
     def __post_init__(self):
+        require_instance(self.geometry, ImageGeometry, "geometry")
         for name in ("psf", "transfer"):
             object.__setattr__(self, name, as_array(getattr(self, name), name, 2))
 
@@ -46,6 +49,7 @@ class CyclicBlur:
 
 def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
     """Cache the DFT of the zero-padded, center-shifted kernel."""
+    require_instance(geometry, ImageGeometry, "geometry")
     psf = as_array(psf, "psf", 2)
     kh, kw = psf.shape
     if kh > geometry.height or kw > geometry.width:
@@ -62,6 +66,7 @@ def blur_rows(x: np.ndarray, blur: CyclicBlur, adjoint: bool = False) -> np.ndar
     """Circular convolution of every band of a (..., n) stack with the PSF
     (correlation when ``adjoint``)."""
     require_instance(blur, CyclicBlur, "blur")
+    require_flag(adjoint, "adjoint")
     return symbol_products(x, np.conj(blur.transfer) if adjoint else blur.transfer)
 
 

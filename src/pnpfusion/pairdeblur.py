@@ -38,7 +38,9 @@ from .errors import as_array, require_instance
 from .fftops import CyclicBlur, apply_blur, solve_x_update_pair
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
-from .sharpen import HsScene, SharpenParams, sharpen, train_scene_denoiser
+from .sharpen import (
+    HsScene, SharpenParams, check_params, sharpen, train_scene_denoiser
+)
 
 log = logging.getLogger(__name__)
 
@@ -59,6 +61,7 @@ class PairScene:
     truth: np.ndarray | None = None
 
     def __post_init__(self):
+        require_instance(self.geometry, ImageGeometry, "geometry")
         for name in ("y_b", "y_n", "truth"):
             if name != "truth" or self.truth is not None:
                 object.__setattr__(self, name, as_array(getattr(self, name), name, 1))
@@ -94,6 +97,9 @@ class PairParams:
     solver: SolverConfig
     pure_linear: bool = False
 
+    def __post_init__(self):
+        check_params(self)
+
 
 def train_pair_denoiser(
     scene: PairScene,
@@ -126,6 +132,7 @@ def deblur_pair(
     the two-term least-squares fusion.
     """
     require_instance(scene, PairScene, "scene")
+    require_instance(params, PairParams, "params")
     x, report = sharpen(
         scene.hs_scene,
         SharpenParams(

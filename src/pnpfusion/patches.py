@@ -77,6 +77,8 @@ class PatchSet:
     means: np.ndarray | None = None
 
     def __post_init__(self):
+        require_count(self.patch_side, "patch_side", error=DimensionError)
+        require_instance(self.source_geometry, ImageGeometry, "source_geometry")
         # an empty or non-finite set is refused where it is used
         rows = as_array(self.patches, "patches", 2, finite=False, empty=True)
         object.__setattr__(self, "patches", rows)

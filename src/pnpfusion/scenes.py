@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, require_count, require_real
+from .errors import ConfigError, require_count, require_instance, require_real
 from .fftops import blur_rows, make_cyclic_blur
 from .patches import ImageGeometry
 from .sharpen import HsScene, forward_hs, forward_ms, make_decimation_mask
@@ -36,6 +36,7 @@ class HsSceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_instance(self.geometry, ImageGeometry, "geometry")
         for name in ("n_bands_hs", "n_bands_ms", "n_subspace_true", "decimation"):
             require_count(getattr(self, name), name)
         require_count(self.seed, "seed", minimum=0)
@@ -56,6 +57,11 @@ class PairSceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_instance(self.geometry, ImageGeometry, "geometry")
+        if not (isinstance(self.kernel_id, str) and self.kernel_id in PAIR_KERNELS):
+            raise ConfigError(
+                f"kernel_id must be one of {PAIR_KERNELS}, got {self.kernel_id!r:.60}"
+            )
         require_count(self.seed, "seed", minimum=0)
         for name in ("sigma_n", "sigma_b"):
             require_real(getattr(self, name), name)
@@ -94,6 +100,7 @@ def _exact_noise(
 
 def generate_hs_scene(spec: HsSceneSpec) -> HsScene:
     """Synthesize (Z, Y_h, Y_m) with the requested SNRs realized exactly."""
+    require_instance(spec, HsSceneSpec, "spec")
     rng = np.random.default_rng(spec.seed)
     geometry = spec.geometry
     l_h, l_s = spec.n_bands_hs, spec.n_subspace_true
@@ -208,6 +215,7 @@ def synthetic_image(geometry: ImageGeometry) -> np.ndarray:
     Gradient background, two geometric shapes, and a sinusoidal texture band;
     enough structure for patch priors to have something to learn.
     """
+    require_instance(geometry, ImageGeometry, "geometry")
     h, w = geometry.height, geometry.width
     rr, cc = np.meshgrid(
         (np.arange(h) + 0.5) / h, (np.arange(w) + 0.5) / w, indexing="ij"
@@ -224,6 +232,7 @@ def synthetic_image(geometry: ImageGeometry) -> np.ndarray:
 
 def generate_pair_scene(spec: PairSceneSpec) -> PairScene:
     """Synthesize a blurred/noisy pair with exactly realized noise levels."""
+    require_instance(spec, PairSceneSpec, "spec")
     geometry = spec.geometry
     rng = np.random.default_rng(spec.seed)
     truth = synthetic_image(geometry)

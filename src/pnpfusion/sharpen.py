@@ -50,7 +50,8 @@ from .admm import (
 )
 from .denoiser import DataTerm, LinearDenoiser, band_mean_denoiser, denoise_image_fixed
 from .errors import (
-    ConfigError, DimensionError, as_array, require_count, require_instance, require_real
+    ConfigError, DimensionError, as_array, require_count, require_flag,
+    require_instance, require_real,
 )
 from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
 from .gmm import EmConfig, train_em
@@ -91,6 +92,7 @@ class HsScene:
 
     def __post_init__(self):
         require_instance(self.blur, CyclicBlur, "blur")
+        require_instance(self.geometry, ImageGeometry, "geometry")
         object.__setattr__(self, "r", as_array(self.r, "r", 2))
         # np.asarray, not as_array: an integer mask keeps its dtype
         object.__setattr__(self, "mask", np.asarray(self.mask))
@@ -122,6 +124,7 @@ class HsScene:
 
 def make_decimation_mask(geometry: ImageGeometry, d: int) -> np.ndarray:
     """0/1 pixel mask keeping every d-th row and column, top-left phase."""
+    require_instance(geometry, ImageGeometry, "geometry")
     require_count(d, "d")
     rows = np.arange(geometry.height) % d == 0
     cols = np.arange(geometry.width) % d == 0
@@ -189,6 +192,18 @@ class SharpenParams:
     solver: SolverConfig
     pure_linear: bool = False
 
+    def __post_init__(self):
+        check_params(self)
+
+
+def check_params(params) -> None:
+    """Raise :class:`ConfigError` unless the params' ``em`` and ``solver`` are
+    an :class:`EmConfig` and a :class:`SolverConfig` and ``pure_linear`` is a
+    bool; the counts are checked where they are used."""
+    require_instance(params.em, EmConfig, "em")
+    require_instance(params.solver, SolverConfig, "solver")
+    require_flag(params.pure_linear, "pure_linear")
+
 
 def train_scene_denoiser(
     y_m: np.ndarray,
@@ -224,15 +239,27 @@ def _check_problem(scene: HsScene, basis: SubspaceBasis, lam: float) -> None:
 
 def _v3_step(denoiser, geometry: ImageGeometry):
     """``denoiser`` as a map on ``(k, n)`` coefficients: the identity for None,
-    D for a :class:`LinearDenoiser` on ``geometry``, else the callable itself."""
+    D for a :class:`LinearDenoiser` on ``geometry``, else the callable, whose
+    output must be an array of its input's shape."""
     if denoiser is None:
         return lambda x: x
     if callable(denoiser):
-        return denoiser
+        return lambda x: _checked_step_output(denoiser(x), x.shape)
     require_instance(denoiser, LinearDenoiser, "denoiser")
     if denoiser.geometry != geometry:
         raise DimensionError(f"denoiser grid {denoiser.geometry} != {geometry}")
     return lambda x: denoise_image_fixed(x, denoiser)
+
+
+def _checked_step_output(out, shape: tuple) -> np.ndarray:
+    """A callable v3-step's output: :class:`ConfigError` unless it is an
+    array, :class:`DimensionError` unless it has the input's ``shape``."""
+    if not isinstance(out, np.ndarray):
+        raise ConfigError(f"the v3-step returned a {type(out).__name__}, not an array")
+    out = as_array(out, "v3-step output", len(shape), finite=False)
+    if out.shape != shape:
+        raise DimensionError(f"the v3-step returned shape {out.shape}, not {shape}")
+    return out
 
 
 def hs_data_term(scene: HsScene, basis: SubspaceBasis, lam: float) -> DataTerm:
@@ -377,6 +404,7 @@ def sharpen(
     reference. With ``tau == 0`` no GMM is trained and D is the identity.
     """
     require_instance(scene, HsScene, "scene")
+    require_instance(params, SharpenParams, "params")
     cfg = params.solver
     basis = pca_basis(scene.y_h, params.n_subspace)
     denoiser = None

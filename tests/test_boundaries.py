@@ -1,12 +1,14 @@
-"""One table-driven test of the array and scalar boundary of every public name.
+"""One table-driven test of the input boundary of every public name.
 
-Each name in ``pnpfusion.__all__`` either takes no array, real-valued scalar
-or checked package object (``NO_CASE``) or has a ``CASES`` entry: one valid
-call, built from small fixtures, and the names of its array arguments, of
-its real-valued scalar arguments and of its arguments that take one of the
-package's classes (a patch set, mixture, denoiser, blur, dense W, basis,
-scene, geometry or EM config). Each array argument (or each pair joined by
-"+") is replaced in turn by
+Each name in ``pnpfusion.__all__`` either takes no array, real-valued scalar,
+count, flag or package object (``NO_CASE``) or has a ``CASES`` entry: one
+valid call, built from small fixtures, and the names of its array arguments,
+of its real-valued scalar arguments, of its count arguments with their
+minimums, of its flags and of its arguments that take one of the package's
+classes (a patch set, mixture, denoiser, blur, dense W, basis, scene,
+geometry, spec, config or params). A test reads each export's annotations,
+so that no argument is left out of the column of its type. Each array
+argument (or each pair joined by "+") is replaced in turn by
 
 * a list of its values, which must give a result ``np.array_equal`` to the
   array's, of the same dtype;
@@ -17,11 +19,16 @@ scene, geometry or EM config). Each array argument (or each pair joined by
 
 each scalar argument by ``"a"``, None, a 2-vector, NaN and inf, each of
 which must raise :class:`ConfigError`, or :class:`MetricError` in the
-metrics; and each argument of a package class by a list, which must raise
-:class:`ConfigError`. Other geometry and config arguments are not in the
-table.
+metrics; each count argument by 2.0, 2.5, NaN, True, ``"a"``, None and its
+minimum - 1, each of which must raise :class:`ConfigError`, or
+:class:`DimensionError` for grid extents and patch sides; each flag by
+``"False"``, 0, 1.0 and None, and each argument of a package class by a list,
+each of which must raise :class:`ConfigError`.
 """
 
+import inspect
+import types
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -68,6 +75,7 @@ from pnpfusion import (
     hs_data_term,
     m_step,
     make_cyclic_blur,
+    make_decimation_mask,
     patch_index_map,
     pca_basis,
     posterior,
@@ -79,6 +87,7 @@ from pnpfusion import (
     sharpen,
     solve_fixed_point,
     symbol_products,
+    synthetic_image,
     train_em,
     train_scene_denoiser,
     v3_update,
@@ -95,15 +104,28 @@ NO_CASE = {
     "PnpError",
     "SizeError",
     "StateError",
-    "ImageGeometry",
-    "PairParams",
-    "SharpenParams",
-    "SolveReport",  # its traces are lists of floats
-    "generate_hs_scene",
-    "generate_pair_scene",
-    "make_decimation_mask",
-    "make_kernel",
-    "synthetic_image",
+    "SolveReport",  # an output record (EXEMPT)
+    "make_kernel",  # takes a kernel name
+}
+
+# (export, argument) left out of the column its annotation names, or of
+# every column though it has no annotation
+EXEMPT = {
+    # the solvers fill the record and nothing reads it back
+    ("SolveReport", "iterations_run"),
+    ("SolveReport", "converged"),
+    ("SolveReport", "final_primal"),
+    ("SolveReport", "final_dual"),
+    # set by remove_means, not by a caller
+    ("PatchSet", "means"),
+    # duck-typed: any object with run_admm's four callbacks; and a list of
+    # arrays, whose one array the table spoils as ``init``
+    ("run_admm", "problem"),
+    ("run_admm", "init_v"),
+    # duck-typed: any object with DataTerm's interface, and two callables
+    ("solve_fixed_point", "data"),
+    ("solve_fixed_point", "denoise"),
+    ("solve_fixed_point", "precondition"),
 }
 
 # the error each spoiled array raises under the boundary rule
@@ -120,6 +142,19 @@ BAD_SCALARS = {
 }
 
 
+# the values each flag is replaced by: a string such as "False" was once
+# taken at its truth value
+BAD_FLAGS = {"str": "False", "int": 0, "float": 1.0, "None": None}
+
+
+def bad_counts(minimum: int) -> dict:
+    """The malformed values each count argument of that minimum is replaced by."""
+    return {
+        "2.0": 2.0, "2.5": 2.5, "nan": np.nan, "True": True, "str": "a",
+        "None": None, "below": minimum - 1,
+    }
+
+
 @dataclass(frozen=True)
 class Case:
     """``call(**args(world))`` is one valid call."""
@@ -128,6 +163,8 @@ class Case:
     args: Callable[[SimpleNamespace], dict]
     arrays: tuple[str, ...] = ()
     scalars: tuple[str, ...] = ()  # real-valued arguments
+    counts: dict = field(default_factory=dict)  # count argument -> its minimum
+    flags: tuple[str, ...] = ()  # bool arguments
     objects: tuple[str, ...] = ()  # arguments that take a package class
     # (argument, variant) -> the error an existing test or the rule pins
     pinned: dict = field(default_factory=dict)
@@ -152,10 +189,14 @@ def metric_case(metric, **scalars):
     )
 
 
-def solve_with_identity(apply, adjoint, target, shape):
-    return solve_fixed_point(
-        DataTerm(apply, adjoint, target, shape), lambda v: v, SolverConfig(rho=0.3)
-    )
+def grid_counts(*names) -> dict:
+    # the count rule raises DimensionError for grid extents and patch sides
+    return {(name, v): DimensionError for name in names for v in bad_counts(1)}
+
+
+def solve_with_identity(apply, adjoint, target, shape, config):
+    data = DataTerm(apply, adjoint, target, shape)
+    return solve_fixed_point(data, lambda v: v, config)
 
 
 def objective_at_the_solution(apply, adjoint, target, shape, reg_weight, w):
@@ -174,6 +215,16 @@ def admm_from(problem, config, init):
     return run_admm(problem, config, [init])
 
 
+def sharpen_with(scene, n_subspace, patch_side, em, solver, pure_linear):
+    # the counts of the params are checked where sharpen uses them
+    params = SharpenParams(n_subspace, patch_side, em, solver, pure_linear)
+    return sharpen(scene, params)
+
+
+def deblur_with(scene, patch_side, em, solver, pure_linear):
+    return deblur_pair(scene, PairParams(patch_side, em, solver, pure_linear))
+
+
 def scene_fields(scene):
     return {f.name: getattr(scene, f.name) for f in fields(scene)}
 
@@ -185,15 +236,17 @@ SOLVE = Case(
     solve_with_identity,
     lambda w: dict(
         apply=lambda x: w.matrix @ x, adjoint=lambda r: w.matrix.T @ r,
-        target=w.image, shape=(8,),
+        target=w.image, shape=(8,), config=SolverConfig(rho=0.3),
     ),
     arrays=("target",),
+    objects=("config",),
     pinned={("target", "nan"): DivergenceError},
 )
 BLUR = Case(
     blur_rows,
-    lambda w: dict(x=w.coeffs, blur=w.hs.blur),
+    lambda w: dict(x=w.coeffs, blur=w.hs.blur, adjoint=False),
     arrays=("x",),
+    flags=("adjoint",),
     objects=("blur",),
     wrong={"x": ZERO_D},
 )
@@ -203,6 +256,7 @@ CASES = {
         CyclicBlur,
         lambda w: dict(psf=w.psf, geometry=w.geom, transfer=w.blur.transfer),
         arrays=("psf", "transfer"),
+        objects=("geometry",),
     ),
     # tests/test_admm.py pins DivergenceError for a NaN target
     "DataTerm": Case(
@@ -218,8 +272,12 @@ CASES = {
     ),
     "EmConfig": Case(
         EmConfig,
-        lambda w: dict(n_components=2, noise_variance=0.01, loglik_rel_tol=1e-5),
+        lambda w: dict(
+            n_components=2, noise_variance=0.01, max_iters=3, loglik_rel_tol=1e-5,
+            seed=0,
+        ),
         scalars=("noise_variance", "loglik_rel_tol"),
+        counts={"n_components": 1, "max_iters": 1, "seed": 0},
     ),
     "ExplicitW": Case(
         ExplicitW,
@@ -236,6 +294,7 @@ CASES = {
             alphas=w.model.alphas, covariances=w.model.covariances, patch_side=2
         ),
         arrays=("alphas", "covariances"),
+        counts={"patch_side": 1},
         pinned={("alphas", "empty"): ConfigError},
     ),
     "HsScene": Case(
@@ -243,37 +302,63 @@ CASES = {
         lambda w: scene_fields(w.hs),
         arrays=("y_h", "y_m", "mask", "r", "z"),
         scalars=("sigma_h", "sigma_m"),
-        objects=("blur",),
+        objects=("blur", "geometry"),
     ),
     "HsSceneSpec": Case(
         HsSceneSpec,
         lambda w: dict(
             geometry=w.geom, n_bands_hs=4, n_bands_ms=2, n_subspace_true=2,
-            decimation=2, snr_h_db=30.0, snr_m_db=30.0,
+            decimation=2, snr_h_db=30.0, snr_m_db=30.0, seed=5,
         ),
         scalars=("snr_h_db", "snr_m_db"),
+        counts={
+            "n_bands_hs": 1, "n_bands_ms": 1, "n_subspace_true": 1, "decimation": 1,
+            "seed": 0,
+        },
+        objects=("geometry",),
+    ),
+    "ImageGeometry": Case(
+        ImageGeometry,
+        lambda w: dict(height=6, width=6),
+        counts={"height": 1, "width": 1},
+        pinned=grid_counts("height", "width"),
     ),
     "LinearDenoiser": Case(
         LinearDenoiser,
         lambda w: dict(
             model=w.model, weights=w.den.weights, noise_variance=0.05,
-            geometry=w.geom,
+            geometry=w.geom, pure_linear=False,
         ),
         arrays=("weights",),
         scalars=("noise_variance",),
-        objects=("model",),
+        flags=("pure_linear",),
+        objects=("model", "geometry"),
+    ),
+    "PairParams": Case(
+        deblur_with,
+        lambda w: dict(
+            scene=w.pair, patch_side=2, em=w.em, solver=w.solver, pure_linear=False
+        ),
+        counts={"patch_side": 1},
+        flags=("pure_linear",),
+        objects=("em", "solver"),
+        pinned=grid_counts("patch_side"),
     ),
     "PairScene": Case(
         PairScene,
         lambda w: scene_fields(w.pair),
         arrays=("y_b", "y_n", "truth"),
         scalars=("sigma_b", "sigma_n"),
-        objects=("blur",),
+        objects=("blur", "geometry"),
     ),
     "PairSceneSpec": Case(
         PairSceneSpec,
-        lambda w: dict(geometry=w.geom, kernel_id="delta", sigma_n=0.1, sigma_b=0.01),
+        lambda w: dict(
+            geometry=w.geom, kernel_id="delta", sigma_n=0.1, sigma_b=0.01, seed=5
+        ),
         scalars=("sigma_n", "sigma_b"),
+        counts={"seed": 0},
+        objects=("geometry",),
     ),
     "PatchSet": Case(
         patch_set_in_use,
@@ -281,11 +366,28 @@ CASES = {
             patches=w.raw.patches, patch_side=2, source_geometry=w.geom
         ),
         arrays=("patches",),
+        counts={"patch_side": 1},
+        objects=("source_geometry",),
+        pinned=grid_counts("patch_side"),
+    ),
+    "SharpenParams": Case(
+        sharpen_with,
+        lambda w: dict(
+            scene=w.hs, n_subspace=2, patch_side=2, em=w.em, solver=w.solver,
+            pure_linear=False,
+        ),
+        counts={"n_subspace": 1, "patch_side": 1},
+        flags=("pure_linear",),
+        objects=("em", "solver"),
+        pinned=grid_counts("patch_side"),
     ),
     "SolverConfig": Case(
         SolverConfig,
-        lambda w: dict(rho=0.05, lam=0.5, tau=0.05, primal_tol=1e-6, dual_tol=1e-6),
+        lambda w: dict(
+            rho=0.05, lam=0.5, tau=0.05, max_iters=20, primal_tol=1e-6, dual_tol=1e-6
+        ),
         scalars=("rho", "lam", "tau", "primal_tol", "dual_tol"),
+        counts={"max_iters": 1},
     ),
     "SubspaceBasis": Case(SubspaceBasis, lambda w: dict(e=w.basis.e), arrays=("e",)),
     "apply_blur": BLUR,
@@ -296,7 +398,7 @@ CASES = {
     "deblur_pair": Case(
         deblur_pair,
         lambda w: dict(scene=w.pair, params=w.pair_params),
-        objects=("scene",),
+        objects=("scene", "params"),
     ),
     "denoise_image_fixed": Case(
         denoise_image_fixed,
@@ -336,7 +438,9 @@ CASES = {
         extract_patches,
         lambda w: dict(image_band=w.image, geometry=w.geom, patch_side=2),
         arrays=("image_band",),
+        counts={"patch_side": 1},
         objects=("geometry",),
+        pinned=grid_counts("patch_side"),
     ),
     "forward_hs": Case(
         forward_hs,
@@ -349,6 +453,12 @@ CASES = {
         lambda w: dict(z=w.hs.z, scene=w.hs),
         arrays=("z",),
         objects=("scene",),
+    ),
+    "generate_hs_scene": Case(
+        generate_hs_scene, lambda w: dict(spec=w.hs_spec), objects=("spec",)
+    ),
+    "generate_pair_scene": Case(
+        generate_pair_scene, lambda w: dict(spec=w.pair_spec), objects=("spec",)
     ),
     "hs_data_term": Case(
         hs_data_term,
@@ -364,15 +474,29 @@ CASES = {
         objects=("patches",),
     ),
     "make_cyclic_blur": Case(
-        make_cyclic_blur, lambda w: dict(psf=w.psf, geometry=w.geom), arrays=("psf",)
+        make_cyclic_blur,
+        lambda w: dict(psf=w.psf, geometry=w.geom),
+        arrays=("psf",),
+        objects=("geometry",),
+    ),
+    "make_decimation_mask": Case(
+        make_decimation_mask,
+        lambda w: dict(geometry=w.geom, d=2),
+        counts={"d": 1},
+        objects=("geometry",),
     ),
     "patch_index_map": Case(
         patch_index_map,
         lambda w: dict(geometry=w.geom, patch_side=2),
+        counts={"patch_side": 1},
         objects=("geometry",),
+        pinned=grid_counts("patch_side"),
     ),
     "pca_basis": Case(
-        pca_basis, lambda w: dict(y_h=w.hs.y_h, n_dims=2), arrays=("y_h",)
+        pca_basis,
+        lambda w: dict(y_h=w.hs.y_h, n_dims=2),
+        arrays=("y_h",),
+        counts={"n_dims": 1},
     ),
     "posterior": Case(
         posterior,
@@ -393,13 +517,14 @@ CASES = {
             init=np.zeros(w.geom.n),
         ),
         arrays=("init",),
+        objects=("config",),
         wrong={"init": ZERO_D},
     ),
     "sam": metric_case(sam),
     "sharpen": Case(
         sharpen,
         lambda w: dict(scene=w.hs, params=w.hs_params),
-        objects=("scene",),
+        objects=("scene", "params"),
     ),
     "solve_fixed_point": SOLVE,
     "symbol_products": Case(
@@ -407,6 +532,9 @@ CASES = {
         lambda w: dict(band=w.coeffs, symbols=w.hs.blur.transfer),
         arrays=("band", "symbols"),
         wrong={"band": ZERO_D},
+    ),
+    "synthetic_image": Case(
+        synthetic_image, lambda w: dict(geometry=w.geom), objects=("geometry",)
     ),
     "train_em": Case(
         train_em,
@@ -417,16 +545,20 @@ CASES = {
         train_scene_denoiser,
         lambda w: dict(
             y_m=w.hs.y_m, geometry=w.hs.geometry, patch_side=2, em=w.em,
-            denoiser_variance=0.05,
+            denoiser_variance=0.05, pure_linear=False,
         ),
         arrays=("y_m",),
         scalars=("denoiser_variance",),
+        counts={"patch_side": 1},
+        flags=("pure_linear",),
         objects=("geometry", "em"),
+        pinned=grid_counts("patch_side"),
     ),
     "v3_update": Case(
         v3_update,
         lambda w: dict(x=w.coeffs, d3=0.5 * w.coeffs, den=None),
         arrays=("x", "d3"),
+        objects=("den",),
     ),
     "wiener_filter": Case(
         wiener_filter,
@@ -443,10 +575,12 @@ def world():
     geom = ImageGeometry(6, 6)
     rng = np.random.default_rng(5)
     den = train_random_denoiser(geom, 2, 2, seed=5, em_iters=3)
-    hs = generate_hs_scene(
-        HsSceneSpec(geom, 4, 2, 2, decimation=2, snr_h_db=30.0, snr_m_db=30.0, seed=5)
+    hs_spec = HsSceneSpec(
+        geom, 4, 2, 2, decimation=2, snr_h_db=30.0, snr_m_db=30.0, seed=5
     )
-    pair = generate_pair_scene(PairSceneSpec(geom, "delta", 0.1, 0.01, seed=5))
+    pair_spec = PairSceneSpec(geom, "delta", 0.1, 0.01, seed=5)
+    hs = generate_hs_scene(hs_spec)
+    pair = generate_pair_scene(pair_spec)
     em = EmConfig(n_components=2, noise_variance=0.01, max_iters=3)
     solver = SolverConfig(rho=0.05, lam=0.5, tau=0.05)
     image = rng.standard_normal(geom.n)
@@ -459,9 +593,12 @@ def world():
         den=den,
         model=den.model,
         explicit=build_explicit_w(den),
+        hs_spec=hs_spec,
+        pair_spec=pair_spec,
         hs=hs,
         pair=pair,
         em=em,
+        solver=solver,
         hs_params=SharpenParams(2, 2, em, solver),
         pair_params=PairParams(2, em, solver),
         image=image,
@@ -510,11 +647,69 @@ def same(a, b) -> bool:
 
 
 def test_every_public_name_is_in_the_table():
-    # a new export must say which arrays and scalars it takes, or that it
-    # takes none
+    # a new export must say which arrays, scalars, counts and package objects
+    # it takes, or that it takes none
     assert len(pnpfusion.__all__) == 60
     assert NO_CASE.isdisjoint(CASES)
     assert set(pnpfusion.__all__) == NO_CASE | set(CASES)
+
+
+def column_of(hint) -> str | None:
+    """The table column an annotation belongs to: ``X | None`` counts as X,
+    and str, callables and tuples belong to none."""
+    if isinstance(hint, types.UnionType) or typing.get_origin(hint) is typing.Union:
+        kept = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        hint = kept[0] if len(kept) == 1 else hint
+    if hint is np.ndarray:
+        return "arrays"
+    if hint is float:
+        return "scalars"
+    if hint is int:
+        return "counts"
+    if hint is bool:
+        return "flags"
+    if isinstance(hint, type) and hint.__module__.startswith("pnpfusion."):
+        return "objects"
+    return None
+
+
+def parameters(export) -> list[str]:
+    """The fields of a dataclass, or the parameters of a function."""
+    if is_dataclass(export):
+        return [f.name for f in fields(export)]
+    return list(inspect.signature(export).parameters)
+
+
+def test_every_annotated_argument_is_in_its_column():
+    # an argument annotated np.ndarray, float, int, bool or a package class
+    # must sit in the column of its annotation, and an unannotated one in some
+    # column, unless EXEMPT says why not
+    missing, seen = [], set()
+    for name in pnpfusion.__all__:
+        export = getattr(pnpfusion, name)
+        if isinstance(export, type) and issubclass(export, Exception):
+            continue  # an error takes its message
+        hints = typing.get_type_hints(export)
+        case = CASES.get(name, Case(None, None))
+        columns = {
+            "arrays": {a for arg in case.arrays for a in arg.split("+")},
+            "scalars": set(case.scalars),
+            "counts": set(case.counts),
+            "flags": set(case.flags),
+            "objects": set(case.objects),
+        }
+        for arg in parameters(export):
+            seen.add((name, arg))
+            if (name, arg) in EXEMPT:
+                continue
+            if arg in hints:
+                column = column_of(hints[arg])
+                if column is not None and arg not in columns[column]:
+                    missing.append(f"{name}.{arg} -> {column}")
+            elif not any(arg in names for names in columns.values()):
+                missing.append(f"{name}.{arg} is unannotated")
+    assert missing == []
+    assert EXEMPT <= seen  # no stale entry
 
 
 @pytest.mark.parametrize(
@@ -563,6 +758,40 @@ def test_a_malformed_scalar_raises(world, name, argument, variant):
     args = case.args(world)
     args[argument] = BAD_SCALARS[variant]
     with pytest.raises(case.pinned.get((argument, variant), ConfigError)):
+        case.call(**args)
+
+
+@pytest.mark.parametrize(
+    "name, argument, variant",
+    [
+        (name, arg, variant)
+        for name, case in CASES.items()
+        for arg, minimum in case.counts.items()
+        for variant in bad_counts(minimum)
+    ],
+)
+def test_a_malformed_count_raises(world, name, argument, variant):
+    case = CASES[name]
+    args = case.args(world)
+    args[argument] = bad_counts(case.counts[argument])[variant]
+    with pytest.raises(case.pinned.get((argument, variant), ConfigError)):
+        case.call(**args)
+
+
+@pytest.mark.parametrize(
+    "name, argument, variant",
+    [
+        (name, arg, variant)
+        for name, case in CASES.items()
+        for arg in case.flags
+        for variant in BAD_FLAGS
+    ],
+)
+def test_a_flag_that_is_not_a_bool_raises(world, name, argument, variant):
+    case = CASES[name]
+    args = case.args(world)
+    args[argument] = BAD_FLAGS[variant]
+    with pytest.raises(ConfigError):
         case.call(**args)
 
 

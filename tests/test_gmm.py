@@ -634,28 +634,6 @@ class TestTrainEm:
 
 
 
-@pytest.mark.parametrize(
-    "field", ["noise_variance", "loglik_rel_tol", "n_components", "max_iters"]
-)
-def test_em_config_rejects_nan(field):
-    settings_ = {"n_components": 2, "noise_variance": 0.1, field: float("nan")}
-    with pytest.raises(ConfigError):
-        EmConfig(**settings_)
-
-
-@pytest.mark.parametrize("field", ["noise_variance", "loglik_rel_tol"])
-def test_em_config_rejects_inf(field):
-    # an infinite loglik_rel_tol once stopped EM after one M-step
-    settings_ = {"n_components": 2, "noise_variance": 0.1, field: float("inf")}
-    with pytest.raises(ConfigError):
-        EmConfig(**settings_)
-
-
-def test_em_config_rejects_fractional_components():
-    with pytest.raises(ConfigError):
-        EmConfig(n_components=2.5, noise_variance=0.1)
-
-
 def test_train_em_rejects_non_finite_patches():
     geom = ImageGeometry(4, 4)
     patches = np.random.default_rng(0).standard_normal((geom.n, 4))

@@ -216,19 +216,3 @@ class TestGridLayout:
             with pytest.raises(DimensionError):
                 geom.from_grid(bad)
 
-
-def test_fractional_geometry_raises():
-    with pytest.raises(DimensionError):
-        ImageGeometry(2.5, 3)
-
-
-def test_zero_patch_side_raises():
-    with pytest.raises(DimensionError):
-        extract_patches(np.zeros(9), ImageGeometry(3, 3), patch_side=0)
-
-
-def test_bool_extents_raise():
-    with pytest.raises(DimensionError):
-        ImageGeometry(True, 3)
-    with pytest.raises(DimensionError):
-        extract_patches(np.zeros(9), ImageGeometry(3, 3), patch_side=True)

@@ -154,43 +154,6 @@ class TestMask:
             scene_with_mask(mask)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: EmConfig(2, 0.01, max_iters=2.5),
-        lambda: EmConfig(2, 0.01, max_iters=True),
-        lambda: EmConfig(2, 0.01, seed=-1),
-        lambda: EmConfig(2, 0.01, seed=1.5),
-        lambda: EmConfig(2, 0.01, seed=True),
-        lambda: EmConfig(True, 0.01),
-        lambda: SolverConfig(rho=1.0, max_iters=2.5),
-        lambda: SolverConfig(rho=1.0, max_iters=True),
-        lambda: make_decimation_mask(ImageGeometry(16, 16), 0),
-        lambda: make_decimation_mask(ImageGeometry(16, 16), 2.5),
-        lambda: make_decimation_mask(ImageGeometry(16, 16), True),
-    ],
-    ids=[
-        "em-max_iters-2.5",
-        "em-max_iters-True",
-        "em-seed--1",
-        "em-seed-1.5",
-        "em-seed-True",
-        "em-n_components-True",
-        "solver-max_iters-2.5",
-        "solver-max_iters-True",
-        "decimation-0",
-        "decimation-2.5",
-        "decimation-True",
-    ],
-)
-def test_counts_and_seeds_must_be_integers(make):
-    # a fractional budget once leaked range's TypeError from train_em and
-    # run_admm, a negative or fractional seed numpy's own errors, and a
-    # decimation factor of 2.5 gave the d = 5 grid (rows 0, 5, 10, 15 of 16)
-    with pytest.raises(ConfigError):
-        make()
-
-
 @pytest.mark.parametrize("field", ["y_h", "y_m", "r"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_scene_input_raises(field, value):
@@ -376,17 +339,27 @@ def test_the_mmse_map_is_a_v3_step_on_a_two_band_basis():
 
 
 @pytest.mark.parametrize(
-    "solve, step",
+    "solve, step, error",
     [
-        pytest.param(run_salsa_hs, [[0.0, 1.0]], id="run_salsa_hs-list"),
-        pytest.param(solve_hs, [[0.0, 1.0]], id="solve_hs-list"),
+        pytest.param(run_salsa_hs, [[0.0, 1.0]], ConfigError, id="run_salsa_hs-list"),
+        pytest.param(solve_hs, [[0.0, 1.0]], ConfigError, id="solve_hs-list"),
         # GMRES needs D linear and its circulant part
-        pytest.param(solve_hs, lambda v: v, id="solve_hs-callable"),
+        pytest.param(solve_hs, lambda v: v, ConfigError, id="solve_hs-callable"),
+        # a callable's output once leaked AttributeError ('float' object has
+        # no attribute 'shape') and numpy's broadcast ValueError
+        pytest.param(
+            run_salsa_hs, lambda v: float(v.mean()), ConfigError,
+            id="run_salsa_hs-returns-a-float",
+        ),
+        pytest.param(
+            run_salsa_hs, lambda v: v.T, DimensionError,
+            id="run_salsa_hs-returns-the-transpose",
+        ),
     ],
 )
-def test_a_v3_step_of_another_kind_raises(solve, step):
+def test_a_v3_step_of_another_kind_raises(solve, step, error):
     scene = tiny_scene()
-    with pytest.raises(ConfigError):
+    with pytest.raises(error):
         solve(scene, pca_basis(scene.y_h, 2), step, CFG)
 
 

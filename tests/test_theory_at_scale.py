@@ -9,12 +9,20 @@ its stencil and its applications are used:
   the frozen weights lie on the simplex;
 * symmetry: ``|<u, D v> - <D u, v>| <= 1e-12 ||u|| ||v||`` for random u, v;
 * spectrum in [0, 1]: 40 Lanczos Ritz values of D, and 40 of I - D, lie in
-  ``[-1e-12, 1 + 1e-12]``.
+  ``[-1e-12, 1 + 1e-12]``;
+* minimality: the fixed point that ``solve_hs`` reaches on the pair, with
+  the one-band basis, minimizes the objective ``F(x) + rho phi(x)``.
 
 Ritz values lie inside the spectrum, so the probe can refute the theory but
 not prove it. Each probe is also run on a D broken on purpose, and must
 see the defect: one stencil plane that no longer equals its mirror breaks
-symmetry, and weights scaled by 1.05 push the spectrum past 1.
+symmetry, weights scaled by 1.05 push the spectrum past 1, and a solve
+stopped at half its applications of D is not the minimizer.
+
+The objective needs phi, which needs no W: every x in the range of D is
+``D w``, and since D is the prox of phi, ``phi(D w) = <D w, w - D w> / 2``
+for any w. So ``J(w) = F(D w) + rho <D w, w - D w> / 2`` is the objective
+at ``D w``, and at the fixed point ``x = D w`` with ``w = x - grad F(x) / rho``.
 """
 
 from dataclasses import replace
@@ -26,12 +34,16 @@ from pnpfusion import (
     EmConfig,
     ImageGeometry,
     PairSceneSpec,
+    SolverConfig,
+    SubspaceBasis,
     denoise_image_fixed,
     generate_pair_scene,
+    hs_data_term,
     train_scene_denoiser,
 )
 from pnpfusion.denoiser import EXPLICIT_W_CAP
 from pnpfusion.gmm import SIMPLEX_ATOL
+from pnpfusion.sharpen import solve_hs
 from tests.conftest import mirror_defect
 
 TOL = 1e-12
@@ -39,14 +51,18 @@ STEPS = 40
 
 
 @pytest.fixture(scope="module")
-def denoiser():
+def scene():
     geometry = ImageGeometry(256, 256)
-    scene = generate_pair_scene(
+    return generate_pair_scene(
         PairSceneSpec(geometry, "gauss8", 25 / 255, 2 / 255, seed=5)
     )
+
+
+@pytest.fixture(scope="module")
+def denoiser(scene):
     variance = scene.sigma_n**2
     em = EmConfig(n_components=4, noise_variance=variance, max_iters=10)
-    return train_scene_denoiser(scene.y_n[None], geometry, 4, em, variance)
+    return train_scene_denoiser(scene.y_n[None], scene.geometry, 4, em, variance)
 
 
 def symmetry_defect(den, seed=0) -> float:
@@ -133,3 +149,45 @@ def test_spectrum_probe_sees_weights_scaled_past_the_simplex(denoiser):
     d, complement = spectra(scaled)
     assert d.max() > 1 + TOL
     assert complement.min() < -TOL
+
+
+def descents(data, den, rho, x) -> dict:
+    """``(J(w + step) - J(w)) / |J(w)|`` at ``w = x - grad F(x) / rho``, for a
+    step of 1e-6 ||w|| down the gradient of J and for steps of ±1e-2 and
+    ±1e-4 ||w|| along one random direction; negative where J descends."""
+
+    def grad_f(v):
+        return data.adjoint(data.apply(v) - data.target)
+
+    def objective(w):
+        dw = denoise_image_fixed(w, den)
+        fit = 0.5 * np.sum((data.apply(dw) - data.target) ** 2)
+        return fit + 0.5 * rho * np.vdot(dw, w - dw)
+
+    w = x - grad_f(x) / rho
+    dw = denoise_image_fixed(w, den)
+    # D is symmetric, so grad J(w) = D (grad F(D w) + rho (w - D w))
+    gradient = denoise_image_fixed(grad_f(dw) + rho * (w - dw), den)
+    random = np.random.default_rng(0).standard_normal(w.shape)
+    scale = np.linalg.norm(w)
+    steps = {"gradient": -1e-6 * scale * gradient / np.linalg.norm(gradient)}
+    for eps in (1e-2, -1e-2, 1e-4, -1e-4):
+        steps[eps] = eps * scale * random / np.linalg.norm(random)
+    at_w = objective(w)
+    return {key: (objective(w + s) - at_w) / abs(at_w) for key, s in steps.items()}
+
+
+def test_the_fixed_point_minimizes_the_objective(scene, denoiser):
+    rho, lam = 0.5, 0.2
+    hs_scene, basis = scene.hs_scene, SubspaceBasis(np.ones((1, 1)))
+    data = hs_data_term(hs_scene, basis, lam)
+    cfg = SolverConfig(rho=rho, lam=lam, tau=rho * denoiser.noise_variance)
+    x, report = solve_hs(hs_scene, basis, denoiser, cfg)
+    assert report.converged
+    assert min(descents(data, denoiser, rho, x).values()) > 0
+    # stopped at half its applications, the solve is not the minimizer; the
+    # random steps do not see it, the gradient step does
+    half = replace(cfg, max_iters=report.iterations_run // 2)
+    x, report = solve_hs(hs_scene, basis, denoiser, half)
+    assert not report.converged
+    assert descents(data, denoiser, rho, x)["gradient"] < 0
