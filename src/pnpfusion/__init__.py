@@ -56,7 +56,6 @@ from .fftops import (
     CyclicBlur,
     apply_blur,
     blur_rows,
-    make_cyclic_blur,
     symbol_products,
 )
 from .gmm import (
@@ -122,7 +121,6 @@ __all__ = [
     "CyclicBlur",
     "apply_blur",
     "blur_rows",
-    "make_cyclic_blur",
     "symbol_products",
     "EmConfig",
     "GmmModel",

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .denoiser import DataTerm
 from .errors import (
     DimensionError, DivergenceError, as_array, require_count, require_instance,
     require_real,
@@ -183,12 +184,12 @@ def _rotate(column, rotations, k: int):
     column[k : k + 2] = radius, 0.0
 
 
-def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
+def solve_fixed_point(data: DataTerm, denoise, config: SolverConfig, precondition=None):
     """Solve ``rho (x - D x) + D A^T (A x - t) = 0`` by right-preconditioned
     GMRES, with ``rho = config.rho``.
 
-    ``data`` is the pipeline's :class:`~pnpfusion.denoiser.DataTerm` (A is
-    ``data.apply``, A^T is ``data.adjoint``, t is ``data.target``) and
+    ``data`` must be a :class:`~pnpfusion.denoiser.DataTerm`, the pipeline's
+    (A is ``data.apply``, A^T is ``data.adjoint``, t is ``data.target``), and
     ``denoise`` applies the linear denoiser D to an array of ``data.shape``.
     This is the equation whose solution ADMM/SALSA converge to with that D,
     so :func:`run_admm` on the pipeline's problem reaches the same x.
@@ -226,6 +227,7 @@ def solve_fixed_point(data, denoise, config: SolverConfig, precondition=None):
     nonnegative on all of them; ``tests/test_theory_at_scale.py`` probes the
     symmetry and spectrum of D itself.
     """
+    require_instance(data, DataTerm, "data")
     require_instance(config, SolverConfig, "config")
     if precondition is None:
         def precondition(v):

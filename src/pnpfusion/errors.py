@@ -7,8 +7,8 @@ its own code; the subclass names the kind of failure.
 Exported functions and dataclasses take each kind of input through one helper:
 
 * arrays through :func:`as_array`: a wrong number of axes or no entries raise
-  :class:`DimensionError`, and a NaN or infinite entry, or anything but
-  numbers where an array belongs, :class:`ConfigError`;
+  :class:`DimensionError`, and a NaN or infinite entry, complex data (only a
+  circulant's symbol may be complex) or anything but numbers, :class:`ConfigError`;
 * real-valued parameters through :func:`require_real`: anything but a real
   number in the parameter's interval raises :class:`ConfigError`
   (:class:`MetricError` in the metrics);
@@ -87,17 +87,19 @@ def require_flag(value, name: str) -> None:
         raise ConfigError(f"{name} must be a bool, got {value!r:.60}")
 
 
-def as_array(value, name: str, ndim, finite=True, empty=False) -> np.ndarray:
-    """``value`` as a float64 array, complex if it is complex, with ``ndim``
-    axes (a count, or a tuple or range of counts); a float64 or complex array
-    is not copied. Raises :class:`DimensionError` for another ndim or, unless
-    ``empty``, no entries, and :class:`ConfigError` for data that is not
-    numbers or, if ``finite``, for a NaN or infinite entry."""
+def as_array(value, name: str, ndim, finite=True, empty=False, real=True) -> np.ndarray:
+    """``value`` as a float64 array, complex only if not ``real``, with ``ndim`` axes
+    (a count, or a tuple or range of counts); a float64 or complex array is not
+    copied. Raises :class:`DimensionError` for another ndim or, unless ``empty``, no
+    entries, and :class:`ConfigError` for data that is not numbers, complex data if
+    ``real`` (an O(1) dtype test) and, if ``finite``, a NaN or infinite entry."""
     try:
         array = np.asarray(value)
         array = array if array.dtype.kind == "c" else array.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must hold numbers, got {value!r:.60}") from None
+    if real and array.dtype.kind == "c":
+        raise ConfigError(f"{name} must be real, got {array.dtype}")
     allowed = (ndim,) if isinstance(ndim, int) else ndim
     if array.ndim not in allowed or not (empty or array.size):
         raise DimensionError(f"{name} needs ndim in {allowed}, got shape {array.shape}")

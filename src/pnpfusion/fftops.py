@@ -1,10 +1,11 @@
 """Cyclic convolution operators and closed-form frequency-domain solves.
 
-A PSF kernel is zero-padded to the image grid and circularly shifted so its
-center lands on phase zero; blurring a centered delta therefore reproduces
-the centered kernel. Every operator acts on one band or on a ``(..., n)``
-stack of bands alike: :class:`~pnpfusion.patches.ImageGeometry` lays the
-pixel axis out as the grid, and one FFT round trip does the rest.
+A blur is a PSF on one grid, :class:`CyclicBlur`, and its transfer is derived:
+the DFT of the kernel zero-padded to the grid and circularly shifted so its
+center lands on phase zero, so a centered delta blurs into the centered kernel.
+Every operator acts on one band or on a ``(..., n)`` stack of bands alike:
+:class:`~pnpfusion.patches.ImageGeometry` lays the pixel axis out as the grid,
+and one FFT round trip does the rest.
 
 :func:`symbol_products` applies any real circulant given by its eigenvalues
 (its symbol) on the DFT grid. Such a symbol is Hermitian, ``s[-f] =
@@ -20,6 +21,7 @@ normal matrix ``B B^T`` acts on row spectra as ``|b_hat|^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,35 +33,30 @@ from .patches import ImageGeometry
 
 @dataclass(frozen=True)
 class CyclicBlur:
-    """A PSF together with its cached transfer function for one grid."""
+    """A PSF on one image grid, whose transfer function is derived from both."""
 
     psf: np.ndarray
     geometry: ImageGeometry
-    transfer: np.ndarray
 
     def __post_init__(self):
         require_instance(self.geometry, ImageGeometry, "geometry")
-        for name in ("psf", "transfer"):
-            object.__setattr__(self, name, as_array(getattr(self, name), name, 2))
+        object.__setattr__(self, "psf", as_array(self.psf, "psf", 2))
+        kh, kw = self.psf.shape
+        if kh > self.geometry.height or kw > self.geometry.width:
+            raise DimensionError(f"kernel {kh}x{kw} larger than {self.geometry}")
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        """The DFT of the zero-padded, center-shifted kernel on the
+        ``(height, width)`` grid, built on first use and kept."""
+        kh, kw = self.psf.shape
+        padded = np.zeros((self.geometry.height, self.geometry.width))
+        padded[:kh, :kw] = self.psf
+        return np.fft.fft2(np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1)))
 
     @property
     def power_spectrum(self) -> np.ndarray:
         return np.abs(self.transfer) ** 2
-
-
-def make_cyclic_blur(psf: np.ndarray, geometry: ImageGeometry) -> CyclicBlur:
-    """Cache the DFT of the zero-padded, center-shifted kernel."""
-    require_instance(geometry, ImageGeometry, "geometry")
-    psf = as_array(psf, "psf", 2)
-    kh, kw = psf.shape
-    if kh > geometry.height or kw > geometry.width:
-        raise DimensionError(
-            f"kernel {kh}x{kw} larger than image {geometry.height}x{geometry.width}"
-        )
-    padded = np.zeros((geometry.height, geometry.width))
-    padded[:kh, :kw] = psf
-    padded = np.roll(padded, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-    return CyclicBlur(psf=psf, geometry=geometry, transfer=np.fft.fft2(padded))
 
 
 def blur_rows(x: np.ndarray, blur: CyclicBlur, adjoint: bool = False) -> np.ndarray:
@@ -101,7 +98,7 @@ def symbol_products(band: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     if the circulant is also symmetric), so a real FFT of each band serves
     and only the half of the symbol it covers is read.
     """
-    symbols = as_array(symbols, "symbols", range(2, 33))
+    symbols = as_array(symbols, "symbols", range(2, 33), real=False)
     geometry = ImageGeometry(*symbols.shape[-2:])
     spectrum = np.fft.rfft2(geometry.to_grid(as_array(band, "band", range(1, 33))))
     half = symbols[..., : geometry.width // 2 + 1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, require_count, require_instance, require_real
-from .fftops import blur_rows, make_cyclic_blur
+from .fftops import CyclicBlur, blur_rows
 from .patches import ImageGeometry
 from .sharpen import HsScene, forward_hs, forward_ms, make_decimation_mask
 from .pairdeblur import PairScene
@@ -131,7 +131,7 @@ def generate_hs_scene(spec: HsSceneSpec) -> HsScene:
     side = min(geometry.height, geometry.width)
     sigma_psf = 0.8 * max(spec.decimation, 1)
     support = min(2 * int(np.ceil(2 * sigma_psf)) + 1, side)
-    blur = make_cyclic_blur(gaussian_kernel(support, sigma_psf), geometry)
+    blur = CyclicBlur(gaussian_kernel(support, sigma_psf), geometry)
     mask = make_decimation_mask(geometry, spec.decimation)
 
     # a template with zero observations applies the forward operators
@@ -236,7 +236,7 @@ def generate_pair_scene(spec: PairSceneSpec) -> PairScene:
     geometry = spec.geometry
     rng = np.random.default_rng(spec.seed)
     truth = synthetic_image(geometry)
-    blur = make_cyclic_blur(make_kernel(spec.kernel_id), geometry)
+    blur = CyclicBlur(make_kernel(spec.kernel_id), geometry)
     blurred = blur_rows(truth, blur)
     y_b = blurred
     if spec.sigma_b > 0:

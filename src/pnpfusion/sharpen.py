@@ -94,8 +94,7 @@ class HsScene:
         require_instance(self.blur, CyclicBlur, "blur")
         require_instance(self.geometry, ImageGeometry, "geometry")
         object.__setattr__(self, "r", as_array(self.r, "r", 2))
-        # np.asarray, not as_array: an integer mask keeps its dtype
-        object.__setattr__(self, "mask", np.asarray(self.mask))
+        object.__setattr__(self, "mask", as_array(self.mask, "mask", 1))
         n_m, (l_m, l_h) = self.geometry.n, self.r.shape
         if self.blur.geometry != self.geometry:
             raise DimensionError(f"blur grid {self.blur.geometry} != {self.geometry}")

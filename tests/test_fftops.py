@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.fftops import (
+    CyclicBlur,
     apply_blur,
     blur_rows,
-    make_cyclic_blur,
     solve_x_update_hs,
     solve_x_update_pair,
     symbol_products,
@@ -45,7 +45,7 @@ def random_kernel(rng, kh, kw):
 class TestApplyBlur:
     def test_delta_kernel_is_identity(self):
         geom = ImageGeometry(5, 4)
-        blur = make_cyclic_blur(np.ones((1, 1)), geom)
+        blur = CyclicBlur(np.ones((1, 1)), geom)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(geom.n)
         np.testing.assert_allclose(apply_blur(x, blur), x, atol=1e-12)
@@ -53,7 +53,7 @@ class TestApplyBlur:
     def test_box_blur_of_delta_is_wrapped_box(self):
         geom = ImageGeometry(4, 4)
         kernel = np.full((3, 3), 1.0 / 9.0)
-        blur = make_cyclic_blur(kernel, geom)
+        blur = CyclicBlur(kernel, geom)
         delta = np.zeros(geom.n)
         delta[0] = 1.0  # pixel (0, 0)
         out = geom.to_grid(apply_blur(delta, blur))
@@ -63,20 +63,38 @@ class TestApplyBlur:
                 expected[dr % 4, dc % 4] += 1.0 / 9.0
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_centered_delta_reproduces_centered_kernel(self):
-        geom = ImageGeometry(7, 7)
-        rng = np.random.default_rng(1)
-        kernel = random_kernel(rng, 3, 3)
-        blur = make_cyclic_blur(kernel, geom)
-        delta = np.zeros(geom.n)
-        delta[3 * 7 + 3] = 1.0  # center pixel (3, 3)
-        out = geom.to_grid(apply_blur(delta, blur))
-        np.testing.assert_allclose(out[2:5, 2:5], kernel, atol=1e-12)
+    @pytest.mark.parametrize(
+        "grid, extent",
+        [
+            ((7, 7), (3, 3)),
+            ((3, 12), (3, 3)),
+            ((3, 12), (2, 4)),
+            ((3, 12), (1, 4)),
+            ((12, 3), (3, 3)),
+            ((12, 3), (4, 2)),
+        ],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_centered_delta_reproduces_centered_kernel(self, grid, extent):
+        # every blur lives on its own grid: a transfer built for another grid
+        # once blurred a 3x12 image wrongly, and raised nothing
+        geom = ImageGeometry(*grid)
+        kernel = random_kernel(np.random.default_rng(1), *extent)
+        blur = CyclicBlur(kernel, geom)
+        assert blur.transfer.shape == grid
+        (r, c), (kh, kw) = (grid[0] // 2, grid[1] // 2), extent
+        delta = np.zeros(grid)
+        delta[r, c] = 1.0
+        expected = np.zeros(grid)
+        top, left = r - kh // 2, c - kw // 2
+        expected[top : top + kh, left : left + kw] = kernel
+        out = geom.to_grid(apply_blur(geom.from_grid(delta), blur))
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_adjoint_inner_product(self):
         geom = ImageGeometry(6, 5)
         rng = np.random.default_rng(2)
-        blur = make_cyclic_blur(random_kernel(rng, 3, 4), geom)
+        blur = CyclicBlur(random_kernel(rng, 3, 4), geom)
         for _ in range(5):
             x = rng.standard_normal(geom.n)
             y = rng.standard_normal(geom.n)
@@ -88,7 +106,7 @@ class TestApplyBlur:
         geom = ImageGeometry(5, 6)
         rng = np.random.default_rng(3)
         kernel = random_kernel(rng, 3, 3)
-        blur = make_cyclic_blur(kernel, geom)
+        blur = CyclicBlur(kernel, geom)
         b = dense_blur_matrix_oracle(kernel, geom)
         x = rng.standard_normal(geom.n)
         np.testing.assert_allclose(apply_blur(x, blur), b @ x, atol=1e-10)
@@ -99,7 +117,7 @@ class TestApplyBlur:
     def test_blur_rows_matches_per_row(self):
         geom = ImageGeometry(4, 5)
         rng = np.random.default_rng(4)
-        blur = make_cyclic_blur(random_kernel(rng, 2, 3), geom)
+        blur = CyclicBlur(random_kernel(rng, 2, 3), geom)
         x = rng.standard_normal((3, geom.n))
         out = blur_rows(x, blur)
         for i in range(3):
@@ -108,28 +126,33 @@ class TestApplyBlur:
     def test_parseval_energy(self):
         geom = ImageGeometry(8, 8)
         rng = np.random.default_rng(5)
-        blur = make_cyclic_blur(random_kernel(rng, 3, 3), geom)
+        blur = CyclicBlur(random_kernel(rng, 3, 3), geom)
         x = rng.standard_normal(geom.n)
         bx = apply_blur(x, blur)
         xhat = np.fft.fft2(geom.to_grid(x))
         energy = np.sum(np.abs(blur.transfer * xhat) ** 2) / geom.n
         np.testing.assert_allclose(np.sum(bx**2), energy, rtol=1e-10)
 
-    def test_kernel_larger_than_image_raises(self):
+    @pytest.mark.parametrize(
+        "grid, extent",
+        [((2, 5), (3, 3)), ((3, 12), (4, 1))],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_kernel_larger_than_image_raises(self, grid, extent):
         with pytest.raises(DimensionError):
-            make_cyclic_blur(np.ones((3, 3)) / 9, ImageGeometry(2, 5))
+            CyclicBlur(np.ones(extent) / np.prod(extent), ImageGeometry(*grid))
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_kernel_with_a_zero_extent_raises(self, shape):
         # once accepted, giving an all-zero transfer
         with pytest.raises(DimensionError):
-            make_cyclic_blur(np.zeros(shape), ImageGeometry(4, 4))
+            CyclicBlur(np.zeros(shape), ImageGeometry(4, 4))
 
     def test_nan_kernel_raises(self):
         psf = np.ones((3, 3)) / 9
         psf[1, 2] = np.nan
         with pytest.raises(ConfigError):
-            make_cyclic_blur(psf, ImageGeometry(4, 4))
+            CyclicBlur(psf, ImageGeometry(4, 4))
 
 
 GEOMETRIES = [(2, 2), (3, 3), (4, 4), (5, 7), (7, 5), (8, 8), (16, 16), (16, 9), (1, 8)]
@@ -144,8 +167,8 @@ class TestSymbolProducts:
         geom = ImageGeometry(*shape)
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         kernel = random_kernel(rng, min(3, geom.height), min(3, geom.width))
-        transfer = make_cyclic_blur(kernel, geom).transfer
-        power = make_cyclic_blur(kernel, geom).power_spectrum
+        transfer = CyclicBlur(kernel, geom).transfer
+        power = CyclicBlur(kernel, geom).power_spectrum
         b = dense_blur_matrix_oracle(kernel, geom)
         x = rng.standard_normal(geom.n)
         np.testing.assert_allclose(symbol_products(x, transfer), b @ x, atol=1e-12)
@@ -164,7 +187,7 @@ class TestSymbolProducts:
     def test_stack_meets_its_own_symbols(self):
         geom = ImageGeometry(5, 6)
         rng = np.random.default_rng(8)
-        power = make_cyclic_blur(random_kernel(rng, 3, 3), geom).power_spectrum
+        power = CyclicBlur(random_kernel(rng, 3, 3), geom).power_spectrum
         symbols = np.stack([power + 0.1, 2 * power, power**2])
         bands = rng.standard_normal((3, geom.n))
         got = symbol_products(bands, symbols)
@@ -186,7 +209,7 @@ class TestSpectralSolves:
         kh = min(3, geom.height)
         kw = min(3, geom.width)
         kernel = random_kernel(rng, kh, kw)
-        blur = make_cyclic_blur(kernel, geom)
+        blur = CyclicBlur(kernel, geom)
         b = dense_blur_matrix_oracle(kernel, geom)
         rhs = rng.standard_normal((2, geom.n))
         out = solve_x_update_hs(rhs, blur)
@@ -203,7 +226,7 @@ class TestSpectralSolves:
 
     def test_hs_solve_delta_kernel(self):
         geom = ImageGeometry(4, 4)
-        blur = make_cyclic_blur(np.ones((1, 1)), geom)
+        blur = CyclicBlur(np.ones((1, 1)), geom)
         rng = np.random.default_rng(6)
         rhs = rng.standard_normal((3, geom.n))
         np.testing.assert_allclose(solve_x_update_hs(rhs, blur), rhs / 3.0, atol=1e-12)
@@ -213,7 +236,7 @@ class TestSpectralSolves:
         geom = ImageGeometry(*shape)
         rng = np.random.default_rng(shape[0] * 7 + shape[1])
         kernel = random_kernel(rng, min(3, geom.height), min(2, geom.width))
-        blur = make_cyclic_blur(kernel, geom)
+        blur = CyclicBlur(kernel, geom)
         b = dense_blur_matrix_oracle(kernel, geom)
         lam, rho = 0.4, 0.9
         rhs = rng.standard_normal(geom.n)
@@ -228,7 +251,7 @@ class TestSpectralSolves:
 
     def test_pair_solve_delta_lambda_zero(self):
         geom = ImageGeometry(3, 3)
-        blur = make_cyclic_blur(np.ones((1, 1)), geom)
+        blur = CyclicBlur(np.ones((1, 1)), geom)
         rhs = np.arange(9.0)
         np.testing.assert_allclose(
             solve_x_update_pair(rhs, blur, 0.0, 0.5), rhs / 1.5, atol=1e-12
@@ -240,7 +263,7 @@ class TestSpectralSolves:
         # B^T B and B B^T share the power spectrum for cyclic B
         geom = ImageGeometry(4, 4)
         rng = np.random.default_rng(seed)
-        blur = make_cyclic_blur(random_kernel(rng, 3, 3), geom)
+        blur = CyclicBlur(random_kernel(rng, 3, 3), geom)
         x = rng.standard_normal(geom.n)
         ab = apply_blur(apply_blur(x, blur), blur, adjoint=True)
         ba = apply_blur(apply_blur(x, blur, adjoint=True), blur)
@@ -261,7 +284,7 @@ ONE_BAND_OPERATORS = {
 def test_one_band_equals_one_row_stack(name, shape):
     geom = ImageGeometry(*shape)
     rng = np.random.default_rng(8)
-    blur = make_cyclic_blur(random_kernel(rng, 1, min(3, geom.width)), geom)
+    blur = CyclicBlur(random_kernel(rng, 1, min(3, geom.width)), geom)
     op = ONE_BAND_OPERATORS[name]
     band = rng.standard_normal(geom.n)
     out = op(band, blur)
@@ -272,7 +295,7 @@ def test_one_band_equals_one_row_stack(name, shape):
 def test_stack_of_stacks_matches_rows():
     geom = ImageGeometry(4, 6)
     rng = np.random.default_rng(9)
-    blur = make_cyclic_blur(random_kernel(rng, 3, 3), geom)
+    blur = CyclicBlur(random_kernel(rng, 3, 3), geom)
     x = rng.standard_normal((2, 3, geom.n))
     np.testing.assert_array_equal(
         blur_rows(x, blur), blur_rows(x.reshape(6, geom.n), blur).reshape(x.shape)
@@ -281,7 +304,7 @@ def test_stack_of_stacks_matches_rows():
 
 def test_wrong_pixel_count_raises():
     geom = ImageGeometry(4, 4)
-    blur = make_cyclic_blur(np.ones((1, 1)), geom)
+    blur = CyclicBlur(np.ones((1, 1)), geom)
     with pytest.raises(DimensionError):
         blur_rows(np.zeros((2, geom.n + 1)), blur)
     with pytest.raises(DimensionError):
@@ -302,6 +325,6 @@ def test_wrong_pixel_count_raises():
 def test_pair_solve_rejects_bad_weights(lam, rho):
     # an infinite lam or rho once returned all zeros
     geom = ImageGeometry(3, 3)
-    blur = make_cyclic_blur(np.ones((1, 1)), geom)
+    blur = CyclicBlur(np.ones((1, 1)), geom)
     with pytest.raises(ConfigError):
         solve_x_update_pair(np.zeros(geom.n), blur, lam, rho)

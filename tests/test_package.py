@@ -68,6 +68,20 @@ def test_only_errors_compares_against_infinity():
     assert found == []
 
 
+
+def test_only_errors_converts_arrays():
+    # a caller's array goes through errors.as_array; a bare np.asarray skips
+    # its rule (ndim, finite and real entries), as the sampling mask once did
+    package = Path(pnpfusion.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "asarray":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
 RUN_IN_FRESH_INTERPRETER = """
 import sys
 

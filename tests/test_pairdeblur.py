@@ -6,7 +6,7 @@ import pytest
 
 from pnpfusion.admm import SolverConfig
 from pnpfusion.errors import ConfigError, DimensionError
-from pnpfusion.fftops import make_cyclic_blur
+from pnpfusion.fftops import CyclicBlur
 from pnpfusion.gmm import EmConfig
 from pnpfusion.metrics import psnr
 from pnpfusion.pairdeblur import (
@@ -49,7 +49,7 @@ def salsa(scene, denoiser, cfg):
 class TestSceneValidation:
     def test_sigma_order_warning(self, caplog):
         geom = ImageGeometry(4, 4)
-        blur = make_cyclic_blur(np.ones((1, 1)), geom)
+        blur = CyclicBlur(np.ones((1, 1)), geom)
         with caplog.at_level(logging.WARNING):
             PairScene(
                 y_b=np.zeros(16),
@@ -62,7 +62,7 @@ class TestSceneValidation:
         assert any("sigma_b" in r.message for r in caplog.records)
 
     @pytest.mark.parametrize("image", ["y_b", "y_n"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.inf])  # NaN: tests/test_boundaries.py
     def test_non_finite_image_raises(self, image, value):
         # a NaN in y_n once reached EM's k-means++ draw as "Probabilities
         # contain NaN"
@@ -72,14 +72,14 @@ class TestSceneValidation:
         with pytest.raises(ConfigError):
             PairScene(
                 **images,
-                blur=make_cyclic_blur(np.ones((1, 1)), geom),
+                blur=CyclicBlur(np.ones((1, 1)), geom),
                 sigma_b=0.0,
                 sigma_n=0.1,
                 geometry=geom,
             )
 
     @pytest.mark.parametrize("sigma", ["sigma_b", "sigma_n"])
-    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("value", [-1.0])  # NaN, inf: tests/test_boundaries.py
     def test_bad_noise_level_raises(self, sigma, value):
         # a negative or NaN sigma_b was once accepted with only a warning
         geom = ImageGeometry(4, 4)
@@ -87,7 +87,7 @@ class TestSceneValidation:
             PairScene(
                 y_b=np.zeros(16),
                 y_n=np.zeros(16),
-                blur=make_cyclic_blur(np.ones((1, 1)), geom),
+                blur=CyclicBlur(np.ones((1, 1)), geom),
                 geometry=geom,
                 **{"sigma_b": 0.0, "sigma_n": 0.1, sigma: value},
             )
@@ -98,7 +98,7 @@ class TestSceneValidation:
         scene = PairScene(
             y_b=[0.1, 0.2, 0.3, 0.4],
             y_n=[0.5, 0.6, 0.7, 0.8],
-            blur=make_cyclic_blur(np.ones((1, 1)), geom),
+            blur=CyclicBlur(np.ones((1, 1)), geom),
             sigma_b=0.0,
             sigma_n=0.1,
             geometry=geom,
@@ -113,7 +113,7 @@ class TestSceneValidation:
         with pytest.raises(DimensionError):
             PairScene(
                 **images,
-                blur=make_cyclic_blur(np.ones((1, 1)), geom),
+                blur=CyclicBlur(np.ones((1, 1)), geom),
                 sigma_b=0.0,
                 sigma_n=0.1,
                 geometry=geom,
@@ -121,7 +121,7 @@ class TestSceneValidation:
 
     def test_shape_mismatch_raises(self):
         geom = ImageGeometry(4, 4)
-        blur = make_cyclic_blur(np.ones((1, 1)), geom)
+        blur = CyclicBlur(np.ones((1, 1)), geom)
         with pytest.raises(DimensionError):
             PairScene(
                 y_b=np.zeros(15),
@@ -145,7 +145,7 @@ class TestSceneValidation:
             PairScene(
                 y_b=np.zeros(geom.n),
                 y_n=np.zeros(geom.n),
-                blur=make_cyclic_blur(np.ones((1, 1)), built_for),
+                blur=CyclicBlur(np.ones((1, 1)), built_for),
                 sigma_b=0.0,
                 sigma_n=0.1,
                 geometry=geom,
@@ -157,7 +157,7 @@ class TestAnalyticLimits:
         # tau = 0, delta kernel: minimizer is (y_b + lam*y_n) / (1 + lam)
         geom = ImageGeometry(8, 8)
         rng = np.random.default_rng(0)
-        blur = make_cyclic_blur(np.ones((1, 1)), geom)
+        blur = CyclicBlur(np.ones((1, 1)), geom)
         scene = PairScene(
             y_b=rng.standard_normal(geom.n),
             y_n=rng.standard_normal(geom.n),
