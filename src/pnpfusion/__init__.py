@@ -38,9 +38,7 @@ from .denoiser import (
     LinearDenoiser,
     build_explicit_w,
     denoise_image_fixed,
-    denoise_image_mmse,
     eval_phi,
-    expansiveness_demo,
     wiener_filter,
 )
 from .errors import (
@@ -107,9 +105,7 @@ __all__ = [
     "LinearDenoiser",
     "build_explicit_w",
     "denoise_image_fixed",
-    "denoise_image_mmse",
     "eval_phi",
-    "expansiveness_demo",
     "wiener_filter",
     "ConfigError",
     "DimensionError",

@@ -37,8 +37,8 @@ import numpy as np
 
 from .denoiser import DataTerm
 from .errors import (
-    DimensionError, DivergenceError, as_array, require_count, require_instance,
-    require_real,
+    ConfigError, DimensionError, DivergenceError, as_array, require_count,
+    require_instance, require_real,
 )
 
 # Relative fixed-point residual ||rho (x - D x) + D grad F(x)|| / ||D A^T t||
@@ -128,8 +128,12 @@ def run_admm(problem, config: SolverConfig, init_v):
     """Iterate SALSA-style x / v / scaled-dual updates until convergence.
 
     The scaled duals start at zero. Returns ``(x, SolveReport)`` with the last
-    computed x. Raises :class:`DivergenceError` if any iterate goes non-finite.
+    computed x. Raises :class:`ConfigError` unless ``problem`` has the four
+    callbacks, and :class:`DivergenceError` if any iterate goes non-finite.
     """
+    callbacks = ("x_update", "h_apply", "v_update", "objective")
+    if not all(callable(getattr(problem, name, None)) for name in callbacks):
+        raise ConfigError(f"problem needs callable {', '.join(callbacks)}")
     require_instance(config, SolverConfig, "config")
     vs = [as_array(v, "init_v", range(1, 33)) for v in init_v]
     us = [np.zeros_like(v) for v in vs]

@@ -48,10 +48,9 @@ from .errors import (
     ConfigError, DimensionError, SizeError, as_array, require_flag, require_instance,
     require_real,
 )
-from .gmm import GmmModel, checked_responsibilities, eigt, posterior
-from .patches import (  # perfbench/tracing.py patches the two unused names here
+from .gmm import GmmModel, checked_responsibilities, eigt
+from .patches import (  # perfbench/tracing.py patches the four unused names here
     ImageGeometry,
-    PatchSet,
     assemble_patches,
     extract_patches,
     remove_means,
@@ -259,33 +258,6 @@ def denoise_image_fixed(
     return out
 
 
-def denoise_image_mmse(
-    image_band: np.ndarray,
-    model: GmmModel,
-    noise_variance: float,
-    geometry: ImageGeometry,
-) -> np.ndarray:
-    """Exact-MMSE variant: posterior weights recomputed from the noisy input.
-
-    The E-step posterior of the input's zero-mean patches, averaged over the
-    bands of a ``(k, n)`` stack, gives the weights, and the practical operator
-    built with them is applied to the input: this is the nonlinear denoiser
-    that the fixed-weight one linearizes.
-    """
-    require_instance(model, GmmModel, "model")
-    patch_set = remove_means(extract_patches(image_band, geometry, model.patch_side))
-    beta = posterior(patch_set, model, noise_variance)[0]
-    denoiser = band_mean_denoiser(model, beta, noise_variance, geometry)
-    return denoise_image_fixed(image_band, denoiser)
-
-
-def band_mean_denoiser(model, beta, noise_variance, geometry, pure_linear=False):
-    """The :class:`LinearDenoiser` that freezes ``beta``, the (K, k n) posterior
-    of a band-major stack's patches, averaged over the k bands at each pixel."""
-    weights = beta.reshape(len(beta), -1, geometry.n).mean(axis=1)
-    return LinearDenoiser(model, weights, noise_variance, geometry, pure_linear)
-
-
 def build_explicit_w(denoiser: LinearDenoiser) -> ExplicitW:
     """The denoiser's ``operator`` made dense, with its eigendecomposition.
 
@@ -402,50 +374,3 @@ class DataTerm:
         lhs = np.vstack([a, np.diag(np.tile(penalty, n_rows))])
         rhs = np.concatenate([self.target, np.zeros(lhs.shape[1])])
         return coeff(np.linalg.lstsq(lhs, rhs, rcond=None)[0])
-
-
-@dataclass(frozen=True)
-class ExpansivenessTable:
-    """Scalar MMSE curve vs its fixed-weight linearization on a grid."""
-
-    y: np.ndarray
-    mmse: np.ndarray
-    fixed: np.ndarray
-    max_slope_mmse: float
-    max_slope_fixed: float
-
-
-def expansiveness_demo(
-    small_variance: float,
-    large_variance: float,
-    noise_variance: float,
-    alphas: tuple[float, float] = (0.5, 0.5),
-) -> ExpansivenessTable:
-    """Univariate two-component demo of MMSE expansiveness.
-
-    The exact MMSE estimate under a zero-mean two-component scalar mixture has
-    finite-difference slope above 1 in the transition region between the
-    components, while the fixed-weight linearization is a convex combination
-    of shrinkages and stays strictly below slope 1. Both curves are sampled
-    on ``y`` from -3 to 3 in steps of 1e-4. The posterior weights come from
-    the pipelines' E-step, :func:`~pnpfusion.gmm.posterior` on one-pixel
-    patches, which checks ``noise_variance`` as the model checks ``alphas``.
-    """
-    require_real(small_variance, "small_variance", strict=True)
-    require_real(large_variance, "large_variance", low=small_variance, strict=True)
-    variances = np.array([small_variance, large_variance])
-    model = GmmModel(alphas=alphas, covariances=variances[:, None, None], patch_side=1)
-    grid = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
-    pixels = PatchSet(grid[:, None], 1, ImageGeometry(grid.size, 1))
-    beta = posterior(pixels, model, noise_variance)[0]
-    shrink = variances / (variances + noise_variance)
-    mmse = (beta * shrink[:, None]).sum(axis=0) * grid
-    fixed = float(model.alphas @ shrink) * grid
-    dy = np.diff(grid)
-    return ExpansivenessTable(
-        y=grid,
-        mmse=mmse,
-        fixed=fixed,
-        max_slope_mmse=float(np.max(np.diff(mmse) / dy)),
-        max_slope_fixed=float(np.max(np.diff(fixed) / dy)),
-    )

@@ -26,9 +26,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DimensionError, as_array, require_flag, require_instance, require_real
+    ConfigError, DimensionError, as_array, require_flag, require_instance, require_real
 )
 from .patches import ImageGeometry
+
+# Largest |s[f] - conj(s[-f])| that symbol_products accepts, relative to
+# max |s|; the package's own symbols measure below 5e-16.
+HERMITIAN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,14 @@ def symbol_products(band: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     A symbol holds the circulant's eigenvalues on the 2-D DFT grid. A real
     circulant's symbol is Hermitian, ``s[-f] = conj(s[f])`` (real and even
     if the circulant is also symmetric), so a real FFT of each band serves
-    and only the half of the symbol it covers is read.
+    and only the half of the symbol it covers is read; a symbol that is not
+    Hermitian to ``HERMITIAN_RTOL`` raises :class:`ConfigError`.
     """
     symbols = as_array(symbols, "symbols", range(2, 33), real=False)
+    # entry f of the mirror is s[-f], both grid indices negated mod the grid
+    mirror = np.roll(symbols[..., ::-1, ::-1], 1, axis=(-2, -1)).conj()
+    if np.abs(symbols - mirror).max() > HERMITIAN_RTOL * np.abs(symbols).max():
+        raise ConfigError("symbols must be Hermitian, s[-f] = conj(s[f])")
     geometry = ImageGeometry(*symbols.shape[-2:])
     spectrum = np.fft.rfft2(geometry.to_grid(as_array(band, "band", range(1, 33))))
     half = symbols[..., : geometry.width // 2 + 1]

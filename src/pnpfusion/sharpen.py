@@ -48,7 +48,7 @@ from .admm import (
     run_admm,
     solve_fixed_point,
 )
-from .denoiser import DataTerm, LinearDenoiser, band_mean_denoiser, denoise_image_fixed
+from .denoiser import DataTerm, LinearDenoiser, denoise_image_fixed
 from .errors import (
     ConfigError, DimensionError, as_array, require_count, require_flag,
     require_instance, require_real,
@@ -212,14 +212,17 @@ def train_scene_denoiser(
     denoiser_variance: float,
     pure_linear: bool = False,
 ) -> LinearDenoiser:
-    """EM over the zero-mean patches of every band, weights averaged per patch.
+    """EM over the zero-mean patches of every band, weights averaged per pixel.
 
-    The mixture is trained on all bands' patches, gathered in one pass; then
-    the per-band posteriors at each patch location are averaged and frozen.
+    The mixture is trained on the patches of all k bands, gathered in one
+    pass. EM's posterior is (K, k n), band-major, and the k posteriors of the
+    patches anchored at each pixel are averaged into the (K, n) weights that
+    the returned :class:`~pnpfusion.denoiser.LinearDenoiser` freezes.
     """
     patches = remove_means(extract_patches(y_m, geometry, patch_side))
     model, beta, _ = train_em(patches, em)
-    return band_mean_denoiser(model, beta, denoiser_variance, geometry, pure_linear)
+    weights = beta.reshape(len(beta), -1, geometry.n).mean(axis=1)
+    return LinearDenoiser(model, weights, denoiser_variance, geometry, pure_linear)
 
 
 def _check_problem(scene: HsScene, basis: SubspaceBasis, lam: float) -> None:

@@ -3,7 +3,7 @@ import pytest
 
 from pnpfusion.admm import solve_fixed_point
 from pnpfusion.denoiser import LinearDenoiser, denoise_image_fixed
-from pnpfusion.gmm import EmConfig, train_em
+from pnpfusion.gmm import EmConfig, posterior, train_em
 from pnpfusion.patches import ImageGeometry, extract_patches, remove_means
 from pnpfusion.scenes import PairSceneSpec, generate_pair_scene, smooth_field
 from pnpfusion.sharpen import hs_data_term, solve_hs, train_scene_denoiser
@@ -38,6 +38,23 @@ def train_random_denoiser(
         geometry=geometry,
         pure_linear=pure_linear,
     )
+
+
+def band_mean_denoiser(bands, model, posterior_variance, noise_variance, geometry):
+    """The practical :class:`LinearDenoiser` that freezes the posterior of the
+    zero-mean patches of ``bands``, one band or a (k, n) stack, averaged over
+    the k bands at each pixel, as ``train_scene_denoiser`` freezes EM's."""
+    patches = remove_means(extract_patches(bands, geometry, model.patch_side))
+    beta = posterior(patches, model, posterior_variance)[0]
+    weights = beta.reshape(len(beta), -1, geometry.n).mean(axis=1)
+    return LinearDenoiser(model, weights, noise_variance, geometry)
+
+
+def mmse_map(bands, model, noise_variance, geometry):
+    """The exact-MMSE denoiser that the frozen one linearizes: the weights are
+    re-estimated from the input itself, then frozen and applied to it."""
+    denoiser = band_mean_denoiser(bands, model, noise_variance, noise_variance, geometry)
+    return denoise_image_fixed(bands, denoiser)
 
 
 def scene_16(seed=7, kernel="gauss8", sigma_n=25 / 255, sigma_b=2 / 255):

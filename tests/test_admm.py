@@ -59,6 +59,16 @@ class TestRunAdmm:
             run_admm(Bad(np.zeros(3), np.zeros(3), 1.0), cfg, [np.zeros(3)])
         assert err.value.iteration == 0
 
+    def test_refuses_a_problem_without_the_four_callbacks(self):
+        # a list once leaked AttributeError ('no attribute x_update')
+        class NoObjective(TwoQuadratics):
+            objective = None
+
+        cfg = SolverConfig(rho=1.0)
+        for problem in ([[1.0]], NoObjective(np.zeros(3), np.zeros(3), 1.0)):
+            with pytest.raises(ConfigError, match="objective"):
+                run_admm(problem, cfg, [np.zeros(3)])
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SolverConfig(rho=0.0)

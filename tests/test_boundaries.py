@@ -62,11 +62,9 @@ from pnpfusion import (
     build_explicit_w,
     deblur_pair,
     denoise_image_fixed,
-    denoise_image_mmse,
     eigt,
     ergas,
     eval_phi,
-    expansiveness_demo,
     extract_patches,
     forward_hs,
     forward_ms,
@@ -117,9 +115,7 @@ EXEMPT = {
     ("SolveReport", "final_dual"),
     # set by remove_means, not by a caller
     ("PatchSet", "means"),
-    # duck-typed: any object with run_admm's four callbacks; and a list of
-    # arrays, whose one array the table spoils as ``init``
-    ("run_admm", "problem"),
+    # a list of arrays, whose one array the table spoils as ``init``
     ("run_admm", "init_v"),
     # two callables
     ("solve_fixed_point", "denoise"),
@@ -410,15 +406,6 @@ CASES = {
         arrays=("image_band",),
         objects=("denoiser",),
     ),
-    "denoise_image_mmse": Case(
-        denoise_image_mmse,
-        lambda w: dict(
-            image_band=w.image, model=w.model, noise_variance=0.05, geometry=w.geom
-        ),
-        arrays=("image_band",),
-        scalars=("noise_variance",),
-        objects=("model", "geometry"),
-    ),
     "eigt": Case(eigt, lambda w: dict(matrix=w.model.covariances), arrays=("matrix",)),
     "ergas": metric_case(ergas, resolution_ratio=2.0),
     "eval_phi": Case(
@@ -426,17 +413,6 @@ CASES = {
         lambda w: dict(x=w.explicit.basis[:, 0], w=w.explicit),
         arrays=("x",),
         objects=("w",),
-    ),
-    # tests/test_gmm.py pins ConfigError for an empty mixture
-    "expansiveness_demo": Case(
-        expansiveness_demo,
-        lambda w: dict(
-            small_variance=0.01, large_variance=1.0, noise_variance=0.1,
-            alphas=np.array([0.3, 0.7]),
-        ),
-        arrays=("alphas",),
-        scalars=("small_variance", "large_variance", "noise_variance"),
-        pinned={("alphas", "empty"): ConfigError},
     ),
     "extract_patches": Case(
         extract_patches,
@@ -515,7 +491,7 @@ CASES = {
             init=np.zeros(w.geom.n),
         ),
         arrays=("init",),
-        objects=("config",),
+        objects=("problem", "config"),
         wrong={"init": ZERO_D},
     ),
     "sam": metric_case(sam),
@@ -647,7 +623,7 @@ def same(a, b) -> bool:
 def test_every_public_name_is_in_the_table():
     # a new export must say which arrays, scalars, counts and package objects
     # it takes, or that it takes none
-    assert len(pnpfusion.__all__) == 59
+    assert len(pnpfusion.__all__) == 57
     assert NO_CASE.isdisjoint(CASES)
     assert set(pnpfusion.__all__) == NO_CASE | set(CASES)
 

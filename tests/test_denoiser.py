@@ -11,16 +11,14 @@ from pnpfusion.denoiser import (
     build_explicit_w,
     component_filters,
     denoise_image_fixed,
-    denoise_image_mmse,
     eval_phi,
-    expansiveness_demo,
     wiener_filter,
 )
 from pnpfusion.errors import ConfigError, DimensionError, SizeError
 from pnpfusion.fftops import symbol_products
 from pnpfusion.gmm import GmmModel, posterior
 from pnpfusion.patches import ImageGeometry, extract_patches, remove_means
-from tests.conftest import mirror_defect, train_random_denoiser
+from tests.conftest import mirror_defect, mmse_map, train_random_denoiser
 
 
 def identity_term(target):
@@ -316,7 +314,7 @@ class TestImageDenoise:
         rng = np.random.default_rng(4)
         y = rng.standard_normal(den.geometry.n)
         fixed = denoise_image_fixed(y, den)
-        mmse = denoise_image_mmse(y, den.model, den.noise_variance, den.geometry)
+        mmse = mmse_map(y, den.model, den.noise_variance, den.geometry)
         np.testing.assert_allclose(fixed, mmse, rtol=1e-10)
         # one component: the posterior weight of every patch is 1
         np.testing.assert_allclose(mmse, dense_reference(den) @ y, rtol=1e-10)
@@ -327,7 +325,7 @@ class TestImageDenoise:
         den = random_denoiser(ImageGeometry(8, 8), 2, 1, seed=3)
         y = np.random.default_rng(4).standard_normal(den.geometry.n)
         fixed = denoise_image_fixed(y, den)
-        mmse = denoise_image_mmse(y, den.model, den.noise_variance, den.geometry)
+        mmse = mmse_map(y, den.model, den.noise_variance, den.geometry)
         np.testing.assert_allclose(fixed, mmse, rtol=1e-10)
         # one component: the posterior weight of every patch is 1
         np.testing.assert_allclose(mmse, dense_reference(den) @ y, rtol=1e-10)
@@ -343,7 +341,7 @@ class TestImageDenoise:
         beta = zero_mean_posterior(y, den)
         assert beta.max(axis=0).min() < 0.9  # mixed weights, so they matter
         reference = dense_reference(replace(den, weights=beta))
-        mmse = denoise_image_mmse(y, den.model, den.noise_variance, geom)
+        mmse = mmse_map(y, den.model, den.noise_variance, geom)
         np.testing.assert_allclose(mmse, reference @ y, rtol=1e-10)
 
     def test_mmse_on_a_stack_freezes_the_band_mean_posterior(self, small_denoiser):
@@ -355,7 +353,7 @@ class TestImageDenoise:
         assert np.abs(band_betas[0] - band_betas[1]).max() > 0.1
         beta = (band_betas[0] + band_betas[1]) / 2
         frozen = replace(den, weights=beta, pure_linear=False)
-        mmse = denoise_image_mmse(bands, den.model, den.noise_variance, den.geometry)
+        mmse = mmse_map(bands, den.model, den.noise_variance, den.geometry)
         assert mmse.shape == bands.shape
         np.testing.assert_allclose(
             mmse, denoise_image_fixed(bands, frozen), rtol=1e-10, atol=1e-12
@@ -369,7 +367,7 @@ class TestImageDenoise:
         beta = posterior(patch_set, den.model, den.noise_variance)[0]
         direct = LinearDenoiser(den.model, beta, den.noise_variance, geom)
         np.testing.assert_array_equal(
-            denoise_image_mmse(y, den.model, den.noise_variance, geom),
+            mmse_map(y, den.model, den.noise_variance, geom),
             denoise_image_fixed(y, direct),
         )
 
@@ -378,9 +376,7 @@ class TestImageDenoise:
         y = np.zeros(small_denoiser.geometry.n)
         y[7] = np.nan
         with pytest.raises(ConfigError, match="patches must be finite"):
-            denoise_image_mmse(
-                y, small_denoiser.model, 0.05, small_denoiser.geometry
-            )
+            mmse_map(y, small_denoiser.model, 0.05, small_denoiser.geometry)
 
     def test_denoising_improves_psnr_at_sigma_25(self):
         from pnpfusion.metrics import psnr
@@ -653,41 +649,3 @@ class TestRoundedTopEigenvalue:
         x = identity_term(np.array([1.0, 3.0])).minimizer(0.5, self.w)
         np.testing.assert_allclose(x, [1.0, 2.0], rtol=1e-12)
 
-
-class TestExpansiveness:
-    def test_fig1_configuration(self):
-        table = expansiveness_demo(0.01, 1.0, 0.1)
-        assert table.max_slope_mmse > 1.001
-        assert table.max_slope_fixed < 1.0
-
-    def test_fixed_slope_is_convex_combination(self):
-        table = expansiveness_demo(0.05, 0.8, 0.2, alphas=(0.4, 0.6))
-        expected = 0.4 * 0.05 / 0.25 + 0.6 * 0.8 / 1.0
-        np.testing.assert_allclose(table.max_slope_fixed, expected, rtol=1e-6)
-
-    def test_zero_weight_is_the_one_component_result(self):
-        table = expansiveness_demo(0.01, 1.0, 0.1, alphas=(0.0, 1.0))
-        one_component = 1.0 / (1.0 + 0.1) * table.y
-        np.testing.assert_array_equal(table.mmse, one_component)
-        np.testing.assert_array_equal(table.fixed, one_component)
-
-    def test_noiseless_limit_is_identity(self):
-        table = expansiveness_demo(0.01, 1.0, 0.0)
-        np.testing.assert_allclose(table.mmse, table.y, rtol=1e-12)
-        np.testing.assert_allclose(table.max_slope_mmse, 1.0, atol=1e-9)
-
-    @pytest.mark.parametrize(
-        "large,noise,alphas",
-        [
-            pytest.param(1.0, -0.5, (0.5, 0.5), id="negative-noise"),
-            pytest.param(1.0, np.nan, (0.5, 0.5), id="nan-noise"),
-            pytest.param(1.0, np.inf, (0.5, 0.5), id="inf-noise"),
-            pytest.param(np.inf, 0.1, (0.5, 0.5), id="inf-large"),
-            pytest.param(1.0, 0.1, (-1.0, 2.0), id="negative-alpha"),
-            pytest.param(1.0, 0.1, (0.9, 0.9), id="alphas-sum-1.8"),
-        ],
-    )
-    def test_refuses_bad_settings(self, large, noise, alphas):
-        # each once gave NaN slopes or a fixed-weight slope above 1
-        with pytest.raises(ConfigError):
-            expansiveness_demo(0.01, large, noise, alphas=alphas)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnpfusion.admm import preconditioner_symbol
 from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.fftops import (
     CyclicBlur,
@@ -13,6 +14,7 @@ from pnpfusion.fftops import (
     symbol_products,
 )
 from pnpfusion.patches import ImageGeometry
+from pnpfusion.scenes import make_kernel
 
 
 def dense_blur_matrix_oracle(psf, geometry):
@@ -193,6 +195,24 @@ class TestSymbolProducts:
         got = symbol_products(bands, symbols)
         for band, symbol, row in zip(bands, symbols, got):
             np.testing.assert_array_equal(row, symbol_products(band, symbol))
+
+    def test_refuses_a_symbol_that_is_not_hermitian(self):
+        # only the half that rfft2 covers is read: this real, uneven symbol
+        # once gave a band 0.99 from the circulant product's real part; a
+        # transfer and its conjugate pass in test_matches_the_dense_circulants
+        symbol = np.random.default_rng(0).standard_normal((4, 4)) + 0j
+        with pytest.raises(ConfigError, match="Hermitian"):
+            symbol_products(np.ones(16), symbol)
+
+    def test_the_preconditioner_symbols_are_hermitian(self, small_denoiser):
+        # built as solve_hs builds them: one rotated band per data weight
+        power = CyclicBlur(make_kernel("box9"), small_denoiser.geometry).power_spectrum
+        normal = power + np.array([0.05, 0.4])[:, None, None]
+        inverse = preconditioner_symbol(normal, small_denoiser.circulant_symbol, 0.02)
+        bands = np.ones((2, small_denoiser.geometry.n))
+        np.testing.assert_allclose(
+            symbol_products(bands, inverse), bands * inverse[:, :1, 0], rtol=1e-12
+        )
 
     @pytest.mark.parametrize("symbols", [np.ones(8), np.float64(1.0)])
     def test_symbols_below_two_dimensions_raise(self, symbols):

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,36 @@ def test_every_module_constant_is_read_in_its_module():
                 and t.id not in read
             ]
     assert unread == []
+
+
+# exports that neither the package nor the benchmark calls, and why they stay
+NO_CALLER = {
+    "build_explicit_w": "the one dense oracle",
+    "ergas": "the standard fusion metric",
+}
+
+
+def test_every_export_has_a_caller():
+    # an export read by no other module and named nowhere in perfbench/ (a
+    # tracer pin is a string) serves only tests, and belongs in them
+    package = Path(pnpfusion.__file__).resolve().parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    bench = "\n".join(path.read_text() for path in perfbench.glob("*.py"))
+    uncalled = {
+        name
+        for name in pnpfusion.__all__
+        if name not in read and not re.search(rf"\b{name}\b", bench)
+    }
+    assert uncalled == set(NO_CALLER)
 
 
 def test_only_errors_compares_against_infinity():

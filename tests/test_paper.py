@@ -11,6 +11,13 @@ Scene adaptation: a GMM patch prior trained on the scene itself restores it
 better than the same prior trained on an image of other content, in both
 pipelines.
 
+Why the weights are frozen (the setting of the paper's Fig. 1): the exact
+MMSE denoiser re-estimates its mixture weights from its own input. Under a
+zero-mean two-component scalar mixture its slope exceeds 1 between the
+components, so it is expansive, no prox, and minimizes no objective that
+ADMM could converge to. With the weights frozen it is a convex combination of
+Wiener shrinkages, a symmetric map with spectrum in [0, 1), and so a prox.
+
 Convergence (the paper's Thm. 2): PnP-ADMM with the frozen denoiser, the
 algorithm the paper runs, converges to the fixed point that the pipeline
 solves for directly by GMRES. The ADMM is the package's SALSA reference
@@ -27,16 +34,16 @@ import numpy as np
 
 from pnpfusion import (
     EmConfig,
+    GmmModel,
     HsSceneSpec,
     ImageGeometry,
-    LinearDenoiser,
     PairParams,
     PairSceneSpec,
+    PatchSet,
     SharpenParams,
     SolverConfig,
     SubspaceBasis,
     deblur_pair,
-    denoise_image_mmse,
     extract_patches,
     generate_hs_scene,
     generate_pair_scene,
@@ -49,6 +56,7 @@ from pnpfusion import (
     train_scene_denoiser,
 )
 from pnpfusion.sharpen import run_salsa_hs, solve_hs
+from tests.conftest import band_mean_denoiser, mmse_map
 
 GEOMETRY = ImageGeometry(64, 64)
 SIGMA_N = 25 / 255
@@ -88,6 +96,56 @@ HS_SOLVER = SolverConfig(rho=0.01, lam=0.1, tau=1e-4)
 HS_ADAPTATION_MARGIN_DB = 1.0
 
 
+# The Fig. 1 setting: component variances 0.01 and 1 with equal weights, and
+# noise variance 0.1.
+FIG1 = (0.01, 1.0, 0.1)
+
+
+def scalar_denoisers(small_variance, large_variance, noise_variance, alphas=(0.5, 0.5)):
+    """``(y, mmse, frozen)``: the exact-MMSE estimate of a scalar y under a
+    zero-mean two-component mixture, and its linearization with the weights
+    frozen at the prior's, on y from -3 to 3 in steps of 1e-4.
+
+    The MMSE weights are the pipelines' E-step, ``posterior`` on one-pixel
+    patches."""
+    variances = np.array([small_variance, large_variance])
+    model = GmmModel(alphas=alphas, covariances=variances[:, None, None], patch_side=1)
+    y = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
+    pixels = PatchSet(y[:, None], 1, ImageGeometry(y.size, 1))
+    beta = posterior(pixels, model, noise_variance)[0]
+    shrink = variances / (variances + noise_variance)
+    return y, (beta * shrink[:, None]).sum(axis=0) * y, float(model.alphas @ shrink) * y
+
+
+def max_slope(y, curve):
+    return float(np.max(np.diff(curve) / np.diff(y)))
+
+
+def test_the_mmse_denoiser_is_expansive_and_its_frozen_linearization_is_not():
+    y, mmse, frozen = scalar_denoisers(*FIG1)
+    assert max_slope(y, mmse) > 1.001
+    assert max_slope(y, frozen) < 1.0
+
+
+def test_the_frozen_slope_is_the_convex_combination_of_shrinkages():
+    y, _, frozen = scalar_denoisers(0.05, 0.8, 0.2, alphas=(0.4, 0.6))
+    expected = 0.4 * 0.05 / 0.25 + 0.6 * 0.8 / 1.0
+    np.testing.assert_allclose(max_slope(y, frozen), expected, rtol=1e-6)
+
+
+def test_a_zero_weight_gives_the_one_component_denoiser():
+    y, mmse, frozen = scalar_denoisers(*FIG1, alphas=(0.0, 1.0))
+    one_component = 1.0 / (1.0 + 0.1) * y
+    np.testing.assert_array_equal(mmse, one_component)
+    np.testing.assert_array_equal(frozen, one_component)
+
+
+def test_the_noiseless_mmse_denoiser_is_the_identity():
+    y, mmse, _ = scalar_denoisers(0.01, 1.0, 0.0)
+    np.testing.assert_allclose(mmse, y, rtol=1e-12)
+    np.testing.assert_allclose(max_slope(y, mmse), 1.0, atol=1e-9)
+
+
 def zero_mean_patches(image, geometry=GEOMETRY, patch_side=PATCH_SIDE):
     return remove_means(extract_patches(image, geometry, patch_side))
 
@@ -95,8 +153,8 @@ def zero_mean_patches(image, geometry=GEOMETRY, patch_side=PATCH_SIDE):
 def restore(scene, model):
     """The pair's fixed point with ``model`` as the prior and its weights
     frozen from the scene's noisy patches, as the pipeline freezes them."""
-    weights = posterior(zero_mean_patches(scene.y_n), model, SIGMA_N**2)[0]
-    denoiser = LinearDenoiser(model, weights, SOLVER.tau / SOLVER.rho, GEOMETRY)
+    variance = SOLVER.tau / SOLVER.rho
+    denoiser = band_mean_denoiser(scene.y_n, model, SIGMA_N**2, variance, GEOMETRY)
     basis = pca_basis(scene.hs_scene.y_h, 1)
     x = solve_hs(scene.hs_scene, basis, denoiser, SOLVER)[0]
     return (basis.e @ x)[0]
@@ -154,7 +212,7 @@ def test_frozen_weights_beat_weights_re_estimated_from_each_iterate(record_prope
     x, report = run_salsa_hs(
         scene.hs_scene,
         ONE_BAND,
-        lambda v: denoise_image_mmse(v, model, variance, GEOMETRY),
+        lambda v: mmse_map(v, model, variance, GEOMETRY),
         replace(SOLVER, max_iters=MMSE_ITERATIONS),
     )
     record_property("mmse_final_primal", report.final_primal)
@@ -168,12 +226,10 @@ def sharpen_with(scene, params, model):
     """The sharpening fixed point with ``model`` as the prior, its weights
     frozen from the scene's MS patches and averaged over the bands, as the
     pipeline freezes them."""
-    patches = zero_mean_patches(scene.y_m, HS_GEOMETRY, HS_PATCH_SIDE)
-    beta = posterior(patches, model, params.em.noise_variance)[0]
-    k = params.em.n_components
-    weights = beta.reshape(k, -1, HS_GEOMETRY.n).mean(axis=1)
     solver = params.solver
-    denoiser = LinearDenoiser(model, weights, solver.tau / solver.rho, HS_GEOMETRY)
+    denoiser = band_mean_denoiser(
+        scene.y_m, model, params.em.noise_variance, solver.tau / solver.rho, HS_GEOMETRY
+    )
     basis = pca_basis(scene.y_h, params.n_subspace)
     return basis.e @ solve_hs(scene, basis, denoiser, solver)[0]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
-from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed, denoise_image_mmse
+from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
 from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.fftops import CyclicBlur, blur_rows, symbol_products
 from pnpfusion.gmm import EmConfig, train_em
@@ -32,6 +32,7 @@ from pnpfusion.sharpen import (
 )
 from tests.conftest import (
     both_solves,
+    mmse_map,
     relative_error,
     scene_16,
     train_random_denoiser,
@@ -331,7 +332,7 @@ def test_the_mmse_map_is_a_v3_step_on_a_two_band_basis():
     x, report = run_salsa_hs(
         case.scene,
         case.basis,
-        lambda v: denoise_image_mmse(v, den.model, den.noise_variance, den.geometry),
+        lambda v: mmse_map(v, den.model, den.noise_variance, den.geometry),
         cfg,
     )
     assert x.shape == (2, case.scene.geometry.n) and np.all(np.isfinite(x))

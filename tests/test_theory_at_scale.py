@@ -1,4 +1,4 @@
-"""Thm. 2's conditions on the applied denoiser D at 256x256, matrix-free.
+"""Thm. 2's conditions on the applied denoiser D, matrix-free.
 
 The dense checks of ``build_explicit_w`` stop at n = 4096. Here D is the
 operator ``denoise_image_fixed`` applies, on a 256x256 pair scene, and only
@@ -11,7 +11,9 @@ its stencil and its applications are used:
 * spectrum in [0, 1]: 40 Lanczos Ritz values of D, and 40 of I - D, lie in
   ``[-1e-12, 1 + 1e-12]``;
 * minimality: the fixed point that ``solve_hs`` reaches on the pair, with
-  the one-band basis, minimizes the objective ``F(x) + rho phi(x)``.
+  the one-band basis, minimizes the objective ``F(x) + rho phi(x)``; so
+  does the one it reaches on the 4 coefficient bands of the 32x32
+  ``hs-sharpen`` scene 0 at seed 11, where phi is summed over the bands.
 
 Ritz values lie inside the spectrum, so the probe can refute the theory but
 not prove it. Each probe is also run on a D broken on purpose, and must
@@ -23,6 +25,7 @@ The objective needs phi, which needs no W: every x in the range of D is
 ``D w``, and since D is the prox of phi, ``phi(D w) = <D w, w - D w> / 2``
 for any w. So ``J(w) = F(D w) + rho <D w, w - D w> / 2`` is the objective
 at ``D w``, and at the fixed point ``x = D w`` with ``w = x - grad F(x) / rho``.
+On a stack of bands D acts on each band ``w_b`` and J sums the terms of phi.
 """
 
 from dataclasses import replace
@@ -32,13 +35,16 @@ import pytest
 
 from pnpfusion import (
     EmConfig,
+    HsSceneSpec,
     ImageGeometry,
     PairSceneSpec,
     SolverConfig,
     SubspaceBasis,
     denoise_image_fixed,
+    generate_hs_scene,
     generate_pair_scene,
     hs_data_term,
+    pca_basis,
     train_scene_denoiser,
 )
 from pnpfusion.denoiser import EXPLICIT_W_CAP
@@ -177,17 +183,35 @@ def descents(data, den, rho, x) -> dict:
     return {key: (objective(w + s) - at_w) / abs(at_w) for key, s in steps.items()}
 
 
-def test_the_fixed_point_minimizes_the_objective(scene, denoiser):
-    rho, lam = 0.5, 0.2
-    hs_scene, basis = scene.hs_scene, SubspaceBasis(np.ones((1, 1)))
-    data = hs_data_term(hs_scene, basis, lam)
-    cfg = SolverConfig(rho=rho, lam=lam, tau=rho * denoiser.noise_variance)
+def assert_the_fixed_point_is_the_minimizer(hs_scene, basis, denoiser, cfg):
+    data = hs_data_term(hs_scene, basis, cfg.lam)
     x, report = solve_hs(hs_scene, basis, denoiser, cfg)
     assert report.converged
-    assert min(descents(data, denoiser, rho, x).values()) > 0
+    assert min(descents(data, denoiser, cfg.rho, x).values()) > 0
     # stopped at half its applications, the solve is not the minimizer; the
     # random steps do not see it, the gradient step does
     half = replace(cfg, max_iters=report.iterations_run // 2)
     x, report = solve_hs(hs_scene, basis, denoiser, half)
     assert not report.converged
-    assert descents(data, denoiser, rho, x)["gradient"] < 0
+    assert descents(data, denoiser, cfg.rho, x)["gradient"] < 0
+
+
+def test_the_fixed_point_minimizes_the_objective(scene, denoiser):
+    rho, lam = 0.5, 0.2
+    cfg = SolverConfig(rho=rho, lam=lam, tau=rho * denoiser.noise_variance)
+    basis = SubspaceBasis(np.ones((1, 1)))
+    assert_the_fixed_point_is_the_minimizer(scene.hs_scene, basis, denoiser, cfg)
+
+
+def test_the_fixed_point_minimizes_the_objective_on_the_hs_sharpen_scene():
+    # scene 0 of the hs-sharpen workload at seed 11, on its 4 coefficient bands
+    hs_scene = generate_hs_scene(
+        HsSceneSpec(ImageGeometry(32, 32), 64, 4, 4, 4, 30.0, 40.0, seed=11000)
+    )
+    cfg = SolverConfig(rho=0.01, lam=0.1, tau=1e-4)
+    em = EmConfig(n_components=8, noise_variance=hs_scene.sigma_m**2)
+    denoiser = train_scene_denoiser(
+        hs_scene.y_m, hs_scene.geometry, 4, em, cfg.tau / cfg.rho
+    )
+    basis = pca_basis(hs_scene.y_h, 4)
+    assert_the_fixed_point_is_the_minimizer(hs_scene, basis, denoiser, cfg)
