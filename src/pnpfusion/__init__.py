@@ -85,8 +85,6 @@ from .sharpen import (
     HsScene,
     SharpenParams,
     SubspaceBasis,
-    forward_hs,
-    forward_ms,
     hs_data_term,
     make_decimation_mask,
     pca_basis,
@@ -145,8 +143,6 @@ __all__ = [
     "HsScene",
     "SharpenParams",
     "SubspaceBasis",
-    "forward_hs",
-    "forward_ms",
     "hs_data_term",
     "make_decimation_mask",
     "pca_basis",

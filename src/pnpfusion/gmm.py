@@ -1,5 +1,7 @@
 """Zero-mean Gaussian mixture over patches, trained from noisy patches.
 
+A :class:`GmmModel` takes its patch side from its covariances' width.
+
 EM here is the noisy-patch variant: observed patches are modelled as
 ``y = x + noise`` with known noise variance, so the covariance M-step
 subtracts the noise variance and projects back onto the PSD cone by
@@ -84,6 +86,7 @@ error of about eps times the largest, so it matches a dense ``inv`` and
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -130,17 +133,15 @@ class GmmModel:
 
     alphas: np.ndarray  # (K,)
     covariances: np.ndarray  # (K, n_p, n_p)
-    patch_side: int
 
     def __post_init__(self):
-        require_count(self.patch_side, "patch_side")
         if np.size(self.alphas) == 0:
             raise ConfigError("a mixture needs at least one component")
         for name, ndim in (("alphas", 1), ("covariances", 3)):
             object.__setattr__(self, name, as_array(getattr(self, name), name, ndim))
-        k, n_p = self.alphas.shape, self.patch_side**2
-        if self.covariances.shape != (*k, n_p, n_p):
-            raise DimensionError(f"need alphas (K,) and covariances (K, {n_p}, {n_p})")
+        k, n_p = self.alphas.shape, self.covariances.shape[-1]
+        if self.covariances.shape != (*k, n_p, n_p) or self.patch_side**2 != n_p:
+            raise DimensionError("need alphas (K,) and covariances (K, s*s, s*s)")
         a = self.alphas
         if not (np.all(a >= 0) and abs(a.sum() - 1) <= SIMPLEX_ATOL):
             raise ConfigError(f"mixture weights must be >= 0 and sum to 1: {a}")
@@ -152,6 +153,10 @@ class GmmModel:
     @property
     def patch_dim(self) -> int:
         return self.covariances.shape[1]
+
+    @property
+    def patch_side(self) -> int:
+        return math.isqrt(self.patch_dim)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -373,7 +378,7 @@ def m_step(
         alphas[dead] = 1.0 / max(n, 1)
     moments -= noise_variance * np.eye(n_p)
     covariances, vals, vecs = eigt(moments)
-    model = GmmModel(alphas / alphas.sum(), covariances, patches.patch_side)
+    model = GmmModel(alphas / alphas.sum(), covariances)
     model.__dict__["spectrum"] = (vals, vecs)  # fills the cached property
     return model
 

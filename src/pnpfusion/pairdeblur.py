@@ -34,7 +34,7 @@ import numpy as np
 # module calls none of them
 from .admm import SolveReport, SolverConfig, run_admm
 from .denoiser import LinearDenoiser, denoise_image_fixed
-from .errors import as_array, require_instance
+from .errors import DimensionError, as_array, require_instance, require_real
 from .fftops import CyclicBlur, apply_blur, solve_x_update_pair
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
@@ -57,14 +57,17 @@ class PairScene:
     blur: CyclicBlur
     sigma_b: float
     sigma_n: float
-    geometry: ImageGeometry
     truth: np.ndarray | None = None
 
     def __post_init__(self):
-        require_instance(self.geometry, ImageGeometry, "geometry")
+        require_instance(self.blur, CyclicBlur, "blur")
         for name in ("y_b", "y_n", "truth"):
             if name != "truth" or self.truth is not None:
                 object.__setattr__(self, name, as_array(getattr(self, name), name, 1))
+        if self.truth is not None and self.truth.shape != self.y_n.shape:
+            raise DimensionError(f"truth has shape {self.truth.shape}, not y_n's")
+        for name in ("sigma_b", "sigma_n"):
+            require_real(getattr(self, name), name)
         self.hs_scene  # built now, so that its checks run
         if self.sigma_b > 0 and self.sigma_b >= self.sigma_n:
             log.warning(
@@ -72,6 +75,10 @@ class PairScene:
                 self.sigma_b,
                 self.sigma_n,
             )
+
+    @property
+    def geometry(self) -> ImageGeometry:
+        return self.blur.geometry
 
     @cached_property
     def hs_scene(self) -> HsScene:
@@ -84,7 +91,6 @@ class PairScene:
             r=np.ones((1, 1)),
             sigma_h=self.sigma_b,
             sigma_m=self.sigma_n,
-            geometry=self.geometry,
         )
 
 

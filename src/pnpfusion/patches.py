@@ -9,7 +9,8 @@ Conventions used throughout the package:
   to and from ``(..., height, width)`` grids;
 * patch ``i`` is the ``patch_side x patch_side`` window whose top-left corner
   is pixel ``i``, wrapping periodically at the image borders;
-* patches are vectorized column-major as well.
+* patches are vectorized column-major as well, one per row of a
+  :class:`PatchSet`, whose row width fixes the patch side.
 
 With unit stride and periodic boundaries there is exactly one patch per pixel
 and every pixel belongs to exactly ``patch_side**2`` patches, so straight
@@ -18,6 +19,7 @@ averaging of put-back patches is the exact least-squares patch recombination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,16 +74,16 @@ class PatchSet:
     """
 
     patches: np.ndarray  # (N, n_p)
-    patch_side: int
     source_geometry: ImageGeometry
     means: np.ndarray | None = None
 
     def __post_init__(self):
-        require_count(self.patch_side, "patch_side", error=DimensionError)
         require_instance(self.source_geometry, ImageGeometry, "source_geometry")
         # an empty or non-finite set is refused where it is used
         rows = as_array(self.patches, "patches", 2, finite=False, empty=True)
         object.__setattr__(self, "patches", rows)
+        if not self.patch_dim or self.patch_side**2 != self.patch_dim:
+            raise DimensionError(f"patch rows of width {self.patch_dim} are not square")
 
     @property
     def count(self) -> int:
@@ -89,7 +91,11 @@ class PatchSet:
 
     @property
     def patch_dim(self) -> int:
-        return self.patch_side * self.patch_side
+        return self.patches.shape[1]
+
+    @property
+    def patch_side(self) -> int:
+        return math.isqrt(self.patch_dim)
 
     @cached_property
     def squared_norms(self) -> np.ndarray:
@@ -136,7 +142,7 @@ def extract_patches(
     idx = patch_index_map(geometry, patch_side)
     # np.take, because bands[..., idx] gathers several times slower
     patches = np.take(bands, idx, axis=-1).reshape(-1, idx.shape[1])
-    patch_set = PatchSet(patches, patch_side, geometry)
+    patch_set = PatchSet(patches, geometry)
     check_finite_patches(patch_set)  # remove_means reads the same cached norms
     return patch_set
 
@@ -189,7 +195,6 @@ def remove_means(patch_set: PatchSet) -> PatchSet:
     means = patch_set.patches.mean(axis=1)
     return PatchSet(
         patches=patch_set.patches - means[:, None],
-        patch_side=patch_set.patch_side,
         source_geometry=patch_set.source_geometry,
         means=means,
     )
@@ -201,7 +206,6 @@ def restore_means(patch_set: PatchSet) -> PatchSet:
         raise StateError("no stored patch means to restore")
     return PatchSet(
         patches=patch_set.patches + patch_set.means[:, None],
-        patch_side=patch_set.patch_side,
         source_geometry=patch_set.source_geometry,
         means=None,
     )

@@ -2,9 +2,11 @@
 
 Ground-truth hyperspectral cubes are built as ``Z = E_true X_true`` with a
 constant-direction first basis vector (so bands have positive means) and
-smooth spatial coefficient maps. Injected noise is rescaled to realize the
-requested SNR (or noise std) exactly against the empirical signal power, so
-generated datasets hit their nominal noise levels to machine precision.
+smooth spatial coefficient maps, and observed through the solvers' own model,
+:func:`~pnpfusion.sharpen.hs_data_term` with E = I and lam = 1. Injected
+noise is rescaled to realize the requested SNR (or noise std) exactly against
+the empirical signal power, so generated datasets hit their nominal noise
+levels to machine precision.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ import numpy as np
 from .errors import ConfigError, require_count, require_instance, require_real
 from .fftops import CyclicBlur, blur_rows
 from .patches import ImageGeometry
-from .sharpen import HsScene, forward_hs, forward_ms, make_decimation_mask
+from .sharpen import HsScene, SubspaceBasis, hs_data_term, make_decimation_mask
 from .pairdeblur import PairScene
-
-PAIR_KERNELS = ("gauss8", "box9", "motion15", "delta")
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,7 @@ class PairSceneSpec:
 
     def __post_init__(self):
         require_instance(self.geometry, ImageGeometry, "geometry")
-        if not (isinstance(self.kernel_id, str) and self.kernel_id in PAIR_KERNELS):
-            raise ConfigError(
-                f"kernel_id must be one of {PAIR_KERNELS}, got {self.kernel_id!r:.60}"
-            )
+        make_kernel(self.kernel_id)  # refuses an unknown id
         require_count(self.seed, "seed", minimum=0)
         for name in ("sigma_n", "sigma_b"):
             require_real(getattr(self, name), name)
@@ -70,9 +67,7 @@ class PairSceneSpec:
 def smooth_field(geometry: ImageGeometry, rng: np.random.Generator) -> np.ndarray:
     """Sum of four random cosine products on the grid, as a pixel vector in [-1, 1]."""
     h, w = geometry.height, geometry.width
-    rr, cc = np.meshgrid(
-        np.arange(h) / max(h, 1), np.arange(w) / max(w, 1), indexing="ij"
-    )
+    rr, cc = np.meshgrid(np.arange(h) / h, np.arange(w) / w, indexing="ij")
     field = np.zeros((h, w))
     for _ in range(4):
         fr, fc = rng.uniform(0.5, 2.5, size=2)
@@ -129,12 +124,12 @@ def generate_hs_scene(spec: HsSceneSpec) -> HsScene:
     r /= r.sum(axis=1, keepdims=True)
 
     side = min(geometry.height, geometry.width)
-    sigma_psf = 0.8 * max(spec.decimation, 1)
+    sigma_psf = 0.8 * spec.decimation
     support = min(2 * int(np.ceil(2 * sigma_psf)) + 1, side)
     blur = CyclicBlur(gaussian_kernel(support, sigma_psf), geometry)
     mask = make_decimation_mask(geometry, spec.decimation)
 
-    # a template with zero observations applies the forward operators
+    # a template with zero observations applies the observation model
     template = HsScene(
         y_h=np.zeros((l_h, int(mask.sum()))),
         y_m=np.zeros((l_m, geometry.n)),
@@ -143,11 +138,11 @@ def generate_hs_scene(spec: HsSceneSpec) -> HsScene:
         r=r,
         sigma_h=0.0,
         sigma_m=0.0,
-        geometry=geometry,
         z=z,
     )
-    clean_h = forward_hs(z, template)
-    clean_m = forward_ms(z, template)
+    clean = hs_data_term(template, SubspaceBasis(np.eye(l_h)), 1.0).apply(z)
+    clean_h = clean[: template.y_h.size].reshape(template.y_h.shape)
+    clean_m = clean[template.y_h.size :].reshape(template.y_m.shape)
     power_h = np.mean(clean_h**2) * 10 ** (-spec.snr_h_db / 10)
     power_m = np.mean(clean_m**2) * 10 ** (-spec.snr_m_db / 10)
     return replace(  # keywords are evaluated in order: the HS noise is drawn first
@@ -189,24 +184,22 @@ def motion_kernel(length: int) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def make_kernel(kernel_id: str) -> np.ndarray:
-    """One of the shipped stand-in kernels.
+# The shipped stand-in kernels, chosen for qualitative variety (mild Gaussian,
+# wide box, oblique motion, the no-blur delta), not published benchmark ones.
+PAIR_KERNELS = {
+    "gauss8": lambda: gaussian_kernel(8, 1.6),
+    "box9": lambda: np.full((9, 9), 1.0 / 81.0),
+    "motion15": lambda: motion_kernel(15),
+    "delta": lambda: np.ones((1, 1)),
+}
 
-    These are stand-ins chosen for qualitative variety (mild Gaussian, wide
-    box, oblique motion, and the no-blur delta), not the third-party kernels
-    used in published benchmark tables.
-    """
-    if kernel_id == "gauss8":
-        return gaussian_kernel(8, 1.6)
-    if kernel_id == "box9":
-        return np.full((9, 9), 1.0 / 81.0)
-    if kernel_id == "motion15":
-        return motion_kernel(15)
-    if kernel_id == "delta":
-        return np.ones((1, 1))
-    raise ConfigError(
-        f"unknown kernel '{kernel_id}'; shipped: {', '.join(PAIR_KERNELS)}"
-    )
+
+def make_kernel(kernel_id: str) -> np.ndarray:
+    """The kernel of one of the :data:`PAIR_KERNELS` ids."""
+    if not (isinstance(kernel_id, str) and kernel_id in PAIR_KERNELS):
+        shipped = ", ".join(PAIR_KERNELS)
+        raise ConfigError(f"kernel_id must be one of {shipped}, got {kernel_id!r:.60}")
+    return PAIR_KERNELS[kernel_id]()
 
 
 def synthetic_image(geometry: ImageGeometry) -> np.ndarray:
@@ -250,6 +243,5 @@ def generate_pair_scene(spec: PairSceneSpec) -> PairScene:
         blur=blur,
         sigma_b=spec.sigma_b,
         sigma_n=spec.sigma_n,
-        geometry=geometry,
         truth=truth,
     )

@@ -1,4 +1,4 @@
-"""Hyperspectral sharpening: forward models, PCA subspace, GMRES and SALSA.
+"""Hyperspectral sharpening: observation model, PCA subspace, GMRES and SALSA.
 
 Observed data: a spatially blurred hyperspectral cube sampled at the pixels
 of a 0/1 mask M, ``Y_h = Z B M``, plus a spectrally mixed high-resolution cube
@@ -16,9 +16,10 @@ At the PnP fixed point the minimized objective is
 
 with ``reg_weight = rho``: a prox step implemented as plain multiplication by
 the denoiser matrix contributes its regularizer phi scaled by the penalty
-parameter. :func:`hs_data_term` states the two data terms once, on the
-coefficients X; its :class:`~pnpfusion.denoiser.DataTerm` takes the weight
-on phi explicitly to evaluate this objective and give its dense minimizer.
+parameter. :func:`hs_data_term` states the observation model once, on the
+coefficients X, for the solvers, the reference and the scene generator; its
+:class:`~pnpfusion.denoiser.DataTerm` takes the weight on phi explicitly to
+evaluate this objective and give its dense minimizer.
 
 :func:`sharpen` solves the fixed-point equation by GMRES (:func:`solve_hs`),
 so its report counts applications of D. Its preconditioner is diagonal in the
@@ -87,17 +88,13 @@ class HsScene:
     r: np.ndarray  # (L_m, L_h)
     sigma_h: float
     sigma_m: float
-    geometry: ImageGeometry
     z: np.ndarray | None = None
 
     def __post_init__(self):
         require_instance(self.blur, CyclicBlur, "blur")
-        require_instance(self.geometry, ImageGeometry, "geometry")
         object.__setattr__(self, "r", as_array(self.r, "r", 2))
         object.__setattr__(self, "mask", as_array(self.mask, "mask", 1))
         n_m, (l_m, l_h) = self.geometry.n, self.r.shape
-        if self.blur.geometry != self.geometry:
-            raise DimensionError(f"blur grid {self.blur.geometry} != {self.geometry}")
         if self.mask.shape != (n_m,):
             raise DimensionError("mask length must equal the pixel count")
         if not np.all((self.mask == 0) | (self.mask == 1)):
@@ -117,6 +114,10 @@ class HsScene:
             require_real(getattr(self, name), name)
 
     @property
+    def geometry(self) -> ImageGeometry:
+        return self.blur.geometry
+
+    @property
     def masked_indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
@@ -129,24 +130,6 @@ def make_decimation_mask(geometry: ImageGeometry, d: int) -> np.ndarray:
     cols = np.arange(geometry.width) % d == 0
     grid = np.outer(rows, cols)
     return geometry.from_grid(grid.astype(float)).astype(int)
-
-
-def forward_hs(z: np.ndarray, scene: HsScene) -> np.ndarray:
-    """Blur every band cyclically and keep the masked pixels: ``Z B M``."""
-    require_instance(scene, HsScene, "scene")
-    z = as_array(z, "z", 2)
-    if z.shape[1] != scene.geometry.n:
-        raise DimensionError("z pixel count does not match the scene geometry")
-    return blur_rows(z, scene.blur)[:, scene.masked_indices]
-
-
-def forward_ms(z: np.ndarray, scene: HsScene) -> np.ndarray:
-    """Spectrally mix the cube: ``R Z``."""
-    require_instance(scene, HsScene, "scene")
-    z = as_array(z, "z", 2)
-    if z.shape[0] != scene.r.shape[1]:
-        raise DimensionError("z band count does not match the spectral response")
-    return scene.r @ z
 
 
 def pca_basis(y_h: np.ndarray, n_dims: int) -> SubspaceBasis:
@@ -192,13 +175,14 @@ class SharpenParams:
     pure_linear: bool = False
 
     def __post_init__(self):
+        require_count(self.n_subspace, "n_subspace")
         check_params(self)
 
 
 def check_params(params) -> None:
     """Raise :class:`ConfigError` unless the params' ``em`` and ``solver`` are
     an :class:`EmConfig` and a :class:`SolverConfig` and ``pure_linear`` is a
-    bool; the counts are checked where they are used."""
+    bool; the patch side is checked where it is used."""
     require_instance(params.em, EmConfig, "em")
     require_instance(params.solver, SolverConfig, "solver")
     require_flag(params.pure_linear, "pure_linear")
@@ -219,6 +203,7 @@ def train_scene_denoiser(
     patches anchored at each pixel are averaged into the (K, n) weights that
     the returned :class:`~pnpfusion.denoiser.LinearDenoiser` freezes.
     """
+    require_real(denoiser_variance, "denoiser_variance", strict=True)
     patches = remove_means(extract_patches(y_m, geometry, patch_side))
     model, beta, _ = train_em(patches, em)
     weights = beta.reshape(len(beta), -1, geometry.n).mean(axis=1)
@@ -265,8 +250,8 @@ def _checked_step_output(out, shape: tuple) -> np.ndarray:
 
 
 def hs_data_term(scene: HsScene, basis: SubspaceBasis, lam: float) -> DataTerm:
-    """``[forward_hs(E X); sqrt(lam) R E X]`` against ``[Y_h; sqrt(lam) Y_m]``,
-    on the coefficient matrix X.
+    """``[E X B M; sqrt(lam) R E X]`` against ``[Y_h; sqrt(lam) Y_m]``, on
+    the coefficient matrix X; with E = I and lam = 1, the observation model.
 
     The blur acts on each band alone, so it is applied to the few coefficient
     rows of X rather than to the bands of ``E X``.

@@ -6,7 +6,9 @@ from pnpfusion.denoiser import LinearDenoiser, denoise_image_fixed
 from pnpfusion.gmm import EmConfig, posterior, train_em
 from pnpfusion.patches import ImageGeometry, extract_patches, remove_means
 from pnpfusion.scenes import PairSceneSpec, generate_pair_scene, smooth_field
-from pnpfusion.sharpen import hs_data_term, solve_hs, train_scene_denoiser
+from pnpfusion.sharpen import (
+    SubspaceBasis, hs_data_term, solve_hs, train_scene_denoiser
+)
 
 
 def train_random_denoiser(
@@ -83,6 +85,15 @@ def trained_denoiser(
         scene.y_m, scene.geometry, patch_side, em,
         denoiser_variance=tau / rho, pure_linear=pure_linear,
     )
+
+
+def clean_observations(z, scene):
+    """``(Z B M, R Z)`` of a cube z on an ``HsScene``: the data term with
+    E = I and lam = 1, split into its HS and MS blocks."""
+    identity = SubspaceBasis(np.eye(scene.r.shape[1]))
+    clean = hs_data_term(scene, identity, 1.0).apply(z)
+    hs, ms = np.split(clean, [scene.y_h.size])
+    return hs.reshape(scene.y_h.shape), ms.reshape(scene.y_m.shape)
 
 
 def relative_error(x, reference):

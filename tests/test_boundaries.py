@@ -66,8 +66,6 @@ from pnpfusion import (
     ergas,
     eval_phi,
     extract_patches,
-    forward_hs,
-    forward_ms,
     generate_hs_scene,
     generate_pair_scene,
     hs_data_term,
@@ -206,9 +204,9 @@ def objective_at_the_solution(apply, adjoint, target, shape, reg_weight, w):
     return term.objective(x, reg_weight, w)
 
 
-def patch_set_in_use(patches, patch_side, source_geometry):
+def patch_set_in_use(patches, source_geometry):
     # an empty or non-finite patch set is refused where it is used
-    return remove_means(PatchSet(patches, patch_side, source_geometry))
+    return remove_means(PatchSet(patches, source_geometry))
 
 
 def admm_from(problem, config, init):
@@ -290,11 +288,8 @@ CASES = {
     # tests/test_gmm.py pins ConfigError for an empty mixture
     "GmmModel": Case(
         GmmModel,
-        lambda w: dict(
-            alphas=w.model.alphas, covariances=w.model.covariances, patch_side=2
-        ),
+        lambda w: dict(alphas=w.model.alphas, covariances=w.model.covariances),
         arrays=("alphas", "covariances"),
-        counts={"patch_side": 1},
         pinned={("alphas", "empty"): ConfigError},
     ),
     "HsScene": Case(
@@ -302,7 +297,7 @@ CASES = {
         lambda w: scene_fields(w.hs),
         arrays=("y_h", "y_m", "mask", "r", "z"),
         scalars=("sigma_h", "sigma_m"),
-        objects=("blur", "geometry"),
+        objects=("blur",),
     ),
     "HsSceneSpec": Case(
         HsSceneSpec,
@@ -349,7 +344,7 @@ CASES = {
         lambda w: scene_fields(w.pair),
         arrays=("y_b", "y_n", "truth"),
         scalars=("sigma_b", "sigma_n"),
-        objects=("blur", "geometry"),
+        objects=("blur",),
     ),
     "PairSceneSpec": Case(
         PairSceneSpec,
@@ -362,13 +357,9 @@ CASES = {
     ),
     "PatchSet": Case(
         patch_set_in_use,
-        lambda w: dict(
-            patches=w.raw.patches, patch_side=2, source_geometry=w.geom
-        ),
+        lambda w: dict(patches=w.raw.patches, source_geometry=w.geom),
         arrays=("patches",),
-        counts={"patch_side": 1},
         objects=("source_geometry",),
-        pinned=grid_counts("patch_side"),
     ),
     "SharpenParams": Case(
         sharpen_with,
@@ -421,18 +412,6 @@ CASES = {
         counts={"patch_side": 1},
         objects=("geometry",),
         pinned=grid_counts("patch_side"),
-    ),
-    "forward_hs": Case(
-        forward_hs,
-        lambda w: dict(z=w.hs.z, scene=w.hs),
-        arrays=("z",),
-        objects=("scene",),
-    ),
-    "forward_ms": Case(
-        forward_ms,
-        lambda w: dict(z=w.hs.z, scene=w.hs),
-        arrays=("z",),
-        objects=("scene",),
     ),
     "generate_hs_scene": Case(
         generate_hs_scene, lambda w: dict(spec=w.hs_spec), objects=("spec",)
@@ -623,7 +602,7 @@ def same(a, b) -> bool:
 def test_every_public_name_is_in_the_table():
     # a new export must say which arrays, scalars, counts and package objects
     # it takes, or that it takes none
-    assert len(pnpfusion.__all__) == 57
+    assert len(pnpfusion.__all__) == 55
     assert NO_CASE.isdisjoint(CASES)
     assert set(pnpfusion.__all__) == NO_CASE | set(CASES)
 
@@ -732,8 +711,9 @@ def test_a_malformed_scalar_raises(world, name, argument, variant):
     case = CASES[name]
     args = case.args(world)
     args[argument] = BAD_SCALARS[variant]
-    with pytest.raises(case.pinned.get((argument, variant), ConfigError)):
+    with pytest.raises(case.pinned.get((argument, variant), ConfigError)) as error:
         case.call(**args)
+    assert argument in str(error.value)  # refused by its own name
 
 
 @pytest.mark.parametrize(
@@ -749,8 +729,9 @@ def test_a_malformed_count_raises(world, name, argument, variant):
     case = CASES[name]
     args = case.args(world)
     args[argument] = bad_counts(case.counts[argument])[variant]
-    with pytest.raises(case.pinned.get((argument, variant), ConfigError)):
+    with pytest.raises(case.pinned.get((argument, variant), ConfigError)) as error:
         case.call(**args)
+    assert argument in str(error.value)  # refused by its own name
 
 
 @pytest.mark.parametrize(

@@ -26,11 +26,9 @@ from pnpfusion.patches import ImageGeometry, PatchSet
 
 def make_patch_set(patches):
     patches = np.asarray(patches, dtype=float)
-    n = patches.shape[0]
-    side = int(round(np.sqrt(patches.shape[1])))
     # synthetic holder: geometry only needs a consistent pixel count
-    geom = ImageGeometry(n, 1)
-    return PatchSet(patches=patches, patch_side=side, source_geometry=geom)
+    geom = ImageGeometry(patches.shape[0], 1)
+    return PatchSet(patches=patches, source_geometry=geom)
 
 
 def random_model(rng, k, n_p):
@@ -42,7 +40,6 @@ def random_model(rng, k, n_p):
     return GmmModel(
         alphas=alphas / alphas.sum(),
         covariances=np.stack(covs),
-        patch_side=int(round(np.sqrt(n_p))),
     )
 
 
@@ -178,14 +175,14 @@ class TestLogDensities:
     def test_zero_covariance_without_noise_floors_and_matches(self, caplog):
         rng = np.random.default_rng(24)
         model = GmmModel(
-            alphas=np.array([1.0]), covariances=np.zeros((1, 4, 4)), patch_side=2
+            alphas=np.array([1.0]), covariances=np.zeros((1, 4, 4))
         )
         y = rng.standard_normal((10, 4))
         with caplog.at_level(logging.WARNING):
             got = _component_log_densities(make_patch_set(y), model, 0.0)
         assert any("flooring" in r.message for r in caplog.records)
         floored = GmmModel(
-            alphas=model.alphas, covariances=1e-12 * np.eye(4)[None], patch_side=2
+            alphas=model.alphas, covariances=1e-12 * np.eye(4)[None]
         )
         np.testing.assert_allclose(got, oracle_log_densities(y, floored, 0.0), rtol=1e-10)
 
@@ -243,7 +240,6 @@ class TestEStep:
         model = GmmModel(
             alphas=np.array([0.3, 0.7]),
             covariances=np.stack([cov, cov]),
-            patch_side=2,
         )
         ps = make_patch_set(rng.standard_normal((12, 4)))
         beta = posterior(ps, model, 0.2)[0]
@@ -257,7 +253,6 @@ class TestEStep:
         model = GmmModel(
             alphas=np.r_[0.0, live.alphas],
             covariances=np.concatenate([random_model(rng, 1, 4).covariances, live.covariances]),
-            patch_side=2,
         )
         ps = make_patch_set(rng.standard_normal((20, 4)))
         logdens = _component_log_densities(ps, model, 0.1)
@@ -296,7 +291,6 @@ class TestEStep:
         model = GmmModel(
             alphas=np.array([1.0]),
             covariances=np.zeros((1, 4, 4)),
-            patch_side=2,
         )
         with caplog.at_level(logging.WARNING):
             beta = posterior(ps, model, 0.0)[0]
@@ -639,10 +633,10 @@ def test_train_em_rejects_non_finite_patches():
     patches = np.random.default_rng(0).standard_normal((geom.n, 4))
     patches[3, 1] = np.nan
     with pytest.raises(ConfigError):
-        train_em(PatchSet(patches, 2, geom), EmConfig(2, noise_variance=0.1))
+        train_em(PatchSet(patches, geom), EmConfig(2, noise_variance=0.1))
 
 
-@pytest.mark.parametrize("noise_variance", [np.nan, np.inf, -0.1])
+@pytest.mark.parametrize("noise_variance", [-0.1])  # NaN, inf: tests/test_boundaries.py
 @pytest.mark.parametrize("step", ["posterior", "m_step"])
 def test_e_and_m_steps_reject_bad_noise_variance(step, noise_variance):
     # posterior once returned NaN responsibilities and m_step leaked LinAlgError
@@ -656,43 +650,31 @@ def test_e_and_m_steps_reject_bad_noise_variance(step, noise_variance):
 
 
 @pytest.mark.parametrize(
-    "alphas,covariances,patch_side",
+    "alphas,covariances",
     [
-        # side 2 with 3x3 covariances once mapped a constant image 1 to 1.505
-        ([1.0], np.eye(9)[None], 2),
-        # side 3 with 2x2 covariances once leaked IndexError from the stencil
-        ([1.0], np.eye(4)[None], 3),
-        ([0.5, 0.5], np.eye(4)[None], 2),
-        ([[1.0]], np.eye(4)[None], 2),
+        # the side is the root of the width: a side given apart from the
+        # covariances once mapped a constant image 1 to 1.505, or leaked
+        # IndexError from the stencil; a width that is no square has no side
+        ([1.0], np.eye(3)[None]),
+        ([1.0], np.ones((1, 4, 9))),
+        ([0.5, 0.5], np.eye(4)[None]),
+        ([[1.0]], np.eye(4)[None]),
     ],
-    ids=["3x3 at side 2", "2x2 at side 3", "K mismatch", "2-d alphas"],
+    ids=["width 3", "4x9 covariances", "K mismatch", "2-d alphas"],
 )
-def test_gmm_model_rejects_shapes_its_patch_side_lacks(alphas, covariances, patch_side):
+def test_gmm_model_rejects_shapes_its_patch_side_lacks(alphas, covariances):
     with pytest.raises(DimensionError):
-        GmmModel(alphas=alphas, covariances=covariances, patch_side=patch_side)
-
-
-def test_train_em_rejects_patches_wider_than_their_side():
-    # 9-pixel rows labelled as side-2 patches: the initial model is refused
-    rows = np.random.default_rng(11).standard_normal((16, 9))
-    with pytest.raises(DimensionError):
-        train_em(PatchSet(rows, 2, ImageGeometry(4, 4)), EmConfig(2, noise_variance=0.1))
+        GmmModel(alphas=alphas, covariances=covariances)
 
 
 def test_gmm_model_rejects_an_empty_mixture():
     with pytest.raises(ConfigError):
-        GmmModel(alphas=np.zeros(0), covariances=np.zeros((0, 4, 4)), patch_side=2)
-
-
-def test_gmm_model_rejects_a_negative_patch_side():
-    # side -2 squares to the 4 of 2x2 covariances, so the shape check passed
-    with pytest.raises(ConfigError):
-        GmmModel(alphas=[1.0], covariances=np.eye(4)[None], patch_side=-2)
+        GmmModel(alphas=np.zeros(0), covariances=np.zeros((0, 4, 4)))
 
 
 def test_m_step_rejects_zero_patches():
     # once leaked numpy's "zero-size array to reduction operation" ValueError
-    patches = PatchSet(np.zeros((0, 4)), 2, ImageGeometry(2, 2))
+    patches = PatchSet(np.zeros((0, 4)), ImageGeometry(2, 2))
     with pytest.raises(DimensionError):
         m_step(patches, np.zeros((2, 0)), 0.1)
 
@@ -703,7 +685,7 @@ def test_posterior_on_an_empty_mixture_raises_a_typed_error():
     with pytest.raises(PnpError):
         posterior(
             patches,
-            GmmModel(alphas=np.zeros(0), covariances=np.zeros((0, 4, 4)), patch_side=2),
+            GmmModel(alphas=np.zeros(0), covariances=np.zeros((0, 4, 4))),
             0.1,
         )
 
@@ -718,7 +700,7 @@ def two_scale_model(rng, ratio, noise_variance):
         lam[:8] = noise_variance * top * np.logspace(0, -3, 8)
         covariances.append((q * lam) @ q.T)
     return GmmModel(
-        alphas=np.array([0.5, 0.5]), covariances=np.stack(covariances), patch_side=4
+        alphas=np.array([0.5, 0.5]), covariances=np.stack(covariances)
     )
 
 
@@ -1013,7 +995,7 @@ def test_gmm_model_rejects_non_finite_or_negative_values(alphas, bad_covariance)
     if bad_covariance:
         covariances[1, 3, 5] = np.nan
     with pytest.raises(ConfigError):
-        GmmModel(alphas=np.array(alphas), covariances=covariances, patch_side=4)
+        GmmModel(alphas=np.array(alphas), covariances=covariances)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -87,7 +87,7 @@ class TestErgas:
         with pytest.raises(MetricError):
             ergas(ref, ref + 1, 1.0)
 
-    @pytest.mark.parametrize("ratio", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("ratio", [-1.0])  # NaN, inf: tests/test_boundaries.py
     def test_nonpositive_resolution_ratio_raises(self, ratio):
         ref = np.ones((2, 4))
         with pytest.raises(MetricError):

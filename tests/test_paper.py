@@ -109,9 +109,9 @@ def scalar_denoisers(small_variance, large_variance, noise_variance, alphas=(0.5
     The MMSE weights are the pipelines' E-step, ``posterior`` on one-pixel
     patches."""
     variances = np.array([small_variance, large_variance])
-    model = GmmModel(alphas=alphas, covariances=variances[:, None, None], patch_side=1)
+    model = GmmModel(alphas=alphas, covariances=variances[:, None, None])
     y = np.arange(-3.0, 3.0 + 1e-12, 1e-4)
-    pixels = PatchSet(y[:, None], 1, ImageGeometry(y.size, 1))
+    pixels = PatchSet(y[:, None], ImageGeometry(y.size, 1))
     beta = posterior(pixels, model, noise_variance)[0]
     shrink = variances / (variances + noise_variance)
     return y, (beta * shrink[:, None]).sum(axis=0) * y, float(model.alphas @ shrink) * y

@@ -81,15 +81,23 @@ def test_assemble_matches_brute_force_average():
     geom = ImageGeometry(4, 4)
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((16, 4))
-    ps = PatchSet(patches=raw, patch_side=2, source_geometry=geom)
+    ps = PatchSet(patches=raw, source_geometry=geom)
     mats = brute_force_patch_matrices(geom, 2)
     expected = sum(p.T @ raw[i] for i, p in enumerate(mats)) / 4.0
     np.testing.assert_allclose(assemble_patches(ps), expected, rtol=1e-13)
 
 
+@pytest.mark.parametrize("width", [0, 5])
+def test_rows_whose_width_is_not_a_square_raise(width):
+    # the side is the root of the row width; 9-pixel rows labelled as side-2
+    # patches were once accepted and refused only by EM's first model
+    with pytest.raises(DimensionError):
+        PatchSet(np.zeros((16, width)), ImageGeometry(4, 4))
+
+
 def test_assemble_zero_is_zero():
     geom = ImageGeometry(5, 4)
-    ps = PatchSet(patches=np.zeros((20, 4)), patch_side=2, source_geometry=geom)
+    ps = PatchSet(patches=np.zeros((20, 4)), source_geometry=geom)
     assert not assemble_patches(ps).any()
 
 
@@ -140,7 +148,6 @@ def test_remove_means_arithmetic():
     geom = ImageGeometry(2, 2)
     ps = PatchSet(
         patches=np.array([[1.0, 2.0, 3.0, 4.0]] * 4),
-        patch_side=2,
         source_geometry=geom,
     )
     out = remove_means(ps)
@@ -170,7 +177,6 @@ def test_restore_zero_means_is_identity():
     geom = ImageGeometry(2, 2)
     ps = PatchSet(
         patches=np.zeros((4, 4)),
-        patch_side=2,
         source_geometry=geom,
         means=np.array([1.0, -2.0, 0.5, 0.0]),
     )

@@ -12,8 +12,9 @@ its stencil and its applications are used:
   ``[-1e-12, 1 + 1e-12]``;
 * minimality: the fixed point that ``solve_hs`` reaches on the pair, with
   the one-band basis, minimizes the objective ``F(x) + rho phi(x)``; so
-  does the one it reaches on the 4 coefficient bands of the 32x32
-  ``hs-sharpen`` scene 0 at seed 11, where phi is summed over the bands.
+  does the one it reaches on the 64x64 ``pair-iterate`` scene 0 at seed 11,
+  and on the 4 coefficient bands of the 32x32 ``hs-sharpen`` scene 0 at
+  seed 11, where phi is summed over the bands.
 
 Ritz values lie inside the spectrum, so the probe can refute the theory but
 not prove it. Each probe is also run on a D broken on purpose, and must
@@ -199,6 +200,21 @@ def assert_the_fixed_point_is_the_minimizer(hs_scene, basis, denoiser, cfg):
 def test_the_fixed_point_minimizes_the_objective(scene, denoiser):
     rho, lam = 0.5, 0.2
     cfg = SolverConfig(rho=rho, lam=lam, tau=rho * denoiser.noise_variance)
+    basis = SubspaceBasis(np.ones((1, 1)))
+    assert_the_fixed_point_is_the_minimizer(scene.hs_scene, basis, denoiser, cfg)
+
+
+def test_the_fixed_point_minimizes_the_objective_on_the_pair_iterate_scene():
+    # scene 0 of the pair-iterate workload at seed 11, with its K = 8, 6x6
+    # patches and 25 EM iterations
+    scene = generate_pair_scene(
+        PairSceneSpec(ImageGeometry(64, 64), "motion15", 25 / 255, 2 / 255, seed=11000)
+    )
+    cfg = SolverConfig(rho=0.02, lam=0.2, tau=0.01)
+    em = EmConfig(n_components=8, noise_variance=scene.sigma_n**2, max_iters=25)
+    denoiser = train_scene_denoiser(
+        scene.y_n[None], scene.geometry, 6, em, cfg.tau / cfg.rho
+    )
     basis = SubspaceBasis(np.ones((1, 1)))
     assert_the_fixed_point_is_the_minimizer(scene.hs_scene, basis, denoiser, cfg)
 
