@@ -11,7 +11,10 @@ with ``||D|| <= 1``. :func:`solve_fixed_point` solves this equation in x,
 with an operator the caller chooses. Both pipelines pass the inverse of
 ``rho I + Dbar (Abar - rho I)``, built from the circulant parts Abar and
 Dbar of ``A^T A`` and D, which is diagonal in the DFT basis and positive
-definite for any rho; the pipeline modules build it.
+definite for any rho; the pipeline modules build it. Where
+``A^T A - rho I`` is a positive definite circulant, as for a blurred/noisy
+pair with ``lam > rho``, they also pass its inverse, and GMRES starts at a
+least-squares point that costs no application of D.
 
 :func:`run_admm` is the paper-faithful reference that reaches the same point
 by iterating. A problem supplies four callbacks:
@@ -98,7 +101,8 @@ class SolveReport:
     residual recomputed at the returned x, ``final_dual`` stays None and the
     dual and objective traces stay empty. The entry after a GMRES step is
     the residual GMRES carries, the entry after each run of steps the one
-    recomputed at x; they agree to rounding.
+    recomputed at x; they agree to rounding. A start that ``g_inverse``
+    gives costs no application and so adds no entry.
     """
 
     iterations_run: int = 0
@@ -188,7 +192,9 @@ def _rotate(column, rotations, k: int):
     column[k : k + 2] = radius, 0.0
 
 
-def solve_fixed_point(data: DataTerm, denoise, config: SolverConfig, precondition=None):
+def solve_fixed_point(
+    data: DataTerm, denoise, config: SolverConfig, precondition=None, g_inverse=None
+):
     """Solve ``rho (x - D x) + D A^T (A x - t) = 0`` by right-preconditioned
     GMRES, with ``rho = config.rho``.
 
@@ -210,6 +216,13 @@ def solve_fixed_point(data: DataTerm, denoise, config: SolverConfig, preconditio
     the circulant parts of ``A^T A`` and D (T. Chan, SIAM J. Sci. Stat.
     Comput. 1988), so that M is diagonal in the DFT basis.
 
+    GMRES starts at 0, or, if ``g_inverse`` applies ``G^-1`` (G must then
+    be invertible), at the least-squares point ``x0 = c s`` on the line of
+    ``s = G^-1 b``: as ``D G s = D b`` is already known, the residual there
+    is ``D b - c u`` with ``u = D b + rho s``, and ``c = <D b, u> / <u, u>``
+    minimizes it, so the start costs no application of D. If ``<u, u>`` is
+    0 or c is not finite, GMRES starts at 0.
+
     Each step applies the system, and so D, once, to the direction
     ``z = M^-1 q`` of the newest basis vector q. The system's residual is
     the fixed-point residual, so the report's entry after a step is the
@@ -218,10 +231,12 @@ def solve_fixed_point(data: DataTerm, denoise, config: SolverConfig, preconditio
     most ``GMRES_BASIS`` steps, and x then adds ``M^-1`` of the combined
     basis. The residual ``D (b - G x) - rho x`` is recomputed at x with one
     more application of D, and GMRES restarts from it if it misses the
-    tolerance. A step is taken only if it and that recomputation fit in
-    ``config.max_iters`` applications of D. The report's ``iterations_run``
-    counts the applications after the one that forms ``D b``,
-    ``primal_residuals`` holds one relative residual per application, and
+    tolerance, so a ``g_inverse`` that is not exactly ``G^-1`` costs
+    applications but never returns a wrong x. A step is taken only if it
+    and that recomputation fit in ``config.max_iters`` applications of D.
+    The report's ``iterations_run`` counts the applications after the one
+    that forms ``D b`` (the start adds none), ``primal_residuals`` holds one
+    relative residual per application (none for the start), and
     ``converged`` and ``final_primal`` come from the residual recomputed at
     the returned x. ``config.primal_tol`` and ``config.dual_tol`` are not
     read. Returns ``(x, SolveReport)``. Raises :class:`DivergenceError` if a
@@ -271,15 +286,28 @@ def solve_fixed_point(data: DataTerm, denoise, config: SolverConfig, preconditio
     rhs = denoise(b)  # not counted
     rhs_norm = float(np.linalg.norm(rhs))
     if not np.isfinite(rhs_norm):
-        raise DivergenceError("non-finite right-hand side", iteration=0)
+        raise DivergenceError(
+            "non-finite right-hand side D A^T t: t is the data term's target",
+            iteration=0,
+        )
     x = np.zeros(data.shape)
     if rhs_norm == 0:
         report.converged, report.final_primal = True, 0.0
         return x, report
 
+    r, relative = rhs, 1.0
+    if g_inverse is not None:
+        # the residual at c s is D b - c (rho s + D G s) = D b - c u
+        s = g_inverse(b)
+        u = rhs + rho * s
+        uu = float(np.vdot(u, u))
+        c = float(np.vdot(rhs, u)) / uu if uu > 0 else np.nan
+        if np.isfinite(c):
+            x, r = c * s, rhs - c * u
+            relative = float(np.linalg.norm(r)) / rhs_norm
+
     # np.empty touches no memory until a step writes its vector
     basis = np.empty((GMRES_BASIS + 1, x.size))
-    r, relative = rhs, 1.0
     while True:
         # Arnoldi on (rho I + D G) M^-1. Givens rotations turn the Hessenberg
         # matrix into the upper triangle, so after k steps |g[k]| is ||r|| at
@@ -288,7 +316,7 @@ def solve_fixed_point(data: DataTerm, denoise, config: SolverConfig, preconditio
         rotations = np.zeros((GMRES_BASIS, 2))
         g = np.zeros(GMRES_BASIS + 1)
         g[0] = np.linalg.norm(r)
-        basis[0] = r.ravel() / g[0]
+        basis[0] = r.ravel() / (g[0] or 1.0)  # r = 0 takes no step
         k = 0
         # a step needs room for itself and the residual recomputed after it
         while (

@@ -33,7 +33,7 @@ def _as_cubes(
         for a, name in ((reference, "reference"), (estimate, "estimate"))
     )
     if ref.shape != est.shape:
-        raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
+        raise DimensionError(f"reference has shape {ref.shape}, estimate {est.shape}")
     if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(est))):
         raise MetricError("metric undefined: non-finite reference or estimate")
     return ref, est

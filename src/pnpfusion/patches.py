@@ -189,6 +189,7 @@ def check_finite_patches(patches: PatchSet) -> None:
 
 def remove_means(patch_set: PatchSet) -> PatchSet:
     """Subtract each patch's mean, storing the means for later restoration."""
+    require_instance(patch_set, PatchSet, "patch_set")
     check_finite_patches(patch_set)
     if patch_set.means is not None:
         raise StateError("patch means already removed")

@@ -58,7 +58,7 @@ class PairSceneSpec:
 
     def __post_init__(self):
         require_instance(self.geometry, ImageGeometry, "geometry")
-        make_kernel(self.kernel_id)  # refuses an unknown id
+        _check_kernel_id(self.kernel_id)
         require_count(self.seed, "seed", minimum=0)
         for name in ("sigma_n", "sigma_b"):
             require_real(getattr(self, name), name)
@@ -194,11 +194,17 @@ PAIR_KERNELS = {
 }
 
 
-def make_kernel(kernel_id: str) -> np.ndarray:
-    """The kernel of one of the :data:`PAIR_KERNELS` ids."""
+def _check_kernel_id(kernel_id: str) -> None:
+    """Raise :class:`ConfigError` unless ``kernel_id`` is one of the
+    :data:`PAIR_KERNELS` ids; building the kernel is not needed for that."""
     if not (isinstance(kernel_id, str) and kernel_id in PAIR_KERNELS):
         shipped = ", ".join(PAIR_KERNELS)
         raise ConfigError(f"kernel_id must be one of {shipped}, got {kernel_id!r:.60}")
+
+
+def make_kernel(kernel_id: str) -> np.ndarray:
+    """The kernel of one of the :data:`PAIR_KERNELS` ids."""
+    _check_kernel_id(kernel_id)
     return PAIR_KERNELS[kernel_id]()
 
 

@@ -25,7 +25,11 @@ evaluate this objective and give its dense minimizer.
 so its report counts applications of D. Its preconditioner is diagonal in the
 DFT basis once the coefficient bands are rotated into the eigenbasis of
 ``lam (R E)^T R E`` and the sampling mask is replaced by its mean
-(:func:`hs_normal_symbol`).
+(:func:`hs_normal_symbol`). When the mask keeps every pixel, that
+circulant part is ``A^T A`` itself; if ``A^T A - rho I`` is then positive
+definite, its inverse gives GMRES a start that costs no application of D.
+Both read ``E^T E`` as I, so :class:`SubspaceBasis` refuses columns that are
+not orthonormal.
 :func:`run_salsa_hs` runs the paper's three-block SALSA scheme to the same
 point and stays as the reference; its third block is D, or any other v3-step.
 
@@ -59,14 +63,30 @@ from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
 
 
+# Largest entry of |E^T E - I| that SubspaceBasis accepts; pca_basis's is
+# ~2e-15.
+ORTHONORMAL_ATOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal spectral basis columns."""
+    """Orthonormal spectral basis columns.
+
+    :func:`hs_normal_symbol` and :func:`solve_hs`'s start read ``E^T E`` as
+    I, so columns that are not orthonormal raise :class:`ConfigError`: a
+    scaled or skewed basis of the same subspace once solved silently slower.
+    """
 
     e: np.ndarray  # (L_h, L_s)
 
     def __post_init__(self):
-        object.__setattr__(self, "e", as_array(self.e, "basis", 2))
+        e = as_array(self.e, "e", 2)
+        defect = np.abs(e.T @ e - np.eye(e.shape[1])).max()
+        if not defect <= ORTHONORMAL_ATOL:
+            raise ConfigError(
+                f"e must have orthonormal columns, max|E^T E - I| = {defect:.3g}"
+            )
+        object.__setattr__(self, "e", e)
 
     @property
     def dim(self) -> int:
@@ -198,11 +218,14 @@ def train_scene_denoiser(
 ) -> LinearDenoiser:
     """EM over the zero-mean patches of every band, weights averaged per pixel.
 
-    The mixture is trained on the patches of all k bands, gathered in one
-    pass. EM's posterior is (K, k n), band-major, and the k posteriors of the
-    patches anchored at each pixel are averaged into the (K, n) weights that
-    the returned :class:`~pnpfusion.denoiser.LinearDenoiser` freezes.
+    The mixture is trained on the patches of all k bands of the ``(k, n)``
+    stack ``y_m``, gathered in one pass. EM's posterior is (K, k n),
+    band-major, and the k posteriors of the patches anchored at each pixel
+    are averaged into the (K, n) weights that the returned
+    :class:`~pnpfusion.denoiser.LinearDenoiser` freezes.
     """
+    y_m = as_array(y_m, "y_m", 2)
+    require_instance(em, EmConfig, "em")
     require_real(denoiser_variance, "denoiser_variance", strict=True)
     patches = remove_means(extract_patches(y_m, geometry, patch_side))
     model, beta, _ = train_em(patches, em)
@@ -314,7 +337,11 @@ def solve_hs(
     D acts on each coefficient band alone, so its circulant part Dbar commutes
     with the rotation Q of :func:`hs_normal_symbol`, and the preconditioner
     ``(rho I + Dbar (Abar - rho I))^-1`` is one symbol product per rotated
-    band between two rotations. D is a LinearDenoiser, or None for identity.
+    band between two rotations. Where :func:`_g_inverse` finds
+    ``G = A^T A - rho I`` to be a positive definite circulant, as for a pair
+    with ``lam > rho``, ``G^-1`` is such a product too, and GMRES starts at
+    the least-squares point on the line of ``G^-1 A^T t``, which costs no
+    application of D. D is a LinearDenoiser, or None for identity.
     """
     _check_problem(scene, basis, cfg.lam)
     if denoiser is not None:  # GMRES needs D linear
@@ -328,7 +355,26 @@ def solve_hs(
         denoise,
         cfg,
         precondition=lambda v: rotation @ symbol_products(rotation.T @ v, inverse),
+        g_inverse=_g_inverse(scene.mask, rotation, normal_symbol, cfg.rho),
     )
+
+
+def _g_inverse(mask: np.ndarray, rotation, normal_symbol, rho: float):
+    """``v -> G^-1 v`` with ``G = A^T A - rho I``, for
+    :func:`~pnpfusion.admm.solve_fixed_point`'s start, or None.
+
+    ``(rotation, normal_symbol)`` is :func:`hs_normal_symbol`'s circulant
+    part of ``A^T A``. That part is ``A^T A`` itself when the mask keeps
+    every pixel, as for a blurred/noisy pair, and G is then positive definite
+    if every entry of ``normal_symbol - rho`` is positive; otherwise None.
+    Measured on the pair workloads, a start where G is indefinite
+    (``rho >= lam``) saves no application of D.
+    """
+    shifted = normal_symbol - rho
+    if not (np.all(mask == 1) and np.all(shifted > 0)):
+        return None
+    inverse = 1.0 / shifted
+    return lambda v: rotation @ symbol_products(rotation.T @ v, inverse)
 
 
 def run_salsa_hs(

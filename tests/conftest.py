@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from pnpfusion.admm import solve_fixed_point
+from pnpfusion.admm import SolverConfig, solve_fixed_point
 from pnpfusion.denoiser import LinearDenoiser, denoise_image_fixed
 from pnpfusion.gmm import EmConfig, posterior, train_em
 from pnpfusion.patches import ImageGeometry, extract_patches, remove_means
@@ -137,3 +139,22 @@ def mirror_defect(denoiser: LinearDenoiser) -> float:
 def small_denoiser():
     """One 12x12 trained denoiser reused by read-only tests."""
     return train_random_denoiser(ImageGeometry(12, 12), 3, 3, seed=7)
+
+
+@pytest.fixture(scope="session")
+def pair_iterate_scene():
+    """Scene 0 of the pair-iterate workload at seed 11, as its one-band
+    sharpening scene on the 1x1 basis, with the workload's solver settings
+    and the denoiser it trains (K = 8, 6x6 patches, 25 EM iterations)."""
+    pair = generate_pair_scene(
+        PairSceneSpec(ImageGeometry(64, 64), "motion15", 25 / 255, 2 / 255, seed=11000)
+    )
+    cfg = SolverConfig(rho=0.02, lam=0.2, tau=0.01)
+    em = EmConfig(n_components=8, noise_variance=pair.sigma_n**2, max_iters=25)
+    denoiser = train_scene_denoiser(
+        pair.y_n[None], pair.geometry, 6, em, cfg.tau / cfg.rho
+    )
+    return SimpleNamespace(
+        scene=pair.hs_scene, basis=SubspaceBasis(np.ones((1, 1))), cfg=cfg,
+        denoiser=denoiser,
+    )

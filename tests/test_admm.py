@@ -273,6 +273,55 @@ class TestSolveFixedPoint:
         )
         np.testing.assert_allclose(x, expected, rtol=1e-8)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0], ids=["exact", "twice"])
+    def test_a_g_inverse_start_costs_no_application(self, scale):
+        # exact or not, the map gives the start; the recomputed residual keeps
+        # x right, and D is applied once for D b and once per counted step
+        data, d = linear_problem(18)
+        a, rho = data.apply(np.eye(8)), 0.3
+        g_inverse = scale * np.linalg.inv(a.T @ a - rho * np.eye(8))
+        calls = []
+
+        def denoise(v):
+            calls.append(1)
+            return d @ v
+
+        x, report = solve_fixed_point(
+            data, denoise, SolverConfig(rho=rho), g_inverse=lambda v: g_inverse @ v
+        )
+        assert report.converged and report.final_primal <= FIXED_POINT_RTOL
+        assert report.iterations_run == len(calls) - 1
+        assert len(report.primal_residuals) == report.iterations_run
+        expected = np.linalg.solve(
+            rho * (np.eye(8) - d) + d @ a.T @ a, d @ a.T @ data.target
+        )
+        np.testing.assert_allclose(x, expected, rtol=1e-8)
+
+    @pytest.mark.parametrize(
+        "g_inverse",
+        [lambda v: np.full_like(v, np.nan), lambda v: -np.inf * np.ones_like(v)],
+        ids=["nan", "inf"],
+    )
+    def test_a_non_finite_g_inverse_starts_at_zero(self, g_inverse):
+        data, d = linear_problem(19)
+        cfg = SolverConfig(rho=0.3)
+        x, report = solve_fixed_point(data, lambda v: d @ v, cfg, g_inverse=g_inverse)
+        x_zero, zero = solve_fixed_point(data, lambda v: d @ v, cfg)
+        np.testing.assert_array_equal(x, x_zero)
+        assert asdict(report) == asdict(zero)
+
+    def test_an_exact_start_takes_no_step(self):
+        # D = I and A = I: G = I / 2 at rho = 1/2, and c s is the solution
+        # x = t; with integer t the start's residual is exactly 0
+        target = np.arange(1.0, 7.0)
+        data = matrix_term(np.eye(6), target)
+        x, report = solve_fixed_point(
+            data, lambda v: v, SolverConfig(rho=0.5), g_inverse=lambda v: 2 * v
+        )
+        assert report.converged
+        assert report.iterations_run == 1  # the recomputed residual alone
+        np.testing.assert_array_equal(x, target)
+
     def test_full_basis_restarts_from_the_recomputed_residual(self, monkeypatch):
         monkeypatch.setattr(admm, "GMRES_BASIS", 3)
         data, d = linear_problem(15, m=40, n=30)

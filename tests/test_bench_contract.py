@@ -4,6 +4,8 @@
 wrappers, and ``perfbench/workloads.py`` imports public names; a renamed or
 deleted name would otherwise only show up when the benchmark runs. Conversely,
 an import that a module never reads must be one of the tracer's names there.
+The full-size workloads must also keep both sides of ``solve_hs``'s choice of
+start, which the smoke sizes never take.
 """
 
 import ast
@@ -14,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from pnpfusion.sharpen import hs_normal_symbol, pca_basis
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sharpen_module = importlib.import_module("pnpfusion.sharpen")
 
 
 def load_by_path(name):
@@ -70,6 +75,28 @@ def test_tracer_sees_every_layer_of_a_solve(name):
     assert metrics["denoiser.apply_calls"] == report.iterations_run + 1
     assert metrics["fftops.blur_calls"] > 0
     assert metrics["gmm.em_iters"] > 0
+
+
+@pytest.mark.parametrize(
+    "name, starts", [("pair-iterate", True), ("pair-train", False), ("hs-sharpen", False)]
+)
+def test_the_benchmark_covers_both_sides_of_the_start(name, starts):
+    # solve_hs starts at the least-squares point only where A^T A - rho I is a
+    # positive definite circulant: pair-iterate (lam 0.2 > rho 0.02) takes it,
+    # pair-train (rho 1 > lam 0.2) and the decimated hs-sharpen do not; no
+    # smoke workload takes it, so the benchmark's full size is checked here
+    workloads = load_by_path("workloads")
+    workload = workloads.WORKLOADS[name]
+    for problem in workloads.build_inputs(workload, seed=11):
+        scene, cfg = problem.scene, problem.params.solver
+        if workload.kind == "pair":
+            scene, n_subspace = scene.hs_scene, 1
+        else:
+            n_subspace = problem.params.n_subspace
+        basis = pca_basis(scene.y_h, n_subspace)  # as sharpen finds it
+        rotation, symbol = hs_normal_symbol(scene, basis, cfg.lam)
+        g_inverse = sharpen_module._g_inverse(scene.mask, rotation, symbol, cfg.rho)
+        assert (g_inverse is not None) == starts
 
 
 def test_unused_imports_are_tracer_pins():

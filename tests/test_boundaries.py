@@ -115,9 +115,10 @@ EXEMPT = {
     ("PatchSet", "means"),
     # a list of arrays, whose one array the table spoils as ``init``
     ("run_admm", "init_v"),
-    # two callables
+    # three callables
     ("solve_fixed_point", "denoise"),
     ("solve_fixed_point", "precondition"),
+    ("solve_fixed_point", "g_inverse"),
 }
 
 # the error each spoiled array raises under the boundary rule
@@ -127,6 +128,22 @@ RULE = {
     "ndim": DimensionError,
     "nan": ConfigError,
     "complex": ConfigError,
+}
+
+# (export, argument, variant) whose spoiled array raises an error that does
+# not name it yet: most name the callee's parameter it is passed on as
+PENDING = {
+    *(
+        (name, "x", v)
+        for name in ("apply_blur", "blur_rows")
+        for v in RULE
+        if v != "complex"  # "band must be real, got complex128" holds an x
+    ),
+    *(("LinearDenoiser", "weights", v) for v in RULE),  # "beta"
+    *(("wiener_filter", "covariance", v) for v in RULE),  # "matrix"
+    ("GmmModel", "alphas", "empty"),
+    ("PatchSet", "patches", "empty"),  # "the patch set is empty"
+    ("extract_patches", "image_band", "nan"),  # "patches must be finite"
 }
 
 # the one array argument that may be complex: a circulant's symbol, such as a
@@ -694,8 +711,12 @@ def test_a_malformed_array_raises(world, name, argument, variant):
     for arg in argument.split("+"):
         args[arg] = spoiled(np.asarray(args[arg]), variant, case.wrong.get(argument))
     error = case.pinned.get((argument, variant), RULE[variant])
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         case.call(**args)
+    # refused by its own name, or by one of a pair; a PENDING item that
+    # comes to name it must leave the set
+    named = any(arg in str(raised.value) for arg in argument.split("+"))
+    assert named != ((name, argument, variant) in PENDING)
 
 
 @pytest.mark.parametrize(
@@ -759,8 +780,9 @@ def test_a_list_for_a_package_object_raises(world, name, argument):
     case = CASES[name]
     args = case.args(world)
     args[argument] = [[0.0, 1.0]]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as error:
         case.call(**args)
+    assert argument in str(error.value)  # refused by its own name
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -107,6 +107,17 @@ class TestKernels:
         with pytest.raises(ConfigError, match="delta"):
             make_kernel("nope")
 
+    def test_a_pair_scene_builds_its_kernel_once(self, monkeypatch):
+        # the spec once built the kernel only to check its id, and
+        # motion_kernel is a Python loop over 120 samples
+        calls = []
+        build = PAIR_KERNELS["motion15"]
+        monkeypatch.setitem(
+            PAIR_KERNELS, "motion15", lambda: calls.append(1) or build()
+        )
+        generate_pair_scene(PairSceneSpec(ImageGeometry(16, 16), "motion15", 0.1, 0.0))
+        assert len(calls) == 1
+
 
 class TestPairGenerator:
     def test_noiseless_delta_is_truth(self):

@@ -266,6 +266,19 @@ def test_non_finite_basis_raises(value):
         SubspaceBasis(e)
 
 
+@pytest.mark.parametrize(
+    "mix", [2.0 * np.eye(2), 0.5 * np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])],
+    ids=["scaled-2", "scaled-half", "skewed"],
+)
+def test_basis_that_is_not_orthonormal_raises(mix):
+    # hs_normal_symbol reads E^T E as I: on hs-sharpen's scene 0 at seed 11
+    # these bases of the PCA subspace once took 23, 20 and 17 applications
+    # of D where the PCA basis takes 13
+    e = pca_basis(tiny_scene().y_h, 2).e
+    with pytest.raises(ConfigError, match="e must have orthonormal columns"):
+        SubspaceBasis(e @ mix)
+
+
 @pytest.mark.parametrize("lam", [-0.1])  # NaN, inf: tests/test_boundaries.py
 def test_data_term_refuses_a_bad_lam(lam):
     # a negative or NaN lam once gave a NaN target and a RuntimeWarning
@@ -870,6 +883,39 @@ class TestFixedPointSolve:
         grad = data.adjoint(data.apply(x) - data.target)
         expected = data.objective(x, rho, build_explicit_w(den)) - data.objective(x, 0)
         assert -0.5 * np.sum(x * grad) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_g_inverse_inverts_g_where_it_is_given(self, lam):
+        # A^T A is its circulant part for a pair, and G = A^T A - rho I is
+        # positive definite for rho < lam; the start is taken only then
+        case = pair_case(lam=lam)
+        data = hs_data_term(case.scene, case.basis, lam)
+        rotation, symbol = hs_normal_symbol(case.scene, case.basis, lam)
+        v = np.random.default_rng(3).standard_normal(data.shape)
+        for rho in (0.02, 0.2):
+            g_inverse = sharpen_module._g_inverse(case.scene.mask, rotation, symbol, rho)
+            g_v = data.adjoint(data.apply(g_inverse(v))) - rho * g_inverse(v)
+            np.testing.assert_allclose(g_v, v, rtol=1e-10, atol=1e-12)
+        assert sharpen_module._g_inverse(case.scene.mask, rotation, symbol, lam) is None
+
+    def test_a_decimated_scene_takes_no_start(self):
+        # A^T A is not circulant once the mask drops pixels
+        case = hs_case()
+        rotation, symbol = hs_normal_symbol(case.scene, case.basis, case.lam)
+        assert sharpen_module._g_inverse(case.scene.mask, rotation, symbol, 1e-4) is None
+
+    def test_the_start_saves_two_applications_on_the_pair_iterate_scene(
+        self, pair_iterate_scene, monkeypatch
+    ):
+        # lam = 0.2 > rho = 0.02, so the solve starts at the least-squares
+        # point on the line of G^-1 A^T t, whose residual costs no D
+        p = pair_iterate_scene
+        x, report = solve_hs(p.scene, p.basis, p.denoiser, p.cfg)
+        monkeypatch.setattr(sharpen_module, "_g_inverse", lambda *args: None)
+        x_zero, zero = solve_hs(p.scene, p.basis, p.denoiser, p.cfg)
+        assert report.converged and zero.converged
+        assert (report.iterations_run, zero.iterations_run) == (17, 19)
+        assert relative_error(x, x_zero) <= 1e-7
 
     def test_irregular_mask_matches_the_dense_minimizer(self):
         # 20 of 64 pixels kept at random; a mask that is not a regular grid

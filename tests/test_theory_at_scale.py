@@ -204,19 +204,11 @@ def test_the_fixed_point_minimizes_the_objective(scene, denoiser):
     assert_the_fixed_point_is_the_minimizer(scene.hs_scene, basis, denoiser, cfg)
 
 
-def test_the_fixed_point_minimizes_the_objective_on_the_pair_iterate_scene():
-    # scene 0 of the pair-iterate workload at seed 11, with its K = 8, 6x6
-    # patches and 25 EM iterations
-    scene = generate_pair_scene(
-        PairSceneSpec(ImageGeometry(64, 64), "motion15", 25 / 255, 2 / 255, seed=11000)
-    )
-    cfg = SolverConfig(rho=0.02, lam=0.2, tau=0.01)
-    em = EmConfig(n_components=8, noise_variance=scene.sigma_n**2, max_iters=25)
-    denoiser = train_scene_denoiser(
-        scene.y_n[None], scene.geometry, 6, em, cfg.tau / cfg.rho
-    )
-    basis = SubspaceBasis(np.ones((1, 1)))
-    assert_the_fixed_point_is_the_minimizer(scene.hs_scene, basis, denoiser, cfg)
+def test_the_fixed_point_minimizes_the_objective_on_the_pair_iterate_scene(
+    pair_iterate_scene,
+):
+    p = pair_iterate_scene
+    assert_the_fixed_point_is_the_minimizer(p.scene, p.basis, p.denoiser, p.cfg)
 
 
 def test_the_fixed_point_minimizes_the_objective_on_the_hs_sharpen_scene():
