@@ -23,7 +23,8 @@ metrics; each count argument by 2.0, 2.5, NaN, True, ``"a"``, None and its
 minimum - 1, each of which must raise :class:`ConfigError`, or
 :class:`DimensionError` for grid extents and patch sides; each flag by
 ``"False"``, 0, 1.0 and None, and each argument of a package class by a list,
-each of which must raise :class:`ConfigError`.
+each of which must raise :class:`ConfigError`. Every error but a flag's must
+name the spoiled argument, except the array items in ``PENDING``.
 """
 
 import inspect
