@@ -73,8 +73,9 @@ class SubspaceBasis:
     """Orthonormal spectral basis columns.
 
     :func:`hs_normal_symbol` and :func:`solve_hs`'s start read ``E^T E`` as
-    I, so columns that are not orthonormal raise :class:`ConfigError`: a
-    scaled or skewed basis of the same subspace once solved silently slower.
+    I, so columns that are not orthonormal raise :class:`ConfigError`: with
+    a scaled or skewed basis of the same subspace, the preconditioner misses
+    ``A^T A`` and the solve takes more applications of D, silently.
     """
 
     e: np.ndarray  # (L_h, L_s)
@@ -354,7 +355,7 @@ def solve_hs(
         hs_data_term(scene, basis, cfg.lam),
         denoise,
         cfg,
-        precondition=lambda v: rotation @ symbol_products(rotation.T @ v, inverse),
+        precondition=_rotated_products(rotation, inverse),
         g_inverse=_g_inverse(scene.mask, rotation, normal_symbol, cfg.rho),
     )
 
@@ -373,8 +374,14 @@ def _g_inverse(mask: np.ndarray, rotation, normal_symbol, rho: float):
     shifted = normal_symbol - rho
     if not (np.all(mask == 1) and np.all(shifted > 0)):
         return None
-    inverse = 1.0 / shifted
-    return lambda v: rotation @ symbol_products(rotation.T @ v, inverse)
+    return _rotated_products(rotation, 1.0 / shifted)
+
+
+def _rotated_products(rotation, symbols):
+    """``v -> Q symbol_products(Q^T v, symbols)``: the circulant whose
+    rotated band m has the symbol ``symbols[m]``, with ``Q = rotation`` as in
+    :func:`hs_normal_symbol`."""
+    return lambda v: rotation @ symbol_products(rotation.T @ v, symbols)
 
 
 def run_salsa_hs(
