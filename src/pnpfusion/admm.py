@@ -8,10 +8,13 @@ so the point where ADMM/SALSA converge solves the linear equation
 for the pipeline's data term ``0.5 ||A x - t||^2``. D is symmetric PSD
 with ``||D|| <= 1``. :func:`solve_fixed_point` solves this equation in x,
 ``(rho I + D (A^T A - rho I)) x = D A^T t``, by GMRES, right-preconditioned
-with an operator the caller chooses. Both pipelines pass the inverse of
-``rho I + Dbar (Abar - rho I)``, built from the circulant parts Abar and
-Dbar of ``A^T A`` and D, which is diagonal in the DFT basis and positive
-definite for any rho; the pipeline modules build it. Where
+with an operator the caller chooses. Both pipelines pass a piecewise
+circulant one: D is a mix of K translation-invariant component maps, each
+weighted by where its GMM component acts, so they pass
+``sum_j (rho I + Dbar_j (Abar - rho I))^-1 diag(omega_j)``, built from the
+circulant part Abar of ``A^T A``, each component's circulant Dbar_j and its
+per-pixel weight omega_j; each inverse is diagonal in the DFT basis and
+positive definite for any rho, and the pipeline modules build them. Where
 ``A^T A - rho I`` is a positive definite circulant, as for a blurred/noisy
 pair with ``lam > rho``, they also pass its inverse, and GMRES starts at a
 least-squares point that costs no application of D.
@@ -49,8 +52,8 @@ from .errors import (
 FIXED_POINT_RTOL = 1e-10
 
 # Most GMRES steps between two recomputations of the residual. Preconditioned
-# as the pipelines do, a benchmark solve converges in ~20, so the basis stays
-# well below the stencil's memory.
+# as the pipelines do, a benchmark solve converges in 11-14, so the basis
+# stays well below the stencil's memory.
 GMRES_BASIS = 30
 
 
@@ -172,7 +175,9 @@ def preconditioner_symbol(normal_symbol, denoise_symbol, rho: float):
 
     ``normal_symbol`` holds Abar's eigenvalues, ``A^T A``'s circulant part
     (nonnegative), and ``denoise_symbol`` Dbar's, clipped here to ``[0, 1]``
-    where D's spectrum lies. Circulant matrices commute, so M is also
+    where D's spectrum lies; the two broadcast, so a ``(K, 1, h, w)`` stack
+    of component circulants against a ``(k, h, w)`` stack of bands gives
+    ``(K, k, h, w)``. Circulant matrices commute, so M is also
     ``rho I + (Abar - rho I) Dbar``, with the eigenvalue ``rho (1 - d) + a d``,
     positive unless ``a = 0`` where ``d = 1``; there ``M^-1`` is taken as 0.
     """
@@ -211,10 +216,14 @@ def solve_fixed_point(
 
     which holds for any rho. GMRES (Saad & Schultz, SIAM J. Sci. Stat.
     Comput. 1986) solves it, right-preconditioned by ``precondition``, which
-    applies ``M^-1`` (the identity by default); the pipelines pass the
-    inverse of ``M = rho I + Dbar (Abar - rho I)``, where Abar and Dbar are
-    the circulant parts of ``A^T A`` and D (T. Chan, SIAM J. Sci. Stat.
-    Comput. 1988), so that M is diagonal in the DFT basis.
+    applies ``M^-1`` (the identity by default); the pipelines pass
+    ``M^-1 = sum_j (rho I + Dbar_j (Abar - rho I))^-1 diag(omega_j)``, where
+    Abar is the circulant part of ``A^T A`` (T. Chan, SIAM J. Sci. Stat.
+    Comput. 1988) and D is read as ``sum_j diag(omega_j) Dbar_j``, one
+    circulant per GMM component weighted by where it acts (Nagy & O'Leary,
+    SIAM J. Sci. Comput. 1998), so that each term is diagonal in the DFT
+    basis. With one component of weight 1 it is the inverse of Chan's
+    ``rho I + Dbar (Abar - rho I)``.
 
     GMRES starts at 0, or, if ``g_inverse`` applies ``G^-1`` (G must then
     be invertible), at the least-squares point ``x0 = c s`` on the line of

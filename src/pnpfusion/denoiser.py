@@ -30,6 +30,12 @@ patch, so for a trained model the practical M_i equals the patch pipeline's
 mean removal, filtering and mean restoration ``F_i (I - J) + J`` to
 rounding.
 
+For the fixed-point solve's preconditioner, :class:`LinearDenoiser` also
+reads W as ``sum_j diag(omega_j) Dbar_j``: the circulant Dbar_j of each
+component's map M_j, weighted by omega_j, the component's patch weight
+averaged over the patches that cover each pixel. The component maps are
+formed once for both the stencil and these circulants.
+
 Each fusion pipeline states its data fit once as a :class:`DataTerm`, which
 adds ``reg_weight * phi`` to give the objective PnP-ADMM minimizes and solves
 that objective densely as the test-scale oracle.
@@ -93,8 +99,8 @@ class LinearDenoiser:
         require_real(self.noise_variance, "noise_variance", strict=True)
         require_flag(self.pure_linear, "pure_linear")
         n, k = self.geometry.n, self.model.n_components
-        beta = checked_responsibilities(self.weights, n, k)
-        object.__setattr__(self, "weights", beta)
+        weights = checked_responsibilities(self.weights, n, k, "weights")
+        object.__setattr__(self, "weights", weights)
 
     @cached_property
     def operator(self) -> np.ndarray:
@@ -117,13 +123,8 @@ class LinearDenoiser:
         n_p = side * side
         h, w = self.geometry.height, self.geometry.width
         span = 2 * side - 1
-        filters = component_filters(self.model, self.noise_variance)
-        if not self.pure_linear:
-            # (I - J) F_j (I - J) + J: beta sums to 1, so these weigh up to M_i
-            filters = filters - filters.mean(axis=2, keepdims=True)
-            filters -= filters.mean(axis=1, keepdims=True) - 1.0 / n_p
         # entries[k, k'] holds entry (k, k') of every M_j / n_p as one K-vector
-        entries = np.ascontiguousarray(filters.transpose(1, 2, 0) / n_p)
+        entries = np.ascontiguousarray(self._patch_filters.transpose(1, 2, 0) / n_p)
         beta = self.weights
         data = np.empty((w, h, span, span))
         slab = np.empty((span, w, h))
@@ -152,25 +153,65 @@ class LinearDenoiser:
         return data
 
     @cached_property
-    def circulant_symbol(self) -> np.ndarray:
-        """Eigenvalues of the circulant part of W on the ``(height, width)``
-        DFT grid.
+    def _patch_filters(self) -> np.ndarray:
+        """The K component maps M_j, ``(K, n_p, n_p)``, formed once for
+        :attr:`operator` and :attr:`component_circulants`: the Wiener filters
+        F_j, or ``(I - J) F_j (I - J) + J`` in practical mode. Every beta
+        column sums to 1, so the patch map M_i is ``sum_j beta_ji M_j``."""
+        filters = component_filters(self.model, self.noise_variance)
+        if not self.pure_linear:
+            n_p = filters.shape[-1]
+            filters = filters - filters.mean(axis=2, keepdims=True)
+            filters -= filters.mean(axis=1, keepdims=True) - 1.0 / n_p
+        return filters
 
-        The circulant part is W averaged over every cyclic shift of the grid,
-        T. Chan's optimal circulant approximation (SIAM J. Sci. Stat. Comput.
-        1988): its coefficient at a displacement is the pixel mean of that
-        stencil plane of :attr:`operator`, and displacements that wrap onto
-        one pixel add up. W is symmetric PSD, so the symbol is real, even and
-        nonnegative up to rounding.
+    @cached_property
+    def component_circulants(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(symbols, weights)``: the circulant of each GMM component and
+        where it acts, built on first use and kept.
+
+        Component j on every patch gives the translation-invariant map Dbar_j
+        whose coefficient at displacement d is ``(1/n_p) sum_{k' - k = d}
+        M_j[k, k']``; ``symbols[j]`` holds its eigenvalues on the
+        ``(height, width)`` DFT grid, real and even as M_j is symmetric, and
+        displacements that wrap onto one pixel add up. ``weights[j]`` is
+        beta_j averaged over the n_p patches that cover each pixel, so the
+        ``(K, n)`` weights' columns sum to 1. W is close to ``sum_j
+        diag(weights_j) Dbar_j``, a piecewise circulant (Nagy & O'Leary, SIAM
+        J. Sci. Comput. 1998), and ``sum_j mean(weights_j) Dbar_j`` is W
+        averaged over every cyclic shift of the grid, T. Chan's optimal
+        circulant (SIAM J. Sci. Stat. Comput. 1988).
         """
-        stencil = self.operator
+        side = self.model.patch_side
+        n_p = side * side
         h, w = self.geometry.height, self.geometry.width
-        offsets = np.arange(stencil.shape[-1]) - stencil.shape[-1] // 2
-        kernel = np.zeros((h, w))
-        # plane [b, a] holds displacement (a - s + 1, b - s + 1) in (row, column)
-        rows, cols = (offsets % h)[None, :], (offsets % w)[:, None]
-        np.add.at(kernel, (rows, cols), stencil.mean(axis=(0, 1)))
-        return np.fft.fft2(kernel).real
+        span = 2 * side - 1
+        # filters[j, kc, kr, kc', kr'] is entry (k, k') of M_j, k = kc*s + kr
+        filters = self._patch_filters.reshape(-1, side, side, side, side)
+        planes = np.zeros((len(filters), span, span))
+        for kc in range(side):
+            for kr in range(side):
+                # plane [j, a, b] holds displacement (a - s + 1, b - s + 1)
+                planes[:, side - 1 - kr : span - kr, side - 1 - kc : span - kc] += (
+                    filters[:, kc, kr].transpose(0, 2, 1)
+                )
+        # The symbol is the real part of the planes' DFT, whose wrapped
+        # displacements add up by periodicity: with E = C - iS the DFT
+        # matrices on the displacements, Re(E P E^T) = C P C^T - S P S^T.
+        offsets = np.arange(span) - side + 1
+        rows = 2 * np.pi * np.outer(np.arange(h), offsets) / h
+        cols = 2 * np.pi * np.outer(np.arange(w), offsets) / w
+        planes /= n_p
+        symbols = np.cos(rows) @ planes @ np.cos(cols).T
+        symbols -= np.sin(rows) @ planes @ np.sin(cols).T
+        # The patch anchored at pixel i covers pixel i + k for each offset k:
+        # box(m) sums the side cyclic shifts along an axis of m pixels.
+        def box(m):
+            return sum(np.roll(np.eye(m), k, axis=0) for k in range(side))
+
+        beta = self.weights.reshape(-1, w, h)
+        weights = box(w) @ beta @ box(h).T / n_p
+        return symbols, weights.reshape(len(beta), -1)
 
 
 @dataclass(frozen=True)

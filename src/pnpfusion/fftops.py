@@ -9,9 +9,12 @@ and one FFT round trip does the rest.
 
 :func:`symbol_products` applies any real circulant given by its eigenvalues
 (its symbol) on the DFT grid. Such a symbol is Hermitian, ``s[-f] =
-conj(s[f])``, so one real FFT round trip serves: the blur and its adjoint
-(the PSF's transfer and its conjugate), the closed-form x-updates and the
-fixed-point preconditioner all run through it.
+conj(s[f])``, so one real FFT round trip serves. It checks its caller's
+symbols and bands, then runs an unchecked core, which the package's own
+operators call directly on the symbols they built: the blur and its adjoint
+(the PSF's transfer and its conjugate, once :func:`blur_rows` has checked
+``x``). A second core applies a weighted sum of several circulants with one
+inverse FFT, for the fixed-point preconditioner and the least-squares start.
 
 Right-multiplication conventions used by the sharpening updates: for a bands
 x pixels matrix, "X B" blurs each row and "X B^T" correlates each row, so the
@@ -33,6 +36,11 @@ from .patches import ImageGeometry
 # Largest |s[f] - conj(s[-f])| that symbol_products accepts, relative to
 # max |s|; the package's own symbols measure below 5e-16.
 HERMITIAN_RTOL = 1e-12
+
+# Largest spectra, in bytes, that _mixture_products transforms at once: it
+# takes its components in groups of this size, as the EM steps take their
+# patches in chunks, so that memory stays bounded whatever K is.
+_GROUP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,8 @@ def blur_rows(x: np.ndarray, blur: CyclicBlur, adjoint: bool = False) -> np.ndar
     (correlation when ``adjoint``)."""
     require_instance(blur, CyclicBlur, "blur")
     require_flag(adjoint, "adjoint")
-    return symbol_products(x, np.conj(blur.transfer) if adjoint else blur.transfer)
+    x = as_array(x, "x", range(1, 33))
+    return _symbol_products(x, np.conj(blur.transfer) if adjoint else blur.transfer)
 
 
 # A single band is a stack too. The package calls blur_rows; this name stays
@@ -108,8 +117,36 @@ def symbol_products(band: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     mirror = np.roll(symbols[..., ::-1, ::-1], 1, axis=(-2, -1)).conj()
     if np.abs(symbols - mirror).max() > HERMITIAN_RTOL * np.abs(symbols).max():
         raise ConfigError("symbols must be Hermitian, s[-f] = conj(s[f])")
+    return _symbol_products(as_array(band, "band", range(1, 33)), symbols)
+
+
+def _symbol_products(band: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """:func:`symbol_products` without its checks, for a checked float
+    ``band`` and a Hermitian stack of ``symbols`` that the package built."""
     geometry = ImageGeometry(*symbols.shape[-2:])
-    spectrum = np.fft.rfft2(geometry.to_grid(as_array(band, "band", range(1, 33))))
+    spectrum = np.fft.rfft2(geometry.to_grid(band))
     half = symbols[..., : geometry.width // 2 + 1]
     shape = (geometry.height, geometry.width)
     return geometry.from_grid(np.fft.irfft2(half * spectrum, s=shape))
+
+
+def _mixture_products(band: np.ndarray, weights: np.ndarray, symbols: np.ndarray):
+    """``sum_j C_j (weights[j] * band)`` for a checked ``(k, n)`` ``band``,
+    ``(K, n)`` pixel ``weights`` and a ``(K, k, height, width)`` stack of
+    Hermitian ``symbols`` that the package built, C_j applying
+    ``symbols[j, m]`` to band m.
+
+    The sum over j is taken in the frequency domain, so one inverse FFT
+    serves; the weighted bands are transformed in groups of components of
+    at most ``_GROUP_BYTES`` of spectra.
+    """
+    geometry = ImageGeometry(*symbols.shape[-2:])
+    half = symbols[..., : geometry.width // 2 + 1]
+    group = max(1, _GROUP_BYTES // (16 * half[0].size))
+    total = 0.0
+    for start in range(0, len(weights), group):
+        chunk = slice(start, start + group)
+        spectra = np.fft.rfft2(geometry.to_grid(weights[chunk, None] * band))
+        total = total + np.einsum("j...,j...->...", half[chunk], spectra)
+    shape = (geometry.height, geometry.width)
+    return geometry.from_grid(np.fft.irfft2(total, s=shape))

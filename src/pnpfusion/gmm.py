@@ -186,16 +186,18 @@ class EmConfig:
         require_real(self.noise_variance, "noise_variance")
 
 
-def checked_responsibilities(beta, n_patches: int, n_components=None) -> np.ndarray:
+def checked_responsibilities(
+    beta, n_patches: int, n_components=None, name: str = "beta"
+) -> np.ndarray:
     """``beta`` as a float (K, n_patches) array, K = ``n_components`` if given,
-    whose columns lie on the simplex within :data:`SIMPLEX_ATOL`. A float
-    array is not copied."""
-    beta = as_array(beta, "beta", 2, finite=False)
+    whose columns lie on the simplex within :data:`SIMPLEX_ATOL`; an error
+    names it ``name``, the caller's argument. A float array is not copied."""
+    beta = as_array(beta, name, 2, finite=False)
     if beta.shape != (n_components or beta.shape[0], n_patches):
-        raise DimensionError(f"weights shape {beta.shape}, need (K, {n_patches})")
+        raise DimensionError(f"{name} has shape {beta.shape}, need (K, {n_patches})")
     # NaN and inf fail the tests, and together they bound every entry by 1 + atol
     if not (abs(beta.sum(axis=0) - 1).max() <= SIMPLEX_ATOL and beta.min() >= 0):
-        raise ConfigError(f"beta must be >= 0, column sums within {SIMPLEX_ATOL} of 1")
+        raise ConfigError(f"{name} must be >= 0, column sums within {SIMPLEX_ATOL} of 1")
     return beta
 
 

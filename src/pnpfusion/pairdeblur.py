@@ -16,9 +16,11 @@ noisy sharp image. A :class:`PairScene` therefore holds that one-band
 :class:`~pnpfusion.sharpen.HsScene`, which validates the pair, and
 :func:`deblur_pair` runs :func:`~pnpfusion.sharpen.sharpen` on it: one GMRES
 solve (:func:`~pnpfusion.sharpen.solve_hs`), whose report counts
-applications of D. The pair's ``A^T A = B^T B + lam I`` is a circulant, so
-with ``lam > rho`` that solve starts at the least-squares point on the line
-of ``(A^T A - rho I)^-1 A^T t``, which costs no application of D. One-band
+applications of D, preconditioned with one circulant per GMM component.
+The pair's ``A^T A = B^T B + lam I`` is a circulant, so the preconditioner
+is exact but for D, and with ``lam > rho`` that solve starts at the
+least-squares point on the line of ``(A^T A - rho I)^-1 A^T t``, which costs
+no application of D. One-band
 SALSA (:func:`~pnpfusion.sharpen.run_salsa_hs`) with D as its v3-step
 reaches the same point by iterating, and the dense oracle is
 :func:`~pnpfusion.sharpen.hs_data_term`'s minimizer on that scene.

@@ -22,14 +22,17 @@ coefficients X, for the solvers, the reference and the scene generator; its
 evaluate this objective and give its dense minimizer.
 
 :func:`sharpen` solves the fixed-point equation by GMRES (:func:`solve_hs`),
-so its report counts applications of D. Its preconditioner is diagonal in the
-DFT basis once the coefficient bands are rotated into the eigenbasis of
+so its report counts applications of D. ``A^T A`` is diagonal in the DFT
+basis once the coefficient bands are rotated into the eigenbasis of
 ``lam (R E)^T R E`` and the sampling mask is replaced by its mean
-(:func:`hs_normal_symbol`). When the mask keeps every pixel, that
-circulant part is ``A^T A`` itself; if ``A^T A - rho I`` is then positive
-definite, its inverse gives GMRES a start that costs no application of D.
-Both read ``E^T E`` as I, so :class:`SubspaceBasis` refuses columns that are
-not orthonormal.
+(:func:`hs_normal_symbol`), and D is read as one circulant per GMM component
+weighted by where that component acts
+(:attr:`~pnpfusion.denoiser.LinearDenoiser.component_circulants`), so the
+preconditioner is a weighted sum of K such diagonal inverses. When the mask
+keeps every pixel, the circulant part is ``A^T A`` itself; if
+``A^T A - rho I`` is then positive definite, its inverse gives GMRES a start
+that costs no application of D. Both read ``E^T E`` as I, so
+:class:`SubspaceBasis` refuses columns that are not orthonormal.
 :func:`run_salsa_hs` runs the paper's three-block SALSA scheme to the same
 point and stays as the reference; its third block is D, or any other v3-step.
 
@@ -58,7 +61,7 @@ from .errors import (
     ConfigError, DimensionError, as_array, require_count, require_flag,
     require_instance, require_real,
 )
-from .fftops import CyclicBlur, blur_rows, solve_x_update_hs, symbol_products
+from .fftops import CyclicBlur, _mixture_products, blur_rows, solve_x_update_hs
 from .gmm import EmConfig, train_em
 from .patches import ImageGeometry, extract_patches, remove_means
 
@@ -179,6 +182,8 @@ def v3_update(
     """D on each coefficient band of ``x - d3``, two ``(k, n)`` stacks of one
     shape, or ``x - d3`` without a denoiser; perfbench's gate applies D so."""
     x, d3 = as_array(x, "x", 2), as_array(d3, "d3", 2)
+    if den is not None:
+        require_instance(den, LinearDenoiser, "den")
     if x.shape != d3.shape:
         raise DimensionError(f"x has shape {x.shape}, d3 {d3.shape}")
     target = x - d3
@@ -335,27 +340,35 @@ def solve_hs(
     """The fixed point on the coefficients, by GMRES
     (:func:`~pnpfusion.admm.solve_fixed_point`).
 
-    D acts on each coefficient band alone, so its circulant part Dbar commutes
-    with the rotation Q of :func:`hs_normal_symbol`, and the preconditioner
-    ``(rho I + Dbar (Abar - rho I))^-1`` is one symbol product per rotated
-    band between two rotations. Where :func:`_g_inverse` finds
-    ``G = A^T A - rho I`` to be a positive definite circulant, as for a pair
-    with ``lam > rho``, ``G^-1`` is such a product too, and GMRES starts at
-    the least-squares point on the line of ``G^-1 A^T t``, which costs no
-    application of D. D is a LinearDenoiser, or None for identity.
+    D acts on each coefficient band alone, so the circulant Dbar_j of each
+    GMM component commutes with the rotation Q of :func:`hs_normal_symbol`.
+    With omega_j the component's per-pixel weight
+    (:attr:`~pnpfusion.denoiser.LinearDenoiser.component_circulants`), the
+    preconditioner ``sum_j (rho I + Dbar_j (Abar - rho I))^-1 diag(omega_j)``
+    takes, between two rotations, the real FFT of each weighted rotated band,
+    a sum over j in the frequency domain and one inverse FFT per band. The
+    identity D is its one-component case, symbol 1 and weight 1. Where
+    :func:`_g_inverse` finds ``G = A^T A - rho I`` to be a positive definite
+    circulant, as for a pair with ``lam > rho``, ``G^-1`` is such a product
+    too, and GMRES starts at the least-squares point on the line of
+    ``G^-1 A^T t``, which costs no application of D. D is a LinearDenoiser,
+    or None for identity.
     """
     _check_problem(scene, basis, cfg.lam)
     if denoiser is not None:  # GMRES needs D linear
         require_instance(denoiser, LinearDenoiser, "denoiser")
     denoise = _v3_step(denoiser, scene.geometry)
-    denoise_symbol = 1.0 if denoiser is None else denoiser.circulant_symbol
+    if denoiser is None:  # one component: symbol 1, weight 1
+        symbols, weights = np.ones((1, 1, 1)), np.ones((1, scene.geometry.n))
+    else:
+        symbols, weights = denoiser.component_circulants
     rotation, normal_symbol = hs_normal_symbol(scene, basis, cfg.lam)
-    inverse = preconditioner_symbol(normal_symbol, denoise_symbol, cfg.rho)
+    inverse = preconditioner_symbol(normal_symbol, symbols[:, None], cfg.rho)
     return solve_fixed_point(
         hs_data_term(scene, basis, cfg.lam),
         denoise,
         cfg,
-        precondition=_rotated_products(rotation, inverse),
+        precondition=_rotated_products(rotation, inverse, weights),
         g_inverse=_g_inverse(scene.mask, rotation, normal_symbol, cfg.rho),
     )
 
@@ -374,14 +387,14 @@ def _g_inverse(mask: np.ndarray, rotation, normal_symbol, rho: float):
     shifted = normal_symbol - rho
     if not (np.all(mask == 1) and np.all(shifted > 0)):
         return None
-    return _rotated_products(rotation, 1.0 / shifted)
+    return _rotated_products(rotation, 1.0 / shifted[None], np.ones((1, mask.size)))
 
 
-def _rotated_products(rotation, symbols):
-    """``v -> Q symbol_products(Q^T v, symbols)``: the circulant whose
-    rotated band m has the symbol ``symbols[m]``, with ``Q = rotation`` as in
-    :func:`hs_normal_symbol`."""
-    return lambda v: rotation @ symbol_products(rotation.T @ v, symbols)
+def _rotated_products(rotation, symbols, weights):
+    """``v -> Q sum_j C_j (weights[j] * Q^T v)``, with ``Q = rotation`` as
+    in :func:`hs_normal_symbol` and C_j the circulant whose rotated band m
+    has the symbol ``symbols[j, m]``; one inverse FFT per application."""
+    return lambda v: rotation @ _mixture_products(rotation.T @ v, weights, symbols)
 
 
 def run_salsa_hs(

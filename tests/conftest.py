@@ -113,6 +113,21 @@ def both_solves(scene, basis, den, cfg):
     return [solve_hs(scene, basis, den, cfg), plain]
 
 
+def chan_symbol(denoiser: LinearDenoiser) -> np.ndarray:
+    """Eigenvalues of W averaged over every cyclic shift of the grid
+    (T. Chan, SIAM J. Sci. Stat. Comput. 1988), from the stencil: the pixel
+    mean of each plane of ``operator`` is the coefficient at its
+    displacement, and displacements that wrap onto one pixel add up."""
+    stencil = denoiser.operator
+    h, w = denoiser.geometry.height, denoiser.geometry.width
+    offsets = np.arange(stencil.shape[-1]) - stencil.shape[-1] // 2
+    kernel = np.zeros((h, w))
+    # plane [b, a] holds displacement (a - s + 1, b - s + 1) in (row, column)
+    rows, cols = (offsets % h)[None, :], (offsets % w)[:, None]
+    np.add.at(kernel, (rows, cols), stencil.mean(axis=(0, 1)))
+    return np.fft.fft2(kernel).real
+
+
 def mirror_defect(denoiser: LinearDenoiser) -> float:
     """Largest ``|W[p, p + d] - W[p + d, p]|`` over every stencil coefficient.
 
@@ -145,16 +160,17 @@ def small_denoiser():
 def pair_iterate_scene():
     """Scene 0 of the pair-iterate workload at seed 11, as its one-band
     sharpening scene on the 1x1 basis, with the workload's solver settings
-    and the denoiser it trains (K = 8, 6x6 patches, 25 EM iterations)."""
-    pair = generate_pair_scene(
-        PairSceneSpec(ImageGeometry(64, 64), "motion15", 25 / 255, 2 / 255, seed=11000)
-    )
+    and the denoiser it trains (K = 8, 6x6 patches, 25 EM iterations);
+    ``tests/test_bench_contract.py`` checks these against the workload."""
+    spec = PairSceneSpec(ImageGeometry(64, 64), "motion15", 25 / 255, 2 / 255, seed=11000)
+    pair = generate_pair_scene(spec)
     cfg = SolverConfig(rho=0.02, lam=0.2, tau=0.01)
     em = EmConfig(n_components=8, noise_variance=pair.sigma_n**2, max_iters=25)
+    patch_side = 6
     denoiser = train_scene_denoiser(
-        pair.y_n[None], pair.geometry, 6, em, cfg.tau / cfg.rho
+        pair.y_n[None], pair.geometry, patch_side, em, cfg.tau / cfg.rho
     )
     return SimpleNamespace(
         scene=pair.hs_scene, basis=SubspaceBasis(np.ones((1, 1))), cfg=cfg,
-        denoiser=denoiser,
+        denoiser=denoiser, spec=spec, em=em, patch_side=patch_side,
     )

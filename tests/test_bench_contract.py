@@ -5,7 +5,8 @@ wrappers, and ``perfbench/workloads.py`` imports public names; a renamed or
 deleted name would otherwise only show up when the benchmark runs. Conversely,
 an import that a module never reads must be one of the tracer's names there.
 The full-size workloads must also keep both sides of ``solve_hs``'s choice of
-start, which the smoke sizes never take.
+start, which the smoke sizes never take, and the tests that pin the
+``pair-iterate`` scene's counts must build that workload's scene.
 """
 
 import ast
@@ -132,3 +133,21 @@ def test_unused_imports_are_tracer_pins():
             if local not in read and (module, name) not in pins
         ]
     assert unused == []
+
+
+def test_the_pair_iterate_fixture_is_the_workloads_scene_0(pair_iterate_scene):
+    # tests pin application counts on this fixture as the benchmark's scene;
+    # a workload setting that moved without it would pin another scene
+    workloads = load_by_path("workloads")
+    w = workloads.WORKLOADS["pair-iterate"]
+    p = pair_iterate_scene
+    spec, em, cfg = p.spec, p.em, p.cfg
+    assert (spec.geometry.height, spec.geometry.width) == (w.size, w.size)
+    assert spec.kernel_id == w.kernel
+    assert (spec.sigma_n, spec.sigma_b) == (workloads.SIGMA_N, workloads.SIGMA_B)
+    assert spec.seed == w.scene_seeds(11)[0] == 11000
+    assert (em.n_components, em.max_iters, em.loglik_rel_tol) == (
+        w.components, w.em_iters, w.em_tol
+    )
+    assert p.patch_side == w.patch_side
+    assert (cfg.rho, cfg.lam, cfg.tau) == (w.rho, w.lam, w.tau)

@@ -17,8 +17,12 @@ from pnpfusion.denoiser import (
 from pnpfusion.errors import ConfigError, DimensionError, SizeError
 from pnpfusion.fftops import symbol_products
 from pnpfusion.gmm import GmmModel, posterior
-from pnpfusion.patches import ImageGeometry, extract_patches, remove_means
-from tests.conftest import mirror_defect, mmse_map, train_random_denoiser
+from pnpfusion.patches import (
+    ImageGeometry, extract_patches, patch_index_map, remove_means
+)
+from tests.conftest import (
+    chan_symbol, mirror_defect, mmse_map, relative_error, train_random_denoiser
+)
 
 
 def identity_term(target):
@@ -221,7 +225,7 @@ class TestOperator:
         geometry = ImageGeometry(height, width)
         den = random_denoiser(geometry, side, 3, seed=side)
         average = shift_average(build_explicit_w(den).matrix, geometry)
-        symbol = den.circulant_symbol
+        symbol = chan_symbol(den)
         np.testing.assert_allclose(
             np.sort(symbol.ravel()), np.linalg.eigvalsh(average), rtol=0, atol=1e-12
         )
@@ -229,6 +233,34 @@ class TestOperator:
         np.testing.assert_allclose(
             symbol_products(x, symbol), average @ x, rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("pure_linear", [True, False])
+    @pytest.mark.parametrize("height,width,side", [(12, 12, 3), (5, 7, 4)])
+    def test_the_component_circulants_average_to_chan_symbol(
+        self, height, width, side, pure_linear
+    ):
+        # the shift average of W is sum_j mean(beta_j) Dbar_j, and the
+        # weights keep each component's mean
+        den = random_denoiser(
+            ImageGeometry(height, width), side, 3, seed=side, pure_linear=pure_linear
+        )
+        symbols, weights = den.component_circulants
+        average = np.tensordot(weights.mean(axis=1), symbols, axes=1)
+        assert relative_error(average, chan_symbol(den)) <= 1e-12
+
+    @pytest.mark.parametrize("height,width,side", [(12, 12, 3), (5, 7, 4)])
+    def test_the_weights_average_beta_over_the_covering_patches(
+        self, height, width, side
+    ):
+        geometry = ImageGeometry(height, width)
+        den = random_denoiser(geometry, side, 3, seed=side)
+        covered = patch_index_map(geometry, side)  # pixels of the patch at i
+        expected = np.zeros_like(den.weights)
+        for i, pixels in enumerate(covered):
+            expected[:, pixels] += den.weights[:, [i]] / side**2
+        weights = den.component_circulants[1]
+        np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("shape", [(2, 35), (1, 2, 36), (36, 2)])
     def test_misshapen_stack_raises(self, shape):
@@ -272,6 +304,7 @@ class TestOperator:
         y = np.random.default_rng(2).standard_normal(den.geometry.n)
         for _ in range(3):
             denoise_image_fixed(y, den)
+        den.component_circulants  # the preconditioner's share of the filters
         assert len(calls) == 1
 
     def test_wrong_length_band_raises(self):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from pnpfusion.fftops import (
 )
 from pnpfusion.patches import ImageGeometry
 from pnpfusion.scenes import make_kernel
+
+fftops = importlib.import_module("pnpfusion.fftops")
 
 
 def dense_blur_matrix_oracle(psf, geometry):
@@ -205,13 +209,34 @@ class TestSymbolProducts:
             symbol_products(np.ones(16), symbol)
 
     def test_the_preconditioner_symbols_are_hermitian(self, small_denoiser):
-        # built as solve_hs builds them: one rotated band per data weight
+        # built as solve_hs builds them: one rotated band per data weight,
+        # one stack of bands per component
         power = CyclicBlur(make_kernel("box9"), small_denoiser.geometry).power_spectrum
         normal = power + np.array([0.05, 0.4])[:, None, None]
-        inverse = preconditioner_symbol(normal, small_denoiser.circulant_symbol, 0.02)
+        symbols = small_denoiser.component_circulants[0]
+        inverse = preconditioner_symbol(normal, symbols[:, None], 0.02)
         bands = np.ones((2, small_denoiser.geometry.n))
         np.testing.assert_allclose(
-            symbol_products(bands, inverse), bands * inverse[:, :1, 0], rtol=1e-12
+            symbol_products(bands, inverse), bands * inverse[..., :1, 0], rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("group_bytes", [1, 3 * 2 * 6 * 4 * 16, 1 << 20])
+    def test_a_mixture_sums_its_circulants_in_any_grouping(
+        self, monkeypatch, group_bytes
+    ):
+        # one component per group, three (the last group holds two) and all
+        # five: each group's spectra join the same frequency-domain sum
+        geometry = ImageGeometry(6, 7)  # 6 x 4 half spectra per band
+        rng = np.random.default_rng(8)
+        band = rng.standard_normal((2, geometry.n))
+        weights = rng.dirichlet(np.ones(5), size=geometry.n).T
+        kernels = rng.standard_normal((5, 2, 6, 7))
+        symbols = np.abs(np.fft.fft2(kernels)) ** 2  # real and even
+        expected = sum(symbol_products(w * band, s) for w, s in zip(weights, symbols))
+        monkeypatch.setattr(fftops, "_GROUP_BYTES", group_bytes)
+        np.testing.assert_allclose(
+            fftops._mixture_products(band, weights, symbols), expected,
+            rtol=0, atol=1e-12,
         )
 
     @pytest.mark.parametrize("symbols", [np.ones(8), np.float64(1.0)])

@@ -6,7 +6,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from pnpfusion.admm import FIXED_POINT_RTOL, SolverConfig, solve_fixed_point
+from pnpfusion.admm import (
+    FIXED_POINT_RTOL, SolverConfig, preconditioner_symbol, solve_fixed_point
+)
 from pnpfusion.denoiser import build_explicit_w, denoise_image_fixed
 from pnpfusion.errors import ConfigError, DimensionError
 from pnpfusion.fftops import CyclicBlur, blur_rows, symbol_products
@@ -30,6 +32,7 @@ from pnpfusion.sharpen import (
 )
 from tests.conftest import (
     both_solves,
+    chan_symbol,
     clean_observations,
     mmse_map,
     relative_error,
@@ -904,18 +907,45 @@ class TestFixedPointSolve:
         rotation, symbol = hs_normal_symbol(case.scene, case.basis, case.lam)
         assert sharpen_module._g_inverse(case.scene.mask, rotation, symbol, 1e-4) is None
 
-    def test_the_start_saves_two_applications_on_the_pair_iterate_scene(
+    def test_the_start_saves_three_applications_on_pair_iterate(
         self, pair_iterate_scene, monkeypatch
     ):
         # lam = 0.2 > rho = 0.02, so the solve starts at the least-squares
-        # point on the line of G^-1 A^T t, whose residual costs no D
+        # point on the line of G^-1 A^T t, whose residual costs no D; the
+        # counts pin the preconditioner on the benchmark's scene 0 as well
         p = pair_iterate_scene
         x, report = solve_hs(p.scene, p.basis, p.denoiser, p.cfg)
         monkeypatch.setattr(sharpen_module, "_g_inverse", lambda *args: None)
         x_zero, zero = solve_hs(p.scene, p.basis, p.denoiser, p.cfg)
         assert report.converged and zero.converged
-        assert (report.iterations_run, zero.iterations_run) == (17, 19)
+        assert (report.iterations_run, zero.iterations_run) == (12, 15)
         assert relative_error(x, x_zero) <= 1e-7
+
+    @pytest.mark.parametrize("components", [None, 1], ids=["identity", "K=1"])
+    @pytest.mark.parametrize("make", [hs_case, pair_case], ids=["hs", "pair"])
+    def test_one_component_preconditions_as_chan(self, make, components, monkeypatch):
+        # with one component, weight 1 on every pixel, the piecewise
+        # circulant preconditioner is T. Chan's single circulant
+        case = make()
+        cfg = SolverConfig(rho=0.05, lam=case.lam, tau=0.05)
+        den = None if components is None else trained_denoiser(
+            case.scene, cfg.rho, cfg.tau, False, case.patch_side, components
+        )
+        taken = {}
+
+        def capture(*args, **kwargs):
+            taken.update(kwargs)
+            return None, None
+
+        monkeypatch.setattr(sharpen_module, "solve_fixed_point", capture)
+        solve_hs(case.scene, case.basis, den, cfg)
+        rotation, normal = hs_normal_symbol(case.scene, case.basis, case.lam)
+        symbol = 1.0 if den is None else chan_symbol(den)
+        inverse = preconditioner_symbol(normal, symbol, cfg.rho)
+        shape = (case.basis.dim, case.scene.geometry.n)
+        v = np.random.default_rng(5).standard_normal(shape)
+        expected = rotation @ symbol_products(rotation.T @ v, inverse)
+        assert relative_error(taken["precondition"](v), expected) <= 1e-12
 
     def test_irregular_mask_matches_the_dense_minimizer(self):
         # 20 of 64 pixels kept at random; a mask that is not a regular grid
